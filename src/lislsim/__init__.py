@@ -3,14 +3,11 @@
 __version__ = "0.1.0"
 
 from .constellation import (
-    BodyState,
     ConstellationParams,
     GroundStation,
     ScenarioParams,
     build_snapshot,
     generate_series,
-    ground_station_state,
-    propagate,
 )
 from .topology import (
     ContiguousRun,

@@ -19,13 +19,12 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kernels, metrics, oracle
-from .config import ExperimentConfig, default_config, load_config, with_overrides
+from . import __version__, metrics, oracle
+from .config import ExperimentConfig, default_config, load_config
 from .constellation import generate_series
 from .routing import RoutingSchedule, Route, run_algorithm
 from .topology import build_link_details, export_series, import_series
@@ -76,14 +75,29 @@ def read_schedule(path) -> RoutingSchedule:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("schedule v1 "):
         raise ValueError("not a schedule file")
-    header = dict(tok.split("=") for tok in lines[0].split()[2:])
+    header = {}
+    for tok in lines[0].split()[2:]:
+        key, sep, value = tok.partition("=")
+        if not sep:
+            raise ValueError(f"schedule header token {tok!r} is not key=value")
+        header[key] = value
+    missing = {"source", "destination", "num_slots"} - header.keys()
+    if missing:
+        raise ValueError(f"schedule header lacks {sorted(missing)}")
     routes: list[Route | None] = []
-    for ln in lines[1:]:
+    for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split()
+        if len(parts) < 3:
+            raise ValueError(f"schedule line {lineno}: expected 'slot delay route': {ln!r}")
         if parts[2] == "-":
             routes.append(None)
         else:
             routes.append(Route(nodes=tuple(int(x) for x in parts[2].split("-"))))
+    if int(header["num_slots"]) != len(routes):
+        raise ValueError(
+            f"schedule header says num_slots={header['num_slots']} "
+            f"but the file has {len(routes)} records"
+        )
     return RoutingSchedule(
         algorithm="file",
         source=int(header["source"]),
@@ -96,7 +110,6 @@ def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
     payload = {
         "tool": "lislsim",
         "version": __version__,
-        "backend": kernels.active_backend(),
         "config": {
             "constellation": vars(cfg.constellation) | {},
             "scenario": vars(cfg.scenario) | {},
@@ -207,7 +220,7 @@ _SWEEP_COLUMNS = (
 
 
 def cmd_sweep(args) -> int:
-    cfg = with_overrides(_load(args), workers=args.workers)
+    cfg = _load(args)
     series = import_series(args.series)
     src, dst = _resolve_endpoints(cfg, series)
     details = build_link_details(series)
@@ -227,26 +240,15 @@ def cmd_sweep(args) -> int:
             else:
                 cells.append((name, eta_s, _gamma_value(args.gamma, cfg, eta_s)))
 
-    def one(cell):
-        name, eta_s, gamma = cell
+    rows, timing_rows, failures = [], [], []
+    for name, eta_s, gamma in cells:
         schedule, runtime = _timed_run(
             cfg, name, series, src, dst, eta_s, details, gamma, cfg.cost_thrsh_ms
         )
-        qos = cfg.qos_for(eta_s)
         report = metrics.evaluate(
-            schedule, series, eta_s, qos_ms=(qos,),
+            schedule, series, eta_s, qos_ms=(cfg.qos_for(eta_s),),
             histogram_bin_ms=cfg.histogram_bin_ms, runtime_s=runtime,
         )
-        return cell, report
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(one, cells))
-    else:
-        results = [one(c) for c in cells]
-
-    rows, timing_rows, failures = [], [], []
-    for (name, eta_s, gamma), report in results:
         qos, outage = report.outage[0]
         rows.append(
             f"{name}\t{eta_s:g}\t{gamma:g}\t{report.mean_eta_le_ms:.9f}\t"
@@ -404,7 +406,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--series", required=True)
     p_sweep.add_argument("--gamma", default=None,
                          help="ISASR weight: 'auto', one value, or comma list to sweep")
-    p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)
 

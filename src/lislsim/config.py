@@ -59,7 +59,6 @@ class ExperimentConfig:
     global_lifetimes: bool = False
     histogram_bin_ms: float = 0.25
     timing_iterations: int = 1
-    workers: int = 1
     seed: int = 1
     oracle: OracleConfig = OracleConfig()
 
@@ -76,8 +75,8 @@ class ExperimentConfig:
             raise ValueError("gamma cannot be negative")
         if self.histogram_bin_ms <= 0:
             raise ValueError("histogram bin width must be positive")
-        if self.timing_iterations < 1 or self.workers < 1:
-            raise ValueError("timing_iterations and workers must be >= 1")
+        if self.timing_iterations < 1:
+            raise ValueError("timing_iterations must be >= 1")
         names = [gs.name for gs in self.ground_stations]
         for endpoint in (self.source, self.destination):
             if endpoint not in names:
@@ -218,7 +217,6 @@ def load_config(path) -> ExperimentConfig:
         global_lifetimes=_bool(run.get("global_lifetimes", "false")) if run else False,
         histogram_bin_ms=float(run.get("histogram_bin_ms", base.histogram_bin_ms)) if run else base.histogram_bin_ms,
         timing_iterations=int(run.get("timing_iterations", base.timing_iterations)) if run else base.timing_iterations,
-        workers=int(run.get("workers", base.workers)) if run else base.workers,
         seed=int(run.get("seed", base.seed)) if run else base.seed,
         oracle=oracle_cfg,
     )
@@ -234,5 +232,5 @@ def _bool(text: str) -> bool:
 
 
 def with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Functional update helper used by the CLI flag overrides."""
+    """Copy of ``cfg`` with the given fields replaced; ``None`` values are ignored."""
     return replace(cfg, **{k: v for k, v in kwargs.items() if v is not None})

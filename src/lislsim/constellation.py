@@ -100,16 +100,6 @@ class ScenarioParams:
             raise ValueError("need at least one time slot")
 
 
-@dataclass(frozen=True)
-class BodyState:
-    """Position of one node (satellite or ground station) at one slot."""
-
-    node_id: int
-    position_km: tuple[float, float, float]
-    slot: int
-    is_ground: bool = False
-
-
 def _slot_time_s(slot: int, slot_duration_s: float) -> float:
     if slot < 1:
         raise ValueError("slots are 1-based")
@@ -138,16 +128,8 @@ def satellite_positions(params: ConstellationParams, slot: int, slot_duration_s:
     return np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
 
 
-def propagate(params: ConstellationParams, slot: int, slot_duration_s: float) -> list[BodyState]:
-    """States of all satellites at a slot; node ids are plane-major 0..S-1."""
-    pos = satellite_positions(params, slot, slot_duration_s)
-    return [
-        BodyState(node_id=i, position_km=(pos[i, 0], pos[i, 1], pos[i, 2]), slot=slot)
-        for i in range(pos.shape[0])
-    ]
-
-
 def ground_station_position(gs: GroundStation, slot: int, slot_duration_s: float) -> np.ndarray:
+    """Position (km) of a ground station on the rotating spherical Earth."""
     t = _slot_time_s(slot, slot_duration_s)
     lon = np.deg2rad(gs.longitude_deg + 360.0 / SIDEREAL_DAY_S * t)
     lat = np.deg2rad(gs.latitude_deg)
@@ -160,14 +142,6 @@ def ground_station_position(gs: GroundStation, slot: int, slot_duration_s: float
     )
 
 
-def ground_station_state(gs: GroundStation, slot: int, slot_duration_s: float) -> BodyState:
-    """State of a ground station on the rotating spherical Earth."""
-    pos = ground_station_position(gs, slot, slot_duration_s)
-    return BodyState(
-        node_id=gs.id, position_km=(pos[0], pos[1], pos[2]), slot=slot, is_ground=True
-    )
-
-
 def delay_ms(distance_km: np.ndarray, node_delay_ms: float) -> np.ndarray:
     """Edge cost: light travel time plus the fixed node delay, in ms.
 
@@ -177,52 +151,40 @@ def delay_ms(distance_km: np.ndarray, node_delay_ms: float) -> np.ndarray:
     return np.round(distance_km / SPEED_OF_LIGHT_KM_S * 1000.0 + node_delay_ms, 9)
 
 
-def build_snapshot(states: list[BodyState], scenario: ScenarioParams):
-    """Snapshot of all feasible edges among the given bodies at one slot.
+def build_snapshot(
+    slot: int,
+    sat_pos: np.ndarray,
+    gs_ids: np.ndarray,
+    gs_pos: np.ndarray,
+    scenario: ScenarioParams,
+):
+    """Snapshot of all feasible edges among the given nodes at one slot.
 
-    Satellite pairs connect when their distance is <= the LISL range,
-    ground-satellite pairs when <= the GS range (both inclusive); ground
-    stations never connect to each other. Edges are stored canonically as
-    (min id, max id) sorted pairs.
+    ``sat_pos`` holds one row per satellite, whose node id is its row index;
+    ground station ``gs_ids[k]`` sits at ``gs_pos[k]`` and must come after
+    every satellite id. Satellite pairs connect when their distance is <= the
+    LISL range, ground-satellite pairs when <= the GS range (both inclusive);
+    ground stations never connect to each other. Edges are stored
+    canonically as (min id, max id) sorted pairs.
     """
     from .topology import Snapshot
 
-    if not states:
-        raise ValueError("no body states supplied")
-    slots = {st.slot for st in states}
-    if len(slots) != 1:
-        raise ValueError("states must all belong to one slot")
-    slot = slots.pop()
-
-    sats = sorted((st for st in states if not st.is_ground), key=lambda st: st.node_id)
-    grounds = sorted((st for st in states if st.is_ground), key=lambda st: st.node_id)
-    sat_ids = np.array([st.node_id for st in sats], dtype=np.int64)
-    gs_ids = np.array([st.node_id for st in grounds], dtype=np.int64)
-    sat_pos = np.array([st.position_km for st in sats], dtype=np.float64).reshape(-1, 3)
-    gs_pos = np.array([st.position_km for st in grounds], dtype=np.float64).reshape(-1, 3)
+    sat_pos = np.asarray(sat_pos, dtype=np.float64).reshape(-1, 3)
+    gs_ids = np.asarray(gs_ids, dtype=np.int64)
+    gs_pos = np.asarray(gs_pos, dtype=np.float64).reshape(-1, 3)
+    num_satellites = sat_pos.shape[0]
+    if gs_ids.size and gs_ids.min() < num_satellites:
+        raise ValueError("ground station ids must come after all satellite ids")
 
     si, sj, sat_d2 = kernels.pair_edges(sat_pos, scenario.lisl_range_km)
     gi, gj, gs_d2 = kernels.cross_edges(gs_pos, sat_pos, scenario.gs_range_km)
 
-    u_sat = sat_ids[si]
-    v_sat = sat_ids[sj]
-    a = gs_ids[gi]
-    b = sat_ids[gj]
-    u_gs = np.minimum(a, b)
-    v_gs = np.maximum(a, b)
-
-    u = np.concatenate([u_sat, u_gs])
-    v = np.concatenate([v_sat, v_gs])
+    u = np.concatenate([si, gj])
+    v = np.concatenate([sj, gs_ids[gi]])
     dist = np.sqrt(np.concatenate([sat_d2, gs_d2]))
     delays = delay_ms(dist, scenario.node_delay_ms)
 
-    num_nodes = int(max(sat_ids.max(initial=-1), gs_ids.max(initial=-1))) + 1
-    if len(grounds):
-        if len(sats) and gs_ids.min() <= sat_ids.max():
-            raise ValueError("ground station ids must come after all satellite ids")
-        num_satellites = int(sat_ids.max()) + 1 if len(sats) else 0
-    else:
-        num_satellites = num_nodes
+    num_nodes = int(max(num_satellites, gs_ids.max(initial=-1) + 1))
     return Snapshot(slot, u, v, delays, num_nodes=num_nodes, num_satellites=num_satellites)
 
 
@@ -237,11 +199,12 @@ def generate_series(
     roster = NodeRoster(
         num_satellites=params.num_satellites, ground_stations=tuple(ground_stations)
     )
+    gs_ids = np.array([gs.id for gs in ground_stations], dtype=np.int64)
     snapshots = []
     for slot in range(1, scenario.num_slots + 1):
-        states = propagate(params, slot, scenario.slot_duration_s)
-        states.extend(
-            ground_station_state(gs, slot, scenario.slot_duration_s) for gs in ground_stations
-        )
-        snapshots.append(build_snapshot(states, scenario))
+        sat_pos = satellite_positions(params, slot, scenario.slot_duration_s)
+        gs_pos = [
+            ground_station_position(gs, slot, scenario.slot_duration_s) for gs in ground_stations
+        ]
+        snapshots.append(build_snapshot(slot, sat_pos, gs_ids, gs_pos, scenario))
     return SnapshotSeries(scenario=scenario, roster=roster, snapshots=snapshots)

@@ -1,70 +1,23 @@
 """Hot numerical kernels: range-gated pair extraction and CSR shortest routes.
 
-Two interchangeable backends are provided for each kernel:
-
-* ``numba`` -- ``@njit``-compiled loops (default whenever numba imports).
-* ``numpy`` -- pure numpy / heapq implementations with identical semantics.
-
-The backend is picked once at import time from the ``LISLSIM_BACKEND``
-environment variable (``numba``, ``numpy``, or ``auto``). Both backends
-perform the same IEEE-754 operations in the same order, so their outputs are
-bit-identical; ``benchmarks/bench_kernels.py`` compares their speed.
+Pure numpy / heapq. The kernels stay a module of their own so that the
+benchmark harness (``perfbench/``) can time each of them by name.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a regular dependency
-    HAVE_NUMBA = False
+def pair_edges(pos: np.ndarray, range_km: float):
+    """All index pairs (i < j) with euclidean distance <= range_km.
 
-_VALID_BACKENDS = ("numba", "numpy")
-
-
-def _backend_from_env() -> str:
-    choice = os.environ.get("LISLSIM_BACKEND", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice not in _VALID_BACKENDS:
-        raise ValueError(
-            f"LISLSIM_BACKEND must be one of {_VALID_BACKENDS + ('auto',)}, got {choice!r}"
-        )
-    if choice == "numba" and not HAVE_NUMBA:
-        raise ValueError("LISLSIM_BACKEND=numba but numba is not importable")
-    return choice
-
-
-_ACTIVE_BACKEND = _backend_from_env()
-
-
-def active_backend() -> str:
-    """Name of the backend currently answering kernel calls."""
-    return _ACTIVE_BACKEND
-
-
-def set_backend(name: str) -> None:
-    """Switch backends at runtime (used by tests and benchmarks)."""
-    global _ACTIVE_BACKEND
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"backend must be one of {_VALID_BACKENDS}, got {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    _ACTIVE_BACKEND = name
-
-
-# ---------------------------------------------------------------------------
-# Pairwise range-gated edges between satellites
-# ---------------------------------------------------------------------------
-
-
-def _pair_edges_numpy(pos: np.ndarray, range_km: float):
+    Returns (i, j, squared_distance) arrays ordered by (i, j).
+    """
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    range_km = float(range_km)
     n = pos.shape[0]
     if n < 2:
         empty = np.empty(0, np.int32)
@@ -79,55 +32,11 @@ def _pair_edges_numpy(pos: np.ndarray, range_km: float):
     return iu[keep].astype(np.int32), ju[keep].astype(np.int32), d2[keep]
 
 
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _pair_edges_numba(pos, range_km):  # pragma: no cover - compiled
-        n = pos.shape[0]
-        r2 = range_km * range_km
-        count = 0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                dx = pos[i, 0] - pos[j, 0]
-                dy = pos[i, 1] - pos[j, 1]
-                dz = pos[i, 2] - pos[j, 2]
-                d2 = dx * dx + dy * dy + dz * dz
-                if d2 <= r2:
-                    count += 1
-        out_i = np.empty(count, np.int32)
-        out_j = np.empty(count, np.int32)
-        out_d2 = np.empty(count, np.float64)
-        k = 0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                dx = pos[i, 0] - pos[j, 0]
-                dy = pos[i, 1] - pos[j, 1]
-                dz = pos[i, 2] - pos[j, 2]
-                d2 = dx * dx + dy * dy + dz * dz
-                if d2 <= r2:
-                    out_i[k] = i
-                    out_j[k] = j
-                    out_d2[k] = d2
-                    k += 1
-        return out_i, out_j, out_d2
-
-
-def pair_edges(pos: np.ndarray, range_km: float):
-    """All index pairs (i < j) with euclidean distance <= range_km.
-
-    Returns (i, j, squared_distance) arrays ordered by (i, j).
-    """
-    pos = np.ascontiguousarray(pos, dtype=np.float64)
-    if _ACTIVE_BACKEND == "numba":
-        return _pair_edges_numba(pos, float(range_km))
-    return _pair_edges_numpy(pos, float(range_km))
-
-
 def cross_edges(pos_a: np.ndarray, pos_b: np.ndarray, range_km: float):
     """Index pairs (a, b) across two point sets within range_km.
 
-    Small bipartite case (ground stations x satellites); numpy on both
-    backends. Returns (a_idx, b_idx, squared_distance) ordered by (a, b).
+    Small bipartite case (ground stations x satellites). Returns
+    (a_idx, b_idx, squared_distance) ordered by (a, b).
     """
     pos_a = np.asarray(pos_a, dtype=np.float64)
     pos_b = np.asarray(pos_b, dtype=np.float64)
@@ -141,24 +50,26 @@ def cross_edges(pos_a: np.ndarray, pos_b: np.ndarray, range_km: float):
     return a_idx.astype(np.int32), b_idx.astype(np.int32), d2[a_idx, b_idx]
 
 
-# ---------------------------------------------------------------------------
-# Shortest route on a CSR graph with deterministic tie-breaking
-# ---------------------------------------------------------------------------
-#
-# Strategy: run Dijkstra from the destination, then walk greedily from the
-# source, always stepping to the smallest-id neighbour that stays on a
-# shortest path (wgt + dist[nbr] == dist[here]).  Among all minimum-cost
-# simple paths this returns the one whose vertex sequence is smallest in
-# lexicographic node-id order, independent of heap pop order, because the
-# final distance array is unique for strictly positive weights.
+def shortest_route(indptr, nbr, wgt, src: int, dst: int) -> np.ndarray:
+    """Minimum-cost path from src to dst, empty array when unreachable.
 
-
-def _shortest_route_python(indptr, nbr, wgt, src, dst):
+    The CSR adjacency must list neighbours of each node in ascending id
+    order and all weights must be positive (+inf marks a disabled arc).
+    Ties resolve to the lexicographically smallest vertex sequence: Dijkstra
+    runs from the destination, then the walk from the source always steps to
+    the smallest-id neighbour that stays on a shortest path
+    (wgt + dist[nbr] == dist[here]). The final distance array is unique for
+    strictly positive weights, so the result does not depend on heap pop order.
+    """
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+    nbr = np.ascontiguousarray(nbr, dtype=np.int32)
+    wgt = np.ascontiguousarray(wgt, dtype=np.float64)
+    src, dst = int(src), int(dst)
     n = indptr.shape[0] - 1
     dist = np.full(n, np.inf)
     done = np.zeros(n, dtype=bool)
     dist[dst] = 0.0
-    heap = [(0.0, int(dst))]
+    heap = [(0.0, dst)]
     while heap:
         d, u = heapq.heappop(heap)
         if done[u]:
@@ -174,8 +85,8 @@ def _shortest_route_python(indptr, nbr, wgt, src, dst):
                 heapq.heappush(heap, (cand, int(v)))
     if not np.isfinite(dist[src]):
         return np.empty(0, np.int32)
-    path = [int(src)]
-    u = int(src)
+    path = [src]
+    u = src
     while u != dst:
         budget = dist[u]
         nxt = -1
@@ -189,106 +100,3 @@ def _shortest_route_python(indptr, nbr, wgt, src, dst):
         path.append(nxt)
         u = nxt
     return np.array(path, np.int32)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _shortest_route_numba(indptr, nbr, wgt, src, dst):  # pragma: no cover
-        n = indptr.shape[0] - 1
-        dist = np.full(n, np.inf)
-        done = np.zeros(n, np.bool_)
-        cap = wgt.shape[0] + 1
-        heap_key = np.empty(cap, np.float64)
-        heap_val = np.empty(cap, np.int64)
-        heap_key[0] = 0.0
-        heap_val[0] = dst
-        size = 1
-        dist[dst] = 0.0
-        while size > 0:
-            d = heap_key[0]
-            u = heap_val[0]
-            size -= 1
-            lk = heap_key[size]
-            lv = heap_val[size]
-            # sift the last element down from the root
-            i = 0
-            while True:
-                left = 2 * i + 1
-                if left >= size:
-                    break
-                right = left + 1
-                m = left
-                if right < size and (
-                    heap_key[right] < heap_key[left]
-                    or (heap_key[right] == heap_key[left] and heap_val[right] < heap_val[left])
-                ):
-                    m = right
-                if heap_key[m] < lk or (heap_key[m] == lk and heap_val[m] < lv):
-                    heap_key[i] = heap_key[m]
-                    heap_val[i] = heap_val[m]
-                    i = m
-                else:
-                    break
-            heap_key[i] = lk
-            heap_val[i] = lv
-            if done[u]:
-                continue
-            done[u] = True
-            for k in range(indptr[u], indptr[u + 1]):
-                v = nbr[k]
-                if done[v]:
-                    continue
-                cand = d + wgt[k]
-                if cand < dist[v]:
-                    dist[v] = cand
-                    # sift up
-                    i = size
-                    size += 1
-                    while i > 0:
-                        parent = (i - 1) // 2
-                        if heap_key[parent] > cand or (
-                            heap_key[parent] == cand and heap_val[parent] > v
-                        ):
-                            heap_key[i] = heap_key[parent]
-                            heap_val[i] = heap_val[parent]
-                            i = parent
-                        else:
-                            break
-                    heap_key[i] = cand
-                    heap_val[i] = v
-        if not np.isfinite(dist[src]):
-            return np.empty(0, np.int32)
-        path = np.empty(n + 1, np.int32)
-        path[0] = src
-        length = 1
-        u = src
-        while u != dst:
-            budget = dist[u]
-            nxt = -1
-            for k in range(indptr[u], indptr[u + 1]):
-                v = nbr[k]
-                if wgt[k] + dist[v] == budget:
-                    nxt = v
-                    break
-            if nxt < 0:
-                raise AssertionError("shortest-path walk lost the route")
-            path[length] = nxt
-            length += 1
-            u = nxt
-        return path[:length]
-
-
-def shortest_route(indptr, nbr, wgt, src: int, dst: int) -> np.ndarray:
-    """Minimum-cost path from src to dst, empty array when unreachable.
-
-    The CSR adjacency must list neighbours of each node in ascending id
-    order and all weights must be positive (+inf marks a disabled arc).
-    Ties resolve to the lexicographically smallest vertex sequence.
-    """
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-    nbr = np.ascontiguousarray(nbr, dtype=np.int32)
-    wgt = np.ascontiguousarray(wgt, dtype=np.float64)
-    if _ACTIVE_BACKEND == "numba":
-        return _shortest_route_numba(indptr, nbr, wgt, np.int64(src), np.int64(dst))
-    return _shortest_route_python(indptr, nbr, wgt, int(src), int(dst))

@@ -134,19 +134,6 @@ class TestSweep:
         assert (out1 / "sweep.tsv").read_text() == (out2 / "sweep.tsv").read_text()
         assert (out1 / "timings.tsv").exists()
 
-    def test_parallel_workers_match_serial(self, tmp_path, tiny_config, tiny_series):
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        assert main([
-            "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
-            "--out", str(serial),
-        ]) == 0
-        assert main([
-            "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
-            "--workers", "3", "--out", str(parallel),
-        ]) == 0
-        assert (serial / "sweep.tsv").read_text() == (parallel / "sweep.tsv").read_text()
-
     def test_gamma_sweep_rows(self, tmp_path, tiny_config, tiny_series):
         out = tmp_path / "gsweep"
         rc = main([
@@ -192,6 +179,21 @@ class TestScheduleFileHelpers:
             r.nodes if r else None for r in schedule.routes
         ]
         assert again.source == 6 and again.destination == 7
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("schedule v1 source=6 destination=7 num_slots=2\n1 26.0 6-0-7\n2 26.0\n", "line 3"),
+            ("schedule v1 source=6 destination=7 num_slots\n1 26.0 6-0-7\n", "key=value"),
+            ("schedule v1 source=6 destination=7 num_slots=3\n1 26.0 6-0-7\n2 - -\n", "num_slots=3"),
+        ],
+        ids=["short-record", "header-token-without-equals", "num-slots-mismatch"],
+    )
+    def test_malformed_file_raises_value_error(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_schedule(path)
 
 
 class TestBadUsage:

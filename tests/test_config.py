@@ -38,7 +38,6 @@ reset_dropped_edges = true
 global_lifetimes = true
 histogram_bin_ms = 0.5
 timing_iterations = 3
-workers = 2
 seed = 99
 
 [oracle]
@@ -103,7 +102,7 @@ class TestLoadConfig:
         assert cfg.gamma_for(50.0) == 12.5
         assert math.isinf(cfg.cost_thrsh_ms)
         assert cfg.reset_dropped_edges and cfg.global_lifetimes
-        assert cfg.timing_iterations == 3 and cfg.workers == 2 and cfg.seed == 99
+        assert cfg.timing_iterations == 3 and cfg.seed == 99
         assert cfg.oracle.instances == 10
         assert cfg.oracle.eta_s_ms == (0.0, 5.0)
         ids = sorted(gs.id for gs in cfg.ground_stations)
@@ -156,7 +155,7 @@ class TestLoadConfig:
 class TestOverrides:
     def test_with_overrides_replaces_only_given_fields(self):
         cfg = default_config()
-        out = with_overrides(cfg, workers=4, seed=None)
-        assert out.workers == 4
+        out = with_overrides(cfg, timing_iterations=4, seed=None)
+        assert out.timing_iterations == 4
         assert out.seed == cfg.seed
         assert out.scenario == cfg.scenario

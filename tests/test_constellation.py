@@ -5,19 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from lislsim import kernels
 from lislsim.constellation import (
     MU_EARTH_KM3_S2,
     SIDEREAL_DAY_S,
     SPEED_OF_LIGHT_KM_S,
-    BodyState,
     ConstellationParams,
     GroundStation,
     ScenarioParams,
     build_snapshot,
     generate_series,
-    ground_station_state,
-    propagate,
+    ground_station_position,
     satellite_positions,
 )
 
@@ -60,10 +57,10 @@ class TestParams:
 
 class TestPropagate:
     def test_count_and_radius(self):
-        states = propagate(STARLINK_SHELL, 1, 1.0)
-        assert len(states) == 24 * 66
-        for st in states[:: 97]:
-            r = math.sqrt(sum(c * c for c in st.position_km))
+        pos = satellite_positions(STARLINK_SHELL, 1, 1.0)
+        assert pos.shape == (24 * 66, 3)
+        for row in pos[:: 97]:
+            r = math.sqrt(sum(c * c for c in row))
             assert abs(r - 6921.0) < 1e-6
 
     def test_radius_holds_over_time(self):
@@ -100,68 +97,60 @@ class TestPropagate:
 
     def test_slot_must_be_positive(self):
         with pytest.raises(ValueError):
-            propagate(STARLINK_SHELL, 0, 1.0)
+            satellite_positions(STARLINK_SHELL, 0, 1.0)
 
 
 class TestGroundStation:
     def test_reference_point(self):
         gs = GroundStation(0, "ref", 0.0, 0.0)
-        st = ground_station_state(gs, 1, 1.0)
-        np.testing.assert_allclose(st.position_km, (6371.0, 0.0, 0.0), atol=1e-12)
-        assert st.is_ground
+        pos = ground_station_position(gs, 1, 1.0)
+        np.testing.assert_allclose(pos, (6371.0, 0.0, 0.0), atol=1e-12)
 
     def test_pole_is_rotation_invariant(self):
         gs = GroundStation(0, "pole", 90.0, 12.0)
         for slot in (1, 7, 1234):
-            st = ground_station_state(gs, slot, 13.0)
-            np.testing.assert_allclose(st.position_km, (0.0, 0.0, 6371.0), atol=1e-9)
+            pos = ground_station_position(gs, slot, 13.0)
+            np.testing.assert_allclose(pos, (0.0, 0.0, 6371.0), atol=1e-9)
 
     def test_quarter_sidereal_rotation(self):
         gs = GroundStation(0, "ref", 0.0, 0.0)
-        st = ground_station_state(gs, 2, SIDEREAL_DAY_S / 4.0)
-        np.testing.assert_allclose(st.position_km, (0.0, 6371.0, 0.0), atol=1e-3)
+        pos = ground_station_position(gs, 2, SIDEREAL_DAY_S / 4.0)
+        np.testing.assert_allclose(pos, (0.0, 6371.0, 0.0), atol=1e-3)
 
 
-def _sat(node_id, x, y, z, slot=1):
-    return BodyState(node_id=node_id, position_km=(x, y, z), slot=slot)
-
-
-def _gs(node_id, x, y, z, slot=1):
-    return BodyState(node_id=node_id, position_km=(x, y, z), slot=slot, is_ground=True)
+def _snapshot(sat_pos, gs=(), sc=None):
+    """Slot-1 snapshot of satellites 0..S-1 at ``sat_pos`` and ``(id, position)`` stations."""
+    gs_ids = [node_id for node_id, _ in gs]
+    gs_pos = [pos for _, pos in gs]
+    return build_snapshot(1, sat_pos, gs_ids, gs_pos, sc or scenario())
 
 
 class TestBuildSnapshot:
     def test_delay_arithmetic(self):
-        snap = build_snapshot(
-            [_sat(0, 0, 0, 0), _sat(1, 1000.0, 0, 0)], scenario()
-        )
+        snap = _snapshot([(0, 0, 0), (1000.0, 0, 0)])
         expected = 1000.0 / SPEED_OF_LIGHT_KM_S * 1000.0 + 1.0
         assert snap.delay_of(0, 1) == pytest.approx(expected, abs=1e-9)
         assert snap.delay_of(0, 1) == pytest.approx(4.336, abs=5e-4)
 
     def test_out_of_range_pair_is_dropped(self):
-        snap = build_snapshot([_sat(0, 0, 0, 0), _sat(1, 1600.0, 0, 0)], scenario())
+        snap = _snapshot([(0, 0, 0), (1600.0, 0, 0)])
         assert snap.edge_count == 0
 
     def test_ground_range_boundary_is_inclusive(self):
-        states = [_gs(1, 6371.0, 0, 0), _sat(0, 7371.0, 0, 0)]
-        snap = build_snapshot(states, scenario())
+        snap = _snapshot([(7371.0, 0, 0)], gs=[(1, (6371.0, 0, 0))])
         assert snap.has_edge(0, 1)
-        just_out = [_gs(1, 6371.0, 0, 0), _sat(0, 7371.0 + 1e-6, 0, 0)]
-        assert build_snapshot(just_out, scenario()).edge_count == 0
+        just_out = _snapshot([(7371.0 + 1e-6, 0, 0)], gs=[(1, (6371.0, 0, 0))])
+        assert just_out.edge_count == 0
 
     def test_no_ground_to_ground_edges(self):
-        states = [_gs(1, 6371.0, 0, 0), _gs(2, 6372.0, 0, 0), _sat(0, 7000.0, 0, 0)]
-        snap = build_snapshot(states, scenario())
+        snap = _snapshot([(7000.0, 0, 0)], gs=[(1, (6371.0, 0, 0)), (2, (6372.0, 0, 0))])
         assert not snap.has_edge(1, 2)
 
     def test_canonical_ordering_and_determinism(self):
         rng = np.random.default_rng(2)
-        states = [
-            _sat(i, *rng.uniform(-7000, 7000, 3)) for i in range(30)
-        ]
-        a = build_snapshot(states, scenario(lisl_range_km=6000.0))
-        b = build_snapshot(states, scenario(lisl_range_km=6000.0))
+        sat_pos = rng.uniform(-7000, 7000, (30, 3))
+        a = _snapshot(sat_pos, sc=scenario(lisl_range_km=6000.0))
+        b = _snapshot(sat_pos, sc=scenario(lisl_range_km=6000.0))
         assert a == b
         assert np.all(a.u < a.v)
         keys = (a.u.astype(np.int64) << 32) | a.v
@@ -170,10 +159,10 @@ class TestBuildSnapshot:
     def test_range_soundness_and_delay_bounds(self):
         rng = np.random.default_rng(3)
         sc = scenario(lisl_range_km=5000.0, gs_range_km=2000.0)
-        states = [_sat(i, *rng.uniform(-8000, 8000, 3)) for i in range(40)]
-        states += [_gs(40 + i, *rng.uniform(-8000, 8000, 3)) for i in range(3)]
-        snap = build_snapshot(states, sc)
-        pos = {st.node_id: np.array(st.position_km) for st in states}
+        sat_pos = rng.uniform(-8000, 8000, (40, 3))
+        gs = [(40 + i, rng.uniform(-8000, 8000, 3)) for i in range(3)]
+        snap = _snapshot(sat_pos, gs=gs, sc=sc)
+        pos = dict(enumerate(sat_pos)) | dict(gs)
         gs_ids = {40, 41, 42}
         for a, b, d in zip(snap.u, snap.v, snap.delay_ms):
             dist = float(np.linalg.norm(pos[int(a)] - pos[int(b)]))
@@ -181,24 +170,6 @@ class TestBuildSnapshot:
             assert dist <= limit + 1e-9
             assert d >= sc.node_delay_ms
             assert d <= limit / SPEED_OF_LIGHT_KM_S * 1000.0 + sc.node_delay_ms + 1e-9
-
-    def test_mixed_slot_states_rejected(self):
-        with pytest.raises(ValueError):
-            build_snapshot([_sat(0, 0, 0, 0, slot=1), _sat(1, 10, 0, 0, slot=2)], scenario())
-
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_backends_build_identical_snapshots(self):
-        original = kernels.active_backend()
-        rng = np.random.default_rng(9)
-        states = [_sat(i, *rng.uniform(-7500, 7500, 3)) for i in range(60)]
-        try:
-            kernels.set_backend("numba")
-            a = build_snapshot(states, scenario(lisl_range_km=4000.0))
-            kernels.set_backend("numpy")
-            b = build_snapshot(states, scenario(lisl_range_km=4000.0))
-        finally:
-            kernels.set_backend(original)
-        assert a == b
 
 
 class TestGenerateSeries:

@@ -1,18 +1,11 @@
-"""Backend equivalence and correctness of the hot kernels."""
+"""Correctness of the hot kernels against plain references."""
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from lislsim import kernels
-
-pytestmark = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-
-
-@pytest.fixture
-def both_backends():
-    original = kernels.active_backend()
-    yield
-    kernels.set_backend(original)
 
 
 def _random_csr(rng, n, extra_edges):
@@ -34,51 +27,51 @@ def _random_csr(rng, n, extra_edges):
     return indptr, dst[order].astype(np.int32), wgt[order]
 
 
-def test_pair_edges_backends_identical(both_backends):
-    rng = np.random.default_rng(11)
-    for n in (0, 1, 2, 5, 120):
-        pos = rng.uniform(-7000, 7000, (n, 3))
-        kernels.set_backend("numba")
-        nb = kernels.pair_edges(pos, 4000.0)
-        kernels.set_backend("numpy")
-        npy = kernels.pair_edges(pos, 4000.0)
-        for a, b in zip(nb, npy):
-            assert np.array_equal(a, b)
+def _pair_edges_reference(pos, range_km):
+    """Double loop over i < j with d2 summed as dx*dx + dy*dy + dz*dz."""
+    r2 = range_km * range_km
+    out_i, out_j, out_d2 = [], [], []
+    for i in range(len(pos) - 1):
+        for j in range(i + 1, len(pos)):
+            dx = pos[i, 0] - pos[j, 0]
+            dy = pos[i, 1] - pos[j, 1]
+            dz = pos[i, 2] - pos[j, 2]
+            d2 = dx * dx + dy * dy + dz * dz
+            if d2 <= r2:
+                out_i.append(i)
+                out_j.append(j)
+                out_d2.append(d2)
+    return (
+        np.array(out_i, np.int32),
+        np.array(out_j, np.int32),
+        np.array(out_d2, np.float64),
+    )
 
 
-def test_pair_edges_boundary_inclusive(both_backends):
-    pos = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0], [0.0, 2500.0, 0.0]])
-    for backend in ("numba", "numpy"):
-        kernels.set_backend(backend)
-        i, j, d2 = kernels.pair_edges(pos, 1000.0)
-        assert list(zip(i.tolist(), j.tolist())) == [(0, 1)]
-        assert d2[0] == 1000.0**2
-
-
-def test_shortest_route_backends_identical(both_backends):
-    rng = np.random.default_rng(5)
-    for trial in range(60):
-        n = int(rng.integers(2, 40))
-        indptr, nbr, wgt = _random_csr(rng, n, extra_edges=int(rng.integers(0, 3 * n)))
-        src, dst = 0, n - 1
-        kernels.set_backend("numba")
-        a = kernels.shortest_route(indptr, nbr, wgt, src, dst)
-        kernels.set_backend("numpy")
-        b = kernels.shortest_route(indptr, nbr, wgt, src, dst)
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 120])
+def test_pair_edges_bit_equal_to_double_loop(n):
+    pos = np.random.default_rng(11 + n).uniform(-7000, 7000, (n, 3))
+    got = kernels.pair_edges(pos, 4000.0)
+    want = _pair_edges_reference(pos, 4000.0)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
         assert np.array_equal(a, b)
 
 
-def test_shortest_route_matches_scipy_distances(both_backends):
-    scipy_sparse = pytest.importorskip("scipy.sparse")
-    from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
+def test_pair_edges_boundary_inclusive():
+    pos = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0], [0.0, 2500.0, 0.0]])
+    i, j, d2 = kernels.pair_edges(pos, 1000.0)
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 1)]
+    assert d2[0] == 1000.0**2
 
+
+def test_shortest_route_matches_scipy_distances():
     rng = np.random.default_rng(17)
     for _ in range(30):
         n = int(rng.integers(3, 25))
         indptr, nbr, wgt = _random_csr(rng, n, extra_edges=int(rng.integers(0, 2 * n)))
-        graph = scipy_sparse.csr_matrix((wgt, nbr, indptr), shape=(n, n))
+        graph = sparse.csr_matrix((wgt, nbr, indptr), shape=(n, n))
         ref = scipy_dijkstra(graph, indices=n - 1)
-        kernels.set_backend("numba")
         path = kernels.shortest_route(indptr, nbr, wgt, 0, n - 1)
         assert path.size > 0
         cost = 0.0
@@ -89,27 +82,18 @@ def test_shortest_route_matches_scipy_distances(both_backends):
         assert cost == pytest.approx(ref[0], abs=1e-9)
 
 
-def test_unreachable_returns_empty(both_backends):
+def test_unreachable_returns_empty():
     # nodes 0 and 1 joined by parallel arcs, node 2 isolated
     indptr = np.array([0, 2, 4, 4], np.int64)
     nbr = np.array([1, 1, 0, 0], np.int32)
     wgt = np.array([1.0, 2.0, 1.0, 2.0])
-    for backend in ("numba", "numpy"):
-        kernels.set_backend(backend)
-        assert kernels.shortest_route(indptr, nbr, wgt, 0, 2).size == 0
-        assert np.array_equal(kernels.shortest_route(indptr, nbr, wgt, 0, 1), [0, 1])
+    assert kernels.shortest_route(indptr, nbr, wgt, 0, 2).size == 0
+    assert np.array_equal(kernels.shortest_route(indptr, nbr, wgt, 0, 1), [0, 1])
 
 
-def test_infinite_weights_disable_arcs(both_backends):
+def test_infinite_weights_disable_arcs():
     # 0-1-2 path where the direct 0-2 arc is disabled by +inf
     indptr = np.array([0, 2, 4, 6], np.int64)
     nbr = np.array([1, 2, 0, 2, 0, 1], np.int32)
     wgt = np.array([1.0, np.inf, 1.0, 1.0, np.inf, 1.0])
-    for backend in ("numba", "numpy"):
-        kernels.set_backend(backend)
-        assert np.array_equal(kernels.shortest_route(indptr, nbr, wgt, 0, 2), [0, 1, 2])
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.set_backend("cuda")
+    assert np.array_equal(kernels.shortest_route(indptr, nbr, wgt, 0, 2), [0, 1, 2])

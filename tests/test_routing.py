@@ -530,31 +530,6 @@ class TestDetailsGuards:
             isasr(toy_series, details, 6, 7, 1.0, 1.0, 1.0)
 
 
-class TestBackendEquivalence:
-    def test_schedules_identical_across_backends(self):
-        from lislsim import kernels
-
-        if not kernels.HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(55)
-        series = random_series(rng, num_nodes=9, num_slots=8)
-        original = kernels.active_backend()
-        results = {}
-        try:
-            for backend in ("numba", "numpy"):
-                kernels.set_backend(backend)
-                results[backend] = {
-                    name: [
-                        r.nodes if r else None
-                        for r in run_algorithm(name, series, 0, 8, 100.0).routes
-                    ]
-                    for name in ("ilsr", "ilpr", "alpr", "isasr")
-                }
-        finally:
-            kernels.set_backend(original)
-        assert results["numba"] == results["numpy"]
-
-
 class TestIsasrConfigSwitches:
     def test_reset_dropped_edges_changes_reselection(self):
         # path A = 0-1-3, path B = 0-2-3; A is abandoned at slot 3 while it
