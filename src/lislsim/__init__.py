@@ -10,14 +10,12 @@ from .constellation import (
     generate_series,
 )
 from .topology import (
-    ContiguousRun,
     LinkDetails,
     NodeRoster,
     SeriesFormatError,
     Snapshot,
     SnapshotSeries,
     build_link_details,
-    contiguous_run,
     export_series,
     import_series,
 )

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics, oracle
-from .config import ExperimentConfig, default_config, load_config
+from .config import ExperimentConfig, check_routing_values, default_config, load_config
 from .constellation import generate_series
 from .routing import RoutingSchedule, Route, run_algorithm
 from .topology import build_link_details, export_series, import_series
@@ -133,15 +133,13 @@ def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
 
 def _timed_run(cfg, name, series, src, dst, eta_s, details, gamma, cost_thrsh):
     start = time.perf_counter()
-    for _ in range(cfg.timing_iterations):
-        schedule = run_algorithm(
-            name, series, src, dst, eta_s,
-            gamma=gamma, cost_thrsh_ms=cost_thrsh, details=details,
-            reset_dropped_edges=cfg.reset_dropped_edges,
-            global_lifetimes=cfg.global_lifetimes,
-        )
-    runtime = (time.perf_counter() - start) / cfg.timing_iterations
-    return schedule, runtime
+    schedule = run_algorithm(
+        name, series, src, dst, eta_s,
+        gamma=gamma, cost_thrsh_ms=cost_thrsh, details=details,
+        reset_dropped_edges=cfg.reset_dropped_edges,
+        global_lifetimes=cfg.global_lifetimes,
+    )
+    return schedule, time.perf_counter() - start
 
 
 def cmd_generate(args) -> int:
@@ -167,11 +165,12 @@ def _resolve_endpoints(cfg, series):
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    series = import_series(args.series)
-    src, dst = _resolve_endpoints(cfg, series)
     eta_s = args.eta_s if args.eta_s is not None else cfg.eta_s_ms[0]
     gamma = _gamma_value(args.gamma, cfg, eta_s)
     cost_thrsh = args.cost_thrsh if args.cost_thrsh is not None else cfg.cost_thrsh_ms
+    check_routing_values(eta_s_ms=(eta_s,), gamma_ms=gamma, cost_thrsh_ms=cost_thrsh)
+    series = import_series(args.series)
+    src, dst = _resolve_endpoints(cfg, series)
     details = build_link_details(series)
     schedule, runtime = _timed_run(
         cfg, args.algorithm, series, src, dst, eta_s, details, gamma, cost_thrsh
@@ -221,10 +220,6 @@ _SWEEP_COLUMNS = (
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    series = import_series(args.series)
-    src, dst = _resolve_endpoints(cfg, series)
-    details = build_link_details(series)
-
     gamma_values = None
     if args.gamma is not None and "," in args.gamma:
         gamma_values = tuple(float(tok) for tok in args.gamma.split(","))
@@ -239,6 +234,12 @@ def cmd_sweep(args) -> int:
                 cells.append((name, eta_s, cfg.gamma_for(eta_s)))
             else:
                 cells.append((name, eta_s, _gamma_value(args.gamma, cfg, eta_s)))
+    for _, _, gamma in cells:
+        check_routing_values(gamma_ms=gamma)
+
+    series = import_series(args.series)
+    src, dst = _resolve_endpoints(cfg, series)
+    details = build_link_details(series)
 
     rows, timing_rows, failures = [], [], []
     for name, eta_s, gamma in cells:

@@ -9,7 +9,8 @@ London, and Hanoi as the default ground stations.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 from .constellation import ConstellationParams, GroundStation, ScenarioParams
 
@@ -41,6 +42,22 @@ class OracleConfig:
             raise ValueError("delay bounds out of order")
 
 
+def check_routing_values(eta_s_ms=(), qos_ms=(), gamma_ms=None, cost_thrsh_ms=None) -> None:
+    """Raise ValueError unless every given routing parameter is usable.
+
+    Setup delays and QoS thresholds must be finite and positive, gamma finite
+    and non-negative, and the ISASR cost threshold positive (``inf`` allowed).
+    """
+    if not all(math.isfinite(e) and e > 0 for e in eta_s_ms):
+        raise ValueError("every setup-delay value must be finite and positive")
+    if not all(math.isfinite(q) and q > 0 for q in qos_ms):
+        raise ValueError("QoS thresholds must be finite and positive")
+    if gamma_ms is not None and not (math.isfinite(gamma_ms) and gamma_ms >= 0):
+        raise ValueError("gamma must be finite and non-negative")
+    if cost_thrsh_ms is not None and not cost_thrsh_ms > 0:
+        raise ValueError("cost threshold must be positive")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs: geometry, scenario, endpoints, and sweeps."""
@@ -58,25 +75,18 @@ class ExperimentConfig:
     reset_dropped_edges: bool = False
     global_lifetimes: bool = False
     histogram_bin_ms: float = 0.25
-    timing_iterations: int = 1
     seed: int = 1
     oracle: OracleConfig = OracleConfig()
 
     def __post_init__(self):
-        if any(e <= 0 for e in self.eta_s_ms):
-            raise ValueError("every setup-delay value must be positive")
+        check_routing_values(
+            eta_s_ms=self.eta_s_ms, qos_ms=self.qos_ms,
+            gamma_ms=self.gamma_ms, cost_thrsh_ms=self.cost_thrsh_ms,
+        )
         if len(self.qos_ms) != len(self.eta_s_ms):
             raise ValueError("qos_ms must pair one threshold with each eta_s value")
-        if any(q <= 0 for q in self.qos_ms):
-            raise ValueError("QoS thresholds must be positive")
-        if self.cost_thrsh_ms <= 0:
-            raise ValueError("cost threshold must be positive")
-        if self.gamma_ms is not None and self.gamma_ms < 0:
-            raise ValueError("gamma cannot be negative")
         if self.histogram_bin_ms <= 0:
             raise ValueError("histogram bin width must be positive")
-        if self.timing_iterations < 1:
-            raise ValueError("timing_iterations must be >= 1")
         names = [gs.name for gs in self.ground_stations]
         for endpoint in (self.source, self.destination):
             if endpoint not in names:
@@ -216,7 +226,6 @@ def load_config(path) -> ExperimentConfig:
         reset_dropped_edges=_bool(run.get("reset_dropped_edges", "false")) if run else False,
         global_lifetimes=_bool(run.get("global_lifetimes", "false")) if run else False,
         histogram_bin_ms=float(run.get("histogram_bin_ms", base.histogram_bin_ms)) if run else base.histogram_bin_ms,
-        timing_iterations=int(run.get("timing_iterations", base.timing_iterations)) if run else base.timing_iterations,
         seed=int(run.get("seed", base.seed)) if run else base.seed,
         oracle=oracle_cfg,
     )
@@ -230,7 +239,3 @@ def _bool(text: str) -> bool:
         return False
     raise ValueError(f"expected a boolean, got {text!r}")
 
-
-def with_overrides(cfg: ExperimentConfig, **kwargs) -> ExperimentConfig:
-    """Copy of ``cfg`` with the given fields replaced; ``None`` values are ignored."""
-    return replace(cfg, **{k: v for k, v in kwargs.items() if v is not None})

@@ -24,7 +24,7 @@ from typing import Mapping
 import numpy as np
 
 from . import kernels
-from .topology import ContiguousRun, LinkDetails, Snapshot, SnapshotSeries, build_link_details
+from .topology import LinkDetails, Snapshot, SnapshotSeries, build_link_details
 
 
 @dataclass(frozen=True)
@@ -200,15 +200,12 @@ def disjoint_routes(snapshot: Snapshot, src: int, dst: int) -> list[Route]:
     return found
 
 
-def route_lifetime(route: Route, details: LinkDetails, slot: int) -> int:
-    """Last slot the route survives: min over edges of the containing run end."""
-    last = details.num_slots
-    for edge in route.canonical_edges:
-        run = details.contiguous_run(edge, slot)
-        if run is None or not run.first <= slot <= run.last:
-            raise ValueError(f"edge {edge} does not exist at slot {slot}")
-        last = min(last, run.last)
-    return last
+def route_lifetime(route: Route, details: LinkDetails, snapshot: Snapshot) -> int:
+    """Last slot the route survives: min over its edges of the containing run end."""
+    pos = snapshot.edge_positions(route.canonical_edges)
+    if np.any(pos < 0):
+        raise ValueError(f"route {route} uses an edge absent from slot {snapshot.slot}")
+    return int(details.run_last_by_slot[snapshot.slot - 1][pos].min())
 
 
 def alpr_average_latency(
@@ -223,7 +220,7 @@ def alpr_average_latency(
     (eta_s + sum of the route's per-slot delays from `slot` through its
     expiry) divided by the number of slots it survives.
     """
-    last = route_lifetime(route, details, slot)
+    last = route_lifetime(route, details, series.snapshot(slot))
     total = eta_s_ms
     for k in range(slot, last + 1):
         delay = series.snapshot(k).route_delay(route)
@@ -254,7 +251,8 @@ def alpr(
     routes: list[Route | None] = [None] * series.num_slots
     slot = 1
     while slot <= series.num_slots:
-        candidates = disjoint_routes(series.snapshot(slot), src, dst)
+        snap = series.snapshot(slot)
+        candidates = disjoint_routes(snap, src, dst)
         if not candidates:
             slot += 1
             continue
@@ -262,7 +260,7 @@ def alpr(
             candidates,
             key=lambda r: (alpr_average_latency(r, details, series, slot, eta_s_ms), r.hops, r.nodes),
         )
-        last = route_lifetime(best, details, slot)
+        last = route_lifetime(best, details, snap)
         for k in range(slot, last + 1):
             routes[k - 1] = best
         slot = last + 1
@@ -270,23 +268,17 @@ def alpr(
 
 
 def isasr_stability_cost(
-    run: ContiguousRun | None, slot: int, num_slots: int, eta_s_ms: float
-) -> float:
-    """Stability cost of an edge whose current/next existence run is `run`.
+    run_last: np.ndarray, slot: int, num_slots: int, eta_s_ms: float
+) -> np.ndarray:
+    """Stability cost of edges present at `slot` whose runs end at `run_last`.
 
-    0 when the run reaches the horizon; eta_s spread over the run length
-    before it starts; eta_s spread over the remaining slots while it lasts;
-    +inf when the edge never exists again.
+    0 where the run reaches the horizon, else eta_s spread over the slots
+    the run has left.
     """
     if not 1 <= slot <= num_slots:
         raise ValueError(f"slot {slot} outside 1..{num_slots}")
-    if run is None or run.last < slot:
-        return math.inf
-    if run.last == num_slots:
-        return 0.0
-    if slot < run.first:
-        return eta_s_ms / (run.last - run.first + 1)
-    return eta_s_ms / (run.last - slot + 1)
+    last = np.asarray(run_last).astype(np.float64)
+    return np.where(last == num_slots, 0.0, eta_s_ms / (last - slot + 1.0))
 
 
 def isasr(
@@ -316,39 +308,34 @@ def isasr(
         raise ValueError("gamma must be non-negative")
     if cost_thrsh_ms <= 0:
         raise ValueError("cost threshold must be positive")
-    if details.num_slots != series.num_slots or len(details.edge_uids_by_slot) != len(
-        series.snapshots
-    ):
+    if details.num_slots != series.num_slots:
         raise ValueError("link details were built from a different series")
     n = series.num_slots
     cost_act = np.full(details.num_edges, eta_s_ms, dtype=np.float64)
     routes: list[Route | None] = []
-    previous: Route | None = None
+    previous_uids: np.ndarray | None = None
     for slot in range(1, n + 1):
         snap = series.snapshot(slot)
         uids = details.edge_uids_by_slot[slot - 1]
         if global_lifetimes:
-            last = details.global_last[uids].astype(np.float64)
+            last = details.global_last[uids]
         else:
-            last = details.run_last_by_slot[slot - 1].astype(np.float64)
-        cost_st = np.where(last == n, 0.0, eta_s_ms / (last - slot + 1.0))
+            last = details.run_last_by_slot[slot - 1]
+        cost_st = isasr_stability_cost(last, slot, n, eta_s_ms)
         costs = snap.delay_ms + gamma * (cost_st + cost_act[uids])
         sat_sat = (snap.u < snap.num_satellites) & (snap.v < snap.num_satellites)
         costs[sat_sat & (cost_st >= cost_thrsh_ms)] = np.inf
         route = dijkstra(snap, src, dst, cost_override=costs)
         routes.append(route)
-        if route is not None:
-            pos = snap.edge_positions(route.canonical_edges)
-            break_point = int(details.run_last_by_slot[slot - 1][pos].min())
-            route_uids = uids[pos]
-            cost_act[route_uids] = 0.0 if slot != break_point else eta_s_ms
-            if reset_dropped_edges and previous is not None:
-                dropped = set(previous.canonical_edges) - set(route.canonical_edges)
-                for edge in dropped:
-                    uid = details.uid_of(edge)
-                    if uid is not None:
-                        cost_act[uid] = eta_s_ms
-        previous = route
+        if route is None:
+            previous_uids = None
+            continue
+        route_uids = uids[snap.edge_positions(route.canonical_edges)]
+        break_point = route_lifetime(route, details, snap)
+        cost_act[route_uids] = 0.0 if slot != break_point else eta_s_ms
+        if reset_dropped_edges and previous_uids is not None:
+            cost_act[np.setdiff1d(previous_uids, route_uids)] = eta_s_ms
+        previous_uids = route_uids
     return RoutingSchedule("isasr", src, dst, routes, eta_s_ms=eta_s_ms)
 
 

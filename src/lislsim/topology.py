@@ -1,9 +1,10 @@
 """Time-sliced network topology: snapshots, edge lifetimes, and file I/O.
 
 A :class:`SnapshotSeries` is the simulator's central dataset: one immutable
-:class:`Snapshot` per slot plus the node roster. :class:`LinkDetails` is the
-inverse index (edge -> sorted slot list) that the lifetime-aware routing
-algorithms consume. ``export_series``/``import_series`` define the
+:class:`Snapshot` per slot plus the node roster. :class:`LinkDetails` holds,
+for every edge of every slot, a series-wide edge id and the last slot of its
+current run of consecutive slots: the lifetimes that the lifetime-aware
+routing algorithms consume. ``export_series``/``import_series`` define the
 line-oriented interchange format for externally generated topologies.
 """
 
@@ -122,12 +123,6 @@ class Snapshot:
         if np.any(pos < 0):
             return None
         return float(np.sum(self.delay_ms[pos]))
-
-    def edges_dict(self) -> dict[tuple[int, int], float]:
-        return {
-            (int(a), int(b)): float(d)
-            for a, b, d in zip(self.u, self.v, self.delay_ms)
-        }
 
     def csr(self):
         """Cached symmetric CSR adjacency: (indptr, neighbours, arc_edge_index).
@@ -256,159 +251,55 @@ class SnapshotSeries:
         )
 
 
-@dataclass(frozen=True)
-class ContiguousRun:
-    """A maximal run of consecutive slots during which an edge exists."""
-
-    first: int
-    last: int
-
-    def __post_init__(self):
-        if self.first > self.last:
-            raise ValueError("run must satisfy first <= last")
-
-    @property
-    def length(self) -> int:
-        return self.last - self.first + 1
-
-
+@dataclass(frozen=True, eq=False)  # array fields: compare identity, not contents
 class LinkDetails:
-    """Per-edge sorted slot lists with precomputed contiguous-run bounds.
+    """Per-slot edge lifetimes, each array aligned with that slot's edge order.
 
-    Built by :func:`build_link_details`; also carries per-slot arrays
-    (edge uid and containing-run end per edge, aligned with the snapshot's
-    edge order) that the slotted algorithms consume wholesale.
+    ``edge_uids_by_slot[k][i]`` is a series-wide id of the canonical edge
+    ``(u[i], v[i])`` of snapshot ``k + 1``; ``run_last_by_slot[k][i]`` is the
+    last slot of the run of consecutive slots containing it, and
+    ``global_last[uid]`` the edge's last slot anywhere in the series.
     """
 
-    __slots__ = (
-        "num_slots",
-        "_uid",
-        "_edge_u",
-        "_edge_v",
-        "_offsets",
-        "_slots",
-        "_run_first",
-        "_run_last",
-        "global_last",
-        "global_first",
-        "edge_uids_by_slot",
-        "run_last_by_slot",
-    )
-
-    def __init__(self, num_slots, uid, edge_u, edge_v, offsets, slots, run_first, run_last,
-                 edge_uids_by_slot, run_last_by_slot):
-        self.num_slots = num_slots
-        self._uid = uid
-        self._edge_u = edge_u
-        self._edge_v = edge_v
-        self._offsets = offsets
-        self._slots = slots
-        self._run_first = run_first
-        self._run_last = run_last
-        self.global_first = slots[offsets[:-1]] if len(offsets) > 1 else np.empty(0, np.int32)
-        self.global_last = slots[offsets[1:] - 1] if len(offsets) > 1 else np.empty(0, np.int32)
-        self.edge_uids_by_slot = edge_uids_by_slot
-        self.run_last_by_slot = run_last_by_slot
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._uid)
-
-    def edges(self):
-        return ((int(a), int(b)) for a, b in zip(self._edge_u, self._edge_v))
-
-    def uid_of(self, edge: tuple[int, int]) -> int | None:
-        key = (min(edge), max(edge))
-        return self._uid.get(key)
-
-    def slots_of(self, edge: tuple[int, int]) -> np.ndarray:
-        """Sorted slot indices in which the edge exists (empty if never)."""
-        uid = self.uid_of(edge)
-        if uid is None:
-            return np.empty(0, np.int32)
-        return self._slots[self._offsets[uid]: self._offsets[uid + 1]].copy()
-
-    def contiguous_run(self, edge: tuple[int, int], slot: int) -> ContiguousRun | None:
-        """Maximal consecutive run containing `slot`, else the next one after.
-
-        None means the edge never exists at or after `slot`.
-        """
-        if not 1 <= slot <= self.num_slots:
-            raise ValueError(f"slot {slot} outside 1..{self.num_slots}")
-        uid = self.uid_of(edge)
-        if uid is None:
-            return None
-        lo, hi = self._offsets[uid], self._offsets[uid + 1]
-        seg = self._slots[lo:hi]
-        idx = int(np.searchsorted(seg, slot))
-        if idx == seg.size:
-            return None
-        return ContiguousRun(int(self._run_first[lo + idx]), int(self._run_last[lo + idx]))
+    num_slots: int
+    num_edges: int
+    edge_uids_by_slot: tuple[np.ndarray, ...]
+    run_last_by_slot: tuple[np.ndarray, ...]
+    global_last: np.ndarray
 
 
 def build_link_details(series: SnapshotSeries) -> LinkDetails:
-    """Invert a series into the exact edge -> slot-list index (lossless)."""
-    per_slot_counts = [snap.edge_count for snap in series.snapshots]
-    total = int(np.sum(per_slot_counts))
-    if total == 0:
-        empty_by_slot = [np.empty(0, np.int64) for _ in series.snapshots]
-        empty32_by_slot = [np.empty(0, np.int32) for _ in series.snapshots]
-        return LinkDetails(
-            series.num_slots, {}, np.empty(0, np.int32), np.empty(0, np.int32),
-            np.zeros(1, np.int64), np.empty(0, np.int32), np.empty(0, np.int32),
-            np.empty(0, np.int32), empty_by_slot, empty32_by_slot,
-        )
+    """Edge ids and run ends of every edge record in a series."""
+    counts = [snap.edge_count for snap in series.snapshots]
+    keys = np.concatenate([snap._keys for snap in series.snapshots])
+    slots = np.repeat(np.arange(1, series.num_slots + 1, dtype=np.int32), counts)
+    order = np.argsort(keys, kind="stable")  # stable keeps slots ascending per edge
+    skey = keys[order]
+    sslot = slots[order]
 
-    all_u = np.concatenate([snap.u for snap in series.snapshots])
-    all_v = np.concatenate([snap.v for snap in series.snapshots])
-    all_slot = np.concatenate(
-        [np.full(c, snap.slot, np.int32) for c, snap in zip(per_slot_counts, series.snapshots)]
-    )
-    key = _pack_keys(all_u, all_v)
-    order = np.argsort(key, kind="stable")  # stable keeps slots ascending per edge
-    skey = key[order]
-    sslot = all_slot[order]
-
-    new_edge = np.empty(total, bool)
-    new_edge[0] = True
+    new_edge = np.ones(keys.size, bool)
     new_edge[1:] = skey[1:] != skey[:-1]
-    uid_sorted = np.cumsum(new_edge) - 1
-    edge_starts = np.nonzero(new_edge)[0]
-    offsets = np.append(edge_starts, total).astype(np.int64)
-    edge_u = all_u[order][edge_starts].astype(np.int32)
-    edge_v = all_v[order][edge_starts].astype(np.int32)
-    uid_map = {
-        (int(a), int(b)): i for i, (a, b) in enumerate(zip(edge_u, edge_v))
-    }
+    new_run = new_edge.copy()
+    new_run[1:] |= sslot[1:] != sslot[:-1] + 1
+    edge_end = np.ones(keys.size, bool)
+    edge_end[:-1] = new_edge[1:]
+    run_end = np.ones(keys.size, bool)
+    run_end[:-1] = new_run[1:]
 
-    new_run = np.empty(total, bool)
-    new_run[0] = True
-    new_run[1:] = new_edge[1:] | (sslot[1:] != sslot[:-1] + 1)
-    run_starts = np.nonzero(new_run)[0]
-    run_bounds = np.append(run_starts, total)
-    run_lengths = np.diff(run_bounds)
-    run_first = np.repeat(sslot[run_starts], run_lengths)
-    run_last = np.repeat(sslot[run_bounds[1:] - 1], run_lengths)
-
-    # scatter uid and containing-run end back to original snapshot edge order
-    uid_orig = np.empty(total, np.int64)
-    uid_orig[order] = uid_sorted
-    run_last_orig = np.empty(total, np.int32)
-    run_last_orig[order] = run_last
-    splits = np.cumsum(per_slot_counts)[:-1]
-    edge_uids_by_slot = np.split(uid_orig, splits)
-    run_last_by_slot = np.split(run_last_orig, splits)
-
+    # scatter uid and containing-run end back to snapshot edge order
+    uid = np.empty(keys.size, np.int64)
+    uid[order] = np.cumsum(new_edge) - 1
+    run_last = np.empty(keys.size, np.int32)
+    run_last[order] = sslot[run_end][np.cumsum(new_run) - 1]
+    global_last = sslot[edge_end]
+    splits = np.cumsum(counts)[:-1]
     return LinkDetails(
-        series.num_slots, uid_map, edge_u, edge_v, offsets,
-        sslot.astype(np.int32), run_first.astype(np.int32), run_last.astype(np.int32),
-        edge_uids_by_slot, run_last_by_slot,
+        num_slots=series.num_slots,
+        num_edges=global_last.size,
+        edge_uids_by_slot=tuple(np.split(uid, splits)),
+        run_last_by_slot=tuple(np.split(run_last, splits)),
+        global_last=global_last,
     )
-
-
-def contiguous_run(details: LinkDetails, edge: tuple[int, int], slot: int) -> ContiguousRun | None:
-    """Module-level alias for :meth:`LinkDetails.contiguous_run`."""
-    return details.contiguous_run(edge, slot)
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,41 @@ class TestBadUsage:
         assert rc == 1
 
 
+class TestBadRoutingValues:
+    @pytest.mark.parametrize(
+        "argv,config_edit",
+        [
+            (["run", "--algorithm", "alpr", "--eta-s", "nan"], None),
+            (["run", "--algorithm", "alpr", "--eta-s", "-5"], None),
+            (["run", "--algorithm", "alpr", "--eta-s", "inf"], None),
+            (["run", "--algorithm", "isasr", "--gamma", "nan"], None),
+            (["run", "--algorithm", "isasr", "--gamma", "-1"], None),
+            (["run", "--algorithm", "isasr", "--cost-thrsh", "nan"], None),
+            (["run", "--algorithm", "isasr", "--cost-thrsh", "0"], None),
+            (["sweep", "--gamma", "nan"], None),
+            (["sweep", "--gamma", "0.5,inf"], None),
+            (["sweep"], ("eta_s_ms = 1, 1000", "eta_s_ms = 1, inf")),
+        ],
+        ids=[
+            "run-eta-nan", "run-eta-negative", "run-eta-inf", "run-gamma-nan",
+            "run-gamma-negative", "run-thrsh-nan", "run-thrsh-zero", "sweep-gamma-nan",
+            "sweep-gamma-list-inf", "sweep-config-eta-inf",
+        ],
+    )
+    def test_rejected_with_exit_1(self, tmp_path, tiny_series, capsys, argv, config_edit):
+        text = TINY_CONFIG if config_edit is None else TINY_CONFIG.replace(*config_edit)
+        cfg = tmp_path / "values.ini"
+        cfg.write_text(text)
+        out = tmp_path / "values_out"
+        rc = main([
+            argv[0], "--config", str(cfg), "--series", str(tiny_series),
+            *argv[1:], "--out", str(out),
+        ])
+        assert rc == 1
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestVerificationFailureExit:
     def test_sweep_exits_2_when_identity_breaks(self, tmp_path, tiny_config, tiny_series, monkeypatch):
         import lislsim.cli as cli_mod

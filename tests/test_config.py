@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from lislsim.config import default_config, load_config, with_overrides
+from lislsim.config import default_config, load_config
 
 FULL_INI = """
 [constellation]
@@ -37,7 +37,6 @@ qos_ms = 20, 25
 reset_dropped_edges = true
 global_lifetimes = true
 histogram_bin_ms = 0.5
-timing_iterations = 3
 seed = 99
 
 [oracle]
@@ -102,7 +101,7 @@ class TestLoadConfig:
         assert cfg.gamma_for(50.0) == 12.5
         assert math.isinf(cfg.cost_thrsh_ms)
         assert cfg.reset_dropped_edges and cfg.global_lifetimes
-        assert cfg.timing_iterations == 3 and cfg.seed == 99
+        assert cfg.seed == 99
         assert cfg.oracle.instances == 10
         assert cfg.oracle.eta_s_ms == (0.0, 5.0)
         ids = sorted(gs.id for gs in cfg.ground_stations)
@@ -151,11 +150,27 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="boolean"):
             load_config(path)
 
-
-class TestOverrides:
-    def test_with_overrides_replaces_only_given_fields(self):
-        cfg = default_config()
-        out = with_overrides(cfg, timing_iterations=4, seed=None)
-        assert out.timing_iterations == 4
-        assert out.seed == cfg.seed
-        assert out.scenario == cfg.scenario
+    @pytest.mark.parametrize(
+        "run_section,message",
+        [
+            ("eta_s_ms = nan, 10\nqos_ms = 30, 40", "setup-delay"),
+            ("eta_s_ms = inf, 10\nqos_ms = 30, 40", "setup-delay"),
+            ("eta_s_ms = -5, 10\nqos_ms = 30, 40", "setup-delay"),
+            ("qos_ms = nan, 30, 35, 40", "QoS"),
+            ("qos_ms = 27, inf, 35, 40", "QoS"),
+            ("gamma = nan", "gamma"),
+            ("gamma = inf", "gamma"),
+            ("gamma = -1", "gamma"),
+            ("cost_thrsh_ms = nan", "cost threshold"),
+            ("cost_thrsh_ms = 0", "cost threshold"),
+        ],
+        ids=[
+            "eta-nan", "eta-inf", "eta-negative", "qos-nan", "qos-inf", "gamma-nan",
+            "gamma-inf", "gamma-negative", "thrsh-nan", "thrsh-zero",
+        ],
+    )
+    def test_non_finite_or_out_of_range_values_rejected(self, tmp_path, run_section, message):
+        path = tmp_path / "bad6.ini"
+        path.write_text(f"[run]\n{run_section}\n")
+        with pytest.raises(ValueError, match=message):
+            load_config(path)

@@ -19,7 +19,7 @@ from lislsim.routing import (
     route_lifetime,
     run_algorithm,
 )
-from lislsim.topology import ContiguousRun, Snapshot, build_link_details
+from lislsim.topology import Snapshot, build_link_details
 from lislsim.toyseries import series_from_edges
 
 from conftest import WORKED_EXAMPLE_DELAYS, random_series, square_edges
@@ -264,20 +264,20 @@ class TestRouteLifetime:
         series = series_from_edges(per_slot, num_satellites=6)
         details = build_link_details(series)
         route = Route((0, 1, 2, 3, 4, 5))
-        assert route_lifetime(route, details, 85) == 93
+        assert route_lifetime(route, details, series.snapshot(85)) == 93
 
     def test_permanent_route_expires_at_horizon(self):
         series = series_from_edges([{(0, 1): 1.0, (1, 2): 1.0}] * 7, num_satellites=3)
         details = build_link_details(series)
-        assert route_lifetime(Route((0, 1, 2)), details, 3) == 7
+        assert route_lifetime(Route((0, 1, 2)), details, series.snapshot(3)) == 7
 
     def test_single_slot_run(self):
         per_slot = [{(0, 1): 1.0}, {(2, 3): 1.0}, {(0, 1): 1.0}]
         series = series_from_edges(per_slot, num_satellites=4)
         details = build_link_details(series)
-        assert route_lifetime(Route((0, 1)), details, 1) == 1
+        assert route_lifetime(Route((0, 1)), details, series.snapshot(1)) == 1
         with pytest.raises(ValueError):
-            route_lifetime(Route((0, 1)), details, 2)
+            route_lifetime(Route((0, 1)), details, series.snapshot(2))
 
 
 class TestAlprAverageLatency:
@@ -335,7 +335,7 @@ class TestAlpr:
             while i <= series.num_slots:
                 route = schedule.routes[i - 1]
                 assert route is not None
-                last = route_lifetime(route, details, i)
+                last = route_lifetime(route, details, series.snapshot(i))
                 # the active block extends exactly to the route's expiry
                 for k in range(i, last + 1):
                     assert schedule.routes[k - 1] is route
@@ -364,21 +364,15 @@ class TestAlpr:
 
 class TestIsasrStabilityCost:
     def test_horizon_run_costs_nothing(self):
-        assert isasr_stability_cost(ContiguousRun(10, 20), 5, 20, 1000.0) == 0.0
-
-    def test_future_run_spreads_over_length(self):
-        assert isasr_stability_cost(ContiguousRun(10, 19), 5, 30, 1000.0) == 100.0
+        assert isasr_stability_cost(np.array([20]), 5, 20, 1000.0).tolist() == [0.0]
 
     def test_live_run_spreads_over_remainder(self):
-        assert isasr_stability_cost(ContiguousRun(10, 19), 15, 30, 1000.0) == 200.0
-
-    def test_expired_run_is_infinite(self):
-        assert isasr_stability_cost(None, 5, 30, 1000.0) == math.inf
-        assert isasr_stability_cost(ContiguousRun(1, 3), 5, 30, 1000.0) == math.inf
+        cost = isasr_stability_cost(np.array([19, 15, 30], np.int32), 15, 30, 1000.0)
+        assert cost.tolist() == [200.0, 1000.0, 0.0]
 
     def test_slot_bounds(self):
         with pytest.raises(ValueError):
-            isasr_stability_cost(None, 0, 30, 1.0)
+            isasr_stability_cost(np.array([5]), 0, 30, 1.0)
 
 
 class TestIsasr:
@@ -510,10 +504,10 @@ class TestPermanentEdgeCosts:
 
         series = series_from_edges([square_edges()] * 6, num_satellites=4)
         details = build_link_details(series)
-        for edge in details.edges():
-            for slot in (1, 3, 6):
-                run = details.contiguous_run(edge, slot)
-                assert isasr_stability_cost(run, slot, 6, 1000.0) == 0.0
+        for slot in (1, 3, 6):
+            run_last = details.run_last_by_slot[slot - 1]
+            assert run_last.size == 4
+            assert not isasr_stability_cost(run_last, slot, 6, 1000.0).any()
 
 
 class TestDetailsGuards:

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from lislsim.constellation import ConstellationParams, GroundStation, ScenarioParams
 from lislsim.constellation import generate_series
 from lislsim.topology import (
-    ContiguousRun,
     SeriesFormatError,
     Snapshot,
     NodeRoster,
     build_link_details,
-    contiguous_run,
     export_series,
     import_series,
 )
@@ -78,41 +76,54 @@ class TestRoster:
             series_from_edges([{(2, 3): 1.0}], num_satellites=2, ground_stations=stations)
 
 
+def reference_run_last(series, edge, slot):
+    """Brute force: scan forward from `slot` while the edge stays present."""
+    last = slot
+    while last < series.num_slots and series.snapshot(last + 1).has_edge(*edge):
+        last += 1
+    return last
+
+
+def assert_matches_reference(series, details):
+    """run_last, global_last and uid identity agree with brute-force scans."""
+    assert details.num_slots == series.num_slots
+    seen_uid = {}
+    for snap in series.snapshots:
+        uids = details.edge_uids_by_slot[snap.slot - 1]
+        run_last = details.run_last_by_slot[snap.slot - 1]
+        assert uids.shape == run_last.shape == snap.u.shape
+        for k, edge in enumerate(zip(snap.u.tolist(), snap.v.tolist())):
+            assert run_last[k] == reference_run_last(series, edge, snap.slot)
+            present = [s.slot for s in series.snapshots if s.has_edge(*edge)]
+            assert details.global_last[uids[k]] == present[-1]
+            assert seen_uid.setdefault(edge, int(uids[k])) == uids[k]
+    # same uid <=> same canonical edge, numbered 0..num_edges-1
+    assert sorted(seen_uid.values()) == list(range(details.num_edges))
+    assert details.global_last.shape == (details.num_edges,)
+
+
+def run_last_at(details, series, edge, slot):
+    pos = int(series.snapshot(slot).edge_positions([edge])[0])
+    return int(details.run_last_by_slot[slot - 1][pos])
+
+
 class TestLinkDetails:
     def test_example_slot_list(self):
         series = slots_series({(0, 1): [3, 4, 5, 9, 10]}, num_slots=12)
         details = build_link_details(series)
-        assert details.slots_of((0, 1)).tolist() == [3, 4, 5, 9, 10]
+        ends = [run_last_at(details, series, (0, 1), s) for s in (3, 4, 5, 9, 10)]
+        assert ends == [5, 5, 5, 10, 10]
+        assert details.num_edges == 1 and details.global_last.tolist() == [10]
 
     def test_permanent_edge(self):
         series = slots_series({(0, 1): list(range(1, 13))}, num_slots=12)
         details = build_link_details(series)
-        assert details.slots_of((0, 1)).tolist() == list(range(1, 13))
-        assert details.contiguous_run((0, 1), 5) == ContiguousRun(1, 12)
+        assert run_last_at(details, series, (0, 1), 5) == 12
 
     def test_containing_run(self):
         series = slots_series({(0, 1): [3, 4, 5, 9, 10]}, num_slots=12)
         details = build_link_details(series)
-        assert details.contiguous_run((0, 1), 4) == ContiguousRun(3, 5)
-
-    def test_next_following_run(self):
-        series = slots_series({(0, 1): [3, 4, 5, 9, 10]}, num_slots=12)
-        details = build_link_details(series)
-        assert contiguous_run(details, (0, 1), 7) == ContiguousRun(9, 10)
-
-    def test_expired_edge_absent(self):
-        series = slots_series({(0, 1): [3, 4, 5], (0, 2): [8]}, num_slots=12)
-        details = build_link_details(series)
-        assert details.contiguous_run((0, 1), 8) is None
-        assert details.contiguous_run((5, 6), 1) is None  # never exists
-
-    def test_slot_bounds_checked(self):
-        series = slots_series({(0, 1): [1]}, num_slots=3)
-        details = build_link_details(series)
-        with pytest.raises(ValueError):
-            details.contiguous_run((0, 1), 0)
-        with pytest.raises(ValueError):
-            details.contiguous_run((0, 1), 4)
+        assert run_last_at(details, series, (0, 1), 4) == 5
 
     @given(
         st.dictionaries(
@@ -124,42 +135,18 @@ class TestLinkDetails:
     )
     @settings(max_examples=60, deadline=None)
     def test_duality_and_run_maximality(self, table):
-        slot_lists = {e: sorted(s) for e, s in table.items()}
-        series = slots_series(slot_lists, num_slots=15)
-        details = build_link_details(series)
-        # duality: slot i lists edge e  <=>  snapshot i contains e
-        for edge, slots in slot_lists.items():
-            assert details.slots_of(edge).tolist() == slots
-            for i in range(1, 16):
-                assert series.snapshot(i).has_edge(*edge) == (i in slots)
-        # runs returned are maximal
-        for edge, slots in slot_lists.items():
-            slot_set = set(slots)
-            for i in range(1, 16):
-                run = details.contiguous_run(edge, i)
-                if run is None:
-                    assert all(s < i for s in slots)
-                    continue
-                assert run.first - 1 not in slot_set
-                assert run.last + 1 not in slot_set
-                assert set(range(run.first, run.last + 1)) <= slot_set
-                if i in slot_set:
-                    assert run.first <= i <= run.last
-                else:
-                    assert run.first > i
+        series = slots_series({e: sorted(s) for e, s in table.items()}, num_slots=15)
+        assert_matches_reference(series, build_link_details(series))
 
     def test_per_slot_arrays_align_with_snapshots(self):
         series = dominance_toy_series()
+        assert_matches_reference(series, build_link_details(series))
+
+    def test_series_without_edges(self):
+        series = slots_series({}, num_slots=3)
         details = build_link_details(series)
-        for snap in series.snapshots:
-            uids = details.edge_uids_by_slot[snap.slot - 1]
-            run_last = details.run_last_by_slot[snap.slot - 1]
-            assert uids.shape == snap.u.shape
-            for k, (a, b) in enumerate(zip(snap.u, snap.v)):
-                run = details.contiguous_run((int(a), int(b)), snap.slot)
-                assert run is not None
-                assert run_last[k] == run.last
-                assert details.uid_of((int(a), int(b))) == uids[k]
+        assert details.num_edges == 0
+        assert [a.size for a in details.edge_uids_by_slot] == [0, 0, 0]
 
 
 class TestSeriesFile:
