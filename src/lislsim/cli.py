@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, metrics, oracle
 from .config import ExperimentConfig, check_routing_values, default_config, load_config
 from .constellation import generate_series
-from .routing import RoutingSchedule, Route, run_algorithm
+from .routing import ETA_BLIND_ALGORITHMS, RoutingSchedule, Route, run_algorithm
 from .topology import build_link_details, export_series, import_series
 
 # Four-route worked example: per-slot end-to-end delays (ms) of candidate
@@ -242,10 +242,16 @@ def cmd_sweep(args) -> int:
     details = build_link_details(series)
 
     rows, timing_rows, failures = [], [], []
+    eta_blind_runs = {}  # ILSR/ILPR: one schedule and runtime for every eta_s row
     for name, eta_s, gamma in cells:
-        schedule, runtime = _timed_run(
-            cfg, name, series, src, dst, eta_s, details, gamma, cfg.cost_thrsh_ms
-        )
+        if name in eta_blind_runs:
+            schedule, runtime = eta_blind_runs[name]
+        else:
+            schedule, runtime = _timed_run(
+                cfg, name, series, src, dst, eta_s, details, gamma, cfg.cost_thrsh_ms
+            )
+            if name in ETA_BLIND_ALGORITHMS:
+                eta_blind_runs[name] = schedule, runtime
         report = metrics.evaluate(
             schedule, series, eta_s, qos_ms=(cfg.qos_for(eta_s),),
             histogram_bin_ms=cfg.histogram_bin_ms, runtime_s=runtime,

@@ -85,8 +85,8 @@ class ExperimentConfig:
         )
         if len(self.qos_ms) != len(self.eta_s_ms):
             raise ValueError("qos_ms must pair one threshold with each eta_s value")
-        if self.histogram_bin_ms <= 0:
-            raise ValueError("histogram bin width must be positive")
+        if not (math.isfinite(self.histogram_bin_ms) and self.histogram_bin_ms > 0):
+            raise ValueError("histogram bin width must be finite and positive")
         names = [gs.name for gs in self.ground_stations]
         for endpoint in (self.source, self.destination):
             if endpoint not in names:

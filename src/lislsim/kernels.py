@@ -60,6 +60,15 @@ def shortest_route(indptr, nbr, wgt, src: int, dst: int) -> np.ndarray:
     the smallest-id neighbour that stays on a shortest path
     (wgt + dist[nbr] == dist[here]). The final distance array is unique for
     strictly positive weights, so the result does not depend on heap pop order.
+
+    Dijkstra stops as soon as src is settled, which leaves the path unchanged:
+    every node on a shortest src -> dst path has a final distance strictly
+    below dist[src] (weights are positive), so it is settled before src; a
+    node v still unsettled has a tentative distance >= dist[src] >= dist[u]
+    for every node u on the walk, so ``wgt + dist[v] == dist[u]`` cannot hold
+    for a weight that is not lost to rounding against dist[v] (any weight of
+    1e-9 or more at distances below 1e6, as for delays in ms). The walk
+    therefore sees exactly the candidates a full settle would give it.
     """
     indptr = np.ascontiguousarray(indptr, dtype=np.int64)
     nbr = np.ascontiguousarray(nbr, dtype=np.int32)
@@ -75,6 +84,8 @@ def shortest_route(indptr, nbr, wgt, src: int, dst: int) -> np.ndarray:
         if done[u]:
             continue
         done[u] = True
+        if u == src:
+            break
         for k in range(indptr[u], indptr[u + 1]):
             v = nbr[k]
             if done[v]:

@@ -140,8 +140,8 @@ def histogram(latency: np.ndarray, bin_width_ms: float = 0.25) -> tuple[np.ndarr
     Returns (left_edges, counts) spanning the populated range; counts sum
     to the number of reachable slots.
     """
-    if bin_width_ms <= 0:
-        raise ValueError("bin width must be positive")
+    if not (np.isfinite(bin_width_ms) and bin_width_ms > 0):
+        raise ValueError("bin width must be finite and positive")
     latency = np.asarray(latency, dtype=np.float64)
     values = latency[~np.isnan(latency)]
     if values.size == 0:

@@ -340,6 +340,9 @@ def isasr(
 
 
 ALGORITHMS = ("ilsr", "ilpr", "alpr", "isasr")
+# Their schedules depend on the series and endpoints only, not on eta_s,
+# gamma or the ISASR settings, so one run serves every setup-delay value.
+ETA_BLIND_ALGORITHMS = ("ilsr", "ilpr")
 
 
 def run_algorithm(

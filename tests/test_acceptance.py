@@ -36,6 +36,7 @@ from lislsim.topology import Snapshot, build_link_details
 from lislsim.toyseries import dominance_toy_series
 
 from conftest import random_series, worked_example_series
+from test_kernels import reference_route
 from test_routing import exhaustive_best_path
 
 
@@ -219,6 +220,20 @@ def test_criterion_6_penalty_blind_algorithms(desk):
             lams = {r.route_change_rate_pct for r in reports}
             delays = {r.mean_eta_delay_ms for r in reports}
             assert len(lams) == 1 and len(delays) == 1
+
+
+def test_ilsr_routes_match_full_settle_oracle(desk):
+    """Every ILSR slot route equals the walk over scipy's full-graph distances."""
+    stations = {gs.id for gs in desk.series.roster.ground_stations}
+    for dst in (desk.london, desk.hanoi):
+        schedule = _schedule(desk, dst, "ilsr", None)
+        foreign = np.array(sorted(stations - {desk.ny, dst}))
+        for snap, route in zip(desk.series.snapshots, schedule.routes):
+            costs = snap.delay_ms.copy()
+            costs[np.isin(snap.u, foreign) | np.isin(snap.v, foreign)] = np.inf
+            indptr, nbr, arc_eid = snap.csr()
+            want, _ = reference_route(indptr, nbr, costs[arc_eid], desk.ny, dst)
+            assert (list(route.nodes) if route else []) == want, (dst, snap.slot)
 
 
 def test_criterion_7_full_constellation_ordering(desk):

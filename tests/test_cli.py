@@ -1,5 +1,7 @@
 """End-to-end CLI coverage: generate, run, sweep, oracle, table2."""
 
+from collections import Counter
+
 import pytest
 
 from lislsim.cli import main, read_schedule, write_schedule
@@ -144,6 +146,76 @@ class TestSweep:
         rows = (out / "sweep.tsv").read_text().splitlines()[1:]
         isasr_rows = [r for r in rows if r.startswith("isasr")]
         assert len(isasr_rows) == 2 * 3  # two eta_s x three gamma values
+
+
+def _count_runs(monkeypatch):
+    """Record the algorithm name of every routing run the CLI starts."""
+    import lislsim.cli as cli_mod
+
+    calls = []
+    real = cli_mod.run_algorithm
+
+    def counted(name, *args, **kwargs):
+        calls.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "run_algorithm", counted)
+    return calls
+
+
+def _report_values(text):
+    """`key value unit` lines of report.txt as a dict of value strings."""
+    return dict(line.split()[:2] for line in text.splitlines())
+
+
+class TestSweepReuse:
+    def test_eta_blind_schedules_computed_once(self, tmp_path, tiny_config, tiny_series, monkeypatch):
+        calls = _count_runs(monkeypatch)
+        assert main([
+            "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
+            "--out", str(tmp_path / "sweep"),
+        ]) == 0
+        # 4 algorithms x 2 eta_s = 8 cells; ILSR and ILPR run once each
+        assert Counter(calls) == {"ilsr": 1, "ilpr": 1, "alpr": 2, "isasr": 2}
+
+    def test_gamma_list_keeps_one_run_per_eta_blind_algorithm(
+        self, tmp_path, tiny_config, tiny_series, monkeypatch
+    ):
+        calls = _count_runs(monkeypatch)
+        assert main([
+            "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
+            "--gamma", "1,10", "--out", str(tmp_path / "gsweep"),
+        ]) == 0
+        assert Counter(calls) == {"ilsr": 1, "ilpr": 1, "alpr": 2, "isasr": 4}
+
+    def test_reused_rows_equal_single_runs(self, tmp_path, tiny_config, tiny_series):
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
+            "--out", str(out),
+        ]) == 0
+        header, *rows = (out / "sweep.tsv").read_text().splitlines()
+        columns = header.split("\t")
+        timings = [r.split("\t") for r in (out / "timings.tsv").read_text().splitlines()[1:]]
+        assert len(timings) == len(rows) == 8
+        for name in ("ilsr", "ilpr"):
+            cells = [dict(zip(columns, r.split("\t"))) for r in rows if r.startswith(name + "\t")]
+            assert [c["eta_s_ms"] for c in cells] == ["1", "1000"]
+            for cell in cells:
+                run_out = tmp_path / f"{name}_{cell['eta_s_ms']}"
+                assert main([
+                    "run", "--config", str(tiny_config), "--series", str(tiny_series),
+                    "--algorithm", name, "--eta-s", cell["eta_s_ms"], "--out", str(run_out),
+                ]) == 0
+                report = _report_values((run_out / "report.txt").read_text())
+                assert cell["mean_eta_le_ms"] == report["mean_eta_le"]
+                assert cell["mean_eta_delay_ms"] == report["mean_eta_delay"]
+                assert cell["route_change_rate_pct"] == report["route_change_rate"]
+                assert cell["outage_probability"] == report[f"outage@{float(cell['qos_ms']):.9f}ms"]
+                assert cell["average_jitter_ms"] == report["average_jitter"]
+                assert cell["coverage"] == report["coverage"]
+            runtimes = {t[3] for t in timings if t[0] == name}
+            assert len(runtimes) == 1
 
 
 class TestOracleCommand:

@@ -163,10 +163,14 @@ class TestLoadConfig:
             ("gamma = -1", "gamma"),
             ("cost_thrsh_ms = nan", "cost threshold"),
             ("cost_thrsh_ms = 0", "cost threshold"),
+            ("histogram_bin_ms = nan", "histogram bin width"),
+            ("histogram_bin_ms = inf", "histogram bin width"),
+            ("histogram_bin_ms = 0", "histogram bin width"),
         ],
         ids=[
             "eta-nan", "eta-inf", "eta-negative", "qos-nan", "qos-inf", "gamma-nan",
-            "gamma-inf", "gamma-negative", "thrsh-nan", "thrsh-zero",
+            "gamma-inf", "gamma-negative", "thrsh-nan", "thrsh-zero", "bin-nan", "bin-inf",
+            "bin-zero",
         ],
     )
     def test_non_finite_or_out_of_range_values_rejected(self, tmp_path, run_section, message):

@@ -8,12 +8,21 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 from lislsim import kernels
 
 
-def _random_csr(rng, n, extra_edges):
-    edges = {(a, a + 1): 1.0 + float(rng.integers(0, 512)) / 128.0 for a in range(n - 1)}
+def _random_csr(rng, n, extra_edges, levels=512, inf_fraction=0.0):
+    """Symmetric CSR graph on a backbone path plus random chords.
+
+    Weights are 1 + k/128 for k < levels, so sums are exact and a small
+    ``levels`` gives many equal-cost paths; ``inf_fraction`` of the edges
+    are disabled with +inf, which can disconnect the graph.
+    """
+    edges = {(a, a + 1): 1.0 + float(rng.integers(0, levels)) / 128.0 for a in range(n - 1)}
     for _ in range(extra_edges):
         a, b = sorted(rng.integers(0, n, 2).tolist())
         if a != b:
-            edges[(a, b)] = 1.0 + float(rng.integers(0, 512)) / 128.0
+            edges[(a, b)] = 1.0 + float(rng.integers(0, levels)) / 128.0
+    for key in edges:
+        if rng.random() < inf_fraction:
+            edges[key] = np.inf
     e = len(edges)
     u = np.fromiter((a for a, _ in edges), np.int64, e)
     v = np.fromiter((b for _, b in edges), np.int64, e)
@@ -25,6 +34,31 @@ def _random_csr(rng, n, extra_edges):
     indptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return indptr, dst[order].astype(np.int32), wgt[order]
+
+
+def reference_route(indptr, nbr, wgt, src, dst):
+    """Full-settle reference for ``kernels.shortest_route``.
+
+    Distances to ``dst`` over every node come from scipy's Dijkstra; the
+    walk from ``src`` then steps to the smallest-id neighbour on a shortest
+    path. Returns (path, tie_steps): the vertex list (empty if unreachable)
+    and how many steps had more than one shortest-path neighbour to choose from.
+    """
+    n = indptr.shape[0] - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    live = np.isfinite(wgt)
+    graph = sparse.csr_matrix((wgt[live], (rows[live], nbr[live])), shape=(n, n))
+    dist = scipy_dijkstra(graph, indices=dst)
+    if not np.isfinite(dist[src]):
+        return [], 0
+    path, tie_steps = [src], 0
+    while path[-1] != dst:
+        u = path[-1]
+        row = range(indptr[u], indptr[u + 1])
+        on_path = [int(nbr[k]) for k in row if wgt[k] + dist[nbr[k]] == dist[u]]
+        tie_steps += len(on_path) > 1
+        path.append(on_path[0])
+    return path, tie_steps
 
 
 def _pair_edges_reference(pos, range_km):
@@ -66,20 +100,23 @@ def test_pair_edges_boundary_inclusive():
 
 
 def test_shortest_route_matches_scipy_distances():
+    """Exact paths equal the full-settle reference, ties and dead ends included."""
     rng = np.random.default_rng(17)
-    for _ in range(30):
-        n = int(rng.integers(3, 25))
-        indptr, nbr, wgt = _random_csr(rng, n, extra_edges=int(rng.integers(0, 2 * n)))
-        graph = sparse.csr_matrix((wgt, nbr, indptr), shape=(n, n))
-        ref = scipy_dijkstra(graph, indices=n - 1)
-        path = kernels.shortest_route(indptr, nbr, wgt, 0, n - 1)
-        assert path.size > 0
-        cost = 0.0
-        for a, b in zip(path[:-1], path[1:]):
-            row = slice(indptr[a], indptr[a + 1])
-            k = np.nonzero(nbr[row] == b)[0][0]
-            cost += wgt[row][k]
-        assert cost == pytest.approx(ref[0], abs=1e-9)
+    ties = unreachable = 0
+    for _ in range(60):
+        n = int(rng.integers(3, 40))
+        indptr, nbr, wgt = _random_csr(
+            rng, n, extra_edges=int(rng.integers(0, 2 * n)),
+            levels=int(rng.choice([1, 4, 512])), inf_fraction=float(rng.choice([0.0, 0.3])),
+        )
+        pairs = [(0, n - 1)] + [tuple(rng.choice(n, 2, replace=False)) for _ in range(5)]
+        for src, dst in pairs:
+            want, tie_steps = reference_route(indptr, nbr, wgt, int(src), int(dst))
+            got = kernels.shortest_route(indptr, nbr, wgt, src, dst)
+            assert got.tolist() == want, (n, src, dst)
+            ties += tie_steps > 0
+            unreachable += not want
+    assert ties > 20 and unreachable > 5  # both the tie-break and a drained heap ran
 
 
 def test_unreachable_returns_empty():

@@ -165,6 +165,11 @@ class TestHistogram:
         _, counts = histogram(lat, 0.5)
         assert counts.sum() == 3
 
+    @pytest.mark.parametrize("width", [0.0, -0.25, np.nan, np.inf])
+    def test_bin_width_must_be_finite_and_positive(self, width):
+        with pytest.raises(ValueError, match="finite and positive"):
+            histogram(np.array([1.0, 2.0]), width)
+
 
 class TestIdentity:
     @pytest.mark.parametrize("name", ["ilsr", "ilpr", "alpr", "isasr"])
