@@ -126,16 +126,20 @@ def default_config() -> ExperimentConfig:
         slot_duration_s=1.0,
         num_slots=600,
     )
-    stations = tuple(
-        GroundStation(id=constellation.num_satellites + i, name=name, latitude_deg=lat, longitude_deg=lon)
-        for i, (name, lat, lon) in enumerate(DEFAULT_GROUND_STATIONS)
-    )
     return ExperimentConfig(
         constellation=constellation,
         scenario=scenario,
-        ground_stations=stations,
+        ground_stations=_stations(constellation.num_satellites, DEFAULT_GROUND_STATIONS),
         source="new_york",
         destination="london",
+    )
+
+
+def _stations(num_satellites: int, entries) -> tuple[GroundStation, ...]:
+    """Stations from (name, lat, lon) entries, numbered right after the satellites."""
+    return tuple(
+        GroundStation(id=num_satellites + i, name=name, latitude_deg=lat, longitude_deg=lon)
+        for i, (name, lat, lon) in enumerate(entries)
     )
 
 
@@ -145,6 +149,15 @@ def _floats(text: str) -> tuple[float, ...]:
 
 def _names(text: str) -> tuple[str, ...]:
     return tuple(tok.strip() for tok in text.replace(",", " ").split())
+
+
+def _gamma(text: str) -> float | None:
+    return None if text.strip().lower() == "auto" else float(text)
+
+
+def _parsed(section, key: str, parse, default):
+    """``parse`` of the key's text, or ``default`` when the section lacks the key."""
+    return parse(section[key]) if key in section else default
 
 
 def load_config(path) -> ExperimentConfig:
@@ -175,31 +188,16 @@ def load_config(path) -> ExperimentConfig:
         num_slots=int(sp.get("num_slots", base.scenario.num_slots)),
     )
 
+    entries = DEFAULT_GROUND_STATIONS
     if parser.has_section("ground_stations"):
-        stations = []
-        for i, (name, value) in enumerate(parser.items("ground_stations")):
+        entries = []
+        for name, value in parser.items("ground_stations"):
             coords = _floats(value)
             if len(coords) != 2:
                 raise ValueError(f"ground station {name!r} needs 'lat, lon'")
-            stations.append(
-                GroundStation(
-                    id=constellation.num_satellites + i,
-                    name=name,
-                    latitude_deg=coords[0],
-                    longitude_deg=coords[1],
-                )
-            )
-        stations = tuple(stations)
-    else:
-        stations = tuple(
-            GroundStation(
-                id=constellation.num_satellites + i, name=name, latitude_deg=lat, longitude_deg=lon
-            )
-            for i, (name, lat, lon) in enumerate(DEFAULT_GROUND_STATIONS)
-        )
+            entries.append((name, *coords))
 
     run = parser["run"] if parser.has_section("run") else {}
-    gamma_raw = run.get("gamma", "auto").strip().lower() if run else "auto"
     orc = parser["oracle"] if parser.has_section("oracle") else {}
     base_oracle = base.oracle
     oracle_cfg = OracleConfig(
@@ -209,24 +207,24 @@ def load_config(path) -> ExperimentConfig:
         delay_low_ms=float(orc.get("delay_low_ms", base_oracle.delay_low_ms)),
         delay_high_ms=float(orc.get("delay_high_ms", base_oracle.delay_high_ms)),
         inf_fraction=float(orc.get("inf_fraction", base_oracle.inf_fraction)),
-        eta_s_ms=_floats(orc.get("eta_s_ms", "0 1 10 100 1000")) if orc else base_oracle.eta_s_ms,
+        eta_s_ms=_parsed(orc, "eta_s_ms", _floats, base_oracle.eta_s_ms),
     )
 
     return ExperimentConfig(
         constellation=constellation,
         scenario=scenario,
-        ground_stations=stations,
-        source=run.get("source", base.source) if run else base.source,
-        destination=run.get("destination", base.destination) if run else base.destination,
-        algorithms=_names(run.get("algorithms", "ilsr ilpr alpr isasr")) if run else base.algorithms,
-        eta_s_ms=_floats(run.get("eta_s_ms", "1 10 100 1000")) if run else base.eta_s_ms,
-        gamma_ms=None if gamma_raw == "auto" else float(gamma_raw),
-        cost_thrsh_ms=float(run.get("cost_thrsh_ms", base.cost_thrsh_ms)) if run else base.cost_thrsh_ms,
-        qos_ms=_floats(run.get("qos_ms", "27 30 35 40")) if run else base.qos_ms,
-        reset_dropped_edges=_bool(run.get("reset_dropped_edges", "false")) if run else False,
-        global_lifetimes=_bool(run.get("global_lifetimes", "false")) if run else False,
-        histogram_bin_ms=float(run.get("histogram_bin_ms", base.histogram_bin_ms)) if run else base.histogram_bin_ms,
-        seed=int(run.get("seed", base.seed)) if run else base.seed,
+        ground_stations=_stations(constellation.num_satellites, entries),
+        source=run.get("source", base.source),
+        destination=run.get("destination", base.destination),
+        algorithms=_parsed(run, "algorithms", _names, base.algorithms),
+        eta_s_ms=_parsed(run, "eta_s_ms", _floats, base.eta_s_ms),
+        gamma_ms=_parsed(run, "gamma", _gamma, base.gamma_ms),
+        cost_thrsh_ms=float(run.get("cost_thrsh_ms", base.cost_thrsh_ms)),
+        qos_ms=_parsed(run, "qos_ms", _floats, base.qos_ms),
+        reset_dropped_edges=_parsed(run, "reset_dropped_edges", _bool, base.reset_dropped_edges),
+        global_lifetimes=_parsed(run, "global_lifetimes", _bool, base.global_lifetimes),
+        histogram_bin_ms=float(run.get("histogram_bin_ms", base.histogram_bin_ms)),
+        seed=int(run.get("seed", base.seed)),
         oracle=oracle_cfg,
     )
 

@@ -10,6 +10,8 @@ line-oriented interchange format for externally generated topologies.
 
 from __future__ import annotations
 
+import itertools
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -40,25 +42,27 @@ class Snapshot:
     def __init__(self, slot, u, v, delay_ms, num_nodes, num_satellites=None):
         if slot < 1:
             raise ValueError("slots are 1-based")
-        u = np.asarray(u, dtype=np.int32)
-        v = np.asarray(v, dtype=np.int32)
+        u = np.asarray(u)
+        v = np.asarray(v)
         delay_ms = np.round(np.asarray(delay_ms, dtype=np.float64), 9)
         if not (u.shape == v.shape == delay_ms.shape):
-            raise ValueError("edge arrays must have equal length")
+            raise ValueError(f"slot {slot}: edge arrays must have equal length")
+        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= num_nodes):
+            raise ValueError(f"slot {slot}: unknown node id outside the node id range")
+        u = u.astype(np.int32)
+        v = v.astype(np.int32)
         if u.size:
-            if u.min(initial=0) < 0 or max(u.max(initial=0), v.max(initial=0)) >= num_nodes:
-                raise ValueError("edge endpoint outside the node id range")
             if np.any(u == v):
-                raise ValueError("self-loops are not allowed")
+                raise ValueError(f"slot {slot}: self-loops are not allowed")
             lo = np.minimum(u, v)
             hi = np.maximum(u, v)
             order = np.lexsort((hi, lo))
             u, v, delay_ms = lo[order], hi[order], delay_ms[order]
             keys = _pack_keys(u, v)
             if np.any(np.diff(keys) == 0):
-                raise ValueError("duplicate edge within a slot")
+                raise ValueError(f"slot {slot}: duplicate edge within a slot")
             if not np.all(np.isfinite(delay_ms)) or np.any(delay_ms <= 0):
-                raise ValueError("non-positive delay")
+                raise ValueError(f"slot {slot}: non-positive delay")
         else:
             keys = np.empty(0, np.int64)
         self.slot = int(slot)
@@ -168,6 +172,8 @@ class NodeRoster:
     ground_stations: tuple[GroundStation, ...] = ()
 
     def __post_init__(self):
+        if self.num_satellites < 0:
+            raise ValueError("the satellite count cannot be negative")
         ids = [gs.id for gs in self.ground_stations]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate ground station ids")
@@ -181,12 +187,6 @@ class NodeRoster:
     def num_nodes(self) -> int:
         top = max((gs.id for gs in self.ground_stations), default=self.num_satellites - 1)
         return max(top + 1, self.num_satellites)
-
-    def is_satellite(self, node_id: int) -> bool:
-        return 0 <= node_id < self.num_satellites
-
-    def ground_ids(self) -> frozenset[int]:
-        return frozenset(gs.id for gs in self.ground_stations)
 
     def station(self, name: str) -> GroundStation:
         for gs in self.ground_stations:
@@ -205,23 +205,18 @@ class SnapshotSeries:
             raise ValueError(
                 f"expected {scenario.num_slots} snapshots, got {len(snapshots)}"
             )
-        gs_ids = roster.ground_ids()
+        sats = roster.num_satellites
+        stations = [gs.id for gs in roster.ground_stations]
         for i, snap in enumerate(snapshots, start=1):
             if snap.slot != i:
-                raise SeriesFormatError("non-consecutive slots")
-            if snap.num_nodes > roster.num_nodes:
-                raise ValueError("snapshot references nodes outside the roster")
-            if snap.edge_count:
-                u_gs = np.isin(snap.u, list(gs_ids))
-                v_gs = np.isin(snap.v, list(gs_ids))
-                if np.any(u_gs & v_gs):
-                    raise ValueError("ground-to-ground edges are not allowed")
-                sat_mask = ~(u_gs | v_gs)
-                bad = sat_mask & (
-                    (snap.u >= roster.num_satellites) | (snap.v >= roster.num_satellites)
-                )
-                if np.any(bad):
-                    raise ValueError("edge endpoint is neither satellite nor ground station")
+                raise ValueError("non-consecutive slots")
+            if snap.num_satellites != sats or snap.num_nodes != roster.num_nodes:
+                raise ValueError(f"slot {i}: node id space differs from the roster's")
+            # canonical edges have u < v, so only v may be a ground station
+            if np.any(snap.u >= sats):
+                raise ValueError(f"slot {i}: edge between two non-satellites (ground-to-ground)")
+            if not np.isin(snap.v[snap.v >= sats], stations).all():
+                raise ValueError(f"slot {i}: unknown node id, neither satellite nor station")
         self.scenario = scenario
         self.roster = roster
         self.snapshots = list(snapshots)
@@ -350,7 +345,7 @@ def _parse_scenario_line(line: str) -> ScenarioParams:
     fields = {}
     for token in line.split()[1:]:
         if "=" not in token:
-            raise SeriesFormatError(f"malformed scenario field {token!r}")
+            raise ValueError(f"malformed scenario field {token!r}")
         k, val = token.split("=", 1)
         fields[k] = val
     try:
@@ -362,106 +357,97 @@ def _parse_scenario_line(line: str) -> ScenarioParams:
             num_slots=int(fields["num_slots"]),
         )
     except (KeyError, ValueError) as exc:
-        raise SeriesFormatError(f"bad scenario header: {exc}") from exc
+        raise ValueError(f"bad scenario header: {exc}") from exc
+
+
+def _read_header(fh) -> tuple[ScenarioParams, NodeRoster, str]:
+    """Magic, scenario, satellite and station lines, plus the first line after them."""
+    if fh.readline().rstrip("\n") != _MAGIC:
+        raise ValueError("not a lislsim series file (bad magic line)")
+    line = fh.readline()
+    if not line.startswith("scenario "):
+        raise ValueError("missing scenario header")
+    scenario = _parse_scenario_line(line)
+    line = fh.readline()
+    if not line.startswith("satellites "):
+        raise ValueError("missing satellites header")
+    try:
+        num_sats = int(line.split()[1])
+    except (IndexError, ValueError) as exc:
+        raise ValueError("bad satellites header") from exc
+
+    stations = []
+    line = fh.readline()
+    while line.startswith("gs "):
+        try:
+            _, gs_id, name, lat, lon = line.split()
+            stations.append(GroundStation(int(gs_id), name, float(lat), float(lon)))
+        except ValueError as exc:
+            raise ValueError(f"bad ground station line {line.rstrip()!r}: {exc}") from exc
+        line = fh.readline()
+    return scenario, NodeRoster(num_sats, tuple(stations)), line
+
+
+_RECORD = np.dtype([("slot", "i8"), ("u", "i8"), ("v", "i8"), ("delay", "f8")])
+
+
+def _edge_lines(lines, markers: list[str]):
+    """Lines for ``np.loadtxt``; each ``"<slot> - - -"`` marker is appended to
+    ``markers`` and becomes the sentinel record ``"<slot> -1 -1 nan"``."""
+    for line in lines:
+        if "-" in line:
+            parts = line.split()
+            if parts[1:] == ["-", "-", "-"]:
+                markers.append(line)
+                line = f"{parts[0]} -1 -1 nan"
+        yield line
 
 
 def import_series(path) -> SnapshotSeries:
-    """Parse and fully validate a series file; raises SeriesFormatError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != _MAGIC:
-        raise SeriesFormatError("not a lislsim series file (bad magic line)")
-    if len(lines) < 3 or not lines[1].startswith("scenario "):
-        raise SeriesFormatError("missing scenario header")
-    scenario = _parse_scenario_line(lines[1])
-    if not lines[2].startswith("satellites "):
-        raise SeriesFormatError("missing satellites header")
+    """Parse and fully validate a series file; raises only SeriesFormatError.
+
+    One ``np.loadtxt`` call reads every edge record; the slot column is then
+    checked and cut into snapshots, and ``Snapshot``/``SnapshotSeries`` apply
+    the edge rules.
+    """
+    markers: list[str] = []
     try:
-        num_sats = int(lines[2].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise SeriesFormatError("bad satellites header") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            scenario, roster, line = _read_header(fh)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a file without records
+                    rec = np.loadtxt(
+                        _edge_lines(itertools.chain([line], fh), markers),
+                        dtype=_RECORD, comments=None, ndmin=1,
+                    )
+            except ValueError as exc:
+                raise ValueError(f"malformed edge record: {exc}") from exc
+        slot = rec["slot"]
+        steps = np.diff(slot)
+        if np.any(steps < 0):
+            raise ValueError("slots out of order")
+        if np.any(slot[:1] != 1) or np.any(steps > 1):
+            raise ValueError("non-consecutive slots")
+        last = int(slot[-1]) if slot.size else 0
+        if last != scenario.num_slots:
+            raise ValueError(f"file covers slots 1..{last} but header says {scenario.num_slots}")
+        is_marker = (rec["u"] == -1) & (rec["v"] == -1) & np.isnan(rec["delay"])
+        if np.count_nonzero(is_marker) != len(markers):
+            raise ValueError("unknown node id -1")
+        per_slot = np.diff(np.searchsorted(slot, np.arange(1, last + 2)))
+        marked = slot[is_marker]
+        crowded = marked[per_slot[marked - 1] > 1]
+        if crowded.size:
+            raise ValueError(f"empty-slot marker for non-empty slot {crowded[0]}")
 
-    stations = []
-    row = 3
-    while row < len(lines) and lines[row].startswith("gs "):
-        parts = lines[row].split()
-        if len(parts) != 5:
-            raise SeriesFormatError(f"bad ground station line: {lines[row]!r}")
-        try:
-            stations.append(
-                GroundStation(
-                    id=int(parts[1]), name=parts[2],
-                    latitude_deg=float(parts[3]), longitude_deg=float(parts[4]),
-                )
-            )
-        except ValueError as exc:
-            raise SeriesFormatError(f"bad ground station line: {exc}") from exc
-        row += 1
-    roster = NodeRoster(num_satellites=num_sats, ground_stations=tuple(stations))
-    known = set(range(num_sats)) | roster.ground_ids()
-
-    by_slot_u: dict[int, list[int]] = {}
-    by_slot_v: dict[int, list[int]] = {}
-    by_slot_d: dict[int, list[float]] = {}
-    empty_slots: set[int] = set()
-    last_slot = 0
-    for ln in lines[row:]:
-        if not ln.strip():
-            continue
-        parts = ln.split()
-        if len(parts) != 4:
-            raise SeriesFormatError(f"malformed edge record: {ln!r}")
-        try:
-            slot = int(parts[0])
-        except ValueError as exc:
-            raise SeriesFormatError(f"bad slot index in {ln!r}") from exc
-        if slot < last_slot:
-            raise SeriesFormatError("slots out of order")
-        if slot > last_slot + 1:
-            raise SeriesFormatError("non-consecutive slots")
-        last_slot = slot
-        if parts[1] == "-":
-            if parts[2] != "-" or parts[3] != "-":
-                raise SeriesFormatError(f"malformed empty-slot record: {ln!r}")
-            if slot in by_slot_u or slot in empty_slots:
-                raise SeriesFormatError(f"empty-slot marker for non-empty slot {slot}")
-            empty_slots.add(slot)
-            continue
-        if slot in empty_slots:
-            raise SeriesFormatError(f"edge record after empty-slot marker for slot {slot}")
-        try:
-            a, b = int(parts[1]), int(parts[2])
-            d = float(parts[3])
-        except ValueError as exc:
-            raise SeriesFormatError(f"bad edge record {ln!r}") from exc
-        if a not in known or b not in known:
-            raise SeriesFormatError(f"unknown node id in {ln!r}")
-        if d <= 0:
-            raise SeriesFormatError("non-positive delay")
-        by_slot_u.setdefault(slot, []).append(a)
-        by_slot_v.setdefault(slot, []).append(b)
-        by_slot_d.setdefault(slot, []).append(d)
-
-    if last_slot != scenario.num_slots:
-        raise SeriesFormatError(
-            f"file covers slots 1..{last_slot} but header says {scenario.num_slots}"
-        )
-    snapshots = []
-    for slot in range(1, scenario.num_slots + 1):
-        try:
-            snapshots.append(
-                Snapshot(
-                    slot,
-                    np.array(by_slot_u.get(slot, []), np.int32),
-                    np.array(by_slot_v.get(slot, []), np.int32),
-                    np.array(by_slot_d.get(slot, []), np.float64),
-                    num_nodes=roster.num_nodes,
-                    num_satellites=num_sats,
-                )
-            )
-        except ValueError as exc:
-            raise SeriesFormatError(f"slot {slot}: {exc}") from exc
-    try:
+        rec = rec[~is_marker]
+        bounds = np.searchsorted(rec["slot"], np.arange(1, last + 2))
+        u, v, delay = rec["u"], rec["v"], rec["delay"]
+        snapshots = [
+            Snapshot(k, u[lo:hi], v[lo:hi], delay[lo:hi], roster.num_nodes, roster.num_satellites)
+            for k, lo, hi in zip(range(1, last + 1), bounds[:-1], bounds[1:])
+        ]
         return SnapshotSeries(scenario=scenario, roster=roster, snapshots=snapshots)
-    except ValueError as exc:
+    except ValueError as exc:  # includes bad UTF-8 and records np.loadtxt cannot parse
         raise SeriesFormatError(str(exc)) from exc

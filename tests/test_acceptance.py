@@ -8,6 +8,7 @@ lines. The full-constellation fixtures (criteria 6-8) build a 1584-satellite,
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +33,13 @@ from lislsim.routing import (
     route_cost,
     run_algorithm,
 )
-from lislsim.topology import Snapshot, build_link_details
+from lislsim.topology import (
+    Snapshot,
+    SnapshotSeries,
+    build_link_details,
+    export_series,
+    import_series,
+)
 from lislsim.toyseries import dominance_toy_series
 
 from conftest import random_series, worked_example_series
@@ -234,6 +241,18 @@ def test_ilsr_routes_match_full_settle_oracle(desk):
             indptr, nbr, arc_eid = snap.csr()
             want, _ = reference_route(indptr, nbr, costs[arc_eid], desk.ny, dst)
             assert (list(route.nodes) if route else []) == want, (dst, snap.slot)
+
+
+def test_stock_density_series_round_trips(desk, tmp_path):
+    """20 stock slots (~370k edge records) survive export/import unchanged."""
+    head = SnapshotSeries(
+        replace(desk.series.scenario, num_slots=20), desk.series.roster, desk.series.snapshots[:20]
+    )
+    export_series(head, tmp_path / "a.series")
+    again = import_series(tmp_path / "a.series")
+    assert again == head
+    export_series(again, tmp_path / "b.series")
+    assert (tmp_path / "b.series").read_bytes() == (tmp_path / "a.series").read_bytes()
 
 
 def test_criterion_7_full_constellation_ordering(desk):

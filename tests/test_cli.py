@@ -276,6 +276,17 @@ class TestBadUsage:
         ])
         assert rc == 1
 
+    def test_non_utf8_series_exits_1(self, tmp_path, tiny_config, tiny_series, capsys):
+        latin1 = tmp_path / "latin1.series"
+        latin1.write_bytes(tiny_series.read_bytes().replace(b"gs 9 bravo", b"gs 9 br\xe4vo"))
+        rc = main([
+            "run", "--config", str(tiny_config), "--series", str(latin1),
+            "--algorithm", "ilsr", "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "utf-8" in err
+
     def test_bad_config_value(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[scenario]\nnum_slots = 0\n")

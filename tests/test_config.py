@@ -116,6 +116,22 @@ class TestLoadConfig:
         assert cfg.constellation.num_planes == 24
         assert cfg.source == "new_york"
 
+    @pytest.mark.parametrize("text", ["", "[run]\n", "[run]\n[oracle]\n[scenario]\n"],
+                             ids=["no-sections", "empty-run", "empty-sections"])
+    def test_file_without_values_loads_the_defaults(self, tmp_path, text):
+        path = tmp_path / "empty.ini"
+        path.write_text(text)
+        assert load_config(path) == default_config()
+
+    def test_default_stations_follow_a_custom_shell(self, tmp_path):
+        path = tmp_path / "shell.ini"
+        path.write_text("[constellation]\nnum_planes = 2\nsats_per_plane = 5\n")
+        cfg = load_config(path)
+        assert [gs.id for gs in cfg.ground_stations] == [10, 11, 12]
+        assert [gs.name for gs in cfg.ground_stations] == [
+            gs.name for gs in default_config().ground_stations
+        ]
+
     def test_missing_file_is_an_error(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
             load_config(tmp_path / "absent.ini")

@@ -44,6 +44,10 @@ class TestSnapshot:
     def test_rejects_out_of_range_ids(self):
         with pytest.raises(ValueError, match="id range"):
             Snapshot.from_edges(1, {(0, 7): 1.0}, num_nodes=3)
+        with pytest.raises(ValueError, match="id range"):
+            Snapshot(1, [0], [-1], [1.0], num_nodes=3)
+        with pytest.raises(ValueError, match="id range"):
+            Snapshot(1, [0], [2**32 + 1], [1.0], num_nodes=3)  # would wrap in int32
 
     def test_canonicalizes_reversed_pairs(self):
         snap = Snapshot.from_edges(1, {(3, 1): 2.0}, num_nodes=4)
@@ -74,6 +78,32 @@ class TestRoster:
         )
         with pytest.raises(ValueError, match="ground-to-ground"):
             series_from_edges([{(2, 3): 1.0}], num_satellites=2, ground_stations=stations)
+
+    def test_negative_satellite_count_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            NodeRoster(-3)
+
+    def test_gap_ids_rejected_consistently(self, tmp_path):
+        # stations 3 and 5 over satellites 0..2 leave id 4 unassigned
+        stations = (
+            GroundStation(id=3, name="a", latitude_deg=0, longitude_deg=0),
+            GroundStation(id=5, name="b", latitude_deg=0, longitude_deg=1),
+        )
+        for edge in [(4, 5), (1, 4)]:
+            with pytest.raises(ValueError):
+                series_from_edges([{edge: 1.0}], num_satellites=3, ground_stations=stations)
+        # what the constructor accepts, the file format carries unchanged
+        series = series_from_edges(
+            [{(1, 5): 1.0, (0, 3): 2.0}], num_satellites=3, ground_stations=stations
+        )
+        path = tmp_path / "gap.series"
+        export_series(series, path)
+        assert import_series(path) == series
+        text = path.read_text()
+        for record in ("1 4 5 1.000000000", "1 1 4 1.000000000"):
+            path.write_text(text + record + "\n")
+            with pytest.raises(SeriesFormatError):
+                import_series(path)
 
 
 def reference_run_last(series, edge, slot):
@@ -242,6 +272,152 @@ class TestSeriesFile:
         path.write_text(text)
         with pytest.raises(SeriesFormatError, match="header says 2"):
             import_series(path)
+
+
+HEADER = (
+    "lislsim-series v1\n"
+    "scenario lisl_range_km=1.0 gs_range_km=1.0 node_delay_ms=0.0 "
+    "slot_duration_s=1.0 num_slots=2\n"
+)
+
+
+class TestImportContract:
+    """Every bad file ends in SeriesFormatError, whatever is wrong with it."""
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("satellites -3\n1 - - -\n2 - - -\n", "negative"),
+            ("satellites 2\ngs 2 a 0.0 0.0\ngs 2 b 0.0 1.0\n1 - - -\n2 - - -\n", "ids"),
+            ("satellites 2\ngs 2 a 0.0 0.0\ngs 3 a 0.0 1.0\n1 - - -\n2 - - -\n", "names"),
+            ("satellites 2\ngs 1 a 0.0 0.0\n1 - - -\n2 - - -\n", "after all satellite"),
+            ("satellites 2\n0 0 1 1.0\n1 0 1 1.0\n2 0 1 1.0\n", "non-consecutive"),
+            ("satellites 2\n1 0 1 1.0\n3 0 1 1.0\n", "non-consecutive"),
+            ("satellites 2\n2 0 1 1.0\n1 0 1 1.0\n", "out of order"),
+            ("satellites 2\n1 - - -\n1 0 1 1.0\n2 - - -\n", "marker for non-empty slot 1"),
+            ("satellites 2\n1 0 1 1.0\n1 - - -\n2 - - -\n", "marker for non-empty slot 1"),
+            ("satellites 2\n1 - - -\n2 - - -\n2 - - -\n", "marker for non-empty slot 2"),
+            ("satellites 2\n1 - 1 -\n2 - - -\n", "malformed edge record"),
+            ("satellites 2\n1 - - -\n2 -1 -1 nan\n", "unknown node id"),
+            ("satellites 2\n1 0 -1 2.0\n2 - - -\n", "unknown node id"),
+            ("satellites 2\n1 0 1 nan\n2 - - -\n", "non-positive delay"),
+            ("satellites 2\n1 0 1 inf\n2 - - -\n", "non-positive delay"),
+            ("satellites 2\n1 0 1 1.0 7\n2 - - -\n", "malformed edge record"),
+            ("satellites 2\n1 0 1.5 1.0\n2 - - -\n", "malformed edge record"),
+            ("satellites 2\n1 0 1 1.0 # note\n2 - - -\n", "malformed edge record"),
+            ("satellites 2\n", "header says 2"),
+        ],
+        ids=[
+            "negative-satellites", "duplicate-station-id", "duplicate-station-name",
+            "station-id-below-satellites", "slot-0", "slot-gap", "slots-out-of-order",
+            "marker-then-edge", "edge-then-marker", "marker-twice", "malformed-marker",
+            "forged-marker", "negative-endpoint", "nan-delay", "inf-delay", "extra-field",
+            "float-node-id", "trailing-comment", "no-records",
+        ],
+    )
+    def test_bad_file_raises_format_error(self, tmp_path, body, message):
+        path = tmp_path / "bad.series"
+        path.write_text(HEADER + body)
+        with pytest.raises(SeriesFormatError, match=message):
+            import_series(path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\xfflislsim-series v1\n",
+            HEADER.encode() + b"satellites 2\n1 0 1 1.0\n2 0 1 1.0\xff\n",
+        ],
+        ids=["header", "edge-record"],
+    )
+    def test_non_utf8_bytes_raise_format_error(self, tmp_path, data):
+        path = tmp_path / "binary.series"
+        path.write_bytes(data)
+        with pytest.raises(SeriesFormatError, match="utf-8"):
+            import_series(path)
+
+    def test_blank_lines_between_records_ignored(self, tmp_path):
+        path = tmp_path / "blank.series"
+        path.write_text(HEADER + "satellites 2\n1 0 1 1.0\n\n  \n2 - - -\n\n")
+        series = import_series(path)
+        assert [snap.edge_count for snap in series.snapshots] == [1, 0]
+
+
+MUTANT_TOKENS = ("-", "-1", "nan", "inf", "1.0", "#")
+
+
+def mutants(lines: list[str]):
+    """Every file one mutation away: a line inserted blank, dropped or
+    duplicated, or one token dropped, duplicated or replaced."""
+    for i, line in enumerate(lines):
+        yield lines[:i] + [""] + lines[i:]
+        yield lines[:i] + lines[i + 1:]
+        yield lines[: i + 1] + lines[i:]
+        tokens = line.split(" ")
+        for j in range(len(tokens)):
+            variants = [tokens[:j] + tokens[j + 1:], tokens[: j + 1] + tokens[j:]]
+            variants += [tokens[:j] + [tok] + tokens[j + 1:] for tok in MUTANT_TOKENS]
+            for variant in variants:
+                yield lines[:i] + [" ".join(variant)] + lines[i + 1:]
+
+
+def assert_fixed_point_or_format_error(path, folder):
+    """The file imports to a series whose re-export is a fixed point, or it
+    raises SeriesFormatError; any other exception fails the caller."""
+    try:
+        imported = import_series(path)
+    except SeriesFormatError:
+        return
+    export_series(imported, folder / "c.series")
+    again = import_series(folder / "c.series")
+    assert again == imported
+    export_series(again, folder / "d.series")
+    assert (folder / "d.series").read_bytes() == (folder / "c.series").read_bytes()
+
+
+FUZZ_STATIONS = (
+    GroundStation(id=6, name="src", latitude_deg=0.0, longitude_deg=0.0),
+    GroundStation(id=7, name="dst", latitude_deg=0.0, longitude_deg=10.0),
+)
+
+
+class TestParserFuzz:
+    def test_every_single_mutation_of_toy_files(self, tmp_path):
+        gap = series_from_edges(
+            [{(0, 6): 1.5, (1, 7): 2.25}, {}, {(0, 1): 3.0}, {}],
+            num_satellites=6, ground_stations=FUZZ_STATIONS,
+        )
+        for series in (dominance_toy_series(), gap):
+            export_series(series, tmp_path / "a.series")
+            lines = (tmp_path / "a.series").read_text().splitlines()
+            for n, mutant in enumerate(mutants(lines)):
+                (tmp_path / "b.series").write_text("\n".join(mutant) + "\n")
+                assert_fixed_point_or_format_error(tmp_path / "b.series", tmp_path)
+            assert n > 300
+
+    @given(
+        per_slot=st.lists(
+            st.dictionaries(  # satellites 0..5, stations 6 and 7; {} is an empty slot
+                st.tuples(st.integers(0, 3), st.integers(4, 7)),
+                st.sampled_from([0.5, 1.25, 3.0, 17.015625]),
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_mutations_import_to_a_fixed_point_or_raise(
+        self, tmp_path_factory, per_slot, data
+    ):
+        series = series_from_edges(per_slot, num_satellites=6, ground_stations=FUZZ_STATIONS)
+        folder = tmp_path_factory.mktemp("fuzz")
+        export_series(series, folder / "a.series")
+        lines = (folder / "a.series").read_text().splitlines()
+        for _ in range(data.draw(st.integers(1, 3))):
+            lines = data.draw(st.sampled_from(list(mutants(lines))))
+        (folder / "b.series").write_text("\n".join(lines) + "\n")
+        assert_fixed_point_or_format_error(folder / "b.series", folder)
 
 
 class TestRoundTripProperty:
