@@ -8,6 +8,7 @@ ground-satellite link, each carrying a propagation-plus-node delay in ms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,10 @@ class ConstellationParams:
             raise ValueError("num_planes and sats_per_plane must be >= 1")
         if not 0.0 <= self.inclination_deg <= 180.0:
             raise ValueError("inclination must lie in [0, 180] degrees")
-        if self.altitude_km <= 0:
-            raise ValueError("altitude must be positive")
+        if not (math.isfinite(self.altitude_km) and self.altitude_km > 0):
+            raise ValueError("altitude must be finite and positive")
+        if not math.isfinite(self.epoch_raan_offset_deg):
+            raise ValueError("epoch RAAN offset must be finite")
 
     @property
     def num_satellites(self) -> int:
@@ -90,12 +93,12 @@ class ScenarioParams:
     num_slots: int
 
     def __post_init__(self):
-        if self.lisl_range_km <= 0 or self.gs_range_km <= 0:
-            raise ValueError("link ranges must be positive")
-        if self.node_delay_ms < 0:
-            raise ValueError("node delay cannot be negative")
-        if self.slot_duration_s <= 0:
-            raise ValueError("slot duration must be positive")
+        if not all(math.isfinite(r) and r > 0 for r in (self.lisl_range_km, self.gs_range_km)):
+            raise ValueError("link ranges must be finite and positive")
+        if not (math.isfinite(self.node_delay_ms) and self.node_delay_ms >= 0):
+            raise ValueError("node delay must be finite and non-negative")
+        if not (math.isfinite(self.slot_duration_s) and self.slot_duration_s > 0):
+            raise ValueError("slot duration must be finite and positive")
         if self.num_slots < 1:
             raise ValueError("need at least one time slot")
 

@@ -11,25 +11,71 @@ import heapq
 import numpy as np
 
 
+# Packed-key offsets of a cell and the 13 neighbours after it in (x, y, z)
+# order; cell coordinates take 21 bits each, see ``pair_edges``.
+_HALF_SHELL = tuple(
+    key
+    for dx in (-1, 0, 1)
+    for dy in (-1, 0, 1)
+    for dz in (-1, 0, 1)
+    if (key := (dx << 42) + (dy << 21) + dz) >= 0
+)
+
+
 def pair_edges(pos: np.ndarray, range_km: float):
     """All index pairs (i < j) with euclidean distance <= range_km.
 
-    Returns (i, j, squared_distance) arrays ordered by (i, j).
+    Returns (i, j, squared_distance) arrays ordered by (i, j), where d2 is
+    ``(x_i-x_j)**2 + (y_i-y_j)**2 + (z_i-z_j)**2`` summed in that order and a
+    pair is kept when ``d2 <= range_km * range_km``.
+
+    Points are bucketed on a cubic grid of side
+    ``max(range_km * (1 + 2**-20), extent / 2**20)``, so every cell
+    coordinate fits 21 bits; each point is paired with the later points of
+    its own cell and every point of the 13 neighbour cells after it, which
+    yields each pair of adjacent cells once. The grid misses no kept pair: a
+    kept pair's rounded axis difference is at most ``range_km * (1 + 3u)``
+    (u = 2**-53), and a cell coordinate ``(x - lo) / side`` is at most 2**20,
+    so it is computed to within ~2**-32. The two coordinates therefore differ
+    by less than 1 and their floors by at most 1: the cells are equal or
+    adjacent. (With a side of exactly ``range_km`` such a pair can land two
+    cells apart.) d2 is recomputed per candidate in the order above, so the
+    result is bit-equal to a dense all-pairs scan.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     range_km = float(range_km)
+    if not (range_km >= 0 and np.isfinite(pos).all()):
+        raise ValueError("pair_edges needs finite positions and a range >= 0")
     n = pos.shape[0]
     if n < 2:
         empty = np.empty(0, np.int32)
         return empty, empty.copy(), np.empty(0, np.float64)
-    x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
-    d2 = (x[:, None] - x[None, :]) ** 2
-    d2 += (y[:, None] - y[None, :]) ** 2
-    d2 += (z[:, None] - z[None, :]) ** 2
-    iu, ju = np.triu_indices(n, k=1)
-    d2 = d2[iu, ju]
+    lo = pos.min(axis=0)
+    extent = float((pos.max(axis=0) - lo).max())
+    side = max(range_km * (1 + 2.0**-20), extent / 2.0**20) or 1.0
+    cell = ((pos - lo) / side).astype(np.int64) + 1  # in [1, 2**20 + 1]
+    key = (cell[:, 0] << 42) | (cell[:, 1] << 21) | cell[:, 2]
+    order = np.argsort(key)
+    skey = key[order]
+    first, second = [], []
+    for offset in _HALF_SHELL:
+        stop = np.searchsorted(skey, skey + offset, "right")
+        start = np.searchsorted(skey, skey + offset, "left") if offset else np.arange(1, n + 1)
+        count = stop - start
+        first.append(np.repeat(np.arange(n), count))
+        second.append(np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count))
+    a, b = np.concatenate(first), np.concatenate(second)
+    # rows in cell order; a rounded difference only changes sign when its
+    # operands swap, so each square is the one of (x_i - x_j) for i < j
+    x, y, z = pos[order].T.copy()
+    d2 = (x[a] - x[b]) ** 2
+    d2 += (y[a] - y[b]) ** 2
+    d2 += (z[a] - z[b]) ** 2
     keep = d2 <= range_km * range_km
-    return iu[keep].astype(np.int32), ju[keep].astype(np.int32), d2[keep]
+    a, b, d2 = order[a[keep]], order[b[keep]], d2[keep]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    by_pair = np.argsort(i * n + j)
+    return i[by_pair].astype(np.int32), j[by_pair].astype(np.int32), d2[by_pair]
 
 
 def cross_edges(pos_a: np.ndarray, pos_b: np.ndarray, range_km: float):

@@ -314,7 +314,11 @@ _MAGIC = "lislsim-series v1"
 
 
 def export_series(series: SnapshotSeries, path) -> None:
-    """Write a series to its line-oriented text format (lossless)."""
+    """Write a series to its line-oriented text format (lossless).
+
+    Slots are formatted and written one at a time, so memory stays bounded
+    by the largest slot rather than by the file's text.
+    """
     sc = series.scenario
     lines = [_MAGIC]
     lines.append(
@@ -326,19 +330,18 @@ def export_series(series: SnapshotSeries, path) -> None:
     lines.append(f"satellites {series.roster.num_satellites}")
     for gs in series.roster.ground_stations:
         lines.append(f"gs {gs.id} {gs.name} {gs.latitude_deg!r} {gs.longitude_deg!r}")
-    out = ["\n".join(lines), "\n"]
-    for snap in series.snapshots:
-        if snap.edge_count == 0:
-            out.append(f"{snap.slot} - - -\n")
-            continue
-        slot = snap.slot
-        rows = "\n".join(
-            f"{slot} {a} {b} {d:.9f}" for a, b, d in zip(snap.u, snap.v, snap.delay_ms)
-        )
-        out.append(rows)
-        out.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(out))
+        fh.write("\n".join(lines) + "\n")
+        for snap in series.snapshots:
+            n = snap.edge_count
+            if n == 0:
+                fh.write(f"{snap.slot} - - -\n")
+                continue
+            rec = [snap.slot] * (4 * n)
+            rec[1::4] = snap.u.tolist()
+            rec[2::4] = snap.v.tolist()
+            rec[3::4] = snap.delay_ms.tolist()
+            fh.write(("%d %d %d %.9f\n" * n) % tuple(rec))
 
 
 def _parse_scenario_line(line: str) -> ScenarioParams:

@@ -1,9 +1,14 @@
 """End-to-end CLI coverage: generate, run, sweep, oracle, table2."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import lislsim
 from lislsim.cli import main, read_schedule, write_schedule
 from lislsim.topology import import_series
 from lislsim.toyseries import dominance_toy_series
@@ -292,6 +297,48 @@ class TestBadUsage:
         cfg.write_text("[scenario]\nnum_slots = 0\n")
         rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "s")])
         assert rc == 1
+
+
+class TestBadShellValues:
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("lisl_range_km", "nan"), ("lisl_range_km", "inf"), ("gs_range_km", "nan"),
+            ("gs_range_km", "inf"), ("slot_duration_s", "nan"), ("slot_duration_s", "inf"),
+            ("node_delay_ms", "nan"), ("altitude_km", "nan"), ("altitude_km", "inf"),
+            ("epoch_raan_offset_deg", "nan"),
+        ],
+    )
+    def test_generate_rejects_with_exit_1(self, tmp_path, capsys, key, value):
+        lines = [ln for ln in TINY_CONFIG.splitlines() if not ln.startswith(key)]
+        section = "[constellation]" if key in ("altitude_km", "epoch_raan_offset_deg") else "[scenario]"
+        lines.insert(lines.index(section) + 1, f"{key} = {value}")
+        cfg = tmp_path / "shell.ini"
+        cfg.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "shell.series"
+        rc = main(["generate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+class TestImportCost:
+    def test_generate_does_not_import_scipy(self, tmp_path, tiny_config):
+        """scipy stays a test extra: a CLI call never pays its import."""
+        out = tmp_path / "tiny.series"
+        code = (
+            "import sys\n"
+            "from lislsim.cli import main\n"
+            f"assert main(['generate', '--config', {str(tiny_config)!r}, '--out', {str(out)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(lislsim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert out.stat().st_size > 0
 
 
 class TestBadRoutingValues:

@@ -194,3 +194,33 @@ class TestLoadConfig:
         path.write_text(f"[run]\n{run_section}\n")
         with pytest.raises(ValueError, match=message):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "section,line,message",
+        [
+            ("constellation", "altitude_km = nan", "altitude"),
+            ("constellation", "altitude_km = inf", "altitude"),
+            ("constellation", "altitude_km = 0", "altitude"),
+            ("constellation", "epoch_raan_offset_deg = nan", "RAAN offset"),
+            ("constellation", "epoch_raan_offset_deg = -inf", "RAAN offset"),
+            ("scenario", "lisl_range_km = nan", "link ranges"),
+            ("scenario", "lisl_range_km = inf", "link ranges"),
+            ("scenario", "gs_range_km = nan", "link ranges"),
+            ("scenario", "gs_range_km = inf", "link ranges"),
+            ("scenario", "slot_duration_s = nan", "slot duration"),
+            ("scenario", "slot_duration_s = inf", "slot duration"),
+            ("scenario", "node_delay_ms = nan", "node delay"),
+            ("scenario", "node_delay_ms = inf", "node delay"),
+            ("scenario", "node_delay_ms = -1", "node delay"),
+        ],
+        ids=[
+            "altitude-nan", "altitude-inf", "altitude-zero", "raan-nan", "raan-inf",
+            "lisl-nan", "lisl-inf", "gs-nan", "gs-inf", "slot-nan", "slot-inf",
+            "node-delay-nan", "node-delay-inf", "node-delay-negative",
+        ],
+    )
+    def test_non_finite_shell_and_scenario_values_rejected(self, tmp_path, section, line, message):
+        path = tmp_path / "bad7.ini"
+        path.write_text(f"[{section}]\n{line}\n")
+        with pytest.raises(ValueError, match=message):
+            load_config(path)

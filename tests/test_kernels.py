@@ -6,6 +6,8 @@ from scipy import sparse
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from lislsim import kernels
+from lislsim.config import default_config
+from lislsim.constellation import satellite_positions
 
 
 def _random_csr(rng, n, extra_edges, levels=512, inf_fraction=0.0):
@@ -82,14 +84,103 @@ def _pair_edges_reference(pos, range_km):
     )
 
 
+def _pair_edges_dense(pos, range_km):
+    """All-pairs distance matrix cut to its upper triangle (the former kernel)."""
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    n = pos.shape[0]
+    if n < 2:
+        empty = np.empty(0, np.int32)
+        return empty, empty.copy(), np.empty(0, np.float64)
+    x, y, z = pos[:, 0], pos[:, 1], pos[:, 2]
+    d2 = (x[:, None] - x[None, :]) ** 2
+    d2 += (y[:, None] - y[None, :]) ** 2
+    d2 += (z[:, None] - z[None, :]) ** 2
+    iu, ju = np.triu_indices(n, k=1)
+    d2 = d2[iu, ju]
+    keep = d2 <= range_km * range_km
+    return iu[keep].astype(np.int32), ju[keep].astype(np.int32), d2[keep]
+
+
+def assert_bit_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 120])
 def test_pair_edges_bit_equal_to_double_loop(n):
     pos = np.random.default_rng(11 + n).uniform(-7000, 7000, (n, 3))
-    got = kernels.pair_edges(pos, 4000.0)
-    want = _pair_edges_reference(pos, 4000.0)
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype
-        assert np.array_equal(a, b)
+    assert_bit_equal(kernels.pair_edges(pos, 4000.0), _pair_edges_reference(pos, 4000.0))
+
+
+# Six pairs at exactly 1000 km: along each axis and along a 600-800-1000 triangle.
+AT_RANGE = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0], [600.0, 800.0, 0.0],
+                     [600.0, 800.0, 1000.0], [-1000.0, 0.0, 0.0], [0.0, 0.0, 1000.0]])
+
+
+def _grid_edge_cases():
+    """Positions and ranges at the edges of the kernel's cell grid."""
+    rng = np.random.default_rng(5)
+    lattice = 1000.0 * rng.integers(-3, 4, (150, 3)).astype(np.float64)
+    near = lattice + rng.choice([-1.0, 0.0, 1.0], lattice.shape) * np.spacing(lattice)
+    cloud = rng.uniform(-7000, 7000, (60, 3))
+    twins = np.repeat(cloud[:20], 3, axis=0)
+    shell = rng.normal(size=(200, 3))
+    shell *= 6921.0 / np.linalg.norm(shell, axis=1, keepdims=True)
+    tiny_pairs = np.concatenate([shell, shell[:50] + rng.uniform(-4e-4, 4e-4, (50, 3))])
+    # a pair within range whose rounded cell coordinates ((x - lo) / range)
+    # floor two apart: a cell side of exactly the range would lose it
+    rounding = np.array([[-11763.283854846784, 0.0, 0.0], [-1339.6574913469403, 0.0, 0.0],
+                         [745.0677813530285, 0.0, 0.0]])
+    return [
+        pytest.param(lattice, 1000.0, id="cell-boundaries"),
+        pytest.param(near, 1000.0, id="next-to-boundaries"),
+        pytest.param(lattice / 2.0 + 250.0, 500.0, id="half-cell-lattice"),
+        pytest.param(twins, 2500.0, id="duplicates"),
+        pytest.param(rng.uniform(100.0, 190.0, (80, 3)), 100.0, id="one-cell"),
+        pytest.param(cloud, 1e5, id="range-above-extent"),
+        pytest.param(cloud[:30], np.inf, id="infinite-range"),
+        pytest.param(tiny_pairs, 1e-3, id="side-cap"),
+        pytest.param(twins, 0.0, id="zero-range-duplicates"),
+        pytest.param(np.full((3, 3), 42.0), 0.0, id="zero-range-zero-extent"),
+        pytest.param(rounding, 2084.725272699969, id="rounding-two-cells-apart"),
+        pytest.param(np.array([[0.0, 0.0, 0.0], [5000.0, 0.0, 0.0]]), 1000.0, id="two-apart"),
+        pytest.param(AT_RANGE, 1000.0, id="at-range"),
+    ]
+
+
+@pytest.mark.parametrize("pos,range_km", _grid_edge_cases())
+def test_pair_edges_grid_edge_cases(pos, range_km):
+    want = _pair_edges_reference(pos, range_km)
+    assert_bit_equal(kernels.pair_edges(pos, range_km), want)
+    assert want[0].size > 0 or len(pos) < 3  # every larger case has pairs to find
+
+
+def test_pair_edges_exact_range_pairs_kept():
+    i, j, d2 = kernels.pair_edges(AT_RANGE, 1000.0)
+    exact = {(a, b) for a, b, d in zip(i.tolist(), j.tolist(), d2) if d == 1000.0**2}
+    assert exact == {(0, 1), (0, 2), (0, 4), (0, 5), (2, 3), (3, 5)}
+
+
+@pytest.mark.parametrize("pos,range_km", [
+    (np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), 1.0),
+    (np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0]]), 1.0),
+    (np.zeros((2, 3)), np.nan),
+    (np.zeros((2, 3)), -1.0),
+], ids=["nan-position", "inf-position", "nan-range", "negative-range"])
+def test_pair_edges_rejects_unusable_input(pos, range_km):
+    with pytest.raises(ValueError, match="finite positions"):
+        kernels.pair_edges(pos, range_km)
+
+
+def test_pair_edges_bit_equal_to_dense_on_stock_slots():
+    """Every 20th slot of the stock shell (30 slots) against the dense scan."""
+    cfg = default_config()
+    for slot in range(1, cfg.scenario.num_slots + 1, 20):
+        pos = satellite_positions(cfg.constellation, slot, cfg.scenario.slot_duration_s)
+        want = _pair_edges_dense(pos, cfg.scenario.lisl_range_km)
+        assert want[0].size > 10_000
+        assert_bit_equal(kernels.pair_edges(pos, cfg.scenario.lisl_range_km), want)
 
 
 def test_pair_edges_boundary_inclusive():

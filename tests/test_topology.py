@@ -1,14 +1,19 @@
 """Snapshots, lifetime indexing, and the series file format."""
 
+import tracemalloc
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lislsim.constellation import ConstellationParams, GroundStation, ScenarioParams
+from lislsim.config import default_config
 from lislsim.constellation import generate_series
 from lislsim.topology import (
     SeriesFormatError,
     Snapshot,
+    SnapshotSeries,
     NodeRoster,
     build_link_details,
     export_series,
@@ -272,6 +277,80 @@ class TestSeriesFile:
         path.write_text(text)
         with pytest.raises(SeriesFormatError, match="header says 2"):
             import_series(path)
+
+
+def _export_series_reference(series, path) -> None:
+    """The former writer: one f-string per record, the file joined as one string."""
+    sc = series.scenario
+    lines = ["lislsim-series v1"]
+    lines.append(
+        "scenario "
+        f"lisl_range_km={sc.lisl_range_km!r} gs_range_km={sc.gs_range_km!r} "
+        f"node_delay_ms={sc.node_delay_ms!r} slot_duration_s={sc.slot_duration_s!r} "
+        f"num_slots={sc.num_slots}"
+    )
+    lines.append(f"satellites {series.roster.num_satellites}")
+    for gs in series.roster.ground_stations:
+        lines.append(f"gs {gs.id} {gs.name} {gs.latitude_deg!r} {gs.longitude_deg!r}")
+    out = ["\n".join(lines), "\n"]
+    for snap in series.snapshots:
+        if snap.edge_count == 0:
+            out.append(f"{snap.slot} - - -\n")
+            continue
+        slot = snap.slot
+        rows = "\n".join(
+            f"{slot} {a} {b} {d:.9f}" for a, b, d in zip(snap.u, snap.v, snap.delay_ms)
+        )
+        out.append(rows)
+        out.append("\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(out))
+
+
+@pytest.fixture(scope="module")
+def stock_head():
+    """The first 20 slots of the stock scenario (~370k edge records)."""
+    cfg = default_config()
+    scenario = replace(cfg.scenario, num_slots=20)
+    return generate_series(cfg.constellation, list(cfg.ground_stations), scenario)
+
+
+def _export_peak_bytes(series, path) -> int:
+    tracemalloc.start()
+    try:
+        export_series(series, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestExportWriter:
+    def test_toy_series_with_empty_slots_byte_identical(self, tmp_path):
+        stations = (GroundStation(id=3, name="g", latitude_deg=-12.5, longitude_deg=180.0),)
+        series = series_from_edges(
+            [{}, {(0, 1): 1.0, (1, 3): 0.123456789}, {}, {}, {(0, 2): 1e-9, (0, 1): 12345.5}],
+            num_satellites=3, ground_stations=stations, node_delay_ms=0.25,
+        )
+        for name, toy in (("gaps", series), ("dominance", dominance_toy_series())):
+            export_series(toy, tmp_path / f"{name}.new")
+            _export_series_reference(toy, tmp_path / f"{name}.old")
+            assert (tmp_path / f"{name}.new").read_bytes() == (tmp_path / f"{name}.old").read_bytes()
+        assert "\n1 - - -\n" in (tmp_path / "gaps.new").read_text()
+
+    def test_stock_slots_byte_identical(self, stock_head, tmp_path):
+        export_series(stock_head, tmp_path / "new.series")
+        _export_series_reference(stock_head, tmp_path / "old.series")
+        assert (tmp_path / "new.series").read_bytes() == (tmp_path / "old.series").read_bytes()
+
+    def test_memory_bounded_by_one_slot(self, stock_head, tmp_path):
+        big = max(stock_head.snapshots, key=lambda snap: snap.edge_count)
+        one = SnapshotSeries(
+            replace(stock_head.scenario, num_slots=1), stock_head.roster,
+            [Snapshot(1, big.u, big.v, big.delay_ms, big.num_nodes, big.num_satellites)],
+        )
+        one_peak = _export_peak_bytes(one, tmp_path / "one.series")
+        all_peak = _export_peak_bytes(stock_head, tmp_path / "all.series")
+        assert all_peak < 1.5 * one_peak, (all_peak, one_peak)
 
 
 HEADER = (
