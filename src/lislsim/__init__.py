@@ -37,19 +37,13 @@ from .oracle import (
     brute_force_optimal,
     dp_optimal,
     enumerate_routes,
-    load_delay_matrix,
-    save_delay_matrix,
+    selection_cost,
 )
 from .metrics import (
     MetricsReport,
     average_jitter,
-    eta_delay,
-    eta_le,
-    eta_penalty,
     evaluate,
     histogram,
-    instantaneous_latency_series,
     outage_probability,
-    route_change_rate,
 )
 from .config import ExperimentConfig, OracleConfig, default_config, load_config

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, metrics, oracle
 from .config import ExperimentConfig, check_routing_values, default_config, load_config
 from .constellation import generate_series
-from .routing import ETA_BLIND_ALGORITHMS, RoutingSchedule, Route, run_algorithm
+from .routing import ETA_BLIND_ALGORITHMS, RoutingSchedule, run_algorithm
 from .topology import build_link_details, export_series, import_series
 
 # Four-route worked example: per-slot end-to-end delays (ms) of candidate
@@ -68,42 +68,6 @@ def write_schedule(schedule: RoutingSchedule, series, path) -> None:
             delay = series.snapshot(i).route_delay(route)
             lines.append(f"{i} {delay:.9f} {route}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def read_schedule(path) -> RoutingSchedule:
-    """Inverse of write_schedule (delays are recomputed, not trusted)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("schedule v1 "):
-        raise ValueError("not a schedule file")
-    header = {}
-    for tok in lines[0].split()[2:]:
-        key, sep, value = tok.partition("=")
-        if not sep:
-            raise ValueError(f"schedule header token {tok!r} is not key=value")
-        header[key] = value
-    missing = {"source", "destination", "num_slots"} - header.keys()
-    if missing:
-        raise ValueError(f"schedule header lacks {sorted(missing)}")
-    routes: list[Route | None] = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) < 3:
-            raise ValueError(f"schedule line {lineno}: expected 'slot delay route': {ln!r}")
-        if parts[2] == "-":
-            routes.append(None)
-        else:
-            routes.append(Route(nodes=tuple(int(x) for x in parts[2].split("-"))))
-    if int(header["num_slots"]) != len(routes):
-        raise ValueError(
-            f"schedule header says num_slots={header['num_slots']} "
-            f"but the file has {len(routes)} records"
-        )
-    return RoutingSchedule(
-        algorithm="file",
-        source=int(header["source"]),
-        destination=int(header["destination"]),
-        routes=routes,
-    )
 
 
 def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
@@ -359,7 +323,7 @@ def cmd_oracle(args) -> int:
                 name, series, src, dst, eta_s, cost_thrsh_ms=math.inf, details=details
             )
             s = oracle.selection_from_schedule(schedule, routes)
-            cost = metrics.eta_delay(s, d) + metrics.eta_penalty(s, eta_s)
+            cost = oracle.selection_cost(s, d, eta_s)
             if cost < optimal - 1e-9:
                 violations.append((name, eta_s, cost, optimal))
     if violations:

@@ -38,8 +38,12 @@ class OracleConfig:
             raise ValueError("oracle caps must be positive")
         if not 0 <= self.inf_fraction < 1:
             raise ValueError("inf_fraction must lie in [0, 1)")
-        if self.delay_low_ms > self.delay_high_ms:
-            raise ValueError("delay bounds out of order")
+        if not (
+            math.isfinite(self.delay_high_ms) and 0 <= self.delay_low_ms <= self.delay_high_ms
+        ):
+            raise ValueError("oracle delay bounds must be finite with 0 <= low <= high")
+        if not all(math.isfinite(e) and e >= 0 for e in self.eta_s_ms):
+            raise ValueError("oracle setup delays must be finite and non-negative")
 
 
 def check_routing_values(eta_s_ms=(), qos_ms=(), gamma_ms=None, cost_thrsh_ms=None) -> None:
@@ -108,12 +112,6 @@ class ExperimentConfig:
     def gamma_for(self, eta_s_ms: float) -> float:
         return eta_s_ms if self.gamma_ms is None else self.gamma_ms
 
-    def station(self, name: str) -> GroundStation:
-        for gs in self.ground_stations:
-            if gs.name == name:
-                return gs
-        raise KeyError(name)
-
 
 def default_config() -> ExperimentConfig:
     constellation = ConstellationParams(
@@ -161,11 +159,20 @@ def _parsed(section, key: str, parse, default):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse an INI config; unspecified values fall back to the defaults."""
+    """Parse an INI config; unspecified values fall back to the defaults.
+
+    Every failure, including a malformed file, raises ValueError.
+    """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"cannot read config file {path!r}")
+    try:
+        if not parser.read(path):
+            raise ValueError(f"cannot read config file {path!r}")
+        return _from_parser(parser)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file {path!r}: {exc}") from exc
+
+
+def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
     base = default_config()
 
     cp = parser["constellation"] if parser.has_section("constellation") else {}

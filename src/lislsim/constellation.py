@@ -55,14 +55,6 @@ class ConstellationParams:
         r = self.orbit_radius_km
         return float(np.sqrt(MU_EARTH_KM3_S2 / (r * r * r)))
 
-    @property
-    def period_s(self) -> float:
-        return 2.0 * np.pi / self.mean_motion_rad_s
-
-    @property
-    def orbital_speed_km_s(self) -> float:
-        return float(np.sqrt(MU_EARTH_KM3_S2 / self.orbit_radius_km))
-
 
 @dataclass(frozen=True)
 class GroundStation:

@@ -1,8 +1,8 @@
 """Schedule evaluation: delay/penalty totals, change rate, outage, jitter.
 
-Every evaluator accepts either a :class:`~lislsim.routing.RoutingSchedule`
-paired with its :class:`~lislsim.topology.SnapshotSeries`, or a one-hot
-selection matrix paired with a delay matrix. Core quantities:
+``evaluate`` computes every metric of a
+:class:`~lislsim.routing.RoutingSchedule` over its
+:class:`~lislsim.topology.SnapshotSeries` in one pass. Core quantities:
 
 * ``eta_delay``   -- sum of the active route's delay over all slots.
 * ``eta_penalty`` -- setup penalty times the number of route changes.
@@ -12,7 +12,8 @@ selection matrix paired with a delay matrix. Core quantities:
 The per-slot instantaneous latency adds the setup penalty to the slot a
 switch leads into (the first slot never carries one); outage, jitter, and
 histograms are computed over that series. Unreachable slots contribute
-nothing to the sums and appear as NaN gaps in the latency series.
+nothing to the sums and appear as NaN gaps in the latency series. The cost
+of a one-hot selection matrix is ``oracle.selection_cost``.
 """
 
 from __future__ import annotations
@@ -20,94 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-def _is_schedule(obj) -> bool:
-    return hasattr(obj, "routes") and hasattr(obj, "switch_flags")
-
-
-def _slot_delays_and_switches(selection, delays) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize either input form to (per-slot delay with NaN gaps, switch flags)."""
-    if _is_schedule(selection):
-        series = delays
-        out = np.full(selection.num_slots, np.nan)
-        for i, route in enumerate(selection.routes):
-            if route is None:
-                continue
-            delay = series.snapshot(i + 1).route_delay(route)
-            if delay is None:
-                raise ValueError(f"schedule route at slot {i + 1} uses a missing edge")
-            out[i] = delay
-        return out, selection.switch_flags()
-    from . import oracle
-
-    s = oracle.validate_selection(selection, np.asarray(delays, dtype=np.float64))
-    d = np.asarray(delays, dtype=np.float64)
-    rows = np.argmax(s, axis=0)
-    cols = np.arange(s.shape[1])
-    return d[rows, cols], rows[1:] != rows[:-1]
-
-
-def coverage(selection) -> int:
-    """Number of slots with an active route (selection matrices cover all)."""
-    if _is_schedule(selection):
-        return selection.coverage()
-    return int(np.asarray(selection).shape[1])
-
-
-def eta_delay(selection, delays) -> float:
-    """Total end-to-end delay of the active routes over all slots (ms)."""
-    slot_delays, _ = _slot_delays_and_switches(selection, delays)
-    valid = ~np.isnan(slot_delays)
-    total = 0.0
-    for x in slot_delays[valid]:
-        total += float(x)
-    return total
-
-
-def eta_penalty(selection, eta_s_ms: float) -> float:
-    """Setup penalty accumulated over all route-change boundaries (ms)."""
-    if _is_schedule(selection):
-        switches = int(selection.switch_flags().sum())
-    else:
-        from . import oracle
-
-        rows = oracle.selected_rows(selection)
-        switches = int((rows[1:] != rows[:-1]).sum())
-    return eta_s_ms * switches
-
-
-def eta_le(selection, delays, eta_s_ms: float) -> float:
-    """Total latency: delay plus penalty components (ms)."""
-    return eta_delay(selection, delays) + eta_penalty(selection, eta_s_ms)
-
-
-def route_change_rate(selection) -> float:
-    """Percentage of slot boundaries at which the active route changes."""
-    if _is_schedule(selection):
-        flags = selection.switch_flags()
-        n = selection.num_slots
-    else:
-        from . import oracle
-
-        rows = oracle.selected_rows(selection)
-        flags = rows[1:] != rows[:-1]
-        n = rows.size
-    return float(flags.sum()) * 100.0 / n
-
-
-def instantaneous_latency_series(selection, delays, eta_s_ms: float) -> np.ndarray:
-    """Per-slot latency; a switch adds eta_s to the slot it leads into.
-
-    Unreachable slots are NaN and excluded from outage/jitter/histograms.
-    The series sums to eta_le.
-    """
-    slot_delays, switches = _slot_delays_and_switches(selection, delays)
-    latency = slot_delays.copy()
-    for i, flag in enumerate(switches):
-        if flag:
-            latency[i + 1] += eta_s_ms
-    return latency
 
 
 def outage_probability(latency: np.ndarray, qos_ms: float) -> float:
@@ -220,21 +133,29 @@ def _fmt(x: float) -> str:
 
 
 def evaluate(
-    selection,
-    delays,
+    schedule,
+    series,
     eta_s_ms: float,
     qos_ms: tuple[float, ...] = (),
     histogram_bin_ms: float = 0.25,
     runtime_s: float | None = None,
 ) -> MetricsReport:
-    """Compute the full report for one schedule/selection."""
-    slot_delays, switches = _slot_delays_and_switches(selection, delays)
-    n = slot_delays.size
+    """Compute the full report for one schedule over its series."""
+    n = schedule.num_slots
+    slot_delays = np.full(n, np.nan)
+    for i, route in enumerate(schedule.routes):
+        if route is None:
+            continue
+        delay = series.snapshot(i + 1).route_delay(route)
+        if delay is None:
+            raise ValueError(f"schedule route at slot {i + 1} uses a missing edge")
+        slot_delays[i] = delay
+    switches = schedule.switch_flags()
     valid = ~np.isnan(slot_delays)
     delay_total = 0.0
     for x in slot_delays[valid]:
         delay_total += float(x)
-    switch_count = int(np.asarray(switches).sum())
+    switch_count = int(switches.sum())
     penalty = eta_s_ms * switch_count
     total = delay_total + penalty
     latency = slot_delays.copy()
@@ -242,11 +163,10 @@ def evaluate(
         if flag:
             latency[i + 1] += eta_s_ms
     lam = switch_count * 100.0 / n
-    algorithm = selection.algorithm if _is_schedule(selection) else "selection"
     cov = int(valid.sum())
     has_pair = n >= 2 and bool((valid[1:] & valid[:-1]).any())
     return MetricsReport(
-        algorithm=algorithm,
+        algorithm=schedule.algorithm,
         eta_s_ms=eta_s_ms,
         num_slots=n,
         coverage=cov,

@@ -15,7 +15,6 @@ import itertools
 
 import numpy as np
 
-from . import metrics
 from .routing import Route
 from .topology import SnapshotSeries
 
@@ -41,31 +40,18 @@ def validate_delay_matrix(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def validate_selection(s: np.ndarray, d: np.ndarray | None = None) -> np.ndarray:
-    """Check the one-active-route-per-slot contract (and finiteness vs D)."""
+def validate_selection(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Check the one-active-route-per-slot contract and finiteness vs D."""
     s = np.asarray(s)
     if s.ndim != 2 or not np.isin(s, (0, 1)).all():
         raise ValueError("selection matrix must be binary and 2-D")
     if not (s.sum(axis=0) == 1).all():
         raise ValueError("each slot must have exactly one active route")
-    if d is not None:
-        d = np.asarray(d, dtype=np.float64)
-        if d.shape != s.shape:
-            raise ValueError("selection and delay matrices must have equal shape")
-        if not np.isfinite(d[s.astype(bool)]).all():
-            raise ValueError("selection activates a route at a slot where it does not exist")
+    if np.shape(d) != s.shape:
+        raise ValueError("selection and delay matrices must have equal shape")
+    if not np.isfinite(np.asarray(d, dtype=np.float64)[s.astype(bool)]).all():
+        raise ValueError("selection activates a route at a slot where it does not exist")
     return s.astype(np.int8)
-
-
-def selected_rows(s: np.ndarray) -> np.ndarray:
-    """Active route index per slot from a one-hot selection matrix."""
-    return np.argmax(validate_selection(s), axis=0)
-
-
-def switch_indicator(s: np.ndarray) -> np.ndarray:
-    """Per boundary i: 1 when the same route stays active across (i, i+1)."""
-    rows = selected_rows(s)
-    return (rows[1:] == rows[:-1]).astype(np.int8)
 
 
 def _one_hot(rows: np.ndarray, num_routes: int) -> np.ndarray:
@@ -74,8 +60,18 @@ def _one_hot(rows: np.ndarray, num_routes: int) -> np.ndarray:
     return s
 
 
-def _selection_cost(s: np.ndarray, d: np.ndarray, eta_s_ms: float) -> float:
-    return metrics.eta_delay(s, d) + metrics.eta_penalty(s, eta_s_ms)
+def selection_cost(s: np.ndarray, d: np.ndarray, eta_s_ms: float) -> float:
+    """Total delay of the selected routes plus eta_s per route change (ms).
+
+    Delays are summed as Python floats in slot order, then the penalty is
+    added, so independently computed optima compare with zero tolerance.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    rows = np.argmax(validate_selection(s, d), axis=0)
+    total = 0.0
+    for x in d[rows, np.arange(rows.size)]:
+        total += float(x)
+    return total + eta_s_ms * int((rows[1:] != rows[:-1]).sum())
 
 
 def dp_optimal(d: np.ndarray, eta_s_ms: float) -> tuple[np.ndarray, float]:
@@ -85,7 +81,7 @@ def dp_optimal(d: np.ndarray, eta_s_ms: float) -> tuple[np.ndarray, float]:
     from the best previous route costs eta_s. The first slot carries no
     setup penalty. Ties in the backtrack prefer staying on the current
     route, which minimizes switches among cost-equal optima. The returned
-    cost is recomputed from the selection with the metric evaluators.
+    cost is recomputed from the selection with ``selection_cost``.
     """
     d = validate_delay_matrix(d)
     if eta_s_ms < 0:
@@ -106,8 +102,7 @@ def dp_optimal(d: np.ndarray, eta_s_ms: float) -> tuple[np.ndarray, float]:
     for i in range(num_slots - 1, 0, -1):
         rows[i - 1] = switch_target[i] if switched[rows[i], i] else rows[i]
     s = _one_hot(rows, num_routes)
-    validate_selection(s, d)
-    return s, _selection_cost(s, d, eta_s_ms)
+    return s, selection_cost(s, d, eta_s_ms)
 
 
 def brute_force_optimal(
@@ -116,8 +111,8 @@ def brute_force_optimal(
     """Exhaustive optimum over all feasible assignments (independent oracle).
 
     Enumerates the product of each slot's existing routes in chunks;
-    refuses instances with K^N beyond `cap`. The returned cost comes from
-    the metric evaluators applied to the winning selection.
+    refuses instances with K^N beyond `cap`. The returned cost is
+    ``selection_cost`` of the winning selection.
     """
     d = validate_delay_matrix(d)
     if eta_s_ms < 0:
@@ -147,8 +142,7 @@ def brute_force_optimal(
             best_rows = rows[k]
     assert best_rows is not None
     s = _one_hot(best_rows, num_routes)
-    validate_selection(s, d)
-    return s, _selection_cost(s, d, eta_s_ms)
+    return s, selection_cost(s, d, eta_s_ms)
 
 
 def selection_from_schedule(schedule, routes: list[Route]) -> np.ndarray:
@@ -228,27 +222,6 @@ def enumerate_routes(
     if not routes:
         raise ValueError("no routes exist between the endpoints")
     return routes, np.vstack(d_rows)
-
-
-def save_delay_matrix(d: np.ndarray, path) -> None:
-    """Write a delay matrix as whitespace-delimited text, inf spelled 'inf'."""
-    d = np.asarray(d, dtype=np.float64)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in d:
-            fh.write(" ".join("inf" if np.isinf(x) else repr(float(x)) for x in row))
-            fh.write("\n")
-
-
-def load_delay_matrix(path) -> np.ndarray:
-    """Read a delay matrix written by save_delay_matrix (validated)."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append([float(tok) for tok in line.split()])
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise ValueError("delay matrix file must be rectangular and non-empty")
-    return validate_delay_matrix(np.array(rows, dtype=np.float64))
 
 
 def random_delay_matrix(

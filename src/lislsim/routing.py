@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -81,12 +80,6 @@ class RoutingSchedule:
             flags[i] = a is not None and b is not None and a.nodes != b.nodes
         return flags
 
-    def switch_count(self) -> int:
-        return int(self.switch_flags().sum())
-
-    def coverage(self) -> int:
-        return sum(1 for r in self.routes if r is not None)
-
     def unreachable_slots(self) -> list[int]:
         return [i + 1 for i, r in enumerate(self.routes) if r is None]
 
@@ -95,17 +88,9 @@ def _edge_costs(snapshot: Snapshot, cost_override) -> np.ndarray:
     """Resolve the per-edge cost array, validating positivity."""
     if cost_override is None:
         return snapshot.delay_ms
-    if isinstance(cost_override, Mapping):
-        costs = snapshot.delay_ms.copy()
-        for pair, value in cost_override.items():
-            pos = int(snapshot.edge_positions([pair])[0])
-            if pos < 0:
-                raise KeyError(f"cost override for absent edge {pair}")
-            costs[pos] = value
-    else:
-        costs = np.asarray(cost_override, dtype=np.float64)
-        if costs.shape != snapshot.delay_ms.shape:
-            raise ValueError("cost override array must align with snapshot edges")
+    costs = np.asarray(cost_override, dtype=np.float64)
+    if costs.shape != snapshot.delay_ms.shape:
+        raise ValueError("cost override array must align with snapshot edges")
     if np.any(np.isnan(costs)) or np.any(costs <= 0):
         raise ValueError("edge costs must be positive (use +inf to disable an edge)")
     return costs
@@ -116,18 +101,18 @@ def _foreign_ground_mask(snapshot: Snapshot, src: int, dst: int) -> np.ndarray |
     first_gs = snapshot.num_satellites
     if first_gs >= snapshot.num_nodes:
         return None
-    u, v = snapshot.u, snapshot.v
-    foreign_u = (u >= first_gs) & (u != src) & (u != dst)
-    foreign_v = (v >= first_gs) & (v != src) & (v != dst)
-    mask = foreign_u | foreign_v
+    # canonical edges have u < v and no ground-to-ground edge, so only v
+    # can be a ground station
+    v = snapshot.v
+    mask = (v >= first_gs) & (v != src) & (v != dst)
     return mask if mask.any() else None
 
 
 def dijkstra(snapshot: Snapshot, src: int, dst: int, cost_override=None) -> Route | None:
     """Minimum-cost route in one snapshot, or None when unreachable.
 
-    ``cost_override`` may be a per-edge mapping (canonical pair -> cost) or
-    an array aligned with the snapshot's edge order; +inf disables an edge.
+    ``cost_override`` is an array aligned with the snapshot's edge order;
+    +inf disables an edge.
     Among equal-cost routes the lexicographically smallest vertex sequence
     (by node id) wins. Ground stations other than src/dst never relay.
     """
@@ -146,18 +131,6 @@ def dijkstra(snapshot: Snapshot, src: int, dst: int, cost_override=None) -> Rout
     if path.size == 0:
         return None
     return Route(nodes=tuple(int(n) for n in path))
-
-
-def route_cost(snapshot: Snapshot, route: Route, cost_override=None) -> float:
-    """Total cost of a route under the snapshot's (possibly overridden) costs."""
-    costs = _edge_costs(snapshot, cost_override)
-    pos = snapshot.edge_positions(route.canonical_edges)
-    if np.any(pos < 0):
-        raise KeyError("route uses an edge absent from this snapshot")
-    total = 0.0
-    for p in pos:
-        total += float(costs[p])
-    return total
 
 
 def ilsr(series: SnapshotSeries, src: int, dst: int) -> RoutingSchedule:

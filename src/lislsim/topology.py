@@ -34,7 +34,8 @@ class Snapshot:
     Edge arrays are sorted by (u, v) and immutable; delays are in ms,
     strictly positive, and quantized to 9 fractional digits. ``num_satellites``
     splits the id space: ids below it are satellites, the rest are ground
-    stations (which may only appear as route endpoints).
+    stations (which may only appear as route endpoints, so every edge has a
+    satellite end).
     """
 
     __slots__ = ("slot", "u", "v", "delay_ms", "num_nodes", "num_satellites", "_keys", "_csr")
@@ -51,11 +52,14 @@ class Snapshot:
             raise ValueError(f"slot {slot}: unknown node id outside the node id range")
         u = u.astype(np.int32)
         v = v.astype(np.int32)
+        num_satellites = num_nodes if num_satellites is None else num_satellites
         if u.size:
             if np.any(u == v):
                 raise ValueError(f"slot {slot}: self-loops are not allowed")
             lo = np.minimum(u, v)
             hi = np.maximum(u, v)
+            if np.any(lo >= num_satellites):
+                raise ValueError(f"slot {slot}: edge between two non-satellites (ground-to-ground)")
             order = np.lexsort((hi, lo))
             u, v, delay_ms = lo[order], hi[order], delay_ms[order]
             keys = _pack_keys(u, v)
@@ -70,7 +74,7 @@ class Snapshot:
         self.v = v
         self.delay_ms = delay_ms
         self.num_nodes = int(num_nodes)
-        self.num_satellites = int(num_nodes if num_satellites is None else num_satellites)
+        self.num_satellites = int(num_satellites)
         self._keys = keys
         self._csr = None
         for arr in (self.u, self.v, self.delay_ms, self._keys):
@@ -108,15 +112,6 @@ class Snapshot:
         pos[pos >= self._keys.size] = -1
         hit = (pos >= 0) & (self._keys[pos] == want)
         return np.where(hit, pos, -1)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return int(self.edge_positions([(a, b)])[0]) >= 0
-
-    def delay_of(self, a: int, b: int) -> float:
-        pos = int(self.edge_positions([(a, b)])[0])
-        if pos < 0:
-            raise KeyError(f"edge ({a}, {b}) absent from slot {self.slot}")
-        return float(self.delay_ms[pos])
 
     def contains_route(self, route) -> bool:
         return bool(np.all(self.edge_positions(route.canonical_edges) >= 0))
@@ -212,9 +207,7 @@ class SnapshotSeries:
                 raise ValueError("non-consecutive slots")
             if snap.num_satellites != sats or snap.num_nodes != roster.num_nodes:
                 raise ValueError(f"slot {i}: node id space differs from the roster's")
-            # canonical edges have u < v, so only v may be a ground station
-            if np.any(snap.u >= sats):
-                raise ValueError(f"slot {i}: edge between two non-satellites (ground-to-ground)")
+            # Snapshot rejects ground-to-ground edges, so only v may be a station
             if not np.isin(snap.v[snap.v >= sats], stations).all():
                 raise ValueError(f"slot {i}: unknown node id, neither satellite nor station")
         self.scenario = scenario

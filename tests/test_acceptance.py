@@ -21,6 +21,7 @@ from lislsim.oracle import (
     brute_force_optimal,
     dp_optimal,
     random_delay_matrix,
+    selection_cost,
 )
 from lislsim.routing import (
     Route,
@@ -30,7 +31,6 @@ from lislsim.routing import (
     ilpr,
     ilsr,
     isasr,
-    route_cost,
     run_algorithm,
 )
 from lislsim.topology import (
@@ -147,8 +147,8 @@ def test_criterion_2_delay_matrix_golden(eq4):
         assert dp_optimal(d, 1.0)[1] == 103.0
         assert dp_optimal(d, 1000.0)[1] == 103.0
         for eta_s in (1.0, 10.0, 1000.0):
-            assert metrics.eta_penalty(s, eta_s) == 2.0 * eta_s
-        assert metrics.route_change_rate(s) == 50.0
+            assert selection_cost(s, d, eta_s) - selection_cost(s, d, 0.0) == 2.0 * eta_s
+        assert (selection_cost(s, d, 1.0) - selection_cost(s, d, 0.0)) * 100.0 / 4 == 50.0
 
 
 def test_criterion_3_dp_equals_brute_force():
@@ -362,7 +362,7 @@ def test_criterion_10_dijkstra_exhaustive_oracle():
                 assert got is None
             else:
                 reachable += 1
-                assert route_cost(snap, got) == expected[0]
+                assert snap.route_delay(got) == expected[0]
                 assert got.nodes == expected[1]
         assert reachable > 250
         assert time.perf_counter() - start < 5.0

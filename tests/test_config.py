@@ -167,6 +167,26 @@ class TestLoadConfig:
             load_config(path)
 
     @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("delay_low_ms = nan", "delay bounds"),
+            ("delay_high_ms = inf", "delay bounds"),
+            ("delay_low_ms = -1", "delay bounds"),
+            ("delay_low_ms = 50", "delay bounds"),
+            ("eta_s_ms = 0 nan", "setup delays"),
+            ("eta_s_ms = 0 inf", "setup delays"),
+            ("eta_s_ms = -1", "setup delays"),
+        ],
+        ids=["low-nan", "high-inf", "low-negative", "low-above-high", "eta-nan", "eta-inf",
+             "eta-negative"],
+    )
+    def test_bad_oracle_values_rejected(self, tmp_path, line, message):
+        path = tmp_path / "oracle.ini"
+        path.write_text(f"[oracle]\n{line}\n")
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+
+    @pytest.mark.parametrize(
         "run_section,message",
         [
             ("eta_s_ms = nan, 10\nqos_ms = 30, 40", "setup-delay"),

@@ -5,68 +5,78 @@ import math
 import numpy as np
 import pytest
 
-from lislsim import metrics
+from lislsim.constellation import GroundStation
 from lislsim.metrics import (
     average_jitter,
-    eta_delay,
-    eta_le,
-    eta_penalty,
     evaluate,
     histogram,
-    instantaneous_latency_series,
     outage_probability,
-    route_change_rate,
 )
+from lislsim.oracle import selection_cost
 from lislsim.routing import Route, RoutingSchedule, run_algorithm
 from lislsim.toyseries import dominance_toy_series, series_from_edges
 
 from conftest import random_series
 
 
+def penalty(s, d, eta_s):
+    """The setup-penalty part of a selection's cost."""
+    return selection_cost(s, d, eta_s) - selection_cost(s, d, 0.0)
+
+
 class TestSelectionMatrixMetrics:
     def test_eta_delay_of_golden_selection(self, eq4):
         d, s = eq4
-        assert eta_delay(s, d) == 104.0
+        assert selection_cost(s, d, 0.0) == 104.0
 
     def test_eta_delay_zero_delays(self):
         d = np.zeros((2, 3))
         s = np.array([[1, 1, 1], [0, 0, 0]], dtype=np.int8)
-        assert eta_delay(s, d) == 0.0
+        assert selection_cost(s, d, 0.0) == 0.0
 
     def test_eta_delay_single_slot(self):
         d = np.array([[7.0], [9.0]])
         s = np.array([[0], [1]], dtype=np.int8)
-        assert eta_delay(s, d) == 9.0
+        assert selection_cost(s, d, 1000.0) == 9.0
 
     @pytest.mark.parametrize("eta_s", [1.0, 10.0, 1000.0])
     def test_eta_penalty_two_switches(self, eq4, eta_s):
-        _, s = eq4
-        assert eta_penalty(s, eta_s) == 2 * eta_s
+        d, s = eq4
+        assert penalty(s, d, eta_s) == 2 * eta_s
 
     def test_eta_penalty_constant_route(self):
         s = np.array([[1, 1, 1, 1]], dtype=np.int8)
-        assert eta_penalty(s, 1000.0) == 0.0
+        assert penalty(s, np.ones((1, 4)), 1000.0) == 0.0
 
     def test_eta_penalty_maximum(self):
         s = np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.int8)
-        assert eta_penalty(s, 10.0) == 30.0
+        assert penalty(s, np.ones((2, 4)), 10.0) == 30.0
 
     def test_route_change_rate_golden(self, eq4):
-        _, s = eq4
-        assert route_change_rate(s) == 50.0
+        d, s = eq4
+        assert penalty(s, d, 1.0) * 100.0 / 4 == 50.0
 
     def test_route_change_rate_extremes(self):
         quiet = np.array([[1, 1, 1, 1]], dtype=np.int8)
-        assert route_change_rate(quiet) == 0.0
+        assert penalty(quiet, np.ones((1, 4)), 1.0) * 100.0 / 4 == 0.0
         busy = np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.int8)
-        assert route_change_rate(busy) == 100.0 * 3 / 4
+        assert penalty(busy, np.ones((2, 4)), 1.0) * 100.0 / 4 == 100.0 * 3 / 4
 
     def test_latency_series_decomposition(self, eq4):
         d, s = eq4
-        lat = instantaneous_latency_series(s, d, 10.0)
-        assert lat.tolist() == [26.0, 27.0, 35.0, 36.0]
-        assert math.fsum(lat) == 124.0
-        assert eta_le(s, d, 10.0) == 124.0
+        # the same instance as a schedule: route k runs via satellite k, each
+        # of its two edges holding half the route's delay (exact in binary)
+        per_slot = []
+        for i in range(4):
+            live = [k for k in range(3) if np.isfinite(d[k, i])]
+            per_slot.append({(k, g): d[k, i] / 2.0 for k in live for g in (3, 4)})
+        stations = tuple(GroundStation(3 + j, name, 0.0, 0.0) for j, name in enumerate("ab"))
+        series = series_from_edges(per_slot, num_satellites=3, ground_stations=stations)
+        routes = [Route((3, int(k), 4)) for k in np.argmax(s, axis=0)]
+        report = evaluate(RoutingSchedule("x", 3, 4, routes), series, 10.0)
+        assert report.latency_ms.tolist() == [26.0, 27.0, 35.0, 36.0]
+        assert math.fsum(report.latency_ms) == 124.0
+        assert report.eta_le_ms == selection_cost(s, d, 10.0) == 124.0
 
 
 class TestLatencySeries:
@@ -77,24 +87,24 @@ class TestLatencySeries:
             [{(0, 1): 13.0, (1, 2): 13.0, (0, 3): 13.0, (2, 3): 13.0}] * 4,
             num_satellites=4,
         )
-        lat = instantaneous_latency_series(schedule, series, 1000.0)
+        lat = evaluate(schedule, series, 1000.0).latency_ms
         assert lat.tolist() == [26.0, 26.0, 1026.0, 26.0]
 
     def test_no_switch_means_delay_only(self):
         schedule = RoutingSchedule("x", 0, 2, [Route((0, 1, 2))] * 3)
         series = series_from_edges([{(0, 1): 3.0, (1, 2): 4.0}] * 3, num_satellites=3)
-        assert instantaneous_latency_series(schedule, series, 500.0).tolist() == [7.0] * 3
+        assert evaluate(schedule, series, 500.0).latency_ms.tolist() == [7.0] * 3
 
     def test_gap_marked_nan_and_excluded(self):
         routes = [Route((0, 1)), None, Route((0, 1))]
         schedule = RoutingSchedule("x", 0, 1, routes)
         series = series_from_edges([{(0, 1): 2.0}] * 3, num_satellites=2)
-        lat = instantaneous_latency_series(schedule, series, 100.0)
+        report = evaluate(schedule, series, 100.0)
+        lat = report.latency_ms
         assert lat[0] == 2.0 and np.isnan(lat[1]) and lat[2] == 2.0
         # boundaries next to the gap never count as switches
-        assert schedule.switch_count() == 0
-        assert eta_delay(schedule, series) == 4.0
-        report = evaluate(schedule, series, 100.0)
+        assert report.switch_count == 0
+        assert report.eta_delay_ms == 4.0
         assert report.coverage == 2
         assert report.identity_residual() < 1e-12
 
@@ -194,9 +204,9 @@ class TestIdentity:
         for eta_s in (1.0, 64.0, 1024.0):
             for name in ("ilsr", "ilpr", "alpr", "isasr"):
                 schedule = run_algorithm(name, series, 6, 7, eta_s)
-                lat = instantaneous_latency_series(schedule, series, eta_s)
-                total = eta_le(schedule, series, eta_s)
-                assert math.fsum(lat[~np.isnan(lat)]) == total
+                report = evaluate(schedule, series, eta_s)
+                lat = report.latency_ms
+                assert math.fsum(lat[~np.isnan(lat)]) == report.eta_le_ms
 
 
 class TestPenaltyBlindness:

@@ -5,18 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from lislsim import metrics
 from lislsim.oracle import (
     InfeasibleSlotError,
     OracleSizeError,
     brute_force_optimal,
     dp_optimal,
     enumerate_routes,
-    load_delay_matrix,
     random_delay_matrix,
-    save_delay_matrix,
+    selection_cost,
     selection_from_schedule,
-    switch_indicator,
     validate_selection,
 )
 from lislsim.routing import run_algorithm
@@ -80,7 +77,10 @@ class TestDpProperties:
         for _ in range(50):
             d = random_delay_matrix(rng)
             s, cost = dp_optimal(d, 10.0)
-            assert cost == metrics.eta_delay(s, d) + metrics.eta_penalty(s, 10.0)
+            rows = np.argmax(s, axis=0)
+            delay = sum(d[r, i] for i, r in enumerate(rows))
+            penalty = 10.0 * np.count_nonzero(np.diff(rows))
+            assert cost == selection_cost(s, d, 10.0) == delay + penalty
 
     def test_single_route_cost_is_row_sum(self):
         d = np.array([[5.0, 6.0, 7.0]])
@@ -135,8 +135,13 @@ class TestSelectionHelpers:
             validate_selection(misplaced, d)
 
     def test_switch_indicator(self, eq4):
-        _, s = eq4
-        assert switch_indicator(s).tolist() == [1, 0, 0]
+        # eq4 keeps its route across boundary 1 and switches at 2 and 3
+        d, s = eq4
+        switches = [
+            selection_cost(s[:, :k], d[:, :k], 1.0) - selection_cost(s[:, :k], d[:, :k], 0.0)
+            for k in range(1, 5)
+        ]
+        assert switches == [0.0, 0.0, 1.0, 2.0]
 
 
 class TestEnumeration:
@@ -183,7 +188,7 @@ class TestDominance:
                     name, series, 6, 7, eta_s, cost_thrsh_ms=np.inf, details=details
                 )
                 s = selection_from_schedule(schedule, routes)
-                cost = metrics.eta_delay(s, d) + metrics.eta_penalty(s, eta_s)
+                cost = selection_cost(s, d, eta_s)
                 assert cost >= optimal - 1e-9
 
     def test_selection_from_schedule_rejects_unknown_routes(self):
@@ -194,24 +199,3 @@ class TestDominance:
         with pytest.raises(ValueError, match="not present"):
             selection_from_schedule(schedule, routes)
 
-
-class TestMatrixFile:
-    def test_round_trip_with_infinities(self, tmp_path, eq4):
-        d, _ = eq4
-        path = tmp_path / "d.mat"
-        save_delay_matrix(d, path)
-        again = load_delay_matrix(path)
-        np.testing.assert_array_equal(d, again)
-        assert "inf" in path.read_text()
-
-    def test_hand_written_matrix_loads(self, tmp_path):
-        path = tmp_path / "hand.mat"
-        path.write_text("26 27 28 inf\n27 26 25 25\ninf 28 27 26\n")
-        d = load_delay_matrix(path)
-        np.testing.assert_array_equal(d, EQ4_DELAYS)
-
-    def test_ragged_matrix_rejected(self, tmp_path):
-        path = tmp_path / "ragged.mat"
-        path.write_text("1 2\n3\n")
-        with pytest.raises(ValueError, match="rectangular"):
-            load_delay_matrix(path)
