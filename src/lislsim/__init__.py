@@ -10,12 +10,10 @@ from .constellation import (
     generate_series,
 )
 from .topology import (
-    LinkDetails,
     NodeRoster,
     SeriesFormatError,
     Snapshot,
     SnapshotSeries,
-    build_link_details,
     export_series,
     import_series,
 )

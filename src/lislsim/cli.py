@@ -27,7 +27,7 @@ from . import __version__, metrics, oracle
 from .config import ExperimentConfig, check_routing_values, default_config, load_config
 from .constellation import generate_series
 from .routing import ETA_BLIND_ALGORITHMS, RoutingSchedule, run_algorithm
-from .topology import build_link_details, export_series, import_series
+from .topology import export_series, import_series
 
 # Four-route worked example: per-slot end-to-end delays (ms) of candidate
 # routes with different lifetimes, used by the `table2` subcommand and the
@@ -95,11 +95,11 @@ def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
     return json.dumps(payload, indent=2, default=str) + "\n"
 
 
-def _timed_run(cfg, name, series, src, dst, eta_s, details, gamma, cost_thrsh):
+def _timed_run(cfg, name, series, src, dst, eta_s, gamma, cost_thrsh):
     start = time.perf_counter()
     schedule = run_algorithm(
         name, series, src, dst, eta_s,
-        gamma=gamma, cost_thrsh_ms=cost_thrsh, details=details,
+        gamma=gamma, cost_thrsh_ms=cost_thrsh,
         reset_dropped_edges=cfg.reset_dropped_edges,
         global_lifetimes=cfg.global_lifetimes,
     )
@@ -135,10 +135,7 @@ def cmd_run(args) -> int:
     check_routing_values(eta_s_ms=(eta_s,), gamma_ms=gamma, cost_thrsh_ms=cost_thrsh)
     series = import_series(args.series)
     src, dst = _resolve_endpoints(cfg, series)
-    details = build_link_details(series)
-    schedule, runtime = _timed_run(
-        cfg, args.algorithm, series, src, dst, eta_s, details, gamma, cost_thrsh
-    )
+    schedule, runtime = _timed_run(cfg, args.algorithm, series, src, dst, eta_s, gamma, cost_thrsh)
     try:
         qos = (cfg.qos_for(eta_s),)
     except KeyError:
@@ -203,7 +200,6 @@ def cmd_sweep(args) -> int:
 
     series = import_series(args.series)
     src, dst = _resolve_endpoints(cfg, series)
-    details = build_link_details(series)
 
     rows, timing_rows, failures = [], [], []
     eta_blind_runs = {}  # ILSR/ILPR: one schedule and runtime for every eta_s row
@@ -212,7 +208,7 @@ def cmd_sweep(args) -> int:
             schedule, runtime = eta_blind_runs[name]
         else:
             schedule, runtime = _timed_run(
-                cfg, name, series, src, dst, eta_s, details, gamma, cfg.cost_thrsh_ms
+                cfg, name, series, src, dst, eta_s, gamma, cfg.cost_thrsh_ms
             )
             if name in ETA_BLIND_ALGORITHMS:
                 eta_blind_runs[name] = schedule, runtime
@@ -314,14 +310,11 @@ def cmd_oracle(args) -> int:
     series = dominance_toy_series()
     src, dst = 6, 7
     routes, d = oracle.enumerate_routes(series, src, dst, hop_limit=4)
-    details = build_link_details(series)
     violations = []
     for eta_s in (1.0, 10.0, 100.0):
         _, optimal = oracle.dp_optimal(d, eta_s)
         for name in ("ilsr", "ilpr", "alpr", "isasr"):
-            schedule = run_algorithm(
-                name, series, src, dst, eta_s, cost_thrsh_ms=math.inf, details=details
-            )
+            schedule = run_algorithm(name, series, src, dst, eta_s, cost_thrsh_ms=math.inf)
             s = oracle.selection_from_schedule(schedule, routes)
             cost = oracle.selection_cost(s, d, eta_s)
             if cost < optimal - 1e-9:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .constellation import ConstellationParams, GroundStation, ScenarioParams
+from .oracle import BRUTE_FORCE_CAP
 
 DEFAULT_GROUND_STATIONS = (
     ("new_york", 40.7128, -74.0060),
@@ -36,6 +37,11 @@ class OracleConfig:
     def __post_init__(self):
         if self.instances < 1 or self.max_routes < 1 or self.max_slots < 1:
             raise ValueError("oracle caps must be positive")
+        if self.max_routes ** self.max_slots > BRUTE_FORCE_CAP:
+            raise ValueError(
+                f"{self.max_routes}^{self.max_slots} assignments exceed the brute-force "
+                f"cap of {BRUTE_FORCE_CAP}"
+            )
         if not 0 <= self.inf_fraction < 1:
             raise ValueError("inf_fraction must lie in [0, 1)")
         if not (

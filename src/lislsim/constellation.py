@@ -147,28 +147,24 @@ def delay_ms(distance_km: np.ndarray, node_delay_ms: float) -> np.ndarray:
 
 
 def build_snapshot(
-    slot: int,
     sat_pos: np.ndarray,
     gs_ids: np.ndarray,
     gs_pos: np.ndarray,
     scenario: ScenarioParams,
-):
-    """Snapshot of all feasible edges among the given nodes at one slot.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge columns ``(u, v, delay_ms)`` of all feasible edges among the given nodes.
 
     ``sat_pos`` holds one row per satellite, whose node id is its row index;
     ground station ``gs_ids[k]`` sits at ``gs_pos[k]`` and must come after
     every satellite id. Satellite pairs connect when their distance is <= the
     LISL range, ground-satellite pairs when <= the GS range (both inclusive);
-    ground stations never connect to each other. Edges are stored
-    canonically as (min id, max id) sorted pairs.
+    ground stations never connect to each other. ``SnapshotSeries`` puts the
+    edges in canonical order.
     """
-    from .topology import Snapshot
-
     sat_pos = np.asarray(sat_pos, dtype=np.float64).reshape(-1, 3)
     gs_ids = np.asarray(gs_ids, dtype=np.int64)
     gs_pos = np.asarray(gs_pos, dtype=np.float64).reshape(-1, 3)
-    num_satellites = sat_pos.shape[0]
-    if gs_ids.size and gs_ids.min() < num_satellites:
+    if gs_ids.size and gs_ids.min() < sat_pos.shape[0]:
         raise ValueError("ground station ids must come after all satellite ids")
 
     si, sj, sat_d2 = kernels.pair_edges(sat_pos, scenario.lisl_range_km)
@@ -177,10 +173,7 @@ def build_snapshot(
     u = np.concatenate([si, gj])
     v = np.concatenate([sj, gs_ids[gi]])
     dist = np.sqrt(np.concatenate([sat_d2, gs_d2]))
-    delays = delay_ms(dist, scenario.node_delay_ms)
-
-    num_nodes = int(max(num_satellites, gs_ids.max(initial=-1) + 1))
-    return Snapshot(slot, u, v, delays, num_nodes=num_nodes, num_satellites=num_satellites)
+    return u, v, delay_ms(dist, scenario.node_delay_ms)
 
 
 def generate_series(
@@ -188,18 +181,21 @@ def generate_series(
     ground_stations: list[GroundStation],
     scenario: ScenarioParams,
 ):
-    """Propagate the constellation over all slots and snapshot each one."""
+    """Propagate the constellation over all slots and collect each slot's edges."""
     from .topology import NodeRoster, SnapshotSeries
 
     roster = NodeRoster(
         num_satellites=params.num_satellites, ground_stations=tuple(ground_stations)
     )
     gs_ids = np.array([gs.id for gs in ground_stations], dtype=np.int64)
-    snapshots = []
+    slots = []
     for slot in range(1, scenario.num_slots + 1):
         sat_pos = satellite_positions(params, slot, scenario.slot_duration_s)
         gs_pos = [
             ground_station_position(gs, slot, scenario.slot_duration_s) for gs in ground_stations
         ]
-        snapshots.append(build_snapshot(slot, sat_pos, gs_ids, gs_pos, scenario))
-    return SnapshotSeries(scenario=scenario, roster=roster, snapshots=snapshots)
+        slots.append(build_snapshot(sat_pos, gs_ids, gs_pos, scenario))
+    offsets = np.cumsum([0] + [u.size for u, _, _ in slots])
+    u, v, d = [np.concatenate(col) for col in zip(*slots)]
+    del slots  # free the per-slot pieces before the series copies the columns
+    return SnapshotSeries(scenario, roster, offsets, u, v, d)

@@ -19,6 +19,10 @@ from .routing import Route
 from .topology import SnapshotSeries
 
 
+# Most assignments ``brute_force_optimal`` enumerates (routes ** slots).
+BRUTE_FORCE_CAP = 10_000_000
+
+
 class OracleSizeError(ValueError):
     """Instance exceeds the enumeration caps."""
 
@@ -106,7 +110,7 @@ def dp_optimal(d: np.ndarray, eta_s_ms: float) -> tuple[np.ndarray, float]:
 
 
 def brute_force_optimal(
-    d: np.ndarray, eta_s_ms: float, cap: int = 10_000_000
+    d: np.ndarray, eta_s_ms: float, cap: int = BRUTE_FORCE_CAP
 ) -> tuple[np.ndarray, float]:
     """Exhaustive optimum over all feasible assignments (independent oracle).
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .topology import LinkDetails, Snapshot, SnapshotSeries, build_link_details
+from .topology import Snapshot, SnapshotSeries
 
 
 @dataclass(frozen=True)
@@ -173,27 +173,21 @@ def disjoint_routes(snapshot: Snapshot, src: int, dst: int) -> list[Route]:
     return found
 
 
-def route_lifetime(route: Route, details: LinkDetails, snapshot: Snapshot) -> int:
+def route_lifetime(route: Route, snapshot: Snapshot) -> int:
     """Last slot the route survives: min over its edges of the containing run end."""
     pos = snapshot.edge_positions(route.canonical_edges)
     if np.any(pos < 0):
         raise ValueError(f"route {route} uses an edge absent from slot {snapshot.slot}")
-    return int(details.run_last_by_slot[snapshot.slot - 1][pos].min())
+    return int(snapshot.run_last[pos].min())
 
 
-def alpr_average_latency(
-    route: Route,
-    details: LinkDetails,
-    series: SnapshotSeries,
-    slot: int,
-    eta_s_ms: float,
-) -> float:
+def alpr_average_latency(route: Route, series: SnapshotSeries, slot: int, eta_s_ms: float) -> float:
     """Lifetime-averaged end-to-end latency including one setup penalty.
 
     (eta_s + sum of the route's per-slot delays from `slot` through its
     expiry) divided by the number of slots it survives.
     """
-    last = route_lifetime(route, details, series.snapshot(slot))
+    last = route_lifetime(route, series.snapshot(slot))
     total = eta_s_ms
     for k in range(slot, last + 1):
         delay = series.snapshot(k).route_delay(route)
@@ -203,13 +197,7 @@ def alpr_average_latency(
     return total / (last - slot + 1)
 
 
-def alpr(
-    series: SnapshotSeries,
-    src: int,
-    dst: int,
-    eta_s_ms: float,
-    details: LinkDetails | None = None,
-) -> RoutingSchedule:
+def alpr(series: SnapshotSeries, src: int, dst: int, eta_s_ms: float) -> RoutingSchedule:
     """Hold the disjoint route with the least lifetime-averaged latency.
 
     At each decision slot the candidate set is the edge-disjoint routes of
@@ -217,10 +205,6 @@ def alpr(
     decision is made. Score ties prefer fewer hops, then the smaller vertex
     sequence.
     """
-    if details is None:
-        details = build_link_details(series)
-    elif details.num_slots != series.num_slots:
-        raise ValueError("link details were built from a different series")
     routes: list[Route | None] = [None] * series.num_slots
     slot = 1
     while slot <= series.num_slots:
@@ -231,9 +215,9 @@ def alpr(
             continue
         best = min(
             candidates,
-            key=lambda r: (alpr_average_latency(r, details, series, slot, eta_s_ms), r.hops, r.nodes),
+            key=lambda r: (alpr_average_latency(r, series, slot, eta_s_ms), r.hops, r.nodes),
         )
-        last = route_lifetime(best, details, snap)
+        last = route_lifetime(best, snap)
         for k in range(slot, last + 1):
             routes[k - 1] = best
         slot = last + 1
@@ -256,7 +240,6 @@ def isasr_stability_cost(
 
 def isasr(
     series: SnapshotSeries,
-    details: LinkDetails,
     src: int,
     dst: int,
     eta_s_ms: float,
@@ -281,19 +264,14 @@ def isasr(
         raise ValueError("gamma must be non-negative")
     if cost_thrsh_ms <= 0:
         raise ValueError("cost threshold must be positive")
-    if details.num_slots != series.num_slots:
-        raise ValueError("link details were built from a different series")
     n = series.num_slots
-    cost_act = np.full(details.num_edges, eta_s_ms, dtype=np.float64)
+    cost_act = np.full(series.global_last.size, eta_s_ms, dtype=np.float64)
     routes: list[Route | None] = []
     previous_uids: np.ndarray | None = None
     for slot in range(1, n + 1):
         snap = series.snapshot(slot)
-        uids = details.edge_uids_by_slot[slot - 1]
-        if global_lifetimes:
-            last = details.global_last[uids]
-        else:
-            last = details.run_last_by_slot[slot - 1]
+        uids = snap.uids
+        last = series.global_last[uids] if global_lifetimes else snap.run_last
         cost_st = isasr_stability_cost(last, slot, n, eta_s_ms)
         costs = snap.delay_ms + gamma * (cost_st + cost_act[uids])
         sat_sat = (snap.u < snap.num_satellites) & (snap.v < snap.num_satellites)
@@ -304,7 +282,7 @@ def isasr(
             previous_uids = None
             continue
         route_uids = uids[snap.edge_positions(route.canonical_edges)]
-        break_point = route_lifetime(route, details, snap)
+        break_point = route_lifetime(route, snap)
         cost_act[route_uids] = 0.0 if slot != break_point else eta_s_ms
         if reset_dropped_edges and previous_uids is not None:
             cost_act[np.setdiff1d(previous_uids, route_uids)] = eta_s_ms
@@ -326,7 +304,6 @@ def run_algorithm(
     eta_s_ms: float,
     gamma: float | None = None,
     cost_thrsh_ms: float = math.inf,
-    details: LinkDetails | None = None,
     reset_dropped_edges: bool = False,
     global_lifetimes: bool = False,
 ) -> RoutingSchedule:
@@ -336,12 +313,10 @@ def run_algorithm(
     if name == "ilpr":
         return ilpr(series, src, dst)
     if name == "alpr":
-        return alpr(series, src, dst, eta_s_ms, details=details)
+        return alpr(series, src, dst, eta_s_ms)
     if name == "isasr":
-        if details is None:
-            details = build_link_details(series)
         return isasr(
-            series, details, src, dst, eta_s_ms,
+            series, src, dst, eta_s_ms,
             eta_s_ms if gamma is None else gamma,
             cost_thrsh_ms,
             reset_dropped_edges=reset_dropped_edges,

@@ -1,11 +1,13 @@
-"""Time-sliced network topology: snapshots, edge lifetimes, and file I/O.
+"""Time-sliced network topology: the snapshot series, edge lifetimes, and file I/O.
 
-A :class:`SnapshotSeries` is the simulator's central dataset: one immutable
-:class:`Snapshot` per slot plus the node roster. :class:`LinkDetails` holds,
-for every edge of every slot, a series-wide edge id and the last slot of its
-current run of consecutive slots: the lifetimes that the lifetime-aware
-routing algorithms consume. ``export_series``/``import_series`` define the
-line-oriented interchange format for externally generated topologies.
+A :class:`SnapshotSeries` is the simulator's central dataset and the one
+owner of its edges: the node roster plus slot offsets and ``u``, ``v``,
+``delay_ms`` columns, validated and put in canonical order once. Each slot
+is seen through a read-only :class:`Snapshot` view. On first use the series
+also computes the lifetimes that the lifetime-aware routing algorithms
+consume: for every edge record a series-wide edge id and the last slot of
+its run of consecutive slots. ``export_series``/``import_series`` define
+the line-oriented interchange format for externally generated topologies.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -25,92 +27,62 @@ class SeriesFormatError(ValueError):
 
 
 def _pack_keys(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (u.astype(np.int64) << 32) | v.astype(np.int64)
+    return (u.astype(np.int64) << 32) | v
 
 
 class Snapshot:
-    """All feasible edges at one slot, keyed by canonical (min, max) pair.
+    """Read-only view of one slot of a :class:`SnapshotSeries`.
 
-    Edge arrays are sorted by (u, v) and immutable; delays are in ms,
-    strictly positive, and quantized to 9 fractional digits. ``num_satellites``
-    splits the id space: ids below it are satellites, the rest are ground
-    stations (which may only appear as route endpoints, so every edge has a
-    satellite end).
+    ``u``, ``v`` and ``delay_ms`` are zero-copy slices of the series'
+    columns: canonical (min, max) pairs sorted by (u, v), delays in ms.
+    ``num_satellites`` splits the id space: ids below it are satellites, the
+    rest are ground stations (which may only appear as route endpoints, so
+    every edge has a satellite end). Only the series creates snapshots.
     """
 
-    __slots__ = ("slot", "u", "v", "delay_ms", "num_nodes", "num_satellites", "_keys", "_csr")
+    __slots__ = ("slot", "u", "v", "delay_ms", "num_nodes", "num_satellites",
+                 "_series", "_span", "_csr")
 
-    def __init__(self, slot, u, v, delay_ms, num_nodes, num_satellites=None):
-        if slot < 1:
-            raise ValueError("slots are 1-based")
-        u = np.asarray(u)
-        v = np.asarray(v)
-        delay_ms = np.round(np.asarray(delay_ms, dtype=np.float64), 9)
-        if not (u.shape == v.shape == delay_ms.shape):
-            raise ValueError(f"slot {slot}: edge arrays must have equal length")
-        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= num_nodes):
-            raise ValueError(f"slot {slot}: unknown node id outside the node id range")
-        u = u.astype(np.int32)
-        v = v.astype(np.int32)
-        num_satellites = num_nodes if num_satellites is None else num_satellites
-        if u.size:
-            if np.any(u == v):
-                raise ValueError(f"slot {slot}: self-loops are not allowed")
-            lo = np.minimum(u, v)
-            hi = np.maximum(u, v)
-            if np.any(lo >= num_satellites):
-                raise ValueError(f"slot {slot}: edge between two non-satellites (ground-to-ground)")
-            order = np.lexsort((hi, lo))
-            u, v, delay_ms = lo[order], hi[order], delay_ms[order]
-            keys = _pack_keys(u, v)
-            if np.any(np.diff(keys) == 0):
-                raise ValueError(f"slot {slot}: duplicate edge within a slot")
-            if not np.all(np.isfinite(delay_ms)) or np.any(delay_ms <= 0):
-                raise ValueError(f"slot {slot}: non-positive delay")
-        else:
-            keys = np.empty(0, np.int64)
-        self.slot = int(slot)
-        self.u = u
-        self.v = v
-        self.delay_ms = delay_ms
-        self.num_nodes = int(num_nodes)
-        self.num_satellites = int(num_satellites)
-        self._keys = keys
+    def __init__(self, series: "SnapshotSeries", slot: int):
+        span = slice(int(series.offsets[slot - 1]), int(series.offsets[slot]))
+        self.slot = slot
+        self.u = series.u[span]
+        self.v = series.v[span]
+        self.delay_ms = series.delay_ms[span]
+        self.num_nodes = series.roster.num_nodes
+        self.num_satellites = series.roster.num_satellites
+        self._series = series
+        self._span = span
         self._csr = None
-        for arr in (self.u, self.v, self.delay_ms, self._keys):
-            arr.setflags(write=False)
-
-    @classmethod
-    def from_edges(
-        cls,
-        slot: int,
-        edges: Mapping[tuple[int, int], float],
-        num_nodes: int,
-        num_satellites: int | None = None,
-    ) -> "Snapshot":
-        items = list(edges.items())
-        u = np.array([min(a, b) for (a, b), _ in items], dtype=np.int32)
-        v = np.array([max(a, b) for (a, b), _ in items], dtype=np.int32)
-        d = np.array([w for _, w in items], dtype=np.float64)
-        return cls(slot, u, v, d, num_nodes, num_satellites)
 
     @property
     def edge_count(self) -> int:
         return self.u.size
+
+    @property
+    def uids(self) -> np.ndarray:
+        """Series-wide id of each edge's canonical pair."""
+        return self._series._lifetimes()[0][self._span]
+
+    @property
+    def run_last(self) -> np.ndarray:
+        """Last slot of the run of consecutive slots containing each edge."""
+        return self._series._lifetimes()[1][self._span]
 
     def edge_positions(self, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
         """Indices of canonical pairs in the edge arrays, -1 when absent."""
         pairs = list(pairs)
         if not pairs:
             return np.empty(0, np.int64)
-        if self._keys.size == 0:
+        if self.edge_count == 0:
             return np.full(len(pairs), -1, np.int64)
+        keys = self._series._edge_keys()[self._span]
         a = np.array([min(p) for p in pairs], np.int64)
         b = np.array([max(p) for p in pairs], np.int64)
         want = (a << 32) | b
-        pos = np.searchsorted(self._keys, want)
-        pos[pos >= self._keys.size] = -1
-        hit = (pos >= 0) & (self._keys[pos] == want)
+        pos = np.searchsorted(keys, want)
+        pos[pos >= keys.size] = -1
+        hit = (pos >= 0) & (keys[pos] == want)
         return np.where(hit, pos, -1)
 
     def contains_route(self, route) -> bool:
@@ -143,18 +115,6 @@ class Snapshot:
             self._csr = (indptr, nbr, arc_eid)
         return self._csr
 
-    def __eq__(self, other):
-        if not isinstance(other, Snapshot):
-            return NotImplemented
-        return (
-            self.slot == other.slot
-            and self.num_nodes == other.num_nodes
-            and self.num_satellites == other.num_satellites
-            and np.array_equal(self.u, other.u)
-            and np.array_equal(self.v, other.v)
-            and np.array_equal(self.delay_ms, other.delay_ms)
-        )
-
     def __repr__(self):
         return f"Snapshot(slot={self.slot}, edges={self.edge_count})"
 
@@ -177,6 +137,8 @@ class NodeRoster:
             raise ValueError("duplicate ground station names")
         if any(i < self.num_satellites for i in ids):
             raise ValueError("ground station ids must come after all satellite ids")
+        if self.num_nodes > 2**31:
+            raise ValueError("node ids must fit in int32")
 
     @property
     def num_nodes(self) -> int:
@@ -190,29 +152,74 @@ class NodeRoster:
         raise KeyError(f"no ground station named {name!r}")
 
 
+def _edge_problem(roster: NodeRoster, lo, hi, keys, delay) -> str | None:
+    """The first edge rule that one slot's sorted (min, max) records break."""
+    sats = roster.num_satellites
+    if lo.min() < 0 or hi.max() >= roster.num_nodes:
+        return "unknown node id outside the node id range"
+    if np.any(lo == hi):
+        return "self-loops are not allowed"
+    if lo.max() >= sats:
+        return "edge between two non-satellites (ground-to-ground)"
+    if not np.isin(hi[hi >= sats], [gs.id for gs in roster.ground_stations]).all():
+        return "unknown node id, neither satellite nor station"
+    if np.any(keys[1:] == keys[:-1]):
+        return "duplicate edge within a slot"
+    if not (np.isfinite(delay).all() and (delay > 0).all()):
+        return "non-positive delay"
+    return None
+
+
 class SnapshotSeries:
-    """Scenario parameters, node roster, and one snapshot per slot 1..N."""
+    """Scenario parameters, node roster, and the edges of slots 1..N.
 
-    __slots__ = ("scenario", "roster", "snapshots")
+    The edges of slot k are records ``offsets[k-1]:offsets[k]`` of the
+    ``u``, ``v`` and ``delay_ms`` columns. The constructor is the one home of
+    the edge rules: every endpoint is a satellite or a roster station, no
+    self-loop, no ground-to-ground edge, no duplicate edge in a slot, and a
+    finite positive delay once quantized to 9 fractional digits. It keeps
+    its own read-only copy of the columns, each edge as its (min, max) pair
+    and each slot sorted by (u, v); a slot is sorted only when its records
+    are not in that order already.
+    """
 
-    def __init__(self, scenario: ScenarioParams, roster: NodeRoster, snapshots: list[Snapshot]):
-        if len(snapshots) != scenario.num_slots:
-            raise ValueError(
-                f"expected {scenario.num_slots} snapshots, got {len(snapshots)}"
-            )
-        sats = roster.num_satellites
-        stations = [gs.id for gs in roster.ground_stations]
-        for i, snap in enumerate(snapshots, start=1):
-            if snap.slot != i:
-                raise ValueError("non-consecutive slots")
-            if snap.num_satellites != sats or snap.num_nodes != roster.num_nodes:
-                raise ValueError(f"slot {i}: node id space differs from the roster's")
-            # Snapshot rejects ground-to-ground edges, so only v may be a station
-            if not np.isin(snap.v[snap.v >= sats], stations).all():
-                raise ValueError(f"slot {i}: unknown node id, neither satellite nor station")
+    __slots__ = ("scenario", "roster", "offsets", "u", "v", "delay_ms", "snapshots",
+                 "_keys", "_runs")
+
+    def __init__(self, scenario: ScenarioParams, roster: NodeRoster, offsets, u, v, delay_ms):
+        n = scenario.num_slots
+        offsets = np.array(offsets, dtype=np.int64)
+        u, v, delay_ms = np.asarray(u), np.asarray(v), np.asarray(delay_ms, dtype=np.float64)
+        if offsets.shape != (n + 1,):
+            raise ValueError(f"expected offsets of {n} slots, got {offsets.size - 1}")
+        if (offsets[0] != 0 or np.any(np.diff(offsets) < 0)
+                or not u.shape == v.shape == delay_ms.shape == (offsets[-1],)):
+            raise ValueError("edge columns do not match the slot offsets")
+        self.u = np.empty(u.size, np.int32)
+        self.v = np.empty(u.size, np.int32)
+        self.delay_ms = np.empty(u.size, np.float64)
+        for slot in range(1, n + 1):
+            span = slice(offsets[slot - 1], offsets[slot])
+            if span.start == span.stop:
+                continue
+            lo, hi = np.minimum(u[span], v[span]), np.maximum(u[span], v[span])
+            delay = np.round(delay_ms[span], 9)
+            keys = _pack_keys(lo, hi)
+            if np.any(keys[1:] <= keys[:-1]):  # not yet sorted by (u, v)
+                order = np.argsort(keys, kind="stable")
+                keys, lo, hi, delay = keys[order], lo[order], hi[order], delay[order]
+            problem = _edge_problem(roster, lo, hi, keys, delay)
+            if problem:
+                raise ValueError(f"slot {slot}: {problem}")
+            self.u[span], self.v[span], self.delay_ms[span] = lo, hi, delay
         self.scenario = scenario
         self.roster = roster
-        self.snapshots = list(snapshots)
+        self.offsets = offsets
+        for arr in (self.offsets, self.u, self.v, self.delay_ms):
+            arr.setflags(write=False)
+        self._keys = None
+        self._runs = None
+        self.snapshots = tuple(Snapshot(self, slot) for slot in range(1, n + 1))
 
     @property
     def num_slots(self) -> int:
@@ -223,13 +230,53 @@ class SnapshotSeries:
             raise IndexError(f"slot {slot} outside 1..{self.num_slots}")
         return self.snapshots[slot - 1]
 
+    def _edge_keys(self) -> np.ndarray:
+        """Packed (u, v) key of every edge record, built on first use."""
+        if self._keys is None:
+            self._keys = _pack_keys(self.u, self.v)
+            self._keys.setflags(write=False)
+        return self._keys
+
+    def _lifetimes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per record: edge uid and run end; per uid: last slot. Computed once.
+
+        The uid is the rank of the record's packed key among the distinct
+        keys. Slots are walked backwards, and a record continues a run when
+        its edge was seen in the next slot, so only per-uid state spans slots.
+        """
+        if self._runs is None:
+            keys = self._edge_keys()
+            ordered = np.sort(keys)  # np.unique is several times slower here
+            first = np.ones(keys.size, bool)
+            first[1:] = ordered[1:] != ordered[:-1]
+            uid = np.searchsorted(ordered[first], keys)
+            run_last = np.empty(keys.size, np.int32)
+            global_last = np.zeros(uid.max(initial=-1) + 1, np.int32)
+            next_seen = np.zeros_like(global_last)  # earliest slot seen so far
+            run_end = np.zeros_like(global_last)  # run end of that sighting
+            for slot in range(self.num_slots, 0, -1):
+                span = slice(self.offsets[slot - 1], self.offsets[slot])
+                ids = uid[span]
+                ends = np.where(next_seen[ids] == slot + 1, run_end[ids], slot)
+                run_last[span] = run_end[ids] = ends
+                next_seen[ids] = slot
+                global_last[ids] = np.maximum(global_last[ids], slot)
+            self._runs = (uid, run_last, global_last)
+        return self._runs
+
+    @property
+    def global_last(self) -> np.ndarray:
+        """Last slot anywhere in the series of each edge, indexed by uid."""
+        return self._lifetimes()[2]
+
     def __eq__(self, other):
         if not isinstance(other, SnapshotSeries):
             return NotImplemented
         return (
             self.scenario == other.scenario
             and self.roster == other.roster
-            and self.snapshots == other.snapshots
+            and all(np.array_equal(getattr(self, col), getattr(other, col))
+                    for col in ("offsets", "u", "v", "delay_ms"))
         )
 
     def __repr__(self):
@@ -237,57 +284,6 @@ class SnapshotSeries:
             f"SnapshotSeries(slots={self.num_slots}, sats={self.roster.num_satellites}, "
             f"gs={len(self.roster.ground_stations)})"
         )
-
-
-@dataclass(frozen=True, eq=False)  # array fields: compare identity, not contents
-class LinkDetails:
-    """Per-slot edge lifetimes, each array aligned with that slot's edge order.
-
-    ``edge_uids_by_slot[k][i]`` is a series-wide id of the canonical edge
-    ``(u[i], v[i])`` of snapshot ``k + 1``; ``run_last_by_slot[k][i]`` is the
-    last slot of the run of consecutive slots containing it, and
-    ``global_last[uid]`` the edge's last slot anywhere in the series.
-    """
-
-    num_slots: int
-    num_edges: int
-    edge_uids_by_slot: tuple[np.ndarray, ...]
-    run_last_by_slot: tuple[np.ndarray, ...]
-    global_last: np.ndarray
-
-
-def build_link_details(series: SnapshotSeries) -> LinkDetails:
-    """Edge ids and run ends of every edge record in a series."""
-    counts = [snap.edge_count for snap in series.snapshots]
-    keys = np.concatenate([snap._keys for snap in series.snapshots])
-    slots = np.repeat(np.arange(1, series.num_slots + 1, dtype=np.int32), counts)
-    order = np.argsort(keys, kind="stable")  # stable keeps slots ascending per edge
-    skey = keys[order]
-    sslot = slots[order]
-
-    new_edge = np.ones(keys.size, bool)
-    new_edge[1:] = skey[1:] != skey[:-1]
-    new_run = new_edge.copy()
-    new_run[1:] |= sslot[1:] != sslot[:-1] + 1
-    edge_end = np.ones(keys.size, bool)
-    edge_end[:-1] = new_edge[1:]
-    run_end = np.ones(keys.size, bool)
-    run_end[:-1] = new_run[1:]
-
-    # scatter uid and containing-run end back to snapshot edge order
-    uid = np.empty(keys.size, np.int64)
-    uid[order] = np.cumsum(new_edge) - 1
-    run_last = np.empty(keys.size, np.int32)
-    run_last[order] = sslot[run_end][np.cumsum(new_run) - 1]
-    global_last = sslot[edge_end]
-    splits = np.cumsum(counts)[:-1]
-    return LinkDetails(
-        num_slots=series.num_slots,
-        num_edges=global_last.size,
-        edge_uids_by_slot=tuple(np.split(uid, splits)),
-        run_last_by_slot=tuple(np.split(run_last, splits)),
-        global_last=global_last,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +398,8 @@ def _edge_lines(lines, markers: list[str]):
 def import_series(path) -> SnapshotSeries:
     """Parse and fully validate a series file; raises only SeriesFormatError.
 
-    One ``np.loadtxt`` call reads every edge record; the slot column is then
-    checked and cut into snapshots, and ``Snapshot``/``SnapshotSeries`` apply
-    the edge rules.
+    One ``np.loadtxt`` call reads every edge record; the importer checks the
+    slot column and ``SnapshotSeries`` applies the edge rules.
     """
     markers: list[str] = []
     try:
@@ -437,13 +432,9 @@ def import_series(path) -> SnapshotSeries:
         if crowded.size:
             raise ValueError(f"empty-slot marker for non-empty slot {crowded[0]}")
 
-        rec = rec[~is_marker]
-        bounds = np.searchsorted(rec["slot"], np.arange(1, last + 2))
-        u, v, delay = rec["u"], rec["v"], rec["delay"]
-        snapshots = [
-            Snapshot(k, u[lo:hi], v[lo:hi], delay[lo:hi], roster.num_nodes, roster.num_satellites)
-            for k, lo, hi in zip(range(1, last + 1), bounds[:-1], bounds[1:])
-        ]
-        return SnapshotSeries(scenario=scenario, roster=roster, snapshots=snapshots)
+        if markers:
+            rec = rec[~is_marker]
+        offsets = np.searchsorted(rec["slot"], np.arange(1, last + 2))
+        return SnapshotSeries(scenario, roster, offsets, rec["u"], rec["v"], rec["delay"])
     except ValueError as exc:  # includes bad UTF-8 and records np.loadtxt cannot parse
         raise SeriesFormatError(str(exc)) from exc

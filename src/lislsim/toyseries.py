@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .constellation import GroundStation, ScenarioParams
-from .topology import NodeRoster, Snapshot, SnapshotSeries
+from .topology import NodeRoster, SnapshotSeries
 
 
 def series_from_edges(
@@ -26,13 +28,11 @@ def series_from_edges(
         slot_duration_s=slot_duration_s,
         num_slots=len(slot_edges),
     )
-    snapshots = [
-        Snapshot.from_edges(
-            slot, edges, num_nodes=roster.num_nodes, num_satellites=num_satellites
-        )
-        for slot, edges in enumerate(slot_edges, start=1)
-    ]
-    return SnapshotSeries(scenario=scenario, roster=roster, snapshots=snapshots)
+    pairs = [pair for edges in slot_edges for pair in edges]
+    delays = [w for edges in slot_edges for w in edges.values()]
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    offsets = np.cumsum([0] + [len(edges) for edges in slot_edges])
+    return SnapshotSeries(scenario, roster, offsets, u, v, delays)
 
 
 def dominance_toy_series() -> SnapshotSeries:

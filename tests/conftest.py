@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 from lislsim.constellation import GroundStation
-from lislsim.topology import Snapshot
+from lislsim.topology import Snapshot, SnapshotSeries
 from lislsim.toyseries import dominance_toy_series, series_from_edges
 
 # Per-slot end-to-end delays of the four-route worked example (route id ->
@@ -35,14 +37,31 @@ def square_edges(cheap: float = 4.0, dear: float = 5.0) -> dict[tuple[int, int],
     return {(0, 1): dear, (1, 3): dear, (0, 2): cheap, (2, 3): cheap}
 
 
+def one_slot(edges: dict[tuple[int, int], float], num_nodes: int,
+             num_satellites: int | None = None) -> Snapshot:
+    """The snapshot of a one-slot series; ids from num_satellites up are stations."""
+    sats = num_nodes if num_satellites is None else num_satellites
+    stations = tuple(GroundStation(i, f"gs{i}", 0.0, 0.0) for i in range(sats, num_nodes))
+    return series_from_edges([edges], num_satellites=sats, ground_stations=stations).snapshot(1)
+
+
+def head_series(series: SnapshotSeries, num_slots: int) -> SnapshotSeries:
+    """The first ``num_slots`` slots of a series."""
+    end = series.offsets[num_slots]
+    return SnapshotSeries(
+        replace(series.scenario, num_slots=num_slots), series.roster,
+        series.offsets[: num_slots + 1], series.u[:end], series.v[:end], series.delay_ms[:end],
+    )
+
+
 @pytest.fixture
 def square_snapshot() -> Snapshot:
-    return Snapshot.from_edges(1, square_edges(), num_nodes=4)
+    return one_slot(square_edges(), num_nodes=4)
 
 
 @pytest.fixture
 def tie_snapshot() -> Snapshot:
-    return Snapshot.from_edges(1, square_edges(cheap=5.0, dear=5.0), num_nodes=4)
+    return one_slot(square_edges(cheap=5.0, dear=5.0), num_nodes=4)
 
 
 def worked_example_series():

@@ -8,7 +8,6 @@ lines. The full-constellation fixtures (criteria 6-8) build a 1584-satellite,
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,16 +32,10 @@ from lislsim.routing import (
     isasr,
     run_algorithm,
 )
-from lislsim.topology import (
-    Snapshot,
-    SnapshotSeries,
-    build_link_details,
-    export_series,
-    import_series,
-)
+from lislsim.topology import export_series, import_series
 from lislsim.toyseries import dominance_toy_series
 
-from conftest import random_series, worked_example_series
+from conftest import head_series, one_slot, random_series, worked_example_series
 from test_kernels import reference_route
 from test_routing import exhaustive_best_path
 
@@ -76,7 +69,6 @@ def desk():
     cfg = default_config()
     start = time.perf_counter()
     series = generate_series(cfg.constellation, list(cfg.ground_stations), cfg.scenario)
-    details = build_link_details(series)
     ny = series.roster.station("new_york").id
     london = series.roster.station("london").id
     hanoi = series.roster.station("hanoi").id
@@ -85,19 +77,14 @@ def desk():
     for dst in (london, hanoi):
         schedules[(dst, "ilsr", None)] = ilsr(series, ny, dst)
         schedules[(dst, "ilpr", None)] = ilpr(series, ny, dst)
-        schedules[(dst, "alpr", 1000.0)] = alpr(series, ny, dst, 1000.0, details=details)
-        schedules[(dst, "isasr", 1000.0)] = isasr(
-            series, details, ny, dst, 1000.0, 1000.0, 100.0
-        )
+        schedules[(dst, "alpr", 1000.0)] = alpr(series, ny, dst, 1000.0)
+        schedules[(dst, "isasr", 1000.0)] = isasr(series, ny, dst, 1000.0, 1000.0, 100.0)
     for eta_s in (10.0, 100.0):
-        schedules[(london, "alpr", eta_s)] = alpr(series, ny, london, eta_s, details=details)
-        schedules[(london, "isasr", eta_s)] = isasr(
-            series, details, ny, london, eta_s, eta_s, 100.0
-        )
+        schedules[(london, "alpr", eta_s)] = alpr(series, ny, london, eta_s)
+        schedules[(london, "isasr", eta_s)] = isasr(series, ny, london, eta_s, eta_s, 100.0)
     elapsed = time.perf_counter() - start
     return SimpleNamespace(
         series=series,
-        details=details,
         ny=ny,
         london=london,
         hanoi=hanoi,
@@ -119,7 +106,6 @@ def _schedule(desk_ns, dst, name, eta_s):
 def test_criterion_1_worked_example_golden():
     with criterion(1, "lifetime-averaged latency table and selections"):
         series = worked_example_series()
-        details = build_link_details(series)
         src, dst = 4, 5
         expected = {
             1.0: {1: 26.98, 2: 28.02, 3: 27.76, 4: 28.10},
@@ -127,7 +113,7 @@ def test_criterion_1_worked_example_golden():
         }
         for eta_s, per_route in expected.items():
             for rid, want in per_route.items():
-                avg = alpr_average_latency(Route((src, rid - 1, dst)), details, series, 1, eta_s)
+                avg = alpr_average_latency(Route((src, rid - 1, dst)), series, 1, eta_s)
                 got = round(avg, 2)
                 if rid == 4 and eta_s == 1000.0:
                     # the underlying value is exactly 152.975: accept both
@@ -205,8 +191,7 @@ def test_criterion_5_isasr_reduction_on_toy_constellation():
             slot_duration_s=10.0, num_slots=60,
         )
         series = generate_series(shell, stations, scenario)
-        details = build_link_details(series)
-        a = isasr(series, details, 50, 51, 1000.0, 0.0, math.inf)
+        a = isasr(series, 50, 51, 1000.0, 0.0, math.inf)
         b = ilsr(series, 50, 51)
         for ra, rb in zip(a.routes, b.routes):
             if ra is None or rb is None:
@@ -245,9 +230,7 @@ def test_ilsr_routes_match_full_settle_oracle(desk):
 
 def test_stock_density_series_round_trips(desk, tmp_path):
     """20 stock slots (~370k edge records) survive export/import unchanged."""
-    head = SnapshotSeries(
-        replace(desk.series.scenario, num_slots=20), desk.series.roster, desk.series.snapshots[:20]
-    )
+    head = head_series(desk.series, 20)
     export_series(head, tmp_path / "a.series")
     again = import_series(tmp_path / "a.series")
     assert again == head
@@ -355,7 +338,7 @@ def test_criterion_10_dijkstra_exhaustive_oracle():
                         edges[(a, b)] = 0.25 + float(rng.integers(0, 256)) / 64.0
             if not edges:
                 continue
-            snap = Snapshot.from_edges(1, edges, num_nodes=n)
+            snap = one_slot(edges, num_nodes=n)
             got = dijkstra(snap, 0, n - 1)
             expected = exhaustive_best_path(edges, 0, n - 1)
             if expected is None:

@@ -20,7 +20,7 @@ PACKAGE = Path(lislsim.__file__).parent
 
 # README "Library use": what a script may call without any caller in the package
 LIBRARY_ENTRY_POINTS = {
-    "default_config", "generate_series", "build_link_details", "ilsr", "isasr",
+    "default_config", "generate_series", "ilsr", "isasr",
     "evaluate", "dp_optimal", "brute_force_optimal", "enumerate_routes",
 }
 

@@ -323,6 +323,16 @@ class TestBadOracleValues:
         assert rc == 1
         assert out == "" and err.startswith("error: ")
 
+    def test_instances_beyond_the_brute_force_cap_exit_1_before_any_check(
+        self, tmp_path, tiny_config, capsys
+    ):
+        cfg = tmp_path / "oracle.ini"
+        cfg.write_text(tiny_config.read_text() + "max_routes = 30\nmax_slots = 8\n")
+        rc = main(["oracle", "--config", str(cfg), "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == "" and "brute-force cap" in err
+
 
 class TestBadShellValues:
     @pytest.mark.parametrize(

@@ -176,9 +176,10 @@ class TestLoadConfig:
             ("eta_s_ms = 0 nan", "setup delays"),
             ("eta_s_ms = 0 inf", "setup delays"),
             ("eta_s_ms = -1", "setup delays"),
+            ("max_routes = 30\nmax_slots = 8", "brute-force cap"),
         ],
         ids=["low-nan", "high-inf", "low-negative", "low-above-high", "eta-nan", "eta-inf",
-             "eta-negative"],
+             "eta-negative", "over-brute-force-cap"],
     )
     def test_bad_oracle_values_rejected(self, tmp_path, line, message):
         path = tmp_path / "oracle.ini"

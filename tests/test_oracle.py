@@ -17,7 +17,6 @@ from lislsim.oracle import (
     validate_selection,
 )
 from lislsim.routing import run_algorithm
-from lislsim.topology import build_link_details
 from lislsim.toyseries import dominance_toy_series, series_from_edges
 
 from conftest import EQ4_DELAYS
@@ -180,13 +179,10 @@ class TestDominance:
     def test_heuristics_never_beat_the_optimum(self):
         series = dominance_toy_series()
         routes, d = enumerate_routes(series, 6, 7, hop_limit=4)
-        details = build_link_details(series)
         for eta_s in (1.0, 10.0, 100.0):
             _, optimal = dp_optimal(d, eta_s)
             for name in ("ilsr", "ilpr", "alpr", "isasr"):
-                schedule = run_algorithm(
-                    name, series, 6, 7, eta_s, cost_thrsh_ms=np.inf, details=details
-                )
+                schedule = run_algorithm(name, series, 6, 7, eta_s, cost_thrsh_ms=np.inf)
                 s = selection_from_schedule(schedule, routes)
                 cost = selection_cost(s, d, eta_s)
                 assert cost >= optimal - 1e-9

@@ -18,10 +18,9 @@ from lislsim.routing import (
     route_lifetime,
     run_algorithm,
 )
-from lislsim.topology import Snapshot, build_link_details
 from lislsim.toyseries import series_from_edges
 
-from conftest import WORKED_EXAMPLE_DELAYS, random_series, square_edges
+from conftest import WORKED_EXAMPLE_DELAYS, one_slot, random_series, square_edges
 
 
 def exhaustive_best_path(edges: dict, src: int, dst: int):
@@ -86,7 +85,7 @@ class TestDijkstra:
         assert dijkstra(tie_snapshot, 0, 3).nodes == (0, 1, 3)
 
     def test_isolated_source_unreachable(self):
-        snap = Snapshot.from_edges(1, {(1, 2): 1.0}, num_nodes=4)
+        snap = one_slot({(1, 2): 1.0}, num_nodes=4)
         assert dijkstra(snap, 0, 2) is None
         assert dijkstra(snap, 3, 1) is None
 
@@ -114,7 +113,7 @@ class TestDijkstra:
         # 0,1 satellites; 2,3,4 ground. Path 2-0-3 exists; the shortcut
         # through ground station 4 must be ignored even though it is cheap.
         edges = {(0, 2): 1.0, (0, 3): 1.0, (0, 4): 0.25, (1, 4): 0.25, (1, 3): 0.25}
-        snap = Snapshot.from_edges(1, edges, num_nodes=5, num_satellites=2)
+        snap = one_slot(edges, num_nodes=5, num_satellites=2)
         route = dijkstra(snap, 2, 3)
         assert route.nodes == (2, 0, 3)
 
@@ -130,7 +129,7 @@ class TestDijkstra:
                         edges[(a, b)] = 0.25 + float(rng.integers(0, 256)) / 64.0
             if not edges:
                 continue
-            snap = Snapshot.from_edges(1, edges, num_nodes=n)
+            snap = one_slot(edges, num_nodes=n)
             expected = exhaustive_best_path(edges, 0, n - 1)
             got = dijkstra(snap, 0, n - 1)
             if expected is None:
@@ -228,14 +227,14 @@ class TestDisjointRoutes:
 
     def test_degree_one_bound(self):
         edges = {(0, 1): 1.0, (1, 2): 1.0, (1, 3): 1.0, (2, 4): 1.0, (3, 4): 1.0}
-        snap = Snapshot.from_edges(1, edges, num_nodes=5)
+        snap = one_slot(edges, num_nodes=5)
         routes = disjoint_routes(snap, 0, 4)
         assert len(routes) == 1  # deg(0) == 1 caps the count
 
     def test_early_stop_when_graph_disconnects(self):
         # two disjoint routes share the bottleneck 0-1, so only one exists
         edges = {(0, 1): 1.0, (1, 2): 1.0, (2, 4): 1.0, (1, 3): 1.0, (3, 4): 1.0}
-        snap = Snapshot.from_edges(1, edges, num_nodes=5)
+        snap = one_slot(edges, num_nodes=5)
         routes = disjoint_routes(snap, 0, 4)
         assert len(routes) == 1
 
@@ -263,22 +262,19 @@ class TestRouteLifetime:
             for s in slots:
                 per_slot[s - 1][edge] = 1.0
         series = series_from_edges(per_slot, num_satellites=6)
-        details = build_link_details(series)
         route = Route((0, 1, 2, 3, 4, 5))
-        assert route_lifetime(route, details, series.snapshot(85)) == 93
+        assert route_lifetime(route, series.snapshot(85)) == 93
 
     def test_permanent_route_expires_at_horizon(self):
         series = series_from_edges([{(0, 1): 1.0, (1, 2): 1.0}] * 7, num_satellites=3)
-        details = build_link_details(series)
-        assert route_lifetime(Route((0, 1, 2)), details, series.snapshot(3)) == 7
+        assert route_lifetime(Route((0, 1, 2)), series.snapshot(3)) == 7
 
     def test_single_slot_run(self):
         per_slot = [{(0, 1): 1.0}, {(2, 3): 1.0}, {(0, 1): 1.0}]
         series = series_from_edges(per_slot, num_satellites=4)
-        details = build_link_details(series)
-        assert route_lifetime(Route((0, 1)), details, series.snapshot(1)) == 1
+        assert route_lifetime(Route((0, 1)), series.snapshot(1)) == 1
         with pytest.raises(ValueError):
-            route_lifetime(Route((0, 1)), details, series.snapshot(2))
+            route_lifetime(Route((0, 1)), series.snapshot(2))
 
 
 class TestAlprAverageLatency:
@@ -290,20 +286,17 @@ class TestAlprAverageLatency:
         ],
     )
     def test_worked_example_values(self, table_series, rid, eta_s, expected):
-        details = build_link_details(table_series)
         route = Route((4, rid - 1, 5))
-        avg = alpr_average_latency(route, details, table_series, 1, eta_s)
+        avg = alpr_average_latency(route, table_series, 1, eta_s)
         assert round(avg, 2) == pytest.approx(expected, abs=0.01)
 
     def test_worked_example_route4_truncation(self, table_series):
-        details = build_link_details(table_series)
-        avg = alpr_average_latency(Route((4, 3, 5)), details, table_series, 1, 1000.0)
+        avg = alpr_average_latency(Route((4, 3, 5)), table_series, 1, 1000.0)
         assert avg == pytest.approx(152.975, abs=1e-9)
 
     def test_matches_direct_formula(self, table_series):
-        details = build_link_details(table_series)
         delays = WORKED_EXAMPLE_DELAYS[2]
-        avg = alpr_average_latency(Route((4, 1, 5)), details, table_series, 3, 7.0)
+        avg = alpr_average_latency(Route((4, 1, 5)), table_series, 3, 7.0)
         expected = (7.0 + sum(delays[2:])) / (len(delays) - 2)
         assert avg == pytest.approx(expected, abs=1e-12)
 
@@ -330,13 +323,12 @@ class TestAlpr:
         rng = np.random.default_rng(21)
         for _ in range(10):
             series = random_series(rng, num_nodes=7, num_slots=12)
-            details = build_link_details(series)
-            schedule = alpr(series, 0, 6, 50.0, details=details)
+            schedule = alpr(series, 0, 6, 50.0)
             i = 1
             while i <= series.num_slots:
                 route = schedule.routes[i - 1]
                 assert route is not None
-                last = route_lifetime(route, details, series.snapshot(i))
+                last = route_lifetime(route, series.snapshot(i))
                 # the active block extends exactly to the route's expiry
                 for k in range(i, last + 1):
                     assert schedule.routes[k - 1] is route
@@ -381,8 +373,7 @@ class TestIsasr:
         rng = np.random.default_rng(31)
         for trial in range(8):
             series = random_series(rng, num_nodes=8, num_slots=10)
-            details = build_link_details(series)
-            a = isasr(series, details, 0, 7, 1000.0, 0.0, math.inf)
+            a = isasr(series, 0, 7, 1000.0, 0.0, math.inf)
             b = ilsr(series, 0, 7)
             for ra, rb in zip(a.routes, b.routes):
                 assert (ra is None) == (rb is None)
@@ -391,8 +382,7 @@ class TestIsasr:
 
     def test_static_topology_sticks_to_first_route(self):
         series = series_from_edges([square_edges()] * 6, num_satellites=4)
-        details = build_link_details(series)
-        schedule = isasr(series, details, 0, 3, 100.0, 100.0, math.inf)
+        schedule = isasr(series, 0, 3, 100.0, 100.0, math.inf)
         assert schedule.switch_flags().sum() == 0
         assert all(r.nodes == schedule.routes[0].nodes for r in schedule.routes)
 
@@ -405,13 +395,12 @@ class TestIsasr:
             {(0, 1): 1.0, (2, 3): 1.0, (0, 4): 2.0, (4, 3): 2.0},
         ]
         series = series_from_edges(per_slot, num_satellites=5)
-        details = build_link_details(series)
         eta_s = 100.0
         # cost_st of (1,2) at slot 1 is eta_s/1 = 100 >= threshold
-        schedule = isasr(series, details, 0, 3, eta_s, 1.0, cost_thrsh_ms=100.0)
+        schedule = isasr(series, 0, 3, eta_s, 1.0, cost_thrsh_ms=100.0)
         assert schedule.routes[0].nodes == (0, 4, 3)
         # with a huge threshold the short-lived edge is allowed again
-        loose = isasr(series, details, 0, 3, eta_s, 0.0, cost_thrsh_ms=math.inf)
+        loose = isasr(series, 0, 3, eta_s, 0.0, cost_thrsh_ms=math.inf)
         assert loose.routes[0].nodes == (0, 1, 2, 3)
 
     def test_ground_edges_survive_pruning(self):
@@ -429,14 +418,12 @@ class TestIsasr:
             {(0, 1): 1.0, (1, 3): 1.0},
         ]
         series = series_from_edges(per_slot, num_satellites=2, ground_stations=stations)
-        details = build_link_details(series)
-        schedule = isasr(series, details, 2, 3, 100.0, 1.0, cost_thrsh_ms=50.0)
+        schedule = isasr(series, 2, 3, 100.0, 1.0, cost_thrsh_ms=50.0)
         assert schedule.routes[0].nodes == (2, 0, 1, 3)
         assert schedule.unreachable_slots() == [2, 3]
 
     def test_reported_delays_use_original_costs(self, toy_series):
-        details = build_link_details(toy_series)
-        schedule = isasr(toy_series, details, 6, 7, 100.0, 100.0, math.inf)
+        schedule = isasr(toy_series, 6, 7, 100.0, 100.0, math.inf)
         for i, route in enumerate(schedule.routes, start=1):
             snap = toy_series.snapshot(i)
             assert snap.route_delay(route) == sum(
@@ -444,9 +431,8 @@ class TestIsasr:
             )
 
     def test_gamma_must_be_non_negative(self, toy_series):
-        details = build_link_details(toy_series)
         with pytest.raises(ValueError):
-            isasr(toy_series, details, 6, 7, 1.0, -1.0, 1.0)
+            isasr(toy_series, 6, 7, 1.0, -1.0, 1.0)
 
 
 class TestScheduleFeasibility:
@@ -504,25 +490,10 @@ class TestPermanentEdgeCosts:
         from lislsim.routing import isasr_stability_cost
 
         series = series_from_edges([square_edges()] * 6, num_satellites=4)
-        details = build_link_details(series)
         for slot in (1, 3, 6):
-            run_last = details.run_last_by_slot[slot - 1]
+            run_last = series.snapshot(slot).run_last
             assert run_last.size == 4
             assert not isasr_stability_cost(run_last, slot, 6, 1000.0).any()
-
-
-class TestDetailsGuards:
-    def test_alpr_rejects_mismatched_details(self, toy_series):
-        other = series_from_edges([{(0, 1): 1.0}] * 2, num_satellites=2)
-        details = build_link_details(other)
-        with pytest.raises(ValueError, match="different series"):
-            alpr(toy_series, 6, 7, 1.0, details=details)
-
-    def test_isasr_rejects_mismatched_details(self, toy_series):
-        other = series_from_edges([{(0, 1): 1.0}] * 2, num_satellites=2)
-        details = build_link_details(other)
-        with pytest.raises(ValueError, match="different series"):
-            isasr(toy_series, details, 6, 7, 1.0, 1.0, 1.0)
 
 
 class TestIsasrConfigSwitches:
@@ -539,13 +510,12 @@ class TestIsasrConfigSwitches:
 
         per_slot = [edges(1.0), edges(1.0), edges(50.0), edges(1.0)]
         series = series_from_edges(per_slot, num_satellites=4)
-        details = build_link_details(series)
-        sticky = isasr(series, details, 0, 3, eta_s_ms=10.0, gamma=1.0,
+        sticky = isasr(series, 0, 3, eta_s_ms=10.0, gamma=1.0,
                        cost_thrsh_ms=math.inf)
         assert [r.nodes for r in sticky.routes] == [
             (0, 1, 3), (0, 1, 3), (0, 2, 3), (0, 1, 3)
         ]
-        resetting = isasr(series, details, 0, 3, eta_s_ms=10.0, gamma=1.0,
+        resetting = isasr(series, 0, 3, eta_s_ms=10.0, gamma=1.0,
                           cost_thrsh_ms=math.inf, reset_dropped_edges=True)
         assert [r.nodes for r in resetting.routes] == [
             (0, 1, 3), (0, 1, 3), (0, 2, 3), (0, 2, 3)
@@ -558,10 +528,9 @@ class TestIsasrConfigSwitches:
         stable_only = {(0, 1): 1.0, (0, 2): 2.0, (2, 3): 2.0}
         per_slot = [gappy, gappy, stable_only, gappy, gappy, gappy]
         series = series_from_edges(per_slot, num_satellites=4)
-        details = build_link_details(series)
-        per_run = isasr(series, details, 0, 3, eta_s_ms=100.0, gamma=1.0,
+        per_run = isasr(series, 0, 3, eta_s_ms=100.0, gamma=1.0,
                         cost_thrsh_ms=math.inf)
         assert per_run.routes[0].nodes == (0, 2, 3)
-        global_l = isasr(series, details, 0, 3, eta_s_ms=100.0, gamma=1.0,
+        global_l = isasr(series, 0, 3, eta_s_ms=100.0, gamma=1.0,
                          cost_thrsh_ms=math.inf, global_lifetimes=True)
         assert global_l.routes[0].nodes == (0, 1, 3)

@@ -3,6 +3,7 @@
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,15 +13,15 @@ from lislsim.config import default_config
 from lislsim.constellation import generate_series
 from lislsim.topology import (
     SeriesFormatError,
-    Snapshot,
     SnapshotSeries,
     NodeRoster,
-    build_link_details,
     export_series,
     import_series,
 )
 from lislsim.routing import Route
 from lislsim.toyseries import dominance_toy_series, series_from_edges
+
+from conftest import head_series, one_slot
 
 
 def edge_delay(snap, a, b):
@@ -40,37 +41,37 @@ def slots_series(slot_lists: dict[tuple[int, int], list[int]], num_slots: int):
 class TestSnapshot:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
-            Snapshot.from_edges(1, {(2, 2): 1.0}, num_nodes=3)
+            one_slot({(2, 2): 1.0}, num_nodes=3)
 
     def test_rejects_duplicate_edges(self):
         with pytest.raises(ValueError, match="duplicate edge"):
-            Snapshot(1, [0, 1], [1, 0], [1.0, 2.0], num_nodes=2)
+            one_slot({(0, 1): 1.0, (1, 0): 2.0}, num_nodes=2)
 
     def test_rejects_non_positive_delay(self):
         with pytest.raises(ValueError, match="non-positive delay"):
-            Snapshot.from_edges(1, {(0, 1): 0.0}, num_nodes=2)
+            one_slot({(0, 1): 0.0}, num_nodes=2)
         with pytest.raises(ValueError, match="non-positive delay"):
-            Snapshot.from_edges(1, {(0, 1): -3.0}, num_nodes=2)
+            one_slot({(0, 1): -3.0}, num_nodes=2)
 
     def test_rejects_out_of_range_ids(self):
         with pytest.raises(ValueError, match="id range"):
-            Snapshot.from_edges(1, {(0, 7): 1.0}, num_nodes=3)
+            one_slot({(0, 7): 1.0}, num_nodes=3)
         with pytest.raises(ValueError, match="id range"):
-            Snapshot(1, [0], [-1], [1.0], num_nodes=3)
+            one_slot({(0, -1): 1.0}, num_nodes=3)
         with pytest.raises(ValueError, match="id range"):
-            Snapshot(1, [0], [2**32 + 1], [1.0], num_nodes=3)  # would wrap in int32
+            one_slot({(0, 2**32 + 1): 1.0}, num_nodes=3)  # would wrap in int32
 
     def test_canonicalizes_reversed_pairs(self):
-        snap = Snapshot.from_edges(1, {(3, 1): 2.0}, num_nodes=4)
+        snap = one_slot({(3, 1): 2.0}, num_nodes=4)
         assert edge_delay(snap, 1, 3) is not None and edge_delay(snap, 3, 1) is not None
         assert edge_delay(snap, 3, 1) == 2.0
 
     def test_delays_quantized_to_nine_digits(self):
-        snap = Snapshot.from_edges(1, {(0, 1): 1.23456789012345}, num_nodes=2)
+        snap = one_slot({(0, 1): 1.23456789012345}, num_nodes=2)
         assert edge_delay(snap, 0, 1) == round(1.23456789012345, 9)
 
     def test_route_delay_none_when_edge_missing(self):
-        snap = Snapshot.from_edges(1, {(0, 1): 1.0, (1, 2): 2.0}, num_nodes=4)
+        snap = one_slot({(0, 1): 1.0, (1, 2): 2.0}, num_nodes=4)
         assert snap.route_delay(Route((0, 1, 2))) == 3.0
         assert snap.route_delay(Route((0, 1, 3))) is None
 
@@ -123,46 +124,40 @@ def reference_run_last(series, edge, slot):
     return last
 
 
-def assert_matches_reference(series, details):
+def assert_matches_reference(series):
     """run_last, global_last and uid identity agree with brute-force scans."""
-    assert details.num_slots == series.num_slots
     seen_uid = {}
     for snap in series.snapshots:
-        uids = details.edge_uids_by_slot[snap.slot - 1]
-        run_last = details.run_last_by_slot[snap.slot - 1]
+        uids, run_last = snap.uids, snap.run_last
         assert uids.shape == run_last.shape == snap.u.shape
         for k, edge in enumerate(zip(snap.u.tolist(), snap.v.tolist())):
             assert run_last[k] == reference_run_last(series, edge, snap.slot)
             present = [s.slot for s in series.snapshots if edge_delay(s, *edge) is not None]
-            assert details.global_last[uids[k]] == present[-1]
+            assert series.global_last[uids[k]] == present[-1]
             assert seen_uid.setdefault(edge, int(uids[k])) == uids[k]
     # same uid <=> same canonical edge, numbered 0..num_edges-1
-    assert sorted(seen_uid.values()) == list(range(details.num_edges))
-    assert details.global_last.shape == (details.num_edges,)
+    assert sorted(seen_uid.values()) == list(range(series.global_last.size))
 
 
-def run_last_at(details, series, edge, slot):
-    pos = int(series.snapshot(slot).edge_positions([edge])[0])
-    return int(details.run_last_by_slot[slot - 1][pos])
+def run_last_at(series, edge, slot):
+    snap = series.snapshot(slot)
+    return int(snap.run_last[snap.edge_positions([edge])[0]])
 
 
 class TestLinkDetails:
     def test_example_slot_list(self):
         series = slots_series({(0, 1): [3, 4, 5, 9, 10]}, num_slots=12)
-        details = build_link_details(series)
-        ends = [run_last_at(details, series, (0, 1), s) for s in (3, 4, 5, 9, 10)]
+        ends = [run_last_at(series, (0, 1), s) for s in (3, 4, 5, 9, 10)]
         assert ends == [5, 5, 5, 10, 10]
-        assert details.num_edges == 1 and details.global_last.tolist() == [10]
+        assert series.global_last.tolist() == [10]
 
     def test_permanent_edge(self):
         series = slots_series({(0, 1): list(range(1, 13))}, num_slots=12)
-        details = build_link_details(series)
-        assert run_last_at(details, series, (0, 1), 5) == 12
+        assert run_last_at(series, (0, 1), 5) == 12
 
     def test_containing_run(self):
         series = slots_series({(0, 1): [3, 4, 5, 9, 10]}, num_slots=12)
-        details = build_link_details(series)
-        assert run_last_at(details, series, (0, 1), 4) == 5
+        assert run_last_at(series, (0, 1), 4) == 5
 
     @given(
         st.dictionaries(
@@ -175,17 +170,35 @@ class TestLinkDetails:
     @settings(max_examples=60, deadline=None)
     def test_duality_and_run_maximality(self, table):
         series = slots_series({e: sorted(s) for e, s in table.items()}, num_slots=15)
-        assert_matches_reference(series, build_link_details(series))
+        assert_matches_reference(series)
 
     def test_per_slot_arrays_align_with_snapshots(self):
         series = dominance_toy_series()
-        assert_matches_reference(series, build_link_details(series))
+        assert_matches_reference(series)
 
     def test_series_without_edges(self):
         series = slots_series({}, num_slots=3)
-        details = build_link_details(series)
-        assert details.num_edges == 0
-        assert [a.size for a in details.edge_uids_by_slot] == [0, 0, 0]
+        assert series.global_last.size == 0
+        assert [snap.uids.size for snap in series.snapshots] == [0, 0, 0]
+
+
+class TestColumnViews:
+    def test_snapshots_are_slices_of_the_series_columns(self, tmp_path):
+        shell = ConstellationParams(2, 5, 53.0, 550.0)
+        stations = [GroundStation(id=10, name="a", latitude_deg=45.0, longitude_deg=7.0)]
+        scenario = ScenarioParams(
+            lisl_range_km=4500.0, gs_range_km=1200.0, node_delay_ms=1.0,
+            slot_duration_s=30.0, num_slots=3,
+        )
+        generated = generate_series(shell, stations, scenario)
+        export_series(generated, tmp_path / "gen.series")
+        imported = import_series(tmp_path / "gen.series")
+        for series in (generated, imported, dominance_toy_series()):
+            for snap in series.snapshots:
+                assert snap.edge_count > 0
+                for col in ("u", "v", "delay_ms"):
+                    assert np.shares_memory(getattr(snap, col), getattr(series, col))
+                    assert not getattr(snap, col).flags.writeable
 
 
 class TestSeriesFile:
@@ -217,6 +230,31 @@ class TestSeriesFile:
         path = tmp_path / "gap.series"
         export_series(series, path)
         assert import_series(path) == series
+
+    def test_shuffled_records_import_canonical(self, tmp_path):
+        # exported files are already canonical, so only a hand-made file
+        # reaches the path that swaps endpoints and sorts a slot
+        series = dominance_toy_series()
+        export_series(series, tmp_path / "canonical.series")
+        lines = (tmp_path / "canonical.series").read_text().splitlines()
+        header, records = lines[:5], lines[5:]
+        assert header[-1].startswith("gs 7 ") and records[0].startswith("1 ")
+        rng = np.random.default_rng(5)
+        shuffled = []
+        for slot in range(1, series.num_slots + 1):
+            in_slot = [r.split() for r in records if r.split()[0] == str(slot)]
+            for i in rng.permutation(len(in_slot)):
+                k, a, b, d = in_slot[i]
+                shuffled.append(" ".join((k, b, a, d) if rng.random() < 0.5 else (k, a, b, d)))
+        fields = [[int(x) for x in r.split()[:3]] for r in shuffled]
+        assert any(a > b for _, a, b in fields)  # some endpoints swapped
+        assert any(x[:2] > y[:2] for x, y in zip(fields, fields[1:]) if x[0] == y[0])
+        (tmp_path / "shuffled.series").write_text("\n".join(header + shuffled) + "\n")
+        again = import_series(tmp_path / "shuffled.series")
+        assert again == series
+        export_series(again, tmp_path / "again.series")
+        canonical = (tmp_path / "canonical.series").read_bytes()
+        assert (tmp_path / "again.series").read_bytes() == canonical
 
     def test_non_consecutive_slots_rejected(self, tmp_path):
         series = series_from_edges([{(0, 1): 1.0}, {(0, 1): 1.5}], num_satellites=2)
@@ -348,13 +386,11 @@ class TestExportWriter:
 
     def test_memory_bounded_by_one_slot(self, stock_head, tmp_path):
         # four slots: a writer that holds the whole text peaks at ~2.7x one slot
-        head = SnapshotSeries(
-            replace(stock_head.scenario, num_slots=4), stock_head.roster, stock_head.snapshots[:4]
-        )
+        head = head_series(stock_head, 4)
         big = max(head.snapshots, key=lambda snap: snap.edge_count)
         one = SnapshotSeries(
             replace(head.scenario, num_slots=1), head.roster,
-            [Snapshot(1, big.u, big.v, big.delay_ms, big.num_nodes, big.num_satellites)],
+            [0, big.edge_count], big.u, big.v, big.delay_ms,
         )
         one_peak = _export_peak_bytes(one, tmp_path / "one.series")
         all_peak = _export_peak_bytes(head, tmp_path / "all.series")
@@ -393,13 +429,14 @@ class TestImportContract:
             ("satellites 2\n1 0 1.5 1.0\n2 - - -\n", "malformed edge record"),
             ("satellites 2\n1 0 1 1.0 # note\n2 - - -\n", "malformed edge record"),
             ("satellites 2\n", "header says 2"),
+            ("satellites 5000000000\n1 0 4294967297 1.5\n2 - - -\n", "int32"),
         ],
         ids=[
             "negative-satellites", "duplicate-station-id", "duplicate-station-name",
             "station-id-below-satellites", "slot-0", "slot-gap", "slots-out-of-order",
             "marker-then-edge", "edge-then-marker", "marker-twice", "malformed-marker",
             "forged-marker", "negative-endpoint", "nan-delay", "inf-delay", "extra-field",
-            "float-node-id", "trailing-comment", "no-records",
+            "float-node-id", "trailing-comment", "no-records", "ids-beyond-int32",
         ],
     )
     def test_bad_file_raises_format_error(self, tmp_path, body, message):
