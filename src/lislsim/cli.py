@@ -15,6 +15,7 @@ Exit status: 0 ok, 1 validation/usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -25,8 +26,8 @@ import numpy as np
 
 from . import __version__, metrics, oracle
 from .config import ExperimentConfig, check_routing_values, default_config, load_config
-from .constellation import generate_series
-from .routing import ETA_BLIND_ALGORITHMS, RoutingSchedule, run_algorithm
+from .constellation import auto_float, generate_series
+from .routing import ALGORITHMS, ETA_BLIND_ALGORITHMS, RoutingSchedule, run_algorithm
 from .topology import export_series, import_series
 
 # Four-route worked example: per-slot end-to-end delays (ms) of candidate
@@ -71,28 +72,9 @@ def write_schedule(schedule: RoutingSchedule, series, path) -> None:
 
 
 def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
-    payload = {
-        "tool": "lislsim",
-        "version": __version__,
-        "config": {
-            "constellation": vars(cfg.constellation) | {},
-            "scenario": vars(cfg.scenario) | {},
-            "ground_stations": [
-                [gs.id, gs.name, gs.latitude_deg, gs.longitude_deg]
-                for gs in cfg.ground_stations
-            ],
-            "source": cfg.source,
-            "destination": cfg.destination,
-            "algorithms": list(cfg.algorithms),
-            "eta_s_ms": list(cfg.eta_s_ms),
-            "gamma_ms": cfg.gamma_ms,
-            "cost_thrsh_ms": cfg.cost_thrsh_ms,
-            "qos_ms": list(cfg.qos_ms),
-            "seed": cfg.seed,
-        },
-    }
+    payload = {"tool": "lislsim", "version": __version__, "config": dataclasses.asdict(cfg)}
     payload.update(extra)
-    return json.dumps(payload, indent=2, default=str) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _timed_run(cfg, name, series, src, dst, eta_s, gamma, cost_thrsh):
@@ -166,11 +148,8 @@ def cmd_run(args) -> int:
 
 
 def _gamma_value(flag: str | None, cfg: ExperimentConfig, eta_s: float) -> float:
-    if flag is None:
-        return cfg.gamma_for(eta_s)
-    if flag.strip().lower() == "auto":
-        return eta_s
-    return float(flag)
+    gamma = cfg.gamma if flag is None else auto_float(flag)
+    return eta_s if gamma is None else gamma
 
 
 _SWEEP_COLUMNS = (
@@ -313,7 +292,7 @@ def cmd_oracle(args) -> int:
     violations = []
     for eta_s in (1.0, 10.0, 100.0):
         _, optimal = oracle.dp_optimal(d, eta_s)
-        for name in ("ilsr", "ilpr", "alpr", "isasr"):
+        for name in ALGORITHMS:
             schedule = run_algorithm(name, series, src, dst, eta_s, cost_thrsh_ms=math.inf)
             s = oracle.selection_from_schedule(schedule, routes)
             cost = oracle.selection_cost(s, d, eta_s)
@@ -358,7 +337,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one algorithm and report metrics")
     p_run.add_argument("--config", default=None)
     p_run.add_argument("--series", required=True)
-    p_run.add_argument("--algorithm", required=True, choices=("ilsr", "ilpr", "alpr", "isasr"))
+    p_run.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p_run.add_argument("--eta-s", type=float, default=None, help="setup delay (ms)")
     p_run.add_argument("--gamma", default=None, help="ISASR weight (ms) or 'auto'")
     p_run.add_argument("--cost-thrsh", type=float, default=None, help="ISASR threshold (ms or inf)")

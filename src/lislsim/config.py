@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .constellation import ConstellationParams, GroundStation, ScenarioParams
+from .constellation import (
+    TEXT_PARSERS, ConstellationParams, GroundStation, ScenarioParams, field_values,
+)
 from .oracle import BRUTE_FORCE_CAP
+from .routing import ALGORITHMS
 
 DEFAULT_GROUND_STATIONS = (
     ("new_york", 40.7128, -74.0060),
@@ -37,7 +40,8 @@ class OracleConfig:
     def __post_init__(self):
         if self.instances < 1 or self.max_routes < 1 or self.max_slots < 1:
             raise ValueError("oracle caps must be positive")
-        if self.max_routes ** self.max_slots > BRUTE_FORCE_CAP:
+        # 2 ** 64 already exceeds the cap, so the exponent stops there
+        if self.max_routes > 1 and self.max_routes ** min(self.max_slots, 64) > BRUTE_FORCE_CAP:
             raise ValueError(
                 f"{self.max_routes}^{self.max_slots} assignments exceed the brute-force "
                 f"cap of {BRUTE_FORCE_CAP}"
@@ -48,6 +52,8 @@ class OracleConfig:
             math.isfinite(self.delay_high_ms) and 0 <= self.delay_low_ms <= self.delay_high_ms
         ):
             raise ValueError("oracle delay bounds must be finite with 0 <= low <= high")
+        if not self.eta_s_ms:
+            raise ValueError("oracle needs at least one setup delay")
         if not all(math.isfinite(e) and e >= 0 for e in self.eta_s_ms):
             raise ValueError("oracle setup delays must be finite and non-negative")
 
@@ -77,9 +83,9 @@ class ExperimentConfig:
     ground_stations: tuple[GroundStation, ...]
     source: str
     destination: str
-    algorithms: tuple[str, ...] = ("ilsr", "ilpr", "alpr", "isasr")
+    algorithms: tuple[str, ...] = ALGORITHMS
     eta_s_ms: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
-    gamma_ms: float | None = None  # None: gamma tracks eta_s
+    gamma: float | None = None  # ISASR weight in ms; None (``auto``): gamma tracks eta_s
     cost_thrsh_ms: float = 100.0
     qos_ms: tuple[float, ...] = (27.0, 30.0, 35.0, 40.0)
     reset_dropped_edges: bool = False
@@ -91,8 +97,10 @@ class ExperimentConfig:
     def __post_init__(self):
         check_routing_values(
             eta_s_ms=self.eta_s_ms, qos_ms=self.qos_ms,
-            gamma_ms=self.gamma_ms, cost_thrsh_ms=self.cost_thrsh_ms,
+            gamma_ms=self.gamma, cost_thrsh_ms=self.cost_thrsh_ms,
         )
+        if not (self.algorithms and self.eta_s_ms):
+            raise ValueError("need at least one algorithm and one setup delay")
         if len(self.qos_ms) != len(self.eta_s_ms):
             raise ValueError("qos_ms must pair one threshold with each eta_s value")
         if not (math.isfinite(self.histogram_bin_ms) and self.histogram_bin_ms > 0):
@@ -103,8 +111,7 @@ class ExperimentConfig:
                 raise ValueError(f"endpoint {endpoint!r} is not a configured ground station")
         if self.source == self.destination:
             raise ValueError("source and destination must differ")
-        known = {"ilsr", "ilpr", "alpr", "isasr"}
-        bad = set(self.algorithms) - known
+        bad = set(self.algorithms) - set(ALGORITHMS)
         if bad:
             raise ValueError(f"unknown algorithms: {sorted(bad)}")
 
@@ -116,7 +123,7 @@ class ExperimentConfig:
         raise KeyError(f"no QoS threshold paired with eta_s={eta_s_ms}")
 
     def gamma_for(self, eta_s_ms: float) -> float:
-        return eta_s_ms if self.gamma_ms is None else self.gamma_ms
+        return eta_s_ms if self.gamma is None else self.gamma
 
 
 def default_config() -> ExperimentConfig:
@@ -147,27 +154,14 @@ def _stations(num_satellites: int, entries) -> tuple[GroundStation, ...]:
     )
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
-
-
-def _names(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in text.replace(",", " ").split())
-
-
-def _gamma(text: str) -> float | None:
-    return None if text.strip().lower() == "auto" else float(text)
-
-
-def _parsed(section, key: str, parse, default):
-    """``parse`` of the key's text, or ``default`` when the section lacks the key."""
-    return parse(section[key]) if key in section else default
+_SECTIONS = ("constellation", "scenario", "ground_stations", "run", "oracle")
 
 
 def load_config(path) -> ExperimentConfig:
     """Parse an INI config; unspecified values fall back to the defaults.
 
-    Every failure, including a malformed file, raises ValueError.
+    Sections and keys are the fields of the parameter dataclasses; an
+    unknown section or key, and every other failure, raises ValueError.
     """
     parser = configparser.ConfigParser()
     try:
@@ -179,74 +173,29 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
+    for name in parser.sections():
+        if name not in _SECTIONS:
+            raise ValueError(f"unknown config section [{name}]")
+
+    def values(name: str, cls) -> dict:  # a missing section still has the [DEFAULT] keys
+        items = parser.items(name if parser.has_section(name) else parser.default_section)
+        return field_values(cls, items, f"[{name}]")
+
     base = default_config()
-
-    cp = parser["constellation"] if parser.has_section("constellation") else {}
-    constellation = ConstellationParams(
-        num_planes=int(cp.get("num_planes", base.constellation.num_planes)),
-        sats_per_plane=int(cp.get("sats_per_plane", base.constellation.sats_per_plane)),
-        inclination_deg=float(cp.get("inclination_deg", base.constellation.inclination_deg)),
-        altitude_km=float(cp.get("altitude_km", base.constellation.altitude_km)),
-        phasing_factor=int(cp.get("phasing_factor", base.constellation.phasing_factor)),
-        epoch_raan_offset_deg=float(
-            cp.get("epoch_raan_offset_deg", base.constellation.epoch_raan_offset_deg)
-        ),
-    )
-    sp = parser["scenario"] if parser.has_section("scenario") else {}
-    scenario = ScenarioParams(
-        lisl_range_km=float(sp.get("lisl_range_km", base.scenario.lisl_range_km)),
-        gs_range_km=float(sp.get("gs_range_km", base.scenario.gs_range_km)),
-        node_delay_ms=float(sp.get("node_delay_ms", base.scenario.node_delay_ms)),
-        slot_duration_s=float(sp.get("slot_duration_s", base.scenario.slot_duration_s)),
-        num_slots=int(sp.get("num_slots", base.scenario.num_slots)),
-    )
-
+    constellation = replace(base.constellation, **values("constellation", ConstellationParams))
     entries = DEFAULT_GROUND_STATIONS
     if parser.has_section("ground_stations"):
         entries = []
         for name, value in parser.items("ground_stations"):
-            coords = _floats(value)
+            coords = TEXT_PARSERS["tuple[float, ...]"](value)
             if len(coords) != 2:
                 raise ValueError(f"ground station {name!r} needs 'lat, lon'")
             entries.append((name, *coords))
-
-    run = parser["run"] if parser.has_section("run") else {}
-    orc = parser["oracle"] if parser.has_section("oracle") else {}
-    base_oracle = base.oracle
-    oracle_cfg = OracleConfig(
-        instances=int(orc.get("instances", base_oracle.instances)),
-        max_routes=int(orc.get("max_routes", base_oracle.max_routes)),
-        max_slots=int(orc.get("max_slots", base_oracle.max_slots)),
-        delay_low_ms=float(orc.get("delay_low_ms", base_oracle.delay_low_ms)),
-        delay_high_ms=float(orc.get("delay_high_ms", base_oracle.delay_high_ms)),
-        inf_fraction=float(orc.get("inf_fraction", base_oracle.inf_fraction)),
-        eta_s_ms=_parsed(orc, "eta_s_ms", _floats, base_oracle.eta_s_ms),
-    )
-
-    return ExperimentConfig(
+    return replace(
+        base,
         constellation=constellation,
-        scenario=scenario,
+        scenario=replace(base.scenario, **values("scenario", ScenarioParams)),
         ground_stations=_stations(constellation.num_satellites, entries),
-        source=run.get("source", base.source),
-        destination=run.get("destination", base.destination),
-        algorithms=_parsed(run, "algorithms", _names, base.algorithms),
-        eta_s_ms=_parsed(run, "eta_s_ms", _floats, base.eta_s_ms),
-        gamma_ms=_parsed(run, "gamma", _gamma, base.gamma_ms),
-        cost_thrsh_ms=float(run.get("cost_thrsh_ms", base.cost_thrsh_ms)),
-        qos_ms=_parsed(run, "qos_ms", _floats, base.qos_ms),
-        reset_dropped_edges=_parsed(run, "reset_dropped_edges", _bool, base.reset_dropped_edges),
-        global_lifetimes=_parsed(run, "global_lifetimes", _bool, base.global_lifetimes),
-        histogram_bin_ms=float(run.get("histogram_bin_ms", base.histogram_bin_ms)),
-        seed=int(run.get("seed", base.seed)),
-        oracle=oracle_cfg,
+        oracle=replace(base.oracle, **values("oracle", OracleConfig)),
+        **values("run", ExperimentConfig),
     )
-
-
-def _bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-

@@ -4,12 +4,15 @@ Satellites move on circular Keplerian orbits around a spherical Earth;
 ground stations ride the Earth's sidereal rotation. A snapshot of the
 network at a slot contains every feasible laser inter-satellite link and
 ground-satellite link, each carrying a propagation-plus-node delay in ms.
+
+``field_values`` reads parameter dataclasses from text by their field
+annotations; the config reader and the series-file header share it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -93,6 +96,52 @@ class ScenarioParams:
             raise ValueError("slot duration must be finite and positive")
         if self.num_slots < 1:
             raise ValueError("need at least one time slot")
+
+
+def _bool(text: str) -> bool:
+    value = text.strip().lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {text!r}")
+
+
+def auto_float(text: str) -> float | None:
+    """``None`` for ``auto``, else the float."""
+    return None if text.strip().lower() == "auto" else float(text)
+
+
+# Text parser per parameter-field annotation; lists split on commas and spaces.
+TEXT_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _bool,
+    "tuple[float, ...]": lambda text: tuple(float(tok) for tok in text.replace(",", " ").split()),
+    "tuple[str, ...]": lambda text: tuple(text.replace(",", " ").split()),
+    "float | None": auto_float,
+}
+
+
+def field_values(cls, items, where: str) -> dict:
+    """Keyword arguments for the parameter dataclass ``cls`` from ``(key, text)`` pairs.
+
+    Each key must name a field whose annotation has a text parser, and may
+    appear once; anything else raises ValueError naming ``where``.
+    """
+    types = {f.name: f.type for f in fields(cls) if f.type in TEXT_PARSERS}
+    values = {}
+    for key, text in items:
+        if key not in types:
+            raise ValueError(f"unknown key {key!r} in {where}")
+        if key in values:
+            raise ValueError(f"repeated key {key!r} in {where}")
+        try:
+            values[key] = TEXT_PARSERS[types[key]](text)
+        except ValueError as exc:
+            raise ValueError(f"{key} in {where}: {exc}") from exc
+    return values
 
 
 def _slot_time_s(slot: int, slot_duration_s: float) -> float:

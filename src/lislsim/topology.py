@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
-from .constellation import GroundStation, ScenarioParams
+from .constellation import GroundStation, ScenarioParams, field_values
 
 
 class SeriesFormatError(ValueError):
@@ -293,7 +293,7 @@ class SnapshotSeries:
 # UTF-8 text, line oriented:
 #   lislsim-series v1
 #   scenario lisl_range_km=... gs_range_km=... node_delay_ms=... \
-#            slot_duration_s=... num_slots=...
+#            slot_duration_s=... num_slots=...   (each ScenarioParams field once)
 #   satellites <count>
 #   gs <id> <name> <latitude> <longitude>          (one line per station)
 #   <slot> <u> <v> <delay_ms>                      (edge records, canonical order)
@@ -310,12 +310,7 @@ def export_series(series: SnapshotSeries, path) -> None:
     """
     sc = series.scenario
     lines = [_MAGIC]
-    lines.append(
-        "scenario "
-        f"lisl_range_km={sc.lisl_range_km!r} gs_range_km={sc.gs_range_km!r} "
-        f"node_delay_ms={sc.node_delay_ms!r} slot_duration_s={sc.slot_duration_s!r} "
-        f"num_slots={sc.num_slots}"
-    )
+    lines.append(" ".join(["scenario"] + [f"{f.name}={getattr(sc, f.name)}" for f in fields(sc)]))
     lines.append(f"satellites {series.roster.num_satellites}")
     for gs in series.roster.ground_stations:
         lines.append(f"gs {gs.id} {gs.name} {gs.latitude_deg!r} {gs.longitude_deg!r}")
@@ -334,22 +329,12 @@ def export_series(series: SnapshotSeries, path) -> None:
 
 
 def _parse_scenario_line(line: str) -> ScenarioParams:
-    fields = {}
-    for token in line.split()[1:]:
-        if "=" not in token:
-            raise ValueError(f"malformed scenario field {token!r}")
-        k, val = token.split("=", 1)
-        fields[k] = val
-    try:
-        return ScenarioParams(
-            lisl_range_km=float(fields["lisl_range_km"]),
-            gs_range_km=float(fields["gs_range_km"]),
-            node_delay_ms=float(fields["node_delay_ms"]),
-            slot_duration_s=float(fields["slot_duration_s"]),
-            num_slots=int(fields["num_slots"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"bad scenario header: {exc}") from exc
+    items = [token.partition("=")[::2] for token in line.split()[1:]]
+    values = field_values(ScenarioParams, items, "scenario header")
+    missing = [f.name for f in fields(ScenarioParams) if f.name not in values]
+    if missing:
+        raise ValueError(f"scenario header lacks {', '.join(missing)}")
+    return ScenarioParams(**values)
 
 
 def _read_header(fh) -> tuple[ScenarioParams, NodeRoster, str]:

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: generate, run, sweep, oracle, table2."""
 
+import json
 import os
 import subprocess
 import sys
@@ -116,6 +117,19 @@ class TestRun:
         ])
         assert rc == 1
         assert "coverage 0" in (out / "report.txt").read_text()
+
+    def test_manifest_records_the_full_config(self, tmp_path, tiny_series):
+        cfg = tmp_path / "reset.ini"
+        cfg.write_text(TINY_CONFIG.replace("[run]\n", "[run]\nreset_dropped_edges = true\n"))
+        out = tmp_path / "reset_out"
+        assert main([
+            "run", "--config", str(cfg), "--series", str(tiny_series),
+            "--algorithm", "isasr", "--eta-s", "1000", "--out", str(out),
+        ]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["reset_dropped_edges"] is True
+        assert manifest["config"]["oracle"]["instances"] == 25
+        assert manifest["config"]["histogram_bin_ms"] == 0.25
 
     def test_missing_series_is_validation_error(self, tmp_path, tiny_config):
         rc = main([
@@ -312,6 +326,53 @@ class TestMalformedConfigFile:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestUnknownConfigNames:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("[constellation]\n", "[constellation]\nbogus = 7\n"),
+            ("[scenario]\n", "[scenario]\nbogus = 7\n"),
+            ("[run]\n", "[run]\nbogus = 7\n"),
+            ("[oracle]\n", "[oracle]\nbogus = 7\n"),
+            ("[run]\n", "[DEFAULT]\nbogus = 7\n[run]\n"),
+            ("[scenario]\n", "[sceanrio]\nnum_slots = 2\n[scenario]\n"),
+        ],
+        ids=["constellation", "scenario", "run", "oracle", "default", "section"],
+    )
+    def test_generate_exits_1(self, tmp_path, capsys, edit):
+        cfg = tmp_path / "names.ini"
+        cfg.write_text(TINY_CONFIG.replace(*edit))
+        out = tmp_path / "names.series"
+        rc = main(["generate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ") and ("bogus" in err or "sceanrio" in err)
+        assert not out.exists()
+
+
+class TestEmptyConfigLists:
+    @pytest.mark.parametrize(
+        "command,edit",
+        [
+            ("run", ("eta_s_ms = 1, 1000\nqos_ms = 30, 60", "eta_s_ms =\nqos_ms =")),
+            ("sweep", ("algorithms = ilsr, ilpr, alpr, isasr", "algorithms =")),
+            ("oracle", ("instances = 25", "instances = 25\neta_s_ms =")),
+        ],
+    )
+    def test_exit_1_without_output(self, tmp_path, tiny_series, capsys, command, edit):
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(TINY_CONFIG.replace(*edit))
+        out = tmp_path / "empty_out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "run":
+            argv += ["--series", str(tiny_series), "--algorithm", "ilsr"]
+        elif command == "sweep":
+            argv += ["--series", str(tiny_series)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestBadOracleValues:

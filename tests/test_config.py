@@ -1,10 +1,18 @@
 """Config parsing, defaults, and validation."""
 
+import configparser
 import math
+import re
+import time
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lislsim.config import default_config, load_config
+from lislsim.config import ExperimentConfig, OracleConfig, default_config, load_config
+from lislsim.constellation import ConstellationParams, ScenarioParams
 
 FULL_INI = """
 [constellation]
@@ -43,8 +51,26 @@ seed = 99
 instances = 10
 max_routes = 3
 max_slots = 4
+delay_low_ms = 10
+delay_high_ms = 30
+inf_fraction = 0.1
 eta_s_ms = 0, 5
 """
+
+SECTION_CLASSES = {
+    "constellation": ConstellationParams,
+    "scenario": ScenarioParams,
+    "run": ExperimentConfig,
+    "oracle": OracleConfig,
+}
+NESTED_FIELDS = {"constellation", "scenario", "ground_stations", "oracle"}
+
+
+def section_values(cfg):
+    return {
+        "constellation": cfg.constellation, "scenario": cfg.scenario,
+        "run": cfg, "oracle": cfg.oracle,
+    }
 
 
 class TestDefaults:
@@ -75,7 +101,7 @@ class TestDefaults:
 
     def test_gamma_tracks_setup_delay_by_default(self):
         cfg = default_config()
-        assert cfg.gamma_ms is None
+        assert cfg.gamma is None
         assert cfg.gamma_for(123.0) == 123.0
 
     def test_qos_pairing_lookup(self):
@@ -97,7 +123,7 @@ class TestLoadConfig:
         assert cfg.source == "paris" and cfg.destination == "tokyo"
         assert cfg.algorithms == ("ilsr", "isasr")
         assert cfg.eta_s_ms == (5.0, 50.0)
-        assert cfg.gamma_ms == 12.5
+        assert cfg.gamma == 12.5
         assert cfg.gamma_for(50.0) == 12.5
         assert math.isinf(cfg.cost_thrsh_ms)
         assert cfg.reset_dropped_edges and cfg.global_lifetimes
@@ -245,3 +271,133 @@ class TestLoadConfig:
         path.write_text(f"[{section}]\n{line}\n")
         with pytest.raises(ValueError, match=message):
             load_config(path)
+
+
+class TestFieldSchema:
+    """The parameter dataclasses' fields are the only list of config keys."""
+
+    def test_full_ini_names_every_settable_field(self):
+        parser = configparser.ConfigParser()
+        parser.read_string(FULL_INI)
+        for section, cls in SECTION_CLASSES.items():
+            assert set(parser[section]) == {f.name for f in fields(cls)} - NESTED_FIELDS, section
+
+    def test_full_ini_sets_every_field(self, tmp_path):
+        path = tmp_path / "full.ini"
+        path.write_text(FULL_INI)
+        loaded, base = section_values(load_config(path)), section_values(default_config())
+        for section, cls in SECTION_CLASSES.items():
+            for f in fields(cls):
+                if f.name not in NESTED_FIELDS:
+                    assert getattr(loaded[section], f.name) != getattr(base[section], f.name), (
+                        section, f.name,
+                    )
+
+    def test_readme_example_config_is_the_default(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        assert load_config(path) == default_config()
+
+    @pytest.mark.parametrize("section", [*SECTION_CLASSES, "DEFAULT"])
+    def test_unknown_key_rejected(self, tmp_path, section):
+        path = tmp_path / "unknown.ini"
+        path.write_text(f"[{section}]\nbogus = 7\n")
+        with pytest.raises(ValueError, match="unknown key 'bogus'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("line", ["eta_s = 5", "gamma_ms = 5", "constellation = 1"])
+    def test_near_miss_and_nested_run_keys_rejected(self, tmp_path, line):
+        path = tmp_path / "near.ini"
+        path.write_text(f"[run]\n{line}\n")
+        with pytest.raises(ValueError, match=r"unknown key .* in \[run\]"):
+            load_config(path)
+
+    def test_unknown_section_rejected(self, tmp_path):
+        path = tmp_path / "typo.ini"
+        path.write_text("[sceanrio]\nnum_slots = 5\n")
+        with pytest.raises(ValueError, match=r"unknown config section \[sceanrio\]"):
+            load_config(path)
+
+    def test_parse_error_names_key_and_section(self, tmp_path):
+        path = tmp_path / "value.ini"
+        path.write_text("[scenario]\nnum_slots = many\n")
+        with pytest.raises(ValueError, match=r"num_slots in \[scenario\]"):
+            load_config(path)
+
+
+class TestEmptyLists:
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[run]\nalgorithms =\n", "at least one algorithm"),
+            ("[run]\neta_s_ms =\nqos_ms =\n", "one setup delay"),
+            ("[oracle]\neta_s_ms =\n", "at least one setup delay"),
+        ],
+        ids=["run-algorithms", "run-eta-and-qos", "oracle-eta"],
+    )
+    def test_rejected(self, tmp_path, text, message):
+        path = tmp_path / "empty.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+
+
+class TestOracleCap:
+    def test_cap_checked_without_the_big_power(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="brute-force cap"):
+            OracleConfig(max_routes=3, max_slots=10**7)
+        assert time.perf_counter() - start < 0.5  # 3 ** 10**7 alone takes seconds
+
+    @pytest.mark.parametrize(
+        "routes,slots,over",
+        [(1, 10**9, False), (10, 7, False), (10, 8, True), (2, 23, False), (2, 24, True),
+         (3162, 2, False), (3163, 2, True), (10**7 + 1, 1, True)],
+    )
+    def test_cap_is_exact(self, routes, slots, over):
+        if over:
+            with pytest.raises(ValueError, match="brute-force cap"):
+                OracleConfig(max_routes=routes, max_slots=slots)
+        else:
+            OracleConfig(max_routes=routes, max_slots=slots)
+
+
+FUZZ_KEYS = sorted(
+    {f.name for cls in SECTION_CLASSES.values() for f in fields(cls)} | {"new_york", "bogus"}
+)
+FUZZ_VALUES = (
+    "", "0", "1", "-1", "2.5", "nan", "inf", "auto", "true", "maybe", "1, 2", "5 50",
+    "ilsr, isasr", "rip", "new_york", "london", "40.7, -74.0", "%(x)s", "%%", "10" * 30,
+)
+FUZZ_LINES = st.one_of(
+    st.sampled_from([*SECTION_CLASSES, "ground_stations", "DEFAULT", "sceanrio"]).map(
+        lambda name: f"[{name}]"
+    ),
+    st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(FUZZ_VALUES)).map(" = ".join),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+class TestConfigFuzz:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_config_loads_or_raises_value_error(self, tmp_path_factory, data):
+        lines = FULL_INI.splitlines()
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, len(lines)))
+            op = data.draw(st.sampled_from(["insert", "replace", "drop", "repeat"]))
+            if op == "drop":
+                del lines[i:i + 1]
+            elif op == "repeat":
+                lines[i:i] = lines[i:i + 1]
+            else:
+                lines[i:i + (op == "replace")] = [data.draw(FUZZ_LINES)]
+        path = tmp_path_factory.mktemp("cfg") / "fuzz.ini"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except ValueError:
+            return
+        assert isinstance(cfg, ExperimentConfig)

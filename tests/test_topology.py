@@ -446,6 +446,28 @@ class TestImportContract:
             import_series(path)
 
     @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ("num_slots=1 num_slots=2", "repeated key 'num_slots'"),
+            ("num_slots=2 bogus=7", "unknown key 'bogus'"),
+            ("num_slots=2 malformed", "unknown key 'malformed'"),
+            ("", "lacks num_slots"),
+            ("num_slots=two", "num_slots in scenario header"),
+        ],
+        ids=["repeated", "unknown", "no-equals", "missing", "bad-value"],
+    )
+    def test_bad_scenario_fields_raise_format_error(self, tmp_path, fields, message):
+        path = tmp_path / "header.series"
+        path.write_text(
+            "lislsim-series v1\n"
+            "scenario lisl_range_km=1.0 gs_range_km=1.0 node_delay_ms=0.0 "
+            f"slot_duration_s=1.0 {fields}\n"
+            "satellites 2\n1 - - -\n2 - - -\n"
+        )
+        with pytest.raises(SeriesFormatError, match=message):
+            import_series(path)
+
+    @pytest.mark.parametrize(
         "data",
         [
             b"\xfflislsim-series v1\n",
