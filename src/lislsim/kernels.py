@@ -7,6 +7,7 @@ benchmark harness (``perfbench/``) can time each of them by name.
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -115,45 +116,47 @@ def shortest_route(indptr, nbr, wgt, src: int, dst: int) -> np.ndarray:
     for a weight that is not lost to rounding against dist[v] (any weight of
     1e-9 or more at distances below 1e6, as for delays in ms). The walk
     therefore sees exactly the candidates a full settle would give it.
+
+    A node is pushed only when its distance strictly decreases, so each
+    (distance, node) entry is pushed at most once: a popped entry with
+    ``d > dist[u]`` is stale, and the one with ``d == dist[u]`` settles u.
+    A settled node needs no mark either, since ``d + w < dist[v]`` never
+    holds for a settled v (dist[v] <= d, w > 0). Only the arcs of settled
+    nodes and of the walk are read, as Python lists: per-element numpy
+    indexing would cost more than the search, and so would converting
+    whole arrays.
     """
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64)
     nbr = np.ascontiguousarray(nbr, dtype=np.int32)
     wgt = np.ascontiguousarray(wgt, dtype=np.float64)
+    indptr = np.ascontiguousarray(indptr, dtype=np.int64).tolist()
     src, dst = int(src), int(dst)
-    n = indptr.shape[0] - 1
-    dist = np.full(n, np.inf)
-    done = np.zeros(n, dtype=bool)
+    dist = [math.inf] * (len(indptr) - 1)
     dist[dst] = 0.0
     heap = [(0.0, dst)]
     while heap:
         d, u = heapq.heappop(heap)
-        if done[u]:
+        if d > dist[u]:
             continue
-        done[u] = True
         if u == src:
             break
-        for k in range(indptr[u], indptr[u + 1]):
-            v = nbr[k]
-            if done[v]:
-                continue
-            cand = d + wgt[k]
+        lo, hi = indptr[u], indptr[u + 1]
+        for v, w in zip(nbr[lo:hi].tolist(), wgt[lo:hi].tolist()):
+            cand = d + w
             if cand < dist[v]:
                 dist[v] = cand
-                heapq.heappush(heap, (cand, int(v)))
-    if not np.isfinite(dist[src]):
+                heapq.heappush(heap, (cand, v))
+    if dist[src] == math.inf:
         return np.empty(0, np.int32)
     path = [src]
     u = src
     while u != dst:
         budget = dist[u]
-        nxt = -1
-        for k in range(indptr[u], indptr[u + 1]):
-            v = nbr[k]
-            if wgt[k] + dist[v] == budget:
-                nxt = int(v)
+        lo, hi = indptr[u], indptr[u + 1]
+        for v, w in zip(nbr[lo:hi].tolist(), wgt[lo:hi].tolist()):
+            if w + dist[v] == budget:
                 break
-        if nxt < 0:  # cannot happen for positive weights
+        else:  # cannot happen for positive weights
             raise AssertionError("shortest-path walk lost the route")
-        path.append(nxt)
-        u = nxt
+        path.append(v)
+        u = v
     return np.array(path, np.int32)

@@ -294,6 +294,8 @@ ALGORITHMS = ("ilsr", "ilpr", "alpr", "isasr")
 # Their schedules depend on the series and endpoints only, not on eta_s,
 # gamma or the ISASR settings, so one run serves every setup-delay value.
 ETA_BLIND_ALGORITHMS = ("ilsr", "ilpr")
+# They read the series' edge lifetimes, which the series builds once.
+LIFETIME_ALGORITHMS = ("alpr", "isasr")
 
 
 def run_algorithm(

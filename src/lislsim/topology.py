@@ -62,12 +62,12 @@ class Snapshot:
     @property
     def uids(self) -> np.ndarray:
         """Series-wide id of each edge's canonical pair."""
-        return self._series._lifetimes()[0][self._span]
+        return self._series.lifetimes()[0][self._span]
 
     @property
     def run_last(self) -> np.ndarray:
         """Last slot of the run of consecutive slots containing each edge."""
-        return self._series._lifetimes()[1][self._span]
+        return self._series.lifetimes()[1][self._span]
 
     def edge_positions(self, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
         """Indices of canonical pairs in the edge arrays, -1 when absent."""
@@ -99,19 +99,19 @@ class Snapshot:
         """Cached symmetric CSR adjacency: (indptr, neighbours, arc_edge_index).
 
         Neighbours of each node are in ascending id order; ``arc_edge_index``
-        maps each arc back to its canonical edge for cost lookups.
+        (int32) maps each arc back to its canonical edge for cost lookups.
+        The arcs are listed v -> u, then u -> v, and stably sorted by source:
+        the edges are sorted by (u, v), so a node's lower neighbours come
+        first and ascend, then its higher ones.
         """
         if self._csr is None:
             e = self.edge_count
-            src = np.concatenate([self.u, self.v]).astype(np.int64)
-            dst = np.concatenate([self.v, self.u]).astype(np.int64)
-            eid = np.concatenate([np.arange(e), np.arange(e)])
-            order = np.lexsort((dst, src))
-            nbr = dst[order].astype(np.int32)
-            arc_eid = eid[order]
-            counts = np.bincount(src, minlength=self.num_nodes)
+            src = np.concatenate([self.v, self.u])
+            order = np.argsort(src, kind="stable")
+            nbr = np.concatenate([self.u, self.v])[order]
+            arc_eid = np.tile(np.arange(e, dtype=np.int32), 2)[order]
             indptr = np.zeros(self.num_nodes + 1, np.int64)
-            np.cumsum(counts, out=indptr[1:])
+            np.cumsum(np.bincount(src, minlength=self.num_nodes), out=indptr[1:])
             self._csr = (indptr, nbr, arc_eid)
         return self._csr
 
@@ -237,7 +237,7 @@ class SnapshotSeries:
             self._keys.setflags(write=False)
         return self._keys
 
-    def _lifetimes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def lifetimes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per record: edge uid and run end; per uid: last slot. Computed once.
 
         The uid is the rank of the record's packed key among the distinct
@@ -267,7 +267,7 @@ class SnapshotSeries:
     @property
     def global_last(self) -> np.ndarray:
         """Last slot anywhere in the series of each edge, indexed by uid."""
-        return self._lifetimes()[2]
+        return self.lifetimes()[2]
 
     def __eq__(self, other):
         if not isinstance(other, SnapshotSeries):

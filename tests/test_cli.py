@@ -418,23 +418,89 @@ class TestBadShellValues:
         assert not out.exists()
 
 
+def _scipy_modules_after(argv):
+    """Sorted scipy modules loaded once ``lislsim.cli.main(argv)`` returned 0 in a
+    fresh interpreter."""
+    code = (
+        "import sys\n"
+        "from lislsim.cli import main\n"
+        f"assert main({[str(a) for a in argv]!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(lislsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.splitlines()[-1]
+
+
 class TestImportCost:
+    """scipy stays a test extra: a CLI call never pays its import."""
+
     def test_generate_does_not_import_scipy(self, tmp_path, tiny_config):
-        """scipy stays a test extra: a CLI call never pays its import."""
         out = tmp_path / "tiny.series"
-        code = (
-            "import sys\n"
-            "from lislsim.cli import main\n"
-            f"assert main(['generate', '--config', {str(tiny_config)!r}, '--out', {str(out)!r}]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        src = str(Path(lislsim.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert _scipy_modules_after(["generate", "--config", tiny_config, "--out", out]) == "[]"
         assert out.stat().st_size > 0
+
+    @pytest.mark.parametrize("argv", [["run", "--algorithm", "isasr"], ["sweep"]],
+                             ids=["run", "sweep"])
+    def test_routing_does_not_import_scipy(self, tmp_path, tiny_config, tiny_series, argv):
+        out = tmp_path / "out"
+        argv = [*argv, "--config", tiny_config, "--series", tiny_series, "--out", out]
+        assert _scipy_modules_after(argv) == "[]"
+        assert (out / "manifest.json").exists()
+
+
+class TestLifetimeBuildUntimed:
+    """The one-time lifetime build stays out of ALPR/ISASR runtimes."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """(algorithm, lifetimes already built) at each routing run, plus its series."""
+        import lislsim.cli as cli_mod
+
+        seen, series_seen = [], []
+        real = cli_mod.run_algorithm
+
+        def spy(name, series, *args, **kwargs):
+            seen.append((name, series._runs is not None))
+            series_seen.append(series)
+            return real(name, series, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "run_algorithm", spy)
+        return seen, series_seen
+
+    @pytest.mark.parametrize("name", ["alpr", "isasr"])
+    def test_run_builds_lifetimes_before_the_clock(
+        self, tmp_path, tiny_config, tiny_series, monkeypatch, name
+    ):
+        seen, _ = self._spy(monkeypatch)
+        assert main([
+            "run", "--config", str(tiny_config), "--series", str(tiny_series),
+            "--algorithm", name, "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert seen == [(name, True)]
+
+    def test_ilsr_run_never_builds_lifetimes(self, tmp_path, tiny_config, tiny_series, monkeypatch):
+        seen, series_seen = self._spy(monkeypatch)
+        assert main([
+            "run", "--config", str(tiny_config), "--series", str(tiny_series),
+            "--algorithm", "ilsr", "--out", str(tmp_path / "out"),
+        ]) == 0
+        assert seen == [("ilsr", False)]
+        assert series_seen[0]._runs is None
+
+    def test_sweep_builds_lifetimes_before_the_first_alpr_cell(
+        self, tmp_path, tiny_config, tiny_series, monkeypatch
+    ):
+        seen, _ = self._spy(monkeypatch)
+        assert main([
+            "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
+            "--out", str(tmp_path / "sweep"),
+        ]) == 0
+        assert seen == [("ilsr", False), ("ilpr", False), ("alpr", True), ("alpr", True),
+                        ("isasr", True), ("isasr", True)]
 
 
 class TestBadRoutingValues:

@@ -397,6 +397,81 @@ class TestExportWriter:
         assert all_peak < 1.5 * one_peak, (all_peak, one_peak)
 
 
+def reference_csr(snap):
+    """The CSR built with a two-key lexsort over (source, neighbour)."""
+    e = snap.edge_count
+    src = np.concatenate([snap.u, snap.v]).astype(np.int64)
+    dst = np.concatenate([snap.v, snap.u]).astype(np.int64)
+    eid = np.concatenate([np.arange(e), np.arange(e)])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(snap.num_nodes + 1, np.int64)
+    np.cumsum(np.bincount(src, minlength=snap.num_nodes), out=indptr[1:])
+    return indptr, dst[order].astype(np.int32), eid[order].astype(np.int32)
+
+
+def assert_csr_valid(snap):
+    indptr, nbr, arc_eid = snap.csr()
+    n, e = snap.num_nodes, snap.edge_count
+    degree = np.bincount(np.concatenate([snap.u, snap.v]), minlength=n)
+    assert indptr[0] == 0 and np.array_equal(np.diff(indptr), degree)
+    for node in range(n):
+        assert np.all(np.diff(nbr[indptr[node]:indptr[node + 1]]) > 0), node
+    # every edge is exactly two arcs, one from each end, mapping back to it
+    assert np.array_equal(np.bincount(arc_eid, minlength=e), np.full(e, 2))
+    rows = np.repeat(np.arange(n), degree)
+    ends = np.sort(np.stack([rows, nbr]), axis=0)
+    assert np.array_equal(ends, np.stack([snap.u[arc_eid], snap.v[arc_eid]]))
+    for got, want in zip((indptr, nbr, arc_eid), reference_csr(snap)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@st.composite
+def one_slot_edges(draw):
+    """(edges, satellites, stations) of one slot: random edges among the
+    satellites and between satellites and stations, of mean degree up to
+    about a stock slot's (~24); nodes without edges are common."""
+    sats = draw(st.integers(0, 150))
+    stations = draw(st.integers(0, 3))
+    degree = draw(st.sampled_from([0.0, 0.1, 2.0, 24.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = {}
+    if sats > 1:
+        a, b = np.triu_indices(sats, 1)
+        keep = rng.random(a.size) < degree / (sats - 1)
+        edges.update({(i, j): 1.0 for i, j in zip(a[keep].tolist(), b[keep].tolist())})
+    for gs in range(sats, sats + stations):
+        for sat in rng.choice(sats, size=min(sats, int(rng.integers(0, 4))), replace=False):
+            edges[(gs, int(sat)) if rng.random() < 0.5 else (int(sat), gs)] = 1.0
+    for key in edges:
+        edges[key] = float(rng.uniform(0.5, 20.0))
+    return edges, sats, stations
+
+
+class TestCsr:
+    """``Snapshot.csr()``: degrees, ascending neighbours, two arcs per edge."""
+
+    @pytest.mark.parametrize(
+        "edges,sats,stations",
+        [({}, 0, 0), ({}, 5, 1), ({(0, 1): 1.0}, 2, 0), ({(3, 1): 1.0}, 4, 0),
+         ({(2, 1): 1.0, (1, 0): 2.0}, 3, 0), ({(2, 0): 1.0, (1, 2): 2.0}, 2, 1)],
+        ids=["no-nodes", "empty-slot", "one-edge", "one-edge-isolated", "path",
+             "station-edges"],
+    )
+    def test_small_slots(self, edges, sats, stations):
+        assert_csr_valid(one_slot(edges, num_nodes=sats + stations, num_satellites=sats))
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_slot_edges())
+    def test_random_slots(self, slot):
+        edges, sats, stations = slot
+        assert_csr_valid(one_slot(edges, num_nodes=sats + stations, num_satellites=sats))
+
+    def test_stock_slots(self, stock_head):
+        for snap in stock_head.snapshots[::5]:
+            assert snap.edge_count > 10_000
+            assert_csr_valid(snap)
+
+
 HEADER = (
     "lislsim-series v1\n"
     "scenario lisl_range_km=1.0 gs_range_km=1.0 node_delay_ms=0.0 "
