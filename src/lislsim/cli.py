@@ -54,7 +54,7 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
-def write_schedule(schedule: RoutingSchedule, series, path) -> None:
+def write_schedule(schedule: RoutingSchedule, path) -> None:
     """Schedule file: header + one `slot delay route` record per slot.
 
     Deliberately algorithm-agnostic so that two algorithms producing the
@@ -64,12 +64,11 @@ def write_schedule(schedule: RoutingSchedule, series, path) -> None:
         f"schedule v1 source={schedule.source} destination={schedule.destination} "
         f"num_slots={schedule.num_slots}"
     ]
-    for i, route in enumerate(schedule.routes, start=1):
-        if route is None:
+    for i, (row, delay) in enumerate(zip(schedule.index, schedule.delay_ms), start=1):
+        if row < 0:
             lines.append(f"{i} - -")
         else:
-            delay = series.snapshot(i).route_delay(route)
-            lines.append(f"{i} {delay:.9f} {route}")
+            lines.append(f"{i} {delay:.9f} {schedule.route_table[row]}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -80,7 +79,7 @@ def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
 
 
 def _timed_run(cfg, name, series, src, dst, eta_s, gamma, cost_thrsh):
-    """One routing run and its runtime, which excludes the one-time lifetime build."""
+    """One routing run, its schedule's delays included, timed without the lifetime build."""
     if name in LIFETIME_ALGORITHMS:
         series.lifetimes()
     start = time.perf_counter()
@@ -128,7 +127,7 @@ def cmd_run(args) -> int:
     except KeyError:
         qos = cfg.qos_ms
     report = metrics.evaluate(
-        schedule, series, eta_s, qos_ms=qos,
+        schedule, eta_s, qos_ms=qos,
         histogram_bin_ms=cfg.histogram_bin_ms, runtime_s=runtime,
     )
     out = Path(args.out)
@@ -137,7 +136,7 @@ def cmd_run(args) -> int:
     (out / "latency_series.tsv").write_text(report.latency_table(), encoding="utf-8")
     if report.coverage:
         (out / "histogram.tsv").write_text(report.histogram_table(), encoding="utf-8")
-    write_schedule(schedule, series, out / "schedule.txt")
+    write_schedule(schedule, out / "schedule.txt")
     (out / "manifest.json").write_text(
         _manifest(cfg, {"command": "run", "algorithm": args.algorithm, "eta_s_ms": eta_s}),
         encoding="utf-8",
@@ -148,7 +147,8 @@ def cmd_run(args) -> int:
         return 1
     gaps = schedule.unreachable_slots()
     if gaps:
-        print(f"warning: {len(gaps)} unreachable slots: {gaps[:10]}...", file=sys.stderr)
+        more = "..." if len(gaps) > 10 else ""
+        print(f"warning: {len(gaps)} unreachable slots: {gaps[:10]}{more}", file=sys.stderr)
     return 0
 
 
@@ -197,7 +197,7 @@ def cmd_sweep(args) -> int:
             if name in ETA_BLIND_ALGORITHMS:
                 eta_blind_runs[name] = schedule, runtime
         report = metrics.evaluate(
-            schedule, series, eta_s, qos_ms=(cfg.qos_for(eta_s),),
+            schedule, eta_s, qos_ms=(cfg.qos_for(eta_s),),
             histogram_bin_ms=cfg.histogram_bin_ms, runtime_s=runtime,
         )
         qos, outage = report.outage[0]
@@ -293,15 +293,14 @@ def cmd_oracle(args) -> int:
 
     series = dominance_toy_series()
     src, dst = 6, 7
-    routes, d = oracle.enumerate_routes(series, src, dst, hop_limit=4)
+    _, d = oracle.enumerate_routes(series, src, dst, hop_limit=4)
     violations = []
     for eta_s in (1.0, 10.0, 100.0):
         _, optimal = oracle.dp_optimal(d, eta_s)
         for name in ALGORITHMS:
             schedule = run_algorithm(name, series, src, dst, eta_s, cost_thrsh_ms=math.inf)
-            s = oracle.selection_from_schedule(schedule, routes)
-            cost = oracle.selection_cost(s, d, eta_s)
-            if cost < optimal - 1e-9:
+            cost = metrics.evaluate(schedule, eta_s).eta_le_ms
+            if cost < optimal:
                 violations.append((name, eta_s, cost, optimal))
     if violations:
         for v in violations:

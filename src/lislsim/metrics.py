@@ -1,8 +1,8 @@
 """Schedule evaluation: delay/penalty totals, change rate, outage, jitter.
 
 ``evaluate`` computes every metric of a
-:class:`~lislsim.routing.RoutingSchedule` over its
-:class:`~lislsim.topology.SnapshotSeries` in one pass. Core quantities:
+:class:`~lislsim.routing.RoutingSchedule` in one pass over its per-slot
+``delay_ms``. Core quantities:
 
 * ``eta_delay``   -- sum of the active route's delay over all slots.
 * ``eta_penalty`` -- setup penalty times the number of route changes.
@@ -12,8 +12,8 @@
 The per-slot instantaneous latency adds the setup penalty to the slot a
 switch leads into (the first slot never carries one); outage, jitter, and
 histograms are computed over that series. Unreachable slots contribute
-nothing to the sums and appear as NaN gaps in the latency series. The cost
-of a one-hot selection matrix is ``oracle.selection_cost``.
+nothing to the sums and appear as NaN gaps in the latency series. Delays are
+summed by ``slot_order_sum``, as in ``oracle.selection_cost``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def slot_order_sum(delays) -> float:
+    """Sum of the delays as Python floats, added one at a time in slot order.
+
+    ``np.sum`` (pairwise) and Python 3.12's ``sum()`` (compensated) both give
+    1.0 for ``[0.1] * 10``, not 0.9999999999999999. The package supports
+    Python 3.10 on, so either would make ``sweep.tsv`` depend on the interpreter.
+    """
+    total = 0.0
+    for x in delays:
+        total += float(x)
+    return total
 
 
 def outage_probability(latency: np.ndarray, qos_ms: float) -> float:
@@ -134,34 +147,21 @@ def _fmt(x: float) -> str:
 
 def evaluate(
     schedule,
-    series,
     eta_s_ms: float,
     qos_ms: tuple[float, ...] = (),
     histogram_bin_ms: float = 0.25,
     runtime_s: float | None = None,
 ) -> MetricsReport:
-    """Compute the full report for one schedule over its series."""
+    """Compute the full report for one schedule from its per-slot delays."""
     n = schedule.num_slots
-    slot_delays = np.full(n, np.nan)
-    for i, route in enumerate(schedule.routes):
-        if route is None:
-            continue
-        delay = series.snapshot(i + 1).route_delay(route)
-        if delay is None:
-            raise ValueError(f"schedule route at slot {i + 1} uses a missing edge")
-        slot_delays[i] = delay
+    valid = ~np.isnan(schedule.delay_ms)
+    delay_total = slot_order_sum(schedule.delay_ms[valid])
     switches = schedule.switch_flags()
-    valid = ~np.isnan(slot_delays)
-    delay_total = 0.0
-    for x in slot_delays[valid]:
-        delay_total += float(x)
     switch_count = int(switches.sum())
     penalty = eta_s_ms * switch_count
     total = delay_total + penalty
-    latency = slot_delays.copy()
-    for i, flag in enumerate(switches):
-        if flag:
-            latency[i + 1] += eta_s_ms
+    latency = schedule.delay_ms.copy()
+    latency[1:][switches] += eta_s_ms
     lam = switch_count * 100.0 / n
     cov = int(valid.sum())
     has_pair = n >= 2 and bool((valid[1:] & valid[:-1]).any())

@@ -15,6 +15,7 @@ import itertools
 
 import numpy as np
 
+from .metrics import slot_order_sum
 from .routing import Route
 from .topology import SnapshotSeries
 
@@ -67,14 +68,12 @@ def _one_hot(rows: np.ndarray, num_routes: int) -> np.ndarray:
 def selection_cost(s: np.ndarray, d: np.ndarray, eta_s_ms: float) -> float:
     """Total delay of the selected routes plus eta_s per route change (ms).
 
-    Delays are summed as Python floats in slot order, then the penalty is
+    Delays are summed with ``metrics.slot_order_sum``, then the penalty is
     added, so independently computed optima compare with zero tolerance.
     """
     d = np.asarray(d, dtype=np.float64)
     rows = np.argmax(validate_selection(s, d), axis=0)
-    total = 0.0
-    for x in d[rows, np.arange(rows.size)]:
-        total += float(x)
+    total = slot_order_sum(d[rows, np.arange(rows.size)])
     return total + eta_s_ms * int((rows[1:] != rows[:-1]).sum())
 
 
@@ -147,23 +146,6 @@ def brute_force_optimal(
     assert best_rows is not None
     s = _one_hot(best_rows, num_routes)
     return s, selection_cost(s, d, eta_s_ms)
-
-
-def selection_from_schedule(schedule, routes: list[Route]) -> np.ndarray:
-    """One-hot matrix mapping a schedule onto an enumerated route list.
-
-    Raises when a slot's active route is missing from the list (the
-    schedule is then not expressible in this route set).
-    """
-    index = {r.nodes: i for i, r in enumerate(routes)}
-    rows = np.empty(len(schedule.routes), dtype=np.int64)
-    for i, route in enumerate(schedule.routes):
-        if route is None:
-            raise ValueError(f"schedule is unreachable at slot {i + 1}")
-        if route.nodes not in index:
-            raise ValueError(f"route {route} not present in the enumerated set")
-        rows[i] = index[route.nodes]
-    return _one_hot(rows, len(routes))
 
 
 def enumerate_routes(

@@ -12,13 +12,14 @@ Four schedule producers with different latency/setup-penalty trade-offs:
 All of them share one deterministic Dijkstra core; ties always resolve to
 the lexicographically smallest vertex sequence, which makes schedules
 reproducible and lets the reduction ``isasr(gamma=0, cost_thrsh=inf) == ilsr``
-hold exactly.
+hold exactly. Each returns a :class:`RoutingSchedule`, which computes every
+slot's route delay once; metrics and the schedule file read those delays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -54,34 +55,50 @@ class Route:
         return "-".join(str(n) for n in self.nodes)
 
 
-@dataclass
+@dataclass(eq=False)
 class RoutingSchedule:
-    """Active route per slot (None marks an unreachable slot)."""
+    """One algorithm's routes: a table, a per-slot index into it, and delays.
+
+    ``route_table`` lists the distinct routes in first-use order; ``index``
+    (int32) is each slot's row, -1 where unreachable; ``delay_ms`` (float64)
+    is that route's ``Snapshot.route_delay``, NaN where unreachable. Built
+    from one Route or None per slot; a route broken in its slot raises ValueError.
+    """
 
     algorithm: str
     source: int
     destination: int
-    routes: list[Route | None]
-    eta_s_ms: float | None = None
+    routes: InitVar[list[Route | None]]
+    series: InitVar[SnapshotSeries]
+    route_table: tuple[Route, ...] = field(init=False)
+    index: np.ndarray = field(init=False)
+    delay_ms: np.ndarray = field(init=False)
+
+    def __post_init__(self, routes, series):
+        rows: dict[Route, int] = {}
+        self.index = np.full(len(routes), -1, np.int32)
+        self.delay_ms = np.full(len(routes), np.nan)
+        for i, route in enumerate(routes):
+            if route is None:
+                continue
+            delay = series.snapshot(i + 1).route_delay(route)
+            if delay is None:
+                raise ValueError(f"schedule route at slot {i + 1} uses a missing edge")
+            self.index[i] = rows.setdefault(route, len(rows))
+            self.delay_ms[i] = delay
+        self.route_table = tuple(rows)
 
     @property
     def num_slots(self) -> int:
-        return len(self.routes)
+        return self.index.size
 
     def switch_flags(self) -> np.ndarray:
-        """Per boundary (i, i+1): True iff both slots have routes that differ.
-
-        Boundaries adjacent to unreachable slots never count as switches;
-        the reachability gap is reported separately via unreachable_slots().
-        """
-        flags = np.zeros(max(self.num_slots - 1, 0), dtype=bool)
-        for i in range(self.num_slots - 1):
-            a, b = self.routes[i], self.routes[i + 1]
-            flags[i] = a is not None and b is not None and a.nodes != b.nodes
-        return flags
+        """Per boundary (i, i+1): True iff both slots are reachable and their routes differ."""
+        a, b = self.index[:-1], self.index[1:]
+        return (a >= 0) & (b >= 0) & (a != b)
 
     def unreachable_slots(self) -> list[int]:
-        return [i + 1 for i, r in enumerate(self.routes) if r is None]
+        return (np.flatnonzero(self.index < 0) + 1).tolist()
 
 
 def _edge_costs(snapshot: Snapshot, cost_override) -> np.ndarray:
@@ -136,7 +153,7 @@ def dijkstra(snapshot: Snapshot, src: int, dst: int, cost_override=None) -> Rout
 def ilsr(series: SnapshotSeries, src: int, dst: int) -> RoutingSchedule:
     """Benchmark: per-slot shortest route on instantaneous delays."""
     routes = [dijkstra(snap, src, dst) for snap in series.snapshots]
-    return RoutingSchedule("ilsr", src, dst, routes)
+    return RoutingSchedule("ilsr", src, dst, routes, series)
 
 
 def ilpr(series: SnapshotSeries, src: int, dst: int) -> RoutingSchedule:
@@ -149,7 +166,7 @@ def ilpr(series: SnapshotSeries, src: int, dst: int) -> RoutingSchedule:
             continue
         current = dijkstra(snap, src, dst)
         routes.append(current)
-    return RoutingSchedule("ilpr", src, dst, routes)
+    return RoutingSchedule("ilpr", src, dst, routes, series)
 
 
 def disjoint_routes(snapshot: Snapshot, src: int, dst: int) -> list[Route]:
@@ -221,7 +238,7 @@ def alpr(series: SnapshotSeries, src: int, dst: int, eta_s_ms: float) -> Routing
         for k in range(slot, last + 1):
             routes[k - 1] = best
         slot = last + 1
-    return RoutingSchedule("alpr", src, dst, routes, eta_s_ms=eta_s_ms)
+    return RoutingSchedule("alpr", src, dst, routes, series)
 
 
 def isasr_stability_cost(
@@ -287,7 +304,7 @@ def isasr(
         if reset_dropped_edges and previous_uids is not None:
             cost_act[np.setdiff1d(previous_uids, route_uids)] = eta_s_ms
         previous_uids = route_uids
-    return RoutingSchedule("isasr", src, dst, routes, eta_s_ms=eta_s_ms)
+    return RoutingSchedule("isasr", src, dst, routes, series)
 
 
 ALGORITHMS = ("ilsr", "ilpr", "alpr", "isasr")

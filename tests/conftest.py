@@ -54,6 +54,11 @@ def head_series(series: SnapshotSeries, num_slots: int) -> SnapshotSeries:
     )
 
 
+def slot_routes(schedule) -> list:
+    """Each slot's route (None where unreachable), read from the schedule's table."""
+    return [None if row < 0 else schedule.route_table[row] for row in schedule.index]
+
+
 @pytest.fixture
 def square_snapshot() -> Snapshot:
     return one_slot(square_edges(), num_nodes=4)

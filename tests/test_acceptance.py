@@ -5,6 +5,7 @@ lines. The full-constellation fixtures (criteria 6-8) build a 1584-satellite,
 600-slot dataset once per session; everything else runs on toys.
 """
 
+import hashlib
 import math
 import time
 from contextlib import contextmanager
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from lislsim import metrics
+from lislsim.cli import write_schedule
 from lislsim.config import default_config
 from lislsim.constellation import ConstellationParams, GroundStation, ScenarioParams, generate_series
 from lislsim.oracle import (
@@ -35,7 +37,7 @@ from lislsim.routing import (
 from lislsim.topology import export_series, import_series
 from lislsim.toyseries import dominance_toy_series
 
-from conftest import head_series, one_slot, random_series, worked_example_series
+from conftest import head_series, one_slot, random_series, slot_routes, worked_example_series
 from test_kernels import reference_route
 from test_routing import exhaustive_best_path
 
@@ -98,6 +100,85 @@ def _schedule(desk_ns, dst, name, eta_s):
     return desk_ns.schedules[key]
 
 
+# sha256 of each desk schedule's schedule file, report text (no runtime
+# line) and latency table, all evaluated at eta_s = 1000. Output bytes are
+# fixed: a change that moves one must say why and record the new digest.
+DESK_DIGESTS = {
+    ("london", "ilsr", None): (
+        "29b4920485a9486ff170b6b79ddd34e499f1edb0b5a28db8cd2aba34c55c20c0",
+        "66abcd106427e8a9a7c7c34bb854c44f051600102145deda9a08ed95f6bdc516",
+        "79f8dd28996a772365dffa91148b209491a3b1464d27741de73670e17269332d",
+    ),
+    ("london", "ilpr", None): (
+        "eab3f634408299862f3eb745e2f1bf38967192441d1007f20bad4e430edadf4d",
+        "535ef05c5fd469c2f366722d37a5a6599b0968b0f5065cc6e4c71cb08132303e",
+        "adeff68810202bfde8eeafbbda038b2806572ae64b8645b978ebcab11735329b",
+    ),
+    ("london", "alpr", 1000.0): (
+        "9328593e543a38819e8ad9a5c8d1cb1ec60f1785aacb5041a0f616b950dd1702",
+        "3f3f8d2884e799b9d1002e65fd0db58dcee6e242327c10810daae74df15a5737",
+        "6834446aacfcccdb9032fab341af3fc1a8b3625fcc5b7f066e77bb25300378b0",
+    ),
+    ("london", "isasr", 1000.0): (
+        "53d4146a0118d6a01d507b7ad893e63b51f88691dad68faf34c2cd807833d92e",
+        "6b8e6276826ae44777983ac8c4b8534418f742c3e01940aa1e243bc91145574f",
+        "64e4414ffeb5fd448f92377f7e23343b8d675e3d65d831c499dd4a9abc1dc054",
+    ),
+    ("hanoi", "ilsr", None): (
+        "c1d65701b52cca65cd63bb722510de45cdf289af2d95d537084780f5d20c10fb",
+        "cece18495146c21c51e657a251f40277d076ac7a519a56897d13a19c596f108b",
+        "49baf469d876188f82bfda3185ef9e7217261e56325ca991c05b5d3323e50262",
+    ),
+    ("hanoi", "ilpr", None): (
+        "4f6f029dc5023d4cd02f19db3a3b16eb6bfd18c9fcf431813beb6bbffc6ed8fe",
+        "a70cadc5a6c090a4c8921426691c261d03e179d479bbf17799686a19547a2c6b",
+        "ffa8c205d1334b9415108bed04ac51993d6db07e1759a6bdbf2e0bbbf94cca83",
+    ),
+    ("hanoi", "alpr", 1000.0): (
+        "f8d14f63a4ac90a3b73c3fbc649885d4442a1c9e288fcb48c6a9bccbd2b806d1",
+        "b190100827c6ddc21b65e922bc889b08e9f669519783d2483ddfa07c7075848c",
+        "b4a523d36ceb2cc1e65d1fc18616cfa4164f5278d8bd5f3c21a7ab71955fad77",
+    ),
+    ("hanoi", "isasr", 1000.0): (
+        "5d235dd28de05e9be5cfc754716b9520f6efe071c9a680fe860a51830eb79c13",
+        "3893180906b4dbb50f07bd52cc16e94da66162dc2224c45cae04154fe9702c40",
+        "0eab0e6d2c6518d79821e241ea5885465dbcfc16b42071fcbfd3c98afc5d7612",
+    ),
+    ("london", "alpr", 10.0): (
+        "a590758d9c524e476f7405cb7d05fc912191ff41d07efefae6848b36abf9de0e",
+        "8a90b2e260c73ae477621433a5c0f7ad3c8674bb62664496e70386455bee3dc7",
+        "91e1a909da9c39b80ea89238a56792f326f853ad2fba4d40db8cede783008b71",
+    ),
+    ("london", "isasr", 10.0): (
+        "379f38671dd0983caf67561790a3337cc8446e80e327b064a7d36dd3196b9f78",
+        "ea3cf40339415b6641178bf67d9340eeb693cdf8c8915ee3bea1846d49f907ab",
+        "4b1b0f3d19f69374b56f584a1bfa816f25641f7ab87d999296a5be69e8340521",
+    ),
+    ("london", "alpr", 100.0): (
+        "2432bd2853e9cd7530b2793bcf3487931e0efbc8d6d2ddd68c44aaf1367348ea",
+        "40bd44d3a583e752841f8ce191f9ed8bd29e3bd0736caaa2fdc1218793adfb7b",
+        "f638d3be7396d61c7c74680f06747dbd4b32888fb5af2403da9dd2bb9d5e907b",
+    ),
+    ("london", "isasr", 100.0): (
+        "53d4146a0118d6a01d507b7ad893e63b51f88691dad68faf34c2cd807833d92e",
+        "6b8e6276826ae44777983ac8c4b8534418f742c3e01940aa1e243bc91145574f",
+        "64e4414ffeb5fd448f92377f7e23343b8d675e3d65d831c499dd4a9abc1dc054",
+    ),
+}
+
+
+def test_desk_outputs_keep_their_bytes(desk, tmp_path):
+    names = {desk.london: "london", desk.hanoi: "hanoi"}
+    got = {}
+    for (dst, name, eta_key), schedule in desk.schedules.items():
+        path = tmp_path / "schedule.txt"
+        write_schedule(schedule, path)
+        report = metrics.evaluate(schedule, 1000.0)
+        texts = (path.read_bytes(), report.to_text().encode(), report.latency_table().encode())
+        got[(names[dst], name, eta_key)] = tuple(hashlib.sha256(t).hexdigest() for t in texts)
+    assert got == DESK_DIGESTS
+
+
 # ---------------------------------------------------------------------------
 # Criteria
 # ---------------------------------------------------------------------------
@@ -122,8 +203,8 @@ def test_criterion_1_worked_example_golden():
                     assert got in (152.97, 152.98)
                 else:
                     assert got == pytest.approx(want, abs=0.01), (eta_s, rid)
-        assert alpr(series, src, dst, 1.0).routes[0].nodes == (src, 0, dst)
-        assert alpr(series, src, dst, 1000.0).routes[0].nodes == (src, 1, dst)
+        assert slot_routes(alpr(series, src, dst, 1.0))[0].nodes == (src, 0, dst)
+        assert slot_routes(alpr(series, src, dst, 1000.0))[0].nodes == (src, 1, dst)
 
 
 def test_criterion_2_delay_matrix_golden(eq4):
@@ -162,17 +243,17 @@ def test_criterion_4_mean_identity_everywhere(desk):
             for name in ("ilsr", "ilpr", "alpr", "isasr"):
                 for eta_s in (1.0, 10.0, 100.0, 1000.0):
                     schedule = run_algorithm(name, series, src, dst, eta_s)
-                    cases.append((schedule, series, eta_s))
+                    cases.append((schedule, eta_s))
         rng = np.random.default_rng(99)
         for _ in range(3):
             series = random_series(rng)
             for name in ("ilsr", "ilpr", "alpr", "isasr"):
-                cases.append((run_algorithm(name, series, 0, 7, 77.0), series, 77.0))
+                cases.append((run_algorithm(name, series, 0, 7, 77.0), 77.0))
         for (dst, name, eta_key), schedule in desk.schedules.items():
             eta_s = eta_key if eta_key is not None else 1000.0
-            cases.append((schedule, desk.series, eta_s))
-        for schedule, series, eta_s in cases:
-            report = metrics.evaluate(schedule, series, eta_s)
+            cases.append((schedule, eta_s))
+        for schedule, eta_s in cases:
+            report = metrics.evaluate(schedule, eta_s)
             assert report.identity_residual() < 1e-9
 
 
@@ -193,7 +274,7 @@ def test_criterion_5_isasr_reduction_on_toy_constellation():
         series = generate_series(shell, stations, scenario)
         a = isasr(series, 50, 51, 1000.0, 0.0, math.inf)
         b = ilsr(series, 50, 51)
-        for ra, rb in zip(a.routes, b.routes):
+        for ra, rb in zip(slot_routes(a), slot_routes(b)):
             if ra is None or rb is None:
                 assert ra is None and rb is None
             else:
@@ -206,7 +287,7 @@ def test_criterion_6_penalty_blind_algorithms(desk):
         for name in ("ilsr", "ilpr"):
             schedule = _schedule(desk, desk.london, name, None)
             reports = [
-                metrics.evaluate(schedule, desk.series, eta_s)
+                metrics.evaluate(schedule, eta_s)
                 for eta_s in (1.0, 10.0, 100.0, 1000.0)
             ]
             lams = {r.route_change_rate_pct for r in reports}
@@ -220,7 +301,7 @@ def test_ilsr_routes_match_full_settle_oracle(desk):
     for dst in (desk.london, desk.hanoi):
         schedule = _schedule(desk, dst, "ilsr", None)
         foreign = np.array(sorted(stations - {desk.ny, dst}))
-        for snap, route in zip(desk.series.snapshots, schedule.routes):
+        for snap, route in zip(desk.series.snapshots, slot_routes(schedule)):
             costs = snap.delay_ms.copy()
             costs[np.isin(snap.u, foreign) | np.isin(snap.v, foreign)] = np.inf
             indptr, nbr, arc_eid = snap.csr()
@@ -246,7 +327,7 @@ def test_criterion_7_full_constellation_ordering(desk):
         assert series.num_slots == 600
         # (a) the fastest observed slot is still above the 26 ms floor
         ilsr_report = metrics.evaluate(
-            _schedule(desk, desk.london, "ilsr", None), series, 1000.0
+            _schedule(desk, desk.london, "ilsr", None), 1000.0
         )
         assert np.nanmin(ilsr_report.latency_ms) > 26.0
         # (b) mean total latency ordering at eta_s = 1000
@@ -254,7 +335,7 @@ def test_criterion_7_full_constellation_ordering(desk):
         lams = {}
         for name in ("ilsr", "ilpr", "alpr", "isasr"):
             report = metrics.evaluate(
-                _schedule(desk, desk.london, name, 1000.0), series, 1000.0
+                _schedule(desk, desk.london, name, 1000.0), 1000.0
             )
             means[name] = report.mean_eta_le_ms
             lams[name] = report.route_change_rate_pct
@@ -264,7 +345,7 @@ def test_criterion_7_full_constellation_ordering(desk):
         # (d) the longer pair costs more for every algorithm
         for name in ("ilsr", "ilpr", "alpr", "isasr"):
             far = metrics.evaluate(
-                _schedule(desk, desk.hanoi, name, 1000.0), series, 1000.0
+                _schedule(desk, desk.hanoi, name, 1000.0), 1000.0
             )
             assert far.mean_eta_le_ms > means[name]
 
@@ -289,7 +370,7 @@ def test_criterion_8_bimodality_and_outage(desk):
         n = series.num_slots
         for name in ("ilsr", "ilpr", "alpr", "isasr"):
             report = metrics.evaluate(
-                _schedule(desk, desk.london, name, 1000.0), series, 1000.0,
+                _schedule(desk, desk.london, name, 1000.0), 1000.0,
             )
             sep = _modal_separation(report.latency_ms, 1000.0, bin_width=0.25)
             assert 995.0 <= sep <= 1005.0, (name, sep)
@@ -299,7 +380,7 @@ def test_criterion_8_bimodality_and_outage(desk):
         for eta_s, qos in paired.items():
             for name in ("ilsr", "ilpr", "alpr", "isasr"):
                 report = metrics.evaluate(
-                    _schedule(desk, desk.london, name, eta_s), series, eta_s,
+                    _schedule(desk, desk.london, name, eta_s), eta_s,
                     qos_ms=(qos, 40.0),
                 )
                 lam = report.route_change_rate_pct / 100.0
@@ -318,7 +399,7 @@ def test_criterion_9_jitter_monotone_in_penalty():
                 for sched_eta in (1.0, 1000.0):
                     schedule = run_algorithm(name, series, src, dst, sched_eta)
                     jitters = [
-                        metrics.evaluate(schedule, series, eta_s).average_jitter_ms
+                        metrics.evaluate(schedule, eta_s).average_jitter_ms
                         for eta_s in (1.0, 10.0, 100.0, 1000.0)
                     ]
                     assert all(a <= b + 1e-12 for a, b in zip(jitters, jitters[1:]))

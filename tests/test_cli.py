@@ -15,6 +15,8 @@ from lislsim.topology import import_series
 from lislsim.toyseries import dominance_toy_series
 from lislsim.routing import ilsr
 
+from conftest import slot_routes
+
 TINY_CONFIG = """
 [constellation]
 num_planes = 1
@@ -117,6 +119,31 @@ class TestRun:
         ])
         assert rc == 1
         assert "coverage 0" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("gaps, listed", [
+        ((2, 4), "[2, 4]"),
+        (tuple(range(2, 13)), "[2, 3, 4, 5, 6, 7, 8, 9, 10, 11]..."),
+    ])
+    def test_partly_unreachable_run_warns_with_the_gap_slots(
+        self, tmp_path, tiny_config, capsys, gaps, listed
+    ):
+        from lislsim.constellation import GroundStation
+        from lislsim.topology import export_series
+        from lislsim.toyseries import series_from_edges
+
+        stations = (GroundStation(1, "alpha", 0.0, 0.0), GroundStation(2, "bravo", 0.0, 90.0))
+        per_slot = [
+            {(0, 1): 1.0} if slot in gaps else {(0, 1): 1.0, (0, 2): 1.0}
+            for slot in range(1, 14)
+        ]
+        series = tmp_path / "gappy.series"
+        export_series(series_from_edges(per_slot, 1, stations), series)
+        assert main([
+            "run", "--config", str(tiny_config), "--series", str(series),
+            "--algorithm", "ilsr", "--out", str(tmp_path / "out"),
+        ]) == 0
+        warning = f"warning: {len(gaps)} unreachable slots: {listed}\n"
+        assert capsys.readouterr().err == warning
 
     def test_manifest_records_the_full_config(self, tmp_path, tiny_series):
         cfg = tmp_path / "reset.ini"
@@ -274,9 +301,9 @@ class TestScheduleFileHelpers:
         series = dominance_toy_series()
         schedule = ilsr(series, 6, 7)
         path = tmp_path / "sched.txt"
-        write_schedule(schedule, series, path)
+        write_schedule(schedule, path)
         header, routes = schedule_file_routes(path)
-        assert routes == [r.nodes if r else None for r in schedule.routes]
+        assert routes == [r.nodes if r else None for r in slot_routes(schedule)]
         assert "source=6" in header and "destination=7" in header
 
 
@@ -563,9 +590,9 @@ class TestScheduleGaps:
 
         series = dominance_toy_series()
         routes = [Route((6, 0, 4, 7)), None, Route((6, 1, 5, 7)), None, None, Route((6, 1, 5, 7))]
-        schedule = RoutingSchedule("by-hand", 6, 7, routes)
+        schedule = RoutingSchedule("by-hand", 6, 7, routes, series)
         path = tmp_path / "gappy.txt"
-        write_schedule(schedule, series, path)
+        write_schedule(schedule, path)
         assert schedule_file_routes(path)[1] == [r.nodes if r else None for r in routes]
 
 

@@ -11,6 +11,7 @@ from lislsim.metrics import (
     evaluate,
     histogram,
     outage_probability,
+    slot_order_sum,
 )
 from lislsim.oracle import selection_cost
 from lislsim.routing import Route, RoutingSchedule, run_algorithm
@@ -22,6 +23,39 @@ from conftest import random_series
 def penalty(s, d, eta_s):
     """The setup-penalty part of a selection's cost."""
     return selection_cost(s, d, eta_s) - selection_cost(s, d, 0.0)
+
+
+def selection_schedule(s, d) -> RoutingSchedule:
+    """A selection matrix as a schedule on a series whose route delays are ``d``.
+
+    With k routes, route r runs from station k via satellite r to station
+    k + 1, each of its two edges holding half the route's delay, so its
+    ``route_delay`` gives back ``d[r, i]`` exactly (halving is exact in binary).
+    """
+    k, n = d.shape
+    per_slot = []
+    for i in range(n):
+        live = [r for r in range(k) if np.isfinite(d[r, i])]
+        per_slot.append({(r, g): d[r, i] / 2.0 for r in live for g in (k, k + 1)})
+    stations = tuple(GroundStation(k + j, name, 0.0, 0.0) for j, name in enumerate("ab"))
+    series = series_from_edges(per_slot, num_satellites=k, ground_stations=stations)
+    routes = [Route((k, int(r), k + 1)) for r in np.argmax(s, axis=0)]
+    return RoutingSchedule("x", k, k + 1, routes, series)
+
+
+class TestSlotOrderSum:
+    def test_adds_python_floats_in_slot_order(self):
+        # np.sum (pairwise) and Python 3.12's compensated sum() both give 1.0
+        assert slot_order_sum([0.1] * 10) == 0.9999999999999999
+        # evaluate and selection_cost share it: equal totals on delays that
+        # are not binary fractions, where the order of addition shows
+        d = np.array([[0.1] * 10, [0.7, 0.2, 0.3, 0.7, 1.1, 0.1, 0.3, 0.6, 0.9, 0.1]])
+        s = np.zeros((2, 10), dtype=np.int8)
+        s[1, [2, 3, 7]] = 1
+        s[0] = 1 - s[1]
+        report = evaluate(selection_schedule(s, d), 10.0)
+        assert report.eta_delay_ms == selection_cost(s, d, 0.0) == 2.3000000000000003
+        assert report.eta_le_ms == selection_cost(s, d, 10.0)
 
 
 class TestSelectionMatrixMetrics:
@@ -64,16 +98,7 @@ class TestSelectionMatrixMetrics:
 
     def test_latency_series_decomposition(self, eq4):
         d, s = eq4
-        # the same instance as a schedule: route k runs via satellite k, each
-        # of its two edges holding half the route's delay (exact in binary)
-        per_slot = []
-        for i in range(4):
-            live = [k for k in range(3) if np.isfinite(d[k, i])]
-            per_slot.append({(k, g): d[k, i] / 2.0 for k in live for g in (3, 4)})
-        stations = tuple(GroundStation(3 + j, name, 0.0, 0.0) for j, name in enumerate("ab"))
-        series = series_from_edges(per_slot, num_satellites=3, ground_stations=stations)
-        routes = [Route((3, int(k), 4)) for k in np.argmax(s, axis=0)]
-        report = evaluate(RoutingSchedule("x", 3, 4, routes), series, 10.0)
+        report = evaluate(selection_schedule(s, d), 10.0)
         assert report.latency_ms.tolist() == [26.0, 27.0, 35.0, 36.0]
         assert math.fsum(report.latency_ms) == 124.0
         assert report.eta_le_ms == selection_cost(s, d, 10.0) == 124.0
@@ -82,24 +107,24 @@ class TestSelectionMatrixMetrics:
 class TestLatencySeries:
     def test_switch_charged_to_later_slot(self):
         routes = [Route((0, 1, 2))] * 2 + [Route((0, 3, 2))] * 2
-        schedule = RoutingSchedule("x", 0, 2, routes)
         series = series_from_edges(
             [{(0, 1): 13.0, (1, 2): 13.0, (0, 3): 13.0, (2, 3): 13.0}] * 4,
             num_satellites=4,
         )
-        lat = evaluate(schedule, series, 1000.0).latency_ms
+        schedule = RoutingSchedule("x", 0, 2, routes, series)
+        lat = evaluate(schedule, 1000.0).latency_ms
         assert lat.tolist() == [26.0, 26.0, 1026.0, 26.0]
 
     def test_no_switch_means_delay_only(self):
-        schedule = RoutingSchedule("x", 0, 2, [Route((0, 1, 2))] * 3)
         series = series_from_edges([{(0, 1): 3.0, (1, 2): 4.0}] * 3, num_satellites=3)
-        assert evaluate(schedule, series, 500.0).latency_ms.tolist() == [7.0] * 3
+        schedule = RoutingSchedule("x", 0, 2, [Route((0, 1, 2))] * 3, series)
+        assert evaluate(schedule, 500.0).latency_ms.tolist() == [7.0] * 3
 
     def test_gap_marked_nan_and_excluded(self):
         routes = [Route((0, 1)), None, Route((0, 1))]
-        schedule = RoutingSchedule("x", 0, 1, routes)
         series = series_from_edges([{(0, 1): 2.0}] * 3, num_satellites=2)
-        report = evaluate(schedule, series, 100.0)
+        schedule = RoutingSchedule("x", 0, 1, routes, series)
+        report = evaluate(schedule, 100.0)
         lat = report.latency_ms
         assert lat[0] == 2.0 and np.isnan(lat[1]) and lat[2] == 2.0
         # boundaries next to the gap never count as switches
@@ -141,7 +166,7 @@ class TestJitter:
         for name in ("ilsr", "ilpr", "alpr", "isasr"):
             schedule = run_algorithm(name, series, 0, 6, 50.0)
             jitters = [
-                evaluate(schedule, series, eta_s).average_jitter_ms
+                evaluate(schedule, eta_s).average_jitter_ms
                 for eta_s in (1.0, 10.0, 100.0, 1000.0)
             ]
             assert all(a <= b + 1e-12 for a, b in zip(jitters, jitters[1:]))
@@ -187,7 +212,7 @@ class TestIdentity:
     def test_mean_identity_all_algorithms(self, name, eta_s):
         series = dominance_toy_series()
         schedule = run_algorithm(name, series, 6, 7, eta_s)
-        report = evaluate(schedule, series, eta_s)
+        report = evaluate(schedule, eta_s)
         assert report.identity_residual() < 1e-9
 
     def test_mean_identity_random_series(self):
@@ -196,7 +221,7 @@ class TestIdentity:
             series = random_series(rng)
             for name in ("ilsr", "ilpr", "alpr", "isasr"):
                 schedule = run_algorithm(name, series, 0, 7, 123.0)
-                report = evaluate(schedule, series, 123.0)
+                report = evaluate(schedule, 123.0)
                 assert report.identity_residual() < 1e-9
 
     def test_decomposition_exact_on_exact_data(self):
@@ -204,7 +229,7 @@ class TestIdentity:
         for eta_s in (1.0, 64.0, 1024.0):
             for name in ("ilsr", "ilpr", "alpr", "isasr"):
                 schedule = run_algorithm(name, series, 6, 7, eta_s)
-                report = evaluate(schedule, series, eta_s)
+                report = evaluate(schedule, eta_s)
                 lat = report.latency_ms
                 assert math.fsum(lat[~np.isnan(lat)]) == report.eta_le_ms
 
@@ -214,7 +239,7 @@ class TestPenaltyBlindness:
     def test_lambda_and_delay_invariant_under_penalty(self, name):
         series = dominance_toy_series()
         schedule = run_algorithm(name, series, 6, 7, 1.0)
-        reports = [evaluate(schedule, series, e) for e in (1.0, 10.0, 100.0, 1000.0)]
+        reports = [evaluate(schedule, e) for e in (1.0, 10.0, 100.0, 1000.0)]
         assert len({r.route_change_rate_pct for r in reports}) == 1
         assert len({r.mean_eta_delay_ms for r in reports}) == 1
 
@@ -223,7 +248,7 @@ class TestReport:
     def test_text_and_tables(self):
         series = dominance_toy_series()
         schedule = run_algorithm("ilsr", series, 6, 7, 10.0)
-        report = evaluate(schedule, series, 10.0, qos_ms=(40.0,), runtime_s=0.5)
+        report = evaluate(schedule, 10.0, qos_ms=(40.0,), runtime_s=0.5)
         text = report.to_text()
         assert "eta_delay" in text and "route_change_rate" in text
         assert "outage@40.000000000ms" in text
@@ -235,7 +260,7 @@ class TestReport:
         series = random_series(rng)
         for name in ("ilsr", "ilpr", "alpr", "isasr"):
             schedule = run_algorithm(name, series, 0, 7, 10.0)
-            report = evaluate(schedule, series, 10.0, qos_ms=(5.0, 50.0))
+            report = evaluate(schedule, 10.0, qos_ms=(5.0, 50.0))
             n = report.num_slots
             assert 0.0 <= report.route_change_rate_pct <= 100.0 * (n - 1) / n
             assert all(0.0 <= p <= 1.0 for _, p in report.outage)

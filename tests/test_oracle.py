@@ -13,9 +13,9 @@ from lislsim.oracle import (
     enumerate_routes,
     random_delay_matrix,
     selection_cost,
-    selection_from_schedule,
     validate_selection,
 )
+from lislsim.metrics import evaluate
 from lislsim.routing import run_algorithm
 from lislsim.toyseries import dominance_toy_series, series_from_edges
 
@@ -178,20 +178,10 @@ class TestEnumeration:
 class TestDominance:
     def test_heuristics_never_beat_the_optimum(self):
         series = dominance_toy_series()
-        routes, d = enumerate_routes(series, 6, 7, hop_limit=4)
+        _, d = enumerate_routes(series, 6, 7, hop_limit=4)
         for eta_s in (1.0, 10.0, 100.0):
             _, optimal = dp_optimal(d, eta_s)
             for name in ("ilsr", "ilpr", "alpr", "isasr"):
                 schedule = run_algorithm(name, series, 6, 7, eta_s, cost_thrsh_ms=np.inf)
-                s = selection_from_schedule(schedule, routes)
-                cost = selection_cost(s, d, eta_s)
-                assert cost >= optimal - 1e-9
-
-    def test_selection_from_schedule_rejects_unknown_routes(self):
-        series = dominance_toy_series()
-        # hop limit 3 misses the 4-hop route that ILSR uses from slot 3 on
-        routes, _ = enumerate_routes(series, 6, 7, hop_limit=3)
-        schedule = run_algorithm("ilsr", series, 6, 7, 1.0)
-        with pytest.raises(ValueError, match="not present"):
-            selection_from_schedule(schedule, routes)
+                assert evaluate(schedule, eta_s).eta_le_ms >= optimal
 

@@ -7,6 +7,7 @@ import pytest
 
 from lislsim.routing import (
     Route,
+    RoutingSchedule,
     alpr,
     alpr_average_latency,
     dijkstra,
@@ -20,7 +21,7 @@ from lislsim.routing import (
 )
 from lislsim.toyseries import series_from_edges
 
-from conftest import WORKED_EXAMPLE_DELAYS, one_slot, random_series, square_edges
+from conftest import WORKED_EXAMPLE_DELAYS, one_slot, random_series, slot_routes, square_edges
 
 
 def exhaustive_best_path(edges: dict, src: int, dst: int):
@@ -151,14 +152,14 @@ class TestIlsr:
             num_satellites=4,
         )
         schedule = ilsr(series, 0, 3)
-        assert schedule.routes[0].nodes == (0, 1, 3)
-        assert schedule.routes[1].nodes == (0, 2, 3)
+        assert slot_routes(schedule)[0].nodes == (0, 1, 3)
+        assert slot_routes(schedule)[1].nodes == (0, 2, 3)
         assert schedule.switch_flags().sum() == 1
 
     def test_static_topology_never_switches(self):
         series = series_from_edges([square_edges()] * 5, num_satellites=4)
         schedule = ilsr(series, 0, 3)
-        assert all(r.nodes == (0, 2, 3) for r in schedule.routes)
+        assert all(r.nodes == (0, 2, 3) for r in slot_routes(schedule))
         assert schedule.switch_flags().sum() == 0
 
     def test_two_slot_trace(self):
@@ -171,7 +172,7 @@ class TestIlsr:
             num_satellites=4,
         )
         schedule = ilsr(series, 0, 3)
-        assert [r.nodes for r in schedule.routes] == [(0, 1, 3), (0, 2, 3)]
+        assert [r.nodes for r in slot_routes(schedule)] == [(0, 1, 3), (0, 2, 3)]
 
 
 class TestIlpr:
@@ -185,10 +186,9 @@ class TestIlpr:
             num_satellites=4,
         )
         schedule = ilpr(series, 0, 3)
-        assert [r.nodes for r in schedule.routes] == [(0, 1, 3), (0, 1, 3)]
+        assert [r.nodes for r in slot_routes(schedule)] == [(0, 1, 3), (0, 1, 3)]
         assert schedule.switch_flags().sum() == 0
-        delays = [series.snapshot(i + 1).route_delay(r) for i, r in enumerate(schedule.routes)]
-        assert sum(delays) == 24.0
+        assert schedule.delay_ms.tolist() == [10.0, 14.0]
 
     def test_recomputes_when_edge_disappears(self):
         series = series_from_edges(
@@ -199,7 +199,7 @@ class TestIlpr:
             num_satellites=4,
         )
         schedule = ilpr(series, 0, 3)
-        assert [r.nodes for r in schedule.routes] == [(0, 1, 3), (0, 2, 3)]
+        assert [r.nodes for r in slot_routes(schedule)] == [(0, 1, 3), (0, 2, 3)]
         assert schedule.switch_flags().sum() == 1
 
     def test_static_topology_zero_switches(self):
@@ -214,7 +214,7 @@ class TestIlpr:
             flags = schedule.switch_flags()
             for i, flag in enumerate(flags):
                 if flag:
-                    prev = schedule.routes[i]
+                    prev = slot_routes(schedule)[i]
                     assert not series.snapshot(i + 2).contains_route(prev)
 
 
@@ -304,20 +304,20 @@ class TestAlprAverageLatency:
 class TestAlpr:
     def test_low_penalty_selects_fastest_route(self, table_series):
         schedule = alpr(table_series, 4, 5, 1.0)
-        assert schedule.routes[0].nodes == (4, 0, 5)
+        assert slot_routes(schedule)[0].nodes == (4, 0, 5)
 
     def test_high_penalty_selects_longest_lived_route(self, table_series):
         schedule = alpr(table_series, 4, 5, 1000.0)
-        assert schedule.routes[0].nodes == (4, 1, 5)
+        assert slot_routes(schedule)[0].nodes == (4, 1, 5)
         # that route survives the whole horizon: no switches at all
         assert schedule.switch_flags().sum() == 0
-        assert all(r.nodes == (4, 1, 5) for r in schedule.routes)
+        assert all(r.nodes == (4, 1, 5) for r in slot_routes(schedule))
 
     def test_single_candidate_selected_regardless_of_penalty(self):
         series = series_from_edges([{(0, 1): 3.0, (1, 2): 3.0}] * 4, num_satellites=3)
         for eta_s in (1.0, 1000.0):
             schedule = alpr(series, 0, 2, eta_s)
-            assert all(r.nodes == (0, 1, 2) for r in schedule.routes)
+            assert all(r.nodes == (0, 1, 2) for r in slot_routes(schedule))
 
     def test_block_structure(self):
         rng = np.random.default_rng(21)
@@ -326,12 +326,12 @@ class TestAlpr:
             schedule = alpr(series, 0, 6, 50.0)
             i = 1
             while i <= series.num_slots:
-                route = schedule.routes[i - 1]
+                route = slot_routes(schedule)[i - 1]
                 assert route is not None
                 last = route_lifetime(route, series.snapshot(i))
                 # the active block extends exactly to the route's expiry
                 for k in range(i, last + 1):
-                    assert schedule.routes[k - 1] is route
+                    assert slot_routes(schedule)[k - 1] is route
                 i = last + 1
 
     def test_single_slot_lifetime_triggers_immediate_redecision(self):
@@ -342,16 +342,16 @@ class TestAlpr:
         ]
         series = series_from_edges(per_slot, num_satellites=4)
         schedule = alpr(series, 0, 2, 1.0)
-        assert schedule.routes[0].nodes == (0, 1, 2)
-        assert schedule.routes[1].nodes == (0, 3, 2)
-        assert schedule.routes[2].nodes == (0, 3, 2)
+        assert slot_routes(schedule)[0].nodes == (0, 1, 2)
+        assert slot_routes(schedule)[1].nodes == (0, 3, 2)
+        assert slot_routes(schedule)[2].nodes == (0, 3, 2)
 
     def test_unreachable_decision_slot_advances_one(self):
         per_slot = [{(0, 1): 1.0}, {(0, 1): 1.0, (1, 2): 1.0}, {(0, 1): 1.0, (1, 2): 1.0}]
         series = series_from_edges(per_slot, num_satellites=3)
         schedule = alpr(series, 0, 2, 10.0)
-        assert schedule.routes[0] is None
-        assert schedule.routes[1].nodes == (0, 1, 2)
+        assert slot_routes(schedule)[0] is None
+        assert slot_routes(schedule)[1].nodes == (0, 1, 2)
         assert schedule.unreachable_slots() == [1]
 
 
@@ -375,7 +375,7 @@ class TestIsasr:
             series = random_series(rng, num_nodes=8, num_slots=10)
             a = isasr(series, 0, 7, 1000.0, 0.0, math.inf)
             b = ilsr(series, 0, 7)
-            for ra, rb in zip(a.routes, b.routes):
+            for ra, rb in zip(slot_routes(a), slot_routes(b)):
                 assert (ra is None) == (rb is None)
                 if ra is not None:
                     assert ra.nodes == rb.nodes
@@ -384,7 +384,7 @@ class TestIsasr:
         series = series_from_edges([square_edges()] * 6, num_satellites=4)
         schedule = isasr(series, 0, 3, 100.0, 100.0, math.inf)
         assert schedule.switch_flags().sum() == 0
-        assert all(r.nodes == schedule.routes[0].nodes for r in schedule.routes)
+        assert all(r.nodes == slot_routes(schedule)[0].nodes for r in slot_routes(schedule))
 
     def test_threshold_prunes_short_lived_satellite_edges(self):
         # (1,2) is short-lived and would carry the cheapest route at slot 1;
@@ -398,10 +398,10 @@ class TestIsasr:
         eta_s = 100.0
         # cost_st of (1,2) at slot 1 is eta_s/1 = 100 >= threshold
         schedule = isasr(series, 0, 3, eta_s, 1.0, cost_thrsh_ms=100.0)
-        assert schedule.routes[0].nodes == (0, 4, 3)
+        assert slot_routes(schedule)[0].nodes == (0, 4, 3)
         # with a huge threshold the short-lived edge is allowed again
         loose = isasr(series, 0, 3, eta_s, 0.0, cost_thrsh_ms=math.inf)
-        assert loose.routes[0].nodes == (0, 1, 2, 3)
+        assert slot_routes(loose)[0].nodes == (0, 1, 2, 3)
 
     def test_ground_edges_survive_pruning(self):
         from lislsim.constellation import GroundStation
@@ -419,12 +419,12 @@ class TestIsasr:
         ]
         series = series_from_edges(per_slot, num_satellites=2, ground_stations=stations)
         schedule = isasr(series, 2, 3, 100.0, 1.0, cost_thrsh_ms=50.0)
-        assert schedule.routes[0].nodes == (2, 0, 1, 3)
+        assert slot_routes(schedule)[0].nodes == (2, 0, 1, 3)
         assert schedule.unreachable_slots() == [2, 3]
 
     def test_reported_delays_use_original_costs(self, toy_series):
         schedule = isasr(toy_series, 6, 7, 100.0, 100.0, math.inf)
-        for i, route in enumerate(schedule.routes, start=1):
+        for i, route in enumerate(slot_routes(schedule), start=1):
             snap = toy_series.snapshot(i)
             assert snap.route_delay(route) == sum(
                 float(snap.delay_ms[p]) for p in snap.edge_positions(route.canonical_edges)
@@ -442,10 +442,15 @@ class TestScheduleFeasibility:
         for _ in range(6):
             series = random_series(rng, num_nodes=8, num_slots=9)
             schedule = run_algorithm(name, series, 0, 7, 25.0)
-            for i, route in enumerate(schedule.routes, start=1):
+            for i, route in enumerate(slot_routes(schedule), start=1):
                 if route is not None:
                     assert series.snapshot(i).contains_route(route)
                     assert route.nodes[0] == 0 and route.nodes[-1] == 7
+
+    def test_route_missing_an_edge_in_its_slot_is_rejected(self):
+        series = series_from_edges([square_edges(), {(0, 2): 4.0, (2, 3): 4.0}], num_satellites=4)
+        with pytest.raises(ValueError, match="slot 2 uses a missing edge"):
+            RoutingSchedule("by-hand", 0, 3, [Route((0, 1, 3))] * 2, series)
 
     def test_unknown_algorithm_rejected(self, toy_series):
         with pytest.raises(ValueError):
@@ -512,12 +517,12 @@ class TestIsasrConfigSwitches:
         series = series_from_edges(per_slot, num_satellites=4)
         sticky = isasr(series, 0, 3, eta_s_ms=10.0, gamma=1.0,
                        cost_thrsh_ms=math.inf)
-        assert [r.nodes for r in sticky.routes] == [
+        assert [r.nodes for r in slot_routes(sticky)] == [
             (0, 1, 3), (0, 1, 3), (0, 2, 3), (0, 1, 3)
         ]
         resetting = isasr(series, 0, 3, eta_s_ms=10.0, gamma=1.0,
                           cost_thrsh_ms=math.inf, reset_dropped_edges=True)
-        assert [r.nodes for r in resetting.routes] == [
+        assert [r.nodes for r in slot_routes(resetting)] == [
             (0, 1, 3), (0, 1, 3), (0, 2, 3), (0, 2, 3)
         ]
 
@@ -530,7 +535,7 @@ class TestIsasrConfigSwitches:
         series = series_from_edges(per_slot, num_satellites=4)
         per_run = isasr(series, 0, 3, eta_s_ms=100.0, gamma=1.0,
                         cost_thrsh_ms=math.inf)
-        assert per_run.routes[0].nodes == (0, 2, 3)
+        assert slot_routes(per_run)[0].nodes == (0, 2, 3)
         global_l = isasr(series, 0, 3, eta_s_ms=100.0, gamma=1.0,
                          cost_thrsh_ms=math.inf, global_lifetimes=True)
-        assert global_l.routes[0].nodes == (0, 1, 3)
+        assert slot_routes(global_l)[0].nodes == (0, 1, 3)
