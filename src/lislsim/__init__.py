@@ -32,9 +32,9 @@ from .routing import (
     run_algorithm,
 )
 from .oracle import (
-    brute_force_optimal,
     dp_optimal,
-    enumerate_routes,
+    optimum_schedule,
+    route_delay_matrix,
     selection_cost,
 )
 from .metrics import (
@@ -44,4 +44,4 @@ from .metrics import (
     histogram,
     outage_probability,
 )
-from .config import ExperimentConfig, OracleConfig, default_config, load_config
+from .config import ExperimentConfig, default_config, load_config

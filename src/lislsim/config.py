@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from .constellation import (
     TEXT_PARSERS, ConstellationParams, GroundStation, ScenarioParams, field_values,
 )
-from .oracle import BRUTE_FORCE_CAP
 from .routing import ALGORITHMS
 
 DEFAULT_GROUND_STATIONS = (
@@ -23,39 +22,6 @@ DEFAULT_GROUND_STATIONS = (
     ("london", 51.5074, -0.1278),
     ("hanoi", 21.0285, 105.8542),
 )
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Caps and distribution for randomized oracle cross-checks."""
-
-    instances: int = 1000
-    max_routes: int = 4
-    max_slots: int = 6
-    delay_low_ms: float = 20.0
-    delay_high_ms: float = 40.0
-    inf_fraction: float = 0.2
-    eta_s_ms: tuple[float, ...] = (0.0, 1.0, 10.0, 100.0, 1000.0)
-
-    def __post_init__(self):
-        if self.instances < 1 or self.max_routes < 1 or self.max_slots < 1:
-            raise ValueError("oracle caps must be positive")
-        # 2 ** 64 already exceeds the cap, so the exponent stops there
-        if self.max_routes > 1 and self.max_routes ** min(self.max_slots, 64) > BRUTE_FORCE_CAP:
-            raise ValueError(
-                f"{self.max_routes}^{self.max_slots} assignments exceed the brute-force "
-                f"cap of {BRUTE_FORCE_CAP}"
-            )
-        if not 0 <= self.inf_fraction < 1:
-            raise ValueError("inf_fraction must lie in [0, 1)")
-        if not (
-            math.isfinite(self.delay_high_ms) and 0 <= self.delay_low_ms <= self.delay_high_ms
-        ):
-            raise ValueError("oracle delay bounds must be finite with 0 <= low <= high")
-        if not self.eta_s_ms:
-            raise ValueError("oracle needs at least one setup delay")
-        if not all(math.isfinite(e) and e >= 0 for e in self.eta_s_ms):
-            raise ValueError("oracle setup delays must be finite and non-negative")
 
 
 def check_routing_values(eta_s_ms=(), qos_ms=(), gamma_ms=None, cost_thrsh_ms=None) -> None:
@@ -91,8 +57,6 @@ class ExperimentConfig:
     reset_dropped_edges: bool = False
     global_lifetimes: bool = False
     histogram_bin_ms: float = 0.25
-    seed: int = 1
-    oracle: OracleConfig = OracleConfig()
 
     def __post_init__(self):
         check_routing_values(
@@ -154,7 +118,7 @@ def _stations(num_satellites: int, entries) -> tuple[GroundStation, ...]:
     )
 
 
-_SECTIONS = ("constellation", "scenario", "ground_stations", "run", "oracle")
+_SECTIONS = ("constellation", "scenario", "ground_stations", "run")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -196,6 +160,5 @@ def _from_parser(parser: configparser.ConfigParser) -> ExperimentConfig:
         constellation=constellation,
         scenario=replace(base.scenario, **values("scenario", ScenarioParams)),
         ground_stations=_stations(constellation.num_satellites, entries),
-        oracle=replace(base.oracle, **values("oracle", OracleConfig)),
         **values("run", ExperimentConfig),
     )

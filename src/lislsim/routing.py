@@ -298,8 +298,9 @@ def isasr(
         if route is None:
             previous_uids = None
             continue
-        route_uids = uids[snap.edge_positions(route.canonical_edges)]
-        break_point = route_lifetime(route, snap)
+        pos = snap.edge_positions(route.canonical_edges)
+        route_uids = uids[pos]
+        break_point = int(snap.run_last[pos].min())
         cost_act[route_uids] = 0.0 if slot != break_point else eta_s_ms
         if reset_dropped_edges and previous_uids is not None:
             cost_act[np.setdiff1d(previous_uids, route_uids)] = eta_s_ms

@@ -1,0 +1,142 @@
+"""Exhaustive cross-checks of ``lislsim.oracle``: brute-force optima, route
+enumeration on small series, and random delay matrices."""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from lislsim.oracle import route_delay_matrix, selection_cost, validate_delay_matrix
+from lislsim.routing import Route
+from lislsim.topology import SnapshotSeries
+
+# Most assignments ``brute_force_optimal`` enumerates (routes ** slots).
+BRUTE_FORCE_CAP = 10_000_000
+
+
+class OracleSizeError(ValueError):
+    """Instance exceeds the enumeration caps."""
+
+
+def brute_force_optimal(
+    d: np.ndarray, eta_s_ms: float, cap: int = BRUTE_FORCE_CAP
+) -> tuple[np.ndarray, float]:
+    """Exhaustive optimum over all feasible assignments (independent oracle).
+
+    Enumerates the product of each slot's existing routes in chunks;
+    refuses instances with K^N beyond `cap`. The returned cost is
+    ``selection_cost`` of the winning selection.
+    """
+    d = validate_delay_matrix(d)
+    if eta_s_ms < 0:
+        raise ValueError("setup penalty cannot be negative")
+    num_routes, num_slots = d.shape
+    if num_routes ** num_slots > cap:
+        raise OracleSizeError(
+            f"{num_routes}^{num_slots} assignments exceed the cap of {cap}"
+        )
+    per_slot = [np.nonzero(np.isfinite(d[:, i]))[0] for i in range(num_slots)]
+    best_rows: np.ndarray | None = None
+    best_key: tuple[float, int] | None = None
+    cols = np.arange(num_slots)
+    chunk_iter = itertools.product(*per_slot)
+    while True:
+        chunk = list(itertools.islice(chunk_iter, 100_000))
+        if not chunk:
+            break
+        rows = np.array(chunk, dtype=np.int64)
+        delay_sum = d[rows, cols].sum(axis=1)
+        switches = (rows[:, 1:] != rows[:, :-1]).sum(axis=1) if num_slots > 1 else np.zeros(len(chunk), dtype=np.int64)
+        cost = delay_sum + eta_s_ms * switches
+        k = int(np.argmin(cost))
+        key = (float(cost[k]), int(switches[k]))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_rows = rows[k]
+    assert best_rows is not None
+    s = np.zeros((num_routes, num_slots), dtype=np.int8)
+    s[best_rows, cols] = 1
+    return s, selection_cost(s, d, eta_s_ms)
+
+
+def enumerate_routes(
+    series: SnapshotSeries,
+    src: int,
+    dst: int,
+    hop_limit: int,
+    max_routes: int = 200_000,
+) -> tuple[list[Route], np.ndarray]:
+    """All simple routes up to hop_limit edges existing in >= 1 slot, plus D.
+
+    The search runs over the union graph of all slots; D is
+    ``oracle.route_delay_matrix`` of the routes found. Routes are returned
+    in lexicographic vertex order. Ground stations other than src/dst are
+    never traversed.
+    """
+    union_adj: dict[int, set[int]] = {}
+    for snap in series.snapshots:
+        for a, b in zip(snap.u, snap.v):
+            union_adj.setdefault(int(a), set()).add(int(b))
+            union_adj.setdefault(int(b), set()).add(int(a))
+    allowed_gs = {src, dst}
+    blocked = {
+        gs.id for gs in series.roster.ground_stations if gs.id not in allowed_gs
+    }
+
+    found: list[Route] = []
+
+    def extend(path: list[int], seen: set[int]) -> None:
+        here = path[-1]
+        if len(found) > max_routes:
+            raise OracleSizeError(f"route enumeration exceeded {max_routes} routes")
+        for nxt in sorted(union_adj.get(here, ())):
+            if nxt in seen or nxt in blocked:
+                continue
+            if nxt == dst:
+                found.append(Route(nodes=tuple(path) + (dst,)))
+                continue
+            if len(path) <= hop_limit - 1:
+                path.append(nxt)
+                seen.add(nxt)
+                extend(path, seen)
+                path.pop()
+                seen.remove(nxt)
+
+    if hop_limit >= 1:
+        extend([src], {src})
+    d = route_delay_matrix(series, found)
+    alive = np.isfinite(d).any(axis=1)
+    if not alive.any():
+        raise ValueError("no routes exist between the endpoints")
+    return [r for r, keep in zip(found, alive) if keep], d[alive]
+
+
+def random_delay_matrix(
+    rng: np.random.Generator,
+    max_routes: int = 4,
+    max_slots: int = 6,
+    delay_low_ms: float = 20.0,
+    delay_high_ms: float = 40.0,
+    inf_fraction: float = 0.2,
+) -> np.ndarray:
+    """Random feasible instance for oracle cross-checks.
+
+    Delays land on a 1/4096 lattice of the [low, high] span so that every
+    partial sum is exact in binary floating point: independently computed
+    costs (DP accumulation vs enumeration sums) then compare with zero
+    tolerance. Columns that come out infeasible get one entry restored.
+    """
+    k = int(rng.integers(1, max_routes + 1))
+    n = int(rng.integers(1, max_slots + 1))
+    steps = rng.integers(0, 4097, size=(k, n)).astype(np.float64)
+    d = delay_low_ms + steps * ((delay_high_ms - delay_low_ms) / 4096.0)
+    mask = rng.random(size=(k, n)) < inf_fraction
+    d[mask] = np.inf
+    for col in range(n):
+        if not np.isfinite(d[:, col]).any():
+            row = int(rng.integers(0, k))
+            d[row, col] = delay_low_ms + float(rng.integers(0, 4097)) * (
+                (delay_high_ms - delay_low_ms) / 4096.0
+            )
+    return d

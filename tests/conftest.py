@@ -19,7 +19,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from lislsim.constellation import GroundStation
 from lislsim.topology import Snapshot, SnapshotSeries
-from lislsim.toyseries import dominance_toy_series, series_from_edges
+
+from toyseries import dominance_toy_series, series_from_edges
 
 # Per-slot end-to-end delays of the four-route worked example (route id ->
 # delay list; routes expire after their last listed slot). Every value is

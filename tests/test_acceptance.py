@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-lines. The full-constellation fixtures (criteria 6-8) build a 1584-satellite,
+lines. The full-constellation fixtures (criteria 6-8 and 11) build a 1584-satellite,
 600-slot dataset once per session; everything else runs on toys.
 """
 
@@ -18,12 +18,7 @@ from lislsim import metrics
 from lislsim.cli import write_schedule
 from lislsim.config import default_config
 from lislsim.constellation import ConstellationParams, GroundStation, ScenarioParams, generate_series
-from lislsim.oracle import (
-    brute_force_optimal,
-    dp_optimal,
-    random_delay_matrix,
-    selection_cost,
-)
+from lislsim.oracle import dp_optimal, optimum_schedule, route_delay_matrix, selection_cost
 from lislsim.routing import (
     Route,
     alpr,
@@ -35,9 +30,10 @@ from lislsim.routing import (
     run_algorithm,
 )
 from lislsim.topology import export_series, import_series
-from lislsim.toyseries import dominance_toy_series
 
+from brute_force import brute_force_optimal, random_delay_matrix
 from conftest import head_series, one_slot, random_series, slot_routes, worked_example_series
+from toyseries import dominance_toy_series
 from test_kernels import reference_route
 from test_routing import exhaustive_best_path
 
@@ -62,7 +58,7 @@ def criterion(num: int, summary: str):
 
 
 # ---------------------------------------------------------------------------
-# Full-constellation session fixture (criteria 6, 7, 8 and part of 4)
+# Full-constellation session fixture (criteria 6, 7, 8, 11 and part of 4)
 # ---------------------------------------------------------------------------
 
 
@@ -430,3 +426,20 @@ def test_criterion_10_dijkstra_exhaustive_oracle():
                 assert got.nodes == expected[1]
         assert reachable > 250
         assert time.perf_counter() - start < 5.0
+
+
+def test_criterion_11_restricted_optimum_never_beaten(desk):
+    with criterion(11, "NY-London schedules never beat the exact optimum over their routes"):
+        series, ny, london = desk.series, desk.ny, desk.london
+        ours = {k: v for k, v in desk.schedules.items() if k[0] == london}
+        routes = list(dict.fromkeys(r for s in ours.values() for r in s.route_table))
+        d = route_delay_matrix(series, routes)
+        for eta_s in (10.0, 100.0, 1000.0):
+            optimum = metrics.evaluate(
+                optimum_schedule(series, ny, london, routes, d, eta_s), eta_s
+            )
+            assert optimum.coverage == series.num_slots
+            for (_, name, eta_key), schedule in ours.items():
+                if eta_key in (None, eta_s):
+                    mean = metrics.evaluate(schedule, eta_s).mean_eta_le_ms
+                    assert mean >= optimum.mean_eta_le_ms - 1e-9, (name, eta_s)

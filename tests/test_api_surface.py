@@ -1,7 +1,8 @@
-"""Every function the package defines has a caller inside the package.
+"""Every function, class and constant the package defines has a caller inside it.
 
-Public API should not exist only to feed the tests. A function or method
-that nothing in ``src/lislsim`` references, outside its own definition and
+Public API should not exist only to feed the tests. A function or method,
+module-level class, or module-level constant (an upper-case name) that
+nothing in ``src/lislsim`` references, outside its own definition and
 ``__init__.py``, is dead or test-only code. References are matched by name
 (a bare name or an attribute), so two definitions that share a name count
 as used once either of them is.
@@ -21,8 +22,23 @@ PACKAGE = Path(lislsim.__file__).parent
 # README "Library use": what a script may call without any caller in the package
 LIBRARY_ENTRY_POINTS = {
     "default_config", "generate_series", "ilsr", "isasr",
-    "evaluate", "dp_optimal", "brute_force_optimal", "enumerate_routes",
+    "evaluate", "route_delay_matrix", "optimum_schedule",
 }
+
+
+def _module_names(path: Path):
+    """(node, name) of every module-level class and upper-case constant of a module."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef):
+            found.append((node, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend(
+                (node, t.id) for t in targets
+                if isinstance(t, ast.Name) and t.id.lstrip("_").isupper()
+            )
+    return found
 
 
 def _definitions(path: Path):
@@ -61,6 +77,11 @@ def _overrides_a_base(path: Path, owner: str, name: str) -> bool:
     return any(hasattr(base, name) for base in cls.__mro__[1:])
 
 
+def _unreferenced(refs, path: Path, node, name: str) -> bool:
+    own = range(node.lineno, node.end_lineno + 1)
+    return not any(p != path or line not in own for p, line in refs.get(name, ()))
+
+
 def test_every_function_has_a_caller_in_the_package():
     refs = _references()
     unused = []
@@ -71,7 +92,17 @@ def test_every_function_has_a_caller_in_the_package():
                 continue
             if owner is not None and _overrides_a_base(path, owner, name):
                 continue
-            own = range(node.lineno, node.end_lineno + 1)
-            if not any(p != path or line not in own for p, line in refs.get(name, ())):
+            if _unreferenced(refs, path, node, name):
                 unused.append(f"{path.name}:{node.lineno} {owner + '.' if owner else ''}{name}")
+    assert not unused, "defined but never referenced in the package: " + ", ".join(unused)
+
+
+def test_every_class_and_constant_has_a_caller_in_the_package():
+    refs = _references()
+    unused = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node, name in _module_names(path)
+        if _unreferenced(refs, path, node, name)
+    ]
     assert not unused, "defined but never referenced in the package: " + ", ".join(unused)

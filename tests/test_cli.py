@@ -7,15 +7,16 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lislsim
 from lislsim.cli import main, write_schedule
 from lislsim.topology import import_series
-from lislsim.toyseries import dominance_toy_series
 from lislsim.routing import ilsr
 
 from conftest import slot_routes
+from toyseries import dominance_toy_series, series_from_edges
 
 TINY_CONFIG = """
 [constellation]
@@ -42,9 +43,6 @@ algorithms = ilsr, ilpr, alpr, isasr
 eta_s_ms = 1, 1000
 qos_ms = 30, 60
 cost_thrsh_ms = 100
-
-[oracle]
-instances = 25
 """
 
 
@@ -129,7 +127,6 @@ class TestRun:
     ):
         from lislsim.constellation import GroundStation
         from lislsim.topology import export_series
-        from lislsim.toyseries import series_from_edges
 
         stations = (GroundStation(1, "alpha", 0.0, 0.0), GroundStation(2, "bravo", 0.0, 90.0))
         per_slot = [
@@ -155,7 +152,7 @@ class TestRun:
         ]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["reset_dropped_edges"] is True
-        assert manifest["config"]["oracle"]["instances"] == 25
+        assert "seed" not in manifest["config"] and "oracle" not in manifest["config"]
         assert manifest["config"]["histogram_bin_ms"] == 0.25
 
     def test_missing_series_is_validation_error(self, tmp_path, tiny_config):
@@ -264,14 +261,112 @@ class TestSweepReuse:
             assert len(runtimes) == 1
 
 
+# the dominance toy series' stations as endpoints; its delays are exact binary fractions
+TOY_CONFIG = """
+[ground_stations]
+src = 0, 0
+dst = 0, 10
+
+[run]
+source = src
+destination = dst
+eta_s_ms = 1, 10, 100
+qos_ms = 30, 35, 40
+cost_thrsh_ms = inf
+"""
+
+
+@pytest.fixture
+def toy_oracle_argv(tmp_path):
+    """`oracle` on the exported dominance toy series, writing to tmp_path/gap."""
+    from lislsim.topology import export_series
+
+    cfg, series = tmp_path / "toy.ini", tmp_path / "toy.series"
+    cfg.write_text(TOY_CONFIG)
+    export_series(dominance_toy_series(), series)
+    return ["oracle", "--config", str(cfg), "--series", str(series), "--out", str(tmp_path / "gap")]
+
+
+def _gap_rows(out):
+    header, *rows = (out / "gap.tsv").read_text().splitlines()
+    return [dict(zip(header.split("\t"), row.split("\t"))) for row in rows]
+
+
 class TestOracleCommand:
-    def test_runs_green(self, tiny_config, capsys):
-        rc = main(["oracle", "--config", str(tiny_config), "--seed", "7"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "golden instance ok" in out
-        assert "dp == brute force" in out
-        assert "never beat" in out
+    def test_runs_green(self, tmp_path, toy_oracle_argv, capsys):
+        assert main(toy_oracle_argv) == 0
+        rows = _gap_rows(tmp_path / "gap")
+        assert [(r["algorithm"], r["eta_s_ms"]) for r in rows] == [
+            (name, eta) for name in ("ilsr", "ilpr", "alpr", "isasr") for eta in ("1", "10", "100")
+        ]
+        assert all(float(r["gap_ms"]) >= 0 for r in rows)
+        manifest = json.loads((tmp_path / "gap" / "manifest.json").read_text())
+        assert manifest["command"] == "oracle" and manifest["cells"] == 12
+        assert capsys.readouterr().err == ""
+
+    def test_a_penalty_blind_optimum_is_beaten_and_exits_2(
+        self, tmp_path, toy_oracle_argv, capsys, monkeypatch
+    ):
+        import lislsim.oracle as oracle_mod
+
+        def cheapest_per_slot(d, eta_s_ms):  # ignores the setup penalty
+            s = np.zeros(d.shape, np.int8)
+            s[np.argmin(d, axis=0), np.arange(d.shape[1])] = 1
+            return s, oracle_mod.selection_cost(s, d, eta_s_ms)
+
+        monkeypatch.setattr(oracle_mod, "dp_optimal", cheapest_per_slot)
+        assert main(toy_oracle_argv) == 2
+        alpr_10 = next(r for r in _gap_rows(tmp_path / "gap")
+                       if (r["algorithm"], r["eta_s_ms"]) == ("alpr", "10"))
+        # eta_le over the six slots: ALPR 48.0, the mutant's optimum 50.25
+        assert float(alpr_10["mean_eta_le_ms"]) * 6 == pytest.approx(48.0)
+        assert float(alpr_10["optimum_mean_eta_le_ms"]) * 6 == pytest.approx(50.25)
+        assert "optimum violation: alpr eta_s=10 " in capsys.readouterr().err
+
+    def test_optimum_charges_no_switch_across_a_gap(self, tmp_path, tiny_config, capsys):
+        from lislsim.constellation import GroundStation
+        from lislsim.topology import export_series
+
+        # route a = 2-0-3 is cheaper before the slot-4 gap, b = 2-1-3 after it;
+        # a DP that charged a switch across the gap would keep a at eta_s 1000
+        stations = (GroundStation(2, "alpha", 0.0, 0.0), GroundStation(3, "bravo", 0.0, 90.0))
+        a_cheap = {(0, 2): 1.0, (0, 3): 1.0, (1, 2): 1.5, (1, 3): 1.5}
+        b_cheap = {(0, 2): 1.5, (0, 3): 1.5, (1, 2): 1.0, (1, 3): 1.0}
+        per_slot = [a_cheap] * 3 + [{(0, 2): 1.0, (1, 2): 1.5}] + [b_cheap] * 3
+        series = tmp_path / "gappy.series"
+        export_series(series_from_edges(per_slot, 2, stations), series)
+        out = tmp_path / "gap"
+        assert main([
+            "oracle", "--config", str(tiny_config), "--series", str(series), "--out", str(out),
+        ]) == 0
+        rows = _gap_rows(out)
+        assert len(rows) == 8
+        assert {r["optimum_mean_eta_le_ms"] for r in rows} == {f"{12 / 7:.9f}"}
+        assert {r["gap_ms"] for r in rows} == {"0.000000000"}
+        assert capsys.readouterr().err == "warning: 1 unreachable slots: [4]\n"
+
+    def test_a_heuristic_that_skips_a_reachable_slot_is_not_checked(
+        self, tmp_path, tiny_config, capsys
+    ):
+        from lislsim.constellation import GroundStation
+        from lislsim.topology import export_series
+
+        # slot 1's only route crosses the expiring edge 0-1, which ISASR
+        # prunes at eta_s 1000; skipping that slot lowers its mean
+        stations = (GroundStation(2, "alpha", 0.0, 0.0), GroundStation(3, "bravo", 0.0, 90.0))
+        per_slot = [{(0, 2): 1.0, (0, 1): 1.0, (1, 3): 1.0}]
+        per_slot += [{(0, 2): 1.0, (0, 3): 1.0, (1, 3): 1.0}] * 2
+        series = tmp_path / "pruned.series"
+        export_series(series_from_edges(per_slot, 2, stations), series)
+        out = tmp_path / "gap"
+        assert main([
+            "oracle", "--config", str(tiny_config), "--series", str(series), "--out", str(out),
+        ]) == 0
+        isasr_1000 = _gap_rows(out)[-1]
+        assert isasr_1000["algorithm"] == "isasr" and float(isasr_1000["gap_ms"]) < 0
+        assert capsys.readouterr().err == (
+            "warning: isasr eta_s=1000 reaches 2 of the optimum's 3 slots; its gap is not checked\n"
+        )
 
 
 class TestTable2:
@@ -284,6 +379,12 @@ class TestTable2:
         assert "27.76" in out and "170.47" in out
         assert "selected@eta_s=1: route 1" in out
         assert "selected@eta_s=1000: route 2" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5", "0"])
+    def test_bad_setup_delay_exits_1(self, capsys, value):
+        assert main(["table2", "--eta-s", value]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "setup-delay" in err
 
 
 def schedule_file_routes(path):
@@ -362,11 +463,12 @@ class TestUnknownConfigNames:
             ("[constellation]\n", "[constellation]\nbogus = 7\n"),
             ("[scenario]\n", "[scenario]\nbogus = 7\n"),
             ("[run]\n", "[run]\nbogus = 7\n"),
-            ("[oracle]\n", "[oracle]\nbogus = 7\n"),
+            ("[run]\n", "[oracle]\ninstances = 25\n[run]\n"),
+            ("[run]\n", "[run]\nseed = 1\n"),
             ("[run]\n", "[DEFAULT]\nbogus = 7\n[run]\n"),
             ("[scenario]\n", "[sceanrio]\nnum_slots = 2\n[scenario]\n"),
         ],
-        ids=["constellation", "scenario", "run", "oracle", "default", "section"],
+        ids=["constellation", "scenario", "run", "oracle", "run-seed", "default", "section"],
     )
     def test_generate_exits_1(self, tmp_path, capsys, edit):
         cfg = tmp_path / "names.ini"
@@ -375,7 +477,8 @@ class TestUnknownConfigNames:
         rc = main(["generate", "--config", str(cfg), "--out", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: unknown ") and ("bogus" in err or "sceanrio" in err)
+        assert err.startswith("error: unknown ")
+        assert any(name in err for name in ("bogus", "oracle", "seed", "sceanrio"))
         assert not out.exists()
 
 
@@ -385,7 +488,7 @@ class TestEmptyConfigLists:
         [
             ("run", ("eta_s_ms = 1, 1000\nqos_ms = 30, 60", "eta_s_ms =\nqos_ms =")),
             ("sweep", ("algorithms = ilsr, ilpr, alpr, isasr", "algorithms =")),
-            ("oracle", ("instances = 25", "instances = 25\neta_s_ms =")),
+            ("oracle", ("algorithms = ilsr, ilpr, alpr, isasr", "algorithms =")),
         ],
     )
     def test_exit_1_without_output(self, tmp_path, tiny_series, capsys, command, edit):
@@ -395,7 +498,7 @@ class TestEmptyConfigLists:
         argv = [command, "--config", str(cfg), "--out", str(out)]
         if command == "run":
             argv += ["--series", str(tiny_series), "--algorithm", "ilsr"]
-        elif command == "sweep":
+        else:
             argv += ["--series", str(tiny_series)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -403,23 +506,17 @@ class TestEmptyConfigLists:
 
 
 class TestBadOracleValues:
-    def test_nan_setup_delay_exits_1_before_any_check(self, tmp_path, tiny_config, capsys):
+    def test_nan_setup_delay_exits_1_before_any_check(self, tmp_path, tiny_series, capsys):
         cfg = tmp_path / "oracle.ini"
-        cfg.write_text(tiny_config.read_text() + "eta_s_ms = 0 nan\n")  # ends in [oracle]
-        rc = main(["oracle", "--config", str(cfg), "--seed", "7"])
-        out, err = capsys.readouterr()
+        cfg.write_text(TINY_CONFIG.replace("eta_s_ms = 1, 1000", "eta_s_ms = 1, nan"))
+        out = tmp_path / "oracle_out"
+        rc = main([
+            "oracle", "--config", str(cfg), "--series", str(tiny_series), "--out", str(out),
+        ])
+        stdout, err = capsys.readouterr()
         assert rc == 1
-        assert out == "" and err.startswith("error: ")
-
-    def test_instances_beyond_the_brute_force_cap_exit_1_before_any_check(
-        self, tmp_path, tiny_config, capsys
-    ):
-        cfg = tmp_path / "oracle.ini"
-        cfg.write_text(tiny_config.read_text() + "max_routes = 30\nmax_slots = 8\n")
-        rc = main(["oracle", "--config", str(cfg), "--seed", "1"])
-        out, err = capsys.readouterr()
-        assert rc == 1
-        assert out == "" and "brute-force cap" in err
+        assert stdout == "" and err.startswith("error: ") and "setup-delay" in err
+        assert not out.exists()
 
 
 class TestBadShellValues:
@@ -594,13 +691,3 @@ class TestScheduleGaps:
         path = tmp_path / "gappy.txt"
         write_schedule(schedule, path)
         assert schedule_file_routes(path)[1] == [r.nodes if r else None for r in routes]
-
-
-class TestOracleReportFile:
-    def test_report_written_when_out_given(self, tmp_path, tiny_config):
-        out = tmp_path / "oracle_out"
-        rc = main(["oracle", "--config", str(tiny_config), "--seed", "3", "--out", str(out)])
-        assert rc == 0
-        text = (out / "oracle_report.txt").read_text()
-        assert text.startswith("verification ok (seed 3)")
-        assert "dp == brute force" in text

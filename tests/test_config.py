@@ -3,7 +3,6 @@
 import configparser
 import math
 import re
-import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lislsim.config import ExperimentConfig, OracleConfig, default_config, load_config
+from lislsim.config import ExperimentConfig, default_config, load_config
 from lislsim.constellation import ConstellationParams, ScenarioParams
 
 FULL_INI = """
@@ -45,32 +44,18 @@ qos_ms = 20, 25
 reset_dropped_edges = true
 global_lifetimes = true
 histogram_bin_ms = 0.5
-seed = 99
-
-[oracle]
-instances = 10
-max_routes = 3
-max_slots = 4
-delay_low_ms = 10
-delay_high_ms = 30
-inf_fraction = 0.1
-eta_s_ms = 0, 5
 """
 
 SECTION_CLASSES = {
     "constellation": ConstellationParams,
     "scenario": ScenarioParams,
     "run": ExperimentConfig,
-    "oracle": OracleConfig,
 }
-NESTED_FIELDS = {"constellation", "scenario", "ground_stations", "oracle"}
+NESTED_FIELDS = {"constellation", "scenario", "ground_stations"}
 
 
 def section_values(cfg):
-    return {
-        "constellation": cfg.constellation, "scenario": cfg.scenario,
-        "run": cfg, "oracle": cfg.oracle,
-    }
+    return {"constellation": cfg.constellation, "scenario": cfg.scenario, "run": cfg}
 
 
 class TestDefaults:
@@ -127,9 +112,6 @@ class TestLoadConfig:
         assert cfg.gamma_for(50.0) == 12.5
         assert math.isinf(cfg.cost_thrsh_ms)
         assert cfg.reset_dropped_edges and cfg.global_lifetimes
-        assert cfg.seed == 99
-        assert cfg.oracle.instances == 10
-        assert cfg.oracle.eta_s_ms == (0.0, 5.0)
         ids = sorted(gs.id for gs in cfg.ground_stations)
         assert ids == [66, 67]  # right after the 6 x 11 satellites
 
@@ -142,7 +124,7 @@ class TestLoadConfig:
         assert cfg.constellation.num_planes == 24
         assert cfg.source == "new_york"
 
-    @pytest.mark.parametrize("text", ["", "[run]\n", "[run]\n[oracle]\n[scenario]\n"],
+    @pytest.mark.parametrize("text", ["", "[run]\n", "[run]\n[scenario]\n"],
                              ids=["no-sections", "empty-run", "empty-sections"])
     def test_file_without_values_loads_the_defaults(self, tmp_path, text):
         path = tmp_path / "empty.ini"
@@ -190,27 +172,6 @@ class TestLoadConfig:
         path = tmp_path / "bad5.ini"
         path.write_text("[run]\nreset_dropped_edges = maybe\n")
         with pytest.raises(ValueError, match="boolean"):
-            load_config(path)
-
-    @pytest.mark.parametrize(
-        "line,message",
-        [
-            ("delay_low_ms = nan", "delay bounds"),
-            ("delay_high_ms = inf", "delay bounds"),
-            ("delay_low_ms = -1", "delay bounds"),
-            ("delay_low_ms = 50", "delay bounds"),
-            ("eta_s_ms = 0 nan", "setup delays"),
-            ("eta_s_ms = 0 inf", "setup delays"),
-            ("eta_s_ms = -1", "setup delays"),
-            ("max_routes = 30\nmax_slots = 8", "brute-force cap"),
-        ],
-        ids=["low-nan", "high-inf", "low-negative", "low-above-high", "eta-nan", "eta-inf",
-             "eta-negative", "over-brute-force-cap"],
-    )
-    def test_bad_oracle_values_rejected(self, tmp_path, line, message):
-        path = tmp_path / "oracle.ini"
-        path.write_text(f"[oracle]\n{line}\n")
-        with pytest.raises(ValueError, match=message):
             load_config(path)
 
     @pytest.mark.parametrize(
@@ -333,35 +294,14 @@ class TestEmptyLists:
         [
             ("[run]\nalgorithms =\n", "at least one algorithm"),
             ("[run]\neta_s_ms =\nqos_ms =\n", "one setup delay"),
-            ("[oracle]\neta_s_ms =\n", "at least one setup delay"),
         ],
-        ids=["run-algorithms", "run-eta-and-qos", "oracle-eta"],
+        ids=["run-algorithms", "run-eta-and-qos"],
     )
     def test_rejected(self, tmp_path, text, message):
         path = tmp_path / "empty.ini"
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             load_config(path)
-
-
-class TestOracleCap:
-    def test_cap_checked_without_the_big_power(self):
-        start = time.perf_counter()
-        with pytest.raises(ValueError, match="brute-force cap"):
-            OracleConfig(max_routes=3, max_slots=10**7)
-        assert time.perf_counter() - start < 0.5  # 3 ** 10**7 alone takes seconds
-
-    @pytest.mark.parametrize(
-        "routes,slots,over",
-        [(1, 10**9, False), (10, 7, False), (10, 8, True), (2, 23, False), (2, 24, True),
-         (3162, 2, False), (3163, 2, True), (10**7 + 1, 1, True)],
-    )
-    def test_cap_is_exact(self, routes, slots, over):
-        if over:
-            with pytest.raises(ValueError, match="brute-force cap"):
-                OracleConfig(max_routes=routes, max_slots=slots)
-        else:
-            OracleConfig(max_routes=routes, max_slots=slots)
 
 
 FUZZ_KEYS = sorted(

@@ -15,9 +15,9 @@ from lislsim.metrics import (
 )
 from lislsim.oracle import selection_cost
 from lislsim.routing import Route, RoutingSchedule, run_algorithm
-from lislsim.toyseries import dominance_toy_series, series_from_edges
 
 from conftest import random_series
+from toyseries import dominance_toy_series, series_from_edges
 
 
 def penalty(s, d, eta_s):

@@ -5,21 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from lislsim.oracle import (
-    InfeasibleSlotError,
-    OracleSizeError,
-    brute_force_optimal,
-    dp_optimal,
-    enumerate_routes,
-    random_delay_matrix,
-    selection_cost,
-    validate_selection,
-)
+from lislsim.oracle import InfeasibleSlotError, dp_optimal, selection_cost, validate_selection
 from lislsim.metrics import evaluate
 from lislsim.routing import run_algorithm
-from lislsim.toyseries import dominance_toy_series, series_from_edges
 
+from brute_force import OracleSizeError, brute_force_optimal, enumerate_routes, random_delay_matrix
 from conftest import EQ4_DELAYS
+from toyseries import dominance_toy_series, series_from_edges
 
 
 def reference_optimum(d: np.ndarray, eta_s: float) -> float:

@@ -19,9 +19,9 @@ from lislsim.routing import (
     route_lifetime,
     run_algorithm,
 )
-from lislsim.toyseries import series_from_edges
 
 from conftest import WORKED_EXAMPLE_DELAYS, one_slot, random_series, slot_routes, square_edges
+from toyseries import series_from_edges
 
 
 def exhaustive_best_path(edges: dict, src: int, dst: int):

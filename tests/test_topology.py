@@ -19,9 +19,9 @@ from lislsim.topology import (
     import_series,
 )
 from lislsim.routing import Route
-from lislsim.toyseries import dominance_toy_series, series_from_edges
 
 from conftest import head_series, one_slot
+from toyseries import dominance_toy_series, series_from_edges
 
 
 def edge_delay(snap, a, b):

@@ -1,11 +1,11 @@
-"""Hand-built snapshot series for verification harnesses and tests."""
+"""Hand-built snapshot series for the tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .constellation import GroundStation, ScenarioParams
-from .topology import NodeRoster, SnapshotSeries
+from lislsim.constellation import GroundStation, ScenarioParams
+from lislsim.topology import NodeRoster, SnapshotSeries
 
 
 def series_from_edges(
