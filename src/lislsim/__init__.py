@@ -35,7 +35,6 @@ from .oracle import (
     dp_optimal,
     optimum_schedule,
     route_delay_matrix,
-    selection_cost,
 )
 from .metrics import (
     MetricsReport,

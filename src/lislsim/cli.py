@@ -113,10 +113,12 @@ def _resolve_endpoints(cfg, series):
 
 def cmd_run(args) -> int:
     cfg = _load(args)
+    if args.gamma is not None:
+        cfg = dataclasses.replace(cfg, gamma=auto_float(args.gamma))
     eta_s = args.eta_s if args.eta_s is not None else cfg.eta_s_ms[0]
-    gamma = _gamma_value(args.gamma, cfg, eta_s)
+    gamma = cfg.gamma_for(eta_s)
     cost_thrsh = args.cost_thrsh if args.cost_thrsh is not None else cfg.cost_thrsh_ms
-    check_routing_values(eta_s_ms=(eta_s,), gamma_ms=gamma, cost_thrsh_ms=cost_thrsh)
+    check_routing_values(eta_s_ms=(eta_s,), cost_thrsh_ms=cost_thrsh)
     series = import_series(args.series)
     src, dst = _resolve_endpoints(cfg, series)
     schedule, runtime = _timed_run(cfg, args.algorithm, series, src, dst, eta_s, gamma, cost_thrsh)
@@ -128,18 +130,18 @@ def cmd_run(args) -> int:
         schedule, eta_s, qos_ms=qos,
         histogram_bin_ms=cfg.histogram_bin_ms, runtime_s=runtime,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    (out / "latency_series.tsv").write_text(report.latency_table(), encoding="utf-8")
+    texts = {"report.txt": report.to_text(), "latency_series.tsv": report.latency_table()}
     if report.coverage:
-        (out / "histogram.tsv").write_text(report.histogram_table(), encoding="utf-8")
-    write_schedule(schedule, out / "schedule.txt")
-    (out / "manifest.json").write_text(
-        _manifest(cfg, {"command": "run", "algorithm": args.algorithm, "eta_s_ms": eta_s}),
-        encoding="utf-8",
+        texts["histogram.tsv"] = report.histogram_table()
+    texts["manifest.json"] = _manifest(
+        cfg, {"command": "run", "algorithm": args.algorithm, "eta_s_ms": eta_s}
     )
-    sys.stdout.write(report.to_text())
+    out = Path(args.out)  # created only once every text above rendered
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
+    write_schedule(schedule, out / "schedule.txt")
+    sys.stdout.write(texts["report.txt"])
     if report.coverage == 0:
         print("error: destination unreachable in every slot", file=sys.stderr)
         return 1
@@ -154,11 +156,6 @@ def _warn_unreachable(schedule: RoutingSchedule) -> None:
         print(f"warning: {len(gaps)} unreachable slots: {gaps[:10]}{more}", file=sys.stderr)
 
 
-def _gamma_value(flag: str | None, cfg: ExperimentConfig, eta_s: float) -> float:
-    gamma = cfg.gamma if flag is None else auto_float(flag)
-    return eta_s if gamma is None else gamma
-
-
 _SWEEP_COLUMNS = (
     "algorithm\teta_s_ms\tgamma_ms\tmean_eta_le_ms\tmean_eta_delay_ms\t"
     "route_change_rate_pct\tqos_ms\toutage_probability\taverage_jitter_ms\tcoverage"
@@ -170,16 +167,15 @@ def _cells(cfg: ExperimentConfig, gamma_flag: str | None) -> list[tuple[str, flo
     gamma_values = None
     if gamma_flag is not None and "," in gamma_flag:
         gamma_values = tuple(float(tok) for tok in gamma_flag.split(","))
+    elif gamma_flag is not None:
+        cfg = dataclasses.replace(cfg, gamma=auto_float(gamma_flag))
     cells = []
     for name in cfg.algorithms:
         for eta_s in cfg.eta_s_ms:
             if name == "isasr" and gamma_values is not None:
-                for g in gamma_values:
-                    cells.append((name, eta_s, g))
-            elif gamma_values is not None:
-                cells.append((name, eta_s, cfg.gamma_for(eta_s)))
+                cells.extend((name, eta_s, g) for g in gamma_values)
             else:
-                cells.append((name, eta_s, _gamma_value(gamma_flag, cfg, eta_s)))
+                cells.append((name, eta_s, cfg.gamma_for(eta_s)))
     for _, _, gamma in cells:
         check_routing_values(gamma_ms=gamma)
     return cells

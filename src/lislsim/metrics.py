@@ -7,13 +7,15 @@
 * ``eta_delay``   -- sum of the active route's delay over all slots.
 * ``eta_penalty`` -- setup penalty times the number of route changes.
 * ``eta_le``      -- their sum; ``mean_*`` variants divide by N.
-* ``route_change_rate`` -- percentage of boundaries with a route change.
+* ``route_change_rate`` -- route changes per slot (switches / N), in percent;
+  dividing by N, not by the N - 1 boundaries, is what makes
+  ``mean_eta_le = mean_eta_delay + eta_s * route_change_rate / 100`` hold.
 
 The per-slot instantaneous latency adds the setup penalty to the slot a
 switch leads into (the first slot never carries one); outage, jitter, and
 histograms are computed over that series. Unreachable slots contribute
 nothing to the sums and appear as NaN gaps in the latency series. Delays are
-summed by ``slot_order_sum``, as in ``oracle.selection_cost``.
+summed by ``slot_order_sum``.
 """
 
 from __future__ import annotations
@@ -60,11 +62,18 @@ def average_jitter(latency: np.ndarray) -> float:
     return float(diffs[valid].sum()) / int(valid.sum())
 
 
+# Most bins ``histogram`` returns: a finer width over the populated range is
+# refused rather than allocated (1e-12 ms bins over a few ms of spread would
+# ask for terabytes of counts).
+MAX_HISTOGRAM_BINS = 1_000_000
+
+
 def histogram(latency: np.ndarray, bin_width_ms: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
     """Counts over half-open bins [k*w, (k+1)*w) anchored at zero.
 
     Returns (left_edges, counts) spanning the populated range; counts sum
-    to the number of reachable slots.
+    to the number of reachable slots. A range that needs more than
+    ``MAX_HISTOGRAM_BINS`` bins raises ValueError.
     """
     if not (np.isfinite(bin_width_ms) and bin_width_ms > 0):
         raise ValueError("bin width must be finite and positive")
@@ -72,9 +81,16 @@ def histogram(latency: np.ndarray, bin_width_ms: float = 0.25) -> tuple[np.ndarr
     values = latency[~np.isnan(latency)]
     if values.size == 0:
         raise ValueError("latency series has no reachable slots")
-    idx = np.floor(values / bin_width_ms).astype(np.int64)
-    lo, hi = int(idx.min()), int(idx.max())
-    counts = np.bincount(idx - lo, minlength=hi - lo + 1)
+    idx = np.floor(values / bin_width_ms)
+    lo, hi = idx.min(), idx.max()
+    # bin indices must be exact integers (|k| < 2**53), and few enough
+    if not (hi - lo < MAX_HISTOGRAM_BINS and -(2.0**53) < lo and hi < 2.0**53):
+        raise ValueError(
+            f"histogram bin width {bin_width_ms!r} ms is too fine for the latency range: "
+            f"it needs more than {MAX_HISTOGRAM_BINS} bins or a bin index beyond 2**53"
+        )
+    lo, hi = int(lo), int(hi)
+    counts = np.bincount((idx - lo).astype(np.int64), minlength=hi - lo + 1)
     edges = (np.arange(lo, hi + 1)) * bin_width_ms
     return edges, counts
 

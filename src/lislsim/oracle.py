@@ -4,17 +4,16 @@ The problem: given a K x N delay matrix (route x slot, +inf where a route
 does not exist), pick one route per slot minimizing total delay plus a
 fixed setup penalty charged at every boundary where the selection changes.
 ``dp_optimal`` solves it exactly by dynamic programming over (slot, route)
-states. ``route_delay_matrix`` builds the matrix of given routes on a
-series, and ``optimum_schedule`` returns the optimum as a
-:class:`~lislsim.routing.RoutingSchedule`, which ``metrics.evaluate`` costs
-like any algorithm's.
+states and returns each slot's route row. ``route_delay_matrix`` builds the
+matrix of given routes on a series, and ``optimum_schedule`` returns the
+optimum as a :class:`~lislsim.routing.RoutingSchedule`, which
+``metrics.evaluate`` costs like any algorithm's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .metrics import slot_order_sum
 from .routing import Route, RoutingSchedule
 from .topology import SnapshotSeries
 
@@ -36,46 +35,13 @@ def validate_delay_matrix(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def validate_selection(s: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Check the one-active-route-per-slot contract and finiteness vs D."""
-    s = np.asarray(s)
-    if s.ndim != 2 or not np.isin(s, (0, 1)).all():
-        raise ValueError("selection matrix must be binary and 2-D")
-    if not (s.sum(axis=0) == 1).all():
-        raise ValueError("each slot must have exactly one active route")
-    if np.shape(d) != s.shape:
-        raise ValueError("selection and delay matrices must have equal shape")
-    if not np.isfinite(np.asarray(d, dtype=np.float64)[s.astype(bool)]).all():
-        raise ValueError("selection activates a route at a slot where it does not exist")
-    return s.astype(np.int8)
-
-
-def _one_hot(rows: np.ndarray, num_routes: int) -> np.ndarray:
-    s = np.zeros((num_routes, rows.size), dtype=np.int8)
-    s[rows, np.arange(rows.size)] = 1
-    return s
-
-
-def selection_cost(s: np.ndarray, d: np.ndarray, eta_s_ms: float) -> float:
-    """Total delay of the selected routes plus eta_s per route change (ms).
-
-    Delays are summed with ``metrics.slot_order_sum``, then the penalty is
-    added, so independently computed optima compare with zero tolerance.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    rows = np.argmax(validate_selection(s, d), axis=0)
-    total = slot_order_sum(d[rows, np.arange(rows.size)])
-    return total + eta_s_ms * int((rows[1:] != rows[:-1]).sum())
-
-
-def dp_optimal(d: np.ndarray, eta_s_ms: float) -> tuple[np.ndarray, float]:
-    """Exact minimum-cost selection matrix and its cost.
+def dp_optimal(d: np.ndarray, eta_s_ms: float) -> np.ndarray:
+    """Each slot's route row (int64) in a minimum-cost selection.
 
     Recurrence over slots: staying on the same route is free, switching
     from the best previous route costs eta_s. The first slot carries no
     setup penalty. Ties in the backtrack prefer staying on the current
-    route, which minimizes switches among cost-equal optima. The returned
-    cost is recomputed from the selection with ``selection_cost``.
+    route, which minimizes switches among cost-equal optima.
     """
     d = validate_delay_matrix(d)
     if eta_s_ms < 0:
@@ -95,8 +61,7 @@ def dp_optimal(d: np.ndarray, eta_s_ms: float) -> tuple[np.ndarray, float]:
     rows[-1] = int(np.argmin(best))
     for i in range(num_slots - 1, 0, -1):
         rows[i - 1] = switch_target[i] if switched[rows[i], i] else rows[i]
-    s = _one_hot(rows, num_routes)
-    return s, selection_cost(s, d, eta_s_ms)
+    return rows
 
 
 def route_delay_matrix(series: SnapshotSeries, routes: list[Route]) -> np.ndarray:
@@ -124,7 +89,5 @@ def optimum_schedule(
     covered = np.concatenate(([0], np.isfinite(d).any(axis=0), [0])).astype(np.int8)
     bounds = np.flatnonzero(np.diff(covered))
     for start, stop in zip(bounds[::2], bounds[1::2]):
-        s, _ = dp_optimal(d[:, start:stop], eta_s_ms)
-        for i, row in enumerate(np.argmax(s, axis=0), start=start):
-            chosen[i] = routes[row]
+        chosen[start:stop] = [routes[row] for row in dp_optimal(d[:, start:stop], eta_s_ms)]
     return RoutingSchedule("optimum", src, dst, chosen, series)

@@ -349,8 +349,9 @@ def _read_header(fh) -> tuple[ScenarioParams, NodeRoster, str]:
     if not line.startswith("satellites "):
         raise ValueError("missing satellites header")
     try:
-        num_sats = int(line.split()[1])
-    except (IndexError, ValueError) as exc:
+        _, count = line.split()  # exactly "satellites <count>"
+        num_sats = int(count)
+    except ValueError as exc:
         raise ValueError("bad satellites header") from exc
 
     stations = []

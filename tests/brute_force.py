@@ -7,7 +7,8 @@ import itertools
 
 import numpy as np
 
-from lislsim.oracle import route_delay_matrix, selection_cost, validate_delay_matrix
+from lislsim.metrics import slot_order_sum
+from lislsim.oracle import route_delay_matrix, validate_delay_matrix
 from lislsim.routing import Route
 from lislsim.topology import SnapshotSeries
 
@@ -19,14 +20,22 @@ class OracleSizeError(ValueError):
     """Instance exceeds the enumeration caps."""
 
 
-def brute_force_optimal(
-    d: np.ndarray, eta_s_ms: float, cap: int = BRUTE_FORCE_CAP
-) -> tuple[np.ndarray, float]:
-    """Exhaustive optimum over all feasible assignments (independent oracle).
+def row_cost(rows: np.ndarray, d: np.ndarray, eta_s_ms: float) -> float:
+    """Total delay of each slot's route row plus eta_s per change of row (ms).
+
+    Delays are summed with ``metrics.slot_order_sum``, then the penalty is
+    added, so independently computed optima compare with zero tolerance.
+    """
+    rows = np.asarray(rows)
+    total = slot_order_sum(d[rows, np.arange(rows.size)])
+    return total + eta_s_ms * int((rows[1:] != rows[:-1]).sum())
+
+
+def brute_force_optimal(d: np.ndarray, eta_s_ms: float, cap: int = BRUTE_FORCE_CAP) -> np.ndarray:
+    """Each slot's route row in an exhaustive optimum (independent oracle).
 
     Enumerates the product of each slot's existing routes in chunks;
-    refuses instances with K^N beyond `cap`. The returned cost is
-    ``selection_cost`` of the winning selection.
+    refuses instances with K^N beyond `cap`.
     """
     d = validate_delay_matrix(d)
     if eta_s_ms < 0:
@@ -55,9 +64,7 @@ def brute_force_optimal(
             best_key = key
             best_rows = rows[k]
     assert best_rows is not None
-    s = np.zeros((num_routes, num_slots), dtype=np.int8)
-    s[best_rows, cols] = 1
-    return s, selection_cost(s, d, eta_s_ms)
+    return best_rows
 
 
 def enumerate_routes(

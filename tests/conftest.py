@@ -131,14 +131,8 @@ EQ4_DELAYS = np.array(
     ]
 )
 
-EQ4_SELECTION = np.array(
-    [
-        [1, 1, 0, 0],
-        [0, 0, 1, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=np.int8,
-)
+# each slot's route row: route 0 twice, then routes 1 and 2 (two switches)
+EQ4_SELECTION = np.array([0, 0, 1, 2])
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from lislsim import metrics
 from lislsim.cli import write_schedule
 from lislsim.config import default_config
 from lislsim.constellation import ConstellationParams, GroundStation, ScenarioParams, generate_series
-from lislsim.oracle import dp_optimal, optimum_schedule, route_delay_matrix, selection_cost
+from lislsim.oracle import dp_optimal, optimum_schedule, route_delay_matrix
 from lislsim.routing import (
     Route,
     alpr,
@@ -31,7 +31,7 @@ from lislsim.routing import (
 )
 from lislsim.topology import export_series, import_series
 
-from brute_force import brute_force_optimal, random_delay_matrix
+from brute_force import brute_force_optimal, random_delay_matrix, row_cost
 from conftest import head_series, one_slot, random_series, slot_routes, worked_example_series
 from toyseries import dominance_toy_series
 from test_kernels import reference_route
@@ -205,13 +205,13 @@ def test_criterion_1_worked_example_golden():
 
 def test_criterion_2_delay_matrix_golden(eq4):
     with criterion(2, "exact optimizer on the 3x4 example matrix"):
-        d, s = eq4
-        assert dp_optimal(d, 0.0)[1] == 102.0
-        assert dp_optimal(d, 1.0)[1] == 103.0
-        assert dp_optimal(d, 1000.0)[1] == 103.0
+        d, rows = eq4
+        assert row_cost(dp_optimal(d, 0.0), d, 0.0) == 102.0
+        assert row_cost(dp_optimal(d, 1.0), d, 1.0) == 103.0
+        assert row_cost(dp_optimal(d, 1000.0), d, 1000.0) == 103.0
         for eta_s in (1.0, 10.0, 1000.0):
-            assert selection_cost(s, d, eta_s) - selection_cost(s, d, 0.0) == 2.0 * eta_s
-        assert (selection_cost(s, d, 1.0) - selection_cost(s, d, 0.0)) * 100.0 / 4 == 50.0
+            assert row_cost(rows, d, eta_s) - row_cost(rows, d, 0.0) == 2.0 * eta_s
+        assert (row_cost(rows, d, 1.0) - row_cost(rows, d, 0.0)) * 100.0 / 4 == 50.0
 
 
 def test_criterion_3_dp_equals_brute_force():
@@ -224,8 +224,8 @@ def test_criterion_3_dp_equals_brute_force():
                 delay_low_ms=20.0, delay_high_ms=40.0, inf_fraction=0.2,
             )
             for eta_s in (0.0, 1.0, 10.0, 100.0, 1000.0):
-                _, dp_cost = dp_optimal(d, eta_s)
-                _, bf_cost = brute_force_optimal(d, eta_s)
+                dp_cost = row_cost(dp_optimal(d, eta_s), d, eta_s)
+                bf_cost = row_cost(brute_force_optimal(d, eta_s), d, eta_s)
                 assert dp_cost == bf_cost
         assert time.perf_counter() - start < 10.0
 

@@ -7,8 +7,9 @@ nothing in ``src/lislsim`` references, outside its own definition and
 (a bare name or an attribute), so two definitions that share a name count
 as used once either of them is.
 
-Exempt are the library entry points that README "Library use" names, dunder
-methods, and overrides of a base-class method (the base class calls them).
+Exempt are the library entry points that the README "Library use" example
+imports (read from README.md, and each must exist), dunder methods, and
+overrides of a base-class method (the base class calls them).
 """
 
 import ast
@@ -18,12 +19,23 @@ from pathlib import Path
 import lislsim
 
 PACKAGE = Path(lislsim.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
 
-# README "Library use": what a script may call without any caller in the package
-LIBRARY_ENTRY_POINTS = {
-    "default_config", "generate_series", "ilsr", "isasr",
-    "evaluate", "route_delay_matrix", "optimum_schedule",
-}
+
+def _library_entry_points() -> set[str]:
+    """Names the README "Library use" example imports from ``lislsim``."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "lislsim"
+        for alias in node.names
+    }
+
+
+# what a script may call without any caller in the package
+LIBRARY_ENTRY_POINTS = _library_entry_points()
 
 
 def _module_names(path: Path):
@@ -106,3 +118,10 @@ def test_every_class_and_constant_has_a_caller_in_the_package():
         if _unreferenced(refs, path, node, name)
     ]
     assert not unused, "defined but never referenced in the package: " + ", ".join(unused)
+
+
+def test_every_library_entry_point_exists():
+    # a README that still imports a deleted name must not exempt it silently
+    assert LIBRARY_ENTRY_POINTS, "README 'Library use' imports nothing from lislsim"
+    missing = sorted(name for name in LIBRARY_ENTRY_POINTS if not hasattr(lislsim, name))
+    assert not missing, "README 'Library use' imports names lislsim lacks: " + ", ".join(missing)

@@ -310,9 +310,7 @@ class TestOracleCommand:
         import lislsim.oracle as oracle_mod
 
         def cheapest_per_slot(d, eta_s_ms):  # ignores the setup penalty
-            s = np.zeros(d.shape, np.int8)
-            s[np.argmin(d, axis=0), np.arange(d.shape[1])] = 1
-            return s, oracle_mod.selection_cost(s, d, eta_s_ms)
+            return np.argmin(d, axis=0)
 
         monkeypatch.setattr(oracle_mod, "dp_optimal", cheapest_per_slot)
         assert main(toy_oracle_argv) == 2
@@ -641,11 +639,12 @@ class TestBadRoutingValues:
             (["sweep", "--gamma", "nan"], None),
             (["sweep", "--gamma", "0.5,inf"], None),
             (["sweep"], ("eta_s_ms = 1, 1000", "eta_s_ms = 1, inf")),
+            (["run", "--algorithm", "alpr"], ("[run]\n", "[run]\nhistogram_bin_ms = 1e-12\n")),
         ],
         ids=[
             "run-eta-nan", "run-eta-negative", "run-eta-inf", "run-gamma-nan",
             "run-gamma-negative", "run-thrsh-nan", "run-thrsh-zero", "sweep-gamma-nan",
-            "sweep-gamma-list-inf", "sweep-config-eta-inf",
+            "sweep-gamma-list-inf", "sweep-config-eta-inf", "run-histogram-bin-tiny",
         ],
     )
     def test_rejected_with_exit_1(self, tmp_path, tiny_series, capsys, argv, config_edit):

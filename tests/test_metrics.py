@@ -7,26 +7,22 @@ import pytest
 
 from lislsim.constellation import GroundStation
 from lislsim.metrics import (
+    MAX_HISTOGRAM_BINS,
     average_jitter,
     evaluate,
     histogram,
     outage_probability,
     slot_order_sum,
 )
-from lislsim.oracle import selection_cost
 from lislsim.routing import Route, RoutingSchedule, run_algorithm
 
+from brute_force import row_cost
 from conftest import random_series
 from toyseries import dominance_toy_series, series_from_edges
 
 
-def penalty(s, d, eta_s):
-    """The setup-penalty part of a selection's cost."""
-    return selection_cost(s, d, eta_s) - selection_cost(s, d, 0.0)
-
-
-def selection_schedule(s, d) -> RoutingSchedule:
-    """A selection matrix as a schedule on a series whose route delays are ``d``.
+def selection_schedule(rows, d) -> RoutingSchedule:
+    """Each slot's route row as a schedule on a series whose route delays are ``d``.
 
     With k routes, route r runs from station k via satellite r to station
     k + 1, each of its two edges holding half the route's delay, so its
@@ -39,7 +35,7 @@ def selection_schedule(s, d) -> RoutingSchedule:
         per_slot.append({(r, g): d[r, i] / 2.0 for r in live for g in (k, k + 1)})
     stations = tuple(GroundStation(k + j, name, 0.0, 0.0) for j, name in enumerate("ab"))
     series = series_from_edges(per_slot, num_satellites=k, ground_stations=stations)
-    routes = [Route((k, int(r), k + 1)) for r in np.argmax(s, axis=0)]
+    routes = [Route((k, int(r), k + 1)) for r in rows]
     return RoutingSchedule("x", k, k + 1, routes, series)
 
 
@@ -47,61 +43,56 @@ class TestSlotOrderSum:
     def test_adds_python_floats_in_slot_order(self):
         # np.sum (pairwise) and Python 3.12's compensated sum() both give 1.0
         assert slot_order_sum([0.1] * 10) == 0.9999999999999999
-        # evaluate and selection_cost share it: equal totals on delays that
-        # are not binary fractions, where the order of addition shows
+        # evaluate and the tests' row_cost share it: equal totals on delays
+        # that are not binary fractions, where the order of addition shows
         d = np.array([[0.1] * 10, [0.7, 0.2, 0.3, 0.7, 1.1, 0.1, 0.3, 0.6, 0.9, 0.1]])
-        s = np.zeros((2, 10), dtype=np.int8)
-        s[1, [2, 3, 7]] = 1
-        s[0] = 1 - s[1]
-        report = evaluate(selection_schedule(s, d), 10.0)
-        assert report.eta_delay_ms == selection_cost(s, d, 0.0) == 2.3000000000000003
-        assert report.eta_le_ms == selection_cost(s, d, 10.0)
+        rows = np.zeros(10, dtype=np.int64)
+        rows[[2, 3, 7]] = 1
+        report = evaluate(selection_schedule(rows, d), 10.0)
+        assert report.eta_delay_ms == row_cost(rows, d, 0.0) == 2.3000000000000003
+        assert report.eta_le_ms == row_cost(rows, d, 10.0)
 
 
 class TestSelectionMatrixMetrics:
-    def test_eta_delay_of_golden_selection(self, eq4):
-        d, s = eq4
-        assert selection_cost(s, d, 0.0) == 104.0
+    """``evaluate`` on route rows over a delay matrix, through ``selection_schedule``."""
 
-    def test_eta_delay_zero_delays(self):
-        d = np.zeros((2, 3))
-        s = np.array([[1, 1, 1], [0, 0, 0]], dtype=np.int8)
-        assert selection_cost(s, d, 0.0) == 0.0
+    def test_eta_delay_of_golden_selection(self, eq4):
+        d, rows = eq4
+        assert evaluate(selection_schedule(rows, d), 1.0).eta_delay_ms == 104.0
 
     def test_eta_delay_single_slot(self):
         d = np.array([[7.0], [9.0]])
-        s = np.array([[0], [1]], dtype=np.int8)
-        assert selection_cost(s, d, 1000.0) == 9.0
+        assert evaluate(selection_schedule([1], d), 1000.0).eta_le_ms == 9.0
 
     @pytest.mark.parametrize("eta_s", [1.0, 10.0, 1000.0])
     def test_eta_penalty_two_switches(self, eq4, eta_s):
-        d, s = eq4
-        assert penalty(s, d, eta_s) == 2 * eta_s
+        d, rows = eq4
+        assert evaluate(selection_schedule(rows, d), eta_s).eta_penalty_ms == 2 * eta_s
 
     def test_eta_penalty_constant_route(self):
-        s = np.array([[1, 1, 1, 1]], dtype=np.int8)
-        assert penalty(s, np.ones((1, 4)), 1000.0) == 0.0
+        schedule = selection_schedule([0, 0, 0, 0], np.ones((1, 4)))
+        assert evaluate(schedule, 1000.0).eta_penalty_ms == 0.0
 
     def test_eta_penalty_maximum(self):
-        s = np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.int8)
-        assert penalty(s, np.ones((2, 4)), 10.0) == 30.0
+        schedule = selection_schedule([0, 1, 0, 1], np.ones((2, 4)))
+        assert evaluate(schedule, 10.0).eta_penalty_ms == 30.0
 
     def test_route_change_rate_golden(self, eq4):
-        d, s = eq4
-        assert penalty(s, d, 1.0) * 100.0 / 4 == 50.0
+        d, rows = eq4
+        assert evaluate(selection_schedule(rows, d), 1.0).route_change_rate_pct == 50.0
 
     def test_route_change_rate_extremes(self):
-        quiet = np.array([[1, 1, 1, 1]], dtype=np.int8)
-        assert penalty(quiet, np.ones((1, 4)), 1.0) * 100.0 / 4 == 0.0
-        busy = np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=np.int8)
-        assert penalty(busy, np.ones((2, 4)), 1.0) * 100.0 / 4 == 100.0 * 3 / 4
+        quiet = selection_schedule([0, 0, 0, 0], np.ones((1, 4)))
+        assert evaluate(quiet, 1.0).route_change_rate_pct == 0.0
+        busy = selection_schedule([0, 1, 0, 1], np.ones((2, 4)))
+        assert evaluate(busy, 1.0).route_change_rate_pct == 100.0 * 3 / 4
 
     def test_latency_series_decomposition(self, eq4):
-        d, s = eq4
-        report = evaluate(selection_schedule(s, d), 10.0)
+        d, rows = eq4
+        report = evaluate(selection_schedule(rows, d), 10.0)
         assert report.latency_ms.tolist() == [26.0, 27.0, 35.0, 36.0]
         assert math.fsum(report.latency_ms) == 124.0
-        assert report.eta_le_ms == selection_cost(s, d, 10.0) == 124.0
+        assert report.eta_le_ms == row_cost(rows, d, 10.0) == 124.0
 
 
 class TestLatencySeries:
@@ -204,6 +195,15 @@ class TestHistogram:
     def test_bin_width_must_be_finite_and_positive(self, width):
         with pytest.raises(ValueError, match="finite and positive"):
             histogram(np.array([1.0, 2.0]), width)
+
+    def test_bin_count_capped(self):
+        edges, counts = histogram(np.array([0.0, MAX_HISTOGRAM_BINS - 0.5]), 1.0)
+        assert edges.size == MAX_HISTOGRAM_BINS and counts.sum() == 2
+        with pytest.raises(ValueError, match="more than 1000000 bins"):
+            histogram(np.array([0.0, float(MAX_HISTOGRAM_BINS)]), 1.0)
+        # one populated bin, but its index 2.7e19 is no exact integer
+        with pytest.raises(ValueError, match="beyond 2"):
+            histogram(np.array([27.0, 27.0]), 1e-18)
 
 
 class TestIdentity:

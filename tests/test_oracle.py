@@ -5,11 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from lislsim.oracle import InfeasibleSlotError, dp_optimal, selection_cost, validate_selection
+from lislsim.oracle import InfeasibleSlotError, dp_optimal
 from lislsim.metrics import evaluate
 from lislsim.routing import run_algorithm
 
-from brute_force import OracleSizeError, brute_force_optimal, enumerate_routes, random_delay_matrix
+from brute_force import (
+    OracleSizeError, brute_force_optimal, enumerate_routes, random_delay_matrix, row_cost,
+)
 from conftest import EQ4_DELAYS
 from toyseries import dominance_toy_series, series_from_edges
 
@@ -30,20 +32,16 @@ class TestGoldenInstance:
     @pytest.mark.parametrize("eta_s,expected", [(0.0, 102.0), (1.0, 103.0), (1000.0, 103.0)])
     def test_known_costs(self, eta_s, expected):
         assert reference_optimum(EQ4_DELAYS, eta_s) == expected
-        s_dp, c_dp = dp_optimal(EQ4_DELAYS, eta_s)
-        s_bf, c_bf = brute_force_optimal(EQ4_DELAYS, eta_s)
-        assert c_dp == expected
-        assert c_bf == expected
+        assert row_cost(dp_optimal(EQ4_DELAYS, eta_s), EQ4_DELAYS, eta_s) == expected
+        assert row_cost(brute_force_optimal(EQ4_DELAYS, eta_s), EQ4_DELAYS, eta_s) == expected
 
     def test_high_penalty_stays_on_one_route(self):
-        s, _ = dp_optimal(EQ4_DELAYS, 1000.0)
-        assert np.array_equal(s[1], [1, 1, 1, 1])
+        assert dp_optimal(EQ4_DELAYS, 1000.0).tolist() == [1, 1, 1, 1]
 
     def test_zero_penalty_takes_per_slot_minima(self):
-        s, cost = dp_optimal(EQ4_DELAYS, 0.0)
-        rows = np.argmax(s, axis=0)
+        rows = dp_optimal(EQ4_DELAYS, 0.0)
         assert rows.tolist() == [0, 1, 1, 1]
-        assert cost == 102.0
+        assert row_cost(rows, EQ4_DELAYS, 0.0) == 102.0
 
 
 class TestDpProperties:
@@ -52,46 +50,47 @@ class TestDpProperties:
         for _ in range(200):
             d = random_delay_matrix(rng)
             for eta_s in (0.0, 1.0, 10.0, 100.0, 1000.0):
-                _, a = dp_optimal(d, eta_s)
-                _, b = brute_force_optimal(d, eta_s)
+                a = row_cost(dp_optimal(d, eta_s), d, eta_s)
+                b = row_cost(brute_force_optimal(d, eta_s), d, eta_s)
                 assert a == b
 
     def test_cost_nondecreasing_in_penalty(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
             d = random_delay_matrix(rng)
-            costs = [dp_optimal(d, e)[1] for e in (0.0, 1.0, 10.0, 100.0, 1000.0)]
+            costs = [row_cost(dp_optimal(d, e), d, e) for e in (0.0, 1.0, 10.0, 100.0, 1000.0)]
             assert all(a <= b for a, b in zip(costs, costs[1:]))
 
     def test_cost_equals_metric_evaluators_on_returned_selection(self):
         rng = np.random.default_rng(44)
         for _ in range(50):
             d = random_delay_matrix(rng)
-            s, cost = dp_optimal(d, 10.0)
-            rows = np.argmax(s, axis=0)
+            rows = dp_optimal(d, 10.0)
+            assert rows.dtype == np.int64 and rows.shape == (d.shape[1],)
+            assert np.isfinite(d[rows, np.arange(rows.size)]).all()
             delay = sum(d[r, i] for i, r in enumerate(rows))
             penalty = 10.0 * np.count_nonzero(np.diff(rows))
-            assert cost == selection_cost(s, d, 10.0) == delay + penalty
+            assert row_cost(rows, d, 10.0) == delay + penalty
 
     def test_single_route_cost_is_row_sum(self):
         d = np.array([[5.0, 6.0, 7.0]])
         for eta_s in (0.0, 1000.0):
-            s, cost = dp_optimal(d, eta_s)
-            assert cost == 18.0
-            assert np.array_equal(s, [[1, 1, 1]])
+            rows = dp_optimal(d, eta_s)
+            assert row_cost(rows, d, eta_s) == 18.0
+            assert rows.tolist() == [0, 0, 0]
 
     def test_single_slot_takes_argmin_without_penalty(self):
         d = np.array([[9.0], [4.0], [6.0]])
         for solver in (dp_optimal, brute_force_optimal):
-            s, cost = solver(d, 1000.0)
-            assert cost == 4.0
-            assert np.argmax(s[:, 0]) == 1
+            rows = solver(d, 1000.0)
+            assert row_cost(rows, d, 1000.0) == 4.0
+            assert rows.tolist() == [1]
 
     def test_forced_assignment_returned(self):
         d = np.array([[1.0, np.inf], [np.inf, 2.0]])
-        s, cost = brute_force_optimal(d, 7.0)
-        assert np.array_equal(np.argmax(s, axis=0), [0, 1])
-        assert cost == 10.0
+        rows = brute_force_optimal(d, 7.0)
+        assert rows.tolist() == [0, 1]
+        assert row_cost(rows, d, 7.0) == 10.0
 
     def test_infeasible_column_reported_with_slot(self):
         d = np.array([[1.0, np.inf], [2.0, np.inf]])
@@ -106,30 +105,17 @@ class TestDpProperties:
     def test_ties_prefer_staying(self):
         # switching to the other route at slot 2 is cost-neutral; stay wins
         d = np.array([[5.0, 5.0], [6.0, 4.0]])
-        s, cost = dp_optimal(d, 1.0)
-        assert cost == 10.0
-        assert np.argmax(s, axis=0).tolist() == [0, 0]
+        rows = dp_optimal(d, 1.0)
+        assert row_cost(rows, d, 1.0) == 10.0
+        assert rows.tolist() == [0, 0]
 
 
 class TestSelectionHelpers:
-    def test_validate_selection_contract(self, eq4):
-        d, s = eq4
-        validate_selection(s, d)
-        bad = s.copy()
-        bad[0, 0] = 0
-        with pytest.raises(ValueError, match="exactly one active route"):
-            validate_selection(bad, d)
-        misplaced = np.zeros_like(s)
-        misplaced[2, 0] = 1  # route 3 does not exist at slot 1
-        misplaced[0, 1] = misplaced[0, 2] = misplaced[0, 3] = 1
-        with pytest.raises(ValueError, match="does not exist"):
-            validate_selection(misplaced, d)
-
     def test_switch_indicator(self, eq4):
         # eq4 keeps its route across boundary 1 and switches at 2 and 3
-        d, s = eq4
+        d, rows = eq4
         switches = [
-            selection_cost(s[:, :k], d[:, :k], 1.0) - selection_cost(s[:, :k], d[:, :k], 0.0)
+            row_cost(rows[:k], d[:, :k], 1.0) - row_cost(rows[:k], d[:, :k], 0.0)
             for k in range(1, 5)
         ]
         assert switches == [0.0, 0.0, 1.0, 2.0]
@@ -172,7 +158,7 @@ class TestDominance:
         series = dominance_toy_series()
         _, d = enumerate_routes(series, 6, 7, hop_limit=4)
         for eta_s in (1.0, 10.0, 100.0):
-            _, optimal = dp_optimal(d, eta_s)
+            optimal = row_cost(dp_optimal(d, eta_s), d, eta_s)
             for name in ("ilsr", "ilpr", "alpr", "isasr"):
                 schedule = run_algorithm(name, series, 6, 7, eta_s, cost_thrsh_ms=np.inf)
                 assert evaluate(schedule, eta_s).eta_le_ms >= optimal

@@ -486,6 +486,7 @@ class TestImportContract:
         "body,message",
         [
             ("satellites -3\n1 - - -\n2 - - -\n", "negative"),
+            ("satellites 2 7\n1 - - -\n2 - - -\n", "bad satellites header"),
             ("satellites 2\ngs 2 a 0.0 0.0\ngs 2 b 0.0 1.0\n1 - - -\n2 - - -\n", "ids"),
             ("satellites 2\ngs 2 a 0.0 0.0\ngs 3 a 0.0 1.0\n1 - - -\n2 - - -\n", "names"),
             ("satellites 2\ngs 1 a 0.0 0.0\n1 - - -\n2 - - -\n", "after all satellite"),
@@ -507,7 +508,7 @@ class TestImportContract:
             ("satellites 5000000000\n1 0 4294967297 1.5\n2 - - -\n", "int32"),
         ],
         ids=[
-            "negative-satellites", "duplicate-station-id", "duplicate-station-name",
+            "negative-satellites", "satellites-two-counts", "duplicate-station-id", "duplicate-station-name",
             "station-id-below-satellites", "slot-0", "slot-gap", "slots-out-of-order",
             "marker-then-edge", "edge-then-marker", "marker-twice", "malformed-marker",
             "forged-marker", "negative-endpoint", "nan-delay", "inf-delay", "extra-field",
