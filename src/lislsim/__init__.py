@@ -28,7 +28,6 @@ from .routing import (
     ilsr,
     isasr,
     isasr_stability_cost,
-    route_lifetime,
     run_algorithm,
 )
 from .oracle import (

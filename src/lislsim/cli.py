@@ -48,8 +48,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(args) -> ExperimentConfig:
+    """The config with a single ``--gamma`` value and ``--cost-thrsh`` applied,
+    checked again; a ``sweep --gamma`` list leaves ``gamma`` as the file sets it."""
     cfg = load_config(args.config) if args.config else default_config()
-    return cfg
+    flags = {}
+    gamma = getattr(args, "gamma", None)
+    if gamma is not None and not (args.command == "sweep" and "," in gamma):
+        flags["gamma"] = auto_float(gamma)
+    if getattr(args, "cost_thrsh", None) is not None:
+        flags["cost_thrsh_ms"] = args.cost_thrsh
+    return dataclasses.replace(cfg, **flags)
 
 
 def write_schedule(schedule: RoutingSchedule, path) -> None:
@@ -76,20 +84,6 @@ def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _timed_run(cfg, name, series, src, dst, eta_s, gamma, cost_thrsh):
-    """One routing run, its schedule's delays included, timed without the lifetime build."""
-    if name in LIFETIME_ALGORITHMS:
-        series.lifetimes()
-    start = time.perf_counter()
-    schedule = run_algorithm(
-        name, series, src, dst, eta_s,
-        gamma=gamma, cost_thrsh_ms=cost_thrsh,
-        reset_dropped_edges=cfg.reset_dropped_edges,
-        global_lifetimes=cfg.global_lifetimes,
-    )
-    return schedule, time.perf_counter() - start
-
-
 def cmd_generate(args) -> int:
     cfg = _load(args)
     series = generate_series(cfg.constellation, list(cfg.ground_stations), cfg.scenario)
@@ -113,15 +107,12 @@ def _resolve_endpoints(cfg, series):
 
 def cmd_run(args) -> int:
     cfg = _load(args)
-    if args.gamma is not None:
-        cfg = dataclasses.replace(cfg, gamma=auto_float(args.gamma))
     eta_s = args.eta_s if args.eta_s is not None else cfg.eta_s_ms[0]
-    gamma = cfg.gamma_for(eta_s)
-    cost_thrsh = args.cost_thrsh if args.cost_thrsh is not None else cfg.cost_thrsh_ms
-    check_routing_values(eta_s_ms=(eta_s,), cost_thrsh_ms=cost_thrsh)
+    check_routing_values(eta_s_ms=(eta_s,))
+    cells = [(args.algorithm, eta_s, cfg.gamma_for(eta_s))]
     series = import_series(args.series)
     src, dst = _resolve_endpoints(cfg, series)
-    schedule, runtime = _timed_run(cfg, args.algorithm, series, src, dst, eta_s, gamma, cost_thrsh)
+    *_, schedule, runtime = next(_cell_schedules(cfg, cells, series, src, dst))
     try:
         qos = (cfg.qos_for(eta_s),)
     except KeyError:
@@ -167,8 +158,6 @@ def _cells(cfg: ExperimentConfig, gamma_flag: str | None) -> list[tuple[str, flo
     gamma_values = None
     if gamma_flag is not None and "," in gamma_flag:
         gamma_values = tuple(float(tok) for tok in gamma_flag.split(","))
-    elif gamma_flag is not None:
-        cfg = dataclasses.replace(cfg, gamma=auto_float(gamma_flag))
     cells = []
     for name in cfg.algorithms:
         for eta_s in cfg.eta_s_ms:
@@ -182,18 +171,25 @@ def _cells(cfg: ExperimentConfig, gamma_flag: str | None) -> list[tuple[str, flo
 
 
 def _cell_schedules(cfg, cells, series, src, dst):
-    """Each cell with its schedule and runtime; ILSR/ILPR run once for every eta_s."""
+    """Each cell with its schedule and runtime; ILSR/ILPR run once for every eta_s.
+    The lifetime build, which only ``LIFETIME_ALGORITHMS`` need, runs before the clock."""
     eta_blind_runs = {}
     for name, eta_s, gamma in cells:
-        if name in eta_blind_runs:
-            schedule, runtime = eta_blind_runs[name]
-        else:
-            schedule, runtime = _timed_run(
-                cfg, name, series, src, dst, eta_s, gamma, cfg.cost_thrsh_ms
+        run = eta_blind_runs.get(name)
+        if run is None:
+            if name in LIFETIME_ALGORITHMS:
+                series.lifetimes()
+            start = time.perf_counter()
+            schedule = run_algorithm(
+                name, series, src, dst, eta_s,
+                gamma=gamma, cost_thrsh_ms=cfg.cost_thrsh_ms,
+                reset_dropped_edges=cfg.reset_dropped_edges,
+                global_lifetimes=cfg.global_lifetimes,
             )
+            run = schedule, time.perf_counter() - start
             if name in ETA_BLIND_ALGORITHMS:
-                eta_blind_runs[name] = schedule, runtime
-        yield name, eta_s, gamma, schedule, runtime
+                eta_blind_runs[name] = run
+        yield name, eta_s, gamma, *run
 
 
 def cmd_sweep(args) -> int:

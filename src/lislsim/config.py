@@ -65,6 +65,9 @@ class ExperimentConfig:
         )
         if not (self.algorithms and self.eta_s_ms):
             raise ValueError("need at least one algorithm and one setup delay")
+        for what, values in (("algorithm", self.algorithms), ("setup delay", self.eta_s_ms)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"a {what} is listed twice: {', '.join(map(str, values))}")
         if len(self.qos_ms) != len(self.eta_s_ms):
             raise ValueError("qos_ms must pair one threshold with each eta_s value")
         if not (math.isfinite(self.histogram_bin_ms) and self.histogram_bin_ms > 0):

@@ -3,11 +3,14 @@
 Four schedule producers with different latency/setup-penalty trade-offs:
 
 * ``ilsr``  -- shortest route recomputed independently at every slot.
-* ``ilpr``  -- keep the current route while all of its edges survive.
-* ``alpr``  -- pick the edge-disjoint route with the least lifetime-averaged
-  latency (setup penalty included) and hold it until it expires.
+* ``ilpr``  -- hold the shortest route until one of its edges disappears.
+* ``alpr``  -- hold the edge-disjoint route with the least lifetime-averaged
+  latency (setup penalty included) until it expires.
 * ``isasr`` -- per-slot shortest route on costs inflated by edge stability
-  and activeness terms, with unstable satellite edges pruned.
+  and activeness terms, with unstable satellite edges pruned; the only
+  reader of the series' edge lifetimes.
+
+ILPR and ALPR share one hold loop and differ only in how they pick a route.
 
 All of them share one deterministic Dijkstra core; ties always resolve to
 the lexicographically smallest vertex sequence, which makes schedules
@@ -157,15 +160,8 @@ def ilsr(series: SnapshotSeries, src: int, dst: int) -> RoutingSchedule:
 
 
 def ilpr(series: SnapshotSeries, src: int, dst: int) -> RoutingSchedule:
-    """Keep the active route until one of its edges disappears."""
-    routes: list[Route | None] = []
-    current: Route | None = None
-    for snap in series.snapshots:
-        if current is not None and snap.contains_route(current):
-            routes.append(current)
-            continue
-        current = dijkstra(snap, src, dst)
-        routes.append(current)
+    """Keep the shortest route until one of its edges disappears."""
+    routes = _held_routes(series, lambda snap: dijkstra(snap, src, dst))
     return RoutingSchedule("ilpr", src, dst, routes, series)
 
 
@@ -190,12 +186,33 @@ def disjoint_routes(snapshot: Snapshot, src: int, dst: int) -> list[Route]:
     return found
 
 
-def route_lifetime(route: Route, snapshot: Snapshot) -> int:
-    """Last slot the route survives: min over its edges of the containing run end."""
-    pos = snapshot.edge_positions(route.canonical_edges)
-    if np.any(pos < 0):
-        raise ValueError(f"route {route} uses an edge absent from slot {snapshot.slot}")
-    return int(snapshot.run_last[pos].min())
+def run_delays(route: Route, series: SnapshotSeries, slot: int) -> list[float]:
+    """The route's delay at `slot` and each later slot, up to the first slot it is
+    broken in; ValueError when that is `slot` itself."""
+    delays = []
+    for snap in series.snapshots[slot - 1:]:
+        delay = snap.route_delay(route)
+        if delay is None:
+            break
+        delays.append(delay)
+    if not delays:
+        raise ValueError(f"route {route} uses an edge absent from slot {slot}")
+    return delays
+
+
+def _held_routes(series: SnapshotSeries, pick) -> list[Route | None]:
+    """Each slot's route when ``pick(snapshot)`` is held until one of its edges breaks.
+
+    ``pick`` decides again at the slot the held route breaks in, and at the
+    slot after one where it returned None (that slot stays unreachable)."""
+    routes: list[Route | None] = [None] * series.num_slots
+    slot = 1
+    while slot <= series.num_slots:
+        route = pick(series.snapshot(slot))
+        held = 1 if route is None else len(run_delays(route, series, slot))
+        routes[slot - 1:slot - 1 + held] = [route] * held
+        slot += held
+    return routes
 
 
 def alpr_average_latency(route: Route, series: SnapshotSeries, slot: int, eta_s_ms: float) -> float:
@@ -204,41 +221,28 @@ def alpr_average_latency(route: Route, series: SnapshotSeries, slot: int, eta_s_
     (eta_s + sum of the route's per-slot delays from `slot` through its
     expiry) divided by the number of slots it survives.
     """
-    last = route_lifetime(route, series.snapshot(slot))
+    delays = run_delays(route, series, slot)
     total = eta_s_ms
-    for k in range(slot, last + 1):
-        delay = series.snapshot(k).route_delay(route)
-        if delay is None:  # cannot happen: lifetime is the min over edge runs
-            raise AssertionError("route vanished inside its lifetime")
+    for delay in delays:  # in slot order, so the sum is reproducible
         total += delay
-    return total / (last - slot + 1)
+    return total / len(delays)
 
 
 def alpr(series: SnapshotSeries, src: int, dst: int, eta_s_ms: float) -> RoutingSchedule:
     """Hold the disjoint route with the least lifetime-averaged latency.
 
-    At each decision slot the candidate set is the edge-disjoint routes of
-    that snapshot; the winner stays active until it expires, then a new
-    decision is made. Score ties prefer fewer hops, then the smaller vertex
-    sequence.
+    The candidates are the decision slot's edge-disjoint routes. Score ties
+    prefer fewer hops, then the smaller vertex sequence.
     """
-    routes: list[Route | None] = [None] * series.num_slots
-    slot = 1
-    while slot <= series.num_slots:
-        snap = series.snapshot(slot)
-        candidates = disjoint_routes(snap, src, dst)
-        if not candidates:
-            slot += 1
-            continue
-        best = min(
-            candidates,
-            key=lambda r: (alpr_average_latency(r, series, slot, eta_s_ms), r.hops, r.nodes),
+
+    def pick(snap: Snapshot) -> Route | None:
+        return min(
+            disjoint_routes(snap, src, dst),
+            key=lambda r: (alpr_average_latency(r, series, snap.slot, eta_s_ms), r.hops, r.nodes),
+            default=None,
         )
-        last = route_lifetime(best, snap)
-        for k in range(slot, last + 1):
-            routes[k - 1] = best
-        slot = last + 1
-    return RoutingSchedule("alpr", src, dst, routes, series)
+
+    return RoutingSchedule("alpr", src, dst, _held_routes(series, pick), series)
 
 
 def isasr_stability_cost(
@@ -312,8 +316,8 @@ ALGORITHMS = ("ilsr", "ilpr", "alpr", "isasr")
 # Their schedules depend on the series and endpoints only, not on eta_s,
 # gamma or the ISASR settings, so one run serves every setup-delay value.
 ETA_BLIND_ALGORITHMS = ("ilsr", "ilpr")
-# They read the series' edge lifetimes, which the series builds once.
-LIFETIME_ALGORITHMS = ("alpr", "isasr")
+# It reads the series' edge lifetimes, which the series builds once.
+LIFETIME_ALGORITHMS = ("isasr",)
 
 
 def run_algorithm(

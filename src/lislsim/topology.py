@@ -85,9 +85,6 @@ class Snapshot:
         hit = (pos >= 0) & (keys[pos] == want)
         return np.where(hit, pos, -1)
 
-    def contains_route(self, route) -> bool:
-        return bool(np.all(self.edge_positions(route.canonical_edges) >= 0))
-
     def route_delay(self, route) -> float | None:
         """Sum of this slot's original delays along the route, None if broken."""
         pos = self.edge_positions(route.canonical_edges)

@@ -13,7 +13,7 @@ import pytest
 import lislsim
 from lislsim.cli import main, write_schedule
 from lislsim.topology import import_series
-from lislsim.routing import ilsr
+from lislsim.routing import LIFETIME_ALGORITHMS, ilsr
 
 from conftest import slot_routes
 from toyseries import dominance_toy_series, series_from_edges
@@ -155,6 +155,15 @@ class TestRun:
         assert "seed" not in manifest["config"] and "oracle" not in manifest["config"]
         assert manifest["config"]["histogram_bin_ms"] == 0.25
 
+    def test_manifest_records_the_flag_values(self, tmp_path, tiny_config, tiny_series):
+        out = tmp_path / "flags_out"
+        assert main([
+            "run", "--config", str(tiny_config), "--series", str(tiny_series),
+            "--algorithm", "isasr", "--gamma", "3", "--cost-thrsh", "5", "--out", str(out),
+        ]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["gamma"], config["cost_thrsh_ms"]) == (3.0, 5.0)
+
     def test_missing_series_is_validation_error(self, tmp_path, tiny_config):
         rc = main([
             "run", "--config", str(tiny_config), "--series", str(tmp_path / "nope"),
@@ -189,6 +198,18 @@ class TestSweep:
         rows = (out / "sweep.tsv").read_text().splitlines()[1:]
         isasr_rows = [r for r in rows if r.startswith("isasr")]
         assert len(isasr_rows) == 2 * 3  # two eta_s x three gamma values
+        # a list sweeps ISASR only; the other cells ran with the file's gamma
+        assert json.loads((out / "manifest.json").read_text())["config"]["gamma"] is None
+
+    def test_manifest_records_a_single_gamma(self, tmp_path, tiny_config, tiny_series):
+        out = tmp_path / "g5"
+        assert main([
+            "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
+            "--gamma", "5", "--out", str(out),
+        ]) == 0
+        rows = (out / "sweep.tsv").read_text().splitlines()[1:]
+        assert {r.split("\t")[2] for r in rows} == {"5"}
+        assert json.loads((out / "manifest.json").read_text())["config"]["gamma"] == 5.0
 
 
 def _count_runs(monkeypatch):
@@ -575,7 +596,7 @@ class TestImportCost:
 
 
 class TestLifetimeBuildUntimed:
-    """The one-time lifetime build stays out of ALPR/ISASR runtimes."""
+    """Only ISASR reads the lifetimes, and their one-time build stays out of its runtime."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -593,7 +614,7 @@ class TestLifetimeBuildUntimed:
         monkeypatch.setattr(cli_mod, "run_algorithm", spy)
         return seen, series_seen
 
-    @pytest.mark.parametrize("name", ["alpr", "isasr"])
+    @pytest.mark.parametrize("name", LIFETIME_ALGORITHMS)
     def test_run_builds_lifetimes_before_the_clock(
         self, tmp_path, tiny_config, tiny_series, monkeypatch, name
     ):
@@ -604,16 +625,19 @@ class TestLifetimeBuildUntimed:
         ]) == 0
         assert seen == [(name, True)]
 
-    def test_ilsr_run_never_builds_lifetimes(self, tmp_path, tiny_config, tiny_series, monkeypatch):
+    @pytest.mark.parametrize("name", ["ilsr", "ilpr", "alpr"])
+    def test_run_never_builds_lifetimes(
+        self, tmp_path, tiny_config, tiny_series, monkeypatch, name
+    ):
         seen, series_seen = self._spy(monkeypatch)
         assert main([
             "run", "--config", str(tiny_config), "--series", str(tiny_series),
-            "--algorithm", "ilsr", "--out", str(tmp_path / "out"),
+            "--algorithm", name, "--out", str(tmp_path / "out"),
         ]) == 0
-        assert seen == [("ilsr", False)]
+        assert seen == [(name, False)]
         assert series_seen[0]._runs is None
 
-    def test_sweep_builds_lifetimes_before_the_first_alpr_cell(
+    def test_sweep_builds_lifetimes_before_the_first_isasr_cell(
         self, tmp_path, tiny_config, tiny_series, monkeypatch
     ):
         seen, _ = self._spy(monkeypatch)
@@ -621,7 +645,7 @@ class TestLifetimeBuildUntimed:
             "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
             "--out", str(tmp_path / "sweep"),
         ]) == 0
-        assert seen == [("ilsr", False), ("ilpr", False), ("alpr", True), ("alpr", True),
+        assert seen == [("ilsr", False), ("ilpr", False), ("alpr", False), ("alpr", False),
                         ("isasr", True), ("isasr", True)]
 
 
@@ -640,11 +664,15 @@ class TestBadRoutingValues:
             (["sweep", "--gamma", "0.5,inf"], None),
             (["sweep"], ("eta_s_ms = 1, 1000", "eta_s_ms = 1, inf")),
             (["run", "--algorithm", "alpr"], ("[run]\n", "[run]\nhistogram_bin_ms = 1e-12\n")),
+            (["sweep"], ("eta_s_ms = 1, 1000\nqos_ms = 30, 60",
+                         "eta_s_ms = 1, 1\nqos_ms = 27, 30")),
+            (["sweep"], ("algorithms = ilsr, ilpr, alpr, isasr", "algorithms = ilsr, ilsr")),
         ],
         ids=[
             "run-eta-nan", "run-eta-negative", "run-eta-inf", "run-gamma-nan",
             "run-gamma-negative", "run-thrsh-nan", "run-thrsh-zero", "sweep-gamma-nan",
             "sweep-gamma-list-inf", "sweep-config-eta-inf", "run-histogram-bin-tiny",
+            "sweep-config-eta-repeated", "sweep-config-algorithm-repeated",
         ],
     )
     def test_rejected_with_exit_1(self, tmp_path, tiny_series, capsys, argv, config_edit):

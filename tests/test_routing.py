@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from lislsim.routing import (
+    ALGORITHMS,
+    LIFETIME_ALGORITHMS,
     Route,
+    _held_routes,
     RoutingSchedule,
     alpr,
     alpr_average_latency,
@@ -16,12 +19,31 @@ from lislsim.routing import (
     ilsr,
     isasr,
     isasr_stability_cost,
-    route_lifetime,
     run_algorithm,
+    run_delays,
 )
 
 from conftest import WORKED_EXAMPLE_DELAYS, one_slot, random_series, slot_routes, square_edges
 from toyseries import series_from_edges
+
+
+def run_end(series, route, slot):
+    """Last slot of the route's hold from `slot`: the earliest run end of its edges."""
+    snap = series.snapshot(slot)
+    return int(snap.run_last[snap.edge_positions(route.canonical_edges)].min())
+
+
+def assert_holds_end_at_run_ends(schedule, series):
+    """Each hold from a decision slot covers exactly the slots up to its run end
+    (on a series where every slot is reachable)."""
+    routes = slot_routes(schedule)
+    i = 1
+    while i <= series.num_slots:
+        route = routes[i - 1]
+        assert route is not None
+        last = run_end(series, route, i)
+        assert all(r is route for r in routes[i - 1:last])
+        i = last + 1
 
 
 def exhaustive_best_path(edges: dict, src: int, dst: int):
@@ -215,7 +237,25 @@ class TestIlpr:
             for i, flag in enumerate(flags):
                 if flag:
                     prev = slot_routes(schedule)[i]
-                    assert not series.snapshot(i + 2).contains_route(prev)
+                    assert series.snapshot(i + 2).route_delay(prev) is None
+
+    def test_keeps_route_that_survives_into_next_slot(self):
+        rng = np.random.default_rng(6)
+        kept = 0
+        for trial in range(20):
+            series = random_series(rng)
+            routes = slot_routes(ilpr(series, 0, series.roster.num_nodes - 1))
+            for i, route in enumerate(routes[:-1]):
+                if route is not None and series.snapshot(i + 2).route_delay(route) is not None:
+                    assert routes[i + 1] is route
+                    kept += 1
+        assert kept > 20
+
+    def test_block_structure(self):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            series = random_series(rng, num_nodes=7, num_slots=12)
+            assert_holds_end_at_run_ends(ilpr(series, 0, 6), series)
 
 
 class TestDisjointRoutes:
@@ -252,6 +292,8 @@ class TestDisjointRoutes:
 
 
 class TestRouteLifetime:
+    """A route's lifetime from a slot is the length of its run_delays."""
+
     def test_min_over_edge_run_ends(self):
         ends = [105, 117, 93, 155, 148]
         slot_lists = {
@@ -263,18 +305,38 @@ class TestRouteLifetime:
                 per_slot[s - 1][edge] = 1.0
         series = series_from_edges(per_slot, num_satellites=6)
         route = Route((0, 1, 2, 3, 4, 5))
-        assert route_lifetime(route, series.snapshot(85)) == 93
+        assert len(run_delays(route, series, 85)) == 93 - 85 + 1
 
     def test_permanent_route_expires_at_horizon(self):
         series = series_from_edges([{(0, 1): 1.0, (1, 2): 1.0}] * 7, num_satellites=3)
-        assert route_lifetime(Route((0, 1, 2)), series.snapshot(3)) == 7
+        assert len(run_delays(Route((0, 1, 2)), series, 3)) == 7 - 3 + 1
 
     def test_single_slot_run(self):
         per_slot = [{(0, 1): 1.0}, {(2, 3): 1.0}, {(0, 1): 1.0}]
         series = series_from_edges(per_slot, num_satellites=4)
-        assert route_lifetime(Route((0, 1)), series.snapshot(1)) == 1
+        assert len(run_delays(Route((0, 1)), series, 1)) == 1
         with pytest.raises(ValueError):
-            route_lifetime(Route((0, 1)), series.snapshot(2))
+            run_delays(Route((0, 1)), series, 2)
+
+    def test_values_are_the_per_slot_route_delays(self, table_series):
+        route = Route((4, 1, 5))
+        assert run_delays(route, table_series, 3) == [
+            table_series.snapshot(k).route_delay(route) for k in range(3, 12)
+        ]
+
+    def test_length_matches_the_edge_lifetimes(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            series = random_series(rng, num_nodes=7, num_slots=12)
+            for snap in series.snapshots:
+                for route in disjoint_routes(snap, 0, 6):
+                    held = len(run_delays(route, series, snap.slot))
+                    assert held == run_end(series, route, snap.slot) - snap.slot + 1
+
+    def test_hold_of_a_route_absent_from_its_slot_is_rejected(self):
+        series = series_from_edges([square_edges(), {(0, 2): 4.0, (2, 3): 4.0}], num_satellites=4)
+        with pytest.raises(ValueError, match="absent from slot 2"):
+            _held_routes(series, lambda snap: Route((0, 1, 3)))
 
 
 class TestAlprAverageLatency:
@@ -323,16 +385,7 @@ class TestAlpr:
         rng = np.random.default_rng(21)
         for _ in range(10):
             series = random_series(rng, num_nodes=7, num_slots=12)
-            schedule = alpr(series, 0, 6, 50.0)
-            i = 1
-            while i <= series.num_slots:
-                route = slot_routes(schedule)[i - 1]
-                assert route is not None
-                last = route_lifetime(route, series.snapshot(i))
-                # the active block extends exactly to the route's expiry
-                for k in range(i, last + 1):
-                    assert slot_routes(schedule)[k - 1] is route
-                i = last + 1
+            assert_holds_end_at_run_ends(alpr(series, 0, 6, 50.0), series)
 
     def test_single_slot_lifetime_triggers_immediate_redecision(self):
         per_slot = [
@@ -444,7 +497,7 @@ class TestScheduleFeasibility:
             schedule = run_algorithm(name, series, 0, 7, 25.0)
             for i, route in enumerate(slot_routes(schedule), start=1):
                 if route is not None:
-                    assert series.snapshot(i).contains_route(route)
+                    assert series.snapshot(i).route_delay(route) is not None
                     assert route.nodes[0] == 0 and route.nodes[-1] == 7
 
     def test_route_missing_an_edge_in_its_slot_is_rejected(self):
@@ -455,6 +508,15 @@ class TestScheduleFeasibility:
     def test_unknown_algorithm_rejected(self, toy_series):
         with pytest.raises(ValueError):
             run_algorithm("ospf", toy_series, 6, 7, 1.0)
+
+
+class TestLifetimeReaders:
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_exactly_the_listed_algorithms_build_the_lifetimes(self, name):
+        series = random_series(np.random.default_rng(41), num_nodes=8, num_slots=9)
+        assert series._runs is None
+        run_algorithm(name, series, 0, 7, 25.0, cost_thrsh_ms=100.0)
+        assert (series._runs is not None) == (name in LIFETIME_ALGORITHMS)
 
 
 class TestCallCounts:
