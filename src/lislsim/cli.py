@@ -158,6 +158,8 @@ def _cells(cfg: ExperimentConfig, gamma_flag: str | None) -> list[tuple[str, flo
     gamma_values = None
     if gamma_flag is not None and "," in gamma_flag:
         gamma_values = tuple(float(tok) for tok in gamma_flag.split(","))
+        if len(set(gamma_values)) < len(gamma_values):
+            raise ValueError(f"a gamma value is listed twice: {gamma_flag}")
     cells = []
     for name in cfg.algorithms:
         for eta_s in cfg.eta_s_ms:
@@ -183,8 +185,6 @@ def _cell_schedules(cfg, cells, series, src, dst):
             schedule = run_algorithm(
                 name, series, src, dst, eta_s,
                 gamma=gamma, cost_thrsh_ms=cfg.cost_thrsh_ms,
-                reset_dropped_edges=cfg.reset_dropped_edges,
-                global_lifetimes=cfg.global_lifetimes,
             )
             run = schedule, time.perf_counter() - start
             if name in ETA_BLIND_ALGORITHMS:

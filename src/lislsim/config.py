@@ -54,8 +54,6 @@ class ExperimentConfig:
     gamma: float | None = None  # ISASR weight in ms; None (``auto``): gamma tracks eta_s
     cost_thrsh_ms: float = 100.0
     qos_ms: tuple[float, ...] = (27.0, 30.0, 35.0, 40.0)
-    reset_dropped_edges: bool = False
-    global_lifetimes: bool = False
     histogram_bin_ms: float = 0.25
 
     def __post_init__(self):

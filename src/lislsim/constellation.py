@@ -98,15 +98,6 @@ class ScenarioParams:
             raise ValueError("need at least one time slot")
 
 
-def _bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def auto_float(text: str) -> float | None:
     """``None`` for ``auto``, else the float."""
     return None if text.strip().lower() == "auto" else float(text)
@@ -117,7 +108,6 @@ TEXT_PARSERS = {
     "int": int,
     "float": float,
     "str": str,
-    "bool": _bool,
     "tuple[float, ...]": lambda text: tuple(float(tok) for tok in text.replace(",", " ").split()),
     "tuple[str, ...]": lambda text: tuple(text.replace(",", " ").split()),
     "float | None": auto_float,

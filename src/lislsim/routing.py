@@ -266,49 +266,42 @@ def isasr(
     eta_s_ms: float,
     gamma: float,
     cost_thrsh_ms: float,
-    reset_dropped_edges: bool = False,
-    global_lifetimes: bool = False,
 ) -> RoutingSchedule:
     """Per-slot shortest route on stability/activeness-modified costs.
 
     Each slot: satellite-satellite edges whose stability cost reaches
     ``cost_thrsh_ms`` are dropped (ground links always stay); remaining edge
     costs become ``delay + gamma * (cost_st + cost_act)``; Dijkstra picks the
-    route; edges of the active route get ``cost_act = 0`` until the slot the
-    route breaks, when they revert to ``eta_s``. Reported per-slot delays
-    always use the original snapshot delays, never the modified costs.
+    route. Reported per-slot delays always use the original snapshot delays,
+    never the modified costs.
 
-    ``global_lifetimes`` switches the stability term from per-run expiry to
-    the edge's last appearance anywhere in the series.
+    Every edge's activeness cost starts at ``eta_s``. After each slot the
+    chosen route's edges get 0, or ``eta_s`` again when the route breaks
+    there (one of its edges is absent from the next slot). A route abandoned
+    while it still exists leaves its edges at 0.
     """
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
     if cost_thrsh_ms <= 0:
         raise ValueError("cost threshold must be positive")
     n = series.num_slots
-    cost_act = np.full(series.global_last.size, eta_s_ms, dtype=np.float64)
+    uid, _ = series.lifetimes()
+    cost_act = np.full(uid.max(initial=-1) + 1, eta_s_ms, dtype=np.float64)
     routes: list[Route | None] = []
-    previous_uids: np.ndarray | None = None
     for slot in range(1, n + 1):
         snap = series.snapshot(slot)
         uids = snap.uids
-        last = series.global_last[uids] if global_lifetimes else snap.run_last
-        cost_st = isasr_stability_cost(last, slot, n, eta_s_ms)
+        cost_st = isasr_stability_cost(snap.run_last, slot, n, eta_s_ms)
         costs = snap.delay_ms + gamma * (cost_st + cost_act[uids])
         sat_sat = (snap.u < snap.num_satellites) & (snap.v < snap.num_satellites)
         costs[sat_sat & (cost_st >= cost_thrsh_ms)] = np.inf
         route = dijkstra(snap, src, dst, cost_override=costs)
         routes.append(route)
         if route is None:
-            previous_uids = None
             continue
         pos = snap.edge_positions(route.canonical_edges)
-        route_uids = uids[pos]
         break_point = int(snap.run_last[pos].min())
-        cost_act[route_uids] = 0.0 if slot != break_point else eta_s_ms
-        if reset_dropped_edges and previous_uids is not None:
-            cost_act[np.setdiff1d(previous_uids, route_uids)] = eta_s_ms
-        previous_uids = route_uids
+        cost_act[uids[pos]] = 0.0 if slot != break_point else eta_s_ms
     return RoutingSchedule("isasr", src, dst, routes, series)
 
 
@@ -328,8 +321,6 @@ def run_algorithm(
     eta_s_ms: float,
     gamma: float | None = None,
     cost_thrsh_ms: float = math.inf,
-    reset_dropped_edges: bool = False,
-    global_lifetimes: bool = False,
 ) -> RoutingSchedule:
     """Dispatch one algorithm by name (gamma=None means gamma = eta_s)."""
     if name == "ilsr":
@@ -339,11 +330,6 @@ def run_algorithm(
     if name == "alpr":
         return alpr(series, src, dst, eta_s_ms)
     if name == "isasr":
-        return isasr(
-            series, src, dst, eta_s_ms,
-            eta_s_ms if gamma is None else gamma,
-            cost_thrsh_ms,
-            reset_dropped_edges=reset_dropped_edges,
-            global_lifetimes=global_lifetimes,
-        )
+        gamma = eta_s_ms if gamma is None else gamma
+        return isasr(series, src, dst, eta_s_ms, gamma, cost_thrsh_ms)
     raise ValueError(f"unknown algorithm {name!r} (expected one of {ALGORITHMS})")

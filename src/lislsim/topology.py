@@ -118,7 +118,7 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class NodeRoster:
-    """Node id space: satellites occupy 0..num_satellites-1, then stations."""
+    """Node id space: satellites are 0..S-1 and the G stations S..S+G-1, in any order."""
 
     num_satellites: int
     ground_stations: tuple[GroundStation, ...] = ()
@@ -126,21 +126,21 @@ class NodeRoster:
     def __post_init__(self):
         if self.num_satellites < 0:
             raise ValueError("the satellite count cannot be negative")
-        ids = [gs.id for gs in self.ground_stations]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate ground station ids")
+        ids = sorted(gs.id for gs in self.ground_stations)
+        if ids != list(range(self.num_satellites, self.num_nodes)):
+            raise ValueError(
+                f"ground station ids must be {self.num_satellites}..{self.num_nodes - 1}, "
+                "one each, right after the satellite ids"
+            )
         names = [gs.name for gs in self.ground_stations]
         if len(set(names)) != len(names):
             raise ValueError("duplicate ground station names")
-        if any(i < self.num_satellites for i in ids):
-            raise ValueError("ground station ids must come after all satellite ids")
         if self.num_nodes > 2**31:
             raise ValueError("node ids must fit in int32")
 
     @property
     def num_nodes(self) -> int:
-        top = max((gs.id for gs in self.ground_stations), default=self.num_satellites - 1)
-        return max(top + 1, self.num_satellites)
+        return self.num_satellites + len(self.ground_stations)
 
     def station(self, name: str) -> GroundStation:
         for gs in self.ground_stations:
@@ -151,15 +151,12 @@ class NodeRoster:
 
 def _edge_problem(roster: NodeRoster, lo, hi, keys, delay) -> str | None:
     """The first edge rule that one slot's sorted (min, max) records break."""
-    sats = roster.num_satellites
     if lo.min() < 0 or hi.max() >= roster.num_nodes:
         return "unknown node id outside the node id range"
     if np.any(lo == hi):
         return "self-loops are not allowed"
-    if lo.max() >= sats:
+    if lo.max() >= roster.num_satellites:
         return "edge between two non-satellites (ground-to-ground)"
-    if not np.isin(hi[hi >= sats], [gs.id for gs in roster.ground_stations]).all():
-        return "unknown node id, neither satellite nor station"
     if np.any(keys[1:] == keys[:-1]):
         return "duplicate edge within a slot"
     if not (np.isfinite(delay).all() and (delay > 0).all()):
@@ -234,8 +231,8 @@ class SnapshotSeries:
             self._keys.setflags(write=False)
         return self._keys
 
-    def lifetimes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per record: edge uid and run end; per uid: last slot. Computed once.
+    def lifetimes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per record: edge uid and the last slot of its run. Computed once.
 
         The uid is the rank of the record's packed key among the distinct
         keys. Slots are walked backwards, and a record continues a run when
@@ -248,23 +245,16 @@ class SnapshotSeries:
             first[1:] = ordered[1:] != ordered[:-1]
             uid = np.searchsorted(ordered[first], keys)
             run_last = np.empty(keys.size, np.int32)
-            global_last = np.zeros(uid.max(initial=-1) + 1, np.int32)
-            next_seen = np.zeros_like(global_last)  # earliest slot seen so far
-            run_end = np.zeros_like(global_last)  # run end of that sighting
+            next_seen = np.zeros(uid.max(initial=-1) + 1, np.int32)  # earliest slot seen so far
+            run_end = np.zeros_like(next_seen)  # run end of that sighting
             for slot in range(self.num_slots, 0, -1):
                 span = slice(self.offsets[slot - 1], self.offsets[slot])
                 ids = uid[span]
                 ends = np.where(next_seen[ids] == slot + 1, run_end[ids], slot)
                 run_last[span] = run_end[ids] = ends
                 next_seen[ids] = slot
-                global_last[ids] = np.maximum(global_last[ids], slot)
-            self._runs = (uid, run_last, global_last)
+            self._runs = (uid, run_last)
         return self._runs
-
-    @property
-    def global_last(self) -> np.ndarray:
-        """Last slot anywhere in the series of each edge, indexed by uid."""
-        return self.lifetimes()[2]
 
     def __eq__(self, other):
         if not isinstance(other, SnapshotSeries):

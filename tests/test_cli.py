@@ -143,15 +143,15 @@ class TestRun:
         assert capsys.readouterr().err == warning
 
     def test_manifest_records_the_full_config(self, tmp_path, tiny_series):
-        cfg = tmp_path / "reset.ini"
-        cfg.write_text(TINY_CONFIG.replace("[run]\n", "[run]\nreset_dropped_edges = true\n"))
-        out = tmp_path / "reset_out"
+        cfg = tmp_path / "thrsh.ini"
+        cfg.write_text(TINY_CONFIG.replace("cost_thrsh_ms = 100", "cost_thrsh_ms = 50"))
+        out = tmp_path / "thrsh_out"
         assert main([
             "run", "--config", str(cfg), "--series", str(tiny_series),
             "--algorithm", "isasr", "--eta-s", "1000", "--out", str(out),
         ]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["reset_dropped_edges"] is True
+        assert manifest["config"]["cost_thrsh_ms"] == 50.0
         assert "seed" not in manifest["config"] and "oracle" not in manifest["config"]
         assert manifest["config"]["histogram_bin_ms"] == 0.25
 
@@ -486,8 +486,11 @@ class TestUnknownConfigNames:
             ("[run]\n", "[run]\nseed = 1\n"),
             ("[run]\n", "[DEFAULT]\nbogus = 7\n[run]\n"),
             ("[scenario]\n", "[sceanrio]\nnum_slots = 2\n[scenario]\n"),
+            ("[run]\n", "[run]\nreset_dropped_edges = false\n"),
+            ("[run]\n", "[run]\nglobal_lifetimes = false\n"),
         ],
-        ids=["constellation", "scenario", "run", "oracle", "run-seed", "default", "section"],
+        ids=["constellation", "scenario", "run", "oracle", "run-seed", "default", "section",
+             "run-reset-dropped-edges", "run-global-lifetimes"],
     )
     def test_generate_exits_1(self, tmp_path, capsys, edit):
         cfg = tmp_path / "names.ini"
@@ -497,7 +500,9 @@ class TestUnknownConfigNames:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unknown ")
-        assert any(name in err for name in ("bogus", "oracle", "seed", "sceanrio"))
+        assert any(name in err for name in (
+            "bogus", "oracle", "seed", "sceanrio", "reset_dropped_edges", "global_lifetimes",
+        ))
         assert not out.exists()
 
 
@@ -662,6 +667,7 @@ class TestBadRoutingValues:
             (["run", "--algorithm", "isasr", "--cost-thrsh", "0"], None),
             (["sweep", "--gamma", "nan"], None),
             (["sweep", "--gamma", "0.5,inf"], None),
+            (["sweep", "--gamma", "5,5"], None),
             (["sweep"], ("eta_s_ms = 1, 1000", "eta_s_ms = 1, inf")),
             (["run", "--algorithm", "alpr"], ("[run]\n", "[run]\nhistogram_bin_ms = 1e-12\n")),
             (["sweep"], ("eta_s_ms = 1, 1000\nqos_ms = 30, 60",
@@ -671,7 +677,7 @@ class TestBadRoutingValues:
         ids=[
             "run-eta-nan", "run-eta-negative", "run-eta-inf", "run-gamma-nan",
             "run-gamma-negative", "run-thrsh-nan", "run-thrsh-zero", "sweep-gamma-nan",
-            "sweep-gamma-list-inf", "sweep-config-eta-inf", "run-histogram-bin-tiny",
+            "sweep-gamma-list-inf", "sweep-gamma-list-repeated", "sweep-config-eta-inf", "run-histogram-bin-tiny",
             "sweep-config-eta-repeated", "sweep-config-algorithm-repeated",
         ],
     )

@@ -41,8 +41,6 @@ eta_s_ms = 5, 50
 gamma = 12.5
 cost_thrsh_ms = inf
 qos_ms = 20, 25
-reset_dropped_edges = true
-global_lifetimes = true
 histogram_bin_ms = 0.5
 """
 
@@ -111,7 +109,6 @@ class TestLoadConfig:
         assert cfg.gamma == 12.5
         assert cfg.gamma_for(50.0) == 12.5
         assert math.isinf(cfg.cost_thrsh_ms)
-        assert cfg.reset_dropped_edges and cfg.global_lifetimes
         ids = sorted(gs.id for gs in cfg.ground_stations)
         assert ids == [66, 67]  # right after the 6 x 11 satellites
 
@@ -166,12 +163,6 @@ class TestLoadConfig:
         path = tmp_path / "bad4.ini"
         path.write_text("[run]\nalgorithms = ilsr, rip\n")
         with pytest.raises(ValueError, match="rip"):
-            load_config(path)
-
-    def test_bad_boolean_rejected(self, tmp_path):
-        path = tmp_path / "bad5.ini"
-        path.write_text("[run]\nreset_dropped_edges = maybe\n")
-        with pytest.raises(ValueError, match="boolean"):
             load_config(path)
 
     @pytest.mark.parametrize(

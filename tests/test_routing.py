@@ -483,6 +483,33 @@ class TestIsasr:
                 float(snap.delay_ms[p]) for p in snap.edge_positions(route.canonical_edges)
             )
 
+    def test_abandoned_route_keeps_zero_activeness_cost(self):
+        # path A = 0-1-3, path B = 0-2-3; A is abandoned at slot 3 while it
+        # still exists, so its edges keep their zero activeness cost and win
+        # back the route at slot 4
+        def edges(a_delay):
+            return {
+                (0, 1): a_delay, (1, 3): a_delay,
+                (0, 2): 5.0, (2, 3): 5.0,
+            }
+
+        per_slot = [edges(1.0), edges(1.0), edges(50.0), edges(1.0)]
+        series = series_from_edges(per_slot, num_satellites=4)
+        sticky = isasr(series, 0, 3, eta_s_ms=10.0, gamma=1.0, cost_thrsh_ms=math.inf)
+        assert [r.nodes for r in slot_routes(sticky)] == [
+            (0, 1, 3), (0, 1, 3), (0, 2, 3), (0, 1, 3)
+        ]
+
+    def test_stability_cost_follows_the_current_run(self):
+        # edge (1,3) exists in two runs [1,2] and [4,6]; its stability cost at
+        # slot 1 spreads eta_s over the first run only, so the route avoids it
+        gappy = {(0, 1): 1.0, (1, 3): 1.0, (0, 2): 2.0, (2, 3): 2.0}
+        stable_only = {(0, 1): 1.0, (0, 2): 2.0, (2, 3): 2.0}
+        per_slot = [gappy, gappy, stable_only, gappy, gappy, gappy]
+        series = series_from_edges(per_slot, num_satellites=4)
+        per_run = isasr(series, 0, 3, eta_s_ms=100.0, gamma=1.0, cost_thrsh_ms=math.inf)
+        assert slot_routes(per_run)[0].nodes == (0, 2, 3)
+
     def test_gamma_must_be_non_negative(self, toy_series):
         with pytest.raises(ValueError):
             isasr(toy_series, 6, 7, 1.0, -1.0, 1.0)
@@ -562,42 +589,3 @@ class TestPermanentEdgeCosts:
             assert run_last.size == 4
             assert not isasr_stability_cost(run_last, slot, 6, 1000.0).any()
 
-
-class TestIsasrConfigSwitches:
-    def test_reset_dropped_edges_changes_reselection(self):
-        # path A = 0-1-3, path B = 0-2-3; A is abandoned at slot 3 while it
-        # still exists. By default its edges keep their zero activeness cost
-        # and win back the route at slot 4; with the reset switch their
-        # activeness cost reverts and the route stays on B.
-        def edges(a_delay):
-            return {
-                (0, 1): a_delay, (1, 3): a_delay,
-                (0, 2): 5.0, (2, 3): 5.0,
-            }
-
-        per_slot = [edges(1.0), edges(1.0), edges(50.0), edges(1.0)]
-        series = series_from_edges(per_slot, num_satellites=4)
-        sticky = isasr(series, 0, 3, eta_s_ms=10.0, gamma=1.0,
-                       cost_thrsh_ms=math.inf)
-        assert [r.nodes for r in slot_routes(sticky)] == [
-            (0, 1, 3), (0, 1, 3), (0, 2, 3), (0, 1, 3)
-        ]
-        resetting = isasr(series, 0, 3, eta_s_ms=10.0, gamma=1.0,
-                          cost_thrsh_ms=math.inf, reset_dropped_edges=True)
-        assert [r.nodes for r in slot_routes(resetting)] == [
-            (0, 1, 3), (0, 1, 3), (0, 2, 3), (0, 2, 3)
-        ]
-
-    def test_global_lifetimes_ignore_mid_series_gaps(self):
-        # edge (1,3) exists in two runs [1,2] and [4,6]: per-run stability
-        # charges it at slot 1 (run ends early), globally it looks permanent
-        gappy = {(0, 1): 1.0, (1, 3): 1.0, (0, 2): 2.0, (2, 3): 2.0}
-        stable_only = {(0, 1): 1.0, (0, 2): 2.0, (2, 3): 2.0}
-        per_slot = [gappy, gappy, stable_only, gappy, gappy, gappy]
-        series = series_from_edges(per_slot, num_satellites=4)
-        per_run = isasr(series, 0, 3, eta_s_ms=100.0, gamma=1.0,
-                        cost_thrsh_ms=math.inf)
-        assert slot_routes(per_run)[0].nodes == (0, 2, 3)
-        global_l = isasr(series, 0, 3, eta_s_ms=100.0, gamma=1.0,
-                         cost_thrsh_ms=math.inf, global_lifetimes=True)
-        assert slot_routes(global_l)[0].nodes == (0, 1, 3)

@@ -99,21 +99,19 @@ class TestRoster:
             GroundStation(id=3, name="a", latitude_deg=0, longitude_deg=0),
             GroundStation(id=5, name="b", latitude_deg=0, longitude_deg=1),
         )
-        for edge in [(4, 5), (1, 4)]:
-            with pytest.raises(ValueError):
-                series_from_edges([{edge: 1.0}], num_satellites=3, ground_stations=stations)
-        # what the constructor accepts, the file format carries unchanged
-        series = series_from_edges(
-            [{(1, 5): 1.0, (0, 3): 2.0}], num_satellites=3, ground_stations=stations
-        )
+        with pytest.raises(ValueError, match="must be 3..4"):
+            NodeRoster(3, stations)
         path = tmp_path / "gap.series"
-        export_series(series, path)
-        assert import_series(path) == series
-        text = path.read_text()
-        for record in ("1 4 5 1.000000000", "1 1 4 1.000000000"):
-            path.write_text(text + record + "\n")
-            with pytest.raises(SeriesFormatError):
-                import_series(path)
+        path.write_text(HEADER + "satellites 3\ngs 3 a 0.0 0.0\ngs 5 b 0.0 1.0\n1 1 5 1.0\n2 - - -\n")
+        with pytest.raises(SeriesFormatError, match="must be 3..4"):
+            import_series(path)
+
+    def test_station_ids_in_any_order(self):
+        stations = (
+            GroundStation(id=4, name="a", latitude_deg=0, longitude_deg=0),
+            GroundStation(id=3, name="b", latitude_deg=0, longitude_deg=1),
+        )
+        assert NodeRoster(3, stations).num_nodes == 5
 
 
 def reference_run_last(series, edge, slot):
@@ -125,18 +123,16 @@ def reference_run_last(series, edge, slot):
 
 
 def assert_matches_reference(series):
-    """run_last, global_last and uid identity agree with brute-force scans."""
+    """run_last and uid identity agree with brute-force scans."""
     seen_uid = {}
     for snap in series.snapshots:
         uids, run_last = snap.uids, snap.run_last
         assert uids.shape == run_last.shape == snap.u.shape
         for k, edge in enumerate(zip(snap.u.tolist(), snap.v.tolist())):
             assert run_last[k] == reference_run_last(series, edge, snap.slot)
-            present = [s.slot for s in series.snapshots if edge_delay(s, *edge) is not None]
-            assert series.global_last[uids[k]] == present[-1]
             assert seen_uid.setdefault(edge, int(uids[k])) == uids[k]
     # same uid <=> same canonical edge, numbered 0..num_edges-1
-    assert sorted(seen_uid.values()) == list(range(series.global_last.size))
+    assert sorted(seen_uid.values()) == list(range(len(seen_uid)))
 
 
 def run_last_at(series, edge, slot):
@@ -149,7 +145,6 @@ class TestLinkDetails:
         series = slots_series({(0, 1): [3, 4, 5, 9, 10]}, num_slots=12)
         ends = [run_last_at(series, (0, 1), s) for s in (3, 4, 5, 9, 10)]
         assert ends == [5, 5, 5, 10, 10]
-        assert series.global_last.tolist() == [10]
 
     def test_permanent_edge(self):
         series = slots_series({(0, 1): list(range(1, 13))}, num_slots=12)
@@ -178,7 +173,6 @@ class TestLinkDetails:
 
     def test_series_without_edges(self):
         series = slots_series({}, num_slots=3)
-        assert series.global_last.size == 0
         assert [snap.uids.size for snap in series.snapshots] == [0, 0, 0]
 
 
@@ -489,7 +483,7 @@ class TestImportContract:
             ("satellites 2 7\n1 - - -\n2 - - -\n", "bad satellites header"),
             ("satellites 2\ngs 2 a 0.0 0.0\ngs 2 b 0.0 1.0\n1 - - -\n2 - - -\n", "ids"),
             ("satellites 2\ngs 2 a 0.0 0.0\ngs 3 a 0.0 1.0\n1 - - -\n2 - - -\n", "names"),
-            ("satellites 2\ngs 1 a 0.0 0.0\n1 - - -\n2 - - -\n", "after all satellite"),
+            ("satellites 2\ngs 1 a 0.0 0.0\n1 - - -\n2 - - -\n", "must be 2..2"),
             ("satellites 2\n0 0 1 1.0\n1 0 1 1.0\n2 0 1 1.0\n", "non-consecutive"),
             ("satellites 2\n1 0 1 1.0\n3 0 1 1.0\n", "non-consecutive"),
             ("satellites 2\n2 0 1 1.0\n1 0 1 1.0\n", "out of order"),
