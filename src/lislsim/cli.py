@@ -26,7 +26,8 @@ from . import __version__, metrics, oracle
 from .config import ExperimentConfig, check_routing_values, default_config, load_config
 from .constellation import auto_float, generate_series
 from .routing import (
-    ALGORITHMS, ETA_BLIND_ALGORITHMS, LIFETIME_ALGORITHMS, RoutingSchedule, run_algorithm,
+    ALGORITHMS, ETA_BLIND_ALGORITHMS, LIFETIME_ALGORITHMS, RoutingSchedule,
+    alpr_average_latency, run_algorithm,
 )
 from .topology import export_series, import_series
 
@@ -180,7 +181,7 @@ def _cell_schedules(cfg, cells, series, src, dst):
         run = eta_blind_runs.get(name)
         if run is None:
             if name in LIFETIME_ALGORITHMS:
-                series.lifetimes()
+                series.run_last()
             start = time.perf_counter()
             schedule = run_algorithm(
                 name, series, src, dst, eta_s,
@@ -297,7 +298,7 @@ def cmd_table2(args) -> int:
     for rid, delays in WORKED_EXAMPLE_DELAYS.items():
         cells = []
         for eta_s in eta_values:
-            avg = (eta_s + sum(delays)) / len(delays)
+            avg = alpr_average_latency(delays, eta_s)
             cells.append(f"{avg:.2f}")
             best = selections.get(eta_s)
             if best is None or avg < best[1]:

@@ -161,8 +161,12 @@ def ilsr(series: SnapshotSeries, src: int, dst: int) -> RoutingSchedule:
 
 def ilpr(series: SnapshotSeries, src: int, dst: int) -> RoutingSchedule:
     """Keep the shortest route until one of its edges disappears."""
-    routes = _held_routes(series, lambda snap: dijkstra(snap, src, dst))
-    return RoutingSchedule("ilpr", src, dst, routes, series)
+
+    def pick(snap: Snapshot):
+        route = dijkstra(snap, src, dst)
+        return route, [] if route is None else run_delays(route, series, snap.slot)
+
+    return RoutingSchedule("ilpr", src, dst, _held_routes(series, pick), series)
 
 
 def disjoint_routes(snapshot: Snapshot, src: int, dst: int) -> list[Route]:
@@ -203,25 +207,25 @@ def run_delays(route: Route, series: SnapshotSeries, slot: int) -> list[float]:
 def _held_routes(series: SnapshotSeries, pick) -> list[Route | None]:
     """Each slot's route when ``pick(snapshot)`` is held until one of its edges breaks.
 
-    ``pick`` decides again at the slot the held route breaks in, and at the
-    slot after one where it returned None (that slot stays unreachable)."""
+    ``pick`` returns a route and its ``run_delays``, or None and []. It picks
+    again at the slot the held route breaks in, and at the slot after one
+    where it returned None (that slot stays unreachable)."""
     routes: list[Route | None] = [None] * series.num_slots
     slot = 1
     while slot <= series.num_slots:
-        route = pick(series.snapshot(slot))
-        held = 1 if route is None else len(run_delays(route, series, slot))
+        route, delays = pick(series.snapshot(slot))
+        held = len(delays) or 1
         routes[slot - 1:slot - 1 + held] = [route] * held
         slot += held
     return routes
 
 
-def alpr_average_latency(route: Route, series: SnapshotSeries, slot: int, eta_s_ms: float) -> float:
+def alpr_average_latency(delays, eta_s_ms: float) -> float:
     """Lifetime-averaged end-to-end latency including one setup penalty.
 
-    (eta_s + sum of the route's per-slot delays from `slot` through its
-    expiry) divided by the number of slots it survives.
+    (eta_s + sum of a route's per-slot delays through its expiry) divided by
+    the number of slots it survives.
     """
-    delays = run_delays(route, series, slot)
     total = eta_s_ms
     for delay in delays:  # in slot order, so the sum is reproducible
         total += delay
@@ -235,11 +239,12 @@ def alpr(series: SnapshotSeries, src: int, dst: int, eta_s_ms: float) -> Routing
     prefer fewer hops, then the smaller vertex sequence.
     """
 
-    def pick(snap: Snapshot) -> Route | None:
+    def pick(snap: Snapshot):
+        candidates = [(r, run_delays(r, series, snap.slot)) for r in disjoint_routes(snap, src, dst)]
         return min(
-            disjoint_routes(snap, src, dst),
-            key=lambda r: (alpr_average_latency(r, series, snap.slot, eta_s_ms), r.hops, r.nodes),
-            default=None,
+            candidates,
+            key=lambda c: (alpr_average_latency(c[1], eta_s_ms), c[0].hops, c[0].nodes),
+            default=(None, []),
         )
 
     return RoutingSchedule("alpr", src, dst, _held_routes(series, pick), series)
@@ -285,23 +290,23 @@ def isasr(
     if cost_thrsh_ms <= 0:
         raise ValueError("cost threshold must be positive")
     n = series.num_slots
-    uid, _ = series.lifetimes()
-    cost_act = np.full(uid.max(initial=-1) + 1, eta_s_ms, dtype=np.float64)
+    idle: set[tuple[int, int]] = set()  # canonical edges whose activeness cost is 0
     routes: list[Route | None] = []
-    for slot in range(1, n + 1):
-        snap = series.snapshot(slot)
-        uids = snap.uids
-        cost_st = isasr_stability_cost(snap.run_last, slot, n, eta_s_ms)
-        costs = snap.delay_ms + gamma * (cost_st + cost_act[uids])
+    for snap in series.snapshots:
+        cost_st = isasr_stability_cost(snap.run_last, snap.slot, n, eta_s_ms)
+        cost_act = np.full(snap.edge_count, eta_s_ms, np.float64)
+        pos = snap.edge_positions(idle)
+        cost_act[pos[pos >= 0]] = 0.0
+        costs = snap.delay_ms + gamma * (cost_st + cost_act)
         sat_sat = (snap.u < snap.num_satellites) & (snap.v < snap.num_satellites)
         costs[sat_sat & (cost_st >= cost_thrsh_ms)] = np.inf
         route = dijkstra(snap, src, dst, cost_override=costs)
         routes.append(route)
         if route is None:
             continue
-        pos = snap.edge_positions(route.canonical_edges)
-        break_point = int(snap.run_last[pos].min())
-        cost_act[uids[pos]] = 0.0 if slot != break_point else eta_s_ms
+        edges = set(route.canonical_edges)
+        breaks = snap.run_last[snap.edge_positions(edges)].min() == snap.slot
+        idle = idle - edges if breaks else idle | edges
     return RoutingSchedule("isasr", src, dst, routes, series)
 
 
@@ -309,7 +314,7 @@ ALGORITHMS = ("ilsr", "ilpr", "alpr", "isasr")
 # Their schedules depend on the series and endpoints only, not on eta_s,
 # gamma or the ISASR settings, so one run serves every setup-delay value.
 ETA_BLIND_ALGORITHMS = ("ilsr", "ilpr")
-# It reads the series' edge lifetimes, which the series builds once.
+# It reads the series' run_last, which the series builds once.
 LIFETIME_ALGORITHMS = ("isasr",)
 
 

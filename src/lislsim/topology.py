@@ -3,11 +3,11 @@
 A :class:`SnapshotSeries` is the simulator's central dataset and the one
 owner of its edges: the node roster plus slot offsets and ``u``, ``v``,
 ``delay_ms`` columns, validated and put in canonical order once. Each slot
-is seen through a read-only :class:`Snapshot` view. On first use the series
-also computes the lifetimes that the lifetime-aware routing algorithms
-consume: for every edge record a series-wide edge id and the last slot of
-its run of consecutive slots. ``export_series``/``import_series`` define
-the line-oriented interchange format for externally generated topologies.
+is seen through a read-only :class:`Snapshot` view; an edge is its packed
+(u, v) key, by which every slot is sorted. On first use the series also
+computes the edge lifetimes that ISASR reads: each record's last slot of its
+run of consecutive slots. ``export_series``/``import_series`` define the
+line-oriented interchange format for externally generated topologies.
 """
 
 from __future__ import annotations
@@ -60,30 +60,24 @@ class Snapshot:
         return self.u.size
 
     @property
-    def uids(self) -> np.ndarray:
-        """Series-wide id of each edge's canonical pair."""
-        return self._series.lifetimes()[0][self._span]
-
-    @property
     def run_last(self) -> np.ndarray:
         """Last slot of the run of consecutive slots containing each edge."""
-        return self._series.lifetimes()[1][self._span]
+        return self._series.run_last()[self._span]
 
     def edge_positions(self, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
         """Indices of canonical pairs in the edge arrays, -1 when absent."""
         pairs = list(pairs)
-        if not pairs:
-            return np.empty(0, np.int64)
-        if self.edge_count == 0:
-            return np.full(len(pairs), -1, np.int64)
-        keys = self._series._edge_keys()[self._span]
         a = np.array([min(p) for p in pairs], np.int64)
         b = np.array([max(p) for p in pairs], np.int64)
-        want = (a << 32) | b
-        pos = np.searchsorted(keys, want)
-        pos[pos >= keys.size] = -1
-        hit = (pos >= 0) & (keys[pos] == want)
-        return np.where(hit, pos, -1)
+        return self._key_positions((a << 32) | b)
+
+    def _key_positions(self, want: np.ndarray) -> np.ndarray:
+        """Indices of packed (u, v) keys in the edge arrays, -1 when absent."""
+        keys = self._series._edge_keys()[self._span]
+        if keys.size == 0:  # keys[pos] below needs a key to read
+            return np.full(want.size, -1, np.int64)
+        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        return np.where(keys[pos] == want, pos, -1)
 
     def route_delay(self, route) -> float | None:
         """Sum of this slot's original delays along the route, None if broken."""
@@ -231,29 +225,24 @@ class SnapshotSeries:
             self._keys.setflags(write=False)
         return self._keys
 
-    def lifetimes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per record: edge uid and the last slot of its run. Computed once.
+    def run_last(self) -> np.ndarray:
+        """Per record: the last slot of its edge's run of consecutive slots.
 
-        The uid is the rank of the record's packed key among the distinct
-        keys. Slots are walked backwards, and a record continues a run when
-        its edge was seen in the next slot, so only per-uid state spans slots.
+        Computed once, walking the slots backwards: a record whose key is in
+        the next slot takes that record's run end, any other its own slot.
         """
         if self._runs is None:
             keys = self._edge_keys()
-            ordered = np.sort(keys)  # np.unique is several times slower here
-            first = np.ones(keys.size, bool)
-            first[1:] = ordered[1:] != ordered[:-1]
-            uid = np.searchsorted(ordered[first], keys)
             run_last = np.empty(keys.size, np.int32)
-            next_seen = np.zeros(uid.max(initial=-1) + 1, np.int32)  # earliest slot seen so far
-            run_end = np.zeros_like(next_seen)  # run end of that sighting
-            for slot in range(self.num_slots, 0, -1):
-                span = slice(self.offsets[slot - 1], self.offsets[slot])
-                ids = uid[span]
-                ends = np.where(next_seen[ids] == slot + 1, run_end[ids], slot)
-                run_last[span] = run_end[ids] = ends
-                next_seen[ids] = slot
-            self._runs = (uid, run_last)
+            for snap in reversed(self.snapshots):
+                ends = run_last[snap._span]
+                ends[:] = snap.slot
+                if snap.slot < self.num_slots:
+                    later = self.snapshots[snap.slot]
+                    pos = later._key_positions(keys[snap._span])
+                    ends[pos >= 0] = run_last[later._span][pos[pos >= 0]]
+            run_last.setflags(write=False)
+            self._runs = run_last
         return self._runs
 
     def __eq__(self, other):

@@ -1,5 +1,6 @@
 """Exhaustive cross-checks of ``lislsim.oracle``: brute-force optima, route
-enumeration on small series, and random delay matrices."""
+enumeration on small series, and random delay matrices; plus per-edge
+references for the edge lifetimes and ISASR."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from lislsim.metrics import slot_order_sum
 from lislsim.oracle import route_delay_matrix, validate_delay_matrix
-from lislsim.routing import Route
+from lislsim.routing import Route, dijkstra
 from lislsim.topology import SnapshotSeries
 
 # Most assignments ``brute_force_optimal`` enumerates (routes ** slots).
@@ -147,3 +148,42 @@ def random_delay_matrix(
                 (delay_high_ms - delay_low_ms) / 4096.0
             )
     return d
+
+
+def reference_run_last(series: SnapshotSeries, edge: tuple[int, int], slot: int) -> int:
+    """Brute force: scan forward from `slot` while the edge stays present."""
+    last = slot
+    while (last < series.num_slots
+           and series.snapshot(last + 1).route_delay(Route(edge)) is not None):
+        last += 1
+    return last
+
+
+def reference_isasr(
+    series: SnapshotSeries, src: int, dst: int, eta_s_ms: float, gamma: float,
+    cost_thrsh_ms: float,
+) -> list[Route | None]:
+    """Each slot's ISASR route, with every cost computed edge by edge.
+
+    Activeness is kept per canonical edge in a dict (absent means eta_s),
+    and run ends come from ``reference_run_last``'s forward scan.
+    """
+    n = series.num_slots
+    activeness: dict[tuple[int, int], float] = {}
+    routes: list[Route | None] = []
+    for snap in series.snapshots:
+        costs = []
+        for edge, delay in zip(zip(snap.u.tolist(), snap.v.tolist()), snap.delay_ms.tolist()):
+            last = reference_run_last(series, edge, snap.slot)
+            cost_st = 0.0 if last == n else eta_s_ms / (last - snap.slot + 1.0)
+            if max(edge) < snap.num_satellites and cost_st >= cost_thrsh_ms:
+                costs.append(np.inf)
+            else:
+                costs.append(delay + gamma * (cost_st + activeness.get(edge, eta_s_ms)))
+        route = dijkstra(snap, src, dst, cost_override=costs)
+        routes.append(route)
+        if route is not None:
+            ends = [reference_run_last(series, e, snap.slot) for e in route.canonical_edges]
+            for edge in route.canonical_edges:
+                activeness[edge] = eta_s_ms if min(ends) == snap.slot else 0.0
+    return routes

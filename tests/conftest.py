@@ -17,20 +17,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for line in CRITERION_LINES:
             terminalreporter.write_line(line)
 
+from lislsim.cli import WORKED_EXAMPLE_DELAYS
 from lislsim.constellation import GroundStation
 from lislsim.topology import Snapshot, SnapshotSeries
 
 from toyseries import dominance_toy_series, series_from_edges
-
-# Per-slot end-to-end delays of the four-route worked example (route id ->
-# delay list; routes expire after their last listed slot). Every value is
-# expected to be recovered exactly when split across two half-delay edges.
-WORKED_EXAMPLE_DELAYS = {
-    1: (26.0, 26.5, 26.8, 27.0, 27.2, 27.4),
-    2: (26.5, 26.6, 27.2, 27.6, 27.8, 28.1, 28.3, 28.4, 28.7, 28.9, 29.1),
-    3: (26.6, 26.9, 27.5, 27.8, 28.0, 28.1, 28.4),
-    4: (27.1, 27.2, 27.4, 27.9, 28.2, 28.4, 28.7, 28.9),
-}
 
 
 def square_edges(cheap: float = 4.0, dear: float = 5.0) -> dict[tuple[int, int], float]:

@@ -396,6 +396,7 @@ class TestTable2:
         assert "26.98" in out and "193.48" in out
         assert "28.02" in out and "118.84" in out
         assert "27.76" in out and "170.47" in out
+        assert "28.10" in out and "152.98" in out
         assert "selected@eta_s=1: route 1" in out
         assert "selected@eta_s=1000: route 2" in out
 

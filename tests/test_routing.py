@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lislsim.constellation import GroundStation
 from lislsim.routing import (
     ALGORITHMS,
     LIFETIME_ALGORITHMS,
@@ -23,6 +26,7 @@ from lislsim.routing import (
     run_delays,
 )
 
+from brute_force import reference_isasr, reference_run_last
 from conftest import WORKED_EXAMPLE_DELAYS, one_slot, random_series, slot_routes, square_edges
 from toyseries import series_from_edges
 
@@ -334,9 +338,12 @@ class TestRouteLifetime:
                     assert held == run_end(series, route, snap.slot) - snap.slot + 1
 
     def test_hold_of_a_route_absent_from_its_slot_is_rejected(self):
+        # a pick whose delays outlive its route: the schedule refuses the hold
         series = series_from_edges([square_edges(), {(0, 2): 4.0, (2, 3): 4.0}], num_satellites=4)
-        with pytest.raises(ValueError, match="absent from slot 2"):
-            _held_routes(series, lambda snap: Route((0, 1, 3)))
+        routes = _held_routes(series, lambda snap: (Route((0, 1, 3)), [10.0, 10.0]))
+        assert routes == [Route((0, 1, 3))] * 2
+        with pytest.raises(ValueError, match="slot 2 uses a missing edge"):
+            RoutingSchedule("by-hand", 0, 3, routes, series)
 
 
 class TestAlprAverageLatency:
@@ -349,16 +356,16 @@ class TestAlprAverageLatency:
     )
     def test_worked_example_values(self, table_series, rid, eta_s, expected):
         route = Route((4, rid - 1, 5))
-        avg = alpr_average_latency(route, table_series, 1, eta_s)
+        avg = alpr_average_latency(run_delays(route, table_series, 1), eta_s)
         assert round(avg, 2) == pytest.approx(expected, abs=0.01)
 
     def test_worked_example_route4_truncation(self, table_series):
-        avg = alpr_average_latency(Route((4, 3, 5)), table_series, 1, 1000.0)
+        avg = alpr_average_latency(run_delays(Route((4, 3, 5)), table_series, 1), 1000.0)
         assert avg == pytest.approx(152.975, abs=1e-9)
 
     def test_matches_direct_formula(self, table_series):
         delays = WORKED_EXAMPLE_DELAYS[2]
-        avg = alpr_average_latency(Route((4, 1, 5)), table_series, 3, 7.0)
+        avg = alpr_average_latency(run_delays(Route((4, 1, 5)), table_series, 3), 7.0)
         expected = (7.0 + sum(delays[2:])) / (len(delays) - 2)
         assert avg == pytest.approx(expected, abs=1e-12)
 
@@ -500,6 +507,24 @@ class TestIsasr:
             (0, 1, 3), (0, 1, 3), (0, 2, 3), (0, 1, 3)
         ]
 
+    def test_idle_edge_that_vanishes_and_returns_stays_idle(self):
+        # path A = 0-1-3 wins slot 1, is abandoned at slot 2 while it still
+        # exists, and its edge (1,3) is absent from slot 3; back at slot 4
+        # that edge still costs no activeness, so A beats the dearer B = 0-2-3
+        a = {(0, 1): 0.25, (1, 3): 0.25}
+        b = {(0, 2): 3.0, (2, 3): 3.0}
+        per_slot = [
+            {**a, **b},
+            {(0, 1): 50.0, (1, 3): 50.0, **b},
+            {(0, 1): 2.0, **b},
+            {(0, 1): 2.0, (1, 3): 2.0, **b},
+        ]
+        series = series_from_edges(per_slot, num_satellites=4)
+        schedule = isasr(series, 0, 3, eta_s_ms=10.0, gamma=1.0, cost_thrsh_ms=math.inf)
+        assert [r.nodes for r in slot_routes(schedule)] == [
+            (0, 1, 3), (0, 2, 3), (0, 2, 3), (0, 1, 3)
+        ]
+
     def test_stability_cost_follows_the_current_run(self):
         # edge (1,3) exists in two runs [1,2] and [4,6]; its stability cost at
         # slot 1 spreads eta_s over the first run only, so the route avoids it
@@ -513,6 +538,53 @@ class TestIsasr:
     def test_gamma_must_be_non_negative(self, toy_series):
         with pytest.raises(ValueError):
             isasr(toy_series, 6, 7, 1.0, -1.0, 1.0)
+
+
+# Satellites 0..4 and the stations 5 (source, up to 0 and 1) and 6 (destination,
+# up to 3 and 4), so every route crosses satellite edges; each slot draws every
+# pair as present with a lattice delay (0..7) or absent (8).
+_PAIRS = [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(0, 5), (1, 5), (3, 6), (4, 6)]
+_STATIONS = (GroundStation(5, "src", 0.0, 0.0), GroundStation(6, "dst", 0.0, 1.0))
+_gappy_slots = st.lists(
+    st.lists(st.integers(0, 8), min_size=len(_PAIRS), max_size=len(_PAIRS)),
+    min_size=4, max_size=12,  # an idle edge needs 4 slots to vanish and return
+)
+# (eta_s, gamma, cost threshold); a threshold of eta_s / k prunes the satellite
+# edges whose run ends within k slots short of the horizon, and k = 0 none
+_isasr_settings = st.builds(
+    lambda eta_s, gamma, k: (eta_s, gamma, eta_s / k if k else math.inf),
+    st.sampled_from([1.0, 10.0, 100.0]),
+    st.sampled_from([0.0, 0.5, 1.0, 10.0]),
+    st.sampled_from([0.0, 1.0, 2.0, 4.0]),
+)
+
+
+def gappy_series(slots):
+    per_slot = [{p: 0.75 * (k + 1) for p, k in zip(_PAIRS, draws) if k < 8} for draws in slots]
+    return series_from_edges(per_slot, num_satellites=5, ground_stations=_STATIONS)
+
+
+class TestIsasrReference:
+    """ISASR against a reference that prices every edge one by one."""
+
+    @given(_gappy_slots, _isasr_settings)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_edge_reference(self, slots, values):
+        series = gappy_series(slots)
+        got = slot_routes(isasr(series, 5, 6, *values))
+        assert got == reference_isasr(series, 5, 6, *values)
+
+    @given(_gappy_slots, _isasr_settings)
+    @settings(max_examples=150, deadline=None)
+    def test_never_routes_over_a_pruned_edge(self, slots, values):
+        series = gappy_series(slots)
+        eta_s, _, cost_thrsh = values
+        n = series.num_slots
+        for slot, route in enumerate(slot_routes(isasr(series, 5, 6, *values)), start=1):
+            for edge in route.canonical_edges if route else ():
+                last = reference_run_last(series, edge, slot)
+                cost_st = 0.0 if last == n else eta_s / (last - slot + 1.0)
+                assert max(edge) >= 5 or cost_st < cost_thrsh, (slot, edge)
 
 
 class TestScheduleFeasibility:

@@ -20,6 +20,7 @@ from lislsim.topology import (
 )
 from lislsim.routing import Route
 
+from brute_force import reference_run_last
 from conftest import head_series, one_slot
 from toyseries import dominance_toy_series, series_from_edges
 
@@ -114,25 +115,13 @@ class TestRoster:
         assert NodeRoster(3, stations).num_nodes == 5
 
 
-def reference_run_last(series, edge, slot):
-    """Brute force: scan forward from `slot` while the edge stays present."""
-    last = slot
-    while last < series.num_slots and edge_delay(series.snapshot(last + 1), *edge) is not None:
-        last += 1
-    return last
-
-
 def assert_matches_reference(series):
-    """run_last and uid identity agree with brute-force scans."""
-    seen_uid = {}
+    """run_last agrees with brute-force scans."""
     for snap in series.snapshots:
-        uids, run_last = snap.uids, snap.run_last
-        assert uids.shape == run_last.shape == snap.u.shape
+        run_last = snap.run_last
+        assert run_last.shape == snap.u.shape
         for k, edge in enumerate(zip(snap.u.tolist(), snap.v.tolist())):
             assert run_last[k] == reference_run_last(series, edge, snap.slot)
-            assert seen_uid.setdefault(edge, int(uids[k])) == uids[k]
-    # same uid <=> same canonical edge, numbered 0..num_edges-1
-    assert sorted(seen_uid.values()) == list(range(len(seen_uid)))
 
 
 def run_last_at(series, edge, slot):
@@ -173,7 +162,7 @@ class TestLinkDetails:
 
     def test_series_without_edges(self):
         series = slots_series({}, num_slots=3)
-        assert [snap.uids.size for snap in series.snapshots] == [0, 0, 0]
+        assert [snap.run_last.size for snap in series.snapshots] == [0, 0, 0]
 
 
 class TestColumnViews:
