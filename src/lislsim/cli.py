@@ -26,7 +26,7 @@ from . import __version__, metrics, oracle
 from .config import ExperimentConfig, check_routing_values, default_config, load_config
 from .constellation import auto_float, generate_series
 from .routing import (
-    ALGORITHMS, ETA_BLIND_ALGORITHMS, LIFETIME_ALGORITHMS, RoutingSchedule,
+    ALGORITHMS, ETA_BLIND_ALGORITHMS, LIFETIME_ALGORITHMS, MissingEdgeError, RoutingSchedule,
     alpr_average_latency, run_algorithm,
 )
 from .topology import export_series, import_series
@@ -91,11 +91,10 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     export_series(series, out)
-    total_edges = sum(s.edge_count for s in series.snapshots)
     print(
         f"wrote {out}: {cfg.constellation.num_satellites} satellites, "
         f"{len(cfg.ground_stations)} ground stations, {series.num_slots} slots, "
-        f"{total_edges} edge records"
+        f"{series.keys.size} edge records"
     )
     return 0
 
@@ -355,7 +354,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, MissingEdgeError) else 1  # 2: a schedule failed its check
 
 
 if __name__ == "__main__":

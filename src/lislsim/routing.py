@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import kernels
-from .topology import Snapshot, SnapshotSeries
+from .metrics import slot_order_sum
+from .topology import Snapshot, SnapshotSeries, pack_keys
 
 
 @dataclass(frozen=True)
@@ -46,16 +48,18 @@ class Route:
     def hops(self) -> int:
         return len(self.nodes) - 1
 
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(self.nodes[:-1], self.nodes[1:]))
-
-    @property
-    def canonical_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((min(a, b), max(a, b)) for a, b in self.edges)
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """Packed key of each hop's edge, in hop order."""
+        a, b = np.array(self.nodes[:-1]), np.array(self.nodes[1:])
+        return pack_keys(np.minimum(a, b), np.maximum(a, b))
 
     def __str__(self):
         return "-".join(str(n) for n in self.nodes)
+
+
+class MissingEdgeError(ValueError):
+    """A schedule names a route that is broken in its slot."""
 
 
 @dataclass(eq=False)
@@ -64,8 +68,8 @@ class RoutingSchedule:
 
     ``route_table`` lists the distinct routes in first-use order; ``index``
     (int32) is each slot's row, -1 where unreachable; ``delay_ms`` (float64)
-    is that route's ``Snapshot.route_delay``, NaN where unreachable. Built
-    from one Route or None per slot; a route broken in its slot raises ValueError.
+    is that route's ``Snapshot.route_delay``, NaN where unreachable. Built from
+    one Route or None per slot; a route broken in its slot raises MissingEdgeError.
     """
 
     algorithm: str
@@ -86,7 +90,7 @@ class RoutingSchedule:
                 continue
             delay = series.snapshot(i + 1).route_delay(route)
             if delay is None:
-                raise ValueError(f"schedule route at slot {i + 1} uses a missing edge")
+                raise MissingEdgeError(f"schedule route at slot {i + 1} uses a missing edge")
             self.index[i] = rows.setdefault(route, len(rows))
             self.delay_ms[i] = delay
         self.route_table = tuple(rows)
@@ -116,18 +120,6 @@ def _edge_costs(snapshot: Snapshot, cost_override) -> np.ndarray:
     return costs
 
 
-def _foreign_ground_mask(snapshot: Snapshot, src: int, dst: int) -> np.ndarray | None:
-    """Edges touching a ground station other than src/dst (relay forbidden)."""
-    first_gs = snapshot.num_satellites
-    if first_gs >= snapshot.num_nodes:
-        return None
-    # canonical edges have u < v and no ground-to-ground edge, so only v
-    # can be a ground station
-    v = snapshot.v
-    mask = (v >= first_gs) & (v != src) & (v != dst)
-    return mask if mask.any() else None
-
-
 def dijkstra(snapshot: Snapshot, src: int, dst: int, cost_override=None) -> Route | None:
     """Minimum-cost route in one snapshot, or None when unreachable.
 
@@ -142,11 +134,13 @@ def dijkstra(snapshot: Snapshot, src: int, dst: int, cost_override=None) -> Rout
         if not 0 <= node < snapshot.num_nodes:
             raise ValueError(f"node {node} outside the id range")
     costs = _edge_costs(snapshot, cost_override)
-    mask = _foreign_ground_mask(snapshot, src, dst)
-    if mask is not None:
-        costs = costs.copy()
-        costs[mask] = np.inf
     indptr, nbr, arc_eid = snapshot.csr()
+    # a station's CSR row lists its edges: disable those of every other station
+    foreign = [arc_eid[indptr[g]:indptr[g + 1]]
+               for g in range(snapshot.num_satellites, snapshot.num_nodes) if g not in (src, dst)]
+    if any(edges.size for edges in foreign):
+        costs = costs.copy()
+        costs[np.concatenate(foreign)] = np.inf
     path = kernels.shortest_route(indptr, nbr, costs[arc_eid], src, dst)
     if path.size == 0:
         return None
@@ -185,8 +179,7 @@ def disjoint_routes(snapshot: Snapshot, src: int, dst: int) -> list[Route]:
         if route is None:
             break
         found.append(route)
-        pos = snapshot.edge_positions(route.canonical_edges)
-        costs[pos] = np.inf
+        costs[snapshot.positions(route.keys)] = np.inf
     return found
 
 
@@ -226,10 +219,7 @@ def alpr_average_latency(delays, eta_s_ms: float) -> float:
     (eta_s + sum of a route's per-slot delays through its expiry) divided by
     the number of slots it survives.
     """
-    total = eta_s_ms
-    for delay in delays:  # in slot order, so the sum is reproducible
-        total += delay
-    return total / len(delays)
+    return slot_order_sum([eta_s_ms, *delays]) / len(delays)
 
 
 def alpr(series: SnapshotSeries, src: int, dst: int, eta_s_ms: float) -> RoutingSchedule:
@@ -290,22 +280,22 @@ def isasr(
     if cost_thrsh_ms <= 0:
         raise ValueError("cost threshold must be positive")
     n = series.num_slots
-    idle: set[tuple[int, int]] = set()  # canonical edges whose activeness cost is 0
+    idle: set[int] = set()  # keys of the edges whose activeness cost is 0
     routes: list[Route | None] = []
     for snap in series.snapshots:
         cost_st = isasr_stability_cost(snap.run_last, snap.slot, n, eta_s_ms)
         cost_act = np.full(snap.edge_count, eta_s_ms, np.float64)
-        pos = snap.edge_positions(idle)
+        pos = snap.positions(np.fromiter(idle, np.int64, len(idle)))
         cost_act[pos[pos >= 0]] = 0.0
         costs = snap.delay_ms + gamma * (cost_st + cost_act)
-        sat_sat = (snap.u < snap.num_satellites) & (snap.v < snap.num_satellites)
+        sat_sat = snap.v < snap.num_satellites  # u < v, so u is a satellite too
         costs[sat_sat & (cost_st >= cost_thrsh_ms)] = np.inf
         route = dijkstra(snap, src, dst, cost_override=costs)
         routes.append(route)
         if route is None:
             continue
-        edges = set(route.canonical_edges)
-        breaks = snap.run_last[snap.edge_positions(edges)].min() == snap.slot
+        edges = set(route.keys.tolist())
+        breaks = snap.run_last[snap.positions(route.keys)].min() == snap.slot
         idle = idle - edges if breaks else idle | edges
     return RoutingSchedule("isasr", src, dst, routes, series)
 

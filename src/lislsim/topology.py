@@ -1,10 +1,12 @@
 """Time-sliced network topology: the snapshot series, edge lifetimes, and file I/O.
 
 A :class:`SnapshotSeries` is the simulator's central dataset and the one
-owner of its edges: the node roster plus slot offsets and ``u``, ``v``,
-``delay_ms`` columns, validated and put in canonical order once. Each slot
-is seen through a read-only :class:`Snapshot` view; an edge is its packed
-(u, v) key, by which every slot is sorted. On first use the series also
+owner of its edges: the node roster plus slot offsets, the ``keys`` column
+and the ``delay_ms`` column, validated and put in canonical order once. An
+edge is its packed (u, v) key (``pack_keys``), by which every slot is
+sorted; ``u`` and ``v`` are zero-copy int32 views of the key's two halves.
+Each slot is seen through a read-only :class:`Snapshot` view, and
+``Snapshot.positions(keys)`` finds edges in it. On first use the series also
 computes the edge lifetimes that ISASR reads: each record's last slot of its
 run of consecutive slots. ``export_series``/``import_series`` define the
 line-oriented interchange format for externally generated topologies.
@@ -15,7 +17,6 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, fields
-from typing import Iterable
 
 import numpy as np
 
@@ -26,26 +27,28 @@ class SeriesFormatError(ValueError):
     """Raised when a snapshot-series file fails validation."""
 
 
-def _pack_keys(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (u.astype(np.int64) << 32) | v
+def pack_keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Packed key of each canonical pair (lo < hi): lo in the high 32 bits."""
+    return (lo.astype(np.int64) << 32) | hi
 
 
 class Snapshot:
     """Read-only view of one slot of a :class:`SnapshotSeries`.
 
-    ``u``, ``v`` and ``delay_ms`` are zero-copy slices of the series'
-    columns: canonical (min, max) pairs sorted by (u, v), delays in ms.
+    ``keys``, ``u``, ``v`` and ``delay_ms`` are zero-copy slices of the series'
+    columns: sorted keys of canonical (min, max) pairs, their halves, delays in ms.
     ``num_satellites`` splits the id space: ids below it are satellites, the
     rest are ground stations (which may only appear as route endpoints, so
     every edge has a satellite end). Only the series creates snapshots.
     """
 
-    __slots__ = ("slot", "u", "v", "delay_ms", "num_nodes", "num_satellites",
+    __slots__ = ("slot", "keys", "u", "v", "delay_ms", "num_nodes", "num_satellites",
                  "_series", "_span", "_csr")
 
     def __init__(self, series: "SnapshotSeries", slot: int):
         span = slice(int(series.offsets[slot - 1]), int(series.offsets[slot]))
         self.slot = slot
+        self.keys = series.keys[span]
         self.u = series.u[span]
         self.v = series.v[span]
         self.delay_ms = series.delay_ms[span]
@@ -57,31 +60,23 @@ class Snapshot:
 
     @property
     def edge_count(self) -> int:
-        return self.u.size
+        return self.keys.size
 
     @property
     def run_last(self) -> np.ndarray:
         """Last slot of the run of consecutive slots containing each edge."""
         return self._series.run_last()[self._span]
 
-    def edge_positions(self, pairs: Iterable[tuple[int, int]]) -> np.ndarray:
-        """Indices of canonical pairs in the edge arrays, -1 when absent."""
-        pairs = list(pairs)
-        a = np.array([min(p) for p in pairs], np.int64)
-        b = np.array([max(p) for p in pairs], np.int64)
-        return self._key_positions((a << 32) | b)
-
-    def _key_positions(self, want: np.ndarray) -> np.ndarray:
-        """Indices of packed (u, v) keys in the edge arrays, -1 when absent."""
-        keys = self._series._edge_keys()[self._span]
-        if keys.size == 0:  # keys[pos] below needs a key to read
-            return np.full(want.size, -1, np.int64)
-        pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        return np.where(keys[pos] == want, pos, -1)
+    def positions(self, keys: np.ndarray) -> np.ndarray:
+        """Indices of packed (u, v) keys in this slot's edges, -1 when absent."""
+        if self.keys.size == 0:  # self.keys[pos] below needs a key to read
+            return np.full(len(keys), -1, np.int64)
+        pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        return np.where(self.keys[pos] == keys, pos, -1)
 
     def route_delay(self, route) -> float | None:
         """Sum of this slot's original delays along the route, None if broken."""
-        pos = self.edge_positions(route.canonical_edges)
+        pos = self.positions(route.keys)
         if np.any(pos < 0):
             return None
         return float(np.sum(self.delay_ms[pos]))
@@ -162,17 +157,18 @@ class SnapshotSeries:
     """Scenario parameters, node roster, and the edges of slots 1..N.
 
     The edges of slot k are records ``offsets[k-1]:offsets[k]`` of the
-    ``u``, ``v`` and ``delay_ms`` columns. The constructor is the one home of
-    the edge rules: every endpoint is a satellite or a roster station, no
-    self-loop, no ground-to-ground edge, no duplicate edge in a slot, and a
-    finite positive delay once quantized to 9 fractional digits. It keeps
-    its own read-only copy of the columns, each edge as its (min, max) pair
-    and each slot sorted by (u, v); a slot is sorted only when its records
-    are not in that order already.
+    ``keys`` and ``delay_ms`` columns; ``u`` and ``v`` are int32 views of
+    the keys' halves. The constructor is the one home of the edge rules:
+    every endpoint is a satellite or a roster station, no self-loop, no
+    ground-to-ground edge, no duplicate edge in a slot, and a finite
+    positive delay once quantized to 9 fractional digits. It keeps its own
+    read-only copy of the columns, each edge as the packed key of its
+    (min, max) pair and each slot sorted by key; a slot is sorted only when
+    its records are not in that order already.
     """
 
-    __slots__ = ("scenario", "roster", "offsets", "u", "v", "delay_ms", "snapshots",
-                 "_keys", "_runs")
+    __slots__ = ("scenario", "roster", "offsets", "keys", "u", "v", "delay_ms", "snapshots",
+                 "_runs")
 
     def __init__(self, scenario: ScenarioParams, roster: NodeRoster, offsets, u, v, delay_ms):
         n = scenario.num_slots
@@ -183,8 +179,7 @@ class SnapshotSeries:
         if (offsets[0] != 0 or np.any(np.diff(offsets) < 0)
                 or not u.shape == v.shape == delay_ms.shape == (offsets[-1],)):
             raise ValueError("edge columns do not match the slot offsets")
-        self.u = np.empty(u.size, np.int32)
-        self.v = np.empty(u.size, np.int32)
+        self.keys = np.empty(u.size, "<i8")
         self.delay_ms = np.empty(u.size, np.float64)
         for slot in range(1, n + 1):
             span = slice(offsets[slot - 1], offsets[slot])
@@ -192,20 +187,21 @@ class SnapshotSeries:
                 continue
             lo, hi = np.minimum(u[span], v[span]), np.maximum(u[span], v[span])
             delay = np.round(delay_ms[span], 9)
-            keys = _pack_keys(lo, hi)
+            keys = pack_keys(lo, hi)
             if np.any(keys[1:] <= keys[:-1]):  # not yet sorted by (u, v)
                 order = np.argsort(keys, kind="stable")
                 keys, lo, hi, delay = keys[order], lo[order], hi[order], delay[order]
             problem = _edge_problem(roster, lo, hi, keys, delay)
             if problem:
                 raise ValueError(f"slot {slot}: {problem}")
-            self.u[span], self.v[span], self.delay_ms[span] = lo, hi, delay
+            self.keys[span], self.delay_ms[span] = keys, delay
         self.scenario = scenario
         self.roster = roster
         self.offsets = offsets
-        for arr in (self.offsets, self.u, self.v, self.delay_ms):
+        for arr in (self.offsets, self.keys, self.delay_ms):
             arr.setflags(write=False)
-        self._keys = None
+        halves = self.keys.view(np.dtype([("v", "<i4"), ("u", "<i4")]))  # v: the low word
+        self.u, self.v = halves["u"], halves["v"]
         self._runs = None
         self.snapshots = tuple(Snapshot(self, slot) for slot in range(1, n + 1))
 
@@ -218,13 +214,6 @@ class SnapshotSeries:
             raise IndexError(f"slot {slot} outside 1..{self.num_slots}")
         return self.snapshots[slot - 1]
 
-    def _edge_keys(self) -> np.ndarray:
-        """Packed (u, v) key of every edge record, built on first use."""
-        if self._keys is None:
-            self._keys = _pack_keys(self.u, self.v)
-            self._keys.setflags(write=False)
-        return self._keys
-
     def run_last(self) -> np.ndarray:
         """Per record: the last slot of its edge's run of consecutive slots.
 
@@ -232,14 +221,13 @@ class SnapshotSeries:
         the next slot takes that record's run end, any other its own slot.
         """
         if self._runs is None:
-            keys = self._edge_keys()
-            run_last = np.empty(keys.size, np.int32)
+            run_last = np.empty(self.keys.size, np.int32)
             for snap in reversed(self.snapshots):
                 ends = run_last[snap._span]
                 ends[:] = snap.slot
                 if snap.slot < self.num_slots:
                     later = self.snapshots[snap.slot]
-                    pos = later._key_positions(keys[snap._span])
+                    pos = later.positions(snap.keys)
                     ends[pos >= 0] = run_last[later._span][pos[pos >= 0]]
             run_last.setflags(write=False)
             self._runs = run_last
@@ -252,7 +240,7 @@ class SnapshotSeries:
             self.scenario == other.scenario
             and self.roster == other.roster
             and all(np.array_equal(getattr(self, col), getattr(other, col))
-                    for col in ("offsets", "u", "v", "delay_ms"))
+                    for col in ("offsets", "keys", "delay_ms"))
         )
 
     def __repr__(self):

@@ -183,7 +183,8 @@ def reference_isasr(
         route = dijkstra(snap, src, dst, cost_override=costs)
         routes.append(route)
         if route is not None:
-            ends = [reference_run_last(series, e, snap.slot) for e in route.canonical_edges]
-            for edge in route.canonical_edges:
+            pairs = [(min(a, b), max(a, b)) for a, b in zip(route.nodes, route.nodes[1:])]
+            ends = [reference_run_last(series, e, snap.slot) for e in pairs]
+            for edge in pairs:
                 activeness[edge] = eta_s_ms if min(ends) == snap.slot else 0.0
     return routes

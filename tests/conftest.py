@@ -19,7 +19,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 from lislsim.cli import WORKED_EXAMPLE_DELAYS
 from lislsim.constellation import GroundStation
-from lislsim.topology import Snapshot, SnapshotSeries
+from lislsim.topology import Snapshot, SnapshotSeries, pack_keys
 
 from toyseries import dominance_toy_series, series_from_edges
 
@@ -35,6 +35,17 @@ def one_slot(edges: dict[tuple[int, int], float], num_nodes: int,
     sats = num_nodes if num_satellites is None else num_satellites
     stations = tuple(GroundStation(i, f"gs{i}", 0.0, 0.0) for i in range(sats, num_nodes))
     return series_from_edges([edges], num_satellites=sats, ground_stations=stations).snapshot(1)
+
+
+def edge_pairs(route) -> list[tuple[int, int]]:
+    """The route's edges as canonical (min, max) pairs, in hop order."""
+    return [(min(a, b), max(a, b)) for a, b in zip(route.nodes, route.nodes[1:])]
+
+
+def pair_positions(snap: Snapshot, pairs) -> np.ndarray:
+    """Indices of canonical (min, max) pairs in the snapshot's edges, -1 when absent."""
+    lo, hi = np.array(list(pairs), np.int64).reshape(-1, 2).T
+    return snap.positions(pack_keys(lo, hi))
 
 
 def head_series(series: SnapshotSeries, num_slots: int) -> SnapshotSeries:

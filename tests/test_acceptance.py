@@ -275,7 +275,7 @@ def test_criterion_5_isasr_reduction_on_toy_constellation():
             if ra is None or rb is None:
                 assert ra is None and rb is None
             else:
-                assert ra.edges == rb.edges
+                assert ra.nodes == rb.nodes
         assert time.perf_counter() - start < 5.0
 
 

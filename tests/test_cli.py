@@ -714,6 +714,27 @@ class TestVerificationFailureExit:
         ])
         assert rc == 2
 
+    def test_run_exits_2_when_a_held_route_outlives_its_edge(
+        self, tmp_path, tiny_config, capsys, monkeypatch
+    ):
+        from lislsim import routing
+        from lislsim.constellation import GroundStation
+        from lislsim.topology import export_series
+
+        # ILPR's route 2-0-3 breaks at slot 2; one delay too many holds it there
+        stations = (GroundStation(2, "alpha", 0.0, 0.0), GroundStation(3, "bravo", 0.0, 90.0))
+        per_slot = [{(0, 2): 1.0, (0, 3): 1.0}] + [{(1, 2): 1.0, (1, 3): 1.0}] * 2
+        series = tmp_path / "breaking.series"
+        export_series(series_from_edges(per_slot, 2, stations), series)
+        real = routing.run_delays
+        monkeypatch.setattr(routing, "run_delays", lambda *args: real(*args) + [1.0])
+        rc = main([
+            "run", "--config", str(tiny_config), "--series", str(series),
+            "--algorithm", "ilpr", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert "error: schedule route at slot 2 uses a missing edge" in capsys.readouterr().err
+
 
 class TestScheduleGaps:
     def test_gap_rows_round_trip(self, tmp_path):

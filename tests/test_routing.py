@@ -27,14 +27,17 @@ from lislsim.routing import (
 )
 
 from brute_force import reference_isasr, reference_run_last
-from conftest import WORKED_EXAMPLE_DELAYS, one_slot, random_series, slot_routes, square_edges
+from conftest import (
+    WORKED_EXAMPLE_DELAYS, edge_pairs, one_slot, pair_positions, random_series, slot_routes,
+    square_edges,
+)
 from toyseries import series_from_edges
 
 
 def run_end(series, route, slot):
     """Last slot of the route's hold from `slot`: the earliest run end of its edges."""
     snap = series.snapshot(slot)
-    return int(snap.run_last[snap.edge_positions(route.canonical_edges)].min())
+    return int(snap.run_last[snap.positions(route.keys)].min())
 
 
 def assert_holds_end_at_run_ends(schedule, series):
@@ -96,10 +99,9 @@ class TestRoute:
             Route((1, 2, 1))
 
     def test_edges(self):
-        r = Route((4, 0, 5))
+        r = Route((4, 1, 5))
         assert r.hops == 2
-        assert r.edges == ((4, 0), (0, 5))
-        assert r.canonical_edges == ((0, 4), (0, 5))
+        assert r.keys.tolist() == [(1 << 32) | 4, (1 << 32) | 5]
 
 
 class TestDijkstra:
@@ -122,13 +124,13 @@ class TestDijkstra:
 
     def test_cost_override_mapping(self, square_snapshot):
         costs = square_snapshot.delay_ms.copy()
-        costs[square_snapshot.edge_positions([(0, 2)])[0]] = 100.0
+        costs[pair_positions(square_snapshot, [(0, 2)])[0]] = 100.0
         route = dijkstra(square_snapshot, 0, 3, cost_override=costs)
         assert route.nodes == (0, 1, 3)
 
     def test_cost_override_array_disables_edges(self, square_snapshot):
         costs = square_snapshot.delay_ms.copy()
-        pos = square_snapshot.edge_positions([(0, 2)])[0]
+        pos = pair_positions(square_snapshot, [(0, 2)])[0]
         costs[pos] = np.inf
         assert dijkstra(square_snapshot, 0, 3, cost_override=costs).nodes == (0, 1, 3)
 
@@ -143,6 +145,13 @@ class TestDijkstra:
         snap = one_slot(edges, num_nodes=5, num_satellites=2)
         route = dijkstra(snap, 2, 3)
         assert route.nodes == (2, 0, 3)
+
+    def test_foreign_ground_station_never_relays_on_a_tie(self):
+        # 0,1 satellites; 2 source, 3 foreign station, 4 destination. 2-0-4 and
+        # 2-0-3-1-4 both cost 3.0, and the tie-break would pick the second
+        edges = {(0, 2): 1.0, (0, 4): 2.0, (0, 3): 1.0, (1, 3): 0.5, (1, 4): 0.5}
+        snap = one_slot(edges, num_nodes=5, num_satellites=2)
+        assert dijkstra(snap, 2, 4).nodes == (2, 0, 4)
 
     def test_matches_exhaustive_enumeration_on_random_graphs(self):
         rng = np.random.default_rng(123)
@@ -290,7 +299,7 @@ class TestDisjointRoutes:
             routes = disjoint_routes(snap, 0, 8)
             seen = set()
             for r in routes:
-                for e in r.canonical_edges:
+                for e in edge_pairs(r):
                     assert e not in seen
                     seen.add(e)
 
@@ -487,7 +496,7 @@ class TestIsasr:
         for i, route in enumerate(slot_routes(schedule), start=1):
             snap = toy_series.snapshot(i)
             assert snap.route_delay(route) == sum(
-                float(snap.delay_ms[p]) for p in snap.edge_positions(route.canonical_edges)
+                float(snap.delay_ms[p]) for p in pair_positions(snap, edge_pairs(route))
             )
 
     def test_abandoned_route_keeps_zero_activeness_cost(self):
@@ -581,7 +590,7 @@ class TestIsasrReference:
         eta_s, _, cost_thrsh = values
         n = series.num_slots
         for slot, route in enumerate(slot_routes(isasr(series, 5, 6, *values)), start=1):
-            for edge in route.canonical_edges if route else ():
+            for edge in edge_pairs(route) if route else ():
                 last = reference_run_last(series, edge, slot)
                 cost_st = 0.0 if last == n else eta_s / (last - slot + 1.0)
                 assert max(edge) >= 5 or cost_st < cost_thrsh, (slot, edge)

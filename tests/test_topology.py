@@ -21,7 +21,7 @@ from lislsim.topology import (
 from lislsim.routing import Route
 
 from brute_force import reference_run_last
-from conftest import head_series, one_slot
+from conftest import head_series, one_slot, pair_positions
 from toyseries import dominance_toy_series, series_from_edges
 
 
@@ -126,7 +126,7 @@ def assert_matches_reference(series):
 
 def run_last_at(series, edge, slot):
     snap = series.snapshot(slot)
-    return int(snap.run_last[snap.edge_positions([edge])[0]])
+    return int(snap.run_last[pair_positions(snap, [edge])[0]])
 
 
 class TestLinkDetails:
@@ -177,11 +177,20 @@ class TestColumnViews:
         export_series(generated, tmp_path / "gen.series")
         imported = import_series(tmp_path / "gen.series")
         for series in (generated, imported, dominance_toy_series()):
+            for half in (series.u, series.v):  # one integer edge column
+                assert np.shares_memory(half, series.keys)
+            for col in ("keys", "u", "v", "delay_ms"):
+                assert not getattr(series, col).flags.writeable
             for snap in series.snapshots:
                 assert snap.edge_count > 0
-                for col in ("u", "v", "delay_ms"):
+                for col in ("keys", "u", "v", "delay_ms"):
                     assert np.shares_memory(getattr(snap, col), getattr(series, col))
                     assert not getattr(snap, col).flags.writeable
+                absent = np.array([snap.keys[0] - 1, snap.keys[-1] + 1])
+                assert snap.positions(absent).tolist() == [-1, -1]
+                assert snap.positions(snap.keys).tolist() == list(range(snap.edge_count))
+        empty = series_from_edges([{}], num_satellites=2).snapshot(1)
+        assert empty.positions(generated.keys[:3]).tolist() == [-1, -1, -1]
 
 
 class TestSeriesFile:
