@@ -24,12 +24,12 @@ from pathlib import Path
 
 from . import __version__, metrics, oracle
 from .config import ExperimentConfig, check_routing_values, default_config, load_config
-from .constellation import auto_float, generate_series
+from .constellation import auto_float, slot_edges
 from .routing import (
     ALGORITHMS, ETA_BLIND_ALGORITHMS, LIFETIME_ALGORITHMS, MissingEdgeError, RoutingSchedule,
     alpr_average_latency, run_algorithm,
 )
-from .topology import export_series, import_series
+from .topology import NodeRoster, canonical_slot, export_series, import_series
 
 # Four-route worked example: per-slot end-to-end delays (ms) of candidate
 # routes with different lifetimes, used by the `table2` subcommand and the
@@ -86,15 +86,22 @@ def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
 
 
 def cmd_generate(args) -> int:
+    """Build, check and write one slot at a time: no series is ever held."""
     cfg = _load(args)
-    series = generate_series(cfg.constellation, list(cfg.ground_stations), cfg.scenario)
+    roster = NodeRoster(cfg.constellation.num_satellites, tuple(cfg.ground_stations))
+    slots = (
+        canonical_slot(roster, slot, *edges)
+        for slot, edges in enumerate(
+            slot_edges(cfg.constellation, list(cfg.ground_stations), cfg.scenario), start=1
+        )
+    )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    export_series(series, out)
+    records = export_series(slots, out, cfg.scenario, roster)
     print(
         f"wrote {out}: {cfg.constellation.num_satellites} satellites, "
-        f"{len(cfg.ground_stations)} ground stations, {series.num_slots} slots, "
-        f"{series.keys.size} edge records"
+        f"{len(cfg.ground_stations)} ground stations, {cfg.scenario.num_slots} slots, "
+        f"{records} edge records"
     )
     return 0
 

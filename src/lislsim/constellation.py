@@ -215,25 +215,33 @@ def build_snapshot(
     return u, v, delay_ms(dist, scenario.node_delay_ms)
 
 
-def generate_series(
+def slot_edges(
     params: ConstellationParams,
     ground_stations: list[GroundStation],
     scenario: ScenarioParams,
 ):
-    """Propagate the constellation over all slots and collect each slot's edges."""
-    from .topology import NodeRoster, SnapshotSeries
-
-    roster = NodeRoster(
-        num_satellites=params.num_satellites, ground_stations=tuple(ground_stations)
-    )
+    """Propagate the constellation and yield each slot's ``build_snapshot`` columns, slot 1 first."""
     gs_ids = np.array([gs.id for gs in ground_stations], dtype=np.int64)
-    slots = []
     for slot in range(1, scenario.num_slots + 1):
         sat_pos = satellite_positions(params, slot, scenario.slot_duration_s)
         gs_pos = [
             ground_station_position(gs, slot, scenario.slot_duration_s) for gs in ground_stations
         ]
-        slots.append(build_snapshot(sat_pos, gs_ids, gs_pos, scenario))
+        yield build_snapshot(sat_pos, gs_ids, gs_pos, scenario)
+
+
+def generate_series(
+    params: ConstellationParams,
+    ground_stations: list[GroundStation],
+    scenario: ScenarioParams,
+):
+    """The series of every slot's edges, held in memory."""
+    from .topology import NodeRoster, SnapshotSeries
+
+    roster = NodeRoster(
+        num_satellites=params.num_satellites, ground_stations=tuple(ground_stations)
+    )
+    slots = list(slot_edges(params, ground_stations, scenario))
     offsets = np.cumsum([0] + [u.size for u, _, _ in slots])
     u, v, d = [np.concatenate(col) for col in zip(*slots)]
     del slots  # free the per-slot pieces before the series copies the columns

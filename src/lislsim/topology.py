@@ -8,13 +8,18 @@ sorted; ``u`` and ``v`` are zero-copy int32 views of the key's two halves.
 Each slot is seen through a read-only :class:`Snapshot` view, and
 ``Snapshot.positions(keys)`` finds edges in it. On first use the series also
 computes the edge lifetimes that ISASR reads: each record's last slot of its
-run of consecutive slots. ``export_series``/``import_series`` define the
-line-oriented interchange format for externally generated topologies.
+run of consecutive slots. ``canonical_slot`` puts one slot's edges in that
+order and applies the edge rules; the constructor and ``lislsim generate``
+both call it. ``export_series``/``import_series`` define the line-oriented
+interchange format for externally generated topologies: the writer takes
+canonical slot columns one at a time, so ``generate`` streams each slot to
+the file as soon as it is built and never holds a series.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import warnings
 from dataclasses import dataclass, fields
 
@@ -138,6 +143,11 @@ class NodeRoster:
         raise KeyError(f"no ground station named {name!r}")
 
 
+# Below 2**20 ms, rint(d * 1e9) of a 9-digit delay d is exact and its
+# "%d.%09d" text equals "%.9f", which the series writer relies on.
+MAX_DELAY_MS = 1e6
+
+
 def _edge_problem(roster: NodeRoster, lo, hi, keys, delay) -> str | None:
     """The first edge rule that one slot's sorted (min, max) records break."""
     if lo.min() < 0 or hi.max() >= roster.num_nodes:
@@ -150,7 +160,28 @@ def _edge_problem(roster: NodeRoster, lo, hi, keys, delay) -> str | None:
         return "duplicate edge within a slot"
     if not (np.isfinite(delay).all() and (delay > 0).all()):
         return "non-positive delay"
+    if delay.max() >= MAX_DELAY_MS:
+        return f"delay not below the {MAX_DELAY_MS:.0f} ms limit"
     return None
+
+
+def canonical_slot(roster: NodeRoster, slot: int, u, v, delay_ms):
+    """One slot's edges as sorted packed (min, max) keys and 9-digit delays.
+
+    The slot is sorted (stably) only when its records are not in key order
+    already. Raises ``ValueError("slot k: ...")`` naming the first edge rule
+    the slot breaks.
+    """
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    delay = np.round(delay_ms, 9)
+    keys = pack_keys(lo, hi)
+    if np.any(keys[1:] <= keys[:-1]):  # not yet sorted by (u, v)
+        order = np.argsort(keys, kind="stable")
+        keys, lo, hi, delay = keys[order], lo[order], hi[order], delay[order]
+    problem = _edge_problem(roster, lo, hi, keys, delay) if keys.size else None
+    if problem:
+        raise ValueError(f"slot {slot}: {problem}")
+    return keys, delay
 
 
 class SnapshotSeries:
@@ -161,10 +192,9 @@ class SnapshotSeries:
     the keys' halves. The constructor is the one home of the edge rules:
     every endpoint is a satellite or a roster station, no self-loop, no
     ground-to-ground edge, no duplicate edge in a slot, and a finite
-    positive delay once quantized to 9 fractional digits. It keeps its own
-    read-only copy of the columns, each edge as the packed key of its
-    (min, max) pair and each slot sorted by key; a slot is sorted only when
-    its records are not in that order already.
+    positive delay below ``MAX_DELAY_MS`` once quantized to 9 fractional
+    digits. It keeps its own read-only copy of the columns, each slot put in
+    canonical order by ``canonical_slot``.
     """
 
     __slots__ = ("scenario", "roster", "offsets", "keys", "u", "v", "delay_ms", "snapshots",
@@ -183,18 +213,9 @@ class SnapshotSeries:
         self.delay_ms = np.empty(u.size, np.float64)
         for slot in range(1, n + 1):
             span = slice(offsets[slot - 1], offsets[slot])
-            if span.start == span.stop:
-                continue
-            lo, hi = np.minimum(u[span], v[span]), np.maximum(u[span], v[span])
-            delay = np.round(delay_ms[span], 9)
-            keys = pack_keys(lo, hi)
-            if np.any(keys[1:] <= keys[:-1]):  # not yet sorted by (u, v)
-                order = np.argsort(keys, kind="stable")
-                keys, lo, hi, delay = keys[order], lo[order], hi[order], delay[order]
-            problem = _edge_problem(roster, lo, hi, keys, delay)
-            if problem:
-                raise ValueError(f"slot {slot}: {problem}")
-            self.keys[span], self.delay_ms[span] = keys, delay
+            self.keys[span], self.delay_ms[span] = canonical_slot(
+                roster, slot, u[span], v[span], delay_ms[span]
+            )
         self.scenario = scenario
         self.roster = roster
         self.offsets = offsets
@@ -266,30 +287,78 @@ class SnapshotSeries:
 _MAGIC = "lislsim-series v1"
 
 
-def export_series(series: SnapshotSeries, path) -> None:
-    """Write a series to its line-oriented text format (lossless).
+def _digit_rows(x: np.ndarray, width: int | None = None) -> list[np.ndarray]:
+    """ASCII rows of the decimal digits of non-negative ints below 2**32,
+    most significant first.
 
-    Slots are formatted and written one at a time, so memory stays bounded
-    by the largest slot rather than by the file's text.
+    With a ``width`` each value is zero-padded to it. Without one the rows
+    are as many as the largest value has digits, and a shorter value's
+    leading zeros are NUL bytes, for the caller to drop.
     """
-    sc = series.scenario
+    x = x.astype(np.uint32)  # numpy divides it by a constant fast
+    rows, rest = [], x
+    for _ in range(width or len(str(x.max()))):
+        quotient = rest // 10
+        rows.append((rest - quotient * 10 + ord("0")).astype(np.uint8))
+        rest = quotient
+    rows.reverse()
+    if width is None:
+        for j, row in enumerate(rows[:-1]):
+            row *= x >= 10 ** (len(rows) - 1 - j)
+    return rows
+
+
+def _slot_records(slot: int, keys: np.ndarray, delay_ms: np.ndarray) -> bytes:
+    """The text of one canonical slot's records: one ``"%d %d %d %.9f"`` line each.
+
+    The records are the rows of one byte matrix, built a character column at
+    a time with integer arithmetic: the slot prefix, u, v and the whole
+    milliseconds (each column as wide as its largest value, leading zeros as
+    NUL bytes), then the 9 fractional digits and the separators.
+    """
+    if keys.size == 0:
+        return b"%d - - -\n" % slot
+    whole, frac = np.divmod(np.rint(delay_ms * 1e9).astype(np.int64), 10**9)
+    pieces = (b"%d " % slot, (keys >> 32,), b" ", (keys & 0xFFFFFFFF,), b" ", (whole,), b".",
+              (frac, 9), b"\n")
+    rows = []
+    for piece in pieces:
+        if isinstance(piece, bytes):
+            rows.extend(np.full(keys.size, byte, np.uint8) for byte in piece)
+        else:
+            rows.extend(_digit_rows(*piece))
+    return np.stack(rows, axis=1).tobytes().replace(b"\0", b"")
+
+
+def export_series(slots, path, scenario: ScenarioParams, roster: NodeRoster) -> int:
+    """Write canonical ``(keys, delay_ms)`` slot columns, slot 1 first, as a
+    series file; returns the number of edge records.
+
+    Each slot is formatted with integer arithmetic and written as it
+    arrives, so memory stays bounded by one slot. The text goes to a sibling
+    file that replaces ``path`` once every slot is written: a run that fails
+    on the way leaves ``path`` as it was.
+    """
     lines = [_MAGIC]
-    lines.append(" ".join(["scenario"] + [f"{f.name}={getattr(sc, f.name)}" for f in fields(sc)]))
-    lines.append(f"satellites {series.roster.num_satellites}")
-    for gs in series.roster.ground_stations:
+    lines.append(" ".join(["scenario"] + [f"{f.name}={getattr(scenario, f.name)}"
+                                          for f in fields(scenario)]))
+    lines.append(f"satellites {roster.num_satellites}")
+    for gs in roster.ground_stations:
         lines.append(f"gs {gs.id} {gs.name} {gs.latitude_deg!r} {gs.longitude_deg!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-        for snap in series.snapshots:
-            n = snap.edge_count
-            if n == 0:
-                fh.write(f"{snap.slot} - - -\n")
-                continue
-            rec = [snap.slot] * (4 * n)
-            rec[1::4] = snap.u.tolist()
-            rec[2::4] = snap.v.tolist()
-            rec[3::4] = snap.delay_ms.tolist()
-            fh.write(("%d %d %d %.9f\n" * n) % tuple(rec))
+    partial = f"{os.fspath(path)}.partial"
+    records = 0
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+            for slot, (keys, delay_ms) in enumerate(slots, start=1):
+                fh.write(_slot_records(slot, keys, delay_ms))
+                records += keys.size
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.unlink(partial)
+        raise
+    return records
 
 
 def _parse_scenario_line(line: str) -> ScenarioParams:

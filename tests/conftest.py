@@ -18,8 +18,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 from lislsim.cli import WORKED_EXAMPLE_DELAYS
-from lislsim.constellation import GroundStation
-from lislsim.topology import Snapshot, SnapshotSeries, pack_keys
+from lislsim.config import default_config
+from lislsim.constellation import GroundStation, generate_series
+from lislsim.topology import Snapshot, SnapshotSeries, export_series, pack_keys
 
 from toyseries import dominance_toy_series, series_from_edges
 
@@ -57,9 +58,23 @@ def head_series(series: SnapshotSeries, num_slots: int) -> SnapshotSeries:
     )
 
 
+def save_series(series: SnapshotSeries, path) -> int:
+    """Write a held series through the slot writer; returns its record count."""
+    slots = ((snap.keys, snap.delay_ms) for snap in series.snapshots)
+    return export_series(slots, path, series.scenario, series.roster)
+
+
 def slot_routes(schedule) -> list:
     """Each slot's route (None where unreachable), read from the schedule's table."""
     return [None if row < 0 else schedule.route_table[row] for row in schedule.index]
+
+
+@pytest.fixture(scope="session")
+def stock_head() -> SnapshotSeries:
+    """The first 20 slots of the stock scenario (~370k edge records)."""
+    cfg = default_config()
+    scenario = replace(cfg.scenario, num_slots=20)
+    return generate_series(cfg.constellation, list(cfg.ground_stations), scenario)
 
 
 @pytest.fixture

@@ -30,10 +30,12 @@ from lislsim.routing import (
     run_algorithm,
     run_delays,
 )
-from lislsim.topology import export_series, import_series
+from lislsim.topology import import_series
 
 from brute_force import brute_force_optimal, random_delay_matrix, row_cost
-from conftest import head_series, one_slot, random_series, slot_routes, worked_example_series
+from conftest import (
+    head_series, one_slot, random_series, save_series, slot_routes, worked_example_series,
+)
 from toyseries import dominance_toy_series
 from test_kernels import reference_route
 from test_routing import exhaustive_best_path
@@ -309,10 +311,10 @@ def test_ilsr_routes_match_full_settle_oracle(desk):
 def test_stock_density_series_round_trips(desk, tmp_path):
     """20 stock slots (~370k edge records) survive export/import unchanged."""
     head = head_series(desk.series, 20)
-    export_series(head, tmp_path / "a.series")
+    save_series(head, tmp_path / "a.series")
     again = import_series(tmp_path / "a.series")
     assert again == head
-    export_series(again, tmp_path / "b.series")
+    save_series(again, tmp_path / "b.series")
     assert (tmp_path / "b.series").read_bytes() == (tmp_path / "a.series").read_bytes()
 
 

@@ -12,10 +12,12 @@ import pytest
 
 import lislsim
 from lislsim.cli import main, write_schedule
+from lislsim.config import load_config
+from lislsim.constellation import generate_series
 from lislsim.topology import import_series
 from lislsim.routing import LIFETIME_ALGORITHMS, ilsr
 
-from conftest import slot_routes
+from conftest import save_series, slot_routes
 from toyseries import dominance_toy_series, series_from_edges
 
 TINY_CONFIG = """
@@ -72,6 +74,39 @@ class TestGenerate:
         assert main(["generate", "--config", str(tiny_config), "--out", str(out2)]) == 0
         assert out2.read_text() == tiny_series.read_text()
 
+    def test_writes_the_bytes_of_the_held_series(self, tmp_path, stock_head):
+        cfg = tmp_path / "stock20.ini"
+        cfg.write_text("[scenario]\nnum_slots = 20\n")
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "cli.series")]) == 0
+        save_series(stock_head, tmp_path / "held.series")
+        assert (tmp_path / "cli.series").read_bytes() == (tmp_path / "held.series").read_bytes()
+
+    def test_every_slot_empty_writes_the_markers(self, tmp_path):
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(TINY_CONFIG.replace("range_km = 6000", "range_km = 1")
+                       .replace("range_km = 4000", "range_km = 1"))
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "cli.series")]) == 0
+        c = load_config(cfg)
+        held = generate_series(c.constellation, list(c.ground_stations), c.scenario)
+        save_series(held, tmp_path / "held.series")
+        text = (tmp_path / "cli.series").read_text()
+        assert text == (tmp_path / "held.series").read_text()
+        assert text.endswith("".join(f"{slot} - - -\n" for slot in range(1, 7)))
+
+    def test_failure_keeps_the_old_file(self, tmp_path, capsys):
+        # every delay exceeds the 1e6 ms limit, so slot 1 fails after the writer opened
+        cfg = tmp_path / "far.ini"
+        cfg.write_text(TINY_CONFIG.replace("node_delay_ms = 1\n", "node_delay_ms = 1e6\n"))
+        folder = tmp_path / "out"
+        folder.mkdir()
+        out = folder / "old.series"
+        out.write_bytes(b"an earlier series\n")
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: slot 1: ") and "1000000 ms limit" in err
+        assert out.read_bytes() == b"an earlier series\n"
+        assert [p.name for p in folder.iterdir()] == ["old.series"]
+
 
 class TestRun:
     def test_report_and_schedule_files(self, tmp_path, tiny_config, tiny_series):
@@ -126,7 +161,6 @@ class TestRun:
         self, tmp_path, tiny_config, capsys, gaps, listed
     ):
         from lislsim.constellation import GroundStation
-        from lislsim.topology import export_series
 
         stations = (GroundStation(1, "alpha", 0.0, 0.0), GroundStation(2, "bravo", 0.0, 90.0))
         per_slot = [
@@ -134,7 +168,7 @@ class TestRun:
             for slot in range(1, 14)
         ]
         series = tmp_path / "gappy.series"
-        export_series(series_from_edges(per_slot, 1, stations), series)
+        save_series(series_from_edges(per_slot, 1, stations), series)
         assert main([
             "run", "--config", str(tiny_config), "--series", str(series),
             "--algorithm", "ilsr", "--out", str(tmp_path / "out"),
@@ -300,11 +334,9 @@ cost_thrsh_ms = inf
 @pytest.fixture
 def toy_oracle_argv(tmp_path):
     """`oracle` on the exported dominance toy series, writing to tmp_path/gap."""
-    from lislsim.topology import export_series
-
     cfg, series = tmp_path / "toy.ini", tmp_path / "toy.series"
     cfg.write_text(TOY_CONFIG)
-    export_series(dominance_toy_series(), series)
+    save_series(dominance_toy_series(), series)
     return ["oracle", "--config", str(cfg), "--series", str(series), "--out", str(tmp_path / "gap")]
 
 
@@ -344,7 +376,6 @@ class TestOracleCommand:
 
     def test_optimum_charges_no_switch_across_a_gap(self, tmp_path, tiny_config, capsys):
         from lislsim.constellation import GroundStation
-        from lislsim.topology import export_series
 
         # route a = 2-0-3 is cheaper before the slot-4 gap, b = 2-1-3 after it;
         # a DP that charged a switch across the gap would keep a at eta_s 1000
@@ -353,7 +384,7 @@ class TestOracleCommand:
         b_cheap = {(0, 2): 1.5, (0, 3): 1.5, (1, 2): 1.0, (1, 3): 1.0}
         per_slot = [a_cheap] * 3 + [{(0, 2): 1.0, (1, 2): 1.5}] + [b_cheap] * 3
         series = tmp_path / "gappy.series"
-        export_series(series_from_edges(per_slot, 2, stations), series)
+        save_series(series_from_edges(per_slot, 2, stations), series)
         out = tmp_path / "gap"
         assert main([
             "oracle", "--config", str(tiny_config), "--series", str(series), "--out", str(out),
@@ -368,7 +399,6 @@ class TestOracleCommand:
         self, tmp_path, tiny_config, capsys
     ):
         from lislsim.constellation import GroundStation
-        from lislsim.topology import export_series
 
         # slot 1's only route crosses the expiring edge 0-1, which ISASR
         # prunes at eta_s 1000; skipping that slot lowers its mean
@@ -376,7 +406,7 @@ class TestOracleCommand:
         per_slot = [{(0, 2): 1.0, (0, 1): 1.0, (1, 3): 1.0}]
         per_slot += [{(0, 2): 1.0, (0, 3): 1.0, (1, 3): 1.0}] * 2
         series = tmp_path / "pruned.series"
-        export_series(series_from_edges(per_slot, 2, stations), series)
+        save_series(series_from_edges(per_slot, 2, stations), series)
         out = tmp_path / "gap"
         assert main([
             "oracle", "--config", str(tiny_config), "--series", str(series), "--out", str(out),
@@ -446,6 +476,23 @@ class TestBadUsage:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "utf-8" in err
+
+    def test_delay_at_the_limit_exits_1(self, tmp_path, tiny_config, capsys):
+        far = tmp_path / "far.series"
+        far.write_text(
+            "lislsim-series v1\n"
+            "scenario lisl_range_km=1.0 gs_range_km=1.0 node_delay_ms=0.0 "
+            "slot_duration_s=1.0 num_slots=1\n"
+            "satellites 2\n"
+            "1 0 1 1000000.0\n"
+        )
+        rc = main([
+            "run", "--config", str(tiny_config), "--series", str(far),
+            "--algorithm", "ilsr", "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: slot 1: delay not below the 1000000 ms")
+        assert not (tmp_path / "x").exists()
 
     def test_bad_config_value(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -719,13 +766,12 @@ class TestVerificationFailureExit:
     ):
         from lislsim import routing
         from lislsim.constellation import GroundStation
-        from lislsim.topology import export_series
 
         # ILPR's route 2-0-3 breaks at slot 2; one delay too many holds it there
         stations = (GroundStation(2, "alpha", 0.0, 0.0), GroundStation(3, "bravo", 0.0, 90.0))
         per_slot = [{(0, 2): 1.0, (0, 3): 1.0}] + [{(1, 2): 1.0, (1, 3): 1.0}] * 2
         series = tmp_path / "breaking.series"
-        export_series(series_from_edges(per_slot, 2, stations), series)
+        save_series(series_from_edges(per_slot, 2, stations), series)
         real = routing.run_delays
         monkeypatch.setattr(routing, "run_delays", lambda *args: real(*args) + [1.0])
         rc = main([

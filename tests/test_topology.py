@@ -9,19 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lislsim.constellation import ConstellationParams, GroundStation, ScenarioParams
-from lislsim.config import default_config
+from lislsim.cli import main
 from lislsim.constellation import generate_series
 from lislsim.topology import (
     SeriesFormatError,
     SnapshotSeries,
     NodeRoster,
-    export_series,
     import_series,
 )
 from lislsim.routing import Route
 
 from brute_force import reference_run_last
-from conftest import head_series, one_slot, pair_positions
+from conftest import head_series, one_slot, pair_positions, save_series
 from toyseries import dominance_toy_series, series_from_edges
 
 
@@ -174,7 +173,7 @@ class TestColumnViews:
             slot_duration_s=30.0, num_slots=3,
         )
         generated = generate_series(shell, stations, scenario)
-        export_series(generated, tmp_path / "gen.series")
+        save_series(generated, tmp_path / "gen.series")
         imported = import_series(tmp_path / "gen.series")
         for series in (generated, imported, dominance_toy_series()):
             for half in (series.u, series.v):  # one integer edge column
@@ -197,7 +196,7 @@ class TestSeriesFile:
     def test_round_trip_toy(self, tmp_path):
         series = dominance_toy_series()
         path = tmp_path / "toy.series"
-        export_series(series, path)
+        save_series(series, path)
         assert import_series(path) == series
 
     def test_round_trip_generated(self, tmp_path):
@@ -209,25 +208,25 @@ class TestSeriesFile:
         )
         series = generate_series(shell, stations, scenario)
         path = tmp_path / "gen.series"
-        export_series(series, path)
+        save_series(series, path)
         again = import_series(path)
         assert again == series
         # and the round trip is a fixed point of itself
         path2 = tmp_path / "gen2.series"
-        export_series(again, path2)
+        save_series(again, path2)
         assert path2.read_text() == path.read_text()
 
     def test_round_trip_empty_slot(self, tmp_path):
         series = series_from_edges([{(0, 1): 1.0}, {}, {(0, 1): 2.0}], num_satellites=2)
         path = tmp_path / "gap.series"
-        export_series(series, path)
+        save_series(series, path)
         assert import_series(path) == series
 
     def test_shuffled_records_import_canonical(self, tmp_path):
         # exported files are already canonical, so only a hand-made file
         # reaches the path that swaps endpoints and sorts a slot
         series = dominance_toy_series()
-        export_series(series, tmp_path / "canonical.series")
+        save_series(series, tmp_path / "canonical.series")
         lines = (tmp_path / "canonical.series").read_text().splitlines()
         header, records = lines[:5], lines[5:]
         assert header[-1].startswith("gs 7 ") and records[0].startswith("1 ")
@@ -244,14 +243,14 @@ class TestSeriesFile:
         (tmp_path / "shuffled.series").write_text("\n".join(header + shuffled) + "\n")
         again = import_series(tmp_path / "shuffled.series")
         assert again == series
-        export_series(again, tmp_path / "again.series")
+        save_series(again, tmp_path / "again.series")
         canonical = (tmp_path / "canonical.series").read_bytes()
         assert (tmp_path / "again.series").read_bytes() == canonical
 
     def test_non_consecutive_slots_rejected(self, tmp_path):
         series = series_from_edges([{(0, 1): 1.0}, {(0, 1): 1.5}], num_satellites=2)
         path = tmp_path / "bad.series"
-        export_series(series, path)
+        save_series(series, path)
         text = path.read_text().splitlines()
         text = [ln for ln in text if not ln.startswith("2 ")]
         text[1] = text[1].replace("num_slots=2", "num_slots=3")
@@ -297,6 +296,28 @@ class TestSeriesFile:
         with pytest.raises(SeriesFormatError, match="unknown node id"):
             import_series(path)
 
+    def test_delay_at_the_limit_rejected(self, tmp_path):
+        path = tmp_path / "far.series"
+        path.write_text(
+            "lislsim-series v1\n"
+            "scenario lisl_range_km=1.0 gs_range_km=1.0 node_delay_ms=0.0 "
+            "slot_duration_s=1.0 num_slots=1\n"
+            "satellites 2\n"
+            "1 0 1 1000000.0\n"
+        )
+        with pytest.raises(SeriesFormatError, match="slot 1: delay not below the 1000000 ms limit"):
+            import_series(path)
+
+    def test_extreme_delays_round_trip_byte_exactly(self, tmp_path):
+        series = series_from_edges([{(0, 1): 999999.999999999, (1, 2): 1e-9}], num_satellites=3)
+        save_series(series, tmp_path / "a.series")
+        text = (tmp_path / "a.series").read_text()
+        assert text.endswith("\n1 0 1 999999.999999999\n1 1 2 0.000000001\n")
+        again = import_series(tmp_path / "a.series")
+        assert again == series
+        save_series(again, tmp_path / "b.series")
+        assert (tmp_path / "b.series").read_bytes() == (tmp_path / "a.series").read_bytes()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.series"
         path.write_text("something else\n")
@@ -306,7 +327,7 @@ class TestSeriesFile:
     def test_slot_count_mismatch_rejected(self, tmp_path):
         series = series_from_edges([{(0, 1): 1.0}], num_satellites=2)
         path = tmp_path / "short.series"
-        export_series(series, path)
+        save_series(series, path)
         text = path.read_text().replace("num_slots=1", "num_slots=2")
         path.write_text(text)
         with pytest.raises(SeriesFormatError, match="header says 2"):
@@ -341,21 +362,32 @@ def _export_series_reference(series, path) -> None:
         fh.write("".join(out))
 
 
-@pytest.fixture(scope="module")
-def stock_head():
-    """The first 20 slots of the stock scenario (~370k edge records)."""
-    cfg = default_config()
-    scenario = replace(cfg.scenario, num_slots=20)
-    return generate_series(cfg.constellation, list(cfg.ground_stations), scenario)
-
-
-def _export_peak_bytes(series, path) -> int:
+def _peak_bytes(write, *args) -> int:
     tracemalloc.start()
     try:
-        export_series(series, path)
+        write(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _generate(folder, num_slots: int):
+    """``lislsim generate`` of the first ``num_slots`` stock slots."""
+    cfg = folder / f"stock{num_slots}.ini"
+    cfg.write_text(f"[scenario]\nnum_slots = {num_slots}\n")
+    assert main(["generate", "--config", str(cfg), "--out", str(folder / "gen.series")]) == 0
+
+
+# Delays over (0, 1e6) ms: any float, the two extremes of 9-digit text, and
+# values halfway between two 9-digit delays, the hardest to round.
+_DELAYS = st.one_of(
+    st.floats(min_value=1e-9, max_value=999999.999999999),
+    st.sampled_from([1e-9, 999999.999999999]),
+    st.integers(1, 10**15 - 2).map(lambda k: (k + 0.5) / 1e9),
+)
+_PAIRS = st.lists(st.integers(0, 2**31 - 2), min_size=2, max_size=2, unique=True).map(
+    lambda pair: tuple(sorted(pair))
+)
 
 
 class TestExportWriter:
@@ -366,13 +398,13 @@ class TestExportWriter:
             num_satellites=3, ground_stations=stations, node_delay_ms=0.25,
         )
         for name, toy in (("gaps", series), ("dominance", dominance_toy_series())):
-            export_series(toy, tmp_path / f"{name}.new")
+            save_series(toy, tmp_path / f"{name}.new")
             _export_series_reference(toy, tmp_path / f"{name}.old")
             assert (tmp_path / f"{name}.new").read_bytes() == (tmp_path / f"{name}.old").read_bytes()
         assert "\n1 - - -\n" in (tmp_path / "gaps.new").read_text()
 
     def test_stock_slots_byte_identical(self, stock_head, tmp_path):
-        export_series(stock_head, tmp_path / "new.series")
+        save_series(stock_head, tmp_path / "new.series")
         _export_series_reference(stock_head, tmp_path / "old.series")
         assert (tmp_path / "new.series").read_bytes() == (tmp_path / "old.series").read_bytes()
 
@@ -384,9 +416,21 @@ class TestExportWriter:
             replace(head.scenario, num_slots=1), head.roster,
             [0, big.edge_count], big.u, big.v, big.delay_ms,
         )
-        one_peak = _export_peak_bytes(one, tmp_path / "one.series")
-        all_peak = _export_peak_bytes(head, tmp_path / "all.series")
+        one_peak = _peak_bytes(save_series, one, tmp_path / "one.series")
+        all_peak = _peak_bytes(save_series, head, tmp_path / "all.series")
         assert all_peak < 1.5 * one_peak, (all_peak, one_peak)
+        # the command streams its slots; one that held the series peaked 2.1x higher at 12
+        peaks = [_peak_bytes(_generate, tmp_path, n) for n in (3, 12)]
+        assert max(peaks) < 1.5 * min(peaks), peaks
+
+    @given(st.lists(st.dictionaries(_PAIRS, _DELAYS, max_size=6), min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference_writer(self, tmp_path_factory, per_slot):
+        series = series_from_edges(per_slot, num_satellites=2**31 - 1)
+        folder = tmp_path_factory.mktemp("writer")
+        save_series(series, folder / "new.series")
+        _export_series_reference(series, folder / "old.series")
+        assert (folder / "new.series").read_bytes() == (folder / "old.series").read_bytes()
 
 
 def reference_csr(snap):
@@ -581,10 +625,10 @@ def assert_fixed_point_or_format_error(path, folder):
         imported = import_series(path)
     except SeriesFormatError:
         return
-    export_series(imported, folder / "c.series")
+    save_series(imported, folder / "c.series")
     again = import_series(folder / "c.series")
     assert again == imported
-    export_series(again, folder / "d.series")
+    save_series(again, folder / "d.series")
     assert (folder / "d.series").read_bytes() == (folder / "c.series").read_bytes()
 
 
@@ -601,7 +645,7 @@ class TestParserFuzz:
             num_satellites=6, ground_stations=FUZZ_STATIONS,
         )
         for series in (dominance_toy_series(), gap):
-            export_series(series, tmp_path / "a.series")
+            save_series(series, tmp_path / "a.series")
             lines = (tmp_path / "a.series").read_text().splitlines()
             for n, mutant in enumerate(mutants(lines)):
                 (tmp_path / "b.series").write_text("\n".join(mutant) + "\n")
@@ -626,7 +670,7 @@ class TestParserFuzz:
     ):
         series = series_from_edges(per_slot, num_satellites=6, ground_stations=FUZZ_STATIONS)
         folder = tmp_path_factory.mktemp("fuzz")
-        export_series(series, folder / "a.series")
+        save_series(series, folder / "a.series")
         lines = (folder / "a.series").read_text().splitlines()
         for _ in range(data.draw(st.integers(1, 3))):
             lines = data.draw(st.sampled_from(list(mutants(lines))))
@@ -652,5 +696,5 @@ class TestRoundTripProperty:
             [dict(edges) for edges in per_slot], num_satellites=8
         )
         path = tmp_path_factory.mktemp("rt") / "x.series"
-        export_series(series, path)
+        save_series(series, path)
         assert import_series(path) == series
