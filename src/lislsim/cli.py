@@ -16,6 +16,7 @@ Exit status: 0 ok, 1 validation/usage error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -29,7 +30,7 @@ from .routing import (
     ALGORITHMS, ETA_BLIND_ALGORITHMS, LIFETIME_ALGORITHMS, MissingEdgeError, RoutingSchedule,
     alpr_average_latency, run_algorithm,
 )
-from .topology import NodeRoster, canonical_slot, export_series, import_series
+from .topology import NodeRoster, export_series, import_series
 
 # Four-route worked example: per-slot end-to-end delays (ms) of candidate
 # routes with different lifetimes, used by the `table2` subcommand and the
@@ -86,18 +87,20 @@ def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
 
 
 def cmd_generate(args) -> int:
-    """Build, check and write one slot at a time: no series is ever held."""
+    """Build, check and write one slot at a time; a failed run removes the folders it made."""
     cfg = _load(args)
     roster = NodeRoster(cfg.constellation.num_satellites, tuple(cfg.ground_stations))
-    slots = (
-        canonical_slot(roster, slot, *edges)
-        for slot, edges in enumerate(
-            slot_edges(cfg.constellation, list(cfg.ground_stations), cfg.scenario), start=1
-        )
-    )
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    records = export_series(slots, out, cfg.scenario, roster)
+    made = [folder for folder in out.parents if not folder.exists()]  # deepest first
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        slots = slot_edges(cfg.constellation, list(cfg.ground_stations), cfg.scenario)
+        records = export_series(slots, out, cfg.scenario, roster)
+    except BaseException:
+        for folder in made:
+            with contextlib.suppress(OSError):
+                folder.rmdir()
+        raise
     print(
         f"wrote {out}: {cfg.constellation.num_satellites} satellites, "
         f"{len(cfg.ground_stations)} ground stations, {cfg.scenario.num_slots} slots, "

@@ -177,12 +177,8 @@ def ground_station_position(gs: GroundStation, slot: int, slot_duration_s: float
 
 
 def delay_ms(distance_km: np.ndarray, node_delay_ms: float) -> np.ndarray:
-    """Edge cost: light travel time plus the fixed node delay, in ms.
-
-    Quantized to 9 fractional digits so that the on-disk snapshot format
-    round-trips bit-exactly.
-    """
-    return np.round(distance_km / SPEED_OF_LIGHT_KM_S * 1000.0 + node_delay_ms, 9)
+    """Edge cost: light travel time plus the fixed node delay, in ms."""
+    return distance_km / SPEED_OF_LIGHT_KM_S * 1000.0 + node_delay_ms
 
 
 def build_snapshot(
@@ -197,8 +193,8 @@ def build_snapshot(
     ground station ``gs_ids[k]`` sits at ``gs_pos[k]`` and must come after
     every satellite id. Satellite pairs connect when their distance is <= the
     LISL range, ground-satellite pairs when <= the GS range (both inclusive);
-    ground stations never connect to each other. ``SnapshotSeries`` puts the
-    edges in canonical order.
+    ground stations never connect to each other. ``SnapshotSeries`` and
+    ``export_series`` put the edges in canonical order and quantize the delays.
     """
     sat_pos = np.asarray(sat_pos, dtype=np.float64).reshape(-1, 3)
     gs_ids = np.asarray(gs_ids, dtype=np.int64)
@@ -238,11 +234,5 @@ def generate_series(
     """The series of every slot's edges, held in memory."""
     from .topology import NodeRoster, SnapshotSeries
 
-    roster = NodeRoster(
-        num_satellites=params.num_satellites, ground_stations=tuple(ground_stations)
-    )
-    slots = list(slot_edges(params, ground_stations, scenario))
-    offsets = np.cumsum([0] + [u.size for u, _, _ in slots])
-    u, v, d = [np.concatenate(col) for col in zip(*slots)]
-    del slots  # free the per-slot pieces before the series copies the columns
-    return SnapshotSeries(scenario, roster, offsets, u, v, d)
+    roster = NodeRoster(params.num_satellites, tuple(ground_stations))
+    return SnapshotSeries(scenario, roster, slot_edges(params, ground_stations, scenario))

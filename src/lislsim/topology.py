@@ -8,12 +8,12 @@ sorted; ``u`` and ``v`` are zero-copy int32 views of the key's two halves.
 Each slot is seen through a read-only :class:`Snapshot` view, and
 ``Snapshot.positions(keys)`` finds edges in it. On first use the series also
 computes the edge lifetimes that ISASR reads: each record's last slot of its
-run of consecutive slots. ``canonical_slot`` puts one slot's edges in that
-order and applies the edge rules; the constructor and ``lislsim generate``
-both call it. ``export_series``/``import_series`` define the line-oriented
-interchange format for externally generated topologies: the writer takes
-canonical slot columns one at a time, so ``generate`` streams each slot to
-the file as soon as it is built and never holds a series.
+run of consecutive slots. The constructor and ``export_series`` take the
+same raw ``(u, v, delay_ms)`` columns of each slot and put each slot through
+``_canonical_slot``, the one home of the edge rules.
+``export_series``/``import_series`` define the line-oriented interchange
+format for externally generated topologies; the writer writes each slot as
+it arrives, so ``generate`` never holds a series.
 """
 
 from __future__ import annotations
@@ -165,13 +165,18 @@ def _edge_problem(roster: NodeRoster, lo, hi, keys, delay) -> str | None:
     return None
 
 
-def canonical_slot(roster: NodeRoster, slot: int, u, v, delay_ms):
-    """One slot's edges as sorted packed (min, max) keys and 9-digit delays.
+def _canonical_slot(roster: NodeRoster, slot: int, u, v, delay_ms):
+    """One slot's raw columns as sorted packed (min, max) keys and delays
+    quantized to 9 fractional digits, so that the series file round-trips
+    bit-exactly.
 
     The slot is sorted (stably) only when its records are not in key order
     already. Raises ``ValueError("slot k: ...")`` naming the first edge rule
-    the slot breaks.
+    the slot breaks, or when its columns are not 1-D of one length.
     """
+    u, v, delay_ms = np.asarray(u), np.asarray(v), np.asarray(delay_ms, dtype=np.float64)
+    if not u.shape == v.shape == delay_ms.shape == (u.size,):
+        raise ValueError(f"slot {slot}: edge columns differ in length")
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     delay = np.round(delay_ms, 9)
     keys = pack_keys(lo, hi)
@@ -187,35 +192,30 @@ def canonical_slot(roster: NodeRoster, slot: int, u, v, delay_ms):
 class SnapshotSeries:
     """Scenario parameters, node roster, and the edges of slots 1..N.
 
-    The edges of slot k are records ``offsets[k-1]:offsets[k]`` of the
-    ``keys`` and ``delay_ms`` columns; ``u`` and ``v`` are int32 views of
-    the keys' halves. The constructor is the one home of the edge rules:
-    every endpoint is a satellite or a roster station, no self-loop, no
-    ground-to-ground edge, no duplicate edge in a slot, and a finite
-    positive delay below ``MAX_DELAY_MS`` once quantized to 9 fractional
-    digits. It keeps its own read-only copy of the columns, each slot put in
-    canonical order by ``canonical_slot``.
+    Built from the raw ``(u, v, delay_ms)`` columns of each slot, slot 1
+    first. The edges of slot k are records ``offsets[k-1]:offsets[k]`` of the
+    read-only ``keys`` and ``delay_ms`` columns; ``u`` and ``v`` are int32
+    views of the keys' halves. Each slot passes ``_canonical_slot``, the one
+    home of the edge rules: every endpoint is a satellite or a roster
+    station, no self-loop, no ground-to-ground edge, no duplicate edge in a
+    slot, and a finite positive delay below ``MAX_DELAY_MS`` once quantized
+    to 9 fractional digits.
     """
 
     __slots__ = ("scenario", "roster", "offsets", "keys", "u", "v", "delay_ms", "snapshots",
                  "_runs")
 
-    def __init__(self, scenario: ScenarioParams, roster: NodeRoster, offsets, u, v, delay_ms):
+    def __init__(self, scenario: ScenarioParams, roster: NodeRoster, slots):
         n = scenario.num_slots
-        offsets = np.array(offsets, dtype=np.int64)
-        u, v, delay_ms = np.asarray(u), np.asarray(v), np.asarray(delay_ms, dtype=np.float64)
-        if offsets.shape != (n + 1,):
-            raise ValueError(f"expected offsets of {n} slots, got {offsets.size - 1}")
-        if (offsets[0] != 0 or np.any(np.diff(offsets) < 0)
-                or not u.shape == v.shape == delay_ms.shape == (offsets[-1],)):
-            raise ValueError("edge columns do not match the slot offsets")
-        self.keys = np.empty(u.size, "<i8")
-        self.delay_ms = np.empty(u.size, np.float64)
-        for slot in range(1, n + 1):
+        slots = list(slots)
+        if len(slots) != n:
+            raise ValueError(f"expected {n} slots, got {len(slots)}")
+        offsets = np.cumsum([0] + [np.size(u) for u, _, _ in slots], dtype=np.int64)
+        self.keys = np.empty(offsets[-1], "<i8")
+        self.delay_ms = np.empty(offsets[-1], np.float64)
+        for slot, (u, v, delay_ms) in enumerate(slots, start=1):
             span = slice(offsets[slot - 1], offsets[slot])
-            self.keys[span], self.delay_ms[span] = canonical_slot(
-                roster, slot, u[span], v[span], delay_ms[span]
-            )
+            self.keys[span], self.delay_ms[span] = _canonical_slot(roster, slot, u, v, delay_ms)
         self.scenario = scenario
         self.roster = roster
         self.offsets = offsets
@@ -331,13 +331,14 @@ def _slot_records(slot: int, keys: np.ndarray, delay_ms: np.ndarray) -> bytes:
 
 
 def export_series(slots, path, scenario: ScenarioParams, roster: NodeRoster) -> int:
-    """Write canonical ``(keys, delay_ms)`` slot columns, slot 1 first, as a
-    series file; returns the number of edge records.
+    """Write raw ``(u, v, delay_ms)`` slot columns, slot 1 first, as a series
+    file; returns the number of edge records.
 
-    Each slot is formatted with integer arithmetic and written as it
-    arrives, so memory stays bounded by one slot. The text goes to a sibling
-    file that replaces ``path`` once every slot is written: a run that fails
-    on the way leaves ``path`` as it was.
+    Each slot passes ``_canonical_slot``, as in ``SnapshotSeries``, and is
+    written as it arrives, so memory stays bounded by one slot. The text goes
+    to a sibling file that replaces ``path`` once all ``scenario.num_slots``
+    slots are written: a run that fails, or brings another count, leaves
+    ``path`` as it was.
     """
     lines = [_MAGIC]
     lines.append(" ".join(["scenario"] + [f"{f.name}={getattr(scenario, f.name)}"
@@ -346,13 +347,16 @@ def export_series(slots, path, scenario: ScenarioParams, roster: NodeRoster) -> 
     for gs in roster.ground_stations:
         lines.append(f"gs {gs.id} {gs.name} {gs.latitude_deg!r} {gs.longitude_deg!r}")
     partial = f"{os.fspath(path)}.partial"
-    records = 0
+    records = slot = 0
     try:
         with open(partial, "wb") as fh:
             fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-            for slot, (keys, delay_ms) in enumerate(slots, start=1):
+            for slot, edges in enumerate(slots, start=1):
+                keys, delay_ms = _canonical_slot(roster, slot, *edges)
                 fh.write(_slot_records(slot, keys, delay_ms))
                 records += keys.size
+        if slot != scenario.num_slots:
+            raise ValueError(f"expected {scenario.num_slots} slots, got {slot}")
         os.replace(partial, path)
     except BaseException:
         if os.path.exists(partial):
@@ -453,7 +457,8 @@ def import_series(path) -> SnapshotSeries:
 
         if markers:
             rec = rec[~is_marker]
-        offsets = np.searchsorted(rec["slot"], np.arange(1, last + 2))
-        return SnapshotSeries(scenario, roster, offsets, rec["u"], rec["v"], rec["delay"])
+        ends = np.searchsorted(rec["slot"], np.arange(1, last + 2)).tolist()
+        slots = (rec[a:b] for a, b in zip(ends, ends[1:]))
+        return SnapshotSeries(scenario, roster, ((r["u"], r["v"], r["delay"]) for r in slots))
     except ValueError as exc:  # includes bad UTF-8 and records np.loadtxt cannot parse
         raise SeriesFormatError(str(exc)) from exc

@@ -51,16 +51,15 @@ def pair_positions(snap: Snapshot, pairs) -> np.ndarray:
 
 def head_series(series: SnapshotSeries, num_slots: int) -> SnapshotSeries:
     """The first ``num_slots`` slots of a series."""
-    end = series.offsets[num_slots]
     return SnapshotSeries(
         replace(series.scenario, num_slots=num_slots), series.roster,
-        series.offsets[: num_slots + 1], series.u[:end], series.v[:end], series.delay_ms[:end],
+        ((snap.u, snap.v, snap.delay_ms) for snap in series.snapshots[:num_slots]),
     )
 
 
 def save_series(series: SnapshotSeries, path) -> int:
     """Write a held series through the slot writer; returns its record count."""
-    slots = ((snap.keys, snap.delay_ms) for snap in series.snapshots)
+    slots = ((snap.u, snap.v, snap.delay_ms) for snap in series.snapshots)
     return export_series(slots, path, series.scenario, series.roster)
 
 

@@ -101,9 +101,12 @@ class TestGenerate:
         folder.mkdir()
         out = folder / "old.series"
         out.write_bytes(b"an earlier series\n")
-        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: slot 1: ") and "1000000 ms limit" in err
+        # the folders this run makes for its --out are removed again, deepest first
+        for path in (out, folder / "new" / "sub" / "x.series"):
+            assert main(["generate", "--config", str(cfg), "--out", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                "error: slot 1: delay not below the 1000000 ms limit\n"
+            )
         assert out.read_bytes() == b"an earlier series\n"
         assert [p.name for p in folder.iterdir()] == ["old.series"]
 
@@ -152,6 +155,19 @@ class TestRun:
         ])
         assert rc == 1
         assert "coverage 0" in (out / "report.txt").read_text()
+
+    def test_unpaired_setup_delay_reports_every_qos_threshold(
+        self, tmp_path, tiny_config, tiny_series
+    ):
+        # eta_s 7 is not in eta_s_ms = 1, 1000, so no qos_ms value pairs with it
+        out = tmp_path / "run_out"
+        assert main([
+            "run", "--config", str(tiny_config), "--series", str(tiny_series),
+            "--algorithm", "ilsr", "--eta-s", "7", "--out", str(out),
+        ]) == 0
+        outages = [line.split()[0] for line in (out / "report.txt").read_text().splitlines()
+                   if line.startswith("outage@")]
+        assert outages == ["outage@30.000000000ms", "outage@60.000000000ms"]
 
     @pytest.mark.parametrize("gaps, listed", [
         ((2, 4), "[2, 4]"),
@@ -394,6 +410,19 @@ class TestOracleCommand:
         assert {r["optimum_mean_eta_le_ms"] for r in rows} == {f"{12 / 7:.9f}"}
         assert {r["gap_ms"] for r in rows} == {"0.000000000"}
         assert capsys.readouterr().err == "warning: 1 unreachable slots: [4]\n"
+
+    def test_unreachable_everywhere_exits_1_without_output(self, tmp_path, capsys):
+        cfg = tmp_path / "nolinks.ini"
+        cfg.write_text(TINY_CONFIG.replace("gs_range_km = 4000", "gs_range_km = 1"))
+        series = tmp_path / "nolinks.series"
+        assert main(["generate", "--config", str(cfg), "--out", str(series)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "gap"
+        assert main([
+            "oracle", "--config", str(cfg), "--series", str(series), "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr() == ("", "error: destination unreachable in every slot\n")
+        assert not out.exists()
 
     def test_a_heuristic_that_skips_a_reachable_slot_is_not_checked(
         self, tmp_path, tiny_config, capsys

@@ -132,9 +132,8 @@ def _snapshot(sat_pos, gs=(), sc=None):
     sc = sc or scenario()
     gs_ids = [node_id for node_id, _ in gs]
     gs_pos = [pos for _, pos in gs]
-    u, v, d = build_snapshot(sat_pos, gs_ids, gs_pos, sc)
     roster = NodeRoster(len(sat_pos), tuple(GroundStation(i, f"gs{i}", 0.0, 0.0) for i in gs_ids))
-    return SnapshotSeries(sc, roster, [0, u.size], u, v, d).snapshot(1)
+    return SnapshotSeries(sc, roster, [build_snapshot(sat_pos, gs_ids, gs_pos, sc)]).snapshot(1)
 
 
 class TestBuildSnapshot:

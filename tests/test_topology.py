@@ -15,6 +15,7 @@ from lislsim.topology import (
     SeriesFormatError,
     SnapshotSeries,
     NodeRoster,
+    export_series,
     import_series,
 )
 from lislsim.routing import Route
@@ -74,6 +75,31 @@ class TestSnapshot:
         snap = one_slot({(0, 1): 1.0, (1, 2): 2.0}, num_nodes=4)
         assert snap.route_delay(Route((0, 1, 2))) == 3.0
         assert snap.route_delay(Route((0, 1, 3))) is None
+
+
+# raw (u, v, delay_ms) slot columns: one good edge, a self-loop, and columns
+# of 3 u values against 1 v value, which would broadcast into three edges
+_EDGE = ([0], [1], [1.0])
+_SELF_LOOP = ([2], [2], [1.0])
+_BROADCAST = ([0, 1, 2], [3], [1.0, 1.0, 1.0])
+
+
+class TestSeriesInput:
+    """The constructor takes exactly ``num_slots`` raw slots of 1-D columns."""
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_wrong_slot_count_rejected(self, count):
+        scenario = ScenarioParams(1.0, 1.0, 0.0, 1.0, num_slots=3)
+        with pytest.raises(ValueError, match=f"expected 3 slots, got {count}"):
+            SnapshotSeries(scenario, NodeRoster(4), [_EDGE] * count)
+
+    @pytest.mark.parametrize("slot", [
+        _BROADCAST, ([0], [1], [1.0, 2.0]), ([[0]], [[1]], [[1.0]]), (0, 1, 1.0),
+    ], ids=["u-longer-than-v", "delay-longer", "two-d", "scalars"])
+    def test_columns_of_different_shape_rejected(self, slot):
+        scenario = ScenarioParams(1.0, 1.0, 0.0, 1.0, num_slots=2)
+        with pytest.raises(ValueError, match="slot 2: edge columns differ in length"):
+            SnapshotSeries(scenario, NodeRoster(4), [_EDGE, slot])
 
 
 class TestRoster:
@@ -413,8 +439,7 @@ class TestExportWriter:
         head = head_series(stock_head, 4)
         big = max(head.snapshots, key=lambda snap: snap.edge_count)
         one = SnapshotSeries(
-            replace(head.scenario, num_slots=1), head.roster,
-            [0, big.edge_count], big.u, big.v, big.delay_ms,
+            replace(head.scenario, num_slots=1), head.roster, [(big.u, big.v, big.delay_ms)]
         )
         one_peak = _peak_bytes(save_series, one, tmp_path / "one.series")
         all_peak = _peak_bytes(save_series, head, tmp_path / "all.series")
@@ -422,6 +447,23 @@ class TestExportWriter:
         # the command streams its slots; one that held the series peaked 2.1x higher at 12
         peaks = [_peak_bytes(_generate, tmp_path, n) for n in (3, 12)]
         assert max(peaks) < 1.5 * min(peaks), peaks
+
+    @pytest.mark.parametrize("slots,error", [
+        ([_EDGE] * 2, "expected 3 slots, got 2"),
+        ([_EDGE] * 4, "expected 3 slots, got 4"),
+        ([_EDGE, _SELF_LOOP, _EDGE], "slot 2: self-loops are not allowed"),
+        ([_EDGE, _EDGE, _BROADCAST], "slot 3: edge columns differ in length"),
+    ], ids=["too-few-slots", "too-many-slots", "self-loop", "u-longer-than-v"])
+    def test_rejected_slots_keep_the_old_file(self, tmp_path, slots, error):
+        series = series_from_edges([{(0, 1): 1.0}] * 3, num_satellites=4)
+        path = tmp_path / "kept.series"
+        save_series(series, path)
+        old = path.read_bytes()
+        with pytest.raises(ValueError, match=error):
+            export_series(slots, path, series.scenario, series.roster)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]  # no .partial left behind
+        assert import_series(path) == series
 
     @given(st.lists(st.dictionaries(_PAIRS, _DELAYS, max_size=6), min_size=1, max_size=4))
     @settings(max_examples=150, deadline=None)

@@ -28,11 +28,11 @@ def series_from_edges(
         slot_duration_s=slot_duration_s,
         num_slots=len(slot_edges),
     )
-    pairs = [pair for edges in slot_edges for pair in edges]
-    delays = [w for edges in slot_edges for w in edges.values()]
-    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    offsets = np.cumsum([0] + [len(edges) for edges in slot_edges])
-    return SnapshotSeries(scenario, roster, offsets, u, v, delays)
+    slots = [
+        (*np.array(list(edges), dtype=np.int64).reshape(-1, 2).T, list(edges.values()))
+        for edges in slot_edges
+    ]
+    return SnapshotSeries(scenario, roster, slots)
 
 
 def dominance_toy_series() -> SnapshotSeries:
