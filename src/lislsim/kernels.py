@@ -1,5 +1,9 @@
 """Hot numerical kernels: range-gated pair extraction and CSR shortest routes.
 
+``pair_edges`` finds the point pairs in range on a cell grid and gates its
+candidates with ``pairs_in_range``, so any candidate list that holds every
+pair in range gates to exactly ``pair_edges``' pairs and squared distances.
+
 Pure numpy / heapq. The kernels stay a module of their own so that the
 benchmark harness (``perfbench/``) can time each of them by name.
 """
@@ -40,8 +44,8 @@ def pair_edges(pos: np.ndarray, range_km: float):
     so it is computed to within ~2**-32. The two coordinates therefore differ
     by less than 1 and their floors by at most 1: the cells are equal or
     adjacent. (With a side of exactly ``range_km`` such a pair can land two
-    cells apart.) d2 is recomputed per candidate in the order above, so the
-    result is bit-equal to a dense all-pairs scan.
+    cells apart.) ``pairs_in_range`` recomputes d2 per candidate in the order
+    above, so the result is bit-equal to a dense all-pairs scan.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     range_km = float(range_km)
@@ -66,17 +70,32 @@ def pair_edges(pos: np.ndarray, range_km: float):
         first.append(np.repeat(np.arange(n), count))
         second.append(np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count))
     a, b = np.concatenate(first), np.concatenate(second)
+    del first, second  # freed before the gate allocates its temporaries
     # rows in cell order; a rounded difference only changes sign when its
     # operands swap, so each square is the one of (x_i - x_j) for i < j
-    x, y, z = pos[order].T.copy()
+    a, b, d2 = pairs_in_range(pos[order], a, b, range_km)
+    a, b = order[a], order[b]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    by_pair = np.argsort(i * n + j)
+    return i[by_pair].astype(np.int32), j[by_pair].astype(np.int32), d2[by_pair]
+
+
+def pairs_in_range(pos: np.ndarray, i: np.ndarray, j: np.ndarray, range_km: float):
+    """The candidate pairs ``(i[k], j[k])`` within range_km, in candidate order.
+
+    ``pos`` is a float64 (n, 3) array. Returns (i, j, squared_distance) of
+    the kept candidates. d2 is
+    ``(x_i-x_j)**2 + (y_i-y_j)**2 + (z_i-z_j)**2`` summed in that order and a
+    pair is kept when ``d2 <= range_km * range_km``: the arithmetic of
+    ``pair_edges``, which calls this on its grid candidates.
+    """
+    x, y, z = pos.T.copy()
+    a, b = np.asarray(i, np.intp), np.asarray(j, np.intp)  # cast once, not per gather
     d2 = (x[a] - x[b]) ** 2
     d2 += (y[a] - y[b]) ** 2
     d2 += (z[a] - z[b]) ** 2
     keep = d2 <= range_km * range_km
-    a, b, d2 = order[a[keep]], order[b[keep]], d2[keep]
-    i, j = np.minimum(a, b), np.maximum(a, b)
-    by_pair = np.argsort(i * n + j)
-    return i[by_pair].astype(np.int32), j[by_pair].astype(np.int32), d2[by_pair]
+    return i[keep], j[keep], d2[keep]
 
 
 def cross_edges(pos_a: np.ndarray, pos_b: np.ndarray, range_km: float):

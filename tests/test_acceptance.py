@@ -166,6 +166,19 @@ DESK_DIGESTS = {
 }
 
 
+# sha256 over the desk series' offsets, keys and delay_ms columns, each as
+# little-endian 8-byte values: the stock 600-slot topology itself.
+DESK_SERIES_DIGEST = "28660cd016e4e7b8d4d37142e3a1d2659ea796bb740d6455614c2ed06ebeb321"
+
+
+def test_desk_series_keeps_its_bytes(desk):
+    digest = hashlib.sha256()
+    for column, dtype in ((desk.series.offsets, "<i8"), (desk.series.keys, "<i8"),
+                          (desk.series.delay_ms, "<f8")):
+        digest.update(column.astype(dtype).tobytes())
+    assert digest.hexdigest() == DESK_SERIES_DIGEST
+
+
 def test_desk_outputs_keep_their_bytes(desk, tmp_path):
     names = {desk.london: "london", desk.hanoi: "hanoi"}
     got = {}

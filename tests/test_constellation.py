@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lislsim.constellation import (
+    MOTION_SLACK_KM,
     MU_EARTH_KM3_S2,
     SIDEREAL_DAY_S,
     SPEED_OF_LIGHT_KM_S,
@@ -16,6 +19,7 @@ from lislsim.constellation import (
     generate_series,
     ground_station_position,
     satellite_positions,
+    slot_edges,
 )
 from lislsim.routing import Route
 from lislsim.topology import NodeRoster, SnapshotSeries
@@ -205,3 +209,73 @@ class TestGenerateSeries:
         series = generate_series(shell, stations, scenario(num_slots=2))
         for snap in series.snapshots:
             assert not any(int(u) == 8 or int(v) == 8 for u, v in zip(snap.u, snap.v))
+
+
+@st.composite
+def small_shells(draw):
+    """A Walker shell of at most 200 satellites at any inclination and altitude."""
+    planes = draw(st.integers(1, 12))
+    return ConstellationParams(
+        num_planes=planes,
+        sats_per_plane=draw(st.integers(1, 200 // planes)),
+        inclination_deg=draw(st.floats(0.0, 180.0)),
+        altitude_km=draw(st.floats(200.0, 2500.0)),
+        phasing_factor=draw(st.integers(0, planes - 1)),
+        epoch_raan_offset_deg=draw(st.floats(0.0, 360.0)),
+    )
+
+
+# 0.05 s to 900 s, log-uniform: a neighbour list serves from hundreds of slots down to 1
+slot_durations = st.floats(math.log(0.05), math.log(900.0)).map(math.exp)
+
+
+class TestNeighbourList:
+    @given(
+        shell=small_shells(),
+        slot_duration_s=slot_durations,
+        num_slots=st.integers(1, 40),
+        lisl_range_km=st.floats(100.0, 12000.0),
+        stations=st.lists(st.tuples(st.floats(-90.0, 90.0), st.floats(-179.0, 180.0)), max_size=2),
+    )
+    # pairs in crossing planes close in at nearly 2*r*n here: a list that
+    # trusted a bound of r*n a slot would miss pairs at slots 7 to 11
+    @example(
+        shell=ConstellationParams(6, 8, 80.0, 550.0, phasing_factor=1),
+        slot_duration_s=5.0, num_slots=30, lisl_range_km=4000.0, stations=[(40.7, -74.0)],
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_slot_edges_equal_fresh_snapshots(
+        self, shell, slot_duration_s, num_slots, lisl_range_km, stations
+    ):
+        sc = scenario(lisl_range_km=lisl_range_km, gs_range_km=2000.0,
+                      slot_duration_s=slot_duration_s, num_slots=num_slots)
+        ground = [
+            GroundStation(shell.num_satellites + k, f"gs{k}", lat, lon)
+            for k, (lat, lon) in enumerate(stations)
+        ]
+        gs_ids = [gs.id for gs in ground]
+        got = list(slot_edges(shell, ground, sc))
+        assert len(got) == num_slots
+        for slot, columns in enumerate(got, start=1):
+            gs_pos = [ground_station_position(gs, slot, slot_duration_s) for gs in ground]
+            sat_pos = satellite_positions(shell, slot, slot_duration_s)
+            want = build_snapshot(sat_pos, gs_ids, gs_pos, sc)
+            for a, b in zip(columns, want):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+
+    @given(
+        shell=small_shells(),
+        slot_duration_s=slot_durations,
+        slots=st.tuples(st.integers(1, 40), st.integers(0, 40)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_motion_bound(self, shell, slot_duration_s, slots):
+        # the list's invariant: a satellite moves at most r*n*dt a slot, as the
+        # crow flies; each satellite of a pair gets half of the slack
+        s0, ahead = slots
+        start = satellite_positions(shell, s0, slot_duration_s)
+        end = satellite_positions(shell, s0 + ahead, slot_duration_s)
+        arc_km = shell.orbit_radius_km * shell.mean_motion_rad_s * ahead * slot_duration_s
+        moved = np.sqrt(((end - start) ** 2).sum(axis=1))
+        assert moved.max() <= arc_km + MOTION_SLACK_KM / 2
