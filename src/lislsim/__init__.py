@@ -6,7 +6,6 @@ from .constellation import (
     ConstellationParams,
     GroundStation,
     ScenarioParams,
-    build_snapshot,
     generate_series,
 )
 from .topology import (

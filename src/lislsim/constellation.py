@@ -4,9 +4,9 @@ Satellites move on circular Keplerian orbits around a spherical Earth;
 ground stations ride the Earth's sidereal rotation. A snapshot of the
 network at a slot contains every feasible laser inter-satellite link and
 ground-satellite link, each carrying a propagation-plus-node delay in ms.
-``build_snapshot`` builds one snapshot from given positions; ``slot_edges``
-builds every slot of a shell, finding the satellite pairs through one
-neighbour list that serves several slots (see there).
+``slot_edges`` builds every slot of a shell: one range gate,
+``kernels.pairs_in_range``, keeps both link kinds, and the satellite pairs
+it gates come from one neighbour list that serves several slots (see there).
 
 ``field_values`` reads parameter dataclasses from text by their field
 annotations; the config reader and the series-file header share it.
@@ -184,42 +184,6 @@ def delay_ms(distance_km: np.ndarray, node_delay_ms: float) -> np.ndarray:
     return distance_km / SPEED_OF_LIGHT_KM_S * 1000.0 + node_delay_ms
 
 
-def build_snapshot(
-    sat_pos: np.ndarray,
-    gs_ids: np.ndarray,
-    gs_pos: np.ndarray,
-    scenario: ScenarioParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge columns ``(u, v, delay_ms)`` of all feasible edges among the given nodes.
-
-    ``sat_pos`` holds one row per satellite, whose node id is its row index;
-    ground station ``gs_ids[k]`` sits at ``gs_pos[k]`` and must come after
-    every satellite id. Satellite pairs connect when their distance is <= the
-    LISL range, ground-satellite pairs when <= the GS range (both inclusive);
-    ground stations never connect to each other. ``SnapshotSeries`` and
-    ``export_series`` put the edges in canonical order and quantize the delays.
-    """
-    sat_pos = np.asarray(sat_pos, dtype=np.float64).reshape(-1, 3)
-    sat_pairs = kernels.pair_edges(sat_pos, scenario.lisl_range_km)
-    return _edge_columns(sat_pairs, sat_pos, gs_ids, gs_pos, scenario)
-
-
-def _edge_columns(sat_pairs, sat_pos, gs_ids, gs_pos, scenario: ScenarioParams):
-    """``build_snapshot``'s columns from its satellite pairs ``(i, j, d2)``."""
-    gs_ids = np.asarray(gs_ids, dtype=np.int64)
-    gs_pos = np.asarray(gs_pos, dtype=np.float64).reshape(-1, 3)
-    if gs_ids.size and gs_ids.min() < sat_pos.shape[0]:
-        raise ValueError("ground station ids must come after all satellite ids")
-
-    si, sj, sat_d2 = sat_pairs
-    gi, gj, gs_d2 = kernels.cross_edges(gs_pos, sat_pos, scenario.gs_range_km)
-
-    u = np.concatenate([si, gj])
-    v = np.concatenate([sj, gs_ids[gi]])
-    dist = np.sqrt(np.concatenate([sat_d2, gs_d2]))
-    return u, v, delay_ms(dist, scenario.node_delay_ms)
-
-
 # The satellite neighbour list's skin, as a share of the laser range. At the
 # stock shell (1500 km, 1 s slots, pairs close in by at most 15.2 km a slot)
 # one list serves 10 slots. 600 stock slots took 1.0 s at 5%, 0.76 s at 10%
@@ -244,21 +208,32 @@ def slot_edges(
     ground_stations: list[GroundStation],
     scenario: ScenarioParams,
 ):
-    """Propagate the constellation and yield each slot's ``build_snapshot`` columns, slot 1 first.
+    """Propagate the constellation and yield each slot's edge columns
+    ``(u, v, delay_ms)``, slot 1 first.
+
+    A satellite's id is its row in ``satellite_positions``. Each slot stacks
+    the satellite positions and then the station positions into one array,
+    and ``kernels.pairs_in_range`` gates both link kinds on it: satellite
+    pairs at the laser range R, and every (station, satellite) pair,
+    station-major, at the GS range (both inclusive). Ground stations never
+    connect to each other. ``SnapshotSeries`` and ``export_series`` put the
+    edges in canonical order and quantize the delays.
 
     The satellite pairs come from one neighbour list with a skin (a Verlet
     list). ``kernels.pair_edges`` lists every pair within ``R + skin`` of
-    each other at slot b (R the laser range), and each slot s keeps the
-    listed pairs within R (``kernels.pairs_in_range``). Orbits are circular,
-    so over ``k`` slots a satellite's chord is at most its arc ``r*n*k*dt``
-    and a pair's distance changes by at most twice that. The list therefore
-    holds every pair in range at slot s while
+    each other at slot b, and each slot s keeps the listed pairs within R.
+    Orbits are circular, so over ``k`` slots a satellite's chord is at most
+    its arc ``r*n*k*dt`` and a pair's distance changes by at most twice
+    that. The list therefore holds every pair in range at slot s while
     ``2*r*n*(s - b)*dt + MOTION_SLACK_KM <= skin``, and is rebuilt at the
     first slot that breaks this (every slot, for slots long enough). Both
-    steps compute d2 with the same arithmetic, so the columns are bit-equal
-    to ``build_snapshot``'s on each slot's positions.
+    steps compute d2 with the same arithmetic, so the satellite pairs are
+    bit-equal to a fresh ``pair_edges`` at R on each slot's positions.
     """
+    num_sats = params.num_satellites
     gs_ids = np.array([gs.id for gs in ground_stations], dtype=np.int64)
+    gs_rows = np.repeat(np.arange(num_sats, num_sats + gs_ids.size), num_sats)
+    gs_sats = np.tile(np.arange(num_sats, dtype=np.int32), gs_ids.size)
     range_km = scenario.lisl_range_km
     skin_km = SKIN_FRACTION * range_km
     closing_km = 2.0 * params.orbit_radius_km * params.mean_motion_rad_s * scenario.slot_duration_s
@@ -268,11 +243,18 @@ def slot_edges(
         if not built or closing_km * (slot - built) + MOTION_SLACK_KM > skin_km:
             near_i, near_j, _ = kernels.pair_edges(sat_pos, range_km + skin_km)
             built = slot
-        sat_pairs = kernels.pairs_in_range(sat_pos, near_i, near_j, range_km)
-        gs_pos = [
-            ground_station_position(gs, slot, scenario.slot_duration_s) for gs in ground_stations
-        ]
-        yield _edge_columns(sat_pairs, sat_pos, gs_ids, gs_pos, scenario)
+        pos = np.vstack(
+            [sat_pos]
+            + [ground_station_position(gs, slot, scenario.slot_duration_s) for gs in ground_stations]
+        )
+        si, sj, sat_d2 = kernels.pairs_in_range(pos, near_i, near_j, range_km)
+        gi, gj, gs_d2 = kernels.pairs_in_range(pos, gs_rows, gs_sats, scenario.gs_range_km)
+        dist = np.sqrt(np.concatenate([sat_d2, gs_d2]))
+        yield (
+            np.concatenate([si, gj]),
+            np.concatenate([sj, gs_ids[gi - num_sats]]),
+            delay_ms(dist, scenario.node_delay_ms),
+        )
 
 
 def generate_series(

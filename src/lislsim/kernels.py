@@ -1,8 +1,10 @@
 """Hot numerical kernels: range-gated pair extraction and CSR shortest routes.
 
-``pair_edges`` finds the point pairs in range on a cell grid and gates its
-candidates with ``pairs_in_range``, so any candidate list that holds every
-pair in range gates to exactly ``pair_edges``' pairs and squared distances.
+``pairs_in_range`` is the one range gate: it keeps the candidate pairs of
+a list within a range. ``pair_edges`` finds the point pairs in range on a
+cell grid and gates its candidates with it, so any candidate list that holds
+every pair in range gates to exactly ``pair_edges``' pairs and squared
+distances.
 
 Pure numpy / heapq. The kernels stay a module of their own so that the
 benchmark harness (``perfbench/``) can time each of them by name.
@@ -88,6 +90,8 @@ def pairs_in_range(pos: np.ndarray, i: np.ndarray, j: np.ndarray, range_km: floa
     ``(x_i-x_j)**2 + (y_i-y_j)**2 + (z_i-z_j)**2`` summed in that order and a
     pair is kept when ``d2 <= range_km * range_km``: the arithmetic of
     ``pair_edges``, which calls this on its grid candidates.
+    ``constellation.slot_edges`` calls it on its satellite neighbour list and
+    on its (station, satellite) pairs.
     """
     x, y, z = pos.T.copy()
     a, b = np.asarray(i, np.intp), np.asarray(j, np.intp)  # cast once, not per gather
@@ -96,24 +100,6 @@ def pairs_in_range(pos: np.ndarray, i: np.ndarray, j: np.ndarray, range_km: floa
     d2 += (z[a] - z[b]) ** 2
     keep = d2 <= range_km * range_km
     return i[keep], j[keep], d2[keep]
-
-
-def cross_edges(pos_a: np.ndarray, pos_b: np.ndarray, range_km: float):
-    """Index pairs (a, b) across two point sets within range_km.
-
-    Small bipartite case (ground stations x satellites). Returns
-    (a_idx, b_idx, squared_distance) ordered by (a, b).
-    """
-    pos_a = np.asarray(pos_a, dtype=np.float64)
-    pos_b = np.asarray(pos_b, dtype=np.float64)
-    if pos_a.size == 0 or pos_b.size == 0:
-        empty = np.empty(0, np.int32)
-        return empty, empty.copy(), np.empty(0, np.float64)
-    d2 = (pos_a[:, 0][:, None] - pos_b[:, 0][None, :]) ** 2
-    d2 += (pos_a[:, 1][:, None] - pos_b[:, 1][None, :]) ** 2
-    d2 += (pos_a[:, 2][:, None] - pos_b[:, 2][None, :]) ** 2
-    a_idx, b_idx = np.nonzero(d2 <= range_km * range_km)
-    return a_idx.astype(np.int32), b_idx.astype(np.int32), d2[a_idx, b_idx]
 
 
 def shortest_route(indptr, nbr, wgt, src: int, dst: int) -> np.ndarray:

@@ -172,11 +172,17 @@ def _canonical_slot(roster: NodeRoster, slot: int, u, v, delay_ms):
 
     The slot is sorted (stably) only when its records are not in key order
     already. Raises ``ValueError("slot k: ...")`` naming the first edge rule
-    the slot breaks, or when its columns are not 1-D of one length.
+    the slot breaks, or when its columns are not 1-D of one length, or when
+    its ids are not integers (bool included). Empty columns of any dtype are
+    an empty slot.
     """
     u, v, delay_ms = np.asarray(u), np.asarray(v), np.asarray(delay_ms, dtype=np.float64)
     if not u.shape == v.shape == delay_ms.shape == (u.size,):
         raise ValueError(f"slot {slot}: edge columns differ in length")
+    if u.size and not (u.dtype.kind in "iu" and v.dtype.kind in "iu"):
+        raise ValueError(f"slot {slot}: node ids must be integers")
+    # a uint64 id at or above 2**63 turns negative here and breaks the id rule
+    u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     delay = np.round(delay_ms, 9)
     keys = pack_keys(lo, hi)
@@ -196,8 +202,8 @@ class SnapshotSeries:
     first. The edges of slot k are records ``offsets[k-1]:offsets[k]`` of the
     read-only ``keys`` and ``delay_ms`` columns; ``u`` and ``v`` are int32
     views of the keys' halves. Each slot passes ``_canonical_slot``, the one
-    home of the edge rules: every endpoint is a satellite or a roster
-    station, no self-loop, no ground-to-ground edge, no duplicate edge in a
+    home of the edge rules: every endpoint is an integer id of a satellite
+    or a roster station, no self-loop, no ground-to-ground edge, no duplicate edge in a
     slot, and a finite positive delay below ``MAX_DELAY_MS`` once quantized
     to 9 fractional digits.
     """
@@ -207,9 +213,9 @@ class SnapshotSeries:
 
     def __init__(self, scenario: ScenarioParams, roster: NodeRoster, slots):
         n = scenario.num_slots
-        slots = list(slots)
+        slots = list(itertools.islice(slots, n + 1))  # one slot too many is enough to know
         if len(slots) != n:
-            raise ValueError(f"expected {n} slots, got {len(slots)}")
+            raise ValueError(f"expected {n} slots, got {len(slots)}" + " or more" * (len(slots) > n))
         offsets = np.cumsum([0] + [np.size(u) for u, _, _ in slots], dtype=np.int64)
         self.keys = np.empty(offsets[-1], "<i8")
         self.delay_ms = np.empty(offsets[-1], np.float64)
@@ -338,8 +344,9 @@ def export_series(slots, path, scenario: ScenarioParams, roster: NodeRoster) -> 
     written as it arrives, so memory stays bounded by one slot. The text goes
     to a sibling file that replaces ``path`` once all ``scenario.num_slots``
     slots are written: a run that fails, or brings another count, leaves
-    ``path`` as it was.
+    ``path`` as it was. At most one slot past the count is read.
     """
+    n = scenario.num_slots
     lines = [_MAGIC]
     lines.append(" ".join(["scenario"] + [f"{f.name}={getattr(scenario, f.name)}"
                                           for f in fields(scenario)]))
@@ -351,12 +358,14 @@ def export_series(slots, path, scenario: ScenarioParams, roster: NodeRoster) -> 
     try:
         with open(partial, "wb") as fh:
             fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-            for slot, edges in enumerate(slots, start=1):
+            for slot, edges in enumerate(itertools.islice(slots, n + 1), start=1):
+                if slot > n:
+                    break
                 keys, delay_ms = _canonical_slot(roster, slot, *edges)
                 fh.write(_slot_records(slot, keys, delay_ms))
                 records += keys.size
-        if slot != scenario.num_slots:
-            raise ValueError(f"expected {scenario.num_slots} slots, got {slot}")
+        if slot != n:
+            raise ValueError(f"expected {n} slots, got {slot}" + " or more" * (slot > n))
         os.replace(partial, path)
     except BaseException:
         if os.path.exists(partial):

@@ -1,6 +1,7 @@
 """Exhaustive cross-checks of ``lislsim.oracle``: brute-force optima, route
 enumeration on small series, and random delay matrices; plus per-edge
-references for the edge lifetimes and ISASR."""
+references for the edge lifetimes and ISASR, and a one-slot edge builder
+for ``constellation.slot_edges``."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import itertools
 
 import numpy as np
 
+from lislsim import kernels
+from lislsim.constellation import ScenarioParams, delay_ms
 from lislsim.metrics import slot_order_sum
 from lislsim.oracle import route_delay_matrix, validate_delay_matrix
 from lislsim.routing import Route, dijkstra
@@ -188,3 +191,31 @@ def reference_isasr(
             for edge in pairs:
                 activeness[edge] = eta_s_ms if min(ends) == snap.slot else 0.0
     return routes
+
+
+def build_snapshot(
+    sat_pos: np.ndarray,
+    gs_ids: np.ndarray,
+    gs_pos: np.ndarray,
+    scenario: ScenarioParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge columns ``(u, v, delay_ms)`` of all feasible edges among the given nodes.
+
+    ``sat_pos`` holds one row per satellite, whose node id is its row index;
+    ground station ``gs_ids[k]`` sits at ``gs_pos[k]``. Satellite pairs come
+    from a fresh ``kernels.pair_edges`` at the LISL range; station-satellite
+    pairs from a dense station x satellite matrix of squared distances, kept
+    within the GS range (both inclusive) in (station, satellite) order.
+    """
+    sat_pos = np.asarray(sat_pos, dtype=np.float64).reshape(-1, 3)
+    gs_ids = np.asarray(gs_ids, dtype=np.int64)
+    gs_pos = np.asarray(gs_pos, dtype=np.float64).reshape(-1, 3)
+    si, sj, sat_d2 = kernels.pair_edges(sat_pos, scenario.lisl_range_km)
+    gs_d2 = (gs_pos[:, 0][:, None] - sat_pos[:, 0][None, :]) ** 2
+    gs_d2 += (gs_pos[:, 1][:, None] - sat_pos[:, 1][None, :]) ** 2
+    gs_d2 += (gs_pos[:, 2][:, None] - sat_pos[:, 2][None, :]) ** 2
+    gi, gj = np.nonzero(gs_d2 <= scenario.gs_range_km * scenario.gs_range_km)
+    u = np.concatenate([si, gj.astype(np.int32)])
+    v = np.concatenate([sj, gs_ids[gi]])
+    dist = np.sqrt(np.concatenate([sat_d2, gs_d2[gi, gj]]))
+    return u, v, delay_ms(dist, scenario.node_delay_ms)

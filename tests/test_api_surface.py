@@ -10,6 +10,9 @@ as used once either of them is.
 Exempt are the library entry points that the README "Library use" example
 imports (read from README.md, and each must exist), dunder methods, and
 overrides of a base-class method (the base class calls them).
+
+Every name a module other than ``__init__.py`` imports is read in it, so a
+deletion leaves no import behind.
 """
 
 import ast
@@ -125,3 +128,29 @@ def test_every_library_entry_point_exists():
     assert LIBRARY_ENTRY_POINTS, "README 'Library use' imports nothing from lislsim"
     missing = sorted(name for name in LIBRARY_ENTRY_POINTS if not hasattr(lislsim, name))
     assert not missing, "README 'Library use' imports names lislsim lacks: " + ", ".join(missing)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads (``__future__`` imports aside)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_every_import_is_used():
+    # __init__.py imports to re-export; every other module imports to use
+    unused = [
+        entry
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for entry in _unused_imports(path)
+    ]
+    assert not unused, "imported but never used: " + ", ".join(unused)

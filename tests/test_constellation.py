@@ -15,7 +15,6 @@ from lislsim.constellation import (
     ConstellationParams,
     GroundStation,
     ScenarioParams,
-    build_snapshot,
     generate_series,
     ground_station_position,
     satellite_positions,
@@ -23,6 +22,8 @@ from lislsim.constellation import (
 )
 from lislsim.routing import Route
 from lislsim.topology import NodeRoster, SnapshotSeries
+
+from brute_force import build_snapshot
 
 
 def edge_delay(snap, a, b):
@@ -236,22 +237,35 @@ class TestNeighbourList:
         num_slots=st.integers(1, 40),
         lisl_range_km=st.floats(100.0, 12000.0),
         stations=st.lists(st.tuples(st.floats(-90.0, 90.0), st.floats(-179.0, 180.0)), max_size=2),
+        reverse_ids=st.booleans(),
     )
     # pairs in crossing planes close in at nearly 2*r*n here: a list that
     # trusted a bound of r*n a slot would miss pairs at slots 7 to 11
     @example(
         shell=ConstellationParams(6, 8, 80.0, 550.0, phasing_factor=1),
         slot_duration_s=5.0, num_slots=30, lisl_range_km=4000.0, stations=[(40.7, -74.0)],
+        reverse_ids=False,
+    )
+    @example(
+        shell=ConstellationParams(6, 8, 80.0, 550.0, phasing_factor=1),
+        slot_duration_s=5.0, num_slots=3, lisl_range_km=4000.0, stations=[], reverse_ids=False,
+    )
+    # both stations see satellites in every slot, so swapped ids show in the columns
+    @example(
+        shell=ConstellationParams(12, 16, 53.0, 550.0),
+        slot_duration_s=30.0, num_slots=4, lisl_range_km=2000.0,
+        stations=[(10.0, 20.0), (-30.0, 50.0)], reverse_ids=True,
     )
     @settings(max_examples=150, deadline=None)
     def test_slot_edges_equal_fresh_snapshots(
-        self, shell, slot_duration_s, num_slots, lisl_range_km, stations
+        self, shell, slot_duration_s, num_slots, lisl_range_km, stations, reverse_ids
     ):
         sc = scenario(lisl_range_km=lisl_range_km, gs_range_km=2000.0,
                       slot_duration_s=slot_duration_s, num_slots=num_slots)
+        ids = range(shell.num_satellites, shell.num_satellites + len(stations))
         ground = [
-            GroundStation(shell.num_satellites + k, f"gs{k}", lat, lon)
-            for k, (lat, lon) in enumerate(stations)
+            GroundStation(gs_id, f"gs{k}", lat, lon)
+            for k, (gs_id, (lat, lon)) in enumerate(zip(reversed(ids) if reverse_ids else ids, stations))
         ]
         gs_ids = [gs.id for gs in ground]
         got = list(slot_edges(shell, ground, sc))

@@ -1,5 +1,6 @@
 """Snapshots, lifetime indexing, and the series file format."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -100,6 +101,54 @@ class TestSeriesInput:
         scenario = ScenarioParams(1.0, 1.0, 0.0, 1.0, num_slots=2)
         with pytest.raises(ValueError, match="slot 2: edge columns differ in length"):
             SnapshotSeries(scenario, NodeRoster(4), [_EDGE, slot])
+
+
+def _through_sink(sink, tmp_path, slots) -> SnapshotSeries:
+    """A three-slot series over 4 satellites, built or written and read back."""
+    scenario = ScenarioParams(1.0, 1.0, 0.0, 1.0, num_slots=3)
+    if sink == "constructor":
+        return SnapshotSeries(scenario, NodeRoster(4), slots)
+    path = tmp_path / "sink.series"
+    try:
+        export_series(slots, path, scenario, NodeRoster(4))
+    finally:
+        assert list(tmp_path.iterdir()) in ([], [path])  # no .partial left behind
+    return import_series(path)
+
+
+def _counted(slots, drawn: list):
+    """``slots``, appending each to ``drawn``; fails past one slot too many."""
+    for slot in slots:
+        drawn.append(slot)
+        assert len(drawn) <= 4, "a sink read past one slot too many"
+        yield slot
+
+
+@pytest.mark.parametrize("sink", ["constructor", "export"])
+class TestBothSinks:
+    """Both series sinks apply one set of column rules and read at most one extra slot."""
+
+    @pytest.mark.parametrize("slot,error", [
+        (([0.0], [1.0], [1.0]), "node ids must be integers"),
+        (([False], [True], [1.0]), "node ids must be integers"),
+        ((np.array([0], np.uint64), np.array([2**63], np.uint64), [1.0]), "unknown node id"),
+    ], ids=["float-ids", "bool-ids", "uint64-id-past-int64"])
+    def test_ids_must_be_integers_in_range(self, sink, tmp_path, slot, error):
+        with pytest.raises(ValueError, match=f"slot 2: {error}"):
+            _through_sink(sink, tmp_path, [_EDGE, slot, _EDGE])
+
+    def test_uint64_ids_and_empty_lists_accepted(self, sink, tmp_path):
+        uint64_edge = (np.array([1], np.uint64), np.array([0], np.uint64), [1.0])
+        got = _through_sink(sink, tmp_path, [uint64_edge, ([], [], []), _EDGE])
+        want = series_from_edges([{(0, 1): 1.0}, {}, {(0, 1): 1.0}], num_satellites=4)
+        for col in ("offsets", "keys", "delay_ms"):
+            assert np.array_equal(getattr(got, col), getattr(want, col)), col
+
+    def test_endless_slots_read_one_past_the_count(self, sink, tmp_path):
+        drawn = []
+        with pytest.raises(ValueError, match="expected 3 slots, got 4 or more"):
+            _through_sink(sink, tmp_path, _counted(itertools.repeat(_EDGE), drawn))
+        assert len(drawn) == 4
 
 
 class TestRoster:
