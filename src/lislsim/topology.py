@@ -13,14 +13,17 @@ same raw ``(u, v, delay_ms)`` columns of each slot and put each slot through
 ``_canonical_slot``, the one home of the edge rules.
 ``export_series``/``import_series`` define the line-oriented interchange
 format for externally generated topologies; the writer writes each slot as
-it arrives, so ``generate`` never holds a series.
+it arrives, so ``generate`` never holds a series, and the reader hands each
+slot to the constructor once parsed, so an import holds the columns plus
+about one block of text and one slot.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import os
-import warnings
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -211,20 +214,40 @@ class SnapshotSeries:
     __slots__ = ("scenario", "roster", "offsets", "keys", "u", "v", "delay_ms", "snapshots",
                  "_runs")
 
-    def __init__(self, scenario: ScenarioParams, roster: NodeRoster, slots):
+    def __init__(self, scenario: ScenarioParams, roster: NodeRoster, slots, *,
+                 max_records: int | None = None):
+        """Take each slot as it arrives, canonical, into the columns.
+
+        ``max_records`` is an upper bound on the record count, where the
+        caller knows one (``import_series`` takes it from the file size): the
+        columns are then allocated once. Without it they grow geometrically.
+        Either way they are trimmed to the records at the end, and a raw slot
+        is dropped once it is copied, so memory stays at the columns plus
+        about one slot. At most one slot past ``scenario.num_slots`` is read.
+        """
         n = scenario.num_slots
-        slots = list(itertools.islice(slots, n + 1))  # one slot too many is enough to know
-        if len(slots) != n:
-            raise ValueError(f"expected {n} slots, got {len(slots)}" + " or more" * (len(slots) > n))
-        offsets = np.cumsum([0] + [np.size(u) for u, _, _ in slots], dtype=np.int64)
-        self.keys = np.empty(offsets[-1], "<i8")
-        self.delay_ms = np.empty(offsets[-1], np.float64)
-        for slot, (u, v, delay_ms) in enumerate(slots, start=1):
-            span = slice(offsets[slot - 1], offsets[slot])
-            self.keys[span], self.delay_ms[span] = _canonical_slot(roster, slot, u, v, delay_ms)
+        keys = np.empty(max_records or 0, "<i8")
+        delay_ms = np.empty(keys.size, np.float64)
+        offsets = [0]
+        for slot, (u, v, delay) in enumerate(itertools.islice(slots, n + 1), start=1):
+            if slot > n:
+                raise ValueError(f"expected {n} slots, got {slot} or more")
+            slot_keys, slot_delay = _canonical_slot(roster, slot, u, v, delay)
+            start, end = offsets[-1], offsets[-1] + slot_keys.size
+            if end > keys.size:  # by an eighth: resize writes zeros over the new tail
+                size = max(end, keys.size + keys.size // 8)
+                keys.resize(size, refcheck=False)  # a realloc: nothing views the columns yet
+                delay_ms.resize(size, refcheck=False)
+            keys[start:end], delay_ms[start:end] = slot_keys, slot_delay
+            offsets.append(end)
+        if len(offsets) <= n:
+            raise ValueError(f"expected {n} slots, got {len(offsets) - 1}")
+        keys.resize(offsets[-1], refcheck=False)
+        delay_ms.resize(offsets[-1], refcheck=False)
         self.scenario = scenario
         self.roster = roster
-        self.offsets = offsets
+        self.offsets = np.array(offsets, np.int64)
+        self.keys, self.delay_ms = keys, delay_ms
         for arr in (self.offsets, self.keys, self.delay_ms):
             arr.setflags(write=False)
         halves = self.keys.view(np.dtype([("v", "<i4"), ("u", "<i4")]))  # v: the low word
@@ -414,60 +437,126 @@ def _read_header(fh) -> tuple[ScenarioParams, NodeRoster, str]:
 
 _RECORD = np.dtype([("slot", "i8"), ("u", "i8"), ("v", "i8"), ("delay", "f8")])
 
+# Characters of record text parsed at a time. ``np.loadtxt`` reads each block
+# through an ``io.StringIO``, which takes 4 bytes a character.
+_BLOCK = 2**16
 
-def _edge_lines(lines, markers: list[str]):
-    """Lines for ``np.loadtxt``; each ``"<slot> - - -"`` marker is appended to
-    ``markers`` and becomes the sentinel record ``"<slot> -1 -1 nan"``."""
-    for line in lines:
-        if "-" in line:
-            parts = line.split()
-            if parts[1:] == ["-", "-", "-"]:
-                markers.append(line)
-                line = f"{parts[0]} -1 -1 nan"
-        yield line
+# The empty-slot marker "<slot> - - -", rewritten as the record
+# "<slot> -1 -1 nan"; "\s" is the whitespace str.split() and np.loadtxt split on.
+_MARKER = re.compile(r"^[^\S\n]*(\S+)[^\S\n]+-[^\S\n]+-[^\S\n]+-[^\S\n]*$", re.MULTILINE)
+_ROW = re.compile(r"\bat row (\d+)")
+
+
+def _blocks(fh, text: str):
+    """``text`` and then the rest of ``fh``, in blocks of whole lines: each
+    read of ``_BLOCK`` characters up to its last newline, after what is left
+    of the line that the reads before it started."""
+    parts = [text]
+    while more := fh.read(_BLOCK):
+        cut = more.rfind("\n") + 1
+        if cut:
+            parts.append(more[:cut])
+            yield "".join(parts)
+            parts = []
+        parts.append(more[cut:])
+    if tail := "".join(parts):
+        yield tail
+
+
+def _is_marker(rec: np.ndarray) -> np.ndarray:
+    """Which records read as the rewritten empty-slot marker."""
+    return (rec["u"] == -1) & (rec["v"] == -1) & np.isnan(rec["delay"])
+
+
+def _slot_edges(parts: list[np.ndarray]):
+    """One slot's ``(u, v, delay)`` columns from the parts of its records;
+    None when the slot holds a marker and another record."""
+    rec = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if np.any(_is_marker(rec)):
+        if rec.size > 1:
+            return None
+        rec = rec[:0]
+    return rec["u"], rec["v"], rec["delay"]
+
+
+def _slot_columns(blocks, num_slots: int):
+    """The raw ``(u, v, delay)`` columns of slots 1..``num_slots``, each
+    yielded once complete, from blocks of record lines.
+
+    A slot may run on over any number of blocks. Faults rank as if the whole
+    file were checked at once: the first malformed record, then slots out of
+    order, non-consecutive slots, a last slot other than the header's, a
+    record that reads as a marker without being one, and the first slot that
+    holds a marker and another record. After a fault no slot is yielded, and
+    the reader goes on to the end of the file to raise the highest.
+    """
+    done = last = 0  # records in earlier blocks, and the last one's slot
+    parts: list[np.ndarray] = []  # records of the open slot, slot `last`
+    out_of_order = gap = forged = False
+    crowded = 0  # the first slot whose marker is not its only record
+    for text in blocks:
+        if text.isspace():  # np.loadtxt would warn of a block without records
+            continue
+        text, markers = _MARKER.subn(r"\1 -1 -1 nan", text) if "-" in text else (text, 0)
+        try:
+            rec = np.loadtxt(io.StringIO(text), dtype=_RECORD, comments=None, ndmin=1)
+        except ValueError as exc:  # numpy counts rows from the block's first record
+            where = _ROW.sub(lambda m: f"at row {int(m[1]) + done}", str(exc))
+            raise ValueError(f"malformed edge record: {where}") from exc
+        slot = rec["slot"]
+        if not done:
+            gap, last = bool(slot[0] != 1), int(slot[0])
+        steps = np.diff(slot, prepend=last)
+        done, last = done + rec.size, int(slot[-1])
+        out_of_order |= bool(steps.min() < 0)
+        gap |= bool(steps.max() > 1)
+        forged |= int(np.count_nonzero(_is_marker(rec))) != markers
+        if out_of_order or gap or forged or crowded or last > num_slots:
+            continue
+        start = 0
+        for cut in steps.nonzero()[0].tolist():  # the first record of each new slot
+            parts.append(rec[start:cut])
+            edges = _slot_edges(parts)
+            if edges is None:
+                crowded = int(parts[0]["slot"][0])
+                break
+            parts, start = [], cut
+            yield edges
+        else:
+            parts.append(rec[start:])
+    if out_of_order:
+        raise ValueError("slots out of order")
+    if gap:
+        raise ValueError("non-consecutive slots")
+    if last != num_slots:
+        raise ValueError(f"file covers slots 1..{last} but header says {num_slots}")
+    if forged:
+        raise ValueError("unknown node id -1")
+    edges = None if crowded else _slot_edges(parts)
+    if edges is None:
+        raise ValueError(f"empty-slot marker for non-empty slot {crowded or last}")
+    yield edges
 
 
 def import_series(path) -> SnapshotSeries:
     """Parse and fully validate a series file; raises only SeriesFormatError.
 
-    One ``np.loadtxt`` call reads every edge record; the importer checks the
-    slot column and ``SnapshotSeries`` applies the edge rules.
+    ``np.loadtxt`` parses the records in blocks of whole lines, and each slot
+    goes to ``SnapshotSeries`` once complete, into columns allocated once for
+    the most records the file can hold (a record line has at least 7
+    characters). So the import holds the columns plus about one block and
+    one slot. ``SnapshotSeries`` applies the edge rules.
     """
-    markers: list[str] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             scenario, roster, line = _read_header(fh)
+            slots = _slot_columns(_blocks(fh, line), scenario.num_slots)
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # a file without records
-                    rec = np.loadtxt(
-                        _edge_lines(itertools.chain([line], fh), markers),
-                        dtype=_RECORD, comments=None, ndmin=1,
-                    )
-            except ValueError as exc:
-                raise ValueError(f"malformed edge record: {exc}") from exc
-        slot = rec["slot"]
-        steps = np.diff(slot)
-        if np.any(steps < 0):
-            raise ValueError("slots out of order")
-        if np.any(slot[:1] != 1) or np.any(steps > 1):
-            raise ValueError("non-consecutive slots")
-        last = int(slot[-1]) if slot.size else 0
-        if last != scenario.num_slots:
-            raise ValueError(f"file covers slots 1..{last} but header says {scenario.num_slots}")
-        is_marker = (rec["u"] == -1) & (rec["v"] == -1) & np.isnan(rec["delay"])
-        if np.count_nonzero(is_marker) != len(markers):
-            raise ValueError("unknown node id -1")
-        per_slot = np.diff(np.searchsorted(slot, np.arange(1, last + 2)))
-        marked = slot[is_marker]
-        crowded = marked[per_slot[marked - 1] > 1]
-        if crowded.size:
-            raise ValueError(f"empty-slot marker for non-empty slot {crowded[0]}")
-
-        if markers:
-            rec = rec[~is_marker]
-        ends = np.searchsorted(rec["slot"], np.arange(1, last + 2)).tolist()
-        slots = (rec[a:b] for a, b in zip(ends, ends[1:]))
-        return SnapshotSeries(scenario, roster, ((r["u"], r["v"], r["delay"]) for r in slots))
+                return SnapshotSeries(scenario, roster, slots,
+                                      max_records=os.path.getsize(path) // 7 + 1)
+            except ValueError:
+                for _ in slots:  # a fault later in the file outranks a slot's edge rule
+                    pass
+                raise
     except ValueError as exc:  # includes bad UTF-8 and records np.loadtxt cannot parse
         raise SeriesFormatError(str(exc)) from exc

@@ -1,11 +1,13 @@
 """Exhaustive cross-checks of ``lislsim.oracle``: brute-force optima, route
 enumeration on small series, and random delay matrices; plus per-edge
-references for the edge lifetimes and ISASR, and a one-slot edge builder
-for ``constellation.slot_edges``."""
+references for the edge lifetimes and ISASR, a one-slot edge builder
+for ``constellation.slot_edges``, and a one-pass series file reader for
+``topology.import_series``."""
 
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 
@@ -14,7 +16,7 @@ from lislsim.constellation import ScenarioParams, delay_ms
 from lislsim.metrics import slot_order_sum
 from lislsim.oracle import route_delay_matrix, validate_delay_matrix
 from lislsim.routing import Route, dijkstra
-from lislsim.topology import SnapshotSeries
+from lislsim.topology import SeriesFormatError, SnapshotSeries, _read_header
 
 # Most assignments ``brute_force_optimal`` enumerates (routes ** slots).
 BRUTE_FORCE_CAP = 10_000_000
@@ -219,3 +221,61 @@ def build_snapshot(
     v = np.concatenate([sj, gs_ids[gi]])
     dist = np.sqrt(np.concatenate([sat_d2, gs_d2[gi, gj]]))
     return u, v, delay_ms(dist, scenario.node_delay_ms)
+
+
+_RECORD = np.dtype([("slot", "i8"), ("u", "i8"), ("v", "i8"), ("delay", "f8")])
+
+
+def _edge_lines(lines, markers: list[str]):
+    """Lines for ``np.loadtxt``; each ``"<slot> - - -"`` marker is appended to
+    ``markers`` and becomes the sentinel record ``"<slot> -1 -1 nan"``."""
+    for line in lines:
+        if "-" in line:
+            parts = line.split()
+            if parts[1:] == ["-", "-", "-"]:
+                markers.append(line)
+                line = f"{parts[0]} -1 -1 nan"
+        yield line
+
+
+def import_series_reference(path) -> SnapshotSeries:
+    """The one-pass reader ``import_series`` replaced: one ``np.loadtxt`` call
+    over every record line into one structured array, checked as a whole."""
+    markers: list[str] = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            scenario, roster, line = _read_header(fh)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a file without records
+                    rec = np.loadtxt(
+                        _edge_lines(itertools.chain([line], fh), markers),
+                        dtype=_RECORD, comments=None, ndmin=1,
+                    )
+            except ValueError as exc:
+                raise ValueError(f"malformed edge record: {exc}") from exc
+        slot = rec["slot"]
+        steps = np.diff(slot)
+        if np.any(steps < 0):
+            raise ValueError("slots out of order")
+        if np.any(slot[:1] != 1) or np.any(steps > 1):
+            raise ValueError("non-consecutive slots")
+        last = int(slot[-1]) if slot.size else 0
+        if last != scenario.num_slots:
+            raise ValueError(f"file covers slots 1..{last} but header says {scenario.num_slots}")
+        is_marker = (rec["u"] == -1) & (rec["v"] == -1) & np.isnan(rec["delay"])
+        if np.count_nonzero(is_marker) != len(markers):
+            raise ValueError("unknown node id -1")
+        per_slot = np.diff(np.searchsorted(slot, np.arange(1, last + 2)))
+        marked = slot[is_marker]
+        crowded = marked[per_slot[marked - 1] > 1]
+        if crowded.size:
+            raise ValueError(f"empty-slot marker for non-empty slot {crowded[0]}")
+
+        if markers:
+            rec = rec[~is_marker]
+        ends = np.searchsorted(rec["slot"], np.arange(1, last + 2)).tolist()
+        slots = (rec[a:b] for a, b in zip(ends, ends[1:]))
+        return SnapshotSeries(scenario, roster, ((r["u"], r["v"], r["delay"]) for r in slots))
+    except ValueError as exc:  # includes bad UTF-8 and records np.loadtxt cannot parse
+        raise SeriesFormatError(str(exc)) from exc

@@ -12,7 +12,8 @@ imports (read from README.md, and each must exist), dunder methods, and
 overrides of a base-class method (the base class calls them).
 
 Every name a module other than ``__init__.py`` imports is read in it, so a
-deletion leaves no import behind.
+deletion leaves no import behind. ``lislsim.topology`` defines no public
+name beyond a pinned set, so its reader's helpers stay private.
 """
 
 import ast
@@ -154,3 +155,22 @@ def test_every_import_is_used():
         for entry in _unused_imports(path)
     ]
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+# every public name lislsim.topology defines; a new one needs a reason to be public
+TOPOLOGY_PUBLIC = {
+    "MAX_DELAY_MS", "NodeRoster", "SeriesFormatError", "Snapshot", "SnapshotSeries",
+    "export_series", "import_series", "pack_keys",
+}
+
+
+def test_topology_gains_no_public_name():
+    public = set()
+    for node in ast.parse((PACKAGE / "topology.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            public.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            public.update(t.id for t in targets if isinstance(t, ast.Name))
+    public = {name for name in public if not name.startswith("_")}
+    assert public == TOPOLOGY_PUBLIC, public ^ TOPOLOGY_PUBLIC

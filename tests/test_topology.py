@@ -1,14 +1,18 @@
 """Snapshots, lifetime indexing, and the series file format."""
 
 import itertools
+import os
+import re
 import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lislsim import topology
 from lislsim.constellation import ConstellationParams, GroundStation, ScenarioParams
 from lislsim.cli import main
 from lislsim.constellation import generate_series
@@ -21,7 +25,7 @@ from lislsim.topology import (
 )
 from lislsim.routing import Route
 
-from brute_force import reference_run_last
+from brute_force import import_series_reference, reference_run_last
 from conftest import head_series, one_slot, pair_positions, save_series
 from toyseries import dominance_toy_series, series_from_edges
 
@@ -101,6 +105,19 @@ class TestSeriesInput:
         scenario = ScenarioParams(1.0, 1.0, 0.0, 1.0, num_slots=2)
         with pytest.raises(ValueError, match="slot 2: edge columns differ in length"):
             SnapshotSeries(scenario, NodeRoster(4), [_EDGE, slot])
+
+    def test_memory_is_the_columns_and_about_one_slot(self, stock_head):
+        head = head_series(stock_head, 12)
+
+        def raw(snaps):  # fresh columns for each slot, as a slot generator makes them
+            return ((snap.u.astype(np.int64), snap.v.astype(np.int64), snap.delay_ms.copy())
+                    for snap in snaps)
+
+        big = max(head.snapshots, key=lambda snap: snap.edge_count)
+        one = _peak_bytes(SnapshotSeries, replace(head.scenario, num_slots=1), head.roster, raw([big]))
+        peak = _peak_bytes(SnapshotSeries, head.scenario, head.roster, raw(head.snapshots))
+        # the former constructor, which held every raw slot, peaked 6.1 MB over the columns here
+        assert peak < head.keys.nbytes + head.delay_ms.nbytes + 1.5 * one, (peak, one)
 
 
 def _through_sink(sink, tmp_path, slots) -> SnapshotSeries:
@@ -789,3 +806,167 @@ class TestRoundTripProperty:
         path = tmp_path_factory.mktemp("rt") / "x.series"
         save_series(series, path)
         assert import_series(path) == series
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: its series' parts, or its error message."""
+    try:
+        series = read(path)
+    except SeriesFormatError as exc:
+        return str(exc)
+    return (series.scenario, series.roster,
+            *(getattr(series, col).tolist() for col in ("offsets", "keys", "delay_ms")))
+
+
+def _blocks_of(path, block: int) -> list[str]:
+    """The blocks of record text the reader cuts a series file into."""
+    with patch.object(topology, "_BLOCK", block), open(path, encoding="utf-8") as fh:
+        return list(topology._blocks(fh, topology._read_header(fh)[2]))
+
+
+BLOCK_SIZES = range(8, 97)
+
+
+def _same_at_every_block_size(path):
+    """The outcome of the one-pass reader, after checking that the block
+    reader has it at every size in ``BLOCK_SIZES``."""
+    want = _outcome(import_series_reference, path)
+    for block in BLOCK_SIZES:
+        with patch.object(topology, "_BLOCK", block):
+            assert _outcome(import_series, path) == want, block
+    return want
+
+
+def _opens_a_block(path, line: str) -> bool:
+    """Whether ``line`` is the first line of a block, other than the first, at some size."""
+    return any(text.startswith(line) for block in BLOCK_SIZES
+               for text in _blocks_of(path, block)[1:])
+
+
+class TestBlockReader:
+    """``import_series`` parses the records in blocks; where they are cut never shows."""
+
+    def _canonical(self, tmp_path) -> tuple[str, str]:
+        """The header and the records of a toy file with empty slots and stations."""
+        series = series_from_edges(
+            [{(0, 6): 1.5, (1, 7): 0.123456789}, {}, {(0, 1): 3.0, (2, 3): 17.015625}, {}],
+            num_satellites=6, ground_stations=FUZZ_STATIONS,
+        )
+        save_series(series, tmp_path / "lf.series")
+        lines = (tmp_path / "lf.series").read_text().splitlines(keepends=True)
+        head = 3 + len(FUZZ_STATIONS)
+        return "".join(lines[:head]), "".join(lines[head:])
+
+    @pytest.mark.parametrize("variant", [
+        lambda head, rec: (head + rec).replace("\n", "\r\n"),
+        lambda head, rec: (head + rec).replace("\n", "\r"),
+        lambda head, rec: head + rec.replace(" ", "\t"),
+        lambda head, rec: head + re.sub(r"^", " \t ", rec, flags=re.M),
+        lambda head, rec: head + rec.replace("\n", "\n \t\n\n"),
+        lambda head, rec: (head + rec).rstrip("\n"),
+        lambda head, rec: head + re.sub(r"\.0+$|(\.\d+)$", r"\1e0", rec, flags=re.M),
+        lambda head, rec: (head + re.sub(r"^|$", "\t", rec.replace(" ", " \t"), flags=re.M)
+                           ).replace("\n", "\r").rstrip("\r"),
+    ], ids=["crlf", "cr", "tabs", "leading-whitespace", "whitespace-only-lines",
+            "no-final-newline", "exponent-delays", "cr-tabs-no-final-newline"])
+    def test_text_variants_import_equal_to_the_lf_file(self, tmp_path, variant):
+        head, records = self._canonical(tmp_path)
+        path = tmp_path / "variant.series"
+        path.write_bytes(variant(head, records).encode())
+        assert _same_at_every_block_size(path) == _outcome(import_series, tmp_path / "lf.series")
+
+    def test_record_bound_holds_for_the_shortest_cr_lines(self, tmp_path):
+        path = tmp_path / "short.series"
+        records = "\r".join(["1 0 1 1", "1 0 2 1", "1 1 2 1", "2 - - -"]).encode()
+        path.write_bytes((HEADER + "satellites 3\n").replace("\n", "\r").encode() + records)
+        series = import_series(path)
+        assert [snap.edge_count for snap in series.snapshots] == [3, 0]
+        # the importer's bound on the record count holds for the record text alone
+        assert 4 <= len(records) // 7 + 1
+
+    @given(
+        per_slot=st.lists(
+            st.dictionaries(  # satellites 0..5, stations 6 and 7; {} is an empty slot
+                st.tuples(st.integers(0, 3), st.integers(4, 7)),
+                st.sampled_from([0.5, 1.25, 3.0, 17.015625]),
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_one_pass_reader(self, tmp_path_factory, per_slot, data):
+        series = series_from_edges(per_slot, num_satellites=6, ground_stations=FUZZ_STATIONS)
+        folder = tmp_path_factory.mktemp("blocks")
+        save_series(series, folder / "a.series")
+        lines = (folder / "a.series").read_text().splitlines()
+        head = 3 + len(FUZZ_STATIONS)
+        space = st.sampled_from(["", " ", "\t", " \t "])
+        for i in range(len(lines) - 1, head - 1, -1):  # extra whitespace in and between records
+            sep = data.draw(st.sampled_from([" ", "\t", "  "]))
+            lines[i] = data.draw(space) + sep.join(lines[i].split()) + data.draw(space)
+            if data.draw(st.booleans()):
+                lines.insert(i, data.draw(space))
+        lines = data.draw(st.just(lines) | st.sampled_from(list(mutants(lines))))
+        path = folder / "b.series"
+        path.write_text("\n".join(lines) + "\n")
+        want = _outcome(import_series_reference, path)
+        with patch.object(topology, "_BLOCK", data.draw(st.integers(8, 256))):
+            assert _outcome(import_series, path) == want
+
+    def test_marker_first_and_last_in_a_block(self, tmp_path):
+        path = tmp_path / "markers.series"
+        path.write_text(HEADER.replace("num_slots=2", "num_slots=4") + "satellites 3\n"
+                        "1 0 1 1.5\n1 0 2 1.5\n1 1 2 0.25\n2 - - -\n3 0 1 1.5\n3 1 2 0.25\n"
+                        "4 - - -\n")
+        got = _same_at_every_block_size(path)
+        assert got[2] == [0, 3, 3, 5, 5]  # offsets: slots 2 and 4 are empty
+        assert _opens_a_block(path, "2 - - -\n") and _opens_a_block(path, "4 - - -")
+        assert any(text.endswith("\n2 - - -\n") for block in BLOCK_SIZES
+                   for text in _blocks_of(path, block)[:-1])
+
+    def test_slot_over_three_blocks(self, tmp_path):
+        path = tmp_path / "long.series"
+        path.write_text(HEADER + "satellites 9\n"
+                        + "".join(f"1 0 {v} 1.5\n" for v in range(1, 9)) + "2 - - -\n")
+        assert _same_at_every_block_size(path)[2] == [0, 8, 8]
+        assert sum(text.startswith("1 ") for text in _blocks_of(path, 24)) >= 3
+
+    @pytest.mark.parametrize("records,second,message", [
+        ("1 0 1 1.0\n2 0 1 1.0\n2 - - -\n", "2 - - -", "empty-slot marker for non-empty slot 2"),
+        ("1 0 1 1.0\n2 0 1 1.0\n1 0 2 1.0\n", "1 0 2", "slots out of order"),
+        ("2 0 1 1.0\n2 0 2 1.0\n1 0 1 1.0\n", "1 0 1", "slots out of order"),
+        ("1 0 1 1.0\n1 0 2 1.0\n3 0 1 1.0\n", "3 0 1", "non-consecutive slots"),
+    ], ids=["marker-after-edge", "slot-back", "first-slot-2-then-back", "slot-gap"])
+    def test_faults_split_across_a_boundary(self, tmp_path, records, second, message):
+        path = tmp_path / "split.series"
+        path.write_text(HEADER + "satellites 2\n" + records)
+        assert _same_at_every_block_size(path) == message
+        assert _opens_a_block(path, second)
+
+    def test_peak_over_the_reserved_columns_does_not_grow_with_slots(self, stock_head, tmp_path):
+        # tracemalloc counts the columns reserved from the file size in full,
+        # though their pages past the records are never written
+        extra = []
+        for n in (3, 12):
+            path = tmp_path / f"head{n}.series"
+            save_series(head_series(stock_head, n), path)
+            reserved = (os.path.getsize(path) // 7 + 1) * 16  # keys and delays
+            extra.append(_peak_bytes(import_series, path) - reserved)
+        # the one-pass reader held every record, 32 bytes each, on top
+        assert max(extra) < 1.2 * min(extra), extra
+
+    def test_header_slot_count_sizes_nothing(self, tmp_path):
+        path = tmp_path / "huge.series"
+        path.write_text(HEADER.replace("num_slots=2", "num_slots=1000000000000000")
+                        + "satellites 2\n1 0 1 1.0\n2 - - -\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SeriesFormatError, match="header says 1000000000000000"):
+                import_series(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
