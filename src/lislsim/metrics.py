@@ -68,7 +68,7 @@ def average_jitter(latency: np.ndarray) -> float:
 MAX_HISTOGRAM_BINS = 1_000_000
 
 
-def histogram(latency: np.ndarray, bin_width_ms: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
+def histogram(latency: np.ndarray, bin_width_ms: float) -> tuple[np.ndarray, np.ndarray]:
     """Counts over half-open bins [k*w, (k+1)*w) anchored at zero.
 
     Returns (left_edges, counts) spanning the populated range; counts sum
@@ -113,7 +113,7 @@ class MetricsReport:
     average_jitter_ms: float
     outage: tuple[tuple[float, float], ...]
     latency_ms: np.ndarray = field(repr=False)
-    histogram_bin_ms: float = 0.25
+    histogram_bin_ms: float
     runtime_s: float | None = None
 
     def identity_residual(self) -> float:

@@ -9,8 +9,8 @@ Each slot is seen through a read-only :class:`Snapshot` view, and
 ``Snapshot.positions(keys)`` finds edges in it. On first use the series also
 computes the edge lifetimes that ISASR reads: each record's last slot of its
 run of consecutive slots. The constructor and ``export_series`` take the
-same raw ``(u, v, delay_ms)`` columns of each slot and put each slot through
-``_canonical_slot``, the one home of the edge rules.
+same raw ``(u, v, delay_ms)`` columns of each slot and read them through
+``_canonical_slots``, the one home of the slot-count and edge rules.
 ``export_series``/``import_series`` define the line-oriented interchange
 format for externally generated topologies; the writer writes each slot as
 it arrives, so ``generate`` never holds a series, and the reader hands each
@@ -20,6 +20,7 @@ about one block of text and one slot.
 
 from __future__ import annotations
 
+import errno
 import io
 import itertools
 import os
@@ -168,34 +169,44 @@ def _edge_problem(roster: NodeRoster, lo, hi, keys, delay) -> str | None:
     return None
 
 
-def _canonical_slot(roster: NodeRoster, slot: int, u, v, delay_ms):
-    """One slot's raw columns as sorted packed (min, max) keys and delays
+def _canonical_slots(roster: NodeRoster, num_slots: int, slots):
+    """Each of the ``num_slots`` raw ``(u, v, delay_ms)`` slots, slot 1 first,
+    as ``(slot, keys, delay_ms)``: sorted packed (min, max) keys and delays
     quantized to 9 fractional digits, so that the series file round-trips
-    bit-exactly.
+    bit-exactly. Both sinks read their slots through it.
 
-    The slot is sorted (stably) only when its records are not in key order
+    A slot is sorted (stably) only when its records are not in key order
     already. Raises ``ValueError("slot k: ...")`` naming the first edge rule
-    the slot breaks, or when its columns are not 1-D of one length, or when
+    a slot breaks, or when its columns are not 1-D of one length, or when
     its ids are not integers (bool included). Empty columns of any dtype are
-    an empty slot.
+    an empty slot. A slot count other than ``num_slots`` raises
+    ``ValueError("expected N slots, got M")``; at most one slot past it is
+    read.
     """
-    u, v, delay_ms = np.asarray(u), np.asarray(v), np.asarray(delay_ms, dtype=np.float64)
-    if not u.shape == v.shape == delay_ms.shape == (u.size,):
-        raise ValueError(f"slot {slot}: edge columns differ in length")
-    if u.size and not (u.dtype.kind in "iu" and v.dtype.kind in "iu"):
-        raise ValueError(f"slot {slot}: node ids must be integers")
-    # a uint64 id at or above 2**63 turns negative here and breaks the id rule
-    u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    delay = np.round(delay_ms, 9)
-    keys = pack_keys(lo, hi)
-    if np.any(keys[1:] <= keys[:-1]):  # not yet sorted by (u, v)
-        order = np.argsort(keys, kind="stable")
-        keys, lo, hi, delay = keys[order], lo[order], hi[order], delay[order]
-    problem = _edge_problem(roster, lo, hi, keys, delay) if keys.size else None
-    if problem:
-        raise ValueError(f"slot {slot}: {problem}")
-    return keys, delay
+    slot = 0
+    for slot, edges in enumerate(itertools.islice(slots, num_slots + 1), start=1):
+        if slot > num_slots:
+            raise ValueError(f"expected {num_slots} slots, got {slot} or more")
+        u, v, delay_ms = edges
+        u, v, delay_ms = np.asarray(u), np.asarray(v), np.asarray(delay_ms, dtype=np.float64)
+        if not u.shape == v.shape == delay_ms.shape == (u.size,):
+            raise ValueError(f"slot {slot}: edge columns differ in length")
+        if u.size and not (u.dtype.kind in "iu" and v.dtype.kind in "iu"):
+            raise ValueError(f"slot {slot}: node ids must be integers")
+        # a uint64 id at or above 2**63 turns negative here and breaks the id rule
+        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        delay = np.round(delay_ms, 9)
+        keys = pack_keys(lo, hi)
+        if np.any(keys[1:] <= keys[:-1]):  # not yet sorted by (u, v)
+            order = np.argsort(keys, kind="stable")
+            keys, lo, hi, delay = keys[order], lo[order], hi[order], delay[order]
+        problem = _edge_problem(roster, lo, hi, keys, delay) if keys.size else None
+        if problem:
+            raise ValueError(f"slot {slot}: {problem}")
+        yield slot, keys, delay
+    if slot < num_slots:
+        raise ValueError(f"expected {num_slots} slots, got {slot}")
 
 
 class SnapshotSeries:
@@ -204,7 +215,7 @@ class SnapshotSeries:
     Built from the raw ``(u, v, delay_ms)`` columns of each slot, slot 1
     first. The edges of slot k are records ``offsets[k-1]:offsets[k]`` of the
     read-only ``keys`` and ``delay_ms`` columns; ``u`` and ``v`` are int32
-    views of the keys' halves. Each slot passes ``_canonical_slot``, the one
+    views of the keys' halves. Each slot passes ``_canonical_slots``, the one
     home of the edge rules: every endpoint is an integer id of a satellite
     or a roster station, no self-loop, no ground-to-ground edge, no duplicate edge in a
     slot, and a finite positive delay below ``MAX_DELAY_MS`` once quantized
@@ -214,25 +225,16 @@ class SnapshotSeries:
     __slots__ = ("scenario", "roster", "offsets", "keys", "u", "v", "delay_ms", "snapshots",
                  "_runs")
 
-    def __init__(self, scenario: ScenarioParams, roster: NodeRoster, slots, *,
-                 max_records: int | None = None):
+    def __init__(self, scenario: ScenarioParams, roster: NodeRoster, slots):
         """Take each slot as it arrives, canonical, into the columns.
 
-        ``max_records`` is an upper bound on the record count, where the
-        caller knows one (``import_series`` takes it from the file size): the
-        columns are then allocated once. Without it they grow geometrically.
-        Either way they are trimmed to the records at the end, and a raw slot
-        is dropped once it is copied, so memory stays at the columns plus
-        about one slot. At most one slot past ``scenario.num_slots`` is read.
+        The columns grow by an eighth when a slot does not fit and are
+        trimmed to the records at the end, and a raw slot is dropped once it
+        is copied, so memory stays at the columns plus about one slot.
         """
-        n = scenario.num_slots
-        keys = np.empty(max_records or 0, "<i8")
-        delay_ms = np.empty(keys.size, np.float64)
+        keys, delay_ms = np.empty(0, "<i8"), np.empty(0, np.float64)
         offsets = [0]
-        for slot, (u, v, delay) in enumerate(itertools.islice(slots, n + 1), start=1):
-            if slot > n:
-                raise ValueError(f"expected {n} slots, got {slot} or more")
-            slot_keys, slot_delay = _canonical_slot(roster, slot, u, v, delay)
+        for _, slot_keys, slot_delay in _canonical_slots(roster, scenario.num_slots, slots):
             start, end = offsets[-1], offsets[-1] + slot_keys.size
             if end > keys.size:  # by an eighth: resize writes zeros over the new tail
                 size = max(end, keys.size + keys.size // 8)
@@ -240,8 +242,6 @@ class SnapshotSeries:
                 delay_ms.resize(size, refcheck=False)
             keys[start:end], delay_ms[start:end] = slot_keys, slot_delay
             offsets.append(end)
-        if len(offsets) <= n:
-            raise ValueError(f"expected {n} slots, got {len(offsets) - 1}")
         keys.resize(offsets[-1], refcheck=False)
         delay_ms.resize(offsets[-1], refcheck=False)
         self.scenario = scenario
@@ -253,7 +253,7 @@ class SnapshotSeries:
         halves = self.keys.view(np.dtype([("v", "<i4"), ("u", "<i4")]))  # v: the low word
         self.u, self.v = halves["u"], halves["v"]
         self._runs = None
-        self.snapshots = tuple(Snapshot(self, slot) for slot in range(1, n + 1))
+        self.snapshots = tuple(Snapshot(self, slot) for slot in range(1, scenario.num_slots + 1))
 
     @property
     def num_slots(self) -> int:
@@ -363,13 +363,15 @@ def export_series(slots, path, scenario: ScenarioParams, roster: NodeRoster) -> 
     """Write raw ``(u, v, delay_ms)`` slot columns, slot 1 first, as a series
     file; returns the number of edge records.
 
-    Each slot passes ``_canonical_slot``, as in ``SnapshotSeries``, and is
+    Each slot passes ``_canonical_slots``, as in ``SnapshotSeries``, and is
     written as it arrives, so memory stays bounded by one slot. The text goes
     to a sibling file that replaces ``path`` once all ``scenario.num_slots``
     slots are written: a run that fails, or brings another count, leaves
-    ``path`` as it was. At most one slot past the count is read.
+    ``path`` as it was. At most one slot past the count is read, and none
+    when ``path`` is a directory, which raises ``IsADirectoryError``.
     """
-    n = scenario.num_slots
+    if os.path.isdir(path):  # os.replace would refuse it only after the last slot
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     lines = [_MAGIC]
     lines.append(" ".join(["scenario"] + [f"{f.name}={getattr(scenario, f.name)}"
                                           for f in fields(scenario)]))
@@ -377,18 +379,13 @@ def export_series(slots, path, scenario: ScenarioParams, roster: NodeRoster) -> 
     for gs in roster.ground_stations:
         lines.append(f"gs {gs.id} {gs.name} {gs.latitude_deg!r} {gs.longitude_deg!r}")
     partial = f"{os.fspath(path)}.partial"
-    records = slot = 0
+    records = 0
     try:
         with open(partial, "wb") as fh:
             fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-            for slot, edges in enumerate(itertools.islice(slots, n + 1), start=1):
-                if slot > n:
-                    break
-                keys, delay_ms = _canonical_slot(roster, slot, *edges)
+            for slot, keys, delay_ms in _canonical_slots(roster, scenario.num_slots, slots):
                 fh.write(_slot_records(slot, keys, delay_ms))
                 records += keys.size
-        if slot != n:
-            raise ValueError(f"expected {n} slots, got {slot}" + " or more" * (slot > n))
         os.replace(partial, path)
     except BaseException:
         if os.path.exists(partial):
@@ -539,21 +536,21 @@ def _slot_columns(blocks, num_slots: int):
 
 
 def import_series(path) -> SnapshotSeries:
-    """Parse and fully validate a series file; raises only SeriesFormatError.
+    """Parse and fully validate a series file.
 
-    ``np.loadtxt`` parses the records in blocks of whole lines, and each slot
-    goes to ``SnapshotSeries`` once complete, into columns allocated once for
-    the most records the file can hold (a record line has at least 7
-    characters). So the import holds the columns plus about one block and
-    one slot. ``SnapshotSeries`` applies the edge rules.
+    Raises ``SeriesFormatError`` for any fault in the file's bytes, and
+    ``OSError`` for a path that cannot be opened or read (missing, or a
+    directory). ``np.loadtxt`` parses the records in blocks of whole lines,
+    and each slot goes to ``SnapshotSeries`` once complete, into its growing
+    columns. So the import holds the columns plus about one block and one
+    slot. ``SnapshotSeries`` applies the edge rules.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             scenario, roster, line = _read_header(fh)
             slots = _slot_columns(_blocks(fh, line), scenario.num_slots)
             try:
-                return SnapshotSeries(scenario, roster, slots,
-                                      max_records=os.path.getsize(path) // 7 + 1)
+                return SnapshotSeries(scenario, roster, slots)
             except ValueError:
                 for _ in slots:  # a fault later in the file outranks a slot's edge rule
                     pass

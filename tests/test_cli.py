@@ -13,7 +13,7 @@ import pytest
 import lislsim
 from lislsim.cli import main, write_schedule
 from lislsim.config import load_config
-from lislsim.constellation import generate_series
+from lislsim.constellation import generate_series, slot_edges
 from lislsim.topology import import_series
 from lislsim.routing import LIFETIME_ALGORITHMS, ilsr
 
@@ -109,6 +109,24 @@ class TestGenerate:
             )
         assert out.read_bytes() == b"an earlier series\n"
         assert [p.name for p in folder.iterdir()] == ["old.series"]
+
+    def test_directory_out_fails_before_any_slot(self, tmp_path, tiny_config, capsys,
+                                                 monkeypatch):
+        drawn = []
+
+        def counted_slots(*args):
+            for slot in slot_edges(*args):
+                drawn.append(slot)
+                yield slot
+
+        monkeypatch.setattr(lislsim.cli, "slot_edges", counted_slots)
+        folder = tmp_path / "taken"
+        folder.mkdir()
+        assert main(["generate", "--config", str(tiny_config), "--out", str(folder)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{folder}'\n"
+        assert drawn == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "tiny.ini"]
+        assert list(folder.iterdir()) == []
 
 
 class TestRun:
@@ -220,6 +238,16 @@ class TestRun:
             "--algorithm", "ilsr", "--out", str(tmp_path / "x"),
         ])
         assert rc == 1
+
+    def test_directory_series_is_validation_error(self, tmp_path, tiny_config, capsys):
+        rc = main([
+            "run", "--config", str(tiny_config), "--series", str(tmp_path),
+            "--algorithm", "ilsr", "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+        assert not (tmp_path / "x").exists()
 
 
 class TestSweep:

@@ -53,12 +53,13 @@ def assert_holds_end_at_run_ends(schedule, series):
         i = last + 1
 
 
-def exhaustive_best_path(edges: dict, src: int, dst: int):
+def exhaustive_best_path(edges: dict, src: int, dst: int, barred=frozenset()):
     """Independent oracle: min-cost simple path by full enumeration.
 
     Returns (cost, lexicographically smallest vertex tuple among minima),
-    or None when the pair is disconnected. Intended for lattice-valued
-    weights where float sums are exact in any order.
+    or None when the pair is disconnected. No path passes through a node in
+    ``barred``. Intended for lattice-valued weights where float sums are
+    exact in any order.
     """
     adj: dict[int, list[int]] = {}
     for (a, b) in edges:
@@ -75,7 +76,7 @@ def exhaustive_best_path(edges: dict, src: int, dst: int):
                 best = key
             return
         for nxt in sorted(adj.get(here, ())):
-            if nxt in seen:
+            if nxt in seen or (nxt in barred and nxt != dst):
                 continue
             edge = (min(here, nxt), max(here, nxt))
             w = edges.get(edge)
@@ -175,6 +176,32 @@ class TestDijkstra:
                 assert got.nodes == expected[1]
                 checked += 1
         assert checked > 100
+
+    def test_stations_never_relay_on_random_graphs(self):
+        # satellites 0..s-1, then 1-3 stations; every edge has a satellite end,
+        # and quarter-ms weights make routes of equal cost common
+        rng = np.random.default_rng(321)
+        checked = relay_would_win = 0
+        for _ in range(300):
+            sats = int(rng.integers(2, 7))
+            n = sats + int(rng.integers(1, 4))
+            edges = {(a, b): 0.25 * float(rng.integers(1, 9))
+                     for a in range(sats) for b in range(a + 1, n) if rng.random() < 0.5}
+            if not edges:
+                continue
+            src = int(rng.integers(sats, n))
+            dst = int(rng.choice([node for node in range(n) if node != src]))
+            snap = one_slot(edges, num_nodes=n, num_satellites=sats)
+            expected = exhaustive_best_path(edges, src, dst, barred=frozenset(range(sats, n)))
+            got = dijkstra(snap, src, dst)
+            if expected is None:
+                assert got is None
+            else:
+                assert snap.route_delay(got) == expected[0]
+                assert got.nodes == expected[1]
+                checked += 1
+                relay_would_win += exhaustive_best_path(edges, src, dst) != expected
+        assert checked > 150 and relay_would_win > 10, (checked, relay_would_win)
 
 
 class TestIlsr:

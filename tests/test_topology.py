@@ -1,7 +1,6 @@
 """Snapshots, lifetime indexing, and the series file format."""
 
 import itertools
-import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -166,6 +165,12 @@ class TestBothSinks:
         with pytest.raises(ValueError, match="expected 3 slots, got 4 or more"):
             _through_sink(sink, tmp_path, _counted(itertools.repeat(_EDGE), drawn))
         assert len(drawn) == 4
+
+    @pytest.mark.parametrize("slot", [([0], [1]), ([0], [1], [1.0], [1.0])],
+                             ids=["two-columns", "four-columns"])
+    def test_slot_of_other_than_three_columns_rejected(self, sink, tmp_path, slot):
+        with pytest.raises(ValueError, match=r"values to unpack \(expected 3"):
+            _through_sink(sink, tmp_path, [_EDGE, slot, _EDGE])
 
 
 class TestRoster:
@@ -530,6 +535,17 @@ class TestExportWriter:
         assert path.read_bytes() == old
         assert list(tmp_path.iterdir()) == [path]  # no .partial left behind
         assert import_series(path) == series
+
+    def test_directory_target_refused_before_any_slot(self, tmp_path):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        drawn = []
+        scenario = ScenarioParams(1.0, 1.0, 0.0, 1.0, num_slots=3)
+        with pytest.raises(IsADirectoryError, match="Is a directory"):
+            export_series(_counted([_EDGE] * 3, drawn), folder, scenario, NodeRoster(4))
+        assert drawn == []
+        assert list(tmp_path.iterdir()) == [folder]  # no .partial beside it
+        assert list(folder.iterdir()) == []
 
     @given(st.lists(st.dictionaries(_PAIRS, _DELAYS, max_size=6), min_size=1, max_size=4))
     @settings(max_examples=150, deadline=None)
@@ -946,16 +962,18 @@ class TestBlockReader:
         assert _same_at_every_block_size(path) == message
         assert _opens_a_block(path, second)
 
-    def test_peak_over_the_reserved_columns_does_not_grow_with_slots(self, stock_head, tmp_path):
-        # tracemalloc counts the columns reserved from the file size in full,
-        # though their pages past the records are never written
+    def test_peak_over_the_grown_columns_does_not_grow_with_slots(self, stock_head, tmp_path):
+        # the columns grow by an eighth at a time, so before the final trim
+        # they hold at most 9/8 of the records; the rest is a constant
         extra = []
         for n in (3, 12):
             path = tmp_path / f"head{n}.series"
-            save_series(head_series(stock_head, n), path)
-            reserved = (os.path.getsize(path) // 7 + 1) * 16  # keys and delays
-            extra.append(_peak_bytes(import_series, path) - reserved)
-        # the one-pass reader held every record, 32 bytes each, on top
+            head = head_series(stock_head, n)
+            save_series(head, path)
+            columns = head.keys.nbytes + head.delay_ms.nbytes
+            extra.append(_peak_bytes(import_series, path) - columns * 9 // 8)
+        # the one-pass reader held every record, 32 bytes each, on top, and
+        # columns reserved from the file size held about 3.3 times the records
         assert max(extra) < 1.2 * min(extra), extra
 
     def test_header_slot_count_sizes_nothing(self, tmp_path):
