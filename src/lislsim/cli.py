@@ -27,7 +27,7 @@ from . import __version__, metrics, oracle
 from .config import ExperimentConfig, check_routing_values, default_config, load_config
 from .constellation import auto_float, slot_edges
 from .routing import (
-    ALGORITHMS, ETA_BLIND_ALGORITHMS, LIFETIME_ALGORITHMS, MissingEdgeError, RoutingSchedule,
+    ALGORITHMS, ETA_BLIND_ALGORITHMS, MissingEdgeError, RoutingSchedule,
     alpr_average_latency, run_algorithm,
 )
 from .topology import NodeRoster, export_series, import_series
@@ -86,6 +86,15 @@ def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _write(out, texts: dict[str, str]) -> None:
+    """Create ``out`` and write each text into it; every text is rendered first,
+    so a command that fails before writing leaves no directory."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
+
+
 def cmd_generate(args) -> int:
     """Build, check and write one slot at a time; a failed run removes the folders it made."""
     cfg = _load(args)
@@ -109,39 +118,25 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _resolve_endpoints(cfg, series):
-    src = series.roster.station(cfg.source).id
-    dst = series.roster.station(cfg.destination).id
-    return src, dst
-
-
 def cmd_run(args) -> int:
     cfg = _load(args)
     eta_s = args.eta_s if args.eta_s is not None else cfg.eta_s_ms[0]
     check_routing_values(eta_s_ms=(eta_s,))
     cells = [(args.algorithm, eta_s, cfg.gamma_for(eta_s))]
-    series = import_series(args.series)
-    src, dst = _resolve_endpoints(cfg, series)
-    *_, schedule, runtime = next(_cell_schedules(cfg, cells, series, src, dst))
+    *_, schedule, runtime = next(_cell_schedules(cfg, cells, import_series(args.series)))
     try:
         qos = (cfg.qos_for(eta_s),)
     except KeyError:
         qos = cfg.qos_ms
-    report = metrics.evaluate(
-        schedule, eta_s, qos_ms=qos,
-        histogram_bin_ms=cfg.histogram_bin_ms, runtime_s=runtime,
-    )
+    report = metrics.evaluate(schedule, eta_s, qos_ms=qos, runtime_s=runtime)
     texts = {"report.txt": report.to_text(), "latency_series.tsv": report.latency_table()}
     if report.coverage:
-        texts["histogram.tsv"] = report.histogram_table()
+        texts["histogram.tsv"] = report.histogram_table(cfg.histogram_bin_ms)
     texts["manifest.json"] = _manifest(
         cfg, {"command": "run", "algorithm": args.algorithm, "eta_s_ms": eta_s}
     )
-    out = Path(args.out)  # created only once every text above rendered
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        (out / name).write_text(text, encoding="utf-8")
-    write_schedule(schedule, out / "schedule.txt")
+    _write(args.out, texts)
+    write_schedule(schedule, Path(args.out) / "schedule.txt")
     sys.stdout.write(texts["report.txt"])
     if report.coverage == 0:
         print("error: destination unreachable in every slot", file=sys.stderr)
@@ -182,21 +177,21 @@ def _cells(cfg: ExperimentConfig, gamma_flag: str | None) -> list[tuple[str, flo
     return cells
 
 
-def _cell_schedules(cfg, cells, series, src, dst):
+def _cell_schedules(cfg, cells, series):
     """Each cell with its schedule and runtime; ILSR/ILPR run once for every eta_s.
-    The lifetime build, which only ``LIFETIME_ALGORITHMS`` need, runs before the clock."""
+    A runtime leaves out the series' lazy builds (``build_s``), whichever cell set them off."""
+    src = series.roster.station(cfg.source).id
+    dst = series.roster.station(cfg.destination).id
     eta_blind_runs = {}
     for name, eta_s, gamma in cells:
         run = eta_blind_runs.get(name)
         if run is None:
-            if name in LIFETIME_ALGORITHMS:
-                series.run_last()
-            start = time.perf_counter()
+            built, start = series.build_s, time.perf_counter()
             schedule = run_algorithm(
                 name, series, src, dst, eta_s,
                 gamma=gamma, cost_thrsh_ms=cfg.cost_thrsh_ms,
             )
-            run = schedule, time.perf_counter() - start
+            run = schedule, time.perf_counter() - start - (series.build_s - built)
             if name in ETA_BLIND_ALGORITHMS:
                 eta_blind_runs[name] = run
         yield name, eta_s, gamma, *run
@@ -206,34 +201,24 @@ def cmd_sweep(args) -> int:
     cfg = _load(args)
     cells = _cells(cfg, args.gamma)
     series = import_series(args.series)
-    src, dst = _resolve_endpoints(cfg, series)
-
     rows, timing_rows, failures = [], [], []
-    for name, eta_s, gamma, schedule, runtime in _cell_schedules(cfg, cells, series, src, dst):
-        report = metrics.evaluate(
-            schedule, eta_s, qos_ms=(cfg.qos_for(eta_s),),
-            histogram_bin_ms=cfg.histogram_bin_ms, runtime_s=runtime,
-        )
+    for name, eta_s, gamma, schedule, runtime in _cell_schedules(cfg, cells, series):
+        report = metrics.evaluate(schedule, eta_s, qos_ms=(cfg.qos_for(eta_s),))
         qos, outage = report.outage[0]
         rows.append(
             f"{name}\t{eta_s:g}\t{gamma:g}\t{report.mean_eta_le_ms:.9f}\t"
             f"{report.mean_eta_delay_ms:.9f}\t{report.route_change_rate_pct:.9f}\t"
             f"{qos:g}\t{outage:.9f}\t{report.average_jitter_ms:.9f}\t{report.coverage}"
         )
-        timing_rows.append(f"{name}\t{eta_s:g}\t{gamma:g}\t{report.runtime_s:.6f}")
+        timing_rows.append(f"{name}\t{eta_s:g}\t{gamma:g}\t{runtime:.6f}")
         if report.identity_residual() >= 1e-9:
             failures.append((name, eta_s, report.identity_residual()))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "sweep.tsv").write_text("\n".join([_SWEEP_COLUMNS, *rows]) + "\n", encoding="utf-8")
-    (out / "timings.tsv").write_text(
-        "\n".join(["algorithm\teta_s_ms\tgamma_ms\truntime_s", *timing_rows]) + "\n",
-        encoding="utf-8",
-    )
-    (out / "manifest.json").write_text(
-        _manifest(cfg, {"command": "sweep", "cells": len(cells)}), encoding="utf-8"
-    )
+    _write(args.out, {
+        "sweep.tsv": "\n".join([_SWEEP_COLUMNS, *rows]) + "\n",
+        "timings.tsv": "\n".join(["algorithm\teta_s_ms\tgamma_ms\truntime_s", *timing_rows]) + "\n",
+        "manifest.json": _manifest(cfg, {"command": "sweep", "cells": len(cells)}),
+    })
     print("\n".join([_SWEEP_COLUMNS, *rows]))
     if failures:
         for name, eta_s, resid in failures:
@@ -255,11 +240,11 @@ def cmd_oracle(args) -> int:
     cfg = _load(args)
     cells = _cells(cfg, None)
     series = import_series(args.series)
-    src, dst = _resolve_endpoints(cfg, series)
-    runs = [run[:4] for run in _cell_schedules(cfg, cells, series, src, dst)]
+    runs = [run[:4] for run in _cell_schedules(cfg, cells, series)]
     routes = list(dict.fromkeys(r for *_, schedule in runs for r in schedule.route_table))
     if not routes:
         raise ValueError("destination unreachable in every slot")
+    src, dst = runs[0][3].source, runs[0][3].destination
     d = oracle.route_delay_matrix(series, routes)
     optima = {
         eta_s: oracle.optimum_schedule(series, src, dst, routes, d, eta_s)
@@ -284,13 +269,12 @@ def cmd_oracle(args) -> int:
         elif gap < -1e-9:
             violations.append((name, eta_s, report.mean_eta_le_ms, best.mean_eta_le_ms))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "gap.tsv").write_text("\n".join([_GAP_COLUMNS, *rows]) + "\n", encoding="utf-8")
-    (out / "manifest.json").write_text(
-        _manifest(cfg, {"command": "oracle", "cells": len(cells), "candidate_routes": len(routes)}),
-        encoding="utf-8",
-    )
+    _write(args.out, {
+        "gap.tsv": "\n".join([_GAP_COLUMNS, *rows]) + "\n",
+        "manifest.json": _manifest(
+            cfg, {"command": "oracle", "cells": len(cells), "candidate_routes": len(routes)}
+        ),
+    })
     print("\n".join([_GAP_COLUMNS, *rows]))
     _warn_unreachable(optima[cfg.eta_s_ms[0]])
     for name, eta_s, mean, optimum in violations:

@@ -113,7 +113,6 @@ class MetricsReport:
     average_jitter_ms: float
     outage: tuple[tuple[float, float], ...]
     latency_ms: np.ndarray = field(repr=False)
-    histogram_bin_ms: float
     runtime_s: float | None = None
 
     def identity_residual(self) -> float:
@@ -150,8 +149,8 @@ class MetricsReport:
             rows.append(f"{i}\t-" if np.isnan(x) else f"{i}\t{_fmt(x)}")
         return "\n".join(rows) + "\n"
 
-    def histogram_table(self) -> str:
-        edges, counts = histogram(self.latency_ms, self.histogram_bin_ms)
+    def histogram_table(self, bin_width_ms: float) -> str:
+        edges, counts = histogram(self.latency_ms, bin_width_ms)
         rows = ["bin_left_ms\tcount"]
         rows.extend(f"{_fmt(e)}\t{int(c)}" for e, c in zip(edges, counts))
         return "\n".join(rows) + "\n"
@@ -165,7 +164,6 @@ def evaluate(
     schedule,
     eta_s_ms: float,
     qos_ms: tuple[float, ...] = (),
-    histogram_bin_ms: float = 0.25,
     runtime_s: float | None = None,
 ) -> MetricsReport:
     """Compute the full report for one schedule from its per-slot delays."""
@@ -198,6 +196,5 @@ def evaluate(
             (q, outage_probability(latency, q) if cov else float("nan")) for q in qos_ms
         ),
         latency_ms=latency,
-        histogram_bin_ms=histogram_bin_ms,
         runtime_s=runtime_s,
     )

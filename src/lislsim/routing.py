@@ -304,8 +304,6 @@ ALGORITHMS = ("ilsr", "ilpr", "alpr", "isasr")
 # Their schedules depend on the series and endpoints only, not on eta_s,
 # gamma or the ISASR settings, so one run serves every setup-delay value.
 ETA_BLIND_ALGORITHMS = ("ilsr", "ilpr")
-# It reads the series' run_last, which the series builds once.
-LIFETIME_ALGORITHMS = ("isasr",)
 
 
 def run_algorithm(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from lislsim.cli import main, write_schedule
 from lislsim.config import load_config
 from lislsim.constellation import generate_series, slot_edges
 from lislsim.topology import import_series
-from lislsim.routing import LIFETIME_ALGORITHMS, ilsr
+from lislsim.routing import ilsr
 
 from conftest import save_series, slot_routes
 from toyseries import dominance_toy_series, series_from_edges
@@ -706,7 +707,10 @@ class TestImportCost:
 
 
 class TestLifetimeBuildUntimed:
-    """Only ISASR reads the lifetimes, and their one-time build stays out of its runtime."""
+    """Only ISASR reads the lifetimes, and no cell's runtime holds a lazy build of the
+    series (the lifetimes or a slot's CSR), whichever cell sets it off."""
+
+    DELAY_S = 0.05
 
     @staticmethod
     def _spy(monkeypatch):
@@ -724,16 +728,42 @@ class TestLifetimeBuildUntimed:
         monkeypatch.setattr(cli_mod, "run_algorithm", spy)
         return seen, series_seen
 
-    @pytest.mark.parametrize("name", LIFETIME_ALGORITHMS)
-    def test_run_builds_lifetimes_before_the_clock(
-        self, tmp_path, tiny_config, tiny_series, monkeypatch, name
+    def _slow_builds(self, monkeypatch):
+        """The names of the slowed calls: each ``np.zeros`` (a CSR's ``indptr``) and
+        ``np.empty`` (the lifetimes' column) in ``lislsim.topology`` first sleeps."""
+        import lislsim.topology as topology_mod
+
+        slowed = []
+
+        def slow(name):
+            def call(*args, **kwargs):
+                slowed.append(name)
+                time.sleep(self.DELAY_S)
+                return getattr(np, name)(*args, **kwargs)
+            return staticmethod(call)
+
+        class SlowNumpy:
+            zeros, empty = slow("zeros"), slow("empty")
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(topology_mod, "np", SlowNumpy())
+        return slowed
+
+    def test_run_leaves_the_lazy_builds_off_the_clock(
+        self, tmp_path, tiny_config, tiny_series, monkeypatch
     ):
-        seen, _ = self._spy(monkeypatch)
+        slowed = self._slow_builds(monkeypatch)
+        out = tmp_path / "out"
         assert main([
             "run", "--config", str(tiny_config), "--series", str(tiny_series),
-            "--algorithm", name, "--out", str(tmp_path / "out"),
+            "--algorithm", "isasr", "--out", str(out),
         ]) == 0
-        assert seen == [(name, True)]
+        assert slowed.count("zeros") == 6  # one CSR a slot
+        runtime = (out / "report.txt").read_text().splitlines()[-1]
+        assert runtime.startswith("runtime ")
+        assert 0 <= float(runtime.split()[1]) < self.DELAY_S
 
     @pytest.mark.parametrize("name", ["ilsr", "ilpr", "alpr"])
     def test_run_never_builds_lifetimes(
@@ -747,16 +777,21 @@ class TestLifetimeBuildUntimed:
         assert seen == [(name, False)]
         assert series_seen[0]._runs is None
 
-    def test_sweep_builds_lifetimes_before_the_first_isasr_cell(
+    def test_sweep_leaves_the_lazy_builds_off_the_clock(
         self, tmp_path, tiny_config, tiny_series, monkeypatch
     ):
-        seen, _ = self._spy(monkeypatch)
+        slowed = self._slow_builds(monkeypatch)
+        out = tmp_path / "sweep"
         assert main([
             "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
-            "--out", str(tmp_path / "sweep"),
+            "--out", str(out),
         ]) == 0
-        assert seen == [("ilsr", False), ("ilpr", False), ("alpr", False), ("alpr", False),
-                        ("isasr", True), ("isasr", True)]
+        assert slowed.count("zeros") == 6
+        assert slowed.count("empty") == 3  # the import's two columns, then the lifetimes
+        rows = (out / "timings.tsv").read_text().splitlines()[1:]
+        assert len(rows) == 8
+        for row in rows:
+            assert 0 <= float(row.split("\t")[-1]) < self.DELAY_S, row
 
 
 class TestBadRoutingValues:

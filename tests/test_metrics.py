@@ -253,7 +253,7 @@ class TestReport:
         assert "eta_delay" in text and "route_change_rate" in text
         assert "outage@40.000000000ms" in text
         assert report.latency_table().startswith("slot\t")
-        assert report.histogram_table().startswith("bin_left_ms\t")
+        assert report.histogram_table(0.25).startswith("bin_left_ms\t")
 
     def test_metric_ranges(self):
         rng = np.random.default_rng(14)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lislsim.constellation import GroundStation
 from lislsim.routing import (
     ALGORITHMS,
-    LIFETIME_ALGORITHMS,
     Route,
     _held_routes,
     RoutingSchedule,
@@ -651,7 +650,7 @@ class TestLifetimeReaders:
         series = random_series(np.random.default_rng(41), num_nodes=8, num_slots=9)
         assert series._runs is None
         run_algorithm(name, series, 0, 7, 25.0, cost_thrsh_ms=100.0)
-        assert (series._runs is not None) == (name in LIFETIME_ALGORITHMS)
+        assert (series._runs is not None) == (name == "isasr")
 
 
 class TestCallCounts:

@@ -626,6 +626,13 @@ class TestCsr:
         edges, sats, stations = slot
         assert_csr_valid(one_slot(edges, num_nodes=sats + stations, num_satellites=sats))
 
+    @pytest.mark.parametrize("num_nodes", [65_536, 65_537], ids=["uint16", "uint32"])
+    def test_sort_key_widths(self, num_nodes):
+        top = num_nodes - 1
+        edges = {(0, 255): 1.0, (0, 256): 2.0, (255, 256): 3.0, (0, top): 4.0,
+                 (256, top): 5.0, (1, 255): 6.0}
+        assert_csr_valid(one_slot(edges, num_nodes=num_nodes))
+
     def test_stock_slots(self, stock_head):
         for snap in stock_head.snapshots[::5]:
             assert snap.edge_count > 10_000
@@ -891,14 +898,12 @@ class TestBlockReader:
         path.write_bytes(variant(head, records).encode())
         assert _same_at_every_block_size(path) == _outcome(import_series, tmp_path / "lf.series")
 
-    def test_record_bound_holds_for_the_shortest_cr_lines(self, tmp_path):
+    def test_imports_the_shortest_cr_lines(self, tmp_path):
         path = tmp_path / "short.series"
         records = "\r".join(["1 0 1 1", "1 0 2 1", "1 1 2 1", "2 - - -"]).encode()
         path.write_bytes((HEADER + "satellites 3\n").replace("\n", "\r").encode() + records)
         series = import_series(path)
         assert [snap.edge_count for snap in series.snapshots] == [3, 0]
-        # the importer's bound on the record count holds for the record text alone
-        assert 4 <= len(records) // 7 + 1
 
     @given(
         per_slot=st.lists(
