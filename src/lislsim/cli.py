@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__, metrics, oracle
 from .config import ExperimentConfig, check_routing_values, default_config, load_config
-from .constellation import auto_float, slot_edges
+from .constellation import field_values, slot_edges
 from .routing import (
     ALGORITHMS, ETA_BLIND_ALGORITHMS, MissingEdgeError, RoutingSchedule,
     alpr_average_latency, run_algorithm,
@@ -50,16 +50,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(args) -> ExperimentConfig:
-    """The config with a single ``--gamma`` value and ``--cost-thrsh`` applied,
-    checked again; a ``sweep --gamma`` list leaves ``gamma`` as the file sets it."""
+    """The config with ``--gamma`` and ``--cost-thrsh`` read as its ``[run]`` keys
+    of the same names (each flag's dest), then checked again."""
     cfg = load_config(args.config) if args.config else default_config()
-    flags = {}
-    gamma = getattr(args, "gamma", None)
-    if gamma is not None and not (args.command == "sweep" and "," in gamma):
-        flags["gamma"] = auto_float(gamma)
-    if getattr(args, "cost_thrsh", None) is not None:
-        flags["cost_thrsh_ms"] = args.cost_thrsh
-    return dataclasses.replace(cfg, **flags)
+    flags = [(key, text) for key, text in vars(args).items()
+             if key in ("gamma", "cost_thrsh_ms") and text is not None]
+    return dataclasses.replace(cfg, **field_values(ExperimentConfig, flags, "a flag"))
 
 
 def write_schedule(schedule: RoutingSchedule, path) -> None:
@@ -122,13 +118,12 @@ def cmd_run(args) -> int:
     cfg = _load(args)
     eta_s = args.eta_s if args.eta_s is not None else cfg.eta_s_ms[0]
     check_routing_values(eta_s_ms=(eta_s,))
-    cells = [(args.algorithm, eta_s, cfg.gamma_for(eta_s))]
+    gamma, *more = cfg.gamma_for(eta_s)
+    if more:
+        raise ValueError("run takes one gamma value")
+    cells = [(args.algorithm, eta_s, gamma)]
     *_, schedule, runtime = next(_cell_schedules(cfg, cells, import_series(args.series)))
-    try:
-        qos = (cfg.qos_for(eta_s),)
-    except KeyError:
-        qos = cfg.qos_ms
-    report = metrics.evaluate(schedule, eta_s, qos_ms=qos, runtime_s=runtime)
+    report = metrics.evaluate(schedule, eta_s, qos_ms=cfg.qos_for(eta_s), runtime_s=runtime)
     texts = {"report.txt": report.to_text(), "latency_series.tsv": report.latency_table()}
     if report.coverage:
         texts["histogram.tsv"] = report.histogram_table(cfg.histogram_bin_ms)
@@ -158,23 +153,15 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _cells(cfg: ExperimentConfig, gamma_flag: str | None) -> list[tuple[str, float, float]]:
-    """(algorithm, eta_s, gamma) of every configured cell; a ``--gamma`` list sweeps ISASR."""
-    gamma_values = None
-    if gamma_flag is not None and "," in gamma_flag:
-        gamma_values = tuple(float(tok) for tok in gamma_flag.split(","))
-        if len(set(gamma_values)) < len(gamma_values):
-            raise ValueError(f"a gamma value is listed twice: {gamma_flag}")
-    cells = []
-    for name in cfg.algorithms:
-        for eta_s in cfg.eta_s_ms:
-            if name == "isasr" and gamma_values is not None:
-                cells.extend((name, eta_s, g) for g in gamma_values)
-            else:
-                cells.append((name, eta_s, cfg.gamma_for(eta_s)))
-    for _, _, gamma in cells:
-        check_routing_values(gamma_ms=gamma)
-    return cells
+def _cells(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
+    """(algorithm, eta_s, gamma) of every configured cell, each once: ISASR takes
+    every gamma, the other algorithms the first."""
+    return list(dict.fromkeys(
+        (name, eta_s, gamma)
+        for name in cfg.algorithms
+        for eta_s in cfg.eta_s_ms
+        for gamma in cfg.gamma_for(eta_s)[:None if name == "isasr" else 1]
+    ))
 
 
 def _cell_schedules(cfg, cells, series):
@@ -199,11 +186,11 @@ def _cell_schedules(cfg, cells, series):
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    cells = _cells(cfg, args.gamma)
+    cells = _cells(cfg)
     series = import_series(args.series)
     rows, timing_rows, failures = [], [], []
     for name, eta_s, gamma, schedule, runtime in _cell_schedules(cfg, cells, series):
-        report = metrics.evaluate(schedule, eta_s, qos_ms=(cfg.qos_for(eta_s),))
+        report = metrics.evaluate(schedule, eta_s, qos_ms=cfg.qos_for(eta_s))
         qos, outage = report.outage[0]
         rows.append(
             f"{name}\t{eta_s:g}\t{gamma:g}\t{report.mean_eta_le_ms:.9f}\t"
@@ -238,7 +225,7 @@ def cmd_oracle(args) -> int:
     than 1e-9 ms (the bound of ``sweep``'s identity check) fails with exit 2.
     """
     cfg = _load(args)
-    cells = _cells(cfg, None)
+    cells = _cells(cfg)
     series = import_series(args.series)
     runs = [run[:4] for run in _cell_schedules(cfg, cells, series)]
     routes = list(dict.fromkeys(r for *_, schedule in runs for r in schedule.route_table))
@@ -286,19 +273,16 @@ def cmd_oracle(args) -> int:
 def cmd_table2(args) -> int:
     eta_values = (1.0, 1000.0) if args.eta_s is None else (args.eta_s,)
     check_routing_values(eta_s_ms=eta_values)
+    averages = {rid: [alpr_average_latency(delays, e) for e in eta_values]
+                for rid, delays in WORKED_EXAMPLE_DELAYS.items()}
     print("route\t" + "\t".join(f"avg_ms@eta_s={e:g}" for e in eta_values))
-    selections = {}
-    for rid, delays in WORKED_EXAMPLE_DELAYS.items():
-        cells = []
-        for eta_s in eta_values:
-            avg = alpr_average_latency(delays, eta_s)
-            cells.append(f"{avg:.2f}")
-            best = selections.get(eta_s)
-            if best is None or avg < best[1]:
-                selections[eta_s] = (rid, avg)
-        print(f"route {rid}\t" + "\t".join(cells))
-    for eta_s, (rid, avg) in selections.items():
-        print(f"selected@eta_s={eta_s:g}: route {rid} ({avg:.2f} ms average)")
+    for rid, avgs in averages.items():
+        print(f"route {rid}\t" + "\t".join(f"{avg:.2f}" for avg in avgs))
+    for i, eta_s in enumerate(eta_values):
+        # min keeps the first of equal averages, the listed order, which is ALPR's ``nodes``
+        # tie-break for the worked example read as the equal-hop routes (4, rid - 1, 5)
+        rid = min(averages, key=lambda r: averages[r][i])
+        print(f"selected@eta_s={eta_s:g}: route {rid} ({averages[rid][i]:.2f} ms average)")
     return 0
 
 
@@ -318,7 +302,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--algorithm", required=True, choices=ALGORITHMS)
     p_run.add_argument("--eta-s", type=float, default=None, help="setup delay (ms)")
     p_run.add_argument("--gamma", default=None, help="ISASR weight (ms) or 'auto'")
-    p_run.add_argument("--cost-thrsh", type=float, default=None, help="ISASR threshold (ms or inf)")
+    p_run.add_argument("--cost-thrsh", dest="cost_thrsh_ms", help="ISASR threshold (ms or inf)")
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=cmd_run)
 
@@ -326,7 +310,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--config", default=None)
     p_sweep.add_argument("--series", required=True)
     p_sweep.add_argument("--gamma", default=None,
-                         help="ISASR weight: 'auto', one value, or comma list to sweep")
+                         help="ISASR weights (ms or 'auto'); a comma list sweeps ISASR")
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -24,17 +24,17 @@ DEFAULT_GROUND_STATIONS = (
 )
 
 
-def check_routing_values(eta_s_ms=(), qos_ms=(), gamma_ms=None, cost_thrsh_ms=None) -> None:
+def check_routing_values(eta_s_ms=(), qos_ms=(), gamma_ms=(), cost_thrsh_ms=None) -> None:
     """Raise ValueError unless every given routing parameter is usable.
 
-    Setup delays and QoS thresholds must be finite and positive, gamma finite
-    and non-negative, and the ISASR cost threshold positive (``inf`` allowed).
+    Setup delays and QoS thresholds must be finite and positive, each gamma finite
+    and non-negative (or ``None``), and the ISASR cost threshold positive (``inf`` allowed).
     """
     if not all(math.isfinite(e) and e > 0 for e in eta_s_ms):
         raise ValueError("every setup-delay value must be finite and positive")
     if not all(math.isfinite(q) and q > 0 for q in qos_ms):
         raise ValueError("QoS thresholds must be finite and positive")
-    if gamma_ms is not None and not (math.isfinite(gamma_ms) and gamma_ms >= 0):
+    if not all(g is None or (math.isfinite(g) and g >= 0) for g in gamma_ms):
         raise ValueError("gamma must be finite and non-negative")
     if cost_thrsh_ms is not None and not cost_thrsh_ms > 0:
         raise ValueError("cost threshold must be positive")
@@ -51,7 +51,7 @@ class ExperimentConfig:
     destination: str
     algorithms: tuple[str, ...] = ALGORITHMS
     eta_s_ms: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0)
-    gamma: float | None = None  # ISASR weight in ms; None (``auto``): gamma tracks eta_s
+    gamma: tuple[float | None, ...] = (None,)  # ISASR weights in ms; None (``auto``): eta_s
     cost_thrsh_ms: float = 100.0
     qos_ms: tuple[float, ...] = (27.0, 30.0, 35.0, 40.0)
     histogram_bin_ms: float = 0.25
@@ -61,11 +61,14 @@ class ExperimentConfig:
             eta_s_ms=self.eta_s_ms, qos_ms=self.qos_ms,
             gamma_ms=self.gamma, cost_thrsh_ms=self.cost_thrsh_ms,
         )
-        if not (self.algorithms and self.eta_s_ms):
-            raise ValueError("need at least one algorithm and one setup delay")
-        for what, values in (("algorithm", self.algorithms), ("setup delay", self.eta_s_ms)):
+        if not (self.algorithms and self.eta_s_ms and self.gamma):
+            raise ValueError("need at least one algorithm, one setup delay and one gamma")
+        for what, values in (("algorithm", self.algorithms), ("setup delay", self.eta_s_ms),
+                             ("gamma", self.gamma)):
             if len(set(values)) < len(values):
                 raise ValueError(f"a {what} is listed twice: {', '.join(map(str, values))}")
+        if len(self.gamma) > 1 and "isasr" not in self.algorithms:
+            raise ValueError("a gamma list needs isasr among the algorithms")
         if len(self.qos_ms) != len(self.eta_s_ms):
             raise ValueError("qos_ms must pair one threshold with each eta_s value")
         if not (math.isfinite(self.histogram_bin_ms) and self.histogram_bin_ms > 0):
@@ -80,15 +83,13 @@ class ExperimentConfig:
         if bad:
             raise ValueError(f"unknown algorithms: {sorted(bad)}")
 
-    def qos_for(self, eta_s_ms: float) -> float:
-        """QoS threshold paired with a setup-delay value."""
-        for e, q in zip(self.eta_s_ms, self.qos_ms):
-            if e == eta_s_ms:
-                return q
-        raise KeyError(f"no QoS threshold paired with eta_s={eta_s_ms}")
+    def qos_for(self, eta_s_ms: float) -> tuple[float, ...]:
+        """The QoS threshold paired with a setup delay, or every threshold for an unpaired one."""
+        return tuple(q for e, q in zip(self.eta_s_ms, self.qos_ms) if e == eta_s_ms) or self.qos_ms
 
-    def gamma_for(self, eta_s_ms: float) -> float:
-        return eta_s_ms if self.gamma is None else self.gamma
+    def gamma_for(self, eta_s_ms: float) -> tuple[float, ...]:
+        """The ISASR weights at a setup delay, ``auto`` resolved to it."""
+        return tuple(eta_s_ms if g is None else g for g in self.gamma)
 
 
 def default_config() -> ExperimentConfig:

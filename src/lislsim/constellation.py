@@ -113,7 +113,7 @@ TEXT_PARSERS = {
     "str": str,
     "tuple[float, ...]": lambda text: tuple(float(tok) for tok in text.replace(",", " ").split()),
     "tuple[str, ...]": lambda text: tuple(text.replace(",", " ").split()),
-    "float | None": auto_float,
+    "tuple[float | None, ...]": lambda text: tuple(map(auto_float, text.replace(",", " ").split())),
 }
 
 

@@ -174,3 +174,32 @@ def test_topology_gains_no_public_name():
             public.update(t.id for t in targets if isinstance(t, ast.Name))
     public = {name for name in public if not name.startswith("_")}
     assert public == TOPOLOGY_PUBLIC, public ^ TOPOLOGY_PUBLIC
+
+
+# every flag of each subcommand; a new one needs a reason to exist
+CLI_FLAGS = {
+    "generate": {"config", "out"},
+    "run": {"config", "series", "algorithm", "eta-s", "gamma", "cost-thrsh", "out"},
+    "sweep": {"config", "series", "gamma", "out"},
+    "oracle": {"config", "series", "out"},
+    "table2": {"eta-s"},
+}
+
+
+def test_cli_flags_are_pinned():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    subcommands = {  # subparser variable -> subcommand name
+        node.targets[0].id: node.value.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "attr", None) == "add_parser"
+    }
+    flags = {name: set() for name in subcommands.values()}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument"
+                and getattr(node.func.value, "id", None) in subcommands):
+            flags[subcommands[node.func.value.id]].update(
+                arg.value.removeprefix("--") for arg in node.args
+                if isinstance(arg, ast.Constant) and arg.value.startswith("--")
+            )
+    assert flags == CLI_FLAGS

@@ -231,7 +231,22 @@ class TestRun:
             "--algorithm", "isasr", "--gamma", "3", "--cost-thrsh", "5", "--out", str(out),
         ]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
-        assert (config["gamma"], config["cost_thrsh_ms"]) == (3.0, 5.0)
+        assert (config["gamma"], config["cost_thrsh_ms"]) == ([3.0], 5.0)
+
+    @pytest.mark.parametrize("argv, config_edit", [
+        (["--gamma", "1,2"], None),
+        ([], ("[run]\n", "[run]\ngamma = 1, 2\n")),
+    ], ids=["flag", "config"])
+    def test_more_than_one_gamma_exits_1(self, tmp_path, tiny_series, capsys, argv, config_edit):
+        cfg = tmp_path / "gammas.ini"
+        cfg.write_text(TINY_CONFIG if config_edit is None else TINY_CONFIG.replace(*config_edit))
+        out = tmp_path / "gammas_out"
+        assert main([
+            "run", "--config", str(cfg), "--series", str(tiny_series),
+            "--algorithm", "isasr", *argv, "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err == "error: run takes one gamma value\n"
+        assert not out.exists()
 
     def test_missing_series_is_validation_error(self, tmp_path, tiny_config):
         rc = main([
@@ -277,8 +292,9 @@ class TestSweep:
         rows = (out / "sweep.tsv").read_text().splitlines()[1:]
         isasr_rows = [r for r in rows if r.startswith("isasr")]
         assert len(isasr_rows) == 2 * 3  # two eta_s x three gamma values
-        # a list sweeps ISASR only; the other cells ran with the file's gamma
-        assert json.loads((out / "manifest.json").read_text())["config"]["gamma"] is None
+        # a list sweeps ISASR only; the other cells run with its first gamma
+        assert {r.split("\t")[2] for r in rows if not r.startswith("isasr")} == {"0.5"}
+        assert json.loads((out / "manifest.json").read_text())["config"]["gamma"] == [0.5, 5, 50]
 
     def test_manifest_records_a_single_gamma(self, tmp_path, tiny_config, tiny_series):
         out = tmp_path / "g5"
@@ -288,7 +304,42 @@ class TestSweep:
         ]) == 0
         rows = (out / "sweep.tsv").read_text().splitlines()[1:]
         assert {r.split("\t")[2] for r in rows} == {"5"}
-        assert json.loads((out / "manifest.json").read_text())["config"]["gamma"] == 5.0
+        assert json.loads((out / "manifest.json").read_text())["config"]["gamma"] == [5.0]
+
+    def _isasr_cells(self, out):
+        rows = (out / "sweep.tsv").read_text().splitlines()[1:]
+        return [tuple(r.split("\t")[1:3]) for r in rows if r.startswith("isasr")]
+
+    def test_auto_in_a_gamma_list_is_each_setup_delay(self, tmp_path, tiny_config, tiny_series):
+        out = tmp_path / "auto5"
+        assert main([
+            "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
+            "--gamma", "auto,5", "--out", str(out),
+        ]) == 0
+        assert self._isasr_cells(out) == [("1", "1"), ("1", "5"), ("1000", "1000"), ("1000", "5")]
+
+    def test_a_cell_listed_twice_runs_once(self, tmp_path, tiny_series):
+        cfg = tmp_path / "auto5.ini"
+        cfg.write_text(TINY_CONFIG.replace("eta_s_ms = 1, 1000", "eta_s_ms = 5, 1000\ngamma = auto, 5"))
+        out = tmp_path / "auto5"
+        assert main([
+            "sweep", "--config", str(cfg), "--series", str(tiny_series), "--out", str(out),
+        ]) == 0
+        assert self._isasr_cells(out) == [("5", "5"), ("1000", "1000"), ("1000", "5")]
+
+    def test_a_gamma_flag_is_the_config_key(self, tmp_path, tiny_config, tiny_series):
+        cfg = tmp_path / "gammas.ini"
+        cfg.write_text(TINY_CONFIG.replace("[run]\n", "[run]\ngamma = 1, 10\n"))
+        by_flag, by_key = tmp_path / "flag", tmp_path / "key"
+        assert main([
+            "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
+            "--gamma", "1,10", "--out", str(by_flag),
+        ]) == 0
+        assert main([
+            "sweep", "--config", str(cfg), "--series", str(tiny_series), "--out", str(by_key),
+        ]) == 0
+        for name in ("sweep.tsv", "manifest.json"):
+            assert (by_flag / name).read_bytes() == (by_key / name).read_bytes(), name
 
 
 def _count_runs(monkeypatch):
@@ -808,6 +859,7 @@ class TestBadRoutingValues:
             (["sweep", "--gamma", "nan"], None),
             (["sweep", "--gamma", "0.5,inf"], None),
             (["sweep", "--gamma", "5,5"], None),
+            (["sweep", "--gamma", "1,2"], ("ilsr, ilpr, alpr, isasr", "ilsr, alpr")),
             (["sweep"], ("eta_s_ms = 1, 1000", "eta_s_ms = 1, inf")),
             (["run", "--algorithm", "alpr"], ("[run]\n", "[run]\nhistogram_bin_ms = 1e-12\n")),
             (["sweep"], ("eta_s_ms = 1, 1000\nqos_ms = 30, 60",
@@ -817,7 +869,8 @@ class TestBadRoutingValues:
         ids=[
             "run-eta-nan", "run-eta-negative", "run-eta-inf", "run-gamma-nan",
             "run-gamma-negative", "run-thrsh-nan", "run-thrsh-zero", "sweep-gamma-nan",
-            "sweep-gamma-list-inf", "sweep-gamma-list-repeated", "sweep-config-eta-inf", "run-histogram-bin-tiny",
+            "sweep-gamma-list-inf", "sweep-gamma-list-repeated", "sweep-gamma-list-without-isasr",
+            "sweep-config-eta-inf", "run-histogram-bin-tiny",
             "sweep-config-eta-repeated", "sweep-config-algorithm-repeated",
         ],
     )

@@ -84,15 +84,14 @@ class TestDefaults:
 
     def test_gamma_tracks_setup_delay_by_default(self):
         cfg = default_config()
-        assert cfg.gamma is None
-        assert cfg.gamma_for(123.0) == 123.0
+        assert cfg.gamma == (None,)
+        assert cfg.gamma_for(123.0) == (123.0,)
 
     def test_qos_pairing_lookup(self):
         cfg = default_config()
-        assert cfg.qos_for(1000.0) == 40.0
-        assert cfg.qos_for(10.0) == 30.0
-        with pytest.raises(KeyError):
-            cfg.qos_for(7.0)
+        assert cfg.qos_for(1000.0) == (40.0,)
+        assert cfg.qos_for(10.0) == (30.0,)
+        assert cfg.qos_for(7.0) == cfg.qos_ms  # unpaired: every threshold
 
 
 class TestLoadConfig:
@@ -106,8 +105,8 @@ class TestLoadConfig:
         assert cfg.source == "paris" and cfg.destination == "tokyo"
         assert cfg.algorithms == ("ilsr", "isasr")
         assert cfg.eta_s_ms == (5.0, 50.0)
-        assert cfg.gamma == 12.5
-        assert cfg.gamma_for(50.0) == 12.5
+        assert cfg.gamma == (12.5,)
+        assert cfg.gamma_for(50.0) == (12.5,)
         assert math.isinf(cfg.cost_thrsh_ms)
         ids = sorted(gs.id for gs in cfg.ground_stations)
         assert ids == [66, 67]  # right after the 6 x 11 satellites
@@ -140,6 +139,28 @@ class TestLoadConfig:
     def test_missing_file_is_an_error(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read"):
             load_config(tmp_path / "absent.ini")
+
+    def test_gamma_list_with_auto(self, tmp_path):
+        path = tmp_path / "gammas.ini"
+        path.write_text("[run]\neta_s_ms = 5, 50\nqos_ms = 30, 40\ngamma = auto, 5\n")
+        cfg = load_config(path)
+        assert cfg.gamma == (None, 5.0)
+        assert cfg.gamma_for(5.0) == (5.0, 5.0) and cfg.gamma_for(50.0) == (50.0, 5.0)
+
+    @pytest.mark.parametrize(
+        "run_section,message",
+        [
+            ("algorithms = ilsr, alpr\ngamma = 1, 2", "isasr"),
+            ("gamma = 5, auto, 5", "listed twice"),
+            ("gamma =", "one gamma"),
+        ],
+        ids=["list-without-isasr", "repeated", "empty"],
+    )
+    def test_bad_gamma_list_rejected(self, tmp_path, run_section, message):
+        path = tmp_path / "gammas.ini"
+        path.write_text(f"[run]\n{run_section}\n")
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
 
     def test_qos_pairing_length_enforced(self, tmp_path):
         path = tmp_path / "bad.ini"
