@@ -10,7 +10,7 @@ Subcommands::
     table2    replay the built-in four-route worked example of the
               lifetime-averaged route selection rule
 
-Exit status: 0 ok, 1 validation/usage error, 2 verification failure.
+Exit status: 0 ok, 1 validation/usage error or out of memory, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -333,6 +333,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, MissingEdgeError) else 1  # 2: a schedule failed its check
+    except MemoryError as exc:  # a backstop: numpy names the allocation, a bare one says nothing
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

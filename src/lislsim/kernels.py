@@ -107,6 +107,9 @@ def shortest_route(indptr, nbr, wgt, src: int, dst: int) -> np.ndarray:
 
     The CSR adjacency must list neighbours of each node in ascending id
     order and all weights must be positive (+inf marks a disabled arc).
+    ``indptr`` and ``nbr`` are integer arrays of any width, read as they
+    come (``Snapshot.csr`` gives the narrowest unsigned one); their values
+    become Python ints, so no arithmetic wraps at the width.
     Ties resolve to the lexicographically smallest vertex sequence: Dijkstra
     runs from the destination, then the walk from the source always steps to
     the smallest-id neighbour that stays on a shortest path
@@ -131,9 +134,8 @@ def shortest_route(indptr, nbr, wgt, src: int, dst: int) -> np.ndarray:
     indexing would cost more than the search, and so would converting
     whole arrays.
     """
-    nbr = np.ascontiguousarray(nbr, dtype=np.int32)
     wgt = np.ascontiguousarray(wgt, dtype=np.float64)
-    indptr = np.ascontiguousarray(indptr, dtype=np.int64).tolist()
+    indptr = indptr.tolist()
     src, dst = int(src), int(dst)
     dist = [math.inf] * (len(indptr) - 1)
     dist[dst] = 0.0

@@ -37,6 +37,11 @@ class SeriesFormatError(ValueError):
     """Raised when a snapshot-series file fails validation."""
 
 
+def _uint_for(largest: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds 0..``largest``."""
+    return np.min_scalar_type(max(largest, 0))
+
+
 def pack_keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Packed key of each canonical pair (lo < hi): lo in the high 32 bits."""
     return (lo.astype(np.int64) << 32) | hi
@@ -95,20 +100,24 @@ class Snapshot:
         """Cached symmetric CSR adjacency: (indptr, neighbours, arc_edge_index).
 
         Neighbours of each node are in ascending id order; ``arc_edge_index``
-        (int32) maps each arc back to its canonical edge for cost lookups.
-        The arcs are listed v -> u, then u -> v, and stably sorted by source:
-        the edges are sorted by (u, v), so a node's lower neighbours come
-        first and ascend, then its higher ones.
+        maps each arc back to its canonical edge for cost lookups. The arcs
+        are listed v -> u, then u -> v, and stably sorted by source: the
+        edges are sorted by (u, v), so a node's lower neighbours come first
+        and ascend, then its higher ones. Each array is of the narrowest
+        unsigned dtype (``_uint_for``) for its largest value: ``num_nodes - 1``
+        for the neighbours, ``edge_count - 1`` for the arc ids and
+        ``2 * edge_count`` for ``indptr``; uint16 each in a stock slot.
         """
         if self._csr is None:
             start = time.perf_counter()
             e = self.edge_count
-            src = np.concatenate([self.v, self.u])
-            # numpy radix-sorts stable 8- and 16-bit keys
-            order = np.argsort(src.astype(np.min_scalar_type(self.num_nodes - 1)), kind="stable")
-            nbr = np.concatenate([self.u, self.v])[order]
-            arc_eid = np.tile(np.arange(e, dtype=np.int32), 2)[order]
-            indptr = np.zeros(self.num_nodes + 1, np.int64)
+            node = _uint_for(self.num_nodes - 1)
+            # every id is below num_nodes, so the unsafe cast is exact
+            src = np.concatenate([self.v, self.u], dtype=node, casting="unsafe")
+            order = np.argsort(src, kind="stable")  # numpy radix-sorts 8- and 16-bit keys
+            nbr = np.concatenate([self.u, self.v], dtype=node, casting="unsafe")[order]
+            arc_eid = np.tile(np.arange(e, dtype=_uint_for(e - 1)), 2)[order]
+            indptr = np.zeros(self.num_nodes + 1, _uint_for(2 * e))
             np.cumsum(np.bincount(src, minlength=self.num_nodes), out=indptr[1:])
             self._csr = (indptr, nbr, arc_eid)
             self._series.build_s += time.perf_counter() - start
@@ -271,14 +280,15 @@ class SnapshotSeries:
         return self.snapshots[slot - 1]
 
     def run_last(self) -> np.ndarray:
-        """Per record: the last slot of its edge's run of consecutive slots.
+        """Per record: the last slot of its edge's run of consecutive slots,
+        as ``_uint_for(num_slots)``: uint8 below 256 slots, uint16 below 65,536.
 
         Computed once, walking the slots backwards: a record whose key is in
         the next slot takes that record's run end, any other its own slot.
         """
         if self._runs is None:
             start = time.perf_counter()
-            run_last = np.empty(self.keys.size, np.int32)
+            run_last = np.empty(self.keys.size, _uint_for(self.num_slots))
             for snap in reversed(self.snapshots):
                 ends = run_last[snap._span]
                 ends[:] = snap.slot

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 # one verdict line per acceptance criterion, echoed after the test summary
 CRITERION_LINES: list[str] = []
@@ -36,6 +37,28 @@ def one_slot(edges: dict[tuple[int, int], float], num_nodes: int,
     sats = num_nodes if num_satellites is None else num_satellites
     stations = tuple(GroundStation(i, f"gs{i}", 0.0, 0.0) for i in range(sats, num_nodes))
     return series_from_edges([edges], num_satellites=sats, ground_stations=stations).snapshot(1)
+
+
+@st.composite
+def one_slot_edges(draw):
+    """(edges, satellites, stations) of one slot: random edges among the
+    satellites and between satellites and stations, of mean degree up to
+    about a stock slot's (~24); nodes without edges are common."""
+    sats = draw(st.integers(0, 150))
+    stations = draw(st.integers(0, 3))
+    degree = draw(st.sampled_from([0.0, 0.1, 2.0, 24.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edges = {}
+    if sats > 1:
+        a, b = np.triu_indices(sats, 1)
+        keep = rng.random(a.size) < degree / (sats - 1)
+        edges.update({(i, j): 1.0 for i, j in zip(a[keep].tolist(), b[keep].tolist())})
+    for gs in range(sats, sats + stations):
+        for sat in rng.choice(sats, size=min(sats, int(rng.integers(0, 4))), replace=False):
+            edges[(gs, int(sat)) if rng.random() < 0.5 else (int(sat), gs)] = 1.0
+    for key in edges:
+        edges[key] = float(rng.uniform(0.5, 20.0))
+    return edges, sats, stations
 
 
 def edge_pairs(route) -> list[tuple[int, int]]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -925,6 +926,55 @@ class TestVerificationFailureExit:
         ])
         assert rc == 2
         assert "error: schedule route at slot 2 uses a missing edge" in capsys.readouterr().err
+
+
+# A series that declares 2,000,000,000 satellites and backs two edges of them: a
+# CSR sized by the node count asks for gigabytes, which the address-space cap refuses.
+_HUGE_ROSTER_SERIES = """lislsim-series v1
+scenario lisl_range_km=1500.0 gs_range_km=1000.0 node_delay_ms=1.0 slot_duration_s=1.0 num_slots=1
+satellites 2000000000
+gs 2000000000 new_york 40.7128 -74.006
+gs 2000000001 london 51.5074 -0.1278
+gs 2000000002 hanoi 21.0285 105.8542
+1 0 2000000000 1.0
+1 0 2000000001 1.0
+"""
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+class TestOutOfMemory:
+    """A refused allocation ends in exit 1 and one ``error:`` line, never a traceback."""
+
+    def test_huge_declared_roster_in_a_capped_child(self, tmp_path):
+        series = tmp_path / "huge.series"
+        series.write_text(_HUGE_ROSTER_SERIES)
+        src = str(Path(lislsim.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "lislsim.cli", "run", "--algorithm", "ilsr",
+             "--series", str(series), "--out", str(tmp_path / "out")],
+            env=env, preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory: Unable to allocate")
+        assert not (tmp_path / "out").exists()
+
+    def test_bare_memory_error_names_no_detail(self, tmp_path, tiny_config, tiny_series,
+                                               capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(lislsim.cli, "import_series", refuse)
+        rc = main(["sweep", "--config", str(tiny_config), "--series", str(tiny_series),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
 
 
 class TestScheduleGaps:

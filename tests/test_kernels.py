@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from lislsim import kernels
 from lislsim.config import default_config
 from lislsim.constellation import satellite_positions
+
+from conftest import one_slot, one_slot_edges
 
 
 def _random_csr(rng, n, extra_edges, levels=512, inf_fraction=0.0):
@@ -225,3 +229,39 @@ def test_infinite_weights_disable_arcs():
     nbr = np.array([1, 2, 0, 2, 0, 1], np.int32)
     wgt = np.array([1.0, np.inf, 1.0, 1.0, np.inf, 1.0])
     assert np.array_equal(kernels.shortest_route(indptr, nbr, wgt, 0, 2), [0, 1, 2])
+
+
+def _routes_by_width(indptr, nbr, wgt, src, dst):
+    """The path for the CSR given as uint16, int32 and int64 arrays, one per width."""
+    return {
+        np.dtype(t).name: kernels.shortest_route(
+            indptr.astype(t), nbr.astype(t), wgt, src, dst).tolist()
+        for t in (np.uint16, np.int32, np.int64)
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_slot_edges(), st.data())
+def test_shortest_route_reads_any_integer_width(slot, data):
+    edges, sats, stations = slot
+    n = sats + stations
+    assume(n >= 2)
+    snap = one_slot(edges, num_nodes=n, num_satellites=sats)
+    indptr, nbr, arc_eid = snap.csr()
+    wgt = snap.delay_ms[arc_eid]
+    src, dst = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    want = kernels.shortest_route(indptr, nbr, wgt, src, dst).tolist()  # as Snapshot.csr gives it
+    paths = _routes_by_width(indptr, nbr, wgt, src, dst)
+    assert paths == dict.fromkeys(paths, want)
+
+
+def test_shortest_route_reads_the_top_uint16_id():
+    # 0 - 65535 - 1 costs 2 and the direct 0 - 1 costs 5: a wrapped id would lose the detour
+    n = 65_536
+    snap = one_slot({(0, n - 1): 1.0, (1, n - 1): 1.0, (0, 1): 5.0}, num_nodes=n)
+    indptr, nbr, arc_eid = snap.csr()
+    assert nbr.dtype == np.uint16 and nbr.max() == n - 1
+    wgt = snap.delay_ms[arc_eid]
+    widths = ("uint16", "int32", "int64")
+    assert _routes_by_width(indptr, nbr, wgt, 0, 1) == dict.fromkeys(widths, [0, n - 1, 1])
+    assert _routes_by_width(indptr, nbr, wgt, 1, 0) == dict.fromkeys(widths, [1, n - 1, 0])

@@ -25,7 +25,7 @@ from lislsim.topology import (
 from lislsim.routing import Route
 
 from brute_force import import_series_reference, reference_run_last
-from conftest import head_series, one_slot, pair_positions, save_series
+from conftest import head_series, one_slot, one_slot_edges, pair_positions, save_series
 from toyseries import dominance_toy_series, series_from_edges
 
 
@@ -259,6 +259,17 @@ class TestLinkDetails:
     def test_series_without_edges(self):
         series = slots_series({}, num_slots=3)
         assert [snap.run_last.size for snap in series.snapshots] == [0, 0, 0]
+
+    @pytest.mark.parametrize("num_slots,width", [(255, "uint8"), (256, "uint16")],
+                             ids=["uint8", "uint16"])
+    def test_width_holds_the_last_slot(self, num_slots, width):
+        # short runs everywhere, and one run that ends at the horizon
+        series = slots_series({
+            (0, 1): [s for s in range(1, num_slots + 1) if s % 3],
+            (1, 2): [num_slots - 2, num_slots - 1, num_slots],
+        }, num_slots=num_slots)
+        assert series.run_last().dtype == width and series.run_last().max() == num_slots
+        assert_matches_reference(series)
 
 
 class TestColumnViews:
@@ -557,8 +568,14 @@ class TestExportWriter:
         assert (folder / "new.series").read_bytes() == (folder / "old.series").read_bytes()
 
 
+def narrowest_uint(largest: int) -> np.dtype:
+    """The first of uint8, 16, 32 and 64 that holds 0..largest."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if np.iinfo(t).max >= largest)
+
+
 def reference_csr(snap):
-    """The CSR built with a two-key lexsort over (source, neighbour)."""
+    """The CSR built with a two-key lexsort over (source, neighbour), in int64."""
     e = snap.edge_count
     src = np.concatenate([snap.u, snap.v]).astype(np.int64)
     dst = np.concatenate([snap.v, snap.u]).astype(np.int64)
@@ -566,12 +583,17 @@ def reference_csr(snap):
     order = np.lexsort((dst, src))
     indptr = np.zeros(snap.num_nodes + 1, np.int64)
     np.cumsum(np.bincount(src, minlength=snap.num_nodes), out=indptr[1:])
-    return indptr, dst[order].astype(np.int32), eid[order].astype(np.int32)
+    return indptr, dst[order], eid[order]
 
 
 def assert_csr_valid(snap):
-    indptr, nbr, arc_eid = snap.csr()
+    """The CSR's values equal the reference's, each array in the narrowest
+    unsigned dtype for its largest possible value."""
+    csr = snap.csr()
     n, e = snap.num_nodes, snap.edge_count
+    for got, largest in zip(csr, (2 * e, n - 1, e - 1)):
+        assert got.dtype == narrowest_uint(largest), (got.dtype, largest)
+    indptr, nbr, arc_eid = (a.astype(np.int64) for a in csr)  # so that differences do not wrap
     degree = np.bincount(np.concatenate([snap.u, snap.v]), minlength=n)
     assert indptr[0] == 0 and np.array_equal(np.diff(indptr), degree)
     for node in range(n):
@@ -582,29 +604,13 @@ def assert_csr_valid(snap):
     ends = np.sort(np.stack([rows, nbr]), axis=0)
     assert np.array_equal(ends, np.stack([snap.u[arc_eid], snap.v[arc_eid]]))
     for got, want in zip((indptr, nbr, arc_eid), reference_csr(snap)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(got, want)
 
 
-@st.composite
-def one_slot_edges(draw):
-    """(edges, satellites, stations) of one slot: random edges among the
-    satellites and between satellites and stations, of mean degree up to
-    about a stock slot's (~24); nodes without edges are common."""
-    sats = draw(st.integers(0, 150))
-    stations = draw(st.integers(0, 3))
-    degree = draw(st.sampled_from([0.0, 0.1, 2.0, 24.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    edges = {}
-    if sats > 1:
-        a, b = np.triu_indices(sats, 1)
-        keep = rng.random(a.size) < degree / (sats - 1)
-        edges.update({(i, j): 1.0 for i, j in zip(a[keep].tolist(), b[keep].tolist())})
-    for gs in range(sats, sats + stations):
-        for sat in rng.choice(sats, size=min(sats, int(rng.integers(0, 4))), replace=False):
-            edges[(gs, int(sat)) if rng.random() < 0.5 else (int(sat), gs)] = 1.0
-    for key in edges:
-        edges[key] = float(rng.uniform(0.5, 20.0))
-    return edges, sats, stations
+def first_pairs(num_edges: int, num_nodes: int = 400) -> dict[tuple[int, int], float]:
+    """The first ``num_edges`` of the (i, j) pairs, i < j < num_nodes, in key order."""
+    a, b = np.triu_indices(num_nodes, 1)
+    return dict.fromkeys(zip(a[:num_edges].tolist(), b[:num_edges].tolist()), 1.0)
 
 
 class TestCsr:
@@ -626,17 +632,49 @@ class TestCsr:
         edges, sats, stations = slot
         assert_csr_valid(one_slot(edges, num_nodes=sats + stations, num_satellites=sats))
 
-    @pytest.mark.parametrize("num_nodes", [65_536, 65_537], ids=["uint16", "uint32"])
-    def test_sort_key_widths(self, num_nodes):
+    @pytest.mark.parametrize("num_nodes,width", [(65_536, "uint16"), (65_537, "uint32")],
+                             ids=["uint16", "uint32"])
+    def test_sort_key_widths(self, num_nodes, width):
         top = num_nodes - 1
         edges = {(0, 255): 1.0, (0, 256): 2.0, (255, 256): 3.0, (0, top): 4.0,
                  (256, top): 5.0, (1, 255): 6.0}
-        assert_csr_valid(one_slot(edges, num_nodes=num_nodes))
+        snap = one_slot(edges, num_nodes=num_nodes)
+        assert snap.csr()[1].dtype == width
+        assert_csr_valid(snap)
+
+    @pytest.mark.parametrize("num_edges,array,width", [
+        (32_767, 0, "uint16"), (32_768, 0, "uint32"), (65_536, 2, "uint16"), (65_537, 2, "uint32"),
+    ], ids=["offsets-uint16", "offsets-uint32", "arc-ids-uint16", "arc-ids-uint32"])
+    def test_edge_count_widths(self, num_edges, array, width):
+        snap = one_slot(first_pairs(num_edges), num_nodes=400)
+        assert snap.csr()[array].dtype == width
+        assert_csr_valid(snap)
 
     def test_stock_slots(self, stock_head):
         for snap in stock_head.snapshots[::5]:
             assert snap.edge_count > 10_000
             assert_csr_valid(snap)
+
+    def test_routing_state_takes_the_narrow_widths(self, stock_head):
+        """Held after the builds, net of what was held before them: every
+        slot's CSR at 8 bytes an edge plus 2 a node (16 and 8 when node ids
+        and arc ids were int32 and offsets int64), and ``run_last`` at 1 byte
+        a record over these 20 slots (4 as int32). Python objects may add
+        1 KiB a slot (a tuple, array headers) and 4 KiB to ``run_last``."""
+        head = head_series(stock_head, 20)
+        records, nodes = head.keys.size, head.roster.num_nodes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for snap in head.snapshots:
+                snap.csr()
+            csr_bytes = tracemalloc.get_traced_memory()[0] - before
+            head.run_last()
+            run_bytes = tracemalloc.get_traced_memory()[0] - before - csr_bytes
+        finally:
+            tracemalloc.stop()
+        assert csr_bytes <= 8 * records + head.num_slots * (2 * (nodes + 1) + 1024), csr_bytes
+        assert run_bytes <= records + 4096, run_bytes
 
 
 HEADER = (
