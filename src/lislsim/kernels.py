@@ -29,6 +29,13 @@ _HALF_SHELL = tuple(
 )
 
 
+# The most grid candidates one ``pair_edges`` call may gate, summed over the
+# half-shell offsets. A candidate takes about 50 bytes while its offset is
+# gated, so the budget bounds a call near 0.8 GB; a stock list build (1584
+# satellites within 1650 km) has about 70k, some 240 times fewer.
+MAX_CANDIDATES = 2**24
+
+
 def pair_edges(pos: np.ndarray, range_km: float):
     """All index pairs (i < j) with euclidean distance <= range_km.
 
@@ -48,6 +55,11 @@ def pair_edges(pos: np.ndarray, range_km: float):
     adjacent. (With a side of exactly ``range_km`` such a pair can land two
     cells apart.) ``pairs_in_range`` recomputes d2 per candidate in the order
     above, so the result is bit-equal to a dense all-pairs scan.
+
+    The candidates of one neighbour offset are listed (int32 ids) and gated
+    before the next offset's, so a call holds one offset's candidates and
+    the pairs kept so far. Each offset's count is checked before its arrays
+    are made: a running total over ``MAX_CANDIDATES`` raises ValueError.
     """
     pos = np.ascontiguousarray(pos, dtype=np.float64)
     range_km = float(range_km)
@@ -64,18 +76,25 @@ def pair_edges(pos: np.ndarray, range_km: float):
     key = (cell[:, 0] << 42) | (cell[:, 1] << 21) | cell[:, 2]
     order = np.argsort(key)
     skey = key[order]
-    first, second = [], []
+    # rows in cell order; a rounded difference only changes sign when its
+    # operands swap, so each square is the one of (x_i - x_j) for i < j
+    spos = pos[order]
+    rows = np.arange(n, dtype=np.int32)
+    kept, total = [], 0
     for offset in _HALF_SHELL:
         stop = np.searchsorted(skey, skey + offset, "right")
         start = np.searchsorted(skey, skey + offset, "left") if offset else np.arange(1, n + 1)
         count = stop - start
-        first.append(np.repeat(np.arange(n), count))
-        second.append(np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count))
-    a, b = np.concatenate(first), np.concatenate(second)
-    del first, second  # freed before the gate allocates its temporaries
-    # rows in cell order; a rounded difference only changes sign when its
-    # operands swap, so each square is the one of (x_i - x_j) for i < j
-    a, b, d2 = pairs_in_range(pos[order], a, b, range_km)
+        size = int(count.sum())
+        total += size
+        if total > MAX_CANDIDATES:
+            raise ValueError(f"pair_edges: more than {MAX_CANDIDATES} candidate pairs within "
+                             f"{range_km} km of {n} points (the candidate budget)")
+        first = np.repeat(rows, count)
+        second = np.arange(size, dtype=np.int32)
+        second += np.repeat((start - np.cumsum(count) + count).astype(np.int32), count)
+        kept.append(pairs_in_range(spos, first, second, range_km))
+    a, b, d2 = (np.concatenate(column) for column in zip(*kept))
     a, b = order[a], order[b]
     i, j = np.minimum(a, b), np.maximum(a, b)
     by_pair = np.argsort(i * n + j)

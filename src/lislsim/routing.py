@@ -49,10 +49,20 @@ class Route:
         return len(self.nodes) - 1
 
     @cached_property
-    def keys(self) -> np.ndarray:
-        """Packed key of each hop's edge, in hop order."""
-        a, b = np.array(self.nodes[:-1]), np.array(self.nodes[1:])
-        return pack_keys(np.minimum(a, b), np.maximum(a, b))
+    def _keys(self) -> dict[int, np.ndarray]:
+        return {}
+
+    def keys(self, num_nodes: int) -> np.ndarray:
+        """Packed key of each hop's edge, in hop order, as ``pack_keys`` packs
+        ids below ``num_nodes``: the key dtype of a series of that many nodes.
+        Cached per node count; ValueError for a node outside 0..num_nodes-1."""
+        keys = self._keys.get(num_nodes)
+        if keys is None:
+            if min(self.nodes) < 0 or max(self.nodes) >= num_nodes:
+                raise ValueError(f"route {self} leaves the node ids 0..{num_nodes - 1}")
+            a, b = np.array(self.nodes[:-1]), np.array(self.nodes[1:])
+            keys = self._keys[num_nodes] = pack_keys(np.minimum(a, b), np.maximum(a, b), num_nodes)
+        return keys
 
     def __str__(self):
         return "-".join(str(n) for n in self.nodes)
@@ -179,7 +189,7 @@ def disjoint_routes(snapshot: Snapshot, src: int, dst: int) -> list[Route]:
         if route is None:
             break
         found.append(route)
-        costs[snapshot.positions(route.keys)] = np.inf
+        costs[snapshot.positions(route.keys(snapshot.num_nodes))] = np.inf
     return found
 
 
@@ -285,7 +295,7 @@ def isasr(
     for snap in series.snapshots:
         cost_st = isasr_stability_cost(snap.run_last, snap.slot, n, eta_s_ms)
         cost_act = np.full(snap.edge_count, eta_s_ms, np.float64)
-        pos = snap.positions(np.fromiter(idle, np.int64, len(idle)))
+        pos = snap.positions(np.fromiter(idle, snap.keys.dtype, len(idle)))
         cost_act[pos[pos >= 0]] = 0.0
         costs = snap.delay_ms + gamma * (cost_st + cost_act)
         sat_sat = snap.v < snap.num_satellites  # u < v, so u is a satellite too
@@ -294,8 +304,9 @@ def isasr(
         routes.append(route)
         if route is None:
             continue
-        edges = set(route.keys.tolist())
-        breaks = snap.run_last[snap.positions(route.keys)].min() == snap.slot
+        keys = route.keys(snap.num_nodes)
+        edges = set(keys.tolist())
+        breaks = snap.run_last[snap.positions(keys)].min() == snap.slot
         idle = idle - edges if breaks else idle | edges
     return RoutingSchedule("isasr", src, dst, routes, series)
 

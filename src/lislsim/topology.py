@@ -4,7 +4,8 @@ A :class:`SnapshotSeries` is the simulator's central dataset and the one
 owner of its edges: the node roster plus slot offsets, the ``keys`` column
 and the ``delay_ms`` column, validated and put in canonical order once. An
 edge is its packed (u, v) key (``pack_keys``), by which every slot is
-sorted; ``u`` and ``v`` are zero-copy int32 views of the key's two halves.
+sorted; ``u`` and ``v`` are zero-copy views of the key's two halves, each
+as wide as the node ids need (``_uint_for(num_nodes - 1)``).
 Each slot is seen through a read-only :class:`Snapshot` view, and
 ``Snapshot.positions(keys)`` finds edges in it. On first use the series also
 computes the edge lifetimes that ISASR reads: each record's last slot of its
@@ -42,9 +43,30 @@ def _uint_for(largest: int) -> np.dtype:
     return np.min_scalar_type(max(largest, 0))
 
 
-def pack_keys(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Packed key of each canonical pair (lo < hi): lo in the high 32 bits."""
-    return (lo.astype(np.int64) << 32) | hi
+def _key_dtype(num_nodes: int) -> np.dtype:
+    """The packed-key dtype of a series of ``num_nodes`` nodes: the unsigned
+    integer twice as wide as ``_uint_for(num_nodes - 1)``, the node id width
+    (uint32 at stock), little-endian so that its low half comes first."""
+    return np.dtype(f"<u{2 * _uint_for(num_nodes - 1).itemsize}")
+
+
+def pack_keys(lo, hi, num_nodes: int) -> np.ndarray:
+    """Packed key of each canonical pair (lo < hi) of ids below ``num_nodes``,
+    as ``_key_dtype(num_nodes)``: lo in the high half, hi in the low one.
+
+    Ids outside 0..num_nodes-1 wrap, so the caller checks them first.
+    """
+    dtype = _key_dtype(num_nodes)
+    keys = np.asarray(lo).astype(dtype)
+    keys <<= 4 * dtype.itemsize
+    return np.bitwise_or(keys, hi, out=keys, dtype=dtype, casting="unsafe")
+
+
+def _halves(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) halves of a contiguous packed-key array, as zero-copy views."""
+    half = np.dtype(f"<u{keys.itemsize // 2}")
+    pairs = keys.view(np.dtype([("hi", half), ("lo", half)]))  # hi: the low half, first
+    return pairs["lo"], pairs["hi"]
 
 
 class Snapshot:
@@ -83,7 +105,11 @@ class Snapshot:
         return self._series.run_last()[self._span]
 
     def positions(self, keys: np.ndarray) -> np.ndarray:
-        """Indices of packed (u, v) keys in this slot's edges, -1 when absent."""
+        """Indices of packed (u, v) keys in this slot's edges, -1 when absent.
+
+        Keys of the column's dtype are searched as they are; any other dtype
+        makes ``searchsorted`` cast the slot's whole key column.
+        """
         if self.keys.size == 0:  # self.keys[pos] below needs a key to read
             return np.full(len(keys), -1, np.int64)
         pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
@@ -91,7 +117,7 @@ class Snapshot:
 
     def route_delay(self, route) -> float | None:
         """Sum of this slot's original delays along the route, None if broken."""
-        pos = self.positions(route.keys)
+        pos = self.positions(route.keys(self.num_nodes))
         if np.any(pos < 0):
             return None
         return float(np.sum(self.delay_ms[pos]))
@@ -165,13 +191,13 @@ class NodeRoster:
 MAX_DELAY_MS = 1e6
 
 
-def _edge_problem(roster: NodeRoster, lo, hi, keys, delay) -> str | None:
-    """The first edge rule that one slot's sorted (min, max) records break."""
-    if lo.min() < 0 or hi.max() >= roster.num_nodes:
-        return "unknown node id outside the node id range"
-    if np.any(lo == hi):
+def _edge_problem(roster: NodeRoster, u, v, keys, delay) -> str | None:
+    """The first edge rule after the id range that one slot's records break:
+    ``u`` and ``v`` are their ids, ``keys`` the sorted packed keys and
+    ``delay`` the delays in key order."""
+    if np.any(u == v):
         return "self-loops are not allowed"
-    if lo.max() >= roster.num_satellites:
+    if keys[-1] >> (4 * keys.itemsize) >= roster.num_satellites:  # the largest lo
         return "edge between two non-satellites (ground-to-ground)"
     if np.any(keys[1:] == keys[:-1]):
         return "duplicate edge within a slot"
@@ -186,7 +212,9 @@ def _canonical_slots(roster: NodeRoster, num_slots: int, slots):
     """Each of the ``num_slots`` raw ``(u, v, delay_ms)`` slots, slot 1 first,
     as ``(slot, keys, delay_ms)``: sorted packed (min, max) keys and delays
     quantized to 9 fractional digits, so that the series file round-trips
-    bit-exactly. Both sinks read their slots through it.
+    bit-exactly. Both sinks read their slots through it. The keys are
+    ``_key_dtype(roster.num_nodes)``, packed once the ids are known to be in
+    range.
 
     A slot is sorted (stably) only when its records are not in key order
     already. Raises ``ValueError("slot k: ...")`` naming the first edge rule
@@ -206,15 +234,17 @@ def _canonical_slots(roster: NodeRoster, num_slots: int, slots):
             raise ValueError(f"slot {slot}: edge columns differ in length")
         if u.size and not (u.dtype.kind in "iu" and v.dtype.kind in "iu"):
             raise ValueError(f"slot {slot}: node ids must be integers")
-        # a uint64 id at or above 2**63 turns negative here and breaks the id rule
-        u, v = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False)
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        n = roster.num_nodes
+        if u.size and (u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n):
+            raise ValueError(f"slot {slot}: unknown node id outside the node id range")
+        ids = _uint_for(n - 1)  # exact for ids in range
+        u, v = u.astype(ids, copy=False), v.astype(ids, copy=False)
+        keys = pack_keys(np.minimum(u, v), np.maximum(u, v), n)
         delay = np.round(delay_ms, 9)
-        keys = pack_keys(lo, hi)
         if np.any(keys[1:] <= keys[:-1]):  # not yet sorted by (u, v)
             order = np.argsort(keys, kind="stable")
-            keys, lo, hi, delay = keys[order], lo[order], hi[order], delay[order]
-        problem = _edge_problem(roster, lo, hi, keys, delay) if keys.size else None
+            keys, delay = keys[order], delay[order]
+        problem = _edge_problem(roster, u, v, keys, delay) if keys.size else None
         if problem:
             raise ValueError(f"slot {slot}: {problem}")
         yield slot, keys, delay
@@ -227,10 +257,11 @@ class SnapshotSeries:
 
     Built from the raw ``(u, v, delay_ms)`` columns of each slot, slot 1
     first. The edges of slot k are records ``offsets[k-1]:offsets[k]`` of the
-    read-only ``keys`` and ``delay_ms`` columns; ``u`` and ``v`` are int32
-    views of the keys' halves. Each slot passes ``_canonical_slots``, the one
-    home of the edge rules: every endpoint is an integer id of a satellite
-    or a roster station, no self-loop, no ground-to-ground edge, no duplicate edge in a
+    read-only ``keys`` (``_key_dtype(num_nodes)``) and ``delay_ms`` columns,
+    12 bytes a record at stock; ``u`` and ``v`` are views of the keys'
+    halves. Each slot passes ``_canonical_slots``, the one home of the edge
+    rules: every endpoint is an integer id of a satellite or a roster
+    station, no self-loop, no ground-to-ground edge, no duplicate edge in a
     slot, and a finite positive delay below ``MAX_DELAY_MS`` once quantized
     to 9 fractional digits. ``build_s`` sums the seconds of the lazy builds:
     the lifetimes and each slot's CSR.
@@ -246,7 +277,7 @@ class SnapshotSeries:
         trimmed to the records at the end, and a raw slot is dropped once it
         is copied, so memory stays at the columns plus about one slot.
         """
-        keys, delay_ms = np.empty(0, "<i8"), np.empty(0, np.float64)
+        keys, delay_ms = np.empty(0, _key_dtype(roster.num_nodes)), np.empty(0, np.float64)
         offsets = [0]
         for _, slot_keys, slot_delay in _canonical_slots(roster, scenario.num_slots, slots):
             start, end = offsets[-1], offsets[-1] + slot_keys.size
@@ -264,8 +295,7 @@ class SnapshotSeries:
         self.keys, self.delay_ms = keys, delay_ms
         for arr in (self.offsets, self.keys, self.delay_ms):
             arr.setflags(write=False)
-        halves = self.keys.view(np.dtype([("v", "<i4"), ("u", "<i4")]))  # v: the low word
-        self.u, self.v = halves["u"], halves["v"]
+        self.u, self.v = _halves(self.keys)
         self._runs = None
         self.build_s = 0.0
         self.snapshots = tuple(Snapshot(self, slot) for slot in range(1, scenario.num_slots + 1))
@@ -366,8 +396,8 @@ def _slot_records(slot: int, keys: np.ndarray, delay_ms: np.ndarray) -> bytes:
     if keys.size == 0:
         return b"%d - - -\n" % slot
     whole, frac = np.divmod(np.rint(delay_ms * 1e9).astype(np.int64), 10**9)
-    pieces = (b"%d " % slot, (keys >> 32,), b" ", (keys & 0xFFFFFFFF,), b" ", (whole,), b".",
-              (frac, 9), b"\n")
+    lo, hi = _halves(keys)
+    pieces = (b"%d " % slot, (lo,), b" ", (hi,), b" ", (whole,), b".", (frac, 9), b"\n")
     rows = []
     for piece in pieces:
         if isinstance(piece, bytes):
@@ -478,35 +508,49 @@ def _blocks(fh, text: str):
         yield tail
 
 
-def _is_marker(rec: np.ndarray) -> np.ndarray:
+def _is_marker(u: np.ndarray, v: np.ndarray, delay: np.ndarray) -> np.ndarray:
     """Which records read as the rewritten empty-slot marker."""
-    return (rec["u"] == -1) & (rec["v"] == -1) & np.isnan(rec["delay"])
+    return (u == -1) & (v == -1) & np.isnan(delay)
 
 
-def _slot_edges(parts: list[np.ndarray]):
+def _compact(rec: np.ndarray, num_nodes: int) -> tuple[np.ndarray, ...]:
+    """A block's ``(u, v, delay)`` as contiguous columns: an id column of
+    node ids takes their width, ``_uint_for(num_nodes - 1)``, and any other
+    (a marker's -1, an unknown id) stays int64. 12 bytes a record at stock,
+    where the parsed records take 32."""
+    columns = []
+    for col in (rec["u"], rec["v"]):
+        in_range = 0 <= col.min() and col.max() < num_nodes
+        columns.append(col.astype(_uint_for(num_nodes - 1) if in_range else np.int64))
+    return (*columns, rec["delay"].copy())
+
+
+def _slot_edges(parts: list[tuple[np.ndarray, ...]]):
     """One slot's ``(u, v, delay)`` columns from the parts of its records;
     None when the slot holds a marker and another record."""
-    rec = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    if np.any(_is_marker(rec)):
-        if rec.size > 1:
+    edges = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    if np.any(_is_marker(*edges)):
+        if edges[0].size > 1:
             return None
-        rec = rec[:0]
-    return rec["u"], rec["v"], rec["delay"]
+        edges = tuple(col[:0] for col in edges)
+    return edges
 
 
-def _slot_columns(blocks, num_slots: int):
+def _slot_columns(blocks, num_slots: int, num_nodes: int):
     """The raw ``(u, v, delay)`` columns of slots 1..``num_slots``, each
     yielded once complete, from blocks of record lines.
 
-    A slot may run on over any number of blocks. Faults rank as if the whole
-    file were checked at once: the first malformed record, then slots out of
-    order, non-consecutive slots, a last slot other than the header's, a
-    record that reads as a marker without being one, and the first slot that
-    holds a marker and another record. After a fault no slot is yielded, and
-    the reader goes on to the end of the file to raise the highest.
+    Each block's records are kept only as compact columns (``_compact``),
+    and a slot may run on over any number of blocks. Faults rank as if the
+    whole file were checked at once: the first malformed record, then slots
+    out of order, non-consecutive slots, a last slot other than the
+    header's, a record that reads as a marker without being one, and the
+    first slot that holds a marker and another record. After a fault no
+    slot is yielded, and the reader goes on to the end of the file to raise
+    the highest.
     """
     done = last = 0  # records in earlier blocks, and the last one's slot
-    parts: list[np.ndarray] = []  # records of the open slot, slot `last`
+    parts: list[tuple[np.ndarray, ...]] = []  # columns of the open slot, slot `last`
     out_of_order = gap = forged = False
     crowded = 0  # the first slot whose marker is not its only record
     for text in blocks:
@@ -522,23 +566,26 @@ def _slot_columns(blocks, num_slots: int):
         if not done:
             gap, last = bool(slot[0] != 1), int(slot[0])
         steps = np.diff(slot, prepend=last)
+        current = last  # the open slot's number: each cut below starts the next
         done, last = done + rec.size, int(slot[-1])
+        cols = _compact(rec, num_nodes)
+        del rec, slot
         out_of_order |= bool(steps.min() < 0)
         gap |= bool(steps.max() > 1)
-        forged |= int(np.count_nonzero(_is_marker(rec))) != markers
+        forged |= int(np.count_nonzero(_is_marker(*cols))) != markers
         if out_of_order or gap or forged or crowded or last > num_slots:
             continue
         start = 0
         for cut in steps.nonzero()[0].tolist():  # the first record of each new slot
-            parts.append(rec[start:cut])
+            parts.append(tuple(col[start:cut] for col in cols))
             edges = _slot_edges(parts)
             if edges is None:
-                crowded = int(parts[0]["slot"][0])
+                crowded = current
                 break
-            parts, start = [], cut
+            parts, start, current = [], cut, current + 1
             yield edges
         else:
-            parts.append(rec[start:])
+            parts.append(tuple(col[start:] for col in cols))
     if out_of_order:
         raise ValueError("slots out of order")
     if gap:
@@ -566,7 +613,7 @@ def import_series(path) -> SnapshotSeries:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             scenario, roster, line = _read_header(fh)
-            slots = _slot_columns(_blocks(fh, line), scenario.num_slots)
+            slots = _slot_columns(_blocks(fh, line), scenario.num_slots, roster.num_nodes)
             try:
                 return SnapshotSeries(scenario, roster, slots)
             except ValueError:

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -662,6 +663,29 @@ class TestUnknownConfigNames:
             "bogus", "oracle", "seed", "sceanrio", "reset_dropped_edges", "global_lifetimes",
         ))
         assert not out.exists()
+
+
+class TestCandidateBudget:
+    def test_one_cell_shell_exits_1_before_it_allocates(self, tmp_path, capsys):
+        """100 x 1000 satellites within 100,000 km of each other share one
+        grid cell: n(n-1)/2 candidates, which asked for 37.3 GiB before the
+        budget. The refusal comes before the candidate arrays exist."""
+        cfg = tmp_path / "one-cell.ini"
+        cfg.write_text("[constellation]\nnum_planes = 100\nsats_per_plane = 1000\n\n"
+                       "[scenario]\nlisl_range_km = 100000\nnum_slots = 1\n")
+        out = tmp_path / "deep" / "one-cell.series"
+        tracemalloc.start()
+        try:
+            rc = main(["generate", "--config", str(cfg), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: pair_edges: more than "), lines
+        assert "candidate budget" in lines[0]
+        assert peak < 64 * 2**20, peak
+        assert not out.parent.exists()
 
 
 class TestEmptyConfigLists:

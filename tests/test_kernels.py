@@ -187,6 +187,51 @@ def test_pair_edges_bit_equal_to_dense_on_stock_slots():
         assert_bit_equal(kernels.pair_edges(pos, cfg.scenario.lisl_range_km), want)
 
 
+def _gated_candidates(monkeypatch, pos, range_km):
+    """The candidate id arrays of each ``pairs_in_range`` call of one ``pair_edges``."""
+    calls = []
+    gate = kernels.pairs_in_range
+
+    def record(p, i, j, r):
+        calls.append((i, j))
+        return gate(p, i, j, r)
+
+    monkeypatch.setattr(kernels, "pairs_in_range", record)
+    got = kernels.pair_edges(pos, range_km)
+    monkeypatch.undo()
+    return got, calls
+
+
+def _stock_slot_1():
+    cfg = default_config()
+    return satellite_positions(cfg.constellation, 1, cfg.scenario.slot_duration_s)
+
+
+def test_pair_edges_gates_one_offset_at_a_time(monkeypatch):
+    """One gate per half-shell offset, on int32 candidate ids: a stock list
+    build (1650 km) holds one offset's candidates, not all 14."""
+    pos = _stock_slot_1()
+    got, calls = _gated_candidates(monkeypatch, pos, 1650.0)
+    assert len(calls) == 14
+    assert all(i.dtype == j.dtype == np.int32 for i, j in calls)
+    sizes = [i.size for i, _ in calls]
+    assert 60_000 < sum(sizes) < 90_000 and max(sizes) < sum(sizes) / 4, sizes
+    assert_bit_equal(got, _pair_edges_dense(pos, 1650.0))
+
+
+def test_pair_edges_candidate_budget(monkeypatch):
+    """The budget caps the candidates summed over the offsets, inclusive."""
+    pos = _stock_slot_1()
+    want, calls = _gated_candidates(monkeypatch, pos, 1650.0)
+    total = sum(i.size for i, _ in calls)
+    assert total < kernels.MAX_CANDIDATES // 100  # the budget sits far above stock
+    monkeypatch.setattr(kernels, "MAX_CANDIDATES", total)
+    assert_bit_equal(kernels.pair_edges(pos, 1650.0), want)
+    monkeypatch.setattr(kernels, "MAX_CANDIDATES", total - 1)
+    with pytest.raises(ValueError, match=f"more than {total - 1} candidate pairs"):
+        kernels.pair_edges(pos, 1650.0)
+
+
 def test_pair_edges_boundary_inclusive():
     pos = np.array([[0.0, 0.0, 0.0], [1000.0, 0.0, 0.0], [0.0, 2500.0, 0.0]])
     i, j, d2 = kernels.pair_edges(pos, 1000.0)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lislsim.constellation import GroundStation
+from lislsim.oracle import optimum_schedule, route_delay_matrix
 from lislsim.routing import (
     ALGORITHMS,
     Route,
@@ -24,19 +25,20 @@ from lislsim.routing import (
     run_algorithm,
     run_delays,
 )
+from lislsim.topology import NodeRoster, Snapshot, SnapshotSeries
 
 from brute_force import reference_isasr, reference_run_last
 from conftest import (
     WORKED_EXAMPLE_DELAYS, edge_pairs, one_slot, pair_positions, random_series, slot_routes,
     square_edges,
 )
-from toyseries import series_from_edges
+from toyseries import dominance_toy_series, series_from_edges
 
 
 def run_end(series, route, slot):
     """Last slot of the route's hold from `slot`: the earliest run end of its edges."""
     snap = series.snapshot(slot)
-    return int(snap.run_last[snap.positions(route.keys)].min())
+    return int(snap.run_last[snap.positions(route.keys(snap.num_nodes))].min())
 
 
 def assert_holds_end_at_run_ends(schedule, series):
@@ -101,7 +103,20 @@ class TestRoute:
     def test_edges(self):
         r = Route((4, 1, 5))
         assert r.hops == 2
-        assert r.keys.tolist() == [(1 << 32) | 4, (1 << 32) | 5]
+        assert r.keys(1587).tolist() == [(1 << 16) | 4, (1 << 16) | 5]  # the stock node count
+
+    @pytest.mark.parametrize("num_nodes,dtype,shift", [
+        (6, "uint16", 8), (256, "uint16", 8), (257, "uint32", 16), (65_536, "uint32", 16),
+        (65_537, "uint64", 32),
+    ])
+    def test_key_widths(self, num_nodes, dtype, shift):
+        keys = Route((4, 1, 5)).keys(num_nodes)
+        assert keys.dtype == dtype
+        assert keys.tolist() == [(1 << shift) | 4, (1 << shift) | 5]
+
+    def test_keys_refuse_a_node_outside_the_ids(self):
+        with pytest.raises(ValueError, match="leaves the node ids 0..4"):
+            Route((4, 1, 5)).keys(5)
 
 
 class TestDijkstra:
@@ -696,3 +711,38 @@ class TestPermanentEdgeCosts:
             assert run_last.size == 4
             assert not isasr_stability_cost(run_last, slot, 6, 1000.0).any()
 
+
+def _toy_with_ids(wide: bool) -> tuple[SnapshotSeries, int, int]:
+    """The dominance toy series and its endpoints; ``wide`` relabels its
+    satellites 300..305 and stations 400, 401, so that its ids take uint16."""
+    toy = dominance_toy_series()
+    if not wide:
+        return toy, 6, 7
+    ids = np.array([300, 301, 302, 303, 304, 305, 400, 401])
+    stations = tuple(GroundStation(400 + k, gs.name, gs.latitude_deg, gs.longitude_deg)
+                     for k, gs in enumerate(toy.roster.ground_stations))
+    slots = [(ids[snap.u], ids[snap.v], snap.delay_ms) for snap in toy.snapshots]
+    return SnapshotSeries(toy.scenario, NodeRoster(400, stations), slots), 400, 401
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["uint16-keys", "uint32-keys"])
+def test_every_positions_query_takes_the_column_dtype(monkeypatch, wide):
+    """A query key of another dtype makes ``searchsorted`` cast the slot's
+    whole key column, so every lookup of the algorithms, the lifetimes and
+    the oracle packs its keys as the column does."""
+    series, src, dst = _toy_with_ids(wide)
+    assert series.keys.dtype == ("<u4" if wide else "<u2")
+    queries = []
+    search = Snapshot.positions
+
+    def record(self, keys):
+        queries.append((keys.dtype, self.keys.dtype))
+        return search(self, keys)
+
+    monkeypatch.setattr(Snapshot, "positions", record)
+    series.run_last()
+    schedules = [run_algorithm(name, series, src, dst, 10.0) for name in ALGORITHMS]
+    routes = list(dict.fromkeys(r for schedule in schedules for r in schedule.route_table))
+    optimum_schedule(series, src, dst, routes, route_delay_matrix(series, routes), 10.0)
+    assert len(queries) > 50
+    assert all(query == column for query, column in queries), set(queries)

@@ -1019,6 +1019,23 @@ class TestBlockReader:
         # columns reserved from the file size held about 3.3 times the records
         assert max(extra) < 1.2 * min(extra), extra
 
+    def test_import_holds_12_bytes_a_record_and_little_more(self, stock_head, tmp_path):
+        """20 stock slots: the columns take 12 bytes a record (a uint32 key
+        and a float64 delay), and the import peaks under 2 MiB over them.
+        With int64 keys (16 bytes a record) and each slot kept as parsed
+        32-byte records until canonicalised, it peaked 2.55 MiB over."""
+        path = tmp_path / "head20.series"
+        save_series(stock_head, path)
+        tracemalloc.start()
+        try:
+            series = import_series(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = series.keys.nbytes + series.delay_ms.nbytes
+        assert series.keys.dtype == "<u4" and columns == 12 * series.keys.size
+        assert peak - columns < 2 * 2**20, peak - columns
+
     def test_header_slot_count_sizes_nothing(self, tmp_path):
         path = tmp_path / "huge.series"
         path.write_text(HEADER.replace("num_slots=2", "num_slots=1000000000000000")
