@@ -4,9 +4,8 @@ Subcommands::
 
     generate  build a snapshot-series dataset from a config
     run       one algorithm on one series: metrics report + schedule file
-    sweep     all configured (algorithm, setup-delay) cells into one table
-    oracle    every configured cell against the exact optimum over the routes
-              the cells use: gap.tsv, exit 2 when a heuristic beats it
+    sweep     all configured (algorithm, setup-delay) cells into one table, and
+              each against the exact optimum over the routes the cells use
     table2    replay the built-in four-route worked example of the
               lifetime-averaged route selection rule
 
@@ -58,7 +57,7 @@ def _load(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **field_values(ExperimentConfig, flags, "a flag"))
 
 
-def write_schedule(schedule: RoutingSchedule, path) -> None:
+def schedule_text(schedule: RoutingSchedule) -> str:
     """Schedule file: header + one `slot delay route` record per slot.
 
     Deliberately algorithm-agnostic so that two algorithms producing the
@@ -73,7 +72,7 @@ def write_schedule(schedule: RoutingSchedule, path) -> None:
             lines.append(f"{i} - -")
         else:
             lines.append(f"{i} {delay:.9f} {schedule.route_table[row]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
@@ -124,14 +123,14 @@ def cmd_run(args) -> int:
     cells = [(args.algorithm, eta_s, gamma)]
     *_, schedule, runtime = next(_cell_schedules(cfg, cells, import_series(args.series)))
     report = metrics.evaluate(schedule, eta_s, qos_ms=cfg.qos_for(eta_s), runtime_s=runtime)
-    texts = {"report.txt": report.to_text(), "latency_series.tsv": report.latency_table()}
+    texts = {"report.txt": report.to_text(), "latency_series.tsv": report.latency_table(),
+             "schedule.txt": schedule_text(schedule)}
     if report.coverage:
         texts["histogram.tsv"] = report.histogram_table(cfg.histogram_bin_ms)
     texts["manifest.json"] = _manifest(
         cfg, {"command": "run", "algorithm": args.algorithm, "eta_s_ms": eta_s}
     )
     _write(args.out, texts)
-    write_schedule(schedule, Path(args.out) / "schedule.txt")
     sys.stdout.write(texts["report.txt"])
     if report.coverage == 0:
         print("error: destination unreachable in every slot", file=sys.stderr)
@@ -184,90 +183,74 @@ def _cell_schedules(cfg, cells, series):
         yield name, eta_s, gamma, *run
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    cells = _cells(cfg)
-    series = import_series(args.series)
-    rows, timing_rows, failures = [], [], []
-    for name, eta_s, gamma, schedule, runtime in _cell_schedules(cfg, cells, series):
-        report = metrics.evaluate(schedule, eta_s, qos_ms=cfg.qos_for(eta_s))
-        qos, outage = report.outage[0]
-        rows.append(
-            f"{name}\t{eta_s:g}\t{gamma:g}\t{report.mean_eta_le_ms:.9f}\t"
-            f"{report.mean_eta_delay_ms:.9f}\t{report.route_change_rate_pct:.9f}\t"
-            f"{qos:g}\t{outage:.9f}\t{report.average_jitter_ms:.9f}\t{report.coverage}"
-        )
-        timing_rows.append(f"{name}\t{eta_s:g}\t{gamma:g}\t{runtime:.6f}")
-        if report.identity_residual() >= 1e-9:
-            failures.append((name, eta_s, report.identity_residual()))
-
-    _write(args.out, {
-        "sweep.tsv": "\n".join([_SWEEP_COLUMNS, *rows]) + "\n",
-        "timings.tsv": "\n".join(["algorithm\teta_s_ms\tgamma_ms\truntime_s", *timing_rows]) + "\n",
-        "manifest.json": _manifest(cfg, {"command": "sweep", "cells": len(cells)}),
-    })
-    print("\n".join([_SWEEP_COLUMNS, *rows]))
-    if failures:
-        for name, eta_s, resid in failures:
-            print(f"identity violation: {name} eta_s={eta_s} residual={resid}", file=sys.stderr)
-        return 2
-    return 0
-
+# the bound of both checks: an identity residual, and a cell's mean below the optimum's
+_CHECK_BOUND_MS = 1e-9
 
 _GAP_COLUMNS = "algorithm\teta_s_ms\tgamma_ms\tmean_eta_le_ms\toptimum_mean_eta_le_ms\tgap_ms"
 
 
-def cmd_oracle(args) -> int:
-    """Each cell's mean latency against the exact optimum over the routes the cells use.
+def cmd_sweep(args) -> int:
+    """Every configured cell into ``sweep.tsv``, and its mean latency against the
+    exact optimum over the routes the cells use into ``gap.tsv``.
 
-    That optimum bounds the true one from above, so each gap is a lower
-    bound on the heuristic's true gap. A heuristic that beats it by more
-    than 1e-9 ms (the bound of ``sweep``'s identity check) fails with exit 2.
+    That optimum bounds the true one from above, so each gap is a lower bound
+    on the heuristic's true gap. A cell whose identity residual reaches
+    ``_CHECK_BOUND_MS``, or that beats the optimum by more than it, fails with exit 2.
     """
     cfg = _load(args)
     cells = _cells(cfg)
     series = import_series(args.series)
-    runs = [run[:4] for run in _cell_schedules(cfg, cells, series)]
-    routes = list(dict.fromkeys(r for *_, schedule in runs for r in schedule.route_table))
-    if not routes:
-        raise ValueError("destination unreachable in every slot")
-    src, dst = runs[0][3].source, runs[0][3].destination
-    d = oracle.route_delay_matrix(series, routes)
-    optima = {
-        eta_s: oracle.optimum_schedule(series, src, dst, routes, d, eta_s)
-        for eta_s in cfg.eta_s_ms
-    }
-
-    rows, violations = [], []
-    for name, eta_s, gamma, schedule in runs:
-        report = metrics.evaluate(schedule, eta_s)
-        best = metrics.evaluate(optima[eta_s], eta_s)
-        gap = report.mean_eta_le_ms - best.mean_eta_le_ms
+    rows, timing_rows, reports, failures = [], [], [], []
+    routes = {}  # every cell's routes, in first-use order
+    for name, eta_s, gamma, schedule, runtime in _cell_schedules(cfg, cells, series):
+        report = metrics.evaluate(schedule, eta_s, qos_ms=cfg.qos_for(eta_s))
+        qos, outage = report.outage[0]
+        cell = f"{name}\t{eta_s:g}\t{gamma:g}\t{report.mean_eta_le_ms:.9f}"  # both tables' head
         rows.append(
-            f"{name}\t{eta_s:g}\t{gamma:g}\t{report.mean_eta_le_ms:.9f}\t"
-            f"{best.mean_eta_le_ms:.9f}\t{gap:.9f}"
+            f"{cell}\t{report.mean_eta_delay_ms:.9f}\t{report.route_change_rate_pct:.9f}\t"
+            f"{qos:g}\t{outage:.9f}\t{report.average_jitter_ms:.9f}\t{report.coverage}"
         )
-        if report.coverage < best.coverage:
+        timing_rows.append(f"{name}\t{eta_s:g}\t{gamma:g}\t{runtime:.6f}")
+        reports.append((name, eta_s, cell, report))
+        routes |= dict.fromkeys(schedule.route_table)
+        if report.identity_residual() >= _CHECK_BOUND_MS:
+            failures.append(f"identity violation: {name} eta_s={eta_s} "
+                            f"residual={report.identity_residual()}")
+
+    routes = list(routes)
+    src, dst = series.roster.station(cfg.source).id, series.roster.station(cfg.destination).id
+    d = oracle.route_delay_matrix(series, routes)
+    optima = {eta_s: oracle.optimum_schedule(series, src, dst, routes, d, eta_s)
+              for eta_s in cfg.eta_s_ms}
+    best = {eta_s: metrics.evaluate(optimum, eta_s) for eta_s, optimum in optima.items()}
+    gap_rows = []
+    for name, eta_s, cell, report in reports:
+        optimum = best[eta_s]
+        gap = report.mean_eta_le_ms - optimum.mean_eta_le_ms
+        gap_rows.append(f"{cell}\t{optimum.mean_eta_le_ms:.9f}\t{gap:.9f}")
+        if report.coverage < optimum.coverage:
             # a slot the heuristic skips adds no delay to its mean
             print(
                 f"warning: {name} eta_s={eta_s:g} reaches {report.coverage} of the optimum's "
-                f"{best.coverage} slots; its gap is not checked", file=sys.stderr,
+                f"{optimum.coverage} slots; its gap is not checked", file=sys.stderr,
             )
-        elif gap < -1e-9:
-            violations.append((name, eta_s, report.mean_eta_le_ms, best.mean_eta_le_ms))
+        elif gap < -_CHECK_BOUND_MS:
+            failures.append(f"optimum violation: {name} eta_s={eta_s:g} "
+                            f"mean {report.mean_eta_le_ms!r} < {optimum.mean_eta_le_ms!r}")
 
     _write(args.out, {
-        "gap.tsv": "\n".join([_GAP_COLUMNS, *rows]) + "\n",
+        "sweep.tsv": "\n".join([_SWEEP_COLUMNS, *rows]) + "\n",
+        "gap.tsv": "\n".join([_GAP_COLUMNS, *gap_rows]) + "\n",
+        "timings.tsv": "\n".join(["algorithm\teta_s_ms\tgamma_ms\truntime_s", *timing_rows]) + "\n",
         "manifest.json": _manifest(
-            cfg, {"command": "oracle", "cells": len(cells), "candidate_routes": len(routes)}
+            cfg, {"command": "sweep", "cells": len(cells), "candidate_routes": len(routes)}
         ),
     })
-    print("\n".join([_GAP_COLUMNS, *rows]))
+    print("\n".join([_SWEEP_COLUMNS, *rows]))
     _warn_unreachable(optima[cfg.eta_s_ms[0]])
-    for name, eta_s, mean, optimum in violations:
-        print(f"optimum violation: {name} eta_s={eta_s:g} mean {mean!r} < {optimum!r}",
-              file=sys.stderr)
-    return 2 if violations else 0
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 2 if failures else 0
 
 
 def cmd_table2(args) -> int:
@@ -306,19 +289,13 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", required=True, help="output directory")
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run all configured algorithm/eta_s cells")
+    p_sweep = sub.add_parser("sweep", help="run all configured cells and their optimum gaps")
     p_sweep.add_argument("--config", default=None)
     p_sweep.add_argument("--series", required=True)
     p_sweep.add_argument("--gamma", default=None,
                          help="ISASR weights (ms or 'auto'); a comma list sweeps ISASR")
     p_sweep.add_argument("--out", required=True, help="output directory")
     p_sweep.set_defaults(func=cmd_sweep)
-
-    p_oracle = sub.add_parser("oracle", help="check every cell against the exact optimum")
-    p_oracle.add_argument("--config", default=None)
-    p_oracle.add_argument("--series", required=True)
-    p_oracle.add_argument("--out", required=True, help="output directory")
-    p_oracle.set_defaults(func=cmd_oracle)
 
     p_t2 = sub.add_parser("table2", help="replay the four-route worked example")
     p_t2.add_argument("--eta-s", type=float, default=None)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from lislsim import metrics
-from lislsim.cli import write_schedule
+from lislsim.cli import schedule_text
 from lislsim.config import default_config
 from lislsim.constellation import ConstellationParams, GroundStation, ScenarioParams, generate_series
 from lislsim.oracle import dp_optimal, optimum_schedule, route_delay_matrix
@@ -180,15 +180,15 @@ def test_desk_series_keeps_its_bytes(desk):
     assert digest.hexdigest() == DESK_SERIES_DIGEST
 
 
-def test_desk_outputs_keep_their_bytes(desk, tmp_path):
+def test_desk_outputs_keep_their_bytes(desk):
     names = {desk.london: "london", desk.hanoi: "hanoi"}
     got = {}
     for (dst, name, eta_key), schedule in desk.schedules.items():
-        path = tmp_path / "schedule.txt"
-        write_schedule(schedule, path)
         report = metrics.evaluate(schedule, 1000.0)
-        texts = (path.read_bytes(), report.to_text().encode(), report.latency_table().encode())
-        got[(names[dst], name, eta_key)] = tuple(hashlib.sha256(t).hexdigest() for t in texts)
+        texts = (schedule_text(schedule), report.to_text(), report.latency_table())
+        got[(names[dst], name, eta_key)] = tuple(
+            hashlib.sha256(t.encode()).hexdigest() for t in texts
+        )
     assert got == DESK_DIGESTS
 
 

@@ -181,7 +181,6 @@ CLI_FLAGS = {
     "generate": {"config", "out"},
     "run": {"config", "series", "algorithm", "eta-s", "gamma", "cost-thrsh", "out"},
     "sweep": {"config", "series", "gamma", "out"},
-    "oracle": {"config", "series", "out"},
     "table2": {"eta-s"},
 }
 

@@ -1,4 +1,4 @@
-"""End-to-end CLI coverage: generate, run, sweep, oracle, table2."""
+"""End-to-end CLI coverage: generate, run, sweep, table2."""
 
 import json
 import os
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lislsim
-from lislsim.cli import main, write_schedule
+from lislsim.cli import main, schedule_text
 from lislsim.config import load_config
 from lislsim.constellation import generate_series, slot_edges
 from lislsim.topology import import_series
@@ -430,47 +430,99 @@ cost_thrsh_ms = inf
 
 
 @pytest.fixture
-def toy_oracle_argv(tmp_path):
-    """`oracle` on the exported dominance toy series, writing to tmp_path/gap."""
+def toy_sweep_argv(tmp_path):
+    """`sweep` on the exported dominance toy series, writing to tmp_path/sweep."""
     cfg, series = tmp_path / "toy.ini", tmp_path / "toy.series"
     cfg.write_text(TOY_CONFIG)
     save_series(dominance_toy_series(), series)
-    return ["oracle", "--config", str(cfg), "--series", str(series), "--out", str(tmp_path / "gap")]
+    return ["sweep", "--config", str(cfg), "--series", str(series), "--out", str(tmp_path / "sweep")]
 
 
-def _gap_rows(out):
-    header, *rows = (out / "gap.tsv").read_text().splitlines()
+def _rows(out, name="gap.tsv"):
+    header, *rows = (out / name).read_text().splitlines()
     return [dict(zip(header.split("\t"), row.split("\t"))) for row in rows]
 
 
-class TestOracleCommand:
-    def test_runs_green(self, tmp_path, toy_oracle_argv, capsys):
-        assert main(toy_oracle_argv) == 0
-        rows = _gap_rows(tmp_path / "gap")
+def _penalty_blind_optimum(monkeypatch):
+    """Make the optimum cheapest-per-slot: it ignores the setup penalty, so ALPR beats it."""
+    import lislsim.oracle as oracle_mod
+
+    def cheapest_per_slot(d, eta_s_ms):
+        return np.argmin(d, axis=0)
+
+    monkeypatch.setattr(oracle_mod, "dp_optimal", cheapest_per_slot)
+
+
+class TestSweepGapTable:
+    """``sweep`` checks every cell against the exact optimum over the routes the cells use."""
+
+    def test_runs_green(self, tmp_path, toy_sweep_argv, capsys):
+        assert main(toy_sweep_argv) == 0
+        rows = _rows(tmp_path / "sweep")
         assert [(r["algorithm"], r["eta_s_ms"]) for r in rows] == [
             (name, eta) for name in ("ilsr", "ilpr", "alpr", "isasr") for eta in ("1", "10", "100")
         ]
         assert all(float(r["gap_ms"]) >= 0 for r in rows)
-        manifest = json.loads((tmp_path / "gap" / "manifest.json").read_text())
-        assert manifest["command"] == "oracle" and manifest["cells"] == 12
-        assert capsys.readouterr().err == ""
+        manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+        assert manifest["command"] == "sweep" and manifest["cells"] == 12
+        assert manifest["candidate_routes"] >= 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == (tmp_path / "sweep" / "sweep.tsv").read_text()  # stdout is sweep.tsv alone
+
+    def test_one_evaluation_feeds_both_tables(self, tmp_path, tiny_config, tiny_series,
+                                              monkeypatch):
+        import lislsim.cli as cli_mod
+
+        calls = []
+        real = cli_mod.metrics.evaluate
+
+        def counted(schedule, *args, **kwargs):
+            calls.append(schedule.algorithm)
+            return real(schedule, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod.metrics, "evaluate", counted)
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--config", str(tiny_config), "--series", str(tiny_series), "--out", str(out),
+        ]) == 0
+        cells, gaps = _rows(out, "sweep.tsv"), _rows(out)
+        assert len(cells) == len(gaps) == 8
+        for cell, gap in zip(cells, gaps):
+            for column in ("algorithm", "eta_s_ms", "gamma_ms", "mean_eta_le_ms"):
+                assert cell[column] == gap[column], column
+        # each cell once, then the optimum once for each of the two eta_s
+        assert Counter(calls) == {"ilsr": 2, "ilpr": 2, "alpr": 2, "isasr": 2, "optimum": 2}
 
     def test_a_penalty_blind_optimum_is_beaten_and_exits_2(
-        self, tmp_path, toy_oracle_argv, capsys, monkeypatch
+        self, tmp_path, toy_sweep_argv, capsys, monkeypatch
     ):
-        import lislsim.oracle as oracle_mod
-
-        def cheapest_per_slot(d, eta_s_ms):  # ignores the setup penalty
-            return np.argmin(d, axis=0)
-
-        monkeypatch.setattr(oracle_mod, "dp_optimal", cheapest_per_slot)
-        assert main(toy_oracle_argv) == 2
-        alpr_10 = next(r for r in _gap_rows(tmp_path / "gap")
+        _penalty_blind_optimum(monkeypatch)
+        assert main(toy_sweep_argv) == 2
+        alpr_10 = next(r for r in _rows(tmp_path / "sweep")
                        if (r["algorithm"], r["eta_s_ms"]) == ("alpr", "10"))
         # eta_le over the six slots: ALPR 48.0, the mutant's optimum 50.25
         assert float(alpr_10["mean_eta_le_ms"]) * 6 == pytest.approx(48.0)
         assert float(alpr_10["optimum_mean_eta_le_ms"]) * 6 == pytest.approx(50.25)
         assert "optimum violation: alpr eta_s=10 " in capsys.readouterr().err
+
+    def test_both_failure_kinds_in_one_run(self, tmp_path, toy_sweep_argv, capsys, monkeypatch):
+        from lislsim.metrics import MetricsReport
+
+        _penalty_blind_optimum(monkeypatch)
+        real = MetricsReport.identity_residual
+
+        def one_cell_off(report):
+            off = (report.algorithm, report.eta_s_ms) == ("ilsr", 1.0)
+            return 1e-9 if off else real(report)
+
+        monkeypatch.setattr(MetricsReport, "identity_residual", one_cell_off)
+        assert main(toy_sweep_argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("identity violation: ")] == [
+            "identity violation: ilsr eta_s=1.0 residual=1e-09"
+        ]
+        assert any(line.startswith("optimum violation: alpr eta_s=10 ") for line in err), err
 
     def test_optimum_charges_no_switch_across_a_gap(self, tmp_path, tiny_config, capsys):
         from lislsim.constellation import GroundStation
@@ -483,28 +535,31 @@ class TestOracleCommand:
         per_slot = [a_cheap] * 3 + [{(0, 2): 1.0, (1, 2): 1.5}] + [b_cheap] * 3
         series = tmp_path / "gappy.series"
         save_series(series_from_edges(per_slot, 2, stations), series)
-        out = tmp_path / "gap"
+        out = tmp_path / "sweep"
         assert main([
-            "oracle", "--config", str(tiny_config), "--series", str(series), "--out", str(out),
+            "sweep", "--config", str(tiny_config), "--series", str(series), "--out", str(out),
         ]) == 0
-        rows = _gap_rows(out)
+        rows = _rows(out)
         assert len(rows) == 8
         assert {r["optimum_mean_eta_le_ms"] for r in rows} == {f"{12 / 7:.9f}"}
         assert {r["gap_ms"] for r in rows} == {"0.000000000"}
         assert capsys.readouterr().err == "warning: 1 unreachable slots: [4]\n"
 
-    def test_unreachable_everywhere_exits_1_without_output(self, tmp_path, capsys):
+    def test_unreachable_everywhere_gives_zero_gaps(self, tmp_path, capsys):
         cfg = tmp_path / "nolinks.ini"
         cfg.write_text(TINY_CONFIG.replace("gs_range_km = 4000", "gs_range_km = 1"))
         series = tmp_path / "nolinks.series"
         assert main(["generate", "--config", str(cfg), "--out", str(series)]) == 0
         capsys.readouterr()
-        out = tmp_path / "gap"
+        out = tmp_path / "sweep"
         assert main([
-            "oracle", "--config", str(cfg), "--series", str(series), "--out", str(out),
-        ]) == 1
-        assert capsys.readouterr() == ("", "error: destination unreachable in every slot\n")
-        assert not out.exists()
+            "sweep", "--config", str(cfg), "--series", str(series), "--out", str(out),
+        ]) == 0
+        rows = _rows(out)
+        assert len(rows) == 8
+        assert {r["gap_ms"] for r in rows} == {"0.000000000"}
+        assert json.loads((out / "manifest.json").read_text())["candidate_routes"] == 0
+        assert capsys.readouterr().err == "warning: 6 unreachable slots: [1, 2, 3, 4, 5, 6]\n"
 
     def test_a_heuristic_that_skips_a_reachable_slot_is_not_checked(
         self, tmp_path, tiny_config, capsys
@@ -518,11 +573,11 @@ class TestOracleCommand:
         per_slot += [{(0, 2): 1.0, (0, 3): 1.0, (1, 3): 1.0}] * 2
         series = tmp_path / "pruned.series"
         save_series(series_from_edges(per_slot, 2, stations), series)
-        out = tmp_path / "gap"
+        out = tmp_path / "sweep"
         assert main([
-            "oracle", "--config", str(tiny_config), "--series", str(series), "--out", str(out),
+            "sweep", "--config", str(tiny_config), "--series", str(series), "--out", str(out),
         ]) == 0
-        isasr_1000 = _gap_rows(out)[-1]
+        isasr_1000 = _rows(out)[-1]
         assert isasr_1000["algorithm"] == "isasr" and float(isasr_1000["gap_ms"]) < 0
         assert capsys.readouterr().err == (
             "warning: isasr eta_s=1000 reaches 2 of the optimum's 3 slots; its gap is not checked\n"
@@ -548,9 +603,9 @@ class TestTable2:
         assert out == "" and err.startswith("error: ") and "setup-delay" in err
 
 
-def schedule_file_routes(path):
-    """Header tokens and per-slot route node tuples (None for '-') of a schedule file."""
-    header, *records = path.read_text().splitlines()
+def schedule_file_routes(text):
+    """Header tokens and per-slot route node tuples (None for '-') of a schedule file's text."""
+    header, *records = text.splitlines()
     routes = []
     for record in records:
         route = record.split()[2]
@@ -559,12 +614,10 @@ def schedule_file_routes(path):
 
 
 class TestScheduleFileHelpers:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         series = dominance_toy_series()
         schedule = ilsr(series, 6, 7)
-        path = tmp_path / "sched.txt"
-        write_schedule(schedule, path)
-        header, routes = schedule_file_routes(path)
+        header, routes = schedule_file_routes(schedule_text(schedule))
         assert routes == [r.nodes if r else None for r in slot_routes(schedule)]
         assert "source=6" in header and "destination=7" in header
 
@@ -694,7 +747,6 @@ class TestEmptyConfigLists:
         [
             ("run", ("eta_s_ms = 1, 1000\nqos_ms = 30, 60", "eta_s_ms =\nqos_ms =")),
             ("sweep", ("algorithms = ilsr, ilpr, alpr, isasr", "algorithms =")),
-            ("oracle", ("algorithms = ilsr, ilpr, alpr, isasr", "algorithms =")),
         ],
     )
     def test_exit_1_without_output(self, tmp_path, tiny_series, capsys, command, edit):
@@ -708,20 +760,6 @@ class TestEmptyConfigLists:
             argv += ["--series", str(tiny_series)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
-        assert not out.exists()
-
-
-class TestBadOracleValues:
-    def test_nan_setup_delay_exits_1_before_any_check(self, tmp_path, tiny_series, capsys):
-        cfg = tmp_path / "oracle.ini"
-        cfg.write_text(TINY_CONFIG.replace("eta_s_ms = 1, 1000", "eta_s_ms = 1, nan"))
-        out = tmp_path / "oracle_out"
-        rc = main([
-            "oracle", "--config", str(cfg), "--series", str(tiny_series), "--out", str(out),
-        ])
-        stdout, err = capsys.readouterr()
-        assert rc == 1
-        assert stdout == "" and err.startswith("error: ") and "setup-delay" in err
         assert not out.exists()
 
 
@@ -886,6 +924,7 @@ class TestBadRoutingValues:
             (["sweep", "--gamma", "5,5"], None),
             (["sweep", "--gamma", "1,2"], ("ilsr, ilpr, alpr, isasr", "ilsr, alpr")),
             (["sweep"], ("eta_s_ms = 1, 1000", "eta_s_ms = 1, inf")),
+            (["sweep"], ("eta_s_ms = 1, 1000", "eta_s_ms = 1, nan")),
             (["run", "--algorithm", "alpr"], ("[run]\n", "[run]\nhistogram_bin_ms = 1e-12\n")),
             (["sweep"], ("eta_s_ms = 1, 1000\nqos_ms = 30, 60",
                          "eta_s_ms = 1, 1\nqos_ms = 27, 30")),
@@ -895,7 +934,7 @@ class TestBadRoutingValues:
             "run-eta-nan", "run-eta-negative", "run-eta-inf", "run-gamma-nan",
             "run-gamma-negative", "run-thrsh-nan", "run-thrsh-zero", "sweep-gamma-nan",
             "sweep-gamma-list-inf", "sweep-gamma-list-repeated", "sweep-gamma-list-without-isasr",
-            "sweep-config-eta-inf", "run-histogram-bin-tiny",
+            "sweep-config-eta-inf", "sweep-config-eta-nan", "run-histogram-bin-tiny",
             "sweep-config-eta-repeated", "sweep-config-algorithm-repeated",
         ],
     )
@@ -909,7 +948,8 @@ class TestBadRoutingValues:
             *argv[1:], "--out", str(out),
         ])
         assert rc == 1
-        assert "error: " in capsys.readouterr().err
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "error: " in err
         assert not out.exists()
 
 
@@ -1002,12 +1042,12 @@ class TestOutOfMemory:
 
 
 class TestScheduleGaps:
-    def test_gap_rows_round_trip(self, tmp_path):
+    def test_gap_rows_round_trip(self):
         from lislsim.routing import Route, RoutingSchedule
 
         series = dominance_toy_series()
         routes = [Route((6, 0, 4, 7)), None, Route((6, 1, 5, 7)), None, None, Route((6, 1, 5, 7))]
         schedule = RoutingSchedule("by-hand", 6, 7, routes, series)
-        path = tmp_path / "gappy.txt"
-        write_schedule(schedule, path)
-        assert schedule_file_routes(path)[1] == [r.nodes if r else None for r in routes]
+        assert schedule_file_routes(schedule_text(schedule))[1] == [
+            r.nodes if r else None for r in routes
+        ]

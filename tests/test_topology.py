@@ -1,5 +1,6 @@
 """Snapshots, lifetime indexing, and the series file format."""
 
+import gc
 import itertools
 import re
 import tracemalloc
@@ -471,6 +472,9 @@ def _export_series_reference(series, path) -> None:
 
 
 def _peak_bytes(write, *args) -> int:
+    # a full collection empties the interpreter's free lists, so every object
+    # the call makes is counted, whatever the tests before it left there
+    gc.collect()
     tracemalloc.start()
     try:
         write(*args)
