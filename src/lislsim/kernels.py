@@ -1,4 +1,4 @@
-"""Hot numerical kernels: range-gated pair extraction and CSR shortest routes.
+"""Hot numerical kernels: range-gated pair extraction and shortest routes over CSR halves.
 
 ``pairs_in_range`` is the one range gate: it keeps the candidate pairs of
 a list within a range. ``pair_edges`` finds the point pairs in range on a
@@ -12,8 +12,8 @@ benchmark harness (``perfbench/``) can time each of them by name.
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -121,14 +121,19 @@ def pairs_in_range(pos: np.ndarray, i: np.ndarray, j: np.ndarray, range_km: floa
     return i[keep], j[keep], d2[keep]
 
 
-def shortest_route(indptr, nbr, wgt, src: int, dst: int) -> np.ndarray:
+def shortest_route(down_ptr, down_nbr, down_wgt, up_ptr, up_nbr, up_wgt,
+                   src: int, dst: int) -> np.ndarray:
     """Minimum-cost path from src to dst, empty array when unreachable.
 
-    The CSR adjacency must list neighbours of each node in ascending id
-    order and all weights must be positive (+inf marks a disabled arc).
-    ``indptr`` and ``nbr`` are integer arrays of any width, read as they
-    come (``Snapshot.csr`` gives the narrowest unsigned one); their values
-    become Python ints, so no arithmetic wraps at the width.
+    The adjacency comes in two CSR halves over the same nodes: node x's
+    lower neighbours are ``down_nbr[down_ptr[x]:down_ptr[x+1]]`` and its
+    higher ones ``up_nbr[up_ptr[x]:up_ptr[x+1]]``, each ascending, with the
+    arc weights at the same positions of ``down_wgt`` and ``up_wgt``. So the
+    down row and then the up row list a node's neighbours in ascending id
+    order (``Snapshot.csr`` gives the halves of a slot). All weights must be
+    positive (+inf marks a disabled arc). The pointer and neighbour arrays
+    are numpy integer arrays of any width and stride, read as they come;
+    their values become Python ints, so no arithmetic wraps at the width.
     Ties resolve to the lexicographically smallest vertex sequence: Dijkstra
     runs from the destination, then the walk from the source always steps to
     the smallest-id neighbour that stays on a shortest path
@@ -149,40 +154,40 @@ def shortest_route(indptr, nbr, wgt, src: int, dst: int) -> np.ndarray:
     ``d > dist[u]`` is stale, and the one with ``d == dist[u]`` settles u.
     A settled node needs no mark either, since ``d + w < dist[v]`` never
     holds for a settled v (dist[v] <= d, w > 0). Only the arcs of settled
-    nodes and of the walk are read, as Python lists: per-element numpy
-    indexing would cost more than the search, and so would converting
-    whole arrays.
+    nodes and of the walk are read, by iterating memoryview slices: numpy
+    indexing per node would cost more than the search, and so would
+    converting whole arrays.
     """
-    wgt = np.ascontiguousarray(wgt, dtype=np.float64)
-    indptr = indptr.tolist()
+    halves = [
+        (memoryview(ptr), memoryview(nbr), memoryview(np.ascontiguousarray(wgt, np.float64)))
+        for ptr, nbr, wgt in ((down_ptr, down_nbr, down_wgt), (up_ptr, up_nbr, up_wgt))
+    ]
     src, dst = int(src), int(dst)
-    dist = [math.inf] * (len(indptr) - 1)
+    dist = [math.inf] * (len(down_ptr) - 1)
     dist[dst] = 0.0
     heap = [(0.0, dst)]
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = heappop(heap)
         if d > dist[u]:
             continue
         if u == src:
             break
-        lo, hi = indptr[u], indptr[u + 1]
-        for v, w in zip(nbr[lo:hi].tolist(), wgt[lo:hi].tolist()):
-            cand = d + w
-            if cand < dist[v]:
-                dist[v] = cand
-                heapq.heappush(heap, (cand, v))
+        for ptr, nbr, wgt in halves:
+            lo, hi = ptr[u], ptr[u + 1]
+            for v, w in zip(nbr[lo:hi], wgt[lo:hi]):
+                cand = d + w
+                if cand < dist[v]:
+                    dist[v] = cand
+                    heappush(heap, (cand, v))
     if dist[src] == math.inf:
         return np.empty(0, np.int32)
     path = [src]
-    u = src
-    while u != dst:
-        budget = dist[u]
-        lo, hi = indptr[u], indptr[u + 1]
-        for v, w in zip(nbr[lo:hi].tolist(), wgt[lo:hi].tolist()):
-            if w + dist[v] == budget:
-                break
-        else:  # cannot happen for positive weights
+    while path[-1] != dst:
+        u = path[-1]
+        step = next((v for ptr, nbr, wgt in halves
+                     for v, w in zip(nbr[ptr[u]:ptr[u + 1]], wgt[ptr[u]:ptr[u + 1]])
+                     if w + dist[v] == dist[u]), None)
+        if step is None:  # cannot happen for positive weights
             raise AssertionError("shortest-path walk lost the route")
-        path.append(v)
-        u = v
+        path.append(step)
     return np.array(path, np.int32)

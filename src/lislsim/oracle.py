@@ -65,13 +65,30 @@ def dp_optimal(d: np.ndarray, eta_s_ms: float) -> np.ndarray:
 
 
 def route_delay_matrix(series: SnapshotSeries, routes: list[Route]) -> np.ndarray:
-    """Route x slot delays (ms) by ``Snapshot.route_delay``, +inf where a route is broken."""
+    """Route x slot delays (ms) by ``Snapshot.route_delay``, +inf where a route is broken.
+
+    Each slot finds every route's hop keys with one ``positions`` call. The
+    routes are grouped by hop count, and each group's (routes x hops)
+    delays are summed along axis 1, a row at a time as ``np.sum`` sums one
+    route, so every entry is bit-equal to ``route_delay``'s.
+    """
     d = np.full((len(routes), series.num_slots), np.inf)
+    by_hops: dict[int, list[int]] = {}
+    for r, route in enumerate(routes):
+        by_hops.setdefault(route.hops, []).append(r)
+    n = series.roster.num_nodes
+    groups = [(np.array(rows), np.stack([routes[r].keys(n) for r in rows]))
+              for rows in by_hops.values()]
+    if not groups:
+        return d
+    keys = np.concatenate([group_keys.ravel() for _, group_keys in groups])
     for i, snap in enumerate(series.snapshots):
-        for r, route in enumerate(routes):
-            delay = snap.route_delay(route)
-            if delay is not None:
-                d[r, i] = delay
+        pos, start = snap.positions(keys), 0
+        for rows, group_keys in groups:
+            group_pos = pos[start:start + group_keys.size].reshape(group_keys.shape)
+            start += group_keys.size
+            whole = (group_pos >= 0).all(axis=1)
+            d[rows[whole], i] = snap.delay_ms[group_pos[whole]].sum(axis=1)
     return d
 
 

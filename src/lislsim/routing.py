@@ -144,14 +144,17 @@ def dijkstra(snapshot: Snapshot, src: int, dst: int, cost_override=None) -> Rout
         if not 0 <= node < snapshot.num_nodes:
             raise ValueError(f"node {node} outside the id range")
     costs = _edge_costs(snapshot, cost_override)
-    indptr, nbr, arc_eid = snapshot.csr()
-    # a station's CSR row lists its edges: disable those of every other station
-    foreign = [arc_eid[indptr[g]:indptr[g + 1]]
+    down_ptr, down_edges, up_ptr = snapshot.csr()
+    # a station is the v end of each of its edges, so its down slice lists them
+    # all: disable those of every other station
+    foreign = [down_edges[down_ptr[g]:down_ptr[g + 1]]
                for g in range(snapshot.num_satellites, snapshot.num_nodes) if g not in (src, dst)]
     if any(edges.size for edges in foreign):
         costs = costs.copy()
         costs[np.concatenate(foreign)] = np.inf
-    path = kernels.shortest_route(indptr, nbr, costs[arc_eid], src, dst)
+    down = down_edges.astype(np.intp)  # cast once for both gathers
+    path = kernels.shortest_route(down_ptr, snapshot.u[down], costs[down],
+                                  up_ptr, snapshot.v, costs, src, dst)
     if path.size == 0:
         return None
     return Route(nodes=tuple(int(n) for n in path))
@@ -179,8 +182,8 @@ def disjoint_routes(snapshot: Snapshot, src: int, dst: int) -> list[Route]:
     Runs Dijkstra, removes the found route's edges, and repeats up to
     min(deg(src), deg(dst)) times or until the pair disconnects.
     """
-    indptr, _, _ = snapshot.csr()
-    deg = np.diff(indptr)
+    down_ptr, _, up_ptr = snapshot.csr()
+    deg = np.diff(down_ptr) + np.diff(up_ptr)  # a degree fits the pointers' width
     bound = int(min(deg[src], deg[dst]))
     found: list[Route] = []
     costs = snapshot.delay_ms.copy()

@@ -123,29 +123,29 @@ class Snapshot:
         return float(np.sum(self.delay_ms[pos]))
 
     def csr(self):
-        """Cached symmetric CSR adjacency: (indptr, neighbours, arc_edge_index).
+        """Cached adjacency in two CSR halves: (down_ptr, down_edges, up_ptr).
 
-        Neighbours of each node are in ascending id order; ``arc_edge_index``
-        maps each arc back to its canonical edge for cost lookups. The arcs
-        are listed v -> u, then u -> v, and stably sorted by source: the
-        edges are sorted by (u, v), so a node's lower neighbours come first
-        and ascend, then its higher ones. Each array is of the narrowest
-        unsigned dtype (``_uint_for``) for its largest value: ``num_nodes - 1``
-        for the neighbours, ``edge_count - 1`` for the arc ids and
-        ``2 * edge_count`` for ``indptr``; uint16 each in a stock slot.
+        The edges are sorted by (u, v) with u < v, so the edges whose u is x
+        are a contiguous run, ``up_ptr[x]:up_ptr[x+1]``, and their v are x's
+        higher neighbours in ascending order. ``down_edges`` is the stable
+        argsort of v: its slice ``down_ptr[x]:down_ptr[x+1]`` holds the edges
+        whose v is x, in ascending u, so their u are x's lower neighbours in
+        ascending order. Node x's neighbours are therefore
+        ``u[down_edges[down_ptr[x]:down_ptr[x+1]]]`` and then
+        ``v[up_ptr[x]:up_ptr[x+1]]``, in ascending id order, each an edge
+        index for cost lookups. ``down_edges`` is ``_uint_for(edge_count - 1)``
+        and the pointers, the two rows of one array, ``_uint_for(edge_count)``:
+        uint16 each in a stock slot, 2 bytes an edge plus 4 a node.
         """
         if self._csr is None:
             start = time.perf_counter()
             e = self.edge_count
-            node = _uint_for(self.num_nodes - 1)
-            # every id is below num_nodes, so the unsafe cast is exact
-            src = np.concatenate([self.v, self.u], dtype=node, casting="unsafe")
-            order = np.argsort(src, kind="stable")  # numpy radix-sorts 8- and 16-bit keys
-            nbr = np.concatenate([self.u, self.v], dtype=node, casting="unsafe")[order]
-            arc_eid = np.tile(np.arange(e, dtype=_uint_for(e - 1)), 2)[order]
-            indptr = np.zeros(self.num_nodes + 1, _uint_for(2 * e))
-            np.cumsum(np.bincount(src, minlength=self.num_nodes), out=indptr[1:])
-            self._csr = (indptr, nbr, arc_eid)
+            ptr = np.zeros((2, self.num_nodes + 1), _uint_for(e))
+            for row, ends in zip(ptr, (self.v, self.u)):
+                np.cumsum(np.bincount(ends, minlength=self.num_nodes), out=row[1:])
+            # numpy radix-sorts 8- and 16-bit keys
+            down_edges = np.argsort(self.v, kind="stable").astype(_uint_for(e - 1))
+            self._csr = (ptr[0], down_edges, ptr[1])
             self._series.build_s += time.perf_counter() - start
         return self._csr
 

@@ -843,7 +843,7 @@ class TestLifetimeBuildUntimed:
         return seen, series_seen
 
     def _slow_builds(self, monkeypatch):
-        """The names of the slowed calls: each ``np.zeros`` (a CSR's ``indptr``) and
+        """The names of the slowed calls: each ``np.zeros`` (a CSR's two pointer rows) and
         ``np.empty`` (the lifetimes' column) in ``lislsim.topology`` first sleeps."""
         import lislsim.topology as topology_mod
 

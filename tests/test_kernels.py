@@ -14,54 +14,73 @@ from lislsim.constellation import satellite_positions
 from conftest import one_slot, one_slot_edges
 
 
-def _random_csr(rng, n, extra_edges, levels=512, inf_fraction=0.0):
-    """Symmetric CSR graph on a backbone path plus random chords.
+def _random_edges(rng, n, extra_edges, levels=512, inf_fraction=0.0, stations=0):
+    """Edges (u < v, sorted by (u, v)) of a graph on satellites 0..n-stations-1,
+    a backbone path plus random chords, and stations n-stations..n-1 each
+    joined to up to three satellites, so a station is always the v end.
 
     Weights are 1 + k/128 for k < levels, so sums are exact and a small
     ``levels`` gives many equal-cost paths; ``inf_fraction`` of the edges
     are disabled with +inf, which can disconnect the graph.
     """
-    edges = {(a, a + 1): 1.0 + float(rng.integers(0, levels)) / 128.0 for a in range(n - 1)}
+    sats = n - stations
+    edges = {(a, a + 1): 1.0 + float(rng.integers(0, levels)) / 128.0 for a in range(sats - 1)}
     for _ in range(extra_edges):
-        a, b = sorted(rng.integers(0, n, 2).tolist())
+        a, b = sorted(rng.integers(0, sats, 2).tolist())
         if a != b:
             edges[(a, b)] = 1.0 + float(rng.integers(0, levels)) / 128.0
+    for gs in range(sats, n):
+        for sat in rng.choice(sats, size=int(rng.integers(0, 4)), replace=False).tolist():
+            edges[(sat, gs)] = 1.0 + float(rng.integers(0, levels)) / 128.0
     for key in edges:
         if rng.random() < inf_fraction:
             edges[key] = np.inf
-    e = len(edges)
-    u = np.fromiter((a for a, _ in edges), np.int64, e)
-    v = np.fromiter((b for _, b in edges), np.int64, e)
-    w = np.fromiter(edges.values(), np.float64, e)
-    src = np.concatenate([u, v])
-    dst = np.concatenate([v, u])
-    wgt = np.concatenate([w, w])
-    order = np.lexsort((dst, src))
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[order].astype(np.int32), wgt[order]
+    keys = sorted(edges)
+    u = np.array([a for a, _ in keys], np.int64)
+    v = np.array([b for _, b in keys], np.int64)
+    return u, v, np.array([edges[key] for key in keys], np.float64)
 
 
-def reference_route(indptr, nbr, wgt, src, dst):
-    """Full-settle reference for ``kernels.shortest_route``.
+def edge_halves(u, v, w, n):
+    """The two CSR halves ``kernels.shortest_route`` takes, of edges u < v
+    sorted by (u, v) with weights w: (down_ptr, down_nbr, down_wgt, up_ptr,
+    up_nbr, up_wgt). A lexsort by (v, u) lists each node's lower neighbours."""
+    down = np.lexsort((u, v))
+    down_ptr, up_ptr = (np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
+                        for ends in (v, u))
+    return down_ptr, u[down], w[down], up_ptr, v, w
+
+
+def snapshot_halves(snap, costs=None):
+    """The halves of a snapshot, read through ``Snapshot.csr`` as
+    ``routing.dijkstra`` reads them."""
+    costs = snap.delay_ms if costs is None else costs
+    down_ptr, down_edges, up_ptr = snap.csr()
+    return down_ptr, snap.u[down_edges], costs[down_edges], up_ptr, snap.v, costs
+
+
+def reference_route(u, v, w, n, src, dst):
+    """Full-settle reference for ``kernels.shortest_route`` on the edges
+    (u, v) with weights w over n nodes.
 
     Distances to ``dst`` over every node come from scipy's Dijkstra; the
     walk from ``src`` then steps to the smallest-id neighbour on a shortest
     path. Returns (path, tie_steps): the vertex list (empty if unreachable)
     and how many steps had more than one shortest-path neighbour to choose from.
     """
-    n = indptr.shape[0] - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    live = np.isfinite(wgt)
-    graph = sparse.csr_matrix((wgt[live], (rows[live], nbr[live])), shape=(n, n))
-    dist = scipy_dijkstra(graph, indices=dst)
+    u, v = np.asarray(u, np.int64), np.asarray(v, np.int64)
+    live = np.isfinite(w)
+    graph = sparse.csr_matrix((w[live], (u[live], v[live])), shape=(n, n))
+    dist = scipy_dijkstra(graph, directed=False, indices=dst)
     if not np.isfinite(dist[src]):
         return [], 0
     path, tie_steps = [src], 0
     while path[-1] != dst:
-        u = path[-1]
-        row = range(indptr[u], indptr[u + 1])
-        on_path = [int(nbr[k]) for k in row if wgt[k] + dist[nbr[k]] == dist[u]]
+        x = path[-1]
+        ends = (u == x) | (v == x)
+        nbr, wgt = np.where(u == x, v, u)[ends], w[ends]
+        order = np.argsort(nbr)
+        on_path = [int(y) for y, c in zip(nbr[order], wgt[order]) if c + dist[y] == dist[x]]
         tie_steps += len(on_path) > 1
         path.append(on_path[0])
     return path, tie_steps
@@ -240,47 +259,61 @@ def test_pair_edges_boundary_inclusive():
 
 
 def test_shortest_route_matches_scipy_distances():
-    """Exact paths equal the full-settle reference, ties and dead ends included."""
+    """Exact paths equal the full-settle reference, ties and dead ends
+    included. The foreign stations of each pair are disabled through their
+    down slices, as ``routing.dijkstra`` does, and through their edges in
+    the reference."""
     rng = np.random.default_rng(17)
-    ties = unreachable = 0
+    ties = unreachable = disabled = 0
     for _ in range(60):
         n = int(rng.integers(3, 40))
-        indptr, nbr, wgt = _random_csr(
-            rng, n, extra_edges=int(rng.integers(0, 2 * n)),
+        stations = int(rng.integers(0, 4))
+        u, v, w = _random_edges(
+            rng, n + stations, extra_edges=int(rng.integers(0, 2 * n)),
             levels=int(rng.choice([1, 4, 512])), inf_fraction=float(rng.choice([0.0, 0.3])),
+            stations=stations,
         )
-        pairs = [(0, n - 1)] + [tuple(rng.choice(n, 2, replace=False)) for _ in range(5)]
+        n += stations
+        down_ptr, down_nbr, down_wgt, up_ptr, up_nbr, up_wgt = edge_halves(u, v, w, n)
+        assert np.all(up_ptr[n - stations:] == up_ptr[-1])  # a station has no up arc
+        pairs = [(0, n - 1)] + [tuple(rng.choice(n, 2, replace=False).tolist()) for _ in range(5)]
         for src, dst in pairs:
-            want, tie_steps = reference_route(indptr, nbr, wgt, int(src), int(dst))
-            got = kernels.shortest_route(indptr, nbr, wgt, src, dst)
+            foreign = [g for g in range(n - stations, n) if g not in (src, dst)]
+            barred = np.where(np.isin(u, foreign) | np.isin(v, foreign), np.inf, w)
+            want, tie_steps = reference_route(u, v, barred, n, src, dst)
+            relay = down_wgt.copy()
+            for g in foreign:
+                relay[down_ptr[g]:down_ptr[g + 1]] = np.inf
+            disabled += not np.array_equal(barred, w)
+            got = kernels.shortest_route(down_ptr, down_nbr, relay, up_ptr, up_nbr, barred, src, dst)
             assert got.tolist() == want, (n, src, dst)
             ties += tie_steps > 0
             unreachable += not want
-    assert ties > 20 and unreachable > 5  # both the tie-break and a drained heap ran
+    # the tie-break, a drained heap and a barred station each ran
+    assert ties > 20 and unreachable > 5 and disabled > 20, (ties, unreachable, disabled)
 
 
 def test_unreachable_returns_empty():
-    # nodes 0 and 1 joined by parallel arcs, node 2 isolated
-    indptr = np.array([0, 2, 4, 4], np.int64)
-    nbr = np.array([1, 1, 0, 0], np.int32)
-    wgt = np.array([1.0, 2.0, 1.0, 2.0])
-    assert kernels.shortest_route(indptr, nbr, wgt, 0, 2).size == 0
-    assert np.array_equal(kernels.shortest_route(indptr, nbr, wgt, 0, 1), [0, 1])
+    # nodes 0 and 1 joined by parallel edges, node 2 isolated
+    halves = edge_halves(np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0]), 3)
+    assert kernels.shortest_route(*halves, 0, 2).size == 0
+    assert np.array_equal(kernels.shortest_route(*halves, 0, 1), [0, 1])
 
 
 def test_infinite_weights_disable_arcs():
-    # 0-1-2 path where the direct 0-2 arc is disabled by +inf
-    indptr = np.array([0, 2, 4, 6], np.int64)
-    nbr = np.array([1, 2, 0, 2, 0, 1], np.int32)
-    wgt = np.array([1.0, np.inf, 1.0, 1.0, np.inf, 1.0])
-    assert np.array_equal(kernels.shortest_route(indptr, nbr, wgt, 0, 2), [0, 1, 2])
+    # 0-1-2 path where the direct 0-2 edge is disabled by +inf
+    halves = edge_halves(np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([1.0, np.inf, 1.0]), 3)
+    assert np.array_equal(kernels.shortest_route(*halves, 0, 2), [0, 1, 2])
 
 
-def _routes_by_width(indptr, nbr, wgt, src, dst):
-    """The path for the CSR given as uint16, int32 and int64 arrays, one per width."""
+def _routes_by_width(halves, src, dst):
+    """The path for the halves' pointers and neighbours given as uint16, int32
+    and int64 arrays, one per width."""
+    down_ptr, down_nbr, down_wgt, up_ptr, up_nbr, up_wgt = halves
     return {
         np.dtype(t).name: kernels.shortest_route(
-            indptr.astype(t), nbr.astype(t), wgt, src, dst).tolist()
+            down_ptr.astype(t), down_nbr.astype(t), down_wgt,
+            up_ptr.astype(t), up_nbr.astype(t), up_wgt, src, dst).tolist()
         for t in (np.uint16, np.int32, np.int64)
     }
 
@@ -292,11 +325,11 @@ def test_shortest_route_reads_any_integer_width(slot, data):
     n = sats + stations
     assume(n >= 2)
     snap = one_slot(edges, num_nodes=n, num_satellites=sats)
-    indptr, nbr, arc_eid = snap.csr()
-    wgt = snap.delay_ms[arc_eid]
+    halves = snapshot_halves(snap)
     src, dst = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    want = kernels.shortest_route(indptr, nbr, wgt, src, dst).tolist()  # as Snapshot.csr gives it
-    paths = _routes_by_width(indptr, nbr, wgt, src, dst)
+    want = kernels.shortest_route(*halves, src, dst).tolist()  # as Snapshot.csr gives it
+    assert want == reference_route(snap.u, snap.v, snap.delay_ms, n, src, dst)[0]
+    paths = _routes_by_width(halves, src, dst)
     assert paths == dict.fromkeys(paths, want)
 
 
@@ -304,9 +337,8 @@ def test_shortest_route_reads_the_top_uint16_id():
     # 0 - 65535 - 1 costs 2 and the direct 0 - 1 costs 5: a wrapped id would lose the detour
     n = 65_536
     snap = one_slot({(0, n - 1): 1.0, (1, n - 1): 1.0, (0, 1): 5.0}, num_nodes=n)
-    indptr, nbr, arc_eid = snap.csr()
-    assert nbr.dtype == np.uint16 and nbr.max() == n - 1
-    wgt = snap.delay_ms[arc_eid]
+    halves = snapshot_halves(snap)
+    assert snap.v.dtype == np.uint16 and snap.v.max() == n - 1
     widths = ("uint16", "int32", "int64")
-    assert _routes_by_width(indptr, nbr, wgt, 0, 1) == dict.fromkeys(widths, [0, n - 1, 1])
-    assert _routes_by_width(indptr, nbr, wgt, 1, 0) == dict.fromkeys(widths, [1, n - 1, 0])
+    assert _routes_by_width(halves, 0, 1) == dict.fromkeys(widths, [0, n - 1, 1])
+    assert _routes_by_width(halves, 1, 0) == dict.fromkeys(widths, [1, n - 1, 0])

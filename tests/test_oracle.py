@@ -4,10 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lislsim.oracle import InfeasibleSlotError, dp_optimal
+from lislsim.oracle import InfeasibleSlotError, dp_optimal, route_delay_matrix
 from lislsim.metrics import evaluate
-from lislsim.routing import run_algorithm
+from lislsim.routing import Route, run_algorithm
 
 from brute_force import (
     OracleSizeError, brute_force_optimal, enumerate_routes, random_delay_matrix, row_cost,
@@ -163,3 +165,52 @@ class TestDominance:
                 schedule = run_algorithm(name, series, 6, 7, eta_s, cost_thrsh_ms=np.inf)
                 assert evaluate(schedule, eta_s).eta_le_ms >= optimal
 
+
+
+@st.composite
+def routes_on_series(draw):
+    """(series, routes): up to 12 simple routes of 1 to 20 hops over up to 24
+    satellites, and 1 to 4 slots, each holding every route edge with
+    probability 0.85 plus some other edges, at delays with full mantissas."""
+    n = draw(st.integers(3, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    routes = []
+    for _ in range(draw(st.integers(0, 12))):
+        nodes = rng.permutation(n)[:int(rng.integers(2, min(n, 21) + 1))].tolist()
+        routes.append(Route(tuple(nodes)))
+    pairs = {(min(a, b), max(a, b)) for r in routes for a, b in zip(r.nodes, r.nodes[1:])}
+    pairs |= {tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(n)}
+    per_slot = [
+        {pair: float(rng.uniform(0.5, 50.0)) for pair in sorted(pairs) if rng.random() < 0.85}
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return series_from_edges(per_slot, num_satellites=n), routes
+
+
+class TestRouteDelayMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(routes_on_series())
+    def test_entries_are_the_route_delays(self, case):
+        """Each entry is bit-equal to ``Snapshot.route_delay``, and +inf where
+        the route is broken (one of its edges is absent from the slot)."""
+        series, routes = case
+        d = route_delay_matrix(series, routes)
+        assert d.shape == (len(routes), series.num_slots) and d.dtype == np.float64
+        for i, snap in enumerate(series.snapshots):
+            for r, route in enumerate(routes):
+                want = snap.route_delay(route)
+                assert d[r, i] == (np.inf if want is None else want), (r, i)
+
+    def test_long_routes_sum_as_one_route(self):
+        """Routes of 8 and more hops, where ``np.sum`` sums pairwise, bit-equal
+        to their ``route_delay`` beside shorter routes of the slot."""
+        n = 40
+        rng = np.random.default_rng(3)
+        delays = {(a, a + 1): float(d) for a, d in enumerate(rng.uniform(0.1, 1e3, n - 1) / 3.0)}
+        series = series_from_edges([delays], num_satellites=n)
+        routes = [Route(tuple(range(start, start + hops + 1)))
+                  for hops in (1, 7, 8, 9, 17, 39) for start in range(n - hops)]
+        d = route_delay_matrix(series, routes)
+        want = [series.snapshot(1).route_delay(route) for route in routes]
+        assert d[:, 0].tolist() == want
+        assert {route.hops for route in routes} >= {8, 9, 17, 39}

@@ -579,7 +579,8 @@ def narrowest_uint(largest: int) -> np.dtype:
 
 
 def reference_csr(snap):
-    """The CSR built with a two-key lexsort over (source, neighbour), in int64."""
+    """The full CSR built with a two-key lexsort over (source, neighbour), in
+    int64: (indptr, neighbours, edge id of each arc)."""
     e = snap.edge_count
     src = np.concatenate([snap.u, snap.v]).astype(np.int64)
     dst = np.concatenate([snap.v, snap.u]).astype(np.int64)
@@ -591,24 +592,28 @@ def reference_csr(snap):
 
 
 def assert_csr_valid(snap):
-    """The CSR's values equal the reference's, each array in the narrowest
-    unsigned dtype for its largest possible value."""
+    """Each array of the halves is in the narrowest unsigned dtype for its
+    largest possible value, and per node the down neighbours (all lower)
+    followed by the up neighbours (all higher) are the reference's row in
+    order, with matching edge ids."""
     csr = snap.csr()
     n, e = snap.num_nodes, snap.edge_count
-    for got, largest in zip(csr, (2 * e, n - 1, e - 1)):
+    for got, largest in zip(csr, (e, e - 1, e)):
         assert got.dtype == narrowest_uint(largest), (got.dtype, largest)
-    indptr, nbr, arc_eid = (a.astype(np.int64) for a in csr)  # so that differences do not wrap
-    degree = np.bincount(np.concatenate([snap.u, snap.v]), minlength=n)
-    assert indptr[0] == 0 and np.array_equal(np.diff(indptr), degree)
+    down_ptr, down_edges, up_ptr = (a.astype(np.int64) for a in csr)  # so that differences do not wrap
+    assert down_ptr[0] == up_ptr[0] == 0 and down_ptr[-1] == up_ptr[-1] == e
+    assert np.array_equal(np.sort(down_edges), np.arange(e))  # each edge once in the down half
+    u, v = snap.u.astype(np.int64), snap.v.astype(np.int64)
+    indptr, nbr, eid = reference_csr(snap)
     for node in range(n):
-        assert np.all(np.diff(nbr[indptr[node]:indptr[node + 1]]) > 0), node
-    # every edge is exactly two arcs, one from each end, mapping back to it
-    assert np.array_equal(np.bincount(arc_eid, minlength=e), np.full(e, 2))
-    rows = np.repeat(np.arange(n), degree)
-    ends = np.sort(np.stack([rows, nbr]), axis=0)
-    assert np.array_equal(ends, np.stack([snap.u[arc_eid], snap.v[arc_eid]]))
-    for got, want in zip((indptr, nbr, arc_eid), reference_csr(snap)):
-        assert np.array_equal(got, want)
+        down = down_edges[down_ptr[node]:down_ptr[node + 1]]
+        up = np.arange(up_ptr[node], up_ptr[node + 1])
+        assert np.all(v[down] == node) and np.all(u[up] == node), node
+        neighbours = np.concatenate([u[down], v[up]])
+        assert np.all(np.diff(neighbours) > 0), node
+        row = slice(indptr[node], indptr[node + 1])
+        assert np.array_equal(neighbours, nbr[row]), node
+        assert np.array_equal(np.concatenate([down, up]), eid[row]), node
 
 
 def first_pairs(num_edges: int, num_nodes: int = 400) -> dict[tuple[int, int], float]:
@@ -618,7 +623,8 @@ def first_pairs(num_edges: int, num_nodes: int = 400) -> dict[tuple[int, int], f
 
 
 class TestCsr:
-    """``Snapshot.csr()``: degrees, ascending neighbours, two arcs per edge."""
+    """``Snapshot.csr()``: each node's down then up half is its row of the full
+    CSR, ascending, each edge once a half."""
 
     @pytest.mark.parametrize(
         "edges,sats,stations",
@@ -643,15 +649,18 @@ class TestCsr:
         edges = {(0, 255): 1.0, (0, 256): 2.0, (255, 256): 3.0, (0, top): 4.0,
                  (256, top): 5.0, (1, 255): 6.0}
         snap = one_slot(edges, num_nodes=num_nodes)
-        assert snap.csr()[1].dtype == width
+        assert snap.v.dtype == width  # the argsort's key, the top id included
         assert_csr_valid(snap)
 
-    @pytest.mark.parametrize("num_edges,array,width", [
-        (32_767, 0, "uint16"), (32_768, 0, "uint32"), (65_536, 2, "uint16"), (65_537, 2, "uint32"),
+    @pytest.mark.parametrize("num_edges,arrays,width", [
+        (65_535, (0, 2), "uint16"), (65_536, (0, 2), "uint32"),
+        (65_536, (1,), "uint16"), (65_537, (1,), "uint32"),
     ], ids=["offsets-uint16", "offsets-uint32", "arc-ids-uint16", "arc-ids-uint32"])
-    def test_edge_count_widths(self, num_edges, array, width):
+    def test_edge_count_widths(self, num_edges, arrays, width):
+        """The offsets (both pointer rows) hold up to edge_count, the arc ids
+        (the down half's edge ids) up to edge_count - 1."""
         snap = one_slot(first_pairs(num_edges), num_nodes=400)
-        assert snap.csr()[array].dtype == width
+        assert [snap.csr()[array].dtype for array in arrays] == [width] * len(arrays)
         assert_csr_valid(snap)
 
     def test_stock_slots(self, stock_head):
@@ -661,10 +670,10 @@ class TestCsr:
 
     def test_routing_state_takes_the_narrow_widths(self, stock_head):
         """Held after the builds, net of what was held before them: every
-        slot's CSR at 8 bytes an edge plus 2 a node (16 and 8 when node ids
-        and arc ids were int32 and offsets int64), and ``run_last`` at 1 byte
-        a record over these 20 slots (4 as int32). Python objects may add
-        1 KiB a slot (a tuple, array headers) and 4 KiB to ``run_last``."""
+        slot's CSR halves at 2 bytes an edge plus 4 a node (the full CSR took
+        8 and 2; 16 and 8 with int32 ids and int64 offsets), and ``run_last``
+        at 1 byte a record over these 20 slots (4 as int32). Python objects
+        may add 1 KiB a slot (a tuple, array headers) and 4 KiB to ``run_last``."""
         head = head_series(stock_head, 20)
         records, nodes = head.keys.size, head.roster.num_nodes
         tracemalloc.start()
@@ -677,7 +686,7 @@ class TestCsr:
             run_bytes = tracemalloc.get_traced_memory()[0] - before - csr_bytes
         finally:
             tracemalloc.stop()
-        assert csr_bytes <= 8 * records + head.num_slots * (2 * (nodes + 1) + 1024), csr_bytes
+        assert csr_bytes <= 2 * records + head.num_slots * (4 * (nodes + 1) + 1024), csr_bytes
         assert run_bytes <= records + 4096, run_bytes
 
 
