@@ -19,7 +19,6 @@ import contextlib
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import __version__, metrics, oracle
@@ -165,19 +164,21 @@ def _cells(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
 
 def _cell_schedules(cfg, cells, series):
     """Each cell with its schedule and runtime; ILSR/ILPR run once for every eta_s.
-    A runtime leaves out the series' lazy builds (``build_s``), whichever cell set them off."""
+    A runtime is a difference of ``series.charged_s()``: it leaves out the series'
+    lazy builds and includes the recorded seconds of what it reuses, whichever
+    cell set them off, so a cell reads what it costs run alone."""
     src = series.roster.station(cfg.source).id
     dst = series.roster.station(cfg.destination).id
     eta_blind_runs = {}
     for name, eta_s, gamma in cells:
         run = eta_blind_runs.get(name)
         if run is None:
-            built, start = series.build_s, time.perf_counter()
+            start = series.charged_s()
             schedule = run_algorithm(
                 name, series, src, dst, eta_s,
                 gamma=gamma, cost_thrsh_ms=cfg.cost_thrsh_ms,
             )
-            run = schedule, time.perf_counter() - start - (series.build_s - built)
+            run = schedule, series.charged_s() - start
             if name in ETA_BLIND_ALGORITHMS:
                 eta_blind_runs[name] = run
         yield name, eta_s, gamma, *run

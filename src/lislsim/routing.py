@@ -238,12 +238,16 @@ def alpr_average_latency(delays, eta_s_ms: float) -> float:
 def alpr(series: SnapshotSeries, src: int, dst: int, eta_s_ms: float) -> RoutingSchedule:
     """Hold the disjoint route with the least lifetime-averaged latency.
 
-    The candidates are the decision slot's edge-disjoint routes. Score ties
-    prefer fewer hops, then the smaller vertex sequence.
+    The candidates are the decision slot's edge-disjoint routes, each with its
+    ``run_delays``. They do not depend on eta_s, so a series computes a slot's
+    candidates once (``SnapshotSeries.memo``, keyed by ``(slot, src, dst)``),
+    and a later run that reuses them is charged the seconds they cost. Score
+    ties prefer fewer hops, then the smaller vertex sequence.
     """
 
     def pick(snap: Snapshot):
-        candidates = [(r, run_delays(r, series, snap.slot)) for r in disjoint_routes(snap, src, dst)]
+        candidates = series.memo((snap.slot, src, dst), lambda: [
+            (r, run_delays(r, series, snap.slot)) for r in disjoint_routes(snap, src, dst)])
         return min(
             candidates,
             key=lambda c: (alpr_average_latency(c[1], eta_s_ms), c[0].hops, c[0].nodes),

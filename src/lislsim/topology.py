@@ -264,11 +264,13 @@ class SnapshotSeries:
     station, no self-loop, no ground-to-ground edge, no duplicate edge in a
     slot, and a finite positive delay below ``MAX_DELAY_MS`` once quantized
     to 9 fractional digits. ``build_s`` sums the seconds of the lazy builds:
-    the lifetimes and each slot's CSR.
+    the lifetimes and each slot's CSR. ``reused_s`` sums the recorded seconds
+    of every ``memo`` hit, and ``charged_s()`` is ``perf_counter()`` less
+    ``build_s`` plus ``reused_s``.
     """
 
     __slots__ = ("scenario", "roster", "offsets", "keys", "u", "v", "delay_ms", "snapshots",
-                 "build_s", "_runs")
+                 "build_s", "reused_s", "_runs", "_memo")
 
     def __init__(self, scenario: ScenarioParams, roster: NodeRoster, slots):
         """Take each slot as it arrives, canonical, into the columns.
@@ -297,7 +299,8 @@ class SnapshotSeries:
             arr.setflags(write=False)
         self.u, self.v = _halves(self.keys)
         self._runs = None
-        self.build_s = 0.0
+        self.build_s = self.reused_s = 0.0
+        self._memo = {}
         self.snapshots = tuple(Snapshot(self, slot) for slot in range(1, scenario.num_slots + 1))
 
     @property
@@ -308,6 +311,23 @@ class SnapshotSeries:
         if not 1 <= slot <= self.num_slots:
             raise IndexError(f"slot {slot} outside 1..{self.num_slots}")
         return self.snapshots[slot - 1]
+
+    def charged_s(self) -> float:
+        """The clock of every runtime: a difference of two readings charges a run
+        what it would cost alone, whichever run built or computed what it reads."""
+        return time.perf_counter() - self.build_s + self.reused_s
+
+    def memo(self, key, compute):
+        """``compute()``, run once per key and stored with the ``charged_s`` it took;
+        a later call with the key returns it and adds those seconds to ``reused_s``."""
+        entry = self._memo.get(key)
+        if entry is None:
+            start = self.charged_s()
+            value = compute()
+            entry = self._memo[key] = value, self.charged_s() - start
+        else:
+            self.reused_s += entry[1]
+        return entry[0]
 
     def run_last(self) -> np.ndarray:
         """Per record: the last slot of its edge's run of consecutive slots,

@@ -91,6 +91,14 @@ def slot_routes(schedule) -> list:
     return [None if row < 0 else schedule.route_table[row] for row in schedule.index]
 
 
+def decision_slots(schedule) -> list[int]:
+    """The slots a hold loop (ILPR, ALPR) picked at: slot 1, each slot after an
+    unreachable one, and each slot whose route differs from the slot before's
+    (the held route broke there, so it cannot be picked again)."""
+    idx = schedule.index
+    return [1] + [i + 1 for i in range(1, idx.size) if idx[i - 1] < 0 or idx[i] != idx[i - 1]]
+
+
 @pytest.fixture(scope="session")
 def stock_head() -> SnapshotSeries:
     """The first 20 slots of the stock scenario (~370k edge records)."""

@@ -20,7 +20,7 @@ from lislsim.constellation import generate_series, slot_edges
 from lislsim.topology import import_series
 from lislsim.routing import ilsr
 
-from conftest import save_series, slot_routes
+from conftest import decision_slots, save_series, slot_routes
 from toyseries import dominance_toy_series, series_from_edges
 
 TINY_CONFIG = """
@@ -906,6 +906,79 @@ class TestLifetimeBuildUntimed:
         assert len(rows) == 8
         for row in rows:
             assert 0 <= float(row.split("\t")[-1]) < self.DELAY_S, row
+
+
+class TestReusedSearchesCharged:
+    """ALPR's cells run each decision slot's searches once, and a cell's runtime holds
+    the seconds of every search its schedule used, whichever cell ran it."""
+
+    DELAY_S = 0.02
+
+    def _slow_searches(self, monkeypatch):
+        """Each ``kernels.shortest_route`` call first sleeps. Returns the (slot, searches)
+        of each ``disjoint_routes`` call and the (algorithm, eta_s, schedule) of each
+        routing run the CLI starts, in call order."""
+        import lislsim.cli as cli_mod
+        import lislsim.kernels as kernels_mod
+        import lislsim.routing as routing_mod
+
+        searches, decisions, runs = [0], [], []
+        real_search, real_disjoint = kernels_mod.shortest_route, routing_mod.disjoint_routes
+        real_run = cli_mod.run_algorithm
+
+        def search(*args):
+            searches[0] += 1
+            time.sleep(self.DELAY_S)
+            return real_search(*args)
+
+        def disjoint(snap, *args):
+            before = searches[0]
+            routes = real_disjoint(snap, *args)
+            decisions.append((snap.slot, searches[0] - before))
+            return routes
+
+        def run(name, series, src, dst, eta_s, **kwargs):
+            schedule = real_run(name, series, src, dst, eta_s, **kwargs)
+            runs.append((name, eta_s, schedule))
+            return schedule
+
+        monkeypatch.setattr(kernels_mod, "shortest_route", search)
+        monkeypatch.setattr(routing_mod, "disjoint_routes", disjoint)
+        monkeypatch.setattr(cli_mod, "run_algorithm", run)
+        return decisions, runs
+
+    def test_sweep_and_run_charge_alpr_its_searches(
+        self, tmp_path, tiny_config, tiny_series, monkeypatch
+    ):
+        decisions, runs = self._slow_searches(monkeypatch)
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
+            "--out", str(out),
+        ]) == 0
+        searches = dict(decisions)
+        assert len(searches) == len(decisions)  # once per distinct decision slot
+        cells = [(eta_s, schedule) for name, eta_s, schedule in runs if name == "alpr"]
+        assert [eta_s for eta_s, _ in cells] == [1.0, 1000.0]
+        assert set(searches) == {slot for _, s in cells for slot in decision_slots(s)}
+        rows = {(r[0], float(r[1])): float(r[3]) for r in
+                (line.split("\t") for line in (out / "timings.tsv").read_text().splitlines()[1:])}
+        bounds = {eta_s: sum(searches[slot] for slot in decision_slots(schedule)) * self.DELAY_S
+                  for eta_s, schedule in cells}
+        assert sum(bounds.values()) > sum(searches.values()) * self.DELAY_S  # a cell reused one
+        for eta_s, bound in bounds.items():
+            assert rows["alpr", eta_s] >= bound, (eta_s, rows["alpr", eta_s], bound)
+
+        for eta_s, bound in bounds.items():
+            decisions.clear()
+            run_out = tmp_path / f"alpr_{eta_s:g}"
+            assert main([
+                "run", "--config", str(tiny_config), "--series", str(tiny_series),
+                "--algorithm", "alpr", "--eta-s", f"{eta_s:g}", "--out", str(run_out),
+            ]) == 0
+            assert sum(n for _, n in decisions) * self.DELAY_S == bound
+            runtime = _report_values((run_out / "report.txt").read_text())["runtime"]
+            assert float(runtime) >= bound, (eta_s, runtime, bound)
 
 
 class TestBadRoutingValues:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lislsim.constellation import GroundStation
@@ -29,8 +29,8 @@ from lislsim.topology import NodeRoster, Snapshot, SnapshotSeries
 
 from brute_force import reference_isasr, reference_run_last
 from conftest import (
-    WORKED_EXAMPLE_DELAYS, edge_pairs, one_slot, pair_positions, random_series, slot_routes,
-    square_edges,
+    WORKED_EXAMPLE_DELAYS, decision_slots, edge_pairs, one_slot, pair_positions, random_series,
+    slot_routes, square_edges,
 )
 from toyseries import dominance_toy_series, series_from_edges
 
@@ -635,6 +635,58 @@ class TestIsasrReference:
                 last = reference_run_last(series, edge, slot)
                 cost_st = 0.0 if last == n else eta_s / (last - slot + 1.0)
                 assert max(edge) >= 5 or cost_st < cost_thrsh, (slot, edge)
+
+
+def assert_same_schedule(got: RoutingSchedule, want: RoutingSchedule):
+    assert got.route_table == want.route_table
+    assert got.index.tobytes() == want.index.tobytes()
+    assert got.delay_ms.tobytes() == want.delay_ms.tobytes()
+
+
+# station links always present, a third of the satellite pairs absent in a slot
+# (draws 8..11): routes live a few slots, so a low and a high setup delay often
+# pick at different slots
+_alpr_slots = st.lists(
+    st.tuples(*(st.integers(0, 7 if max(p) >= 5 else 11) for p in _PAIRS)),
+    min_size=3, max_size=10,
+)
+_eta_lists = st.lists(st.sampled_from([0.01, 1.0, 10.0, 100.0, 10000.0]),
+                      min_size=2, max_size=4, unique=True)
+
+
+class TestAlprSharedCandidates:
+    """A series computes each decision slot's ALPR candidates once: every run on a
+    shared series equals the run on a fresh one, in any cell order."""
+
+    @pytest.mark.parametrize("before", [(), ("isasr",), ("ilsr", "isasr")])
+    @pytest.mark.parametrize("etas", [(1.0, 10.0, 100.0, 1000.0), (1000.0, 100.0, 10.0, 1.0)])
+    def test_shared_series_matches_fresh_series(self, etas, before):
+        def build():
+            rng = np.random.default_rng(5)
+            return random_series(rng, num_nodes=9, num_slots=16, edge_prob=0.35)
+
+        shared = build()
+        for name in before:
+            run_algorithm(name, shared, 0, 8, etas[0], cost_thrsh_ms=100.0)
+        fresh = {eta: alpr(build(), 0, 8, eta) for eta in etas}
+        assert len({tuple(decision_slots(s)) for s in fresh.values()}) > 1
+        for eta in etas:
+            assert_same_schedule(alpr(shared, 0, 8, eta), fresh[eta])
+        want = set().union(*map(decision_slots, fresh.values()))
+        assert sorted(shared._memo) == [(slot, 0, 8) for slot in sorted(want)]
+
+    @given(_alpr_slots, _eta_lists, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_any_eta_order_matches_fresh_series(self, slots, etas, isasr_first):
+        fresh = {eta: alpr(gappy_series(slots), 5, 6, eta) for eta in etas}
+        assume(len({tuple(decision_slots(s)) for s in fresh.values()}) > 1)
+        shared = gappy_series(slots)
+        if isasr_first:
+            isasr(shared, 5, 6, etas[0], 1.0, math.inf)
+        for eta in etas:
+            assert_same_schedule(alpr(shared, 5, 6, eta), fresh[eta])
+        want = set().union(*map(decision_slots, fresh.values()))
+        assert sorted(shared._memo) == [(slot, 5, 6) for slot in sorted(want)]
 
 
 class TestScheduleFeasibility:
