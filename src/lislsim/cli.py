@@ -25,8 +25,7 @@ from . import __version__, metrics, oracle
 from .config import ExperimentConfig, check_routing_values, default_config, load_config
 from .constellation import field_values, slot_edges
 from .routing import (
-    ALGORITHMS, ETA_BLIND_ALGORITHMS, MissingEdgeError, RoutingSchedule,
-    alpr_average_latency, run_algorithm,
+    ALGORITHMS, MissingEdgeError, RoutingSchedule, alpr_average_latency, run_algorithm,
 )
 from .topology import NodeRoster, export_series, import_series
 
@@ -163,25 +162,16 @@ def _cells(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
 
 
 def _cell_schedules(cfg, cells, series):
-    """Each cell with its schedule and runtime; ILSR/ILPR run once for every eta_s.
-    A runtime is a difference of ``series.charged_s()``: it leaves out the series'
-    lazy builds and includes the recorded seconds of what it reuses, whichever
-    cell set them off, so a cell reads what it costs run alone."""
+    """Each cell with its schedule and runtime. A runtime is a difference of
+    ``series.charged_s()``: it leaves out the series' lazy builds and includes the
+    recorded seconds of what it reuses, so a cell reads what it costs run alone."""
     src = series.roster.station(cfg.source).id
     dst = series.roster.station(cfg.destination).id
-    eta_blind_runs = {}
     for name, eta_s, gamma in cells:
-        run = eta_blind_runs.get(name)
-        if run is None:
-            start = series.charged_s()
-            schedule = run_algorithm(
-                name, series, src, dst, eta_s,
-                gamma=gamma, cost_thrsh_ms=cfg.cost_thrsh_ms,
-            )
-            run = schedule, series.charged_s() - start
-            if name in ETA_BLIND_ALGORITHMS:
-                eta_blind_runs[name] = run
-        yield name, eta_s, gamma, *run
+        start = series.charged_s()
+        schedule = run_algorithm(name, series, src, dst, eta_s,
+                                 gamma=gamma, cost_thrsh_ms=cfg.cost_thrsh_ms)
+        yield name, eta_s, gamma, schedule, series.charged_s() - start
 
 
 # the bound of both checks: an identity residual, and a cell's mean below the optimum's

@@ -24,18 +24,24 @@ DEFAULT_GROUND_STATIONS = (
 )
 
 
+# about 32 years, so ISASR's edge costs delay + gamma * (cost_st + cost_act) stay below ~2e24
+MAX_SETUP_MS = 1e12
+
+
 def check_routing_values(eta_s_ms=(), qos_ms=(), gamma_ms=(), cost_thrsh_ms=None) -> None:
     """Raise ValueError unless every given routing parameter is usable.
 
-    Setup delays and QoS thresholds must be finite and positive, each gamma finite
-    and non-negative (or ``None``), and the ISASR cost threshold positive (``inf`` allowed).
+    Setup delays must be positive and each gamma non-negative (or ``None``), both
+    at most ``MAX_SETUP_MS``; QoS thresholds finite and positive, and the ISASR
+    cost threshold positive (``inf`` allowed).
     """
-    if not all(math.isfinite(e) and e > 0 for e in eta_s_ms):
-        raise ValueError("every setup-delay value must be finite and positive")
+    if not all(0 < e <= MAX_SETUP_MS for e in eta_s_ms):
+        raise ValueError("every setup-delay value must be positive and at most "
+                         f"{MAX_SETUP_MS:g} ms")
     if not all(math.isfinite(q) and q > 0 for q in qos_ms):
         raise ValueError("QoS thresholds must be finite and positive")
-    if not all(g is None or (math.isfinite(g) and g >= 0) for g in gamma_ms):
-        raise ValueError("gamma must be finite and non-negative")
+    if not all(g is None or 0 <= g <= MAX_SETUP_MS for g in gamma_ms):
+        raise ValueError(f"gamma must be non-negative and at most {MAX_SETUP_MS:g} ms")
     if cost_thrsh_ms is not None and not cost_thrsh_ms > 0:
         raise ValueError("cost threshold must be positive")
 

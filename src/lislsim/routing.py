@@ -240,13 +240,12 @@ def alpr(series: SnapshotSeries, src: int, dst: int, eta_s_ms: float) -> Routing
 
     The candidates are the decision slot's edge-disjoint routes, each with its
     ``run_delays``. They do not depend on eta_s, so a series computes a slot's
-    candidates once (``SnapshotSeries.memo``, keyed by ``(slot, src, dst)``),
-    and a later run that reuses them is charged the seconds they cost. Score
-    ties prefer fewer hops, then the smaller vertex sequence.
+    candidates once (``SnapshotSeries.memo``). Score ties prefer fewer hops,
+    then the smaller vertex sequence.
     """
 
     def pick(snap: Snapshot):
-        candidates = series.memo((snap.slot, src, dst), lambda: [
+        candidates = series.memo(("alpr", snap.slot, src, dst), lambda: [
             (r, run_delays(r, series, snap.slot)) for r in disjoint_routes(snap, src, dst)])
         return min(
             candidates,
@@ -319,9 +318,6 @@ def isasr(
 
 
 ALGORITHMS = ("ilsr", "ilpr", "alpr", "isasr")
-# Their schedules depend on the series and endpoints only, not on eta_s,
-# gamma or the ISASR settings, so one run serves every setup-delay value.
-ETA_BLIND_ALGORITHMS = ("ilsr", "ilpr")
 
 
 def run_algorithm(
@@ -333,11 +329,12 @@ def run_algorithm(
     gamma: float | None = None,
     cost_thrsh_ms: float = math.inf,
 ) -> RoutingSchedule:
-    """Dispatch one algorithm by name (gamma=None means gamma = eta_s)."""
+    """Dispatch one algorithm by name (gamma=None means gamma = eta_s). ILSR and
+    ILPR read no setting, so a series computes each once per endpoint pair."""
     if name == "ilsr":
-        return ilsr(series, src, dst)
+        return series.memo((name, src, dst), lambda: ilsr(series, src, dst))
     if name == "ilpr":
-        return ilpr(series, src, dst)
+        return series.memo((name, src, dst), lambda: ilpr(series, src, dst))
     if name == "alpr":
         return alpr(series, src, dst, eta_s_ms)
     if name == "isasr":

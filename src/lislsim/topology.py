@@ -138,7 +138,7 @@ class Snapshot:
         uint16 each in a stock slot, 2 bytes an edge plus 4 a node.
         """
         if self._csr is None:
-            start = time.perf_counter()
+            start = self._series._clock()
             e = self.edge_count
             ptr = np.zeros((2, self.num_nodes + 1), _uint_for(e))
             for row, ends in zip(ptr, (self.v, self.u)):
@@ -146,7 +146,7 @@ class Snapshot:
             # numpy radix-sorts 8- and 16-bit keys
             down_edges = np.argsort(self.v, kind="stable").astype(_uint_for(e - 1))
             self._csr = (ptr[0], down_edges, ptr[1])
-            self._series.build_s += time.perf_counter() - start
+            self._series.build_s += self._series._clock() - start
         return self._csr
 
     def __repr__(self):
@@ -265,8 +265,8 @@ class SnapshotSeries:
     slot, and a finite positive delay below ``MAX_DELAY_MS`` once quantized
     to 9 fractional digits. ``build_s`` sums the seconds of the lazy builds:
     the lifetimes and each slot's CSR. ``reused_s`` sums the recorded seconds
-    of every ``memo`` hit, and ``charged_s()`` is ``perf_counter()`` less
-    ``build_s`` plus ``reused_s``.
+    of every ``memo`` hit, and ``charged_s()`` is the CPU seconds of the
+    process less ``build_s`` plus ``reused_s``.
     """
 
     __slots__ = ("scenario", "roster", "offsets", "keys", "u", "v", "delay_ms", "snapshots",
@@ -312,14 +312,19 @@ class SnapshotSeries:
             raise IndexError(f"slot {slot} outside 1..{self.num_slots}")
         return self.snapshots[slot - 1]
 
+    # CPU seconds, the one clock of the builds and runtimes: a run is single-threaded
+    # and does no I/O, so a busy host does not inflate it
+    _clock = staticmethod(time.process_time)
+
     def charged_s(self) -> float:
         """The clock of every runtime: a difference of two readings charges a run
         what it would cost alone, whichever run built or computed what it reads."""
-        return time.perf_counter() - self.build_s + self.reused_s
+        return self._clock() - self.build_s + self.reused_s
 
     def memo(self, key, compute):
         """``compute()``, run once per key and stored with the ``charged_s`` it took;
-        a later call with the key returns it and adds those seconds to ``reused_s``."""
+        a later call with the key returns it and adds those seconds to ``reused_s``.
+        A key names what it holds: ``("ilsr", src, dst)``, ``("alpr", slot, src, dst)``."""
         entry = self._memo.get(key)
         if entry is None:
             start = self.charged_s()
@@ -337,7 +342,7 @@ class SnapshotSeries:
         the next slot takes that record's run end, any other its own slot.
         """
         if self._runs is None:
-            start = time.perf_counter()
+            start = self._clock()
             run_last = np.empty(self.keys.size, _uint_for(self.num_slots))
             for snap in reversed(self.snapshots):
                 ends = run_last[snap._span]
@@ -348,7 +353,7 @@ class SnapshotSeries:
                     ends[pos >= 0] = run_last[later._span][pos[pos >= 0]]
             run_last.setflags(write=False)
             self._runs = run_last
-            self.build_s += time.perf_counter() - start
+            self.build_s += self._clock() - start
         return self._runs
 
     def __eq__(self, other):

@@ -202,3 +202,15 @@ def test_cli_flags_are_pinned():
                 if isinstance(arg, ast.Constant) and arg.value.startswith("--")
             )
     assert flags == CLI_FLAGS
+
+
+def test_only_topology_reads_a_clock():
+    # the runtime ledger has one clock, SnapshotSeries._clock: no other module times work
+    importers = sorted(
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name == "time" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "time")
+    )
+    assert importers == ["topology.py"], importers

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from lislsim.cli import main, schedule_text
 from lislsim.config import load_config
 from lislsim.constellation import generate_series, slot_edges
 from lislsim.topology import import_series
-from lislsim.routing import ilsr
+from lislsim.routing import ALGORITHMS, ilsr
 
 from conftest import decision_slots, save_series, slot_routes
 from toyseries import dominance_toy_series, series_from_edges
@@ -345,18 +346,30 @@ class TestSweep:
 
 
 def _count_runs(monkeypatch):
-    """Record the algorithm name of every routing run the CLI starts."""
-    import lislsim.cli as cli_mod
+    """Record the algorithm name of every schedule routing computes (a memo hit
+    computes none)."""
+    import lislsim.routing as routing_mod
 
     calls = []
-    real = cli_mod.run_algorithm
 
-    def counted(name, *args, **kwargs):
-        calls.append(name)
-        return real(name, *args, **kwargs)
+    def counted(name):
+        real = getattr(routing_mod, name)
 
-    monkeypatch.setattr(cli_mod, "run_algorithm", counted)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ALGORITHMS:
+        monkeypatch.setattr(routing_mod, name, counted(name))
     return calls
+
+
+def _busy_wait(seconds):
+    """Spend ``seconds`` of CPU time: runtimes read CPU seconds, which a sleep does not use."""
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
 
 
 def _report_values(text):
@@ -410,8 +423,6 @@ class TestSweepReuse:
                 assert cell["outage_probability"] == report[f"outage@{float(cell['qos_ms']):.9f}ms"]
                 assert cell["average_jitter_ms"] == report["average_jitter"]
                 assert cell["coverage"] == report["coverage"]
-            runtimes = {t[3] for t in timings if t[0] == name}
-            assert len(runtimes) == 1
 
 
 # the dominance toy series' stations as endpoints; its delays are exact binary fractions
@@ -844,7 +855,7 @@ class TestLifetimeBuildUntimed:
 
     def _slow_builds(self, monkeypatch):
         """The names of the slowed calls: each ``np.zeros`` (a CSR's two pointer rows) and
-        ``np.empty`` (the lifetimes' column) in ``lislsim.topology`` first sleeps."""
+        ``np.empty`` (the lifetimes' column) in ``lislsim.topology`` first busy-waits."""
         import lislsim.topology as topology_mod
 
         slowed = []
@@ -852,7 +863,7 @@ class TestLifetimeBuildUntimed:
         def slow(name):
             def call(*args, **kwargs):
                 slowed.append(name)
-                time.sleep(self.DELAY_S)
+                _busy_wait(self.DELAY_S)
                 return getattr(np, name)(*args, **kwargs)
             return staticmethod(call)
 
@@ -908,27 +919,51 @@ class TestLifetimeBuildUntimed:
             assert 0 <= float(row.split("\t")[-1]) < self.DELAY_S, row
 
 
+def test_runtime_leaves_out_time_spent_waiting(tmp_path, tiny_config, tiny_series, monkeypatch):
+    """Runtimes read CPU seconds: a search that sleeps costs its cell nothing, as time
+    a busy host takes from the process would not."""
+    import lislsim.kernels as kernels_mod
+
+    delay_s, searches, real = 0.05, [], kernels_mod.shortest_route
+
+    def sleepy(*args):
+        searches.append(args)
+        time.sleep(delay_s)
+        return real(*args)
+
+    monkeypatch.setattr(kernels_mod, "shortest_route", sleepy)
+    out = tmp_path / "out"
+    assert main([
+        "run", "--config", str(tiny_config), "--series", str(tiny_series),
+        "--algorithm", "ilsr", "--out", str(out),
+    ]) == 0
+    assert len(searches) == 6
+    assert float(_report_values((out / "report.txt").read_text())["runtime"]) < delay_s
+
+
 class TestReusedSearchesCharged:
-    """ALPR's cells run each decision slot's searches once, and a cell's runtime holds
-    the seconds of every search its schedule used, whichever cell ran it."""
+    """ILSR and ILPR compute once per series and ALPR's cells run each decision slot's
+    searches once, and a cell's runtime holds the seconds of every search its schedule
+    used, whichever cell ran it."""
 
     DELAY_S = 0.02
 
     def _slow_searches(self, monkeypatch):
-        """Each ``kernels.shortest_route`` call first sleeps. Returns the (slot, searches)
-        of each ``disjoint_routes`` call and the (algorithm, eta_s, schedule) of each
-        routing run the CLI starts, in call order."""
+        """Each ``kernels.shortest_route`` call first busy-waits. Returns the (slot,
+        searches) of each ``disjoint_routes`` call, the (algorithm, eta_s, schedule) of
+        each routing run the CLI starts, and the (algorithm, searches) of each ILSR and
+        ILPR computation, in call order."""
         import lislsim.cli as cli_mod
         import lislsim.kernels as kernels_mod
         import lislsim.routing as routing_mod
 
-        searches, decisions, runs = [0], [], []
+        searches, decisions, runs, computed = [0], [], [], []
         real_search, real_disjoint = kernels_mod.shortest_route, routing_mod.disjoint_routes
         real_run = cli_mod.run_algorithm
 
         def search(*args):
             searches[0] += 1
-            time.sleep(self.DELAY_S)
+            _busy_wait(self.DELAY_S)
             return real_search(*args)
 
         def disjoint(snap, *args):
@@ -937,6 +972,16 @@ class TestReusedSearchesCharged:
             decisions.append((snap.slot, searches[0] - before))
             return routes
 
+        def counted(name):
+            real = getattr(routing_mod, name)
+
+            def call(*args):
+                before = searches[0]
+                schedule = real(*args)
+                computed.append((name, searches[0] - before))
+                return schedule
+            return call
+
         def run(name, series, src, dst, eta_s, **kwargs):
             schedule = real_run(name, series, src, dst, eta_s, **kwargs)
             runs.append((name, eta_s, schedule))
@@ -944,13 +989,42 @@ class TestReusedSearchesCharged:
 
         monkeypatch.setattr(kernels_mod, "shortest_route", search)
         monkeypatch.setattr(routing_mod, "disjoint_routes", disjoint)
+        for name in ("ilsr", "ilpr"):
+            monkeypatch.setattr(routing_mod, name, counted(name))
         monkeypatch.setattr(cli_mod, "run_algorithm", run)
-        return decisions, runs
+        return decisions, runs, computed
+
+    def test_sweep_and_run_charge_ilsr_and_ilpr_their_searches(
+        self, tmp_path, tiny_config, tiny_series, monkeypatch
+    ):
+        *_, computed = self._slow_searches(monkeypatch)
+        out = tmp_path / "sweep"
+        assert main([
+            "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
+            "--out", str(out),
+        ]) == 0
+        assert [name for name, _ in computed] == ["ilsr", "ilpr"]  # once for both eta_s
+        searches = dict(computed)
+        rows = [line.split("\t") for line in (out / "timings.tsv").read_text().splitlines()[1:]]
+        for name, n in searches.items():
+            bound = n * self.DELAY_S
+            cells = [float(r[3]) for r in rows if r[0] == name]
+            assert n > 0 and len(cells) == 2 and min(cells) >= bound, (name, cells, bound)
+
+            computed.clear()
+            run_out = tmp_path / name
+            assert main([
+                "run", "--config", str(tiny_config), "--series", str(tiny_series),
+                "--algorithm", name, "--out", str(run_out),
+            ]) == 0
+            assert computed == [(name, n)]
+            runtime = _report_values((run_out / "report.txt").read_text())["runtime"]
+            assert float(runtime) >= bound, (name, runtime, bound)
 
     def test_sweep_and_run_charge_alpr_its_searches(
         self, tmp_path, tiny_config, tiny_series, monkeypatch
     ):
-        decisions, runs = self._slow_searches(monkeypatch)
+        decisions, runs, _ = self._slow_searches(monkeypatch)
         out = tmp_path / "sweep"
         assert main([
             "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
@@ -1024,6 +1098,42 @@ class TestBadRoutingValues:
         stdout, err = capsys.readouterr()
         assert stdout == "" and "error: " in err
         assert not out.exists()
+
+
+class TestSetupBound:
+    """eta_s and gamma stop at ``MAX_SETUP_MS``, so ISASR's costs stay finite: above it
+    a run exits 1 before routing, where 1e200 once overflowed every cost to +inf."""
+
+    @pytest.mark.parametrize("argv,config_edit", [
+        (["run", "--algorithm", "isasr", "--eta-s", "1e200"], None),
+        (["run", "--algorithm", "isasr", "--gamma", "1e200"], None),
+        (["sweep"], ("eta_s_ms = 1, 1000", "eta_s_ms = 1, 1e13")),
+    ], ids=["run-eta-1e200", "run-gamma-1e200", "sweep-config-eta-1e13"])
+    def test_above_the_bound_exits_1_without_a_warning(
+        self, tmp_path, tiny_series, capsys, argv, config_edit
+    ):
+        cfg = tmp_path / "bound.ini"
+        cfg.write_text(TINY_CONFIG if config_edit is None else TINY_CONFIG.replace(*config_edit))
+        out = tmp_path / "bound_out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([argv[0], "--config", str(cfg), "--series", str(tiny_series),
+                       *argv[1:], "--out", str(out)])
+        assert rc == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--eta-s", "--gamma"])
+    def test_at_the_bound_isasr_routes(self, tmp_path, tiny_config, tiny_series, capsys, flag):
+        out = tmp_path / "bound_out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["run", "--config", str(tiny_config), "--series", str(tiny_series),
+                       "--algorithm", "isasr", flag, "1e12", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert _report_values((out / "report.txt").read_text())["coverage"] == "6"
 
 
 class TestVerificationFailureExit:

@@ -673,7 +673,8 @@ class TestAlprSharedCandidates:
         for eta in etas:
             assert_same_schedule(alpr(shared, 0, 8, eta), fresh[eta])
         want = set().union(*map(decision_slots, fresh.values()))
-        assert sorted(shared._memo) == [(slot, 0, 8) for slot in sorted(want)]
+        assert sorted(k for k in shared._memo if k[0] == "alpr") == [
+            ("alpr", slot, 0, 8) for slot in sorted(want)]
 
     @given(_alpr_slots, _eta_lists, st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -686,7 +687,32 @@ class TestAlprSharedCandidates:
         for eta in etas:
             assert_same_schedule(alpr(shared, 5, 6, eta), fresh[eta])
         want = set().union(*map(decision_slots, fresh.values()))
-        assert sorted(shared._memo) == [(slot, 5, 6) for slot in sorted(want)]
+        assert sorted(k for k in shared._memo if k[0] == "alpr") == [
+            ("alpr", slot, 5, 6) for slot in sorted(want)]
+
+
+class TestSettingBlindSchedulesShared:
+    """ILSR and ILPR read no setting, so a series computes each once per endpoint
+    pair, whatever eta_s, gamma or threshold the later runs pass."""
+
+    @pytest.mark.parametrize("name", ["ilsr", "ilpr"])
+    def test_second_run_reuses_the_first(self, name, monkeypatch):
+        import lislsim.routing as routing_mod
+
+        calls = []
+        real = getattr(routing_mod, name)
+
+        def spy(series, src, dst):
+            calls.append((src, dst))
+            return real(series, src, dst)
+
+        monkeypatch.setattr(routing_mod, name, spy)
+        series = random_series(np.random.default_rng(11), num_nodes=8, num_slots=9)
+        first = run_algorithm(name, series, 0, 7, 1.0)
+        assert run_algorithm(name, series, 0, 7, 1000.0, gamma=3.0, cost_thrsh_ms=5.0) is first
+        assert calls == [(0, 7)]
+        assert run_algorithm(name, series, 7, 0, 1.0).source == 7
+        assert calls == [(0, 7), (7, 0)]
 
 
 class TestScheduleFeasibility:

@@ -1022,15 +1022,16 @@ class TestBlockReader:
         # the columns grow by an eighth at a time, so before the final trim
         # they hold at most 9/8 of the records; the rest is a constant
         extra = []
-        for n in (3, 12):
+        for n in (3, 12, 20):
             path = tmp_path / f"head{n}.series"
             head = head_series(stock_head, n)
             save_series(head, path)
             columns = head.keys.nbytes + head.delay_ms.nbytes
             extra.append(_peak_bytes(import_series, path) - columns * 9 // 8)
         # the one-pass reader held every record, 32 bytes each, on top, and
-        # columns reserved from the file size held about 3.3 times the records
-        assert max(extra) < 1.2 * min(extra), extra
+        # columns reserved from the file size held about 3.3 times the records;
+        # one-sided: an extra that shrinks with the slots is no growth
+        assert max(extra[1:]) < 1.2 * extra[0], extra
 
     def test_import_holds_12_bytes_a_record_and_little_more(self, stock_head, tmp_path):
         """20 stock slots: the columns take 12 bytes a record (a uint32 key
