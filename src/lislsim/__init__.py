@@ -2,6 +2,11 @@
 
 __version__ = "0.1.0"
 
+import os
+
+# lislsim makes no BLAS call, so numpy need not start OpenBLAS worker threads (~70 ms)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .constellation import (
     ConstellationParams,
     GroundStation,

@@ -312,8 +312,9 @@ class SnapshotSeries:
             raise IndexError(f"slot {slot} outside 1..{self.num_slots}")
         return self.snapshots[slot - 1]
 
-    # CPU seconds, the one clock of the builds and runtimes: a run is single-threaded
-    # and does no I/O, so a busy host does not inflate it
+    # CPU seconds, the one clock of the builds and runtimes: the process holds one thread
+    # (the package keeps OpenBLAS to one) and a run does no I/O, so a busy host does not
+    # inflate it
     _clock = staticmethod(time.process_time)
 
     def charged_s(self) -> float:

@@ -214,3 +214,22 @@ def test_only_topology_reads_a_clock():
         or (isinstance(node, ast.ImportFrom) and node.module == "time")
     )
     assert importers == ["topology.py"], importers
+
+
+# numpy's BLAS entry points; ``linalg`` covers the whole ``np.linalg`` namespace
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def test_no_blas_call():
+    # lislsim/__init__.py starts numpy with one OpenBLAS thread, which costs nothing only
+    # while lislsim makes no BLAS call
+    calls = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.Name) and node.id in BLAS_NAMES)
+        or (isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES)
+    )
+    assert not calls, ("the single-thread OpenBLAS default relies on lislsim making no "
+                       "BLAS call: " + ", ".join(calls))

@@ -797,25 +797,59 @@ class TestBadShellValues:
         assert not out.exists()
 
 
-def _scipy_modules_after(argv):
-    """Sorted scipy modules loaded once ``lislsim.cli.main(argv)`` returned 0 in a
-    fresh interpreter."""
-    code = (
-        "import sys\n"
-        "from lislsim.cli import main\n"
-        f"assert main({[str(a) for a in argv]!r}) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
+def _last_line_of(code, env=os.environ):
+    """The last line ``code`` prints in a fresh interpreter that imports this lislsim."""
     src = str(Path(lislsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**env, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return done.stdout.splitlines()[-1]
 
 
+def _scipy_modules_after(argv):
+    """Sorted scipy modules loaded once ``lislsim.cli.main(argv)`` returned 0 in a
+    fresh interpreter."""
+    return _last_line_of(
+        "import sys\n"
+        "from lislsim.cli import main\n"
+        f"assert main({[str(a) for a in argv]!r}) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+
+
+def _blas_setting_after_import(preset):
+    """(``OPENBLAS_NUM_THREADS``, the process's thread count or None without /proc) once
+    a fresh interpreter, started with the variable at ``preset`` (None: unset), imported
+    lislsim."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    value, threads = _last_line_of(
+        "import os, lislsim\n"
+        "task = '/proc/self/task'\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'),"
+        " len(os.listdir(task)) if os.path.isdir(task) else None)\n",
+        env,
+    ).split()
+    return value, None if threads == "None" else int(threads)
+
+
 class TestImportCost:
-    """scipy stays a test extra: a CLI call never pays its import."""
+    """A CLI call pays for no import or thread it does not use: scipy stays a test extra,
+    and numpy starts without OpenBLAS worker threads unless the caller asks for them."""
+
+    def test_import_leaves_blas_single_threaded(self):
+        value, threads = _blas_setting_after_import(None)
+        assert value == "1"
+        if threads is not None:
+            assert threads == 1
+
+    def test_import_keeps_a_preset_thread_count(self):
+        value, threads = _blas_setting_after_import("2")
+        assert value == "2"
+        if threads is not None:  # OpenBLAS starts no more threads than the usable cores
+            assert threads == min(2, len(os.sched_getaffinity(0)))
 
     def test_generate_does_not_import_scipy(self, tmp_path, tiny_config):
         out = tmp_path / "tiny.series"
