@@ -17,17 +17,21 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, metrics, oracle
-from .config import ExperimentConfig, check_routing_values, default_config, load_config
-from .constellation import field_values, slot_edges
-from .routing import (
-    ALGORITHMS, MissingEdgeError, RoutingSchedule, alpr_average_latency, run_algorithm,
+from . import __version__
+from .config import (
+    ALGORITHMS, ExperimentConfig, check_routing_values, default_config, load_config,
 )
-from .topology import NodeRoster, export_series, import_series
+from .constellation import field_values, slot_edges
+from .topology import MissingEdgeError, NodeRoster, export_series, import_series
+
+# routing, metrics, oracle and json load inside the commands that run them: a process
+# starts afresh for every command, and ``generate`` uses none of them
+if TYPE_CHECKING:
+    from .routing import RoutingSchedule
 
 # Four-route worked example: per-slot end-to-end delays (ms) of candidate
 # routes with different lifetimes, used by the `table2` subcommand and the
@@ -74,6 +78,8 @@ def schedule_text(schedule: RoutingSchedule) -> str:
 
 
 def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
+    import json
+
     payload = {"tool": "lislsim", "version": __version__, "config": dataclasses.asdict(cfg)}
     payload.update(extra)
     return json.dumps(payload, indent=2) + "\n"
@@ -112,6 +118,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import metrics
+
     cfg = _load(args)
     eta_s = args.eta_s if args.eta_s is not None else cfg.eta_s_ms[0]
     check_routing_values(eta_s_ms=(eta_s,))
@@ -165,6 +173,8 @@ def _cell_schedules(cfg, cells, series):
     """Each cell with its schedule and runtime. A runtime is a difference of
     ``series.charged_s()``: it leaves out the series' lazy builds and includes the
     recorded seconds of what it reuses, so a cell reads what it costs run alone."""
+    from .routing import run_algorithm
+
     src = series.roster.station(cfg.source).id
     dst = series.roster.station(cfg.destination).id
     for name, eta_s, gamma in cells:
@@ -188,6 +198,8 @@ def cmd_sweep(args) -> int:
     on the heuristic's true gap. A cell whose identity residual reaches
     ``_CHECK_BOUND_MS``, or that beats the optimum by more than it, fails with exit 2.
     """
+    from . import metrics, oracle
+
     cfg = _load(args)
     cells = _cells(cfg)
     series = import_series(args.series)
@@ -245,6 +257,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table2(args) -> int:
+    from .routing import alpr_average_latency
+
     eta_values = (1.0, 1000.0) if args.eta_s is None else (args.eta_s,)
     check_routing_values(eta_s_ms=eta_values)
     averages = {rid: [alpr_average_latency(delays, e) for e in eta_values]
@@ -299,7 +313,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is its message's repr, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2 if isinstance(exc, MissingEdgeError) else 1  # 2: a schedule failed its check
     except MemoryError as exc:  # a backstop: numpy names the allocation, a bare one says nothing
         print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)

@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 from .constellation import (
     TEXT_PARSERS, ConstellationParams, GroundStation, ScenarioParams, field_values,
 )
-from .routing import ALGORITHMS
+
+# the names routing.run_algorithm dispatches, in the default sweep order
+ALGORITHMS = ("ilsr", "ilpr", "alpr", "isasr")
 
 DEFAULT_GROUND_STATIONS = (
     ("new_york", 40.7128, -74.0060),

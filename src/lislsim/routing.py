@@ -28,8 +28,9 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
+from .config import ALGORITHMS
 from .metrics import slot_order_sum
-from .topology import Snapshot, SnapshotSeries, pack_keys
+from .topology import MissingEdgeError, Snapshot, SnapshotSeries, pack_keys
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,6 @@ class Route:
 
     def __str__(self):
         return "-".join(str(n) for n in self.nodes)
-
-
-class MissingEdgeError(ValueError):
-    """A schedule names a route that is broken in its slot."""
 
 
 @dataclass(eq=False)
@@ -315,9 +312,6 @@ def isasr(
         breaks = snap.run_last[snap.positions(keys)].min() == snap.slot
         idle = idle - edges if breaks else idle | edges
     return RoutingSchedule("isasr", src, dst, routes, series)
-
-
-ALGORITHMS = ("ilsr", "ilpr", "alpr", "isasr")
 
 
 def run_algorithm(

@@ -38,6 +38,10 @@ class SeriesFormatError(ValueError):
     """Raised when a snapshot-series file fails validation."""
 
 
+class MissingEdgeError(ValueError):
+    """A schedule names a route that is broken in its slot."""
+
+
 def _uint_for(largest: int) -> np.dtype:
     """The narrowest unsigned dtype that holds 0..``largest``."""
     return np.min_scalar_type(max(largest, 0))

@@ -14,11 +14,17 @@ overrides of a base-class method (the base class calls them).
 Every name a module other than ``__init__.py`` imports is read in it, so a
 deletion leaves no import behind. ``lislsim.topology`` defines no public
 name beyond a pinned set, so its reader's helpers stay private.
+
+The package namespace is lazy: each exported name is listed in ``__all__``
+and ``dir(lislsim)``, and ``from lislsim import <name>`` gives the defining
+submodule's own object.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+import pytest
 
 import lislsim
 
@@ -159,8 +165,8 @@ def test_every_import_is_used():
 
 # every public name lislsim.topology defines; a new one needs a reason to be public
 TOPOLOGY_PUBLIC = {
-    "MAX_DELAY_MS", "NodeRoster", "SeriesFormatError", "Snapshot", "SnapshotSeries",
-    "export_series", "import_series", "pack_keys",
+    "MAX_DELAY_MS", "MissingEdgeError", "NodeRoster", "SeriesFormatError", "Snapshot",
+    "SnapshotSeries", "export_series", "import_series", "pack_keys",
 }
 
 
@@ -233,3 +239,42 @@ def test_no_blas_call():
     )
     assert not calls, ("the single-thread OpenBLAS default relies on lislsim making no "
                        "BLAS call: " + ", ".join(calls))
+
+
+# every name ``lislsim`` exports, by the submodule that defines it
+EXPORTS = {
+    "constellation": ("ConstellationParams", "GroundStation", "ScenarioParams",
+                      "generate_series"),
+    "topology": ("NodeRoster", "SeriesFormatError", "Snapshot", "SnapshotSeries",
+                 "export_series", "import_series"),
+    "routing": ("Route", "RoutingSchedule", "alpr", "alpr_average_latency", "dijkstra",
+                "disjoint_routes", "ilpr", "ilsr", "isasr", "isasr_stability_cost",
+                "run_algorithm"),
+    "oracle": ("dp_optimal", "optimum_schedule", "route_delay_matrix"),
+    "metrics": ("MetricsReport", "average_jitter", "evaluate", "histogram",
+                "outage_probability"),
+    "config": ("ExperimentConfig", "default_config", "load_config"),
+}
+
+
+@pytest.mark.parametrize("module, name", [
+    (module, name) for module, names in EXPORTS.items() for name in names
+])
+def test_every_export_resolves_to_its_definition(module, name):
+    # the package imports each name from its submodule on first use
+    assert name in lislsim.__all__ and name in dir(lislsim)
+    namespace = {}
+    exec(f"from lislsim import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"lislsim.{module}"), name)
+
+
+def test_all_lists_the_exports_once():
+    exported = [name for names in EXPORTS.values() for name in names]
+    assert sorted(lislsim.__all__) == sorted(exported)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        lislsim.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from lislsim import no_such_name", {})

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: generate, run, sweep, table2."""
 
+import ast
 import json
 import os
 import resource
@@ -483,16 +484,16 @@ class TestSweepGapTable:
 
     def test_one_evaluation_feeds_both_tables(self, tmp_path, tiny_config, tiny_series,
                                               monkeypatch):
-        import lislsim.cli as cli_mod
+        import lislsim.metrics as metrics_mod
 
         calls = []
-        real = cli_mod.metrics.evaluate
+        real = metrics_mod.evaluate
 
         def counted(schedule, *args, **kwargs):
             calls.append(schedule.algorithm)
             return real(schedule, *args, **kwargs)
 
-        monkeypatch.setattr(cli_mod.metrics, "evaluate", counted)
+        monkeypatch.setattr(metrics_mod, "evaluate", counted)
         out = tmp_path / "sweep"
         assert main([
             "sweep", "--config", str(tiny_config), "--series", str(tiny_series), "--out", str(out),
@@ -675,6 +676,22 @@ class TestBadUsage:
         rc = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "s")])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", [["run", "--algorithm", "ilsr"], ["sweep"]],
+                             ids=["run", "sweep"])
+    def test_endpoint_missing_from_the_series_exits_1(self, tmp_path, tiny_series, capsys,
+                                                      command):
+        # the config lists paris, so it loads; the series was generated without it
+        cfg = tmp_path / "paris.ini"
+        cfg.write_text(TINY_CONFIG.replace("bravo = 0.0, 90.0\n",
+                                           "bravo = 0.0, 90.0\nparis = 48.9, 2.4\n")
+                       .replace("source = alpha", "source = paris"))
+        out = tmp_path / "out"
+        rc = main([*command, "--config", str(cfg), "--series", str(tiny_series),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no ground station named 'paris'\n"
+        assert not out.exists()
+
 
 class TestMalformedConfigFile:
     @pytest.mark.parametrize(
@@ -807,26 +824,32 @@ def _last_line_of(code, env=os.environ):
     return done.stdout.splitlines()[-1]
 
 
-def _scipy_modules_after(argv):
-    """Sorted scipy modules loaded once ``lislsim.cli.main(argv)`` returned 0 in a
-    fresh interpreter."""
-    return _last_line_of(
+def _modules_after(argv) -> set[str]:
+    """The modules loaded once ``lislsim.cli.main(argv)`` returned 0 in a fresh
+    interpreter (which imports nothing else to report them)."""
+    return set(ast.literal_eval(_last_line_of(
         "import sys\n"
         "from lislsim.cli import main\n"
         f"assert main({[str(a) for a in argv]!r}) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
+        "print(sorted(sys.modules))\n"
+    )))
+
+
+def _scipy_modules_after(argv):
+    """Sorted scipy modules loaded once ``lislsim.cli.main(argv)`` returned 0 in a
+    fresh interpreter."""
+    return sorted(m for m in _modules_after(argv) if m.split(".")[0] == "scipy")
 
 
 def _blas_setting_after_import(preset):
     """(``OPENBLAS_NUM_THREADS``, the process's thread count or None without /proc) once
     a fresh interpreter, started with the variable at ``preset`` (None: unset), imported
-    lislsim."""
+    ``lislsim.topology`` and with it numpy (a bare ``import lislsim`` starts no numpy)."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     value, threads = _last_line_of(
-        "import os, lislsim\n"
+        "import os, lislsim.topology\n"
         "task = '/proc/self/task'\n"
         "print(os.environ.get('OPENBLAS_NUM_THREADS'),"
         " len(os.listdir(task)) if os.path.isdir(task) else None)\n",
@@ -837,7 +860,18 @@ def _blas_setting_after_import(preset):
 
 class TestImportCost:
     """A CLI call pays for no import or thread it does not use: scipy stays a test extra,
-    and numpy starts without OpenBLAS worker threads unless the caller asks for them."""
+    each command loads only the lislsim modules it runs, and numpy starts without
+    OpenBLAS worker threads unless the caller asks for them."""
+
+    def test_bare_import_loads_no_submodule(self):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        loaded, value = _last_line_of(
+            "import os, sys, lislsim\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('lislsim', 'numpy')),"
+            " os.environ.get('OPENBLAS_NUM_THREADS'), sep='|')\n",
+            env,
+        ).split("|")
+        assert (loaded, value) == ("['lislsim']", "1")
 
     def test_import_leaves_blas_single_threaded(self):
         value, threads = _blas_setting_after_import(None)
@@ -853,15 +887,30 @@ class TestImportCost:
 
     def test_generate_does_not_import_scipy(self, tmp_path, tiny_config):
         out = tmp_path / "tiny.series"
-        assert _scipy_modules_after(["generate", "--config", tiny_config, "--out", out]) == "[]"
+        assert _scipy_modules_after(["generate", "--config", tiny_config, "--out", out]) == []
         assert out.stat().st_size > 0
+
+    def test_generate_loads_no_routing_module(self, tmp_path, tiny_config):
+        out = tmp_path / "tiny.series"
+        loaded = _modules_after(["generate", "--config", tiny_config, "--out", out])
+        assert {"lislsim.constellation", "lislsim.topology", "numpy"} <= loaded
+        assert not loaded & {"lislsim.routing", "lislsim.metrics", "lislsim.oracle", "json"}
+        assert out.stat().st_size > 0
+
+    def test_run_loads_no_oracle(self, tmp_path, tiny_config, tiny_series):
+        out = tmp_path / "out"
+        loaded = _modules_after(["run", "--algorithm", "alpr", "--config", tiny_config,
+                                 "--series", tiny_series, "--out", out])
+        assert {"lislsim.routing", "lislsim.metrics", "json"} <= loaded
+        assert "lislsim.oracle" not in loaded
+        assert (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("argv", [["run", "--algorithm", "isasr"], ["sweep"]],
                              ids=["run", "sweep"])
     def test_routing_does_not_import_scipy(self, tmp_path, tiny_config, tiny_series, argv):
         out = tmp_path / "out"
         argv = [*argv, "--config", tiny_config, "--series", tiny_series, "--out", out]
-        assert _scipy_modules_after(argv) == "[]"
+        assert _scipy_modules_after(argv) == []
         assert (out / "manifest.json").exists()
 
 
@@ -874,17 +923,17 @@ class TestLifetimeBuildUntimed:
     @staticmethod
     def _spy(monkeypatch):
         """(algorithm, lifetimes already built) at each routing run, plus its series."""
-        import lislsim.cli as cli_mod
+        import lislsim.routing as routing_mod
 
         seen, series_seen = [], []
-        real = cli_mod.run_algorithm
+        real = routing_mod.run_algorithm
 
         def spy(name, series, *args, **kwargs):
             seen.append((name, series._runs is not None))
             series_seen.append(series)
             return real(name, series, *args, **kwargs)
 
-        monkeypatch.setattr(cli_mod, "run_algorithm", spy)
+        monkeypatch.setattr(routing_mod, "run_algorithm", spy)
         return seen, series_seen
 
     def _slow_builds(self, monkeypatch):
@@ -987,13 +1036,12 @@ class TestReusedSearchesCharged:
         searches) of each ``disjoint_routes`` call, the (algorithm, eta_s, schedule) of
         each routing run the CLI starts, and the (algorithm, searches) of each ILSR and
         ILPR computation, in call order."""
-        import lislsim.cli as cli_mod
         import lislsim.kernels as kernels_mod
         import lislsim.routing as routing_mod
 
         searches, decisions, runs, computed = [0], [], [], []
         real_search, real_disjoint = kernels_mod.shortest_route, routing_mod.disjoint_routes
-        real_run = cli_mod.run_algorithm
+        real_run = routing_mod.run_algorithm
 
         def search(*args):
             searches[0] += 1
@@ -1025,7 +1073,7 @@ class TestReusedSearchesCharged:
         monkeypatch.setattr(routing_mod, "disjoint_routes", disjoint)
         for name in ("ilsr", "ilpr"):
             monkeypatch.setattr(routing_mod, name, counted(name))
-        monkeypatch.setattr(cli_mod, "run_algorithm", run)
+        monkeypatch.setattr(routing_mod, "run_algorithm", run)
         return decisions, runs, computed
 
     def test_sweep_and_run_charge_ilsr_and_ilpr_their_searches(
@@ -1172,16 +1220,16 @@ class TestSetupBound:
 
 class TestVerificationFailureExit:
     def test_sweep_exits_2_when_identity_breaks(self, tmp_path, tiny_config, tiny_series, monkeypatch):
-        import lislsim.cli as cli_mod
+        import lislsim.metrics as metrics_mod
 
-        real = cli_mod.metrics.evaluate
+        real = metrics_mod.evaluate
 
         def corrupted(*args, **kwargs):
             report = real(*args, **kwargs)
             report.mean_eta_le_ms += 1.0  # break the decomposition identity
             return report
 
-        monkeypatch.setattr(cli_mod.metrics, "evaluate", corrupted)
+        monkeypatch.setattr(metrics_mod, "evaluate", corrupted)
         rc = main([
             "sweep", "--config", str(tiny_config), "--series", str(tiny_series),
             "--out", str(tmp_path / "broken"),
