@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -80,9 +81,16 @@ def schedule_text(schedule: RoutingSchedule) -> str:
 def _manifest(cfg: ExperimentConfig, extra: dict) -> str:
     import json
 
+    def plain(value):  # RFC 8259 has no Infinity: a non-finite float as its config text, "inf"
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [plain(item) for item in value]
+        return str(value) if isinstance(value, float) and not math.isfinite(value) else value
+
     payload = {"tool": "lislsim", "version": __version__, "config": dataclasses.asdict(cfg)}
     payload.update(extra)
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(plain(payload), indent=2, allow_nan=False) + "\n"
 
 
 def _write(out, texts: dict[str, str]) -> None:

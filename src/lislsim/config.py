@@ -26,7 +26,8 @@ DEFAULT_GROUND_STATIONS = (
 )
 
 
-# about 32 years, so ISASR's edge costs delay + gamma * (cost_st + cost_act) stay below ~2e24
+# about 32 years, so ISASR's edge costs delay + gamma * (cost_st + cost_act) stay below ~2e24,
+# far from overflow; at such costs the ms delays round away, and the route search still ends
 MAX_SETUP_MS = 1e12
 
 

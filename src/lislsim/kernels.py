@@ -6,6 +6,9 @@ cell grid and gates its candidates with it, so any candidate list that holds
 every pair in range gates to exactly ``pair_edges``' pairs and squared
 distances.
 
+``shortest_route`` is the one route search: it reads a slot as ``Snapshot``
+stores it and keeps ground stations from relaying, so another core swaps it alone.
+
 Pure numpy / heapq. The kernels stay a module of their own so that the
 benchmark harness (``perfbench/``) can time each of them by name.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
+from itertools import count
 
 import numpy as np
 
@@ -121,73 +125,69 @@ def pairs_in_range(pos: np.ndarray, i: np.ndarray, j: np.ndarray, range_km: floa
     return i[keep], j[keep], d2[keep]
 
 
-def shortest_route(down_ptr, down_nbr, down_wgt, up_ptr, up_nbr, up_wgt,
-                   src: int, dst: int) -> np.ndarray:
-    """Minimum-cost path from src to dst, empty array when unreachable.
+def shortest_route(csr, u, v, costs, src: int, dst: int, relays: int) -> tuple[int, ...]:
+    """Minimum-cost route from src to dst as a vertex tuple, ``()`` when unreachable.
 
-    The adjacency comes in two CSR halves over the same nodes: node x's
-    lower neighbours are ``down_nbr[down_ptr[x]:down_ptr[x+1]]`` and its
-    higher ones ``up_nbr[up_ptr[x]:up_ptr[x+1]]``, each ascending, with the
-    arc weights at the same positions of ``down_wgt`` and ``up_wgt``. So the
-    down row and then the up row list a node's neighbours in ascending id
-    order (``Snapshot.csr`` gives the halves of a slot). All weights must be
-    positive (+inf marks a disabled arc). The pointer and neighbour arrays
-    are numpy integer arrays of any width and stride, read as they come;
-    their values become Python ints, so no arithmetic wraps at the width.
-    Ties resolve to the lexicographically smallest vertex sequence: Dijkstra
-    runs from the destination, then the walk from the source always steps to
-    the smallest-id neighbour that stays on a shortest path
-    (wgt + dist[nbr] == dist[here]). The final distance array is unique for
-    strictly positive weights, so the result does not depend on heap pop order.
+    The slot comes as stored: ``csr`` is ``Snapshot.csr()``'s
+    ``(down_ptr, down_edges, up_ptr)`` over the edges ``(u[k], v[k])``,
+    u < v, sorted by (u, v), and ``costs[k]`` is edge k's cost: positive,
+    +inf to disable the edge. Node x's lower neighbours are
+    ``u[down_edges[down_ptr[x]:down_ptr[x+1]]]`` and its higher ones
+    ``v[up_ptr[x]:up_ptr[x+1]]``, so its down row and then its up row list
+    them in ascending id order. The integer arrays may have any width and
+    stride; their values become Python ints, so no arithmetic wraps. A node
+    at or above ``relays`` (a ground station) other than src and dst is never
+    settled, so it is never expanded and never walked onto.
 
-    Dijkstra stops as soon as src is settled, which leaves the path unchanged:
-    every node on a shortest src -> dst path has a final distance strictly
-    below dist[src] (weights are positive), so it is settled before src; a
-    node v still unsettled has a tentative distance >= dist[src] >= dist[u]
-    for every node u on the walk, so ``wgt + dist[v] == dist[u]`` cannot hold
-    for a weight that is not lost to rounding against dist[v] (any weight of
-    1e-9 or more at distances below 1e6, as for delays in ms). The walk
-    therefore sees exactly the candidates a full settle would give it.
+    Dijkstra runs from dst and stops once src is settled, recording the
+    settle order. The walk from src then steps to the smallest-id neighbour
+    y settled before x with ``w + dist[y] == dist[x]``. The neighbour whose
+    relaxation gave x its final distance computed exactly that sum, so a
+    step always exists, and each step lowers the settle rank: the walk reads
+    final distances only and ends at dst, whatever the rounding. When no
+    weight is lost to rounding, the equality means dist[y] < dist[x], so y
+    was settled before x anyway and the walk picks what a full settle would:
+    the lexicographically smallest vertex sequence among the shortest
+    routes. Those distances are unique, so heap pop order does not matter.
 
-    A node is pushed only when its distance strictly decreases, so each
-    (distance, node) entry is pushed at most once: a popped entry with
-    ``d > dist[u]`` is stale, and the one with ``d == dist[u]`` settles u.
-    A settled node needs no mark either, since ``d + w < dist[v]`` never
-    holds for a settled v (dist[v] <= d, w > 0). Only the arcs of settled
-    nodes and of the walk are read, by iterating memoryview slices: numpy
-    indexing per node would cost more than the search, and so would
-    converting whole arrays.
+    A node is pushed only when its distance strictly decreases, so a popped
+    entry with ``d > dist[x]`` is stale and the one with ``d == dist[x]``
+    settles x; ``d + w < dist[y]`` never holds for a settled y. Only the
+    arcs of settled nodes and of the walk are read, by iterating memoryview
+    slices: numpy indexing per node would cost more than the search, and so
+    would converting whole arrays.
     """
-    halves = [
-        (memoryview(ptr), memoryview(nbr), memoryview(np.ascontiguousarray(wgt, np.float64)))
-        for ptr, nbr, wgt in ((down_ptr, down_nbr, down_wgt), (up_ptr, up_nbr, up_wgt))
-    ]
-    src, dst = int(src), int(dst)
-    dist = [math.inf] * (len(down_ptr) - 1)
-    dist[dst] = 0.0
+    down_ptr, down_edges, up_ptr = csr
+    costs = np.ascontiguousarray(costs, np.float64)
+    down = down_edges.astype(np.intp)  # cast once for both gathers
+    halves = [(memoryview(down_ptr), memoryview(u[down]), memoryview(costs[down])),
+              (memoryview(up_ptr), memoryview(v), memoryview(costs))]
+    src, dst, relays = int(src), int(dst), int(relays)
+    n = len(down_ptr) - 1
+    # -inf keeps ``cand < dist[y]`` false, so a station other than src and dst is never pushed
+    dist = [math.inf] * relays + [-math.inf] * (n - relays)
+    dist[src], dist[dst] = math.inf, 0.0
+    rank, tick = [n] * n, count()  # settle order; n for a node never settled
     heap = [(0.0, dst)]
     while heap:
-        d, u = heappop(heap)
-        if d > dist[u]:
+        d, x = heappop(heap)
+        if d > dist[x]:
             continue
-        if u == src:
+        rank[x] = next(tick)
+        if x == src:
             break
         for ptr, nbr, wgt in halves:
-            lo, hi = ptr[u], ptr[u + 1]
-            for v, w in zip(nbr[lo:hi], wgt[lo:hi]):
+            lo, hi = ptr[x], ptr[x + 1]
+            for y, w in zip(nbr[lo:hi], wgt[lo:hi]):
                 cand = d + w
-                if cand < dist[v]:
-                    dist[v] = cand
-                    heappush(heap, (cand, v))
-    if dist[src] == math.inf:
-        return np.empty(0, np.int32)
+                if cand < dist[y]:
+                    dist[y] = cand
+                    heappush(heap, (cand, y))
+    if rank[src] == n:
+        return ()
     path = [src]
-    while path[-1] != dst:
-        u = path[-1]
-        step = next((v for ptr, nbr, wgt in halves
-                     for v, w in zip(nbr[ptr[u]:ptr[u + 1]], wgt[ptr[u]:ptr[u + 1]])
-                     if w + dist[v] == dist[u]), None)
-        if step is None:  # cannot happen for positive weights
-            raise AssertionError("shortest-path walk lost the route")
-        path.append(step)
-    return np.array(path, np.int32)
+    while (x := path[-1]) != dst:
+        path.append(next(y for ptr, nbr, wgt in halves
+                         for y, w in zip(nbr[ptr[x]:ptr[x + 1]], wgt[ptr[x]:ptr[x + 1]])
+                         if rank[y] < rank[x] and w + dist[y] == dist[x]))
+    return tuple(path)

@@ -12,11 +12,12 @@ Four schedule producers with different latency/setup-penalty trade-offs:
 
 ILPR and ALPR share one hold loop and differ only in how they pick a route.
 
-All of them share one deterministic Dijkstra core; ties always resolve to
-the lexicographically smallest vertex sequence, which makes schedules
-reproducible and lets the reduction ``isasr(gamma=0, cost_thrsh=inf) == ilsr``
-hold exactly. Each returns a :class:`RoutingSchedule`, which computes every
-slot's route delay once; metrics and the schedule file read those delays.
+All of them search through ``dijkstra``, which checks its arguments and calls
+``kernels.shortest_route`` once; ties always resolve to the lexicographically
+smallest vertex sequence, which makes schedules reproducible and lets the
+reduction ``isasr(gamma=0, cost_thrsh=inf) == ilsr`` hold exactly. Each
+returns a :class:`RoutingSchedule`, which computes every slot's route delay
+once; metrics and the schedule file read those delays.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .config import ALGORITHMS
+from .config import ALGORITHMS, check_routing_values
 from .metrics import slot_order_sum
 from .topology import MissingEdgeError, Snapshot, SnapshotSeries, pack_keys
 
@@ -122,7 +123,7 @@ def _edge_costs(snapshot: Snapshot, cost_override) -> np.ndarray:
     costs = np.asarray(cost_override, dtype=np.float64)
     if costs.shape != snapshot.delay_ms.shape:
         raise ValueError("cost override array must align with snapshot edges")
-    if np.any(np.isnan(costs)) or np.any(costs <= 0):
+    if not (costs > 0).all():  # NaN fails too
         raise ValueError("edge costs must be positive (use +inf to disable an edge)")
     return costs
 
@@ -140,21 +141,10 @@ def dijkstra(snapshot: Snapshot, src: int, dst: int, cost_override=None) -> Rout
     for node in (src, dst):
         if not 0 <= node < snapshot.num_nodes:
             raise ValueError(f"node {node} outside the id range")
-    costs = _edge_costs(snapshot, cost_override)
-    down_ptr, down_edges, up_ptr = snapshot.csr()
-    # a station is the v end of each of its edges, so its down slice lists them
-    # all: disable those of every other station
-    foreign = [down_edges[down_ptr[g]:down_ptr[g + 1]]
-               for g in range(snapshot.num_satellites, snapshot.num_nodes) if g not in (src, dst)]
-    if any(edges.size for edges in foreign):
-        costs = costs.copy()
-        costs[np.concatenate(foreign)] = np.inf
-    down = down_edges.astype(np.intp)  # cast once for both gathers
-    path = kernels.shortest_route(down_ptr, snapshot.u[down], costs[down],
-                                  up_ptr, snapshot.v, costs, src, dst)
-    if path.size == 0:
-        return None
-    return Route(nodes=tuple(int(n) for n in path))
+    nodes = kernels.shortest_route(snapshot.csr(), snapshot.u, snapshot.v,
+                                   _edge_costs(snapshot, cost_override), src, dst,
+                                   snapshot.num_satellites)
+    return Route(nodes) if nodes else None
 
 
 def ilsr(series: SnapshotSeries, src: int, dst: int) -> RoutingSchedule:
@@ -240,6 +230,7 @@ def alpr(series: SnapshotSeries, src: int, dst: int, eta_s_ms: float) -> Routing
     candidates once (``SnapshotSeries.memo``). Score ties prefer fewer hops,
     then the smaller vertex sequence.
     """
+    check_routing_values(eta_s_ms=(eta_s_ms,))
 
     def pick(snap: Snapshot):
         candidates = series.memo(("alpr", snap.slot, src, dst), lambda: [
@@ -288,10 +279,7 @@ def isasr(
     there (one of its edges is absent from the next slot). A route abandoned
     while it still exists leaves its edges at 0.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    if cost_thrsh_ms <= 0:
-        raise ValueError("cost threshold must be positive")
+    check_routing_values(eta_s_ms=(eta_s_ms,), gamma_ms=(gamma,), cost_thrsh_ms=cost_thrsh_ms)
     n = series.num_slots
     idle: set[int] = set()  # keys of the edges whose activeness cost is 0
     routes: list[Route | None] = []

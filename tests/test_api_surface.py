@@ -13,7 +13,9 @@ overrides of a base-class method (the base class calls them).
 
 Every name a module other than ``__init__.py`` imports is read in it, so a
 deletion leaves no import behind. ``lislsim.topology`` defines no public
-name beyond a pinned set, so its reader's helpers stay private.
+name beyond a pinned set, so its reader's helpers stay private. Only
+``topology`` (which builds it) and ``kernels`` (which reads it) name the
+CSR layout's ``down_edges``.
 
 The package namespace is lazy: each exported name is listed in ``__all__``
 and ``dir(lislsim)``, and ``from lislsim import <name>`` gives the defining
@@ -208,6 +210,14 @@ def test_cli_flags_are_pinned():
                 if isinstance(arg, ast.Constant) and arg.value.startswith("--")
             )
     assert flags == CLI_FLAGS
+
+
+def test_only_topology_and_kernels_name_the_csr_layout():
+    # topology builds the CSR halves and kernels.shortest_route reads them; every other
+    # module hands Snapshot.csr() over whole, so a new layout changes these two alone
+    namers = sorted(path.name for path in PACKAGE.glob("*.py")
+                    if "down_edges" in path.read_text(encoding="utf-8"))
+    assert namers == ["kernels.py", "topology.py"], namers
 
 
 def test_only_topology_reads_a_clock():

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import resource
 import subprocess
@@ -17,8 +18,8 @@ import pytest
 
 import lislsim
 from lislsim.cli import main, schedule_text
-from lislsim.config import load_config
-from lislsim.constellation import generate_series, slot_edges
+from lislsim.config import ExperimentConfig, load_config
+from lislsim.constellation import field_values, generate_series, slot_edges
 from lislsim.topology import import_series
 from lislsim.routing import ALGORITHMS, ilsr
 
@@ -227,6 +228,18 @@ class TestRun:
         assert manifest["config"]["cost_thrsh_ms"] == 50.0
         assert "seed" not in manifest["config"] and "oracle" not in manifest["config"]
         assert manifest["config"]["histogram_bin_ms"] == 0.25
+
+    def test_manifest_writes_an_infinite_value_as_its_config_text(self, tmp_path, toy_sweep_argv):
+        # RFC 8259 JSON has no Infinity or NaN: a strict reader must accept the manifest
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        assert main(toy_sweep_argv) == 0
+        text = (tmp_path / "sweep" / "manifest.json").read_text()
+        config = json.loads(text, parse_constant=refuse)["config"]
+        assert config["cost_thrsh_ms"] == "inf"
+        assert field_values(ExperimentConfig, [("cost_thrsh_ms", config["cost_thrsh_ms"])],
+                            "the manifest") == {"cost_thrsh_ms": math.inf}
 
     def test_manifest_records_the_flag_values(self, tmp_path, tiny_config, tiny_series):
         out = tmp_path / "flags_out"
@@ -1272,6 +1285,38 @@ gs 2000000002 hanoi 21.0285 105.8542
 
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+# Satellites 0-2 and stations alpha (3) and bravo (4). The 2-4 link lives two slots,
+# so at slot 2 ISASR prices it near gamma * eta_s, and the 1 ms links round away
+# beside it.
+_ROUNDING_SERIES = """lislsim-series v1
+scenario lisl_range_km=1500.0 gs_range_km=1000.0 node_delay_ms=1.0 slot_duration_s=1.0 num_slots=3
+satellites 3
+gs 3 alpha 0.0 0.0
+gs 4 bravo 0.0 10.0
+""" + "".join(f"{slot} {u} {v} 1.0\n" for slot in (1, 2, 3)
+              for u, v in ((0, 1), (0, 3), (1, 2), (2, 4)) if (slot, v) != (3, 4))
+
+
+@pytest.mark.parametrize("eta_s", ["1e8", "1e12"])
+def test_isasr_ends_when_link_costs_round_the_delays_away(tmp_path, eta_s):
+    """A search whose weights are lost to rounding against its distances still
+    returns: the run exits 0 in a child, instead of walking for ever."""
+    series, cfg = tmp_path / "rounding.series", tmp_path / "rounding.ini"
+    series.write_text(_ROUNDING_SERIES)
+    cfg.write_text("[ground_stations]\nalpha = 0, 0\nbravo = 0, 10\n\n"
+                   "[run]\nsource = alpha\ndestination = bravo\n")
+    src = str(Path(lislsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "lislsim.cli", "run", "--config", str(cfg), "--series", str(series),
+         "--algorithm", "isasr", "--eta-s", eta_s, "--out", str(tmp_path / "out")],
+        env=env, preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "schedule.txt").read_text().splitlines()[1:] == [
+        "1 4.000000000 3-0-1-2-4", "2 4.000000000 3-0-1-2-4", "3 - -"]
 
 
 class TestOutOfMemory:

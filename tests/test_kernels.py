@@ -42,21 +42,18 @@ def _random_edges(rng, n, extra_edges, levels=512, inf_fraction=0.0, stations=0)
 
 
 def edge_halves(u, v, w, n):
-    """The two CSR halves ``kernels.shortest_route`` takes, of edges u < v
-    sorted by (u, v) with weights w: (down_ptr, down_nbr, down_wgt, up_ptr,
-    up_nbr, up_wgt). A lexsort by (v, u) lists each node's lower neighbours."""
-    down = np.lexsort((u, v))
+    """The slot ``kernels.shortest_route`` takes, of edges u < v sorted by
+    (u, v) with weights w over n nodes: ((down_ptr, down_edges, up_ptr), u,
+    v, w), laid out as ``Snapshot.csr`` lays it out. A lexsort by (v, u)
+    lists the edges of each node's lower neighbours."""
     down_ptr, up_ptr = (np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
                         for ends in (v, u))
-    return down_ptr, u[down], w[down], up_ptr, v, w
+    return (down_ptr, np.lexsort((u, v)), up_ptr), u, v, w
 
 
 def snapshot_halves(snap, costs=None):
-    """The halves of a snapshot, read through ``Snapshot.csr`` as
-    ``routing.dijkstra`` reads them."""
-    costs = snap.delay_ms if costs is None else costs
-    down_ptr, down_edges, up_ptr = snap.csr()
-    return down_ptr, snap.u[down_edges], costs[down_edges], up_ptr, snap.v, costs
+    """The slot of a snapshot as ``routing.dijkstra`` hands it to the kernel."""
+    return snap.csr(), snap.u, snap.v, snap.delay_ms if costs is None else costs
 
 
 def reference_route(u, v, w, n, src, dst):
@@ -260,9 +257,8 @@ def test_pair_edges_boundary_inclusive():
 
 def test_shortest_route_matches_scipy_distances():
     """Exact paths equal the full-settle reference, ties and dead ends
-    included. The foreign stations of each pair are disabled through their
-    down slices, as ``routing.dijkstra`` does, and through their edges in
-    the reference."""
+    included. The foreign stations of each pair are barred by ``relays``
+    in the kernel and through their edges in the reference."""
     rng = np.random.default_rng(17)
     ties = unreachable = disabled = 0
     for _ in range(60):
@@ -274,46 +270,66 @@ def test_shortest_route_matches_scipy_distances():
             stations=stations,
         )
         n += stations
-        down_ptr, down_nbr, down_wgt, up_ptr, up_nbr, up_wgt = edge_halves(u, v, w, n)
+        halves = edge_halves(u, v, w, n)
+        (_, _, up_ptr), *_ = halves
         assert np.all(up_ptr[n - stations:] == up_ptr[-1])  # a station has no up arc
         pairs = [(0, n - 1)] + [tuple(rng.choice(n, 2, replace=False).tolist()) for _ in range(5)]
         for src, dst in pairs:
             foreign = [g for g in range(n - stations, n) if g not in (src, dst)]
             barred = np.where(np.isin(u, foreign) | np.isin(v, foreign), np.inf, w)
             want, tie_steps = reference_route(u, v, barred, n, src, dst)
-            relay = down_wgt.copy()
-            for g in foreign:
-                relay[down_ptr[g]:down_ptr[g + 1]] = np.inf
             disabled += not np.array_equal(barred, w)
-            got = kernels.shortest_route(down_ptr, down_nbr, relay, up_ptr, up_nbr, barred, src, dst)
-            assert got.tolist() == want, (n, src, dst)
+            got = kernels.shortest_route(*halves, src, dst, n - stations)
+            assert got == tuple(want), (n, src, dst)
             ties += tie_steps > 0
             unreachable += not want
     # the tie-break, a drained heap and a barred station each ran
     assert ties > 20 and unreachable > 5 and disabled > 20, (ties, unreachable, disabled)
 
 
+# satellites 0-2 and stations 3-5: the 0-1 link costs 10 and the detour 0-5-1
+# through station 5 costs 2; satellite 2 reaches the others through 5 alone
+RELAY_EDGES = {(0, 1): 10.0, (0, 3): 1.0, (0, 5): 1.0, (1, 4): 1.0, (1, 5): 1.0, (2, 5): 1.0}
+
+
+@pytest.mark.parametrize("src, dst, barred, detour", [
+    (3, 4, (3, 0, 1, 4), (3, 0, 5, 1, 4)),
+    (4, 3, (4, 1, 0, 3), (4, 1, 5, 0, 3)),
+    (0, 1, (0, 1), (0, 5, 1)),
+    (1, 0, (1, 0), (1, 5, 0)),
+    (2, 1, (), (2, 5, 1)),
+], ids=["stations", "stations-reversed", "satellites", "satellites-reversed", "cut-off"])
+def test_foreign_station_never_relays(src, dst, barred, detour):
+    """A station other than src and dst (at or above ``relays``) is never
+    walked onto, even where it offers the strictly cheapest detour, which
+    the search takes once every node relays."""
+    u, v = (np.array(ends) for ends in zip(*RELAY_EDGES))
+    halves = edge_halves(u, v, np.array(list(RELAY_EDGES.values())), 6)
+    assert kernels.shortest_route(*halves, src, dst, 6) == detour
+    assert kernels.shortest_route(*halves, src, dst, 3) == barred
+
+
 def test_unreachable_returns_empty():
     # nodes 0 and 1 joined by parallel edges, node 2 isolated
     halves = edge_halves(np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0]), 3)
-    assert kernels.shortest_route(*halves, 0, 2).size == 0
-    assert np.array_equal(kernels.shortest_route(*halves, 0, 1), [0, 1])
+    assert kernels.shortest_route(*halves, 0, 2, 3) == ()
+    assert kernels.shortest_route(*halves, 0, 1, 3) == (0, 1)
 
 
 def test_infinite_weights_disable_arcs():
     # 0-1-2 path where the direct 0-2 edge is disabled by +inf
     halves = edge_halves(np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([1.0, np.inf, 1.0]), 3)
-    assert np.array_equal(kernels.shortest_route(*halves, 0, 2), [0, 1, 2])
+    assert kernels.shortest_route(*halves, 0, 2, 3) == (0, 1, 2)
 
 
-def _routes_by_width(halves, src, dst):
-    """The path for the halves' pointers and neighbours given as uint16, int32
-    and int64 arrays, one per width."""
-    down_ptr, down_nbr, down_wgt, up_ptr, up_nbr, up_wgt = halves
+def _routes_by_width(halves, src, dst, relays):
+    """The route for the slot's pointers, edge order and end ids given as
+    uint16, int32 and int64 arrays, one per width."""
+    (down_ptr, down_edges, up_ptr), u, v, costs = halves
     return {
         np.dtype(t).name: kernels.shortest_route(
-            down_ptr.astype(t), down_nbr.astype(t), down_wgt,
-            up_ptr.astype(t), up_nbr.astype(t), up_wgt, src, dst).tolist()
+            (down_ptr.astype(t), down_edges.astype(t), up_ptr.astype(t)),
+            u.astype(t), v.astype(t), costs, src, dst, relays)
         for t in (np.uint16, np.int32, np.int64)
     }
 
@@ -327,10 +343,12 @@ def test_shortest_route_reads_any_integer_width(slot, data):
     snap = one_slot(edges, num_nodes=n, num_satellites=sats)
     halves = snapshot_halves(snap)
     src, dst = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    want = kernels.shortest_route(*halves, src, dst).tolist()  # as Snapshot.csr gives it
-    assert want == reference_route(snap.u, snap.v, snap.delay_ms, n, src, dst)[0]
-    paths = _routes_by_width(halves, src, dst)
-    assert paths == dict.fromkeys(paths, want)
+    want = kernels.shortest_route(*halves, src, dst, sats)  # as Snapshot.csr gives it
+    foreign = [g for g in range(sats, n) if g not in (src, dst)]
+    barred = np.where(np.isin(snap.v, foreign), np.inf, snap.delay_ms)  # a station is a v end
+    assert want == tuple(reference_route(snap.u, snap.v, barred, n, src, dst)[0])
+    routes = _routes_by_width(halves, src, dst, sats)
+    assert routes == dict.fromkeys(routes, want)
 
 
 def test_shortest_route_reads_the_top_uint16_id():
@@ -340,5 +358,5 @@ def test_shortest_route_reads_the_top_uint16_id():
     halves = snapshot_halves(snap)
     assert snap.v.dtype == np.uint16 and snap.v.max() == n - 1
     widths = ("uint16", "int32", "int64")
-    assert _routes_by_width(halves, 0, 1) == dict.fromkeys(widths, [0, n - 1, 1])
-    assert _routes_by_width(halves, 1, 0) == dict.fromkeys(widths, [1, n - 1, 0])
+    assert _routes_by_width(halves, 0, 1, n) == dict.fromkeys(widths, (0, n - 1, 1))
+    assert _routes_by_width(halves, 1, 0, n) == dict.fromkeys(widths, (1, n - 1, 0))

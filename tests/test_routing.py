@@ -1,6 +1,9 @@
 """Routing algorithms: Dijkstra core and the four schedule producers."""
 
+import contextlib
 import math
+import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +122,21 @@ class TestRoute:
             Route((4, 1, 5)).keys(5)
 
 
+@contextlib.contextmanager
+def _within(seconds: int):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestDijkstra:
     def test_strictly_cheaper_branch_wins(self, square_snapshot):
         route = dijkstra(square_snapshot, 0, 3)
@@ -152,6 +170,19 @@ class TestDijkstra:
     def test_rejects_non_positive_costs(self, square_snapshot):
         with pytest.raises(ValueError):
             dijkstra(square_snapshot, 0, 3, cost_override=np.zeros(4))
+        for bad in (-1.0, np.nan, -np.inf):  # one pass, (costs > 0).all(), refuses each
+            with pytest.raises(ValueError, match="edge costs must be positive"):
+                dijkstra(square_snapshot, 0, 3, cost_override=[1.0, bad, 1.0, 1.0])
+
+    def test_ends_when_weights_round_away(self):
+        # 0,1 satellites; 2 source, 3 destination. Beside the 1e24 links the 1 ms
+        # links round away, so 1 + dist == dist holds both ways along 0-1: a walk
+        # that may step onto any such neighbour bounces between 0 and 1 for ever
+        snap = one_slot(dict.fromkeys([(0, 1), (0, 2), (0, 3), (1, 3)], 1.0),
+                        num_nodes=4, num_satellites=2)
+        with _within(10):
+            route = dijkstra(snap, 2, 3, cost_override=[1.0, 1.0, 1e24, 1e24])
+        assert route.nodes == (2, 0, 3)
 
     def test_foreign_ground_station_never_relays(self):
         # 0,1 satellites; 2,3,4 ground. Path 2-0-3 exists; the shortcut
@@ -588,6 +619,28 @@ class TestIsasr:
     def test_gamma_must_be_non_negative(self, toy_series):
         with pytest.raises(ValueError):
             isasr(toy_series, 6, 7, 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("algorithm, settings", [
+    ("isasr", dict(eta_s_ms=1e300, gamma=1e300, cost_thrsh_ms=1.0)),
+    ("isasr", dict(eta_s_ms=1.0, gamma=1e300, cost_thrsh_ms=1.0)),
+    ("isasr", dict(eta_s_ms=math.nan, gamma=1.0, cost_thrsh_ms=1.0)),
+    ("isasr", dict(eta_s_ms=1.0, gamma=math.nan, cost_thrsh_ms=1.0)),
+    ("isasr", dict(eta_s_ms=1.0, gamma=1.0, cost_thrsh_ms=math.nan)),
+    ("isasr", dict(eta_s_ms=0.0, gamma=1.0, cost_thrsh_ms=1.0)),
+    ("alpr", dict(eta_s_ms=-5.0)),
+    ("alpr", dict(eta_s_ms=math.nan)),
+    ("alpr", dict(eta_s_ms=1e300)),
+], ids=["isasr-huge", "isasr-huge-gamma", "isasr-nan-eta", "isasr-nan-gamma",
+        "isasr-nan-threshold", "isasr-zero-eta", "alpr-negative", "alpr-nan", "alpr-huge"])
+def test_library_refuses_what_the_cli_refuses(toy_series, algorithm, settings):
+    """``alpr`` and ``isasr`` apply ``config.check_routing_values``, MAX_SETUP_MS
+    included: a bad setting raises ValueError before any arithmetic warns."""
+    run = {"alpr": alpr, "isasr": isasr}[algorithm]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="setup-delay|gamma|cost threshold"):
+            run(toy_series, 6, 7, **settings)
 
 
 # Satellites 0..4 and the stations 5 (source, up to 0 and 1) and 6 (destination,
