@@ -76,8 +76,7 @@ def route_delay_matrix(series: SnapshotSeries, routes: list[Route]) -> np.ndarra
     by_hops: dict[int, list[int]] = {}
     for r, route in enumerate(routes):
         by_hops.setdefault(route.hops, []).append(r)
-    n = series.roster.num_nodes
-    groups = [(np.array(rows), np.stack([routes[r].keys(n) for r in rows]))
+    groups = [(np.array(rows), np.stack([routes[r].keys for r in rows]))
               for rows in by_hops.values()]
     if not groups:
         return d

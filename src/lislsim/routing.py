@@ -31,7 +31,7 @@ import numpy as np
 from . import kernels
 from .config import ALGORITHMS, check_routing_values
 from .metrics import slot_order_sum
-from .topology import MissingEdgeError, Snapshot, SnapshotSeries, pack_keys
+from .topology import MAX_NODES, MissingEdgeError, Snapshot, SnapshotSeries, pack_keys
 
 
 @dataclass(frozen=True)
@@ -51,20 +51,13 @@ class Route:
         return len(self.nodes) - 1
 
     @cached_property
-    def _keys(self) -> dict[int, np.ndarray]:
-        return {}
-
-    def keys(self, num_nodes: int) -> np.ndarray:
+    def keys(self) -> np.ndarray:
         """Packed key of each hop's edge, in hop order, as ``pack_keys`` packs
-        ids below ``num_nodes``: the key dtype of a series of that many nodes.
-        Cached per node count; ValueError for a node outside 0..num_nodes-1."""
-        keys = self._keys.get(num_nodes)
-        if keys is None:
-            if min(self.nodes) < 0 or max(self.nodes) >= num_nodes:
-                raise ValueError(f"route {self} leaves the node ids 0..{num_nodes - 1}")
-            a, b = np.array(self.nodes[:-1]), np.array(self.nodes[1:])
-            keys = self._keys[num_nodes] = pack_keys(np.minimum(a, b), np.maximum(a, b), num_nodes)
-        return keys
+        them; ValueError for a node outside the 16-bit ids."""
+        if min(self.nodes) < 0 or max(self.nodes) >= MAX_NODES:
+            raise ValueError(f"route {self} leaves the node ids 0..{MAX_NODES - 1}")
+        a, b = np.array(self.nodes[:-1]), np.array(self.nodes[1:])
+        return pack_keys(np.minimum(a, b), np.maximum(a, b))
 
     def __str__(self):
         return "-".join(str(n) for n in self.nodes)
@@ -179,7 +172,7 @@ def disjoint_routes(snapshot: Snapshot, src: int, dst: int) -> list[Route]:
         if route is None:
             break
         found.append(route)
-        costs[snapshot.positions(route.keys(snapshot.num_nodes))] = np.inf
+        costs[snapshot.positions(route.keys)] = np.inf
     return found
 
 
@@ -263,7 +256,7 @@ def isasr(
     src: int,
     dst: int,
     eta_s_ms: float,
-    gamma: float,
+    gamma: float | None,
     cost_thrsh_ms: float,
 ) -> RoutingSchedule:
     """Per-slot shortest route on stability/activeness-modified costs.
@@ -277,9 +270,11 @@ def isasr(
     Every edge's activeness cost starts at ``eta_s``. After each slot the
     chosen route's edges get 0, or ``eta_s`` again when the route breaks
     there (one of its edges is absent from the next slot). A route abandoned
-    while it still exists leaves its edges at 0.
+    while it still exists leaves its edges at 0. ``gamma=None`` means
+    gamma = eta_s.
     """
     check_routing_values(eta_s_ms=(eta_s_ms,), gamma_ms=(gamma,), cost_thrsh_ms=cost_thrsh_ms)
+    gamma = eta_s_ms if gamma is None else gamma
     n = series.num_slots
     idle: set[int] = set()  # keys of the edges whose activeness cost is 0
     routes: list[Route | None] = []
@@ -295,7 +290,7 @@ def isasr(
         routes.append(route)
         if route is None:
             continue
-        keys = route.keys(snap.num_nodes)
+        keys = route.keys
         edges = set(keys.tolist())
         breaks = snap.run_last[snap.positions(keys)].min() == snap.slot
         idle = idle - edges if breaks else idle | edges
@@ -311,7 +306,7 @@ def run_algorithm(
     gamma: float | None = None,
     cost_thrsh_ms: float = math.inf,
 ) -> RoutingSchedule:
-    """Dispatch one algorithm by name (gamma=None means gamma = eta_s). ILSR and
+    """Dispatch one algorithm by name (``isasr`` reads gamma=None as eta_s). ILSR and
     ILPR read no setting, so a series computes each once per endpoint pair."""
     if name == "ilsr":
         return series.memo((name, src, dst), lambda: ilsr(series, src, dst))
@@ -320,6 +315,5 @@ def run_algorithm(
     if name == "alpr":
         return alpr(series, src, dst, eta_s_ms)
     if name == "isasr":
-        gamma = eta_s_ms if gamma is None else gamma
         return isasr(series, src, dst, eta_s_ms, gamma, cost_thrsh_ms)
     raise ValueError(f"unknown algorithm {name!r} (expected one of {ALGORITHMS})")

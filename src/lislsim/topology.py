@@ -4,8 +4,9 @@ A :class:`SnapshotSeries` is the simulator's central dataset and the one
 owner of its edges: the node roster plus slot offsets, the ``keys`` column
 and the ``delay_ms`` column, validated and put in canonical order once. An
 edge is its packed (u, v) key (``pack_keys``), by which every slot is
-sorted; ``u`` and ``v`` are zero-copy views of the key's two halves, each
-as wide as the node ids need (``_uint_for(num_nodes - 1)``).
+sorted; ``u`` and ``v`` are zero-copy views of the key's two halves. Node
+ids are 16-bit, so a roster holds at most ``MAX_NODES`` nodes, every id
+column is uint16 and every key uint32.
 Each slot is seen through a read-only :class:`Snapshot` view, and
 ``Snapshot.positions(keys)`` finds edges in it. On first use the series also
 computes the edge lifetimes that ISASR reads: each record's last slot of its
@@ -47,29 +48,26 @@ def _uint_for(largest: int) -> np.dtype:
     return np.min_scalar_type(max(largest, 0))
 
 
-def _key_dtype(num_nodes: int) -> np.dtype:
-    """The packed-key dtype of a series of ``num_nodes`` nodes: the unsigned
-    integer twice as wide as ``_uint_for(num_nodes - 1)``, the node id width
-    (uint32 at stock), little-endian so that its low half comes first."""
-    return np.dtype(f"<u{2 * _uint_for(num_nodes - 1).itemsize}")
+# Node ids are 16-bit: the Starlink filings total ~42,000 satellites, and a
+# uint32 key packs two ids, little-endian so that its low half comes first.
+MAX_NODES = 2**16
+_ID, _KEY = np.dtype("<u2"), np.dtype("<u4")
 
 
-def pack_keys(lo, hi, num_nodes: int) -> np.ndarray:
-    """Packed key of each canonical pair (lo < hi) of ids below ``num_nodes``,
-    as ``_key_dtype(num_nodes)``: lo in the high half, hi in the low one.
+def pack_keys(lo, hi) -> np.ndarray:
+    """Packed uint32 key of each canonical pair (lo < hi) of node ids: lo in
+    the high half, hi in the low one.
 
-    Ids outside 0..num_nodes-1 wrap, so the caller checks them first.
+    Ids outside 0..MAX_NODES-1 wrap, so the caller checks them first.
     """
-    dtype = _key_dtype(num_nodes)
-    keys = np.asarray(lo).astype(dtype)
-    keys <<= 4 * dtype.itemsize
-    return np.bitwise_or(keys, hi, out=keys, dtype=dtype, casting="unsafe")
+    keys = np.asarray(lo).astype(_KEY)
+    keys <<= 16
+    return np.bitwise_or(keys, hi, out=keys, dtype=_KEY, casting="unsafe")
 
 
 def _halves(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (lo, hi) halves of a contiguous packed-key array, as zero-copy views."""
-    half = np.dtype(f"<u{keys.itemsize // 2}")
-    pairs = keys.view(np.dtype([("hi", half), ("lo", half)]))  # hi: the low half, first
+    pairs = keys.view(np.dtype([("hi", _ID), ("lo", _ID)]))  # hi: the low half, first
     return pairs["lo"], pairs["hi"]
 
 
@@ -121,7 +119,7 @@ class Snapshot:
 
     def route_delay(self, route) -> float | None:
         """Sum of this slot's original delays along the route, None if broken."""
-        pos = self.positions(route.keys(self.num_nodes))
+        pos = self.positions(route.keys)
         if np.any(pos < 0):
             return None
         return float(np.sum(self.delay_ms[pos]))
@@ -159,7 +157,8 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class NodeRoster:
-    """Node id space: satellites are 0..S-1 and the G stations S..S+G-1, in any order."""
+    """Node id space: satellites are 0..S-1 and the G stations S..S+G-1, in any
+    order, at most ``MAX_NODES`` ids in all."""
 
     num_satellites: int
     ground_stations: tuple[GroundStation, ...] = ()
@@ -167,6 +166,8 @@ class NodeRoster:
     def __post_init__(self):
         if self.num_satellites < 0:
             raise ValueError("the satellite count cannot be negative")
+        if self.num_nodes > MAX_NODES:
+            raise ValueError(f"at most {MAX_NODES} nodes: node ids are 16-bit")
         ids = sorted(gs.id for gs in self.ground_stations)
         if ids != list(range(self.num_satellites, self.num_nodes)):
             raise ValueError(
@@ -176,8 +177,6 @@ class NodeRoster:
         names = [gs.name for gs in self.ground_stations]
         if len(set(names)) != len(names):
             raise ValueError("duplicate ground station names")
-        if self.num_nodes > 2**31:
-            raise ValueError("node ids must fit in int32")
 
     @property
     def num_nodes(self) -> int:
@@ -201,7 +200,7 @@ def _edge_problem(roster: NodeRoster, u, v, keys, delay) -> str | None:
     ``delay`` the delays in key order."""
     if np.any(u == v):
         return "self-loops are not allowed"
-    if keys[-1] >> (4 * keys.itemsize) >= roster.num_satellites:  # the largest lo
+    if keys[-1] >> 16 >= roster.num_satellites:  # the largest lo
         return "edge between two non-satellites (ground-to-ground)"
     if np.any(keys[1:] == keys[:-1]):
         return "duplicate edge within a slot"
@@ -216,9 +215,8 @@ def _canonical_slots(roster: NodeRoster, num_slots: int, slots):
     """Each of the ``num_slots`` raw ``(u, v, delay_ms)`` slots, slot 1 first,
     as ``(slot, keys, delay_ms)``: sorted packed (min, max) keys and delays
     quantized to 9 fractional digits, so that the series file round-trips
-    bit-exactly. Both sinks read their slots through it. The keys are
-    ``_key_dtype(roster.num_nodes)``, packed once the ids are known to be in
-    range.
+    bit-exactly. Both sinks read their slots through it. The keys are packed
+    once the ids are known to be in range.
 
     A slot is sorted (stably) only when its records are not in key order
     already. Raises ``ValueError("slot k: ...")`` naming the first edge rule
@@ -241,9 +239,8 @@ def _canonical_slots(roster: NodeRoster, num_slots: int, slots):
         n = roster.num_nodes
         if u.size and (u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n):
             raise ValueError(f"slot {slot}: unknown node id outside the node id range")
-        ids = _uint_for(n - 1)  # exact for ids in range
-        u, v = u.astype(ids, copy=False), v.astype(ids, copy=False)
-        keys = pack_keys(np.minimum(u, v), np.maximum(u, v), n)
+        u, v = u.astype(_ID, copy=False), v.astype(_ID, copy=False)  # exact for ids in range
+        keys = pack_keys(np.minimum(u, v), np.maximum(u, v))
         delay = np.round(delay_ms, 9)
         if np.any(keys[1:] <= keys[:-1]):  # not yet sorted by (u, v)
             order = np.argsort(keys, kind="stable")
@@ -261,13 +258,13 @@ class SnapshotSeries:
 
     Built from the raw ``(u, v, delay_ms)`` columns of each slot, slot 1
     first. The edges of slot k are records ``offsets[k-1]:offsets[k]`` of the
-    read-only ``keys`` (``_key_dtype(num_nodes)``) and ``delay_ms`` columns,
-    12 bytes a record at stock; ``u`` and ``v`` are views of the keys'
-    halves. Each slot passes ``_canonical_slots``, the one home of the edge
-    rules: every endpoint is an integer id of a satellite or a roster
-    station, no self-loop, no ground-to-ground edge, no duplicate edge in a
-    slot, and a finite positive delay below ``MAX_DELAY_MS`` once quantized
-    to 9 fractional digits. ``build_s`` sums the seconds of the lazy builds:
+    read-only ``keys`` (uint32) and ``delay_ms`` columns, 12 bytes a
+    record; ``u`` and ``v`` are uint16 views of the keys' halves. Each slot
+    passes ``_canonical_slots``, the one home of the edge rules: every
+    endpoint is an integer id of a satellite or a roster station, no
+    self-loop, no ground-to-ground edge, no duplicate edge in a slot, and a
+    finite positive delay below ``MAX_DELAY_MS`` once quantized to 9
+    fractional digits. ``build_s`` sums the seconds of the lazy builds:
     the lifetimes and each slot's CSR. ``reused_s`` sums the recorded seconds
     of every ``memo`` hit, and ``charged_s()`` is the CPU seconds of the
     process less ``build_s`` plus ``reused_s``.
@@ -283,7 +280,7 @@ class SnapshotSeries:
         trimmed to the records at the end, and a raw slot is dropped once it
         is copied, so memory stays at the columns plus about one slot.
         """
-        keys, delay_ms = np.empty(0, _key_dtype(roster.num_nodes)), np.empty(0, np.float64)
+        keys, delay_ms = np.empty(0, _KEY), np.empty(0, np.float64)
         offsets = [0]
         for _, slot_keys, slot_delay in _canonical_slots(roster, scenario.num_slots, slots):
             start, end = offsets[-1], offsets[-1] + slot_keys.size
@@ -524,18 +521,10 @@ _ROW = re.compile(r"\bat row (\d+)")
 
 def _blocks(fh, text: str):
     """``text`` and then the rest of ``fh``, in blocks of whole lines: each
-    read of ``_BLOCK`` characters up to its last newline, after what is left
-    of the line that the reads before it started."""
-    parts = [text]
-    while more := fh.read(_BLOCK):
-        cut = more.rfind("\n") + 1
-        if cut:
-            parts.append(more[:cut])
-            yield "".join(parts)
-            parts = []
-        parts.append(more[cut:])
-    if tail := "".join(parts):
-        yield tail
+    ``_BLOCK`` characters and the rest of the line the last of them is in."""
+    while text := text + fh.read(_BLOCK) + fh.readline():
+        yield text
+        text = ""
 
 
 def _is_marker(u: np.ndarray, v: np.ndarray, delay: np.ndarray) -> np.ndarray:
@@ -543,15 +532,14 @@ def _is_marker(u: np.ndarray, v: np.ndarray, delay: np.ndarray) -> np.ndarray:
     return (u == -1) & (v == -1) & np.isnan(delay)
 
 
-def _compact(rec: np.ndarray, num_nodes: int) -> tuple[np.ndarray, ...]:
-    """A block's ``(u, v, delay)`` as contiguous columns: an id column of
-    node ids takes their width, ``_uint_for(num_nodes - 1)``, and any other
-    (a marker's -1, an unknown id) stays int64. 12 bytes a record at stock,
-    where the parsed records take 32."""
+def _compact(rec: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A block's ``(u, v, delay)`` as contiguous columns: an id column within
+    the 16-bit ids takes uint16, and any other (a marker's -1, an id beyond
+    them) stays int64. 12 bytes a record, where the parsed records take 32."""
     columns = []
     for col in (rec["u"], rec["v"]):
-        in_range = 0 <= col.min() and col.max() < num_nodes
-        columns.append(col.astype(_uint_for(num_nodes - 1) if in_range else np.int64))
+        in_range = 0 <= col.min() and col.max() < MAX_NODES
+        columns.append(col.astype(_ID if in_range else np.int64))
     return (*columns, rec["delay"].copy())
 
 
@@ -566,7 +554,7 @@ def _slot_edges(parts: list[tuple[np.ndarray, ...]]):
     return edges
 
 
-def _slot_columns(blocks, num_slots: int, num_nodes: int):
+def _slot_columns(blocks, num_slots: int):
     """The raw ``(u, v, delay)`` columns of slots 1..``num_slots``, each
     yielded once complete, from blocks of record lines.
 
@@ -598,7 +586,7 @@ def _slot_columns(blocks, num_slots: int, num_nodes: int):
         steps = np.diff(slot, prepend=last)
         current = last  # the open slot's number: each cut below starts the next
         done, last = done + rec.size, int(slot[-1])
-        cols = _compact(rec, num_nodes)
+        cols = _compact(rec)
         del rec, slot
         out_of_order |= bool(steps.min() < 0)
         gap |= bool(steps.max() > 1)
@@ -643,7 +631,7 @@ def import_series(path) -> SnapshotSeries:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             scenario, roster, line = _read_header(fh)
-            slots = _slot_columns(_blocks(fh, line), scenario.num_slots, roster.num_nodes)
+            slots = _slot_columns(_blocks(fh, line), scenario.num_slots)
             try:
                 return SnapshotSeries(scenario, roster, slots)
             except ValueError:

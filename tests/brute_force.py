@@ -1,8 +1,8 @@
 """Exhaustive cross-checks of ``lislsim.oracle``: brute-force optima, route
-enumeration on small series, and random delay matrices; plus per-edge
-references for the edge lifetimes and ISASR, a one-slot edge builder
-for ``constellation.slot_edges``, and a one-pass series file reader for
-``topology.import_series``."""
+enumeration on small series, the exact optimum over every route, and random
+delay matrices; plus per-edge references for the edge lifetimes and ISASR, a
+one-slot edge builder for ``constellation.slot_edges``, and a one-pass series
+file reader for ``topology.import_series``."""
 
 from __future__ import annotations
 
@@ -123,6 +123,33 @@ def enumerate_routes(
     if not alive.any():
         raise ValueError("no routes exist between the endpoints")
     return [r for r, keep in zip(found, alive) if keep], d[alive]
+
+
+def exact_optimum(
+    series: SnapshotSeries, src: int, dst: int, eta_s_ms: float
+) -> list[tuple[int, int, float]]:
+    """The least cost (delays plus eta_s per route change) over every route,
+    on each stretch of reachable slots: ``(first slot, last slot, cost)``.
+
+    Each stretch, from slot a, takes the segment recurrence
+    ``OPT[j] = min_i OPT[i-1] + eta_s*[i>a] + SP(i, j)``, where ``SP(i, j)``
+    is the least delay sum over slots i..j among the ``enumerate_routes``
+    routes (every simple route) that exist in each of them. No switch is
+    charged across an unreachable slot, as ``metrics.evaluate`` charges none.
+    """
+    _, d = enumerate_routes(series, src, dst, hop_limit=series.roster.num_nodes - 1)
+    covered = np.concatenate(([0], np.isfinite(d).any(axis=0), [0])).astype(np.int8)
+    bounds = np.flatnonzero(np.diff(covered))
+    stretches = []
+    for a, b in zip(bounds[::2].tolist(), bounds[1::2].tolist()):  # slots a..b-1, 0-based
+        opt = [0.0]  # opt[k]: the least cost of slots a..a+k-1
+        for j in range(a, b):
+            opt.append(min(
+                opt[i - a] + (eta_s_ms if i > a else 0.0) + d[:, i:j + 1].sum(axis=1).min()
+                for i in range(a, j + 1)
+            ))
+        stretches.append((a + 1, b, opt[-1]))
+    return stretches
 
 
 def random_delay_matrix(

@@ -69,7 +69,7 @@ def edge_pairs(route) -> list[tuple[int, int]]:
 def pair_positions(snap: Snapshot, pairs) -> np.ndarray:
     """Indices of canonical (min, max) pairs in the snapshot's edges, -1 when absent."""
     lo, hi = np.array(list(pairs), np.int64).reshape(-1, 2).T
-    return snap.positions(pack_keys(lo, hi, snap.num_nodes))
+    return snap.positions(pack_keys(lo, hi))
 
 
 def head_series(series: SnapshotSeries, num_slots: int) -> SnapshotSeries:

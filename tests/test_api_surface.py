@@ -167,7 +167,7 @@ def test_every_import_is_used():
 
 # every public name lislsim.topology defines; a new one needs a reason to be public
 TOPOLOGY_PUBLIC = {
-    "MAX_DELAY_MS", "MissingEdgeError", "NodeRoster", "SeriesFormatError", "Snapshot",
+    "MAX_DELAY_MS", "MAX_NODES", "MissingEdgeError", "NodeRoster", "SeriesFormatError", "Snapshot",
     "SnapshotSeries", "export_series", "import_series", "pack_keys",
 }
 

@@ -761,11 +761,11 @@ class TestUnknownConfigNames:
 
 class TestCandidateBudget:
     def test_one_cell_shell_exits_1_before_it_allocates(self, tmp_path, capsys):
-        """100 x 1000 satellites within 100,000 km of each other share one
-        grid cell: n(n-1)/2 candidates, which asked for 37.3 GiB before the
+        """60 x 1000 satellites within 100,000 km of each other share one
+        grid cell: n(n-1)/2 candidates, which asked for 13.4 GiB before the
         budget. The refusal comes before the candidate arrays exist."""
         cfg = tmp_path / "one-cell.ini"
-        cfg.write_text("[constellation]\nnum_planes = 100\nsats_per_plane = 1000\n\n"
+        cfg.write_text("[constellation]\nnum_planes = 60\nsats_per_plane = 1000\n\n"
                        "[scenario]\nlisl_range_km = 100000\nnum_slots = 1\n")
         out = tmp_path / "deep" / "one-cell.series"
         tracemalloc.start()
@@ -1271,7 +1271,8 @@ class TestVerificationFailureExit:
 
 
 # A series that declares 2,000,000,000 satellites and backs two edges of them: a
-# CSR sized by the node count asks for gigabytes, which the address-space cap refuses.
+# CSR sized by the node count would ask for gigabytes, but the roster refuses the
+# count at the header, beyond the 16-bit node ids.
 _HUGE_ROSTER_SERIES = """lislsim-series v1
 scenario lisl_range_km=1500.0 gs_range_km=1000.0 node_delay_ms=1.0 slot_duration_s=1.0 num_slots=1
 satellites 2000000000
@@ -1323,6 +1324,8 @@ class TestOutOfMemory:
     """A refused allocation ends in exit 1 and one ``error:`` line, never a traceback."""
 
     def test_huge_declared_roster_in_a_capped_child(self, tmp_path):
+        """The node cap refuses the roster before any node-sized array, so the
+        address-space cap is never reached."""
         series = tmp_path / "huge.series"
         series.write_text(_HUGE_ROSTER_SERIES)
         src = str(Path(lislsim.__file__).resolve().parents[1])
@@ -1336,7 +1339,21 @@ class TestOutOfMemory:
         assert done.returncode == 1, done.stderr
         assert "Traceback" not in done.stderr
         lines = done.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: out of memory: Unable to allocate")
+        assert lines == ["error: at most 65536 nodes: node ids are 16-bit"], lines
+        assert not (tmp_path / "out").exists()
+
+    def test_numpy_memory_error_names_its_detail(self, tmp_path, tiny_config, tiny_series,
+                                                 capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.73 GiB for an array with shape (2000000004,)")
+
+        monkeypatch.setattr(lislsim.cli, "import_series", refuse)
+        rc = main(["run", "--config", str(tiny_config), "--series", str(tiny_series),
+                   "--algorithm", "ilsr", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 3.73 GiB for an array with shape "
+            "(2000000004,)\n")
         assert not (tmp_path / "out").exists()
 
     def test_bare_memory_error_names_no_detail(self, tmp_path, tiny_config, tiny_series,
@@ -1349,6 +1366,67 @@ class TestOutOfMemory:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def _cap_series(num_satellites: int) -> str:
+    """A one-slot series of ``num_satellites`` satellites and the three default
+    stations, whose one route runs new_york - 0 - (top satellite) - london."""
+    top, ny, london = num_satellites - 1, num_satellites, num_satellites + 1
+    return (
+        "lislsim-series v1\n"
+        "scenario lisl_range_km=1500.0 gs_range_km=1000.0 node_delay_ms=1.0 "
+        "slot_duration_s=1.0 num_slots=1\n"
+        f"satellites {num_satellites}\n"
+        f"gs {ny} new_york 40.7128 -74.006\ngs {london} london 51.5074 -0.1278\n"
+        f"gs {num_satellites + 2} hanoi 21.0285 105.8542\n"
+        f"1 0 {top} 2.5\n1 0 {ny} 1.0\n1 {top} {london} 1.5\n"
+    )
+
+
+class TestNodeCap:
+    """Node ids are 16-bit: a roster of 65,536 nodes runs end to end, and one of
+    65,537 is refused at every entry point before anything node-sized exists."""
+
+    def test_full_roster_imports_routes_and_writes(self, tmp_path):
+        series = tmp_path / "full.series"
+        series.write_text(_cap_series(65_533))
+        assert import_series(series).roster.num_nodes == 65_536
+        out = tmp_path / "out"
+        assert main(["run", "--algorithm", "ilsr", "--series", str(series),
+                     "--out", str(out)]) == 0
+        assert (out / "schedule.txt").read_text().splitlines()[1:] == [
+            "1 5.000000000 65533-0-65532-65534"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "histogram.tsv", "latency_series.tsv", "manifest.json", "report.txt", "schedule.txt"]
+
+    @pytest.mark.parametrize("text", [_cap_series(65_534), _HUGE_ROSTER_SERIES],
+                             ids=["one-node-more", "two-billion-satellites"])
+    def test_import_refuses_before_it_allocates(self, tmp_path, capsys, text):
+        series = tmp_path / "over.series"
+        series.write_text(text)
+        tracemalloc.start()
+        try:
+            rc = main(["run", "--algorithm", "ilsr", "--series", str(series),
+                       "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert capsys.readouterr().err == "error: at most 65536 nodes: node ids are 16-bit\n"
+        assert peak < 16 * 2**20, peak
+        assert not (tmp_path / "out").exists()
+
+    def test_generate_refuses_one_node_more_before_propagation(self, tmp_path, capsys,
+                                                               monkeypatch):
+        calls = []
+        monkeypatch.setattr(lislsim.cli, "slot_edges", lambda *args: calls.append(args))
+        cfg = tmp_path / "over.ini"  # 65,534 satellites and the three default stations
+        cfg.write_text("[constellation]\nnum_planes = 2\nsats_per_plane = 32767\n")
+        out = tmp_path / "deep" / "over.series"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: at most 65536 nodes: node ids are 16-bit\n"
+        assert calls == []
+        assert not out.parent.exists()
 
 
 class TestScheduleGaps:

@@ -127,6 +127,16 @@ class TestLoadConfig:
         path.write_text(text)
         assert load_config(path) == default_config()
 
+    @pytest.mark.parametrize("text,message", [
+        ("[run]\nsource = london\ndestination = london\n", "source and destination must differ"),
+        ("[ground_stations]\nalpha = 1.0, 2.0, 3.0\n", "ground station 'alpha' needs 'lat, lon'"),
+    ], ids=["source-is-destination", "station-not-lat-lon"])
+    def test_bad_values_raise(self, tmp_path, text, message):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(path)
+
     def test_default_stations_follow_a_custom_shell(self, tmp_path):
         path = tmp_path / "shell.ini"
         path.write_text("[constellation]\nnum_planes = 2\nsats_per_plane = 5\n")

@@ -46,6 +46,11 @@ def scenario(**overrides) -> ScenarioParams:
 
 
 class TestParams:
+    @pytest.mark.parametrize("name", ["", "new york"], ids=["empty", "with-space"])
+    def test_station_name_refused(self, name):
+        with pytest.raises(ValueError, match="ground station names must be non-empty and space-free"):
+            GroundStation(0, name, 0.0, 0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ConstellationParams(0, 66, 53.0, 550.0)

@@ -125,6 +125,17 @@ class TestLatencySeries:
         assert report.identity_residual() < 1e-12
 
 
+@pytest.mark.parametrize("metric,latency,message", [
+    (lambda x: outage_probability(x, 40.0), [np.nan, np.nan], "latency series has no reachable slots"),
+    (lambda x: histogram(x, 1.0), [np.nan], "latency series has no reachable slots"),
+    (average_jitter, [26.0], "jitter needs at least two slots"),
+    (average_jitter, [26.0, np.nan, 27.0], "no consecutive pair of reachable slots"),
+], ids=["outage-unreachable", "histogram-unreachable", "jitter-one-slot", "jitter-no-pair"])
+def test_metric_without_data_raises(metric, latency, message):
+    with pytest.raises(ValueError, match=message):
+        metric(np.array(latency))
+
+
 class TestOutage:
     def test_direct_count(self):
         assert outage_probability(np.array([26.0, 1026.0, 27.0]), 40.0) == pytest.approx(1 / 3)

@@ -4,15 +4,17 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lislsim.oracle import InfeasibleSlotError, dp_optimal, route_delay_matrix
+from lislsim.constellation import GroundStation
+from lislsim.oracle import InfeasibleSlotError, dp_optimal, optimum_schedule, route_delay_matrix
 from lislsim.metrics import evaluate
-from lislsim.routing import Route, run_algorithm
+from lislsim.routing import ALGORITHMS, Route, run_algorithm
 
 from brute_force import (
-    OracleSizeError, brute_force_optimal, enumerate_routes, random_delay_matrix, row_cost,
+    OracleSizeError, brute_force_optimal, enumerate_routes, exact_optimum, random_delay_matrix,
+    row_cost,
 )
 from conftest import EQ4_DELAYS
 from toyseries import dominance_toy_series, series_from_edges
@@ -44,6 +46,18 @@ class TestGoldenInstance:
         rows = dp_optimal(EQ4_DELAYS, 0.0)
         assert rows.tolist() == [0, 1, 1, 1]
         assert row_cost(rows, EQ4_DELAYS, 0.0) == 102.0
+
+
+@pytest.mark.parametrize("d,eta_s,message", [
+    ([1.0, 2.0], 1.0, "delay matrix must be a non-empty 2-D array"),
+    (np.empty((0, 3)), 1.0, "delay matrix must be a non-empty 2-D array"),
+    ([[1.0, np.nan]], 1.0, r"delays must be non-negative or \+inf"),
+    ([[1.0, -1.0]], 1.0, r"delays must be non-negative or \+inf"),
+    ([[1.0, 2.0]], -1.0, "setup penalty cannot be negative"),
+], ids=["1-d", "empty", "nan-delay", "negative-delay", "negative-eta-s"])
+def test_dp_refuses_bad_input(d, eta_s, message):
+    with pytest.raises(ValueError, match=message):
+        dp_optimal(np.array(d), eta_s)
 
 
 class TestDpProperties:
@@ -121,6 +135,49 @@ class TestSelectionHelpers:
             for k in range(1, 5)
         ]
         assert switches == [0.0, 0.0, 1.0, 2.0]
+
+
+@st.composite
+def toy_pair_series(draw):
+    """(series, src, dst): 2-5 satellites and the two stations over 1-6 slots,
+    each satellite-satellite and satellite-station edge present or not per
+    slot, with delays on a quarter-ms lattice; some slots are unreachable."""
+    sats = draw(st.integers(2, 5))
+    pairs = [(a, b) for a in range(sats) for b in range(a + 1, sats + 2)]
+    delays = st.one_of(st.none(), st.integers(1, 16).map(lambda k: k / 4))
+    per_slot = [
+        {pair: delay for pair, delay in zip(pairs, slot) if delay is not None}
+        for slot in draw(st.lists(st.lists(delays, min_size=len(pairs), max_size=len(pairs)),
+                                  min_size=1, max_size=6))
+    ]
+    stations = (GroundStation(sats, "src", 0.0, 0.0), GroundStation(sats + 1, "dst", 0.0, 10.0))
+    return series_from_edges(per_slot, num_satellites=sats, ground_stations=stations), sats, sats + 1
+
+
+class TestExactOptimum:
+    @given(toy_pair_series(), st.sampled_from([0.25, 3.0, 100.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_brackets_dp_and_the_cells(self, case, eta_s):
+        """Per stretch the segment recurrence over every route equals the DP
+        over every enumerated route; it is never above the optimum over the
+        cells' own routes (what ``gap.tsv`` reports), nor above any cell."""
+        series, src, dst = case
+        try:
+            _, d = enumerate_routes(series, src, dst, hop_limit=series.roster.num_nodes - 1)
+        except ValueError:  # no route in any slot
+            assume(False)
+        stretches = exact_optimum(series, src, dst, eta_s)
+        for first, last, cost in stretches:
+            part = d[:, first - 1:last]
+            assert np.isfinite(part).any(axis=0).all()
+            assert abs(row_cost(dp_optimal(part, eta_s), part, eta_s) - cost) <= 1e-9 * part.shape[1]
+        exact_mean = sum(cost for *_, cost in stretches) / series.num_slots
+        schedules = [run_algorithm(name, series, src, dst, eta_s) for name in ALGORITHMS]
+        routes = list(dict.fromkeys(r for schedule in schedules for r in schedule.route_table))
+        optimum = optimum_schedule(series, src, dst, routes, route_delay_matrix(series, routes),
+                                   eta_s)
+        for schedule in (optimum, *schedules):
+            assert exact_mean <= evaluate(schedule, eta_s).mean_eta_le_ms + 1e-9, schedule.algorithm
 
 
 class TestEnumeration:

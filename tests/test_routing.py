@@ -41,7 +41,7 @@ from toyseries import dominance_toy_series, series_from_edges
 def run_end(series, route, slot):
     """Last slot of the route's hold from `slot`: the earliest run end of its edges."""
     snap = series.snapshot(slot)
-    return int(snap.run_last[snap.positions(route.keys(snap.num_nodes))].min())
+    return int(snap.run_last[snap.positions(route.keys)].min())
 
 
 def assert_holds_end_at_run_ends(schedule, series):
@@ -106,20 +106,41 @@ class TestRoute:
     def test_edges(self):
         r = Route((4, 1, 5))
         assert r.hops == 2
-        assert r.keys(1587).tolist() == [(1 << 16) | 4, (1 << 16) | 5]  # the stock node count
+        assert r.keys.tolist() == [(1 << 16) | 4, (1 << 16) | 5]
+        assert r.keys is r.keys  # packed once
 
     @pytest.mark.parametrize("num_nodes,dtype,shift", [
-        (6, "uint16", 8), (256, "uint16", 8), (257, "uint32", 16), (65_536, "uint32", 16),
-        (65_537, "uint64", 32),
+        (6, "uint32", 16), (256, "uint32", 16), (257, "uint32", 16), (65_536, "uint32", 16),
     ])
     def test_key_widths(self, num_nodes, dtype, shift):
-        keys = Route((4, 1, 5)).keys(num_nodes)
-        assert keys.dtype == dtype
+        """One key width for every roster up to the 16-bit cap, and the
+        series' key column takes it too."""
+        stations = tuple(GroundStation(i, f"gs{i}", 0.0, 0.0) for i in range(5, num_nodes))
+        series = series_from_edges([{(1, 4): 1.0, (1, 5): 2.0}], num_satellites=5,
+                                   ground_stations=stations)
+        keys = Route((4, 1, 5)).keys
+        assert keys.dtype == series.keys.dtype == dtype
         assert keys.tolist() == [(1 << shift) | 4, (1 << shift) | 5]
+        assert series.snapshot(1).route_delay(Route((4, 1, 5))) == 3.0
+
+    def test_key_widths_stop_at_the_cap(self):
+        """A series of 65,537 nodes, stations included, is refused with its roster."""
+        with pytest.raises(ValueError, match="at most 65536 nodes: node ids are 16-bit"):
+            series_from_edges([{(0, 1): 1.0}], num_satellites=65_537)
+        with pytest.raises(ValueError, match="at most 65536 nodes"):
+            NodeRoster(65_535, (GroundStation(65_535, "a", 0.0, 0.0),
+                                GroundStation(65_536, "b", 0.0, 0.0)))
 
     def test_keys_refuse_a_node_outside_the_ids(self):
-        with pytest.raises(ValueError, match="leaves the node ids 0..4"):
-            Route((4, 1, 5)).keys(5)
+        """Keys exist for every 16-bit id; a route over an id the series does
+        not hold is absent from its slots, and one beyond the ids is refused."""
+        for nodes in [(4, 1, 65_536), (-1, 1, 5)]:
+            with pytest.raises(ValueError, match="leaves the node ids 0..65535"):
+                Route(nodes).keys
+        snap = dominance_toy_series().snapshot(1)
+        assert snap.num_nodes == 8
+        assert snap.route_delay(Route((6, 0, 8))) is None
+        assert snap.route_delay(Route((6, 0, 65_535))) is None
 
 
 @contextlib.contextmanager
@@ -154,6 +175,15 @@ class TestDijkstra:
     def test_same_endpoints_rejected(self, square_snapshot):
         with pytest.raises(ValueError):
             dijkstra(square_snapshot, 2, 2)
+
+    @pytest.mark.parametrize("src,dst,costs,message", [
+        (0, 4, None, "node 4 outside the id range"),
+        (-1, 3, None, "node -1 outside the id range"),
+        (0, 3, [1.0, 1.0, 1.0], "cost override array must align with snapshot edges"),
+    ], ids=["destination-beyond-ids", "negative-source", "short-cost-override"])
+    def test_bad_arguments_rejected(self, square_snapshot, src, dst, costs, message):
+        with pytest.raises(ValueError, match=message):
+            dijkstra(square_snapshot, src, dst, cost_override=costs)
 
     def test_cost_override_mapping(self, square_snapshot):
         costs = square_snapshot.delay_ms.copy()
@@ -510,6 +540,11 @@ class TestIsasrStabilityCost:
 
 
 class TestIsasr:
+    def test_gamma_none_means_eta_s(self, toy_series):
+        auto = isasr(toy_series, 6, 7, 10.0, None, 100.0)
+        assert slot_routes(auto) == slot_routes(isasr(toy_series, 6, 7, 10.0, 10.0, 100.0))
+        assert slot_routes(auto) != slot_routes(isasr(toy_series, 6, 7, 10.0, 0.0, 100.0))
+
     def test_reduces_to_ilsr_with_zero_gamma(self):
         rng = np.random.default_rng(31)
         for trial in range(8):
@@ -843,26 +878,23 @@ class TestPermanentEdgeCosts:
             assert not isasr_stability_cost(run_last, slot, 6, 1000.0).any()
 
 
-def _toy_with_ids(wide: bool) -> tuple[SnapshotSeries, int, int]:
-    """The dominance toy series and its endpoints; ``wide`` relabels its
-    satellites 300..305 and stations 400, 401, so that its ids take uint16."""
+def _wide_toy() -> SnapshotSeries:
+    """The dominance toy series with its satellites relabelled 300..305 and
+    its stations 400 (source) and 401 (destination), ids above one byte."""
     toy = dominance_toy_series()
-    if not wide:
-        return toy, 6, 7
     ids = np.array([300, 301, 302, 303, 304, 305, 400, 401])
     stations = tuple(GroundStation(400 + k, gs.name, gs.latitude_deg, gs.longitude_deg)
                      for k, gs in enumerate(toy.roster.ground_stations))
     slots = [(ids[snap.u], ids[snap.v], snap.delay_ms) for snap in toy.snapshots]
-    return SnapshotSeries(toy.scenario, NodeRoster(400, stations), slots), 400, 401
+    return SnapshotSeries(toy.scenario, NodeRoster(400, stations), slots)
 
 
-@pytest.mark.parametrize("wide", [False, True], ids=["uint16-keys", "uint32-keys"])
-def test_every_positions_query_takes_the_column_dtype(monkeypatch, wide):
+def test_every_positions_query_takes_the_column_dtype(monkeypatch):
     """A query key of another dtype makes ``searchsorted`` cast the slot's
     whole key column, so every lookup of the algorithms, the lifetimes and
     the oracle packs its keys as the column does."""
-    series, src, dst = _toy_with_ids(wide)
-    assert series.keys.dtype == ("<u4" if wide else "<u2")
+    series, src, dst = _wide_toy(), 400, 401
+    assert series.keys.dtype == "<u4"
     queries = []
     search = Snapshot.positions
 
