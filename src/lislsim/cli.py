@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import math
 import sys
 from pathlib import Path
@@ -131,7 +132,7 @@ def cmd_run(args) -> int:
     cfg = _load(args)
     eta_s = args.eta_s if args.eta_s is not None else cfg.eta_s_ms[0]
     check_routing_values(eta_s_ms=(eta_s,))
-    gamma, *more = cfg.gamma_for(eta_s)
+    gamma, *more = _gammas(cfg, args.algorithm, eta_s)
     if more:
         raise ValueError("run takes one gamma value")
     cells = [(args.algorithm, eta_s, gamma)]
@@ -166,14 +167,19 @@ _SWEEP_COLUMNS = (
 )
 
 
+def _gammas(cfg: ExperimentConfig, name: str, eta_s: float) -> tuple[float, ...]:
+    """The gammas an algorithm runs at a setup delay: ISASR takes every gamma, the
+    other algorithms (which read none) the first."""
+    return cfg.gamma_for(eta_s)[:None if name == "isasr" else 1]
+
+
 def _cells(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
-    """(algorithm, eta_s, gamma) of every configured cell, each once: ISASR takes
-    every gamma, the other algorithms the first."""
+    """(algorithm, eta_s, gamma) of every configured cell, each once."""
     return list(dict.fromkeys(
         (name, eta_s, gamma)
         for name in cfg.algorithms
         for eta_s in cfg.eta_s_ms
-        for gamma in cfg.gamma_for(eta_s)[:None if name == "isasr" else 1]
+        for gamma in _gammas(cfg, name, eta_s)
     ))
 
 
@@ -330,5 +336,21 @@ def main(argv=None) -> int:
         return 1
 
 
+def console() -> int:
+    """The process entry point, of ``python -m lislsim.cli`` and the ``lislsim``
+    script: ``main()``, then ``gc.freeze()``, which only a process about to exit
+    can afford (it pins every object alive now, so ``main`` stays free of it).
+
+    Interpreter exit collects every object the gc tracks, ~22,000 once numpy and
+    lislsim are loaded, at ~5 ms a pass. The freeze moves them to the permanent
+    generation, which no collection visits, and cuts a command's exit from ~20 to
+    ~5 ms (2 shared cores). Exit still runs the atexit handlers, flushes the
+    streams and frees by refcount.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

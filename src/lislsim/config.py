@@ -49,6 +49,11 @@ def check_routing_values(eta_s_ms=(), qos_ms=(), gamma_ms=(), cost_thrsh_ms=None
         raise ValueError("cost threshold must be positive")
 
 
+def resolve_gamma(gamma: float | None, eta_s_ms: float) -> float:
+    """An ISASR weight in ms: ``None`` (``auto``) means the setup delay itself."""
+    return eta_s_ms if gamma is None else gamma
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs: geometry, scenario, endpoints, and sweeps."""
@@ -98,7 +103,7 @@ class ExperimentConfig:
 
     def gamma_for(self, eta_s_ms: float) -> tuple[float, ...]:
         """The ISASR weights at a setup delay, ``auto`` resolved to it."""
-        return tuple(eta_s_ms if g is None else g for g in self.gamma)
+        return tuple(resolve_gamma(g, eta_s_ms) for g in self.gamma)
 
 
 def default_config() -> ExperimentConfig:

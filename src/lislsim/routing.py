@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .config import ALGORITHMS, check_routing_values
+from .config import ALGORITHMS, check_routing_values, resolve_gamma
 from .metrics import slot_order_sum
 from .topology import MAX_NODES, MissingEdgeError, Snapshot, SnapshotSeries, pack_keys
 
@@ -274,7 +274,7 @@ def isasr(
     gamma = eta_s.
     """
     check_routing_values(eta_s_ms=(eta_s_ms,), gamma_ms=(gamma,), cost_thrsh_ms=cost_thrsh_ms)
-    gamma = eta_s_ms if gamma is None else gamma
+    gamma = resolve_gamma(gamma, eta_s_ms)
     n = series.num_slots
     idle: set[int] = set()  # keys of the edges whose activeness cost is 0
     routes: list[Route | None] = []

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: generate, run, sweep, table2."""
 
 import ast
+import gc
 import json
 import math
 import os
@@ -264,6 +265,19 @@ class TestRun:
         ]) == 1
         assert capsys.readouterr().err == "error: run takes one gamma value\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("algorithm", ["alpr", "ilsr", "ilpr"])
+    def test_two_gammas_run_the_first_but_for_isasr(self, tmp_path, tiny_config, tiny_series,
+                                                    algorithm):
+        # the rule of sweep's cells: only ISASR reads gamma, so only ISASR needs exactly one
+        two = tmp_path / "gammas.ini"
+        two.write_text(TINY_CONFIG.replace("[run]\n", "[run]\ngamma = 1, 2\n"))
+        schedules = []
+        for cfg, out in ((tiny_config, tmp_path / "one"), (two, tmp_path / "two")):
+            assert main(["run", "--config", str(cfg), "--series", str(tiny_series),
+                         "--algorithm", algorithm, "--out", str(out)]) == 0
+            schedules.append((out / "schedule.txt").read_bytes())
+        assert schedules[0] == schedules[1]
 
     def test_missing_series_is_validation_error(self, tmp_path, tiny_config):
         rc = main([
@@ -827,12 +841,17 @@ class TestBadShellValues:
         assert not out.exists()
 
 
+def _child_env(env=os.environ) -> dict[str, str]:
+    """``env`` with this lislsim first on the path of a child interpreter."""
+    src = str(Path(lislsim.__file__).resolve().parents[1])
+    return {**env, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def _last_line_of(code, env=os.environ):
     """The last line ``code`` prints in a fresh interpreter that imports this lislsim."""
-    src = str(Path(lislsim.__file__).resolve().parents[1])
-    env = {**env, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_child_env(env), capture_output=True, text=True,
+        check=True,
     )
     return done.stdout.splitlines()[-1]
 
@@ -872,9 +891,10 @@ def _blas_setting_after_import(preset):
 
 
 class TestImportCost:
-    """A CLI call pays for no import or thread it does not use: scipy stays a test extra,
-    each command loads only the lislsim modules it runs, and numpy starts without
-    OpenBLAS worker threads unless the caller asks for them."""
+    """A CLI call pays for no import, thread or collection it does not use: scipy stays
+    a test extra, each command loads only the lislsim modules it runs, numpy starts
+    without OpenBLAS worker threads unless the caller asks for them, and a CLI process
+    freezes its objects before the collections at exit (in-process ``main`` does not)."""
 
     def test_bare_import_loads_no_submodule(self):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -925,6 +945,77 @@ class TestImportCost:
         argv = [*argv, "--config", tiny_config, "--series", tiny_series, "--out", out]
         assert _scipy_modules_after(argv) == []
         assert (out / "manifest.json").exists()
+
+    def test_process_exit_is_frozen_after_a_complete_command(self, capsys):
+        # ``python -m lislsim.cli`` ends through console(): the atexit probe, registered
+        # first and so run last, sees the objects frozen, and stdout arrives whole
+        code = ("import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+                "sys.argv = ['lislsim', 'table2']\n"
+                "runpy.run_module('lislsim.cli', run_name='__main__', alter_sys=True)\n")
+        done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        word, count = done.stderr.split()
+        assert word == "frozen" and int(count) > 0
+        assert main(["table2"]) == 0
+        assert done.stdout == capsys.readouterr().out
+
+    def test_main_freezes_nothing(self, tmp_path, tiny_config):
+        before = gc.get_freeze_count()
+        assert main(["table2"]) == 0
+        assert main(["generate", "--config", str(tiny_config), "--out", str(tmp_path / "s")]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_script_calls_what_the_main_block_calls(self):
+        # the ``lislsim`` script and ``python -m lislsim.cli`` share one entry point
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        tree = ast.parse(Path(lislsim.cli.__file__).read_text(encoding="utf-8"))
+        block, = (node for node in tree.body if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "__name__ == '__main__'")
+        assert ast.unparse(block.body[0]) == "sys.exit(console())"
+        assert scripts.split() == ["lislsim", "=", '"lislsim.cli:console"']
+
+
+class TestChildMatchesMain:
+    """A ``python -m lislsim.cli`` child and in-process ``main`` write the same bytes,
+    so the process exit loses no flush. CPU times are the one allowed difference."""
+
+    @staticmethod
+    def _outputs(out: Path, stdout: str) -> dict[str, bytes]:
+        files = [out] if out.is_file() else sorted(out.iterdir())
+        texts = {path.name: path.read_bytes() for path in files if path.name != "timings.tsv"}
+        texts["stdout"] = stdout.encode()
+        for name in ("report.txt", "stdout"):  # report.txt's runtime line is a CPU time
+            if name in texts:
+                texts[name] = b"".join(line for line in texts[name].splitlines(keepends=True)
+                                       if not line.startswith(b"runtime "))
+        return texts
+
+    def test_generate_run_and_sweep(self, tmp_path, tiny_config, capsys, monkeypatch):
+        commands = [  # relative paths, so both write the same stdout
+            ["generate", "--out", "tiny.series"],
+            ["run", "--algorithm", "alpr", "--series", "tiny.series", "--out", "run"],
+            ["sweep", "--series", "tiny.series", "--out", "sweep"],
+        ]
+        for command in commands:
+            argv = [*command, "--config", str(tiny_config)]
+            seen = []
+            for where in ("child", "main"):
+                folder = tmp_path / where
+                folder.mkdir(exist_ok=True)
+                if where == "child":
+                    done = subprocess.run([sys.executable, "-m", "lislsim.cli", *argv],
+                                          cwd=folder, env=_child_env(), capture_output=True,
+                                          text=True, timeout=120)
+                    code, stdout = done.returncode, done.stdout
+                else:
+                    monkeypatch.chdir(folder)
+                    code, stdout = main(argv), capsys.readouterr().out
+                assert code == 0
+                seen.append(self._outputs(folder / argv[argv.index("--out") + 1], stdout))
+            assert seen[0] == seen[1], command[0]
 
 
 class TestLifetimeBuildUntimed:
@@ -1308,12 +1399,10 @@ def test_isasr_ends_when_link_costs_round_the_delays_away(tmp_path, eta_s):
     series.write_text(_ROUNDING_SERIES)
     cfg.write_text("[ground_stations]\nalpha = 0, 0\nbravo = 0, 10\n\n"
                    "[run]\nsource = alpha\ndestination = bravo\n")
-    src = str(Path(lislsim.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-m", "lislsim.cli", "run", "--config", str(cfg), "--series", str(series),
          "--algorithm", "isasr", "--eta-s", eta_s, "--out", str(tmp_path / "out")],
-        env=env, preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=60,
+        env=_child_env(), preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out" / "schedule.txt").read_text().splitlines()[1:] == [
@@ -1328,13 +1417,11 @@ class TestOutOfMemory:
         address-space cap is never reached."""
         series = tmp_path / "huge.series"
         series.write_text(_HUGE_ROSTER_SERIES)
-        src = str(Path(lislsim.__file__).resolve().parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         done = subprocess.run(
             [sys.executable, "-m", "lislsim.cli", "run", "--algorithm", "ilsr",
              "--series", str(series), "--out", str(tmp_path / "out")],
-            env=env, preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=120,
+            env=_child_env({**os.environ, "OPENBLAS_NUM_THREADS": "1"}),
+            preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 1, done.stderr
         assert "Traceback" not in done.stderr

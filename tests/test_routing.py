@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lislsim.config import default_config
 from lislsim.constellation import GroundStation
 from lislsim.oracle import optimum_schedule, route_delay_matrix
 from lislsim.routing import (
@@ -544,6 +545,30 @@ class TestIsasr:
         auto = isasr(toy_series, 6, 7, 10.0, None, 100.0)
         assert slot_routes(auto) == slot_routes(isasr(toy_series, 6, 7, 10.0, 10.0, 100.0))
         assert slot_routes(auto) != slot_routes(isasr(toy_series, 6, 7, 10.0, 0.0, 100.0))
+
+    def test_gamma_none_resolves_as_the_config_does(self, toy_series, monkeypatch):
+        # the CLI resolves ``auto`` through ExperimentConfig.gamma_for, a library caller
+        # through isasr: each slot's search must see the same edge costs either way
+        import lislsim.routing as routing_mod
+
+        real = routing_mod.dijkstra
+
+        def costs_at(gamma):
+            seen = []
+
+            def spy(snapshot, src, dst, cost_override=None):
+                seen.append(cost_override.copy())
+                return real(snapshot, src, dst, cost_override=cost_override)
+
+            monkeypatch.setattr(routing_mod, "dijkstra", spy)
+            isasr(toy_series, 6, 7, 10.0, gamma, 100.0)
+            return seen
+
+        weight, = default_config().gamma_for(10.0)
+        auto = costs_at(None)
+        assert len(auto) == toy_series.num_slots
+        assert all(np.array_equal(a, b) for a, b in zip(auto, costs_at(weight), strict=True))
+        assert not all(np.array_equal(a, b) for a, b in zip(auto, costs_at(2 * weight)))
 
     def test_reduces_to_ilsr_with_zero_gamma(self):
         rng = np.random.default_rng(31)
