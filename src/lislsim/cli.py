@@ -168,19 +168,18 @@ _SWEEP_COLUMNS = (
 
 
 def _gammas(cfg: ExperimentConfig, name: str, eta_s: float) -> tuple[float, ...]:
-    """The gammas an algorithm runs at a setup delay: ISASR takes every gamma, the
-    other algorithms (which read none) the first."""
-    return cfg.gamma_for(eta_s)[:None if name == "isasr" else 1]
+    """The gammas an algorithm runs at a setup delay, each once: ISASR takes every
+    gamma, the other algorithms (which read none) the first."""
+    return tuple(dict.fromkeys(cfg.gamma_for(eta_s)))[:None if name == "isasr" else 1]
 
 
 def _cells(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
-    """(algorithm, eta_s, gamma) of every configured cell, each once."""
-    return list(dict.fromkeys(
-        (name, eta_s, gamma)
-        for name in cfg.algorithms
-        for eta_s in cfg.eta_s_ms
-        for gamma in _gammas(cfg, name, eta_s)
-    ))
+    """(algorithm, eta_s, gamma) of every configured cell, each once: the config
+    lists each algorithm and setup delay once, and ``_gammas`` each weight."""
+    return [(name, eta_s, gamma)
+            for name in cfg.algorithms
+            for eta_s in cfg.eta_s_ms
+            for gamma in _gammas(cfg, name, eta_s)]
 
 
 def _cell_schedules(cfg, cells, series):

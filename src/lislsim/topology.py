@@ -23,7 +23,6 @@ about one block of text and one slot.
 from __future__ import annotations
 
 import errno
-import io
 import itertools
 import os
 import re
@@ -63,6 +62,12 @@ def pack_keys(lo, hi) -> np.ndarray:
     keys = np.asarray(lo).astype(_KEY)
     keys <<= 16
     return np.bitwise_or(keys, hi, out=keys, dtype=_KEY, casting="unsafe")
+
+
+def _unsigned(ids: np.ndarray) -> np.ndarray:
+    """Integer ids viewed as the unsigned ints of their width, so that one
+    ``max()`` checks both bounds: a negative id reads as one beyond them all."""
+    return ids.view(ids.dtype.str.replace("i", "u"))
 
 
 def _halves(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,9 +209,10 @@ def _edge_problem(roster: NodeRoster, u, v, keys, delay) -> str | None:
         return "edge between two non-satellites (ground-to-ground)"
     if np.any(keys[1:] == keys[:-1]):
         return "duplicate edge within a slot"
-    if not (np.isfinite(delay).all() and (delay > 0).all()):
+    low, high = delay.min(), delay.max()  # both NaN when any delay is
+    if not (low > 0 and high < np.inf):
         return "non-positive delay"
-    if delay.max() >= MAX_DELAY_MS:
+    if high >= MAX_DELAY_MS:
         return f"delay not below the {MAX_DELAY_MS:.0f} ms limit"
     return None
 
@@ -236,8 +242,7 @@ def _canonical_slots(roster: NodeRoster, num_slots: int, slots):
             raise ValueError(f"slot {slot}: edge columns differ in length")
         if u.size and not (u.dtype.kind in "iu" and v.dtype.kind in "iu"):
             raise ValueError(f"slot {slot}: node ids must be integers")
-        n = roster.num_nodes
-        if u.size and (u.min() < 0 or v.min() < 0 or u.max() >= n or v.max() >= n):
+        if u.size and max(_unsigned(u).max(), _unsigned(v).max()) >= roster.num_nodes:
             raise ValueError(f"slot {slot}: unknown node id outside the node id range")
         u, v = u.astype(_ID, copy=False), v.astype(_ID, copy=False)  # exact for ids in range
         keys = pack_keys(np.minimum(u, v), np.maximum(u, v))
@@ -509,8 +514,9 @@ def _read_header(fh) -> tuple[ScenarioParams, NodeRoster, str]:
 
 _RECORD = np.dtype([("slot", "i8"), ("u", "i8"), ("v", "i8"), ("delay", "f8")])
 
-# Characters of record text parsed at a time. ``np.loadtxt`` reads each block
-# through an ``io.StringIO``, which takes 4 bytes a character.
+# Characters of record text parsed at a time. ``np.loadtxt`` takes each block
+# as its list of lines: a stock block is ~3,000 lines of ~22 characters, held
+# as ~230 KiB of str objects and their list.
 _BLOCK = 2**16
 
 # The empty-slot marker "<slot> - - -", rewritten as the record
@@ -527,9 +533,11 @@ def _blocks(fh, text: str):
         text = ""
 
 
-def _is_marker(u: np.ndarray, v: np.ndarray, delay: np.ndarray) -> np.ndarray:
-    """Which records read as the rewritten empty-slot marker."""
-    return (u == -1) & (v == -1) & np.isnan(delay)
+def _markers(u: np.ndarray, v: np.ndarray, delay: np.ndarray) -> int:
+    """How many records read as the rewritten empty-slot marker."""
+    if u.dtype == _ID or v.dtype == _ID:  # a uint16 id is never -1
+        return 0
+    return int(np.count_nonzero((u == -1) & (v == -1) & np.isnan(delay)))
 
 
 def _compact(rec: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -538,7 +546,7 @@ def _compact(rec: np.ndarray) -> tuple[np.ndarray, ...]:
     them) stays int64. 12 bytes a record, where the parsed records take 32."""
     columns = []
     for col in (rec["u"], rec["v"]):
-        in_range = 0 <= col.min() and col.max() < MAX_NODES
+        in_range = _unsigned(col).max() < MAX_NODES
         columns.append(col.astype(_ID if in_range else np.int64))
     return (*columns, rec["delay"].copy())
 
@@ -547,7 +555,7 @@ def _slot_edges(parts: list[tuple[np.ndarray, ...]]):
     """One slot's ``(u, v, delay)`` columns from the parts of its records;
     None when the slot holds a marker and another record."""
     edges = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-    if np.any(_is_marker(*edges)):
+    if _markers(*edges):
         if edges[0].size > 1:
             return None
         edges = tuple(col[:0] for col in edges)
@@ -575,26 +583,30 @@ def _slot_columns(blocks, num_slots: int):
         if text.isspace():  # np.loadtxt would warn of a block without records
             continue
         text, markers = _MARKER.subn(r"\1 -1 -1 nan", text) if "-" in text else (text, 0)
-        try:
-            rec = np.loadtxt(io.StringIO(text), dtype=_RECORD, comments=None, ndmin=1)
+        try:  # text mode made every line end LF; splitlines() would also cut at "\x0b", "\x85"...
+            rec = np.loadtxt(text.split("\n"), dtype=_RECORD, comments=None, ndmin=1)
         except ValueError as exc:  # numpy counts rows from the block's first record
             where = _ROW.sub(lambda m: f"at row {int(m[1]) + done}", str(exc))
             raise ValueError(f"malformed edge record: {where}") from exc
         slot = rec["slot"]
         if not done:
             gap, last = bool(slot[0] != 1), int(slot[0])
-        steps = np.diff(slot, prepend=last)
+        # the first record of each new slot, and each new slot's step from the one before
+        cuts = ((slot[1:] != slot[:-1]).nonzero()[0] + 1).tolist()
+        if slot[0] != last:
+            cuts.insert(0, 0)
+        steps = [b - a for a, b in itertools.pairwise([last, *slot[cuts].tolist()])]
         current = last  # the open slot's number: each cut below starts the next
         done, last = done + rec.size, int(slot[-1])
         cols = _compact(rec)
         del rec, slot
-        out_of_order |= bool(steps.min() < 0)
-        gap |= bool(steps.max() > 1)
-        forged |= int(np.count_nonzero(_is_marker(*cols))) != markers
+        out_of_order |= min(steps, default=0) < 0
+        gap |= max(steps, default=0) > 1
+        forged |= _markers(*cols) != markers
         if out_of_order or gap or forged or crowded or last > num_slots:
             continue
         start = 0
-        for cut in steps.nonzero()[0].tolist():  # the first record of each new slot
+        for cut in cuts:
             parts.append(tuple(col[start:cut] for col in cols))
             edges = _slot_edges(parts)
             if edges is None:
@@ -623,10 +635,11 @@ def import_series(path) -> SnapshotSeries:
 
     Raises ``SeriesFormatError`` for any fault in the file's bytes, and
     ``OSError`` for a path that cannot be opened or read (missing, or a
-    directory). ``np.loadtxt`` parses the records in blocks of whole lines,
-    and each slot goes to ``SnapshotSeries`` once complete, into its growing
-    columns. So the import holds the columns plus about one block and one
-    slot. ``SnapshotSeries`` applies the edge rules.
+    directory). ``np.loadtxt`` parses the records a block of whole lines at
+    a time, given the block's lines, and each slot goes to ``SnapshotSeries``
+    once complete, into its growing columns. So the import holds the columns
+    plus about one block and one slot. ``SnapshotSeries`` applies the edge
+    rules.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

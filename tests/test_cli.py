@@ -266,6 +266,26 @@ class TestRun:
         assert capsys.readouterr().err == "error: run takes one gamma value\n"
         assert not out.exists()
 
+    def test_gammas_that_resolve_alike_run_once(self, tmp_path, tiny_series, capsys):
+        # auto is the setup delay, so at --eta-s 5 "auto, 5" is the one gamma 5, as in sweep
+        configs = {}
+        for gammas in ("auto, 5", "auto, 7"):
+            configs[gammas] = tmp_path / f"{gammas[-1]}.ini"
+            configs[gammas].write_text(TINY_CONFIG.replace("[run]\n", f"[run]\ngamma = {gammas}\n"))
+
+        def run(gammas, *argv):
+            out = tmp_path / f"{gammas[-1]}{len(argv)}"
+            return out, main(["run", "--config", str(configs[gammas]), "--series", str(tiny_series),
+                              "--algorithm", "isasr", "--eta-s", "5", *argv, "--out", str(out)])
+
+        (auto5, rc), (flag, flag_rc) = run("auto, 5"), run("auto, 5", "--gamma", "5")
+        assert rc == flag_rc == 0
+        assert (auto5 / "schedule.txt").read_bytes() == (flag / "schedule.txt").read_bytes()
+        capsys.readouterr()
+        out, rc = run("auto, 7")
+        assert rc == 1 and capsys.readouterr().err == "error: run takes one gamma value\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("algorithm", ["alpr", "ilsr", "ilpr"])
     def test_two_gammas_run_the_first_but_for_isasr(self, tmp_path, tiny_config, tiny_series,
                                                     algorithm):

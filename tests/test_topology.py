@@ -1067,3 +1067,69 @@ class TestBlockReader:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, peak
+
+
+class TestLineSeparators:
+    """Text mode ends a line at LF only (CR and CRLF already turned into it), and so
+    does the reader. ``str.splitlines()`` would also end one at each of these."""
+
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"],
+                             ids=["vt", "ff", "fs", "nel", "line-separator"])
+    def test_other_separators_end_no_line(self, tmp_path, sep):
+        series = series_from_edges(
+            [{(0, 6): 1.5, (1, 7): 0.123456789}, {}, {(0, 1): 3.0, (2, 3): 17.015625}, {}],
+            num_satellites=6, ground_stations=FUZZ_STATIONS,
+        )
+        save_series(series, tmp_path / "lf.series")
+        lines = (tmp_path / "lf.series").read_text().split("\n")
+        head = 3 + len(FUZZ_STATIONS)
+        head, records = "\n".join(lines[:head]) + "\n", "\n".join(lines[head:])
+        variants = {  # whitespace in, around and between the records; the last joins two
+            "inside": records.replace(" ", sep),
+            "around": re.sub(r"^|$", sep, records, flags=re.M),
+            "own-line": records.replace("\n", f"\n{sep}\n"),
+            "between": records.replace("\n", sep, 1),
+        }
+        lf = _outcome(import_series, tmp_path / "lf.series")
+        for name, text in variants.items():
+            path = tmp_path / f"{name}.series"
+            path.write_text(head + text, encoding="utf-8")
+            got = _same_at_every_block_size(path)
+            if name == "between":
+                assert got.startswith("malformed edge record") and "at row 1" in got, got
+            else:
+                assert got == lf, name
+
+
+@pytest.fixture(scope="module")
+def stock_file(stock_head, tmp_path_factory):
+    """The 20 stock slots as a series file (~371k records, ~8.6 MB)."""
+    path = tmp_path_factory.mktemp("stock") / "head20.series"
+    save_series(stock_head, path)
+    return path
+
+
+class TestStockBlocks:
+    """The block reader at stock density, with the real ``_BLOCK``."""
+
+    def test_matches_the_one_pass_reader(self, stock_file):
+        blocks = _blocks_of(stock_file, topology._BLOCK)
+        assert len(blocks) > 5 * 20  # each slot spans several blocks
+        got = _outcome(import_series, stock_file)
+        want = _outcome(import_series_reference, stock_file)
+        assert got[:2] == want[:2]
+        for col, a, b in zip(("offsets", "keys", "delay_ms"), got[2:], want[2:]):
+            assert a == b, col
+
+    def test_loadtxt_parses_each_block_once_as_its_lines(self, stock_file):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counted(lines, *args, **kwargs):
+            calls.append(type(lines))
+            return loadtxt(lines, *args, **kwargs)
+
+        with patch.object(topology.np, "loadtxt", counted):
+            import_series(stock_file)
+        blocks = [text for text in _blocks_of(stock_file, topology._BLOCK) if not text.isspace()]
+        assert calls == [list] * len(blocks)
