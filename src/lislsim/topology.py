@@ -14,10 +14,12 @@ run of consecutive slots. The constructor and ``export_series`` take the
 same raw ``(u, v, delay_ms)`` columns of each slot and read them through
 ``_canonical_slots``, the one home of the slot-count and edge rules.
 ``export_series``/``import_series`` define the line-oriented interchange
-format for externally generated topologies; the writer writes each slot as
-it arrives, so ``generate`` never holds a series, and the reader hands each
-slot to the constructor once parsed, so an import holds the columns plus
-about one block of text and one slot.
+format for externally generated topologies, series format v2: each slot a
+``slot <k> <n>`` header over its ``n`` records ``<u> <v> <delay_ps>``, the
+delay in integer picoseconds. The writer writes each slot as it arrives, so
+``generate`` never holds a series, and the reader hands each slot to the
+constructor once its last record is read, so an import holds the columns
+plus about one block of text and one slot.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import errno
 import itertools
 import os
-import re
 import time
 from dataclasses import dataclass, fields
 
@@ -194,8 +195,11 @@ class NodeRoster:
         raise KeyError(f"no ground station named {name!r}")
 
 
-# Below 2**20 ms, rint(d * 1e9) of a 9-digit delay d is exact and its
-# "%d.%09d" text equals "%.9f", which the series writer relies on.
+# Below 1e6 ms a delay is under 10**15 integer picoseconds, the series
+# file's delay field, well inside the integers float64 holds exactly:
+# rint(d * 1e9) of a 9-digit delay d is exact, delay_ps / 1e9 reads it back
+# bit for bit, and the writer's whole milliseconds and 9-digit fraction each
+# fit its uint32 digits.
 MAX_DELAY_MS = 1e6
 
 
@@ -385,58 +389,64 @@ class SnapshotSeries:
 # ---------------------------------------------------------------------------
 #
 # UTF-8 text, line oriented:
-#   lislsim-series v1
+#   lislsim-series v2
 #   scenario lisl_range_km=... gs_range_km=... node_delay_ms=... \
 #            slot_duration_s=... num_slots=...   (each ScenarioParams field once)
 #   satellites <count>
 #   gs <id> <name> <latitude> <longitude>          (one line per station)
-#   <slot> <u> <v> <delay_ms>                      (edge records, canonical order)
-# A slot with no edges is represented by the single record "<slot> - - -".
+#   slot <k> <n>                                   (slots 1..num_slots, each once)
+#   <u> <v> <delay_ps>                             (exactly n edge records, canonical order)
+# delay_ps is the delay in integer picoseconds, rint(delay_ms * 1e9), and
+# the reader takes delay_ps / 1e9. A slot with no edges is "slot <k> 0".
 
-_MAGIC = "lislsim-series v1"
+_MAGIC = "lislsim-series v2"
 
 
-def _digit_rows(x: np.ndarray, width: int | None = None) -> list[np.ndarray]:
-    """ASCII rows of the decimal digits of non-negative ints below 2**32,
-    most significant first.
-
-    With a ``width`` each value is zero-padded to it. Without one the rows
-    are as many as the largest value has digits, and a shorter value's
-    leading zeros are NUL bytes, for the caller to drop.
+def _digit_rows(x: np.ndarray) -> list[np.ndarray]:
+    """ASCII rows of the decimal digits of non-negative ints below 10**18,
+    most significant first: as many rows as the largest value has digits,
+    and a shorter value's leading zeros are NUL bytes, for the caller to drop.
     """
-    x = x.astype(np.uint32)  # numpy divides it by a constant fast
+    width = len(str(x.max()))
     rows, rest = [], x
-    for _ in range(width or len(str(x.max()))):
-        quotient = rest // 10
-        rows.append((rest - quotient * 10 + ord("0")).astype(np.uint8))
-        rest = quotient
+    for start in range(0, width, 9):  # the digits of a 9-digit uint32 part at a time
+        rest, part = np.divmod(rest, 10**9) if width - start > 9 else (None, rest)
+        part = part.astype(np.uint32)  # numpy divides it by a constant fast
+        for _ in range(min(9, width - start)):
+            quotient = part // 10
+            rows.append((part - quotient * 10 + ord("0")).astype(np.uint8))
+            part = quotient
     rows.reverse()
-    if width is None:
-        for j, row in enumerate(rows[:-1]):
-            row *= x >= 10 ** (len(rows) - 1 - j)
+    low = x.min()
+    for j, row in enumerate(rows[:-1]):
+        place = 10 ** (width - 1 - j)
+        if low < place:  # a row every value reaches keeps its zeros
+            row *= x >= place
     return rows
 
 
 def _slot_records(slot: int, keys: np.ndarray, delay_ms: np.ndarray) -> bytes:
-    """The text of one canonical slot's records: one ``"%d %d %d %.9f"`` line each.
+    """The text of one canonical slot: its ``slot <k> <n>`` header, then one
+    ``"%d %d %d"`` record a line, the delay in integer picoseconds.
 
     The records are the rows of one byte matrix, built a character column at
-    a time with integer arithmetic: the slot prefix, u, v and the whole
-    milliseconds (each column as wide as its largest value, leading zeros as
-    NUL bytes), then the 9 fractional digits and the separators.
+    a time with integer arithmetic: the digits of u, v and the delay, each
+    column as wide as its largest value with leading zeros as NUL bytes, and
+    the separators.
     """
+    header = b"slot %d %d\n" % (slot, keys.size)
     if keys.size == 0:
-        return b"%d - - -\n" % slot
-    whole, frac = np.divmod(np.rint(delay_ms * 1e9).astype(np.int64), 10**9)
+        return header
     lo, hi = _halves(keys)
-    pieces = (b"%d " % slot, (lo,), b" ", (hi,), b" ", (whole,), b".", (frac, 9), b"\n")
+    delay_ps = np.rint(delay_ms * 1e9).astype(np.int64)
+    pieces = (_digit_rows(lo), b" ", _digit_rows(hi), b" ", _digit_rows(delay_ps), b"\n")
     rows = []
     for piece in pieces:
         if isinstance(piece, bytes):
             rows.extend(np.full(keys.size, byte, np.uint8) for byte in piece)
         else:
-            rows.extend(_digit_rows(*piece))
-    return np.stack(rows, axis=1).tobytes().replace(b"\0", b"")
+            rows.extend(piece)
+    return header + np.stack(rows, axis=1).tobytes().replace(b"\0", b"")
 
 
 def export_series(slots, path, scenario: ScenarioParams, roster: NodeRoster) -> int:
@@ -485,7 +495,11 @@ def _parse_scenario_line(line: str) -> ScenarioParams:
 
 def _read_header(fh) -> tuple[ScenarioParams, NodeRoster, str]:
     """Magic, scenario, satellite and station lines, plus the first line after them."""
-    if fh.readline().rstrip("\n") != _MAGIC:
+    magic = fh.readline().rstrip("\n")
+    if magic.startswith("lislsim-series ") and magic != _MAGIC:
+        raise ValueError(f"{magic!r} files are not read: this version reads {_MAGIC!r}; "
+                         "write the series again with `lislsim generate`")
+    if magic != _MAGIC:
         raise ValueError("not a lislsim series file (bad magic line)")
     line = fh.readline()
     if not line.startswith("scenario "):
@@ -512,17 +526,12 @@ def _read_header(fh) -> tuple[ScenarioParams, NodeRoster, str]:
     return scenario, NodeRoster(num_sats, tuple(stations)), line
 
 
-_RECORD = np.dtype([("slot", "i8"), ("u", "i8"), ("v", "i8"), ("delay", "f8")])
+_RECORD = np.dtype([("u", "i8"), ("v", "i8"), ("delay_ps", "i8")])
 
-# Characters of record text parsed at a time. ``np.loadtxt`` takes each block
-# as its list of lines: a stock block is ~3,000 lines of ~22 characters, held
-# as ~230 KiB of str objects and their list.
+# Characters of record text parsed at a time. ``np.loadtxt`` takes each run of
+# records in a block as its list of lines: a stock block is ~3,300 lines of
+# ~19 characters, held as ~230 KiB of str objects and their list.
 _BLOCK = 2**16
-
-# The empty-slot marker "<slot> - - -", rewritten as the record
-# "<slot> -1 -1 nan"; "\s" is the whitespace str.split() and np.loadtxt split on.
-_MARKER = re.compile(r"^[^\S\n]*(\S+)[^\S\n]+-[^\S\n]+-[^\S\n]+-[^\S\n]*$", re.MULTILINE)
-_ROW = re.compile(r"\bat row (\d+)")
 
 
 def _blocks(fh, text: str):
@@ -533,101 +542,125 @@ def _blocks(fh, text: str):
         text = ""
 
 
-def _markers(u: np.ndarray, v: np.ndarray, delay: np.ndarray) -> int:
-    """How many records read as the rewritten empty-slot marker."""
-    if u.dtype == _ID or v.dtype == _ID:  # a uint16 id is never -1
-        return 0
-    return int(np.count_nonzero((u == -1) & (v == -1) & np.isnan(delay)))
+def _pieces(blocks):
+    """The record section in file order: each slot header as its list of
+    fields, and the text between headers as a run of lines, a str (empty or
+    whitespace-only when there are no records there).
+
+    A header is a line whose first field is ``slot``. A record holds only
+    digits, signs and whitespace, so a search for ``s`` finds every header.
+    A block without one is its one run, not a copy.
+    """
+    for text in blocks:
+        done = 0
+        at = text.find("s")  # one character: a memchr
+        while at >= 0:
+            start = text.rfind("\n", 0, at) + 1
+            end = text.find("\n", at) + 1 or len(text)
+            fields = text[start:end].split()
+            if fields[0] == "slot":
+                yield text[done:start]
+                yield fields
+                done = end
+            at = text.find("s", end)
+        yield text[done:]
 
 
 def _compact(rec: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A block's ``(u, v, delay)`` as contiguous columns: an id column within
-    the 16-bit ids takes uint16, and any other (a marker's -1, an id beyond
-    them) stays int64. 12 bytes a record, where the parsed records take 32."""
+    """Records as contiguous ``(u, v, delay_ms)`` columns: an id column within
+    the 16-bit ids takes uint16, any other stays int64, and the delay is
+    ``delay_ps / 1e9``. 12 bytes a record, where the parsed records take 24."""
     columns = []
     for col in (rec["u"], rec["v"]):
         in_range = _unsigned(col).max() < MAX_NODES
         columns.append(col.astype(_ID if in_range else np.int64))
-    return (*columns, rec["delay"].copy())
+    return (*columns, rec["delay_ps"] / 1e9)
 
 
-def _slot_edges(parts: list[tuple[np.ndarray, ...]]):
-    """One slot's ``(u, v, delay)`` columns from the parts of its records;
-    None when the slot holds a marker and another record."""
-    edges = parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
-    if _markers(*edges):
-        if edges[0].size > 1:
-            return None
-        edges = tuple(col[:0] for col in edges)
-    return edges
+def _run_columns(run: str, room: int):
+    """The compact columns of a run's first ``room`` records (None if it has
+    none); the index and text of the line after them that is a record past
+    ``room`` or malformed (None if none); and the run's count of LFs.
 
-
-def _slot_columns(blocks, num_slots: int):
-    """The raw ``(u, v, delay)`` columns of slots 1..``num_slots``, each
-    yielded once complete, from blocks of record lines.
-
-    Each block's records are kept only as compact columns (``_compact``),
-    and a slot may run on over any number of blocks. Faults rank as if the
-    whole file were checked at once: the first malformed record, then slots
-    out of order, non-consecutive slots, a last slot other than the
-    header's, a record that reads as a marker without being one, and the
-    first slot that holds a marker and another record. After a fault no
-    slot is yielded, and the reader goes on to the end of the file to raise
-    the highest.
+    The run goes to ``np.loadtxt`` as its lines, split at LF only: text mode
+    made every line end LF, and ``splitlines()`` would also cut at "\\x0b",
+    "\\x85"..., which are whitespace.
     """
-    done = last = 0  # records in earlier blocks, and the last one's slot
-    parts: list[tuple[np.ndarray, ...]] = []  # columns of the open slot, slot `last`
-    out_of_order = gap = forged = False
-    crowded = 0  # the first slot whose marker is not its only record
-    for text in blocks:
-        if text.isspace():  # np.loadtxt would warn of a block without records
-            continue
-        text, markers = _MARKER.subn(r"\1 -1 -1 nan", text) if "-" in text else (text, 0)
-        try:  # text mode made every line end LF; splitlines() would also cut at "\x0b", "\x85"...
-            rec = np.loadtxt(text.split("\n"), dtype=_RECORD, comments=None, ndmin=1)
-        except ValueError as exc:  # numpy counts rows from the block's first record
-            where = _ROW.sub(lambda m: f"at row {int(m[1]) + done}", str(exc))
-            raise ValueError(f"malformed edge record: {where}") from exc
-        slot = rec["slot"]
-        if not done:
-            gap, last = bool(slot[0] != 1), int(slot[0])
-        # the first record of each new slot, and each new slot's step from the one before
-        cuts = ((slot[1:] != slot[:-1]).nonzero()[0] + 1).tolist()
-        if slot[0] != last:
-            cuts.insert(0, 0)
-        steps = [b - a for a, b in itertools.pairwise([last, *slot[cuts].tolist()])]
-        current = last  # the open slot's number: each cut below starts the next
-        done, last = done + rec.size, int(slot[-1])
-        cols = _compact(rec)
-        del rec, slot
-        out_of_order |= min(steps, default=0) < 0
-        gap |= max(steps, default=0) > 1
-        forged |= _markers(*cols) != markers
-        if out_of_order or gap or forged or crowded or last > num_slots:
-            continue
-        start = 0
-        for cut in cuts:
-            parts.append(tuple(col[start:cut] for col in cols))
-            edges = _slot_edges(parts)
-            if edges is None:
-                crowded = current
+    lines = run.split("\n")
+    if not run or run.isspace():  # np.loadtxt would warn of a run without records
+        return None, None, len(lines) - 1
+    try:
+        rec, bad = np.loadtxt(lines, dtype=_RECORD, comments=None, ndmin=1), None
+    except ValueError:  # parsed again a line at a time, up to the first malformed one
+        good = []
+        for bad, text in enumerate(lines):
+            try:
+                if text.strip():
+                    good.append(np.loadtxt([text], dtype=_RECORD, comments=None).item())
+            except ValueError:
                 break
-            parts, start, current = [], cut, current + 1
-            yield edges
-        else:
-            parts.append(tuple(col[start:] for col in cols))
-    if out_of_order:
-        raise ValueError("slots out of order")
-    if gap:
-        raise ValueError("non-consecutive slots")
-    if last != num_slots:
-        raise ValueError(f"file covers slots 1..{last} but header says {num_slots}")
-    if forged:
-        raise ValueError("unknown node id -1")
-    edges = None if crowded else _slot_edges(parts)
-    if edges is None:
-        raise ValueError(f"empty-slot marker for non-empty slot {crowded or last}")
-    yield edges
+        rec = np.array(good, _RECORD)
+    if rec.size > room:
+        bad = [i for i, text in enumerate(lines) if text.strip()][room]
+    columns = _compact(rec[:room]) if rec.size and room else None
+    return columns, None if bad is None else (bad, lines[bad].strip()), len(lines) - 1
+
+
+def _slot_columns(pieces, line: int, num_slots: int):
+    """The raw ``(u, v, delay_ms)`` columns of slots 1..``num_slots``, each
+    yielded once its last record is read, from the pieces of the record section.
+
+    A slot's records may run on over any number of blocks. Each fault is
+    raised at its line, in file order: a header that is not ``slot <k> <n>``
+    in decimal digits, a slot whose records fall short of its header's count
+    (at the next header or the end of the file), a header other than the next
+    slot or past ``num_slots``, a malformed record, a record past its slot's
+    count or before the first header, and fewer slots than ``num_slots``. The
+    consumer applies a slot's edge rules when it is yielded, so they rank at
+    the slot's last record. ``line`` is the number of the first piece's line.
+    """
+    slot = want = have = 0  # the open slot, the records its header says, those read
+    parts: list[tuple[np.ndarray, ...]] = []  # columns of the open slot's records
+    for piece in pieces:
+        if isinstance(piece, list):  # a slot header's fields
+            header = piece
+            if len(header) != 3 or not all(f.isascii() and f.isdigit() for f in header[1:]):
+                raise ValueError(f"line {line}: bad slot header {' '.join(header)!r}, "
+                                 "want 'slot <k> <n>'")
+            if have < want:
+                raise ValueError(f"line {line}: slot {slot} has {have} records, "
+                                 f"but its header says {want}")
+            k, n = int(header[1]), int(header[2])
+            if k != slot + 1:
+                raise ValueError(f"line {line}: expected slot {slot + 1}, got slot {k}")
+            if k > num_slots:
+                raise ValueError(f"line {line}: slot {k}, but the scenario header "
+                                 f"says {num_slots} slots")
+            slot, want, have, line = k, n, 0, line + 1
+            if not n:
+                yield (), (), ()
+            continue
+        columns, bad, newlines = _run_columns(piece, want - have)
+        if columns:
+            parts.append(columns)
+            have += columns[0].size
+            if have == want:
+                yield parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+                parts = []
+        if bad:
+            where, text = f"line {line + bad[0]}", bad[1]
+            if have < want:
+                raise ValueError(f"{where}: malformed edge record {text!r}")
+            if not slot:
+                raise ValueError(f"{where}: edge record before the first slot header")
+            raise ValueError(f"{where}: slot {slot} has more records than the {want} "
+                             "its header says")
+        line += newlines
+    if have < want:
+        raise ValueError(f"end of file: slot {slot} has {have} records, "
+                         f"but its header says {want}")
+    if slot < num_slots:
+        raise ValueError(f"file covers slots 1..{slot} but the scenario header says {num_slots}")
 
 
 def import_series(path) -> SnapshotSeries:
@@ -635,21 +668,17 @@ def import_series(path) -> SnapshotSeries:
 
     Raises ``SeriesFormatError`` for any fault in the file's bytes, and
     ``OSError`` for a path that cannot be opened or read (missing, or a
-    directory). ``np.loadtxt`` parses the records a block of whole lines at
-    a time, given the block's lines, and each slot goes to ``SnapshotSeries``
-    once complete, into its growing columns. So the import holds the columns
-    plus about one block and one slot. ``SnapshotSeries`` applies the edge
-    rules.
+    directory). The records are read a block of whole lines at a time, and
+    each run of them between slot headers goes to one ``np.loadtxt`` call as
+    its lines. Each slot goes to ``SnapshotSeries`` once its last record is
+    read, into its growing columns, so the import holds the columns plus
+    about one block and one slot. ``SnapshotSeries`` applies the edge rules.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             scenario, roster, line = _read_header(fh)
-            slots = _slot_columns(_blocks(fh, line), scenario.num_slots)
-            try:
-                return SnapshotSeries(scenario, roster, slots)
-            except ValueError:
-                for _ in slots:  # a fault later in the file outranks a slot's edge rule
-                    pass
-                raise
+            first = 4 + len(roster.ground_stations)  # the number of `line`
+            slots = _slot_columns(_pieces(_blocks(fh, line)), first, scenario.num_slots)
+            return SnapshotSeries(scenario, roster, slots)
     except ValueError as exc:  # includes bad UTF-8 and records np.loadtxt cannot parse
         raise SeriesFormatError(str(exc)) from exc

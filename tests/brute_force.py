@@ -1,13 +1,12 @@
 """Exhaustive cross-checks of ``lislsim.oracle``: brute-force optima, route
 enumeration on small series, the exact optimum over every route, and random
 delay matrices; plus per-edge references for the edge lifetimes and ISASR, a
-one-slot edge builder for ``constellation.slot_edges``, and a one-pass series
-file reader for ``topology.import_series``."""
+one-slot edge builder for ``constellation.slot_edges``, and a line-by-line
+series file reader for ``topology.import_series``."""
 
 from __future__ import annotations
 
 import itertools
-import warnings
 
 import numpy as np
 
@@ -250,59 +249,61 @@ def build_snapshot(
     return u, v, delay_ms(dist, scenario.node_delay_ms)
 
 
-_RECORD = np.dtype([("slot", "i8"), ("u", "i8"), ("v", "i8"), ("delay", "f8")])
+_RECORD = np.dtype([("u", "i8"), ("v", "i8"), ("delay_ps", "i8")])
 
 
-def _edge_lines(lines, markers: list[str]):
-    """Lines for ``np.loadtxt``; each ``"<slot> - - -"`` marker is appended to
-    ``markers`` and becomes the sentinel record ``"<slot> -1 -1 nan"``."""
-    for line in lines:
-        if "-" in line:
-            parts = line.split()
-            if parts[1:] == ["-", "-", "-"]:
-                markers.append(line)
-                line = f"{parts[0]} -1 -1 nan"
-        yield line
+def _reference_slots(numbered_lines, num_slots: int):
+    """Each slot's ``(u, v, delay_ms)`` columns, yielded at its last record,
+    from ``(line number, line)`` pairs; each fault raised at its line."""
+    slot = want = 0
+    records: list[tuple[int, int, int]] = []
+    for number, text in numbered_lines:
+        fields = text.split()
+        if not fields:
+            continue
+        if fields[0] == "slot":
+            if len(fields) != 3 or not all(f.isascii() and f.isdigit() for f in fields[1:]):
+                raise ValueError(f"line {number}: bad slot header {' '.join(fields)!r}, "
+                                 "want 'slot <k> <n>'")
+            if len(records) < want:
+                raise ValueError(f"line {number}: slot {slot} has {len(records)} records, "
+                                 f"but its header says {want}")
+            k = int(fields[1])
+            if k != slot + 1:
+                raise ValueError(f"line {number}: expected slot {slot + 1}, got slot {k}")
+            if k > num_slots:
+                raise ValueError(f"line {number}: slot {k}, but the scenario header "
+                                 f"says {num_slots} slots")
+            slot, want, records = k, int(fields[2]), []
+        elif len(records) == want:
+            if not slot:
+                raise ValueError(f"line {number}: edge record before the first slot header")
+            raise ValueError(f"line {number}: slot {slot} has more records than the {want} "
+                             "its header says")
+        else:
+            try:
+                records.append(np.loadtxt([text], dtype=_RECORD, comments=None).item())
+            except ValueError:
+                raise ValueError(f"line {number}: malformed edge record {text.strip()!r}") from None
+        if len(records) == want:
+            u, v, delay_ps = (np.array(col, np.int64) for col in zip(*records)) if records \
+                else ((), (), ())
+            yield u, v, np.asarray(delay_ps) / 1e9
+    if len(records) < want:
+        raise ValueError(f"end of file: slot {slot} has {len(records)} records, "
+                         f"but its header says {want}")
+    if slot < num_slots:
+        raise ValueError(f"file covers slots 1..{slot} but the scenario header says {num_slots}")
 
 
 def import_series_reference(path) -> SnapshotSeries:
-    """The one-pass reader ``import_series`` replaced: one ``np.loadtxt`` call
-    over every record line into one structured array, checked as a whole."""
-    markers: list[str] = []
+    """A plain line-by-line reader: each line a slot header or a record that
+    ``np.loadtxt`` parses alone, and each slot to ``SnapshotSeries`` once its
+    last record is read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             scenario, roster, line = _read_header(fh)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # a file without records
-                    rec = np.loadtxt(
-                        _edge_lines(itertools.chain([line], fh), markers),
-                        dtype=_RECORD, comments=None, ndmin=1,
-                    )
-            except ValueError as exc:
-                raise ValueError(f"malformed edge record: {exc}") from exc
-        slot = rec["slot"]
-        steps = np.diff(slot)
-        if np.any(steps < 0):
-            raise ValueError("slots out of order")
-        if np.any(slot[:1] != 1) or np.any(steps > 1):
-            raise ValueError("non-consecutive slots")
-        last = int(slot[-1]) if slot.size else 0
-        if last != scenario.num_slots:
-            raise ValueError(f"file covers slots 1..{last} but header says {scenario.num_slots}")
-        is_marker = (rec["u"] == -1) & (rec["v"] == -1) & np.isnan(rec["delay"])
-        if np.count_nonzero(is_marker) != len(markers):
-            raise ValueError("unknown node id -1")
-        per_slot = np.diff(np.searchsorted(slot, np.arange(1, last + 2)))
-        marked = slot[is_marker]
-        crowded = marked[per_slot[marked - 1] > 1]
-        if crowded.size:
-            raise ValueError(f"empty-slot marker for non-empty slot {crowded[0]}")
-
-        if markers:
-            rec = rec[~is_marker]
-        ends = np.searchsorted(rec["slot"], np.arange(1, last + 2)).tolist()
-        slots = (rec[a:b] for a, b in zip(ends, ends[1:]))
-        return SnapshotSeries(scenario, roster, ((r["u"], r["v"], r["delay"]) for r in slots))
-    except ValueError as exc:  # includes bad UTF-8 and records np.loadtxt cannot parse
+            numbered = enumerate(itertools.chain([line], fh), start=4 + len(roster.ground_stations))
+            return SnapshotSeries(scenario, roster, _reference_slots(numbered, scenario.num_slots))
+    except ValueError as exc:  # includes bad UTF-8
         raise SeriesFormatError(str(exc)) from exc

@@ -98,7 +98,7 @@ class TestGenerate:
         save_series(held, tmp_path / "held.series")
         text = (tmp_path / "cli.series").read_text()
         assert text == (tmp_path / "held.series").read_text()
-        assert text.endswith("".join(f"{slot} - - -\n" for slot in range(1, 7)))
+        assert text.endswith("".join(f"slot {slot} 0\n" for slot in range(1, 7)))
 
     def test_failure_keeps_the_old_file(self, tmp_path, capsys):
         # every delay exceeds the 1e6 ms limit, so slot 1 fails after the writer opened
@@ -689,6 +689,21 @@ class TestBadUsage:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", [["run", "--algorithm", "alpr"], ["sweep"]],
+                             ids=["run", "sweep"])
+    def test_v1_series_exits_1_naming_v2(self, tmp_path, tiny_config, capsys, command):
+        old = tmp_path / "old.series"
+        old.write_text("lislsim-series v1\n"
+                       "scenario lisl_range_km=1.0 gs_range_km=1.0 node_delay_ms=0.0 "
+                       "slot_duration_s=1.0 num_slots=1\nsatellites 2\n1 0 1 1.000000000\n")
+        rc = main([*command, "--config", str(tiny_config), "--series", str(old),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: 'lislsim-series v1' files are not read: this version reads "
+            "'lislsim-series v2'; write the series again with `lislsim generate`\n")
+        assert not (tmp_path / "x").exists()
+
     def test_non_utf8_series_exits_1(self, tmp_path, tiny_config, tiny_series, capsys):
         latin1 = tmp_path / "latin1.series"
         latin1.write_bytes(tiny_series.read_bytes().replace(b"gs 9 bravo", b"gs 9 br\xe4vo"))
@@ -703,11 +718,11 @@ class TestBadUsage:
     def test_delay_at_the_limit_exits_1(self, tmp_path, tiny_config, capsys):
         far = tmp_path / "far.series"
         far.write_text(
-            "lislsim-series v1\n"
+            "lislsim-series v2\n"
             "scenario lisl_range_km=1.0 gs_range_km=1.0 node_delay_ms=0.0 "
             "slot_duration_s=1.0 num_slots=1\n"
             "satellites 2\n"
-            "1 0 1 1000000.0\n"
+            "slot 1 1\n0 1 1000000000000000\n"
         )
         rc = main([
             "run", "--config", str(tiny_config), "--series", str(far),
@@ -1384,14 +1399,15 @@ class TestVerificationFailureExit:
 # A series that declares 2,000,000,000 satellites and backs two edges of them: a
 # CSR sized by the node count would ask for gigabytes, but the roster refuses the
 # count at the header, beyond the 16-bit node ids.
-_HUGE_ROSTER_SERIES = """lislsim-series v1
+_HUGE_ROSTER_SERIES = """lislsim-series v2
 scenario lisl_range_km=1500.0 gs_range_km=1000.0 node_delay_ms=1.0 slot_duration_s=1.0 num_slots=1
 satellites 2000000000
 gs 2000000000 new_york 40.7128 -74.006
 gs 2000000001 london 51.5074 -0.1278
 gs 2000000002 hanoi 21.0285 105.8542
-1 0 2000000000 1.0
-1 0 2000000001 1.0
+slot 1 2
+0 2000000000 1000000000
+0 2000000001 1000000000
 """
 
 
@@ -1402,13 +1418,26 @@ def _cap_address_space():
 # Satellites 0-2 and stations alpha (3) and bravo (4). The 2-4 link lives two slots,
 # so at slot 2 ISASR prices it near gamma * eta_s, and the 1 ms links round away
 # beside it.
-_ROUNDING_SERIES = """lislsim-series v1
+_ROUNDING_SERIES = """lislsim-series v2
 scenario lisl_range_km=1500.0 gs_range_km=1000.0 node_delay_ms=1.0 slot_duration_s=1.0 num_slots=3
 satellites 3
 gs 3 alpha 0.0 0.0
 gs 4 bravo 0.0 10.0
-""" + "".join(f"{slot} {u} {v} 1.0\n" for slot in (1, 2, 3)
-              for u, v in ((0, 1), (0, 3), (1, 2), (2, 4)) if (slot, v) != (3, 4))
+slot 1 4
+0 1 1000000000
+0 3 1000000000
+1 2 1000000000
+2 4 1000000000
+slot 2 4
+0 1 1000000000
+0 3 1000000000
+1 2 1000000000
+2 4 1000000000
+slot 3 3
+0 1 1000000000
+0 3 1000000000
+1 2 1000000000
+"""
 
 
 @pytest.mark.parametrize("eta_s", ["1e8", "1e12"])
@@ -1480,13 +1509,13 @@ def _cap_series(num_satellites: int) -> str:
     stations, whose one route runs new_york - 0 - (top satellite) - london."""
     top, ny, london = num_satellites - 1, num_satellites, num_satellites + 1
     return (
-        "lislsim-series v1\n"
+        "lislsim-series v2\n"
         "scenario lisl_range_km=1500.0 gs_range_km=1000.0 node_delay_ms=1.0 "
         "slot_duration_s=1.0 num_slots=1\n"
         f"satellites {num_satellites}\n"
         f"gs {ny} new_york 40.7128 -74.006\ngs {london} london 51.5074 -0.1278\n"
         f"gs {num_satellites + 2} hanoi 21.0285 105.8542\n"
-        f"1 0 {top} 2.5\n1 0 {ny} 1.0\n1 {top} {london} 1.5\n"
+        f"slot 1 3\n0 {top} 2500000000\n0 {ny} 1000000000\n{top} {london} 1500000000\n"
     )
 
 

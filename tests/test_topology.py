@@ -9,7 +9,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lislsim import topology
@@ -200,7 +200,8 @@ class TestRoster:
         with pytest.raises(ValueError, match="must be 3..4"):
             NodeRoster(3, stations)
         path = tmp_path / "gap.series"
-        path.write_text(HEADER + "satellites 3\ngs 3 a 0.0 0.0\ngs 5 b 0.0 1.0\n1 1 5 1.0\n2 - - -\n")
+        path.write_text(HEADER + "satellites 3\ngs 3 a 0.0 0.0\ngs 5 b 0.0 1.0\n"
+                        "slot 1 1\n1 5 1000000000\nslot 2 0\n")
         with pytest.raises(SeriesFormatError, match="must be 3..4"):
             import_series(path)
 
@@ -344,17 +345,25 @@ class TestSeriesFile:
         save_series(series, tmp_path / "canonical.series")
         lines = (tmp_path / "canonical.series").read_text().splitlines()
         header, records = lines[:5], lines[5:]
-        assert header[-1].startswith("gs 7 ") and records[0].startswith("1 ")
+        assert header[-1].startswith("gs 7 ") and records[0].startswith("slot 1 ")
         rng = np.random.default_rng(5)
-        shuffled = []
-        for slot in range(1, series.num_slots + 1):
-            in_slot = [r.split() for r in records if r.split()[0] == str(slot)]
-            for i in rng.permutation(len(in_slot)):
-                k, a, b, d = in_slot[i]
-                shuffled.append(" ".join((k, b, a, d) if rng.random() < 0.5 else (k, a, b, d)))
-        fields = [[int(x) for x in r.split()[:3]] for r in shuffled]
-        assert any(a > b for _, a, b in fields)  # some endpoints swapped
-        assert any(x[:2] > y[:2] for x, y in zip(fields, fields[1:]) if x[0] == y[0])
+        shuffled, swapped, unsorted = [], False, False
+        for line in records:
+            if line.startswith("slot "):
+                shuffled.append(line)
+                in_slot = []
+                continue
+            in_slot.append(line.split())
+            if len(in_slot) < int(shuffled[-1].split()[2]):  # the slot's last record is next
+                continue
+            order = rng.permutation(len(in_slot))
+            unsorted |= bool(np.any(order[1:] < order[:-1]))
+            for i in order:
+                a, b, d = in_slot[i]
+                swap = rng.random() < 0.5
+                swapped |= swap
+                shuffled.append(" ".join((b, a, d) if swap else (a, b, d)))
+        assert swapped and unsorted  # some endpoints swapped, some slot out of key order
         (tmp_path / "shuffled.series").write_text("\n".join(header + shuffled) + "\n")
         again = import_series(tmp_path / "shuffled.series")
         assert again == series
@@ -367,21 +376,21 @@ class TestSeriesFile:
         path = tmp_path / "bad.series"
         save_series(series, path)
         text = path.read_text().splitlines()
-        text = [ln for ln in text if not ln.startswith("2 ")]
+        assert text[-2:] == ["slot 2 1", "0 1 1500000000"]
         text[1] = text[1].replace("num_slots=2", "num_slots=3")
-        text.append("3 0 1 1.500000000")
+        text[-2] = "slot 3 1"
         path.write_text("\n".join(text) + "\n")
-        with pytest.raises(SeriesFormatError, match="non-consecutive slots"):
+        with pytest.raises(SeriesFormatError, match="line 6: expected slot 2, got slot 3"):
             import_series(path)
 
     def test_non_positive_delay_rejected(self, tmp_path):
         path = tmp_path / "neg.series"
         path.write_text(
-            "lislsim-series v1\n"
+            "lislsim-series v2\n"
             "scenario lisl_range_km=1.0 gs_range_km=1.0 node_delay_ms=0.0 "
             "slot_duration_s=1.0 num_slots=1\n"
             "satellites 2\n"
-            "1 0 1 -1.0\n"
+            "slot 1 1\n0 1 -1000000000\n"
         )
         with pytest.raises(SeriesFormatError, match="non-positive delay"):
             import_series(path)
@@ -389,12 +398,12 @@ class TestSeriesFile:
     def test_duplicate_edge_rejected(self, tmp_path):
         path = tmp_path / "dup.series"
         path.write_text(
-            "lislsim-series v1\n"
+            "lislsim-series v2\n"
             "scenario lisl_range_km=1.0 gs_range_km=1.0 node_delay_ms=0.0 "
             "slot_duration_s=1.0 num_slots=1\n"
             "satellites 2\n"
-            "1 0 1 1.0\n"
-            "1 1 0 2.0\n"
+            "slot 1 2\n0 1 1000000000\n"
+            "1 0 2000000000\n"
         )
         with pytest.raises(SeriesFormatError, match="duplicate edge"):
             import_series(path)
@@ -402,11 +411,11 @@ class TestSeriesFile:
     def test_unknown_node_rejected(self, tmp_path):
         path = tmp_path / "unknown.series"
         path.write_text(
-            "lislsim-series v1\n"
+            "lislsim-series v2\n"
             "scenario lisl_range_km=1.0 gs_range_km=1.0 node_delay_ms=0.0 "
             "slot_duration_s=1.0 num_slots=1\n"
             "satellites 2\n"
-            "1 0 5 1.0\n"
+            "slot 1 1\n0 5 1000000000\n"
         )
         with pytest.raises(SeriesFormatError, match="unknown node id"):
             import_series(path)
@@ -414,11 +423,11 @@ class TestSeriesFile:
     def test_delay_at_the_limit_rejected(self, tmp_path):
         path = tmp_path / "far.series"
         path.write_text(
-            "lislsim-series v1\n"
+            "lislsim-series v2\n"
             "scenario lisl_range_km=1.0 gs_range_km=1.0 node_delay_ms=0.0 "
             "slot_duration_s=1.0 num_slots=1\n"
             "satellites 2\n"
-            "1 0 1 1000000.0\n"
+            "slot 1 1\n0 1 1000000000000000\n"
         )
         with pytest.raises(SeriesFormatError, match="slot 1: delay not below the 1000000 ms limit"):
             import_series(path)
@@ -427,11 +436,21 @@ class TestSeriesFile:
         series = series_from_edges([{(0, 1): 999999.999999999, (1, 2): 1e-9}], num_satellites=3)
         save_series(series, tmp_path / "a.series")
         text = (tmp_path / "a.series").read_text()
-        assert text.endswith("\n1 0 1 999999.999999999\n1 1 2 0.000000001\n")
+        assert text.endswith("\nslot 1 2\n0 1 999999999999999\n1 2 1\n")
         again = import_series(tmp_path / "a.series")
         assert again == series
         save_series(again, tmp_path / "b.series")
         assert (tmp_path / "b.series").read_bytes() == (tmp_path / "a.series").read_bytes()
+
+    def test_v1_file_refused_in_one_line(self, tmp_path):
+        path = tmp_path / "old.series"
+        path.write_text(HEADER.replace("v2", "v1") + "satellites 2\n1 0 1 1.000000000\n2 - - -\n")
+        with pytest.raises(SeriesFormatError) as caught:
+            import_series(path)
+        message = str(caught.value)
+        assert "\n" not in message and "lislsim-series v2" in message
+        assert message.startswith("'lislsim-series v1' files are not read")
+        assert "lislsim generate" in message
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.series"
@@ -450,9 +469,10 @@ class TestSeriesFile:
 
 
 def _export_series_reference(series, path) -> None:
-    """The former writer: one f-string per record, the file joined as one string."""
+    """A plain writer: one f-string per header and record, the file joined as
+    one string."""
     sc = series.scenario
-    lines = ["lislsim-series v1"]
+    lines = ["lislsim-series v2"]
     lines.append(
         "scenario "
         f"lisl_range_km={sc.lisl_range_km!r} gs_range_km={sc.gs_range_km!r} "
@@ -464,15 +484,9 @@ def _export_series_reference(series, path) -> None:
         lines.append(f"gs {gs.id} {gs.name} {gs.latitude_deg!r} {gs.longitude_deg!r}")
     out = ["\n".join(lines), "\n"]
     for snap in series.snapshots:
-        if snap.edge_count == 0:
-            out.append(f"{snap.slot} - - -\n")
-            continue
-        slot = snap.slot
-        rows = "\n".join(
-            f"{slot} {a} {b} {d:.9f}" for a, b, d in zip(snap.u, snap.v, snap.delay_ms)
-        )
-        out.append(rows)
-        out.append("\n")
+        out.append(f"slot {snap.slot} {snap.edge_count}\n")
+        out.extend(f"{a} {b} {int(np.rint(d * 1e9))}\n"
+                   for a, b, d in zip(snap.u, snap.v, snap.delay_ms))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(out))
 
@@ -519,7 +533,7 @@ class TestExportWriter:
             save_series(toy, tmp_path / f"{name}.new")
             _export_series_reference(toy, tmp_path / f"{name}.old")
             assert (tmp_path / f"{name}.new").read_bytes() == (tmp_path / f"{name}.old").read_bytes()
-        assert "\n1 - - -\n" in (tmp_path / "gaps.new").read_text()
+        assert "\nslot 1 0\nslot 2 2\n" in (tmp_path / "gaps.new").read_text()
 
     def test_stock_slots_byte_identical(self, stock_head, tmp_path):
         save_series(stock_head, tmp_path / "new.series")
@@ -696,7 +710,7 @@ class TestCsr:
 
 
 HEADER = (
-    "lislsim-series v1\n"
+    "lislsim-series v2\n"
     "scenario lisl_range_km=1.0 gs_range_km=1.0 node_delay_ms=0.0 "
     "slot_duration_s=1.0 num_slots=2\n"
 )
@@ -708,34 +722,40 @@ class TestImportContract:
     @pytest.mark.parametrize(
         "body,message",
         [
-            ("satellites -3\n1 - - -\n2 - - -\n", "negative"),
-            ("satellites 2 7\n1 - - -\n2 - - -\n", "bad satellites header"),
-            ("satellites 2\ngs 2 a 0.0 0.0\ngs 2 b 0.0 1.0\n1 - - -\n2 - - -\n", "ids"),
-            ("satellites 2\ngs 2 a 0.0 0.0\ngs 3 a 0.0 1.0\n1 - - -\n2 - - -\n", "names"),
-            ("satellites 2\ngs 1 a 0.0 0.0\n1 - - -\n2 - - -\n", "must be 2..2"),
-            ("satellites 2\n0 0 1 1.0\n1 0 1 1.0\n2 0 1 1.0\n", "non-consecutive"),
-            ("satellites 2\n1 0 1 1.0\n3 0 1 1.0\n", "non-consecutive"),
-            ("satellites 2\n2 0 1 1.0\n1 0 1 1.0\n", "out of order"),
-            ("satellites 2\n1 - - -\n1 0 1 1.0\n2 - - -\n", "marker for non-empty slot 1"),
-            ("satellites 2\n1 0 1 1.0\n1 - - -\n2 - - -\n", "marker for non-empty slot 1"),
-            ("satellites 2\n1 - - -\n2 - - -\n2 - - -\n", "marker for non-empty slot 2"),
-            ("satellites 2\n1 - 1 -\n2 - - -\n", "malformed edge record"),
-            ("satellites 2\n1 - - -\n2 -1 -1 nan\n", "unknown node id"),
-            ("satellites 2\n1 0 -1 2.0\n2 - - -\n", "unknown node id"),
-            ("satellites 2\n1 0 1 nan\n2 - - -\n", "non-positive delay"),
-            ("satellites 2\n1 0 1 inf\n2 - - -\n", "non-positive delay"),
-            ("satellites 2\n1 0 1 1.0 7\n2 - - -\n", "malformed edge record"),
-            ("satellites 2\n1 0 1.5 1.0\n2 - - -\n", "malformed edge record"),
-            ("satellites 2\n1 0 1 1.0 # note\n2 - - -\n", "malformed edge record"),
+            ("satellites -3\nslot 1 0\nslot 2 0\n", "negative"),
+            ("satellites 2 7\nslot 1 0\nslot 2 0\n", "bad satellites header"),
+            ("satellites 2\ngs 2 a 0.0 0.0\ngs 2 b 0.0 1.0\nslot 1 0\nslot 2 0\n", "ids"),
+            ("satellites 2\ngs 2 a 0.0 0.0\ngs 3 a 0.0 1.0\nslot 1 0\nslot 2 0\n", "names"),
+            ("satellites 2\ngs 1 a 0.0 0.0\nslot 1 0\nslot 2 0\n", "must be 2..2"),
+            ("satellites 2\nslot 0 1\n0 1 1\nslot 1 0\nslot 2 0\n", "line 4: expected slot 1, got slot 0"),
+            ("satellites 2\nslot 1 1\n0 1 1\nslot 3 1\n0 1 1\n", "line 6: expected slot 2, got slot 3"),
+            ("satellites 2\nslot 2 1\n0 1 1\nslot 1 1\n0 1 1\n", "line 4: expected slot 1, got slot 2"),
+            ("satellites 2\nslot 1 0\n0 1 1\nslot 2 0\n", "line 5: slot 1 has more records than the 0 its"),
+            ("satellites 2\nslot 1 1\n0 1 1\nslot 1 0\nslot 2 0\n", "line 6: expected slot 2, got slot 1"),
+            ("satellites 2\nslot 1 0\nslot 2 0\nslot 2 0\n", "line 6: expected slot 3, got slot 2"),
+            ("satellites 2\nslot 1 -\nslot 2 0\n", "line 4: bad slot header 'slot 1 -'"),
+            ("satellites 2\nslot 1 1\nslots 2 0\nslot 2 0\n", "line 5: malformed edge record 'slots 2 0'"),
+            ("satellites 2\nslot 1 1\n0 -1 2\nslot 2 0\n", "unknown node id"),
+            ("satellites 2\nslot 1 1\n0 1 nan\nslot 2 0\n", "line 5: malformed edge record"),
+            ("satellites 2\nslot 1 1\n0 1 inf\nslot 2 0\n", "line 5: malformed edge record"),
+            ("satellites 2\nslot 1 1\n0 1 1 7\nslot 2 0\n", "line 5: malformed edge record"),
+            ("satellites 2\nslot 1 1\n0 1.5 1\nslot 2 0\n", "line 5: malformed edge record"),
+            ("satellites 2\nslot 1 1\n0 1 1 # note\nslot 2 0\n", "line 5: malformed edge record"),
             ("satellites 2\n", "header says 2"),
-            ("satellites 5000000000\n1 0 4294967297 1.5\n2 - - -\n", "at most 65536 nodes"),
+            ("satellites 2\nslot 1 1\n0 1 0\nslot 2 0\n", "slot 1: non-positive delay"),
+            ("satellites 2\nslot 1 1\n0 1 -5\nslot 2 0\n", "slot 1: non-positive delay"),
+            ("satellites 2\n0 1 1\nslot 1 0\nslot 2 0\n", "line 4: edge record before the first"),
+            ("satellites 2\nslot 1 0\nslot 2 0\nslot 3 0\n", "line 6: slot 3, but the scenario "
+             "header says 2 slots"),
+            ("satellites 5000000000\nslot 1 1\n0 4294967297 1\nslot 2 0\n", "at most 65536 nodes"),
         ],
         ids=[
             "negative-satellites", "satellites-two-counts", "duplicate-station-id", "duplicate-station-name",
             "station-id-below-satellites", "slot-0", "slot-gap", "slots-out-of-order",
             "marker-then-edge", "edge-then-marker", "marker-twice", "malformed-marker",
             "forged-marker", "negative-endpoint", "nan-delay", "inf-delay", "extra-field",
-            "float-node-id", "trailing-comment", "no-records", "ids-beyond-int32",
+            "float-node-id", "trailing-comment", "no-records", "zero-delay", "negative-delay",
+            "record-before-header", "slot-past-the-count", "ids-beyond-int32",
         ],
     )
     def test_bad_file_raises_format_error(self, tmp_path, body, message):
@@ -758,10 +778,10 @@ class TestImportContract:
     def test_bad_scenario_fields_raise_format_error(self, tmp_path, fields, message):
         path = tmp_path / "header.series"
         path.write_text(
-            "lislsim-series v1\n"
+            "lislsim-series v2\n"
             "scenario lisl_range_km=1.0 gs_range_km=1.0 node_delay_ms=0.0 "
             f"slot_duration_s=1.0 {fields}\n"
-            "satellites 2\n1 - - -\n2 - - -\n"
+            "satellites 2\nslot 1 0\nslot 2 0\n"
         )
         with pytest.raises(SeriesFormatError, match=message):
             import_series(path)
@@ -769,8 +789,8 @@ class TestImportContract:
     @pytest.mark.parametrize(
         "data",
         [
-            b"\xfflislsim-series v1\n",
-            HEADER.encode() + b"satellites 2\n1 0 1 1.0\n2 0 1 1.0\xff\n",
+            b"\xfflislsim-series v2\n",
+            HEADER.encode() + b"satellites 2\nslot 1 1\n0 1 1\nslot 2 1\n0 1 1\xff\n",
         ],
         ids=["header", "edge-record"],
     )
@@ -782,12 +802,12 @@ class TestImportContract:
 
     def test_blank_lines_between_records_ignored(self, tmp_path):
         path = tmp_path / "blank.series"
-        path.write_text(HEADER + "satellites 2\n1 0 1 1.0\n\n  \n2 - - -\n\n")
+        path.write_text(HEADER + "satellites 2\nslot 1 1\n\n0 1 1000000000\n\n  \nslot 2 0\n\n")
         series = import_series(path)
         assert [snap.edge_count for snap in series.snapshots] == [1, 0]
 
 
-MUTANT_TOKENS = ("-", "-1", "nan", "inf", "1.0", "#")
+MUTANT_TOKENS = ("slot", "-", "-1", "0", "nan", "inf", "1.0", "#")
 
 
 def mutants(lines: list[str]):
@@ -886,6 +906,26 @@ class TestRoundTripProperty:
         save_series(series, path)
         assert import_series(path) == series
 
+    @given(st.lists(st.one_of(
+        st.floats(min_value=1e-9, max_value=1.0, exclude_max=True),  # under 1 ms
+        st.floats(min_value=1e-9, max_value=999999.999999999),
+        st.sampled_from([1e-9, 0.999999999, 2**32 / 1e9, (2**32 + 1) / 1e9, 999999.999999999]),
+    ), min_size=1, max_size=20))
+    @example([1e-9, 0.5, 0.999999999, 1.0, 2**32 / 1e9, 12.345678901, 999999.999999999])
+    @settings(max_examples=150, deadline=None)
+    def test_delays_round_trip_as_integer_picoseconds(self, tmp_path_factory, delays):
+        """From 1 ps to just under ``MAX_DELAY_MS``, under 1 ms and above 2**32
+        ps: each written field is the rounded picoseconds, and the import gives
+        ``np.round(d, 9)`` bit for bit."""
+        series = series_from_edges([{(0, v): d for v, d in enumerate(delays, start=1)}],
+                                   num_satellites=len(delays) + 1)
+        path = tmp_path_factory.mktemp("ps") / "x.series"
+        save_series(series, path)
+        records = path.read_text().splitlines()[-len(delays):]
+        assert [r.split()[2] for r in records] == [str(int(np.rint(d * 1e9))) for d in delays]
+        got = import_series(path).delay_ms
+        assert got.tobytes() == np.round(np.array(delays), 9).tobytes()
+
 
 def _outcome(read, path):
     """What a reader makes of a file: its series' parts, or its error message."""
@@ -907,8 +947,8 @@ BLOCK_SIZES = range(8, 97)
 
 
 def _same_at_every_block_size(path):
-    """The outcome of the one-pass reader, after checking that the block
-    reader has it at every size in ``BLOCK_SIZES``."""
+    """The outcome of the line-by-line reference reader, after checking that
+    the block reader has it at every size in ``BLOCK_SIZES``."""
     want = _outcome(import_series_reference, path)
     for block in BLOCK_SIZES:
         with patch.object(topology, "_BLOCK", block):
@@ -943,11 +983,11 @@ class TestBlockReader:
         lambda head, rec: head + re.sub(r"^", " \t ", rec, flags=re.M),
         lambda head, rec: head + rec.replace("\n", "\n \t\n\n"),
         lambda head, rec: (head + rec).rstrip("\n"),
-        lambda head, rec: head + re.sub(r"\.0+$|(\.\d+)$", r"\1e0", rec, flags=re.M),
+        lambda head, rec: head + re.sub(r"^(\d+) (\d+) (\d+)$", r"+\1 00\2 +0\3", rec, flags=re.M),
         lambda head, rec: (head + re.sub(r"^|$", "\t", rec.replace(" ", " \t"), flags=re.M)
                            ).replace("\n", "\r").rstrip("\r"),
     ], ids=["crlf", "cr", "tabs", "leading-whitespace", "whitespace-only-lines",
-            "no-final-newline", "exponent-delays", "cr-tabs-no-final-newline"])
+            "no-final-newline", "signed-padded", "cr-tabs-no-final-newline"])
     def test_text_variants_import_equal_to_the_lf_file(self, tmp_path, variant):
         head, records = self._canonical(tmp_path)
         path = tmp_path / "variant.series"
@@ -956,7 +996,7 @@ class TestBlockReader:
 
     def test_imports_the_shortest_cr_lines(self, tmp_path):
         path = tmp_path / "short.series"
-        records = "\r".join(["1 0 1 1", "1 0 2 1", "1 1 2 1", "2 - - -"]).encode()
+        records = "\r".join(["slot 1 3", "0 1 1", "0 2 1", "1 2 1", "slot 2 0"]).encode()
         path.write_bytes((HEADER + "satellites 3\n").replace("\n", "\r").encode() + records)
         series = import_series(path)
         assert [snap.edge_count for snap in series.snapshots] == [3, 0]
@@ -994,32 +1034,46 @@ class TestBlockReader:
             assert _outcome(import_series, path) == want
 
     def test_marker_first_and_last_in_a_block(self, tmp_path):
+        """The empty-slot header ``slot k 0`` (v1's ``k - - -`` marker) opens
+        and ends a block."""
         path = tmp_path / "markers.series"
         path.write_text(HEADER.replace("num_slots=2", "num_slots=4") + "satellites 3\n"
-                        "1 0 1 1.5\n1 0 2 1.5\n1 1 2 0.25\n2 - - -\n3 0 1 1.5\n3 1 2 0.25\n"
-                        "4 - - -\n")
+                        "slot 1 3\n0 1 1500000000\n0 2 1500000000\n1 2 250000000\nslot 2 0\n"
+                        "slot 3 2\n0 1 1500000000\n1 2 250000000\nslot 4 0\n")
         got = _same_at_every_block_size(path)
         assert got[2] == [0, 3, 3, 5, 5]  # offsets: slots 2 and 4 are empty
-        assert _opens_a_block(path, "2 - - -\n") and _opens_a_block(path, "4 - - -")
-        assert any(text.endswith("\n2 - - -\n") for block in BLOCK_SIZES
+        assert _opens_a_block(path, "slot 2 0\n") and _opens_a_block(path, "slot 4 0")
+        assert any(text.endswith("\nslot 2 0\n") for block in BLOCK_SIZES
                    for text in _blocks_of(path, block)[:-1])
 
     def test_slot_over_three_blocks(self, tmp_path):
         path = tmp_path / "long.series"
         path.write_text(HEADER + "satellites 9\n"
-                        + "".join(f"1 0 {v} 1.5\n" for v in range(1, 9)) + "2 - - -\n")
+                        + "slot 1 8\n" + "".join(f"0 {v} 1500000000\n" for v in range(1, 9))
+                        + "slot 2 0\n")
         assert _same_at_every_block_size(path)[2] == [0, 8, 8]
-        assert sum(text.startswith("1 ") for text in _blocks_of(path, 24)) >= 3
+        assert sum("\n0 " in f"\n{text}" for text in _blocks_of(path, 24)) >= 3
 
     @pytest.mark.parametrize("records,second,message", [
-        ("1 0 1 1.0\n2 0 1 1.0\n2 - - -\n", "2 - - -", "empty-slot marker for non-empty slot 2"),
-        ("1 0 1 1.0\n2 0 1 1.0\n1 0 2 1.0\n", "1 0 2", "slots out of order"),
-        ("2 0 1 1.0\n2 0 2 1.0\n1 0 1 1.0\n", "1 0 1", "slots out of order"),
-        ("1 0 1 1.0\n1 0 2 1.0\n3 0 1 1.0\n", "3 0 1", "non-consecutive slots"),
-    ], ids=["marker-after-edge", "slot-back", "first-slot-2-then-back", "slot-gap"])
+        ("slot 1 1\n0 1 1\nslot 2 1\n0 1 1\nslot 2 0\n", "slot 2 0",
+         "line 8: expected slot 3, got slot 2"),
+        ("slot 1 1\n0 1 1\nslot 2 1\n0 1 1\nslot 1 1\n0 2 1\n", "slot 1 1",
+         "line 8: expected slot 3, got slot 1"),
+        ("slot 2 2\n0 1 1\n0 2 1\nslot 1 1\n0 1 1\n", "slot 1 1",
+         "line 4: expected slot 1, got slot 2"),
+        ("slot 1 2\n0 1 1\n0 2 1\nslot 3 1\n0 1 1\n", "slot 3 1",
+         "line 7: expected slot 2, got slot 3"),
+        ("slot 1 3\n0 1 1\n0 2 1\nslot 2 0\n", "slot 2 0",
+         "line 7: slot 1 has 2 records, but its header says 3"),
+        ("slot 1 2\n0 1 1\n0 2 1\n1 2 1\nslot 2 0\n", "1 2 1",
+         "line 7: slot 1 has more records than the 2 its header says"),
+        ("slot 1 1\n0 1 1\nslot 2 2\n0 1 1\n", "0 1 1\n",
+         "end of file: slot 2 has 1 records, but its header says 2"),
+    ], ids=["marker-after-edge", "slot-back", "first-slot-2-then-back", "slot-gap",
+            "short-slot", "extra-record", "cut-last-slot"])
     def test_faults_split_across_a_boundary(self, tmp_path, records, second, message):
         path = tmp_path / "split.series"
-        path.write_text(HEADER + "satellites 2\n" + records)
+        path.write_text(HEADER + "satellites 3\n" + records)
         assert _same_at_every_block_size(path) == message
         assert _opens_a_block(path, second)
 
@@ -1058,7 +1112,7 @@ class TestBlockReader:
     def test_header_slot_count_sizes_nothing(self, tmp_path):
         path = tmp_path / "huge.series"
         path.write_text(HEADER.replace("num_slots=2", "num_slots=1000000000000000")
-                        + "satellites 2\n1 0 1 1.0\n2 - - -\n")
+                        + "satellites 2\nslot 1 1\n0 1 1000000000\nslot 2 0\n")
         tracemalloc.start()
         try:
             with pytest.raises(SeriesFormatError, match="header says 1000000000000000"):
@@ -1067,6 +1121,65 @@ class TestBlockReader:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, peak
+
+
+WANT = "want 'slot <k> <n>'"
+
+
+def _count_faults():
+    """(id, edit, message) of each fault in the counts and order of slot headers,
+    as an edit of a three-slot file's record lines (from line 4)."""
+    def drop(lines):  # a record out of the middle slot
+        return lines[:5] + lines[6:]
+
+    def extra(lines):
+        return lines[:7] + ["1 0 7"] + lines[7:]
+
+    def cut(lines):  # the last slot ends early, mid-slot, with the file
+        return lines[:-1]
+
+    def header(k, n):
+        return lambda lines: lines[:3] + [f"slot {k} {n}"] + lines[4:]
+
+    return [
+        ("dropped-record", drop, "line 10: slot 2 has 2 records, but its header says 3"),
+        ("extra-record", extra, "line 11: slot 2 has more records than the 3 its header says"),
+        ("cut-last-slot", cut, "end of file: slot 3 has 1 records, but its header says 2"),
+        ("negative-count", header(2, -3), "line 7: bad slot header 'slot 2 -3', " + WANT),
+        ("signed-count", header(2, "+3"), "line 7: bad slot header 'slot 2 +3', " + WANT),
+        ("float-count", header(2, "3.0"), "line 7: bad slot header 'slot 2 3.0', " + WANT),
+        ("word-count", header(2, "three"), "line 7: bad slot header 'slot 2 three', " + WANT),
+        ("no-count", header(2, ""), "line 7: bad slot header 'slot 2', " + WANT),
+        ("repeated-slot", header(1, 3), "line 7: expected slot 2, got slot 1"),
+        ("skipped-slot", header(3, 3), "line 7: expected slot 2, got slot 3"),
+    ]
+
+
+class TestSlotCounts:
+    """Each slot header's count and number are checked against the records
+    and headers that follow: a dropped, extra or cut record and a bad,
+    repeated or skipped header each end the import at its line, whatever the
+    block size, and ``lislsim run`` exits 1 with that one ``error:`` line."""
+
+    RECORDS = ["slot 1 2", "0 1 1500000000", "1 2 250000000",
+               "slot 2 3", "0 1 1500000000", "0 2 1250000000", "1 2 250000000",
+               "slot 3 2", "0 2 1500000000", "1 2 250000000"]
+
+    @pytest.mark.parametrize("edit,message", [case[1:] for case in _count_faults()],
+                             ids=[case[0] for case in _count_faults()])
+    def test_fault_ends_the_import_at_every_block_size(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "counts.series"
+        head = HEADER.replace("num_slots=2", "num_slots=3") + "satellites 3\n"
+        path.write_text(head + "\n".join(self.RECORDS) + "\n")
+        assert _same_at_every_block_size(path)[2] == [0, 2, 5, 7]
+        path.write_text(head + "\n".join(edit(list(self.RECORDS))) + "\n")
+        assert _same_at_every_block_size(path) == message
+        for block in BLOCK_SIZES:
+            with patch.object(topology, "_BLOCK", block):
+                rc = main(["run", "--algorithm", "ilsr", "--series", str(path),
+                           "--out", str(tmp_path / "out")])
+            assert rc == 1 and capsys.readouterr().err == f"error: {message}\n", block
+        assert not (tmp_path / "out").exists()
 
 
 class TestLineSeparators:
@@ -1084,11 +1197,12 @@ class TestLineSeparators:
         lines = (tmp_path / "lf.series").read_text().split("\n")
         head = 3 + len(FUZZ_STATIONS)
         head, records = "\n".join(lines[:head]) + "\n", "\n".join(lines[head:])
-        variants = {  # whitespace in, around and between the records; the last joins two
+        assert records.startswith("slot 1 2\n0 6 1500000000\n1 7 123456789\n")
+        variants = {  # whitespace in, around and between the lines; the last joins two records
             "inside": records.replace(" ", sep),
             "around": re.sub(r"^|$", sep, records, flags=re.M),
             "own-line": records.replace("\n", f"\n{sep}\n"),
-            "between": records.replace("\n", sep, 1),
+            "between": records.replace("\n1 7 ", f"{sep}1 7 ", 1),
         }
         lf = _outcome(import_series, tmp_path / "lf.series")
         for name, text in variants.items():
@@ -1096,7 +1210,8 @@ class TestLineSeparators:
             path.write_text(head + text, encoding="utf-8")
             got = _same_at_every_block_size(path)
             if name == "between":
-                assert got.startswith("malformed edge record") and "at row 1" in got, got
+                joined = f"0 6 1500000000{sep}1 7 123456789"
+                assert got == f"line 7: malformed edge record {joined!r}", got
             else:
                 assert got == lf, name
 
@@ -1122,6 +1237,8 @@ class TestStockBlocks:
             assert a == b, col
 
     def test_loadtxt_parses_each_block_once_as_its_lines(self, stock_file):
+        """One ``np.loadtxt`` call for each run of records a block holds between
+        slot headers, given the run's lines."""
         calls = []
         loadtxt = np.loadtxt
 
@@ -1131,5 +1248,6 @@ class TestStockBlocks:
 
         with patch.object(topology.np, "loadtxt", counted):
             import_series(stock_file)
-        blocks = [text for text in _blocks_of(stock_file, topology._BLOCK) if not text.isspace()]
-        assert calls == [list] * len(blocks)
+        runs = [run for text in _blocks_of(stock_file, topology._BLOCK)
+                for run in re.split(r"^slot .*\n", text, flags=re.M) if run and not run.isspace()]
+        assert calls == [list] * len(runs)
