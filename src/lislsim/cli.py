@@ -15,13 +15,14 @@ Exit status: 0 ok, 1 validation/usage error or out of memory, 2 verification fai
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import dataclasses
-import gc
 import math
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
 from .config import (
@@ -335,20 +336,30 @@ def main(argv=None) -> int:
         return 1
 
 
-def console() -> int:
+def console() -> NoReturn:
     """The process entry point, of ``python -m lislsim.cli`` and the ``lislsim``
-    script: ``main()``, then ``gc.freeze()``, which only a process about to exit
-    can afford (it pins every object alive now, so ``main`` stays free of it).
+    script: ``main()``, then the end of the process at its last flush.
 
-    Interpreter exit collects every object the gc tracks, ~22,000 once numpy and
-    lislsim are loaded, at ~5 ms a pass. The freeze moves them to the permanent
-    generation, which no collection visits, and cuts a command's exit from ~20 to
-    ~5 ms (2 shared cores). Exit still runs the atexit handlers, flushes the
-    streams and frees by refcount.
+    It runs the ``atexit`` handlers, flushes stdout and stderr and calls
+    ``os._exit``, so the process skips interpreter finalisation, which collects
+    the ~22,000 objects numpy and lislsim leave tracked: from ``main``'s return
+    to the end of ``table2`` took ~5.6 ms with it and takes ~1.7 ms without
+    (median of 30 runs, 2 shared cores). ``main`` itself changes no process
+    state. A stdout that cannot take the text (a closed pipe) is one ``error:``
+    line and exit 1, unless ``main`` already failed.
     """
     code = main()
-    gc.freeze()
-    return code
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code == 0:  # a failed command has reported its own error
+            with contextlib.suppress(OSError):
+                print(f"error: {exc}", file=sys.stderr)
+            code = 1
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

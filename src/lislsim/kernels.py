@@ -99,8 +99,12 @@ def pair_edges(pos: np.ndarray, range_km: float):
         second += np.repeat((start - np.cumsum(count) + count).astype(np.int32), count)
         kept.append(pairs_in_range(spos, first, second, range_km))
     a, b, d2 = (np.concatenate(column) for column in zip(*kept))
+    del kept
+    # ids in the key's dtype, so that i * n + j (below n * n) sorts in 32 bits when it fits
+    order = order.astype(np.uint32 if n * n <= 2**32 else np.int64)
     a, b = order[a], order[b]
     i, j = np.minimum(a, b), np.maximum(a, b)
+    del a, b
     by_pair = np.argsort(i * n + j)
     return i[by_pair].astype(np.int32), j[by_pair].astype(np.int32), d2[by_pair]
 

@@ -25,6 +25,7 @@ plus about one block of text and one slot.
 from __future__ import annotations
 
 import errno
+import functools
 import itertools
 import os
 import time
@@ -198,8 +199,8 @@ class NodeRoster:
 # Below 1e6 ms a delay is under 10**15 integer picoseconds, the series
 # file's delay field, well inside the integers float64 holds exactly:
 # rint(d * 1e9) of a 9-digit delay d is exact, delay_ps / 1e9 reads it back
-# bit for bit, and the writer's whole milliseconds and 9-digit fraction each
-# fit its uint32 digits.
+# bit for bit, and the writer's two parts of it, split at 10**8, each fit
+# the uint32 its chunk arithmetic runs in.
 MAX_DELAY_MS = 1e6
 
 
@@ -402,51 +403,86 @@ class SnapshotSeries:
 _MAGIC = "lislsim-series v2"
 
 
-def _digit_rows(x: np.ndarray) -> list[np.ndarray]:
-    """ASCII rows of the decimal digits of non-negative ints below 10**18,
-    most significant first: as many rows as the largest value has digits,
-    and a shorter value's leading zeros are NUL bytes, for the caller to drop.
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of each of 0..9999 as one uint32 in memory order:
+    zero-padded (``0042``), and with leading zeros as NUL bytes (``\\0\\042``;
+    0 keeps its last digit). Built on the first export, so a process that writes
+    no series never builds them."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    padded = np.empty((10, 10, 10, 10, 4), np.uint8)  # by thousands, ..., ones, then char
+    for k in range(4):  # built in place: temporaries would grow the heap ~5x the tables
+        padded[..., k] = digits.reshape((10,) + (1,) * (3 - k))
+    led = padded.copy()
+    for k in range(3):  # char k leads with a zero where digits 0..k are all zero
+        led[(0,) * (k + 1)][..., k] = 0
+    tables = padded.reshape(-1, 4).view(np.uint32)[:, 0], led.reshape(-1, 4).view(np.uint32)[:, 0]
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _put_field(rows: np.ndarray, x: np.ndarray, width: int) -> None:
+    """Write the decimal text of the non-negative ints ``x``, below 10**16,
+    right-aligned into the ``4 * width`` uint8 columns of ``rows``, one value a
+    row, its leading zeros as NUL bytes.
+
+    Chunk j (least significant first) of each value is written as one uint32
+    from a digit table: zero-padded below the value's top chunk, NUL-led at
+    it, and all NUL above it. Where the column's min and max show that a chunk
+    is one kind for every row, as every chunk is at stock, one table writes it.
     """
-    width = len(str(x.max()))
-    rows, rest = [], x
-    for start in range(0, width, 9):  # the digits of a 9-digit uint32 part at a time
-        rest, part = np.divmod(rest, 10**9) if width - start > 9 else (None, rest)
-        part = part.astype(np.uint32)  # numpy divides it by a constant fast
-        for _ in range(min(9, width - start)):
-            quotient = part // 10
-            rows.append((part - quotient * 10 + ord("0")).astype(np.uint8))
-            part = quotient
-    rows.reverse()
-    low = x.min()
-    for j, row in enumerate(rows[:-1]):
-        place = 10 ** (width - 1 - j)
-        if low < place:  # a row every value reaches keeps its zeros
-            row *= x >= place
-    return rows
+    padded, led = _digit_tables()
+    if width > 2:  # two base-10**8 digits, so that the chunk arithmetic is uint32
+        high = x // 10**8
+        parts = [(x - high * 10**8).astype(np.uint32), high.astype(np.uint32)]
+        del high
+    else:
+        parts = [x.astype(np.uint32, copy=False)]
+    low = int(x.min())
+    for j in range(width):
+        part = parts[j // 2]
+        if j % 2:
+            chunk = part // 10**4
+        elif j + 1 < width:
+            chunk = part - part // 10**4 * 10**4  # numpy divides by a constant fast, % it does not
+        else:  # the column's top chunk, so the part is below 10**4
+            chunk = part
+        at = 4 * (width - 1 - j)
+        out = rows[:, at:at + 4].view(np.uint32)[:, 0]
+        place = 10 ** (4 * j + 4)
+        # a chunk is below 10**4, so "clip" clips nothing; it lets take write into out unbuffered
+        if low >= place:  # every value has a chunk above this one
+            np.take(padded, chunk, out=out, mode="clip")
+            continue
+        np.take(led, chunk, out=out, mode="clip")
+        if j + 1 < width:  # the values with a chunk above this one
+            np.copyto(out, padded.take(chunk, mode="clip"), where=x >= place)
+        if j and low < place // 10**4:  # the values that end below this chunk
+            out[x < place // 10**4] = 0
 
 
-def _slot_records(slot: int, keys: np.ndarray, delay_ms: np.ndarray) -> bytes:
-    """The text of one canonical slot: its ``slot <k> <n>`` header, then one
-    ``"%d %d %d"`` record a line, the delay in integer picoseconds.
+def _slot_records(keys: np.ndarray, delay_ms: np.ndarray) -> bytearray:
+    """The ``"%d %d %d\\n"`` records ``u v delay_ps`` of one canonical,
+    non-empty slot, the delay in integer picoseconds.
 
-    The records are the rows of one byte matrix, built a character column at
-    a time with integer arithmetic: the digits of u, v and the delay, each
-    column as wide as its largest value with leading zeros as NUL bytes, and
-    the separators.
+    The records are the rows of one byte buffer: each field as many whole
+    4-digit chunks wide as its largest value needs (``_put_field``), then its
+    separator. The NUL bytes of the leading zeros are stripped last, once the
+    slot's columns are freed, so a slot peaks at its buffer plus its text.
     """
-    header = b"slot %d %d\n" % (slot, keys.size)
-    if keys.size == 0:
-        return header
     lo, hi = _halves(keys)
-    delay_ps = np.rint(delay_ms * 1e9).astype(np.int64)
-    pieces = (_digit_rows(lo), b" ", _digit_rows(hi), b" ", _digit_rows(delay_ps), b"\n")
-    rows = []
-    for piece in pieces:
-        if isinstance(piece, bytes):
-            rows.extend(np.full(keys.size, byte, np.uint8) for byte in piece)
-        else:
-            rows.extend(piece)
-    return header + np.stack(rows, axis=1).tobytes().replace(b"\0", b"")
+    columns = [lo, hi, np.rint(delay_ms * 1e9).astype(np.int64)]
+    widths = [-(-len(str(int(x.max()))) // 4) for x in columns]
+    ends = list(itertools.accumulate(4 * width + 1 for width in widths))  # past each separator
+    text = bytearray(keys.size * ends[-1])
+    rows = np.frombuffer(text, np.uint8).reshape(keys.size, ends[-1])
+    for x, width, end in zip(columns, widths, ends):
+        _put_field(rows[:, end - 1 - 4 * width:end - 1], x, width)
+    for end, byte in zip(ends, b"  \n"):
+        rows[:, end - 1] = byte
+    del rows, columns
+    return text.translate(None, b"\0")
 
 
 def export_series(slots, path, scenario: ScenarioParams, roster: NodeRoster) -> int:
@@ -474,7 +510,9 @@ def export_series(slots, path, scenario: ScenarioParams, roster: NodeRoster) -> 
         with open(partial, "wb") as fh:
             fh.write(("\n".join(lines) + "\n").encode("utf-8"))
             for slot, keys, delay_ms in _canonical_slots(roster, scenario.num_slots, slots):
-                fh.write(_slot_records(slot, keys, delay_ms))
+                fh.write(b"slot %d %d\n" % (slot, keys.size))
+                if keys.size:
+                    fh.write(_slot_records(keys, delay_ms))
                 records += keys.size
         os.replace(partial, path)
     except BaseException:

@@ -1,7 +1,7 @@
 """End-to-end CLI coverage: generate, run, sweep, table2."""
 
 import ast
-import gc
+import atexit
 import json
 import math
 import os
@@ -928,8 +928,9 @@ def _blas_setting_after_import(preset):
 class TestImportCost:
     """A CLI call pays for no import, thread or collection it does not use: scipy stays
     a test extra, each command loads only the lislsim modules it runs, numpy starts
-    without OpenBLAS worker threads unless the caller asks for them, and a CLI process
-    freezes its objects before the collections at exit (in-process ``main`` does not)."""
+    without OpenBLAS worker threads unless the caller asks for them, a CLI process
+    ends at its last flush, before the collections of interpreter exit (in-process
+    ``main`` does not end it), and only a series export builds the writer's tables."""
 
     def test_bare_import_loads_no_submodule(self):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -981,26 +982,46 @@ class TestImportCost:
         assert _scipy_modules_after(argv) == []
         assert (out / "manifest.json").exists()
 
-    def test_process_exit_is_frozen_after_a_complete_command(self, capsys):
-        # ``python -m lislsim.cli`` ends through console(): the atexit probe, registered
-        # first and so run last, sees the objects frozen, and stdout arrives whole
-        code = ("import atexit, gc, runpy, sys\n"
-                "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+    def test_process_ends_at_its_last_flush_after_a_complete_command(self, capsys):
+        # ``python -m lislsim.cli`` ends through console(): the atexit probe still runs
+        # and stdout arrives whole, but interpreter shutdown, which would let the
+        # thread's join of the main thread return, never starts
+        code = ("import atexit, runpy, sys, threading\n"
+                "threading.Thread(target=lambda: (threading.main_thread().join(),"
+                " print('shut down', file=sys.stderr))).start()\n"
+                "atexit.register(lambda: print('atexit ran', file=sys.stderr))\n"
                 "sys.argv = ['lislsim', 'table2']\n"
                 "runpy.run_module('lislsim.cli', run_name='__main__', alter_sys=True)\n")
         done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        word, count = done.stderr.split()
-        assert word == "frozen" and int(count) > 0
+        assert done.stderr == "atexit ran\n"
         assert main(["table2"]) == 0
         assert done.stdout == capsys.readouterr().out
 
-    def test_main_freezes_nothing(self, tmp_path, tiny_config):
-        before = gc.get_freeze_count()
+    def test_main_leaves_the_process_as_it_was(self, tmp_path, tiny_config, monkeypatch):
+        exits = []
+        monkeypatch.setattr(os, "_exit", exits.append)
+        before = atexit._ncallbacks()
         assert main(["table2"]) == 0
         assert main(["generate", "--config", str(tiny_config), "--out", str(tmp_path / "s")]) == 0
-        assert gc.get_freeze_count() == before
+        assert exits == [] and atexit._ncallbacks() == before
+
+    @pytest.mark.parametrize("command,built", [
+        (None, 0), (["run", "--algorithm", "alpr"], 0), (["sweep"], 0), (["generate"], 1),
+    ], ids=["import", "run", "sweep", "generate"])
+    def test_only_an_export_builds_the_digit_tables(self, tmp_path, tiny_config, tiny_series,
+                                                    command, built):
+        run = ""
+        if command is not None:
+            argv = [*command, "--config", tiny_config, "--out", tmp_path / "out"]
+            if command != ["generate"]:
+                argv += ["--series", tiny_series]
+            run = f"assert main({[str(a) for a in argv]!r}) == 0\n"
+        probe = ("from lislsim.cli import main\n"
+                 "from lislsim.topology import _digit_tables\n"
+                 f"{run}print(_digit_tables.cache_info().currsize)\n")
+        assert _last_line_of(probe) == str(built)
 
     def test_script_calls_what_the_main_block_calls(self):
         # the ``lislsim`` script and ``python -m lislsim.cli`` share one entry point
@@ -1011,6 +1032,31 @@ class TestImportCost:
                   and ast.unparse(node.test) == "__name__ == '__main__'")
         assert ast.unparse(block.body[0]) == "sys.exit(console())"
         assert scripts.split() == ["lislsim", "=", '"lislsim.cli:console"']
+
+
+class TestClosedStdout:
+    """A stdout whose reader has gone is one ``error:`` line and exit 1, whether the
+    child buffers its stdout (``PYTHONUNBUFFERED`` unset, as in a pipeline) or not."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", [["table2"], ["sweep"]], ids=["table2", "sweep"])
+    def test_closed_pipe_exits_1(self, tmp_path, tiny_config, tiny_series, command, unbuffered):
+        if command == ["sweep"]:
+            command += ["--config", str(tiny_config), "--series", str(tiny_series),
+                        "--out", str(tmp_path / "out")]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails with EPIPE
+        try:
+            done = subprocess.run([sys.executable, "-m", "lislsim.cli", *command], stdout=write,
+                                  stderr=subprocess.PIPE, env=_child_env(env), text=True,
+                                  timeout=120)
+        finally:
+            os.close(write)
+        errors = [line for line in done.stderr.splitlines() if not line.startswith("warning: ")]
+        assert (done.returncode, errors) == (1, ["error: [Errno 32] Broken pipe"])
 
 
 class TestChildMatchesMain:

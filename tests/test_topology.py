@@ -582,7 +582,23 @@ class TestExportWriter:
         assert list(tmp_path.iterdir()) == [folder]  # no .partial beside it
         assert list(folder.iterdir()) == []
 
-    @given(st.lists(st.dictionaries(_PAIRS, _DELAYS, max_size=6), min_size=1, max_size=4))
+    def test_every_field_width_byte_identical(self, tmp_path):
+        # ids of 1 to 5 digits in both columns, delays of 1 to 15 digits: every chunk
+        # count of every field, each chunk padded, NUL-led or all NUL in one slot
+        ids = [0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 65535]
+        pairs = list(zip(ids, ids[1:])) + list(zip(ids, ids[2:8]))
+        delays_ps = [1] + [10**d - 1 if d % 2 else 10 ** (d - 1) for d in range(2, 16)]
+        assert len(pairs) == len(delays_ps) and delays_ps[-1] == 10**15 - 1
+        series = series_from_edges([dict(zip(pairs, np.array(delays_ps) / 1e9))],
+                                   num_satellites=2**16)
+        save_series(series, tmp_path / "new.series")
+        _export_series_reference(series, tmp_path / "old.series")
+        text = (tmp_path / "new.series").read_bytes()
+        assert text == (tmp_path / "old.series").read_bytes()
+        for (u, v), ps in zip(pairs, delays_ps):
+            assert b"\n%d %d %d\n" % (u, v, ps) in text
+
+    @given(st.lists(st.dictionaries(_PAIRS, _DELAYS, max_size=50), min_size=1, max_size=4))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_reference_writer(self, tmp_path_factory, per_slot):
         series = series_from_edges(per_slot, num_satellites=2**16)
